@@ -15,6 +15,7 @@ Exit codes: 0 pass, 1 check failure, 2 input error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -154,6 +155,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
+def _check_geometric_residual(diagnostics: dict, m: int) -> None:
+    """Raise SolverError unless the geometric residual is finite and within
+    100 * tol / min(phi): the linear residual bound, carried through the
+    row scaling by phi, with room for the geometric operators' rounding."""
+    bound = 100 * diagnostics["tol"] / diagnostics["phi_min"]
+    residual = diagnostics["residual_max"]
+    if not (math.isfinite(residual) and residual <= bound):
+        raise SolverError(f"geometric residual {residual:.3g} above {bound:.3g} at m = {m}")
+
+
 def cmd_solve(args) -> int:
     report = Report(command="solve")
     grids = args.grid or [17]
@@ -175,6 +186,7 @@ def cmd_solve(args) -> int:
         start = time.perf_counter()
         for m in grids:
             result = solve_potential(spec, m, config)
+            _check_geometric_residual(result.diagnostics, m)
             diagnostics = dict(result.diagnostics)
             diagnostics.update(verify_potential(result.grid, spec))
             runs.append(diagnostics)
@@ -189,8 +201,6 @@ def cmd_solve(args) -> int:
 
     order = None
     if len(runs) >= 2:
-        import math
-
         first, last = runs[0], runs[-1]
         if last["form_residual_max"] > 0 and first["h"] != last["h"]:
             order = math.log(first["form_residual_max"] / last["form_residual_max"]) / math.log(
@@ -199,7 +209,7 @@ def cmd_solve(args) -> int:
     for diag in runs:
         diag["order_estimate"] = order
     report.data["runs"] = runs
-    report.verdicts["converged"] = True
+    report.verdicts["converged"] = True  # every run passed _check_geometric_residual
     _emit(report, args.out)
     if args.out and last_grid is not None:
         csv_path = args.out.rsplit(".", 1)[0] + ".csv"

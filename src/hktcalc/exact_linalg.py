@@ -16,10 +16,6 @@ def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> list[list]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int, zero=Fraction(0)) -> list[list]:
-    return [[zero] * cols for _ in range(rows)]
-
-
 def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)]
 

@@ -33,11 +33,6 @@ class CoefficientFieldError(TypeError):
     """Q and Q(i) values were combined without explicit promotion."""
 
 
-def monomial_degree(exponents: Sequence[int]) -> int:
-    """Total degree of an exponent vector."""
-    return sum(exponents)
-
-
 class GaussianRational:
     """An exact element re + im*i of the field Q(i).
 

@@ -223,6 +223,32 @@ class TestSolveCommand:
         path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
         assert main(["solve", path, "--grid", "7"]) == EXIT_SOLVER_ERROR
 
+    @pytest.mark.parametrize("corruption", [1.0, float("nan")])
+    def test_corrupted_residual_exit_code(self, tmp_path, capsys, monkeypatch, corruption):
+        import hktcalc.elliptic as elliptic
+
+        apply = elliptic.potential_operator_apply
+
+        def corrupted(spec, grid):
+            out = apply(spec, grid)
+            out.values[1:-1, 1:-1, 1:-1, 1:-1] += corruption
+            return out
+
+        monkeypatch.setattr(elliptic, "potential_operator_apply", corrupted)
+        path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
+        assert main(["solve", path, "--grid", "7"]) == EXIT_SOLVER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver error: geometric residual")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_report_carries_sweeps_and_converged(self, tmp_path, capsys):
+        path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
+        assert main(["solve", path, "--grid", "9"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdicts"] == {"converged": True}
+        assert report["data"]["runs"][0]["iterations"] == 1
+
 
 class TestConsoleEntryPoint:
     def test_installed_script(self):

@@ -5,12 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hktcalc.conventions import SOLVER_FORM_SCALE, TRACE_TARGET
 from hktcalc.elliptic import (
     ConformalMetricSpec,
     Grid4D,
     SolverConfig,
     SolverError,
+    _conjugate_gradient,
+    _dst_poisson_solve,
+    _linear_system,
+    _mixed_diff,
+    _negative_laplacian,
+    _phi_arrays,
     _second_diff_sum,
+    _wide_second_diff,
     laplace_beltrami_apply,
     potential_operator_apply,
     solve_potential,
@@ -19,6 +27,7 @@ from hktcalc.elliptic import (
     weyl_identity_residuals,
 )
 from hktcalc.scalars import Polynomial, random_polynomial
+from hktcalc.structures import HypercomplexModel
 
 from conftest import norm_squared
 
@@ -67,7 +76,16 @@ class TestWeylForm:
         for _ in range(10):
             phi = Polynomial.constant(4, 3) + random_polynomial(4, 2, 3, seed=rng.randrange(10**6))
             residuals = weyl_identity_residuals(ConformalMetricSpec(phi))
+            assert len(residuals) == 4
             assert all(r.is_zero() for r in residuals)
+
+    def test_wrong_closed_form_leaves_residual(self):
+        spec = conformal_spec()
+        dphi = spec.gradient()
+        for wrong in ([-d for d in dphi], [d * 2 for d in dphi], [d * -4 for d in dphi]):
+            residuals = weyl_identity_residuals(spec, closed_form=wrong)
+            assert not residuals[0].is_zero()
+            assert not residuals[1].is_zero()
 
 
 class TestDiscreteOperator:
@@ -178,6 +196,50 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_potential(spec, 7)
 
+    def test_dirichlet_must_be_polynomial(self):
+        with pytest.raises(ValueError):
+            SolverConfig(dirichlet=lambda *xs: 0.0)
+        with pytest.raises(ValueError):
+            SolverConfig(dirichlet=0.0)
+        with pytest.raises(ValueError):
+            SolverConfig(dirichlet=Polynomial.variable(2, 1))
+
+    @pytest.mark.parametrize("m", [9, 17])
+    @pytest.mark.parametrize("case", ["flat", "conformal"])
+    def test_dst_matches_cg_oracle(self, m, case):
+        if case == "flat":
+            spec, cfg = flat_spec(), SolverConfig(tol=1e-12)
+        else:
+            spec, cfg = conformal_spec(), SolverConfig(tol=1e-12, dirichlet=conformal_manufactured())
+        grid = Grid4D(m, *spec.box)
+        _, _, b = _linear_system(spec, grid, cfg)
+        v_dst, sweeps = _dst_poisson_solve(b, grid.h, cfg.tol, cfg.max_iter)
+        v_cg, _ = _conjugate_gradient(b, grid.h, cfg.tol, cfg.max_iter)
+        assert sweeps == 1
+        assert np.max(np.abs(v_dst - v_cg)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [9, 17])
+    def test_returned_grid_meets_true_residual(self, m):
+        spec = conformal_spec()
+        cfg = SolverConfig(tol=1e-11, dirichlet=conformal_manufactured())
+        result = solve_potential(spec, m, cfg)
+        _, _, b = _linear_system(spec, Grid4D(m, *spec.box), cfg)
+        v = result.grid.values[1:-1, 1:-1, 1:-1, 1:-1]
+        assert np.max(np.abs(b - _negative_laplacian(v, result.grid.h))) <= cfg.tol
+
+    @pytest.mark.parametrize("m", [17, 33])
+    def test_manufactured_solve_takes_one_sweep(self, m):
+        result = solve_potential(conformal_spec(), m, SolverConfig(tol=1e-10, dirichlet=conformal_manufactured()))
+        assert result.iterations == 1
+        assert result.diagnostics["iterations"] == 1
+
+    def test_tolerance_below_floor_raises(self):
+        # The true residual cannot fall below its rounding floor (about 3e-14
+        # at m = 9), so the solve stops with an error instead of sweeping on
+        # until max_iter.
+        with pytest.raises(SolverError, match="stalled"):
+            solve_potential(flat_spec(), 9, SolverConfig(tol=1e-16))
+
     def test_nonconvergence_raises(self):
         with pytest.raises(SolverError):
             solve_potential(flat_spec(), 9, SolverConfig(tol=1e-15, max_iter=2))
@@ -212,6 +274,55 @@ class TestVerification:
             grid = Grid4D(9, -1.0, 1.0, base.values + eps * bump)
             residuals.append(verify_potential(grid, spec)["trace_residual_max"])
         assert residuals[1] / residuals[0] == pytest.approx(2.0, rel=0.05)
+
+
+def einsum_verify(grid, spec):
+    """The dense-Hessian einsum formulation of verify_potential (oracle)."""
+    margin = 2
+    h = grid.h
+    phi, _ = _phi_arrays(spec, grid)
+    sl = (slice(margin, -margin),) * 4
+    phi_in = phi[sl]
+    hess = np.zeros((4, 4) + phi_in.shape)
+    for a in range(4):
+        hess[a, a] = _wide_second_diff(grid.values, a, h, margin)
+        for b in range(a + 1, 4):
+            hess[a, b] = hess[b, a] = _mixed_diff(grid.values, a, b, h, margin)
+    trace = hess[0, 0] + hess[1, 1] + hess[2, 2] + hess[3, 3]
+    trace_res = np.abs(trace / phi_in - float(TRACE_TARGET))
+    model = HypercomplexModel(1)
+    mats = [np.array([[float(v) for v in row] for row in model.matrix(nm)]) for nm in ("I", "J", "K")]
+    avg = hess.copy()
+    for mat in mats:
+        avg = avg + np.einsum("ka,kl...,lb->ab...", mat, hess, mat)
+    avg = 0.5 * avg
+    i_mat = mats[0]
+    f_rec = np.einsum("ka,kb...->ab...", i_mat, avg)
+    form_res = np.zeros_like(phi_in)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            expected = float(SOLVER_FORM_SCALE) * phi_in * i_mat[b, a]
+            form_res = np.maximum(form_res, np.abs(f_rec[a, b] - expected))
+    return {
+        "trace_residual_max": float(trace_res.max()),
+        "trace_residual_mean": float(trace_res.mean()),
+        "form_residual_max": float(form_res.max()),
+        "form_residual_mean": float(form_res.mean()),
+    }
+
+
+class TestVerificationOracle:
+    @pytest.mark.parametrize("m", [9, 13])
+    def test_matches_einsum_formulation(self, m):
+        rng = np.random.default_rng(400 + m)
+        spec = conformal_spec()
+        base = Grid4D.from_polynomial(m, -1.0, 1.0, conformal_manufactured())
+        for noise in (0.0, 1e-3, 1.0):
+            grid = Grid4D(m, -1.0, 1.0, base.values + noise * rng.normal(size=(m,) * 4))
+            lean = verify_potential(grid, spec)
+            dense = einsum_verify(grid, spec)
+            for key, value in dense.items():
+                assert lean[key] == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 class TestGrid:
