@@ -5,17 +5,10 @@ geometry on R^(4n) with constant structures as machine-checked exact
 identities, and constructs 4-dimensional HKT potentials numerically.
 """
 
-from .scalars import (
-    GAUSSIAN,
-    IMAG_UNIT,
-    RATIONAL,
-    CoefficientFieldError,
-    GaussianRational,
-    Polynomial,
-    random_polynomial,
-)
+from .scalars import Polynomial, random_polynomial
 from .forms import AlternatingValue, BilinearForm, KForm, hessian
 from .structures import (
+    ComplexForm,
     HypercomplexModel,
     SpherePoint,
     StructureOperator,
@@ -34,17 +27,13 @@ from .salamon import (
 )
 
 __all__ = [
-    "GAUSSIAN",
-    "IMAG_UNIT",
-    "RATIONAL",
-    "CoefficientFieldError",
-    "GaussianRational",
     "Polynomial",
     "random_polynomial",
     "AlternatingValue",
     "BilinearForm",
     "KForm",
     "hessian",
+    "ComplexForm",
     "HypercomplexModel",
     "SpherePoint",
     "StructureOperator",

@@ -46,11 +46,8 @@ def positive_conformal_factor(rng: random.Random) -> Polynomial:
     unit box; positivity is still checked at sample points by callers.
     """
     p = random_polynomial(4, 2, 3, seed=rng.randrange(2**31))
-    bound = sum(
-        abs(c.numerator) / c.denominator if isinstance(c, Fraction) else abs(c)
-        for c in p.terms.values()
-    )
-    return Polynomial.constant(4, 1 + Fraction(bound)) + p
+    bound = sum(abs(c) for c in p.terms.values())
+    return Polynomial.constant(4, 1 + bound) + p
 
 
 def random_a11_form(model: HypercomplexModel, rng: random.Random,

@@ -9,7 +9,9 @@ Three subcommands:
 * ``hkt solve FILE`` runs the 4D potential solver on a conformal4d
   document and verifies the result.
 
-Exit codes: 0 pass, 1 check failure, 2 input error, 3 solver failure.
+Exit codes: 0 pass, 1 check failure, 2 input error, 3 solver failure,
+4 internal error (a broken convention invariant: `ConventionError`, for
+example the three HKT criteria disagreeing; a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .batteries import identity_suite
 from .documents import DocumentError, InputDocument, Report
 from .elliptic import ConformalMetricSpec, SolverConfig, SolverError, solve_potential, verify_potential
 from .geometry import (
+    ConventionError,
     HyperhermitianMetric,
     hkt_report,
     is_hkt_definition,
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_SOLVER_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -74,6 +78,11 @@ def _emit(report: Report, out_path: str | None) -> None:
         print(text)
 
 
+def _internal_error(exc: ConventionError) -> int:
+    print(f"internal error: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL_ERROR
+
+
 def cmd_identities(args) -> int:
     ns = sorted(set(args.n)) if args.n else [1, 2]
     report = Report(command="identities", seed=args.seed)
@@ -84,7 +93,10 @@ def cmd_identities(args) -> int:
         _emit(report, args.out)
         return EXIT_OK
     start = time.perf_counter()
-    report.checks = identity_suite(ns, args.seed, args.count)
+    try:
+        report.checks = identity_suite(ns, args.seed, args.count)
+    except ConventionError as exc:
+        return _internal_error(exc)
     report.timings["total_s"] = time.perf_counter() - start
     _emit(report, args.out)
     if report.all_ok:
@@ -151,6 +163,8 @@ def cmd_check(args) -> int:
     except (DocumentError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ConventionError as exc:
+        return _internal_error(exc)
     _emit(report, args.out)
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 

@@ -1,9 +1,9 @@
-"""Dense exact linear algebra over Fraction (or any exact field) entries.
+"""Dense exact linear algebra over Fraction entries.
 
 Matrices are lists of lists.  Everything here is small (fibers of form
 bundles, at most a few hundred rows), so plain Gaussian elimination with
-exact division is both simple and fast enough.  The routines are generic
-over the entry field: Fraction and GaussianRational both work.
+exact division is both simple and fast enough.  All callers pass rational
+matrices; the exact core has no complex entries.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> list[list]:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def transpose(m: Sequence[Sequence]) -> list[list]:

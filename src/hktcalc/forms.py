@@ -2,8 +2,8 @@
 
 A `KForm` stores its components against strictly increasing multi-indices,
 so every form has one canonical representation and equality of forms is
-equality of term maps.  Coefficients are `Polynomial` values over Q or
-Q(i).  Wedge products, exterior derivatives and pullbacks by constant
+equality of term maps.  Coefficients are `Polynomial` values over Q.
+Wedge products, exterior derivatives and pullbacks by constant
 linear maps are all exact.
 
 The module also provides the fiberwise machinery shared by the structure
@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import RATIONAL, CoefficientFieldError, Polynomial
+from .scalars import Polynomial
 
 MultiIndex = tuple
 
@@ -88,7 +88,6 @@ class KForm:
         if degree < 0:
             raise ValueError(f"degree {degree} must be non-negative")
         clean = {}
-        field = None
         for idx, poly in (terms or {}).items():
             idx = tuple(idx)
             if len(idx) != degree:
@@ -101,20 +100,10 @@ class KForm:
                 raise ValueError("coefficient polynomial dimension mismatch")
             if poly.is_zero():
                 continue
-            if field is None:
-                field = poly.field
-            elif poly.field != field:
-                raise CoefficientFieldError("mixed coefficient fields within one form")
             clean[idx] = poly
         self.degree = degree
         self.dim = dim
         self.terms = clean
-
-    @property
-    def field(self) -> str:
-        for poly in self.terms.values():
-            return poly.field
-        return RATIONAL
 
     # -- constructors -------------------------------------------------
 
@@ -194,15 +183,6 @@ class KForm:
         if not isinstance(other, KForm):
             return NotImplemented
         return (self.degree, self.dim) == (other.degree, other.dim) and self.terms == other.terms
-
-    def promote(self) -> "KForm":
-        return KForm(self.degree, self.dim, {i: p.to_gaussian() for i, p in self.terms.items()})
-
-    def conjugate(self) -> "KForm":
-        return KForm(self.degree, self.dim, {i: p.conjugate() for i, p in self.terms.items()})
-
-    def real_part(self) -> "KForm":
-        return KForm(self.degree, self.dim, {i: p.real_part() for i, p in self.terms.items()})
 
     # -- exterior algebra -------------------------------------------------
 

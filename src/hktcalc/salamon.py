@@ -85,50 +85,46 @@ def _stack(matrices: Sequence[Sequence[Sequence[Fraction]]]) -> list[list[Fracti
     return rows
 
 
-def _condition_matrices(model: HypercomplexModel, k: int,
-                        points: Sequence[SpherePoint] | None = None) -> list:
-    """The exact linear conditions cutting out B^k (degree 2 or 3)."""
+def _minus_identity(op: FiberOperator) -> FiberOperator:
+    """The fiber operator op - Id (op lists every input multi-index)."""
+    out: FiberOperator = {}
+    for idx, column in op.items():
+        entries = dict(column)
+        entries[idx] = entries.get(idx, Fraction(0)) - 1
+        out[idx] = sorted((i, c) for i, c in entries.items() if c)
+    return out
+
+
+def _condition_operators(model: HypercomplexModel, k: int,
+                         points: Sequence[SpherePoint] | None = None) -> list[FiberOperator]:
+    """The exact linear conditions cutting out B^k (degree 2 or 3).
+
+    A fiber vector lies in B^k exactly when every returned operator kills it.
+    """
     dim = model.dim
-    n_fiber = len(multi_indices(dim, k))
-    ident = ela.identity(n_fiber)
-    mats = []
     if k == 2:
-        for name in ("I", "J", "K"):
-            op = pullback_operator(model.matrix(name), 2, dim)
-            mats.append(ela.mat_sub(operator_matrix(op, 2, dim), ident))
-        for pt in points or ():
-            op = _sphere_pullback(model, pt, 2)
-            mats.append(ela.mat_sub(operator_matrix(op, 2, dim), ident))
-        return mats
+        mats = [model.matrix(name) for name in ("I", "J", "K")]
+        mats += [model.sphere_matrix(pt) for pt in points or ()]
+        return [_minus_identity(pullback_operator(m, 2, dim)) for m in mats]
     if k == 3:
+        ops = []
         pairs = [("I", "I"), ("J", "J"), ("K", "K"), ("I", "J"), ("J", "K"), ("K", "I")]
         for a, b in pairs:
             op = pair_insertion_operator(model.matrix(a), model.matrix(b), 3, dim)
-            mat = operator_matrix(op, 3, dim)
-            if a == b:
-                mat = ela.mat_sub(mat, ident)
-            mats.append(mat)
+            ops.append(_minus_identity(op) if a == b else op)
         for pt in points or ():
-            op = _sphere_insertion2(model, pt)
-            mats.append(ela.mat_sub(operator_matrix(op, 3, dim), ident))
-        return mats
+            ops.append(_minus_identity(insertion_operator(model.sphere_matrix(pt), 3, dim, 2)))
+        return ops
     raise DegreeError(f"bundle computation supports degrees 2 and 3, got {k}")
 
 
-def _sphere_matrix(model: HypercomplexModel, pt: SpherePoint):
-    return [
-        [pt.a * model.I[r][c] + pt.b * model.J[r][c] + pt.c * model.K[r][c]
-         for c in range(model.dim)]
-        for r in range(model.dim)
-    ]
+def _condition_matrix(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> list[list[Fraction]]:
+    return _stack([operator_matrix(op, k, model.dim) for op in ops])
 
 
-def _sphere_pullback(model: HypercomplexModel, pt: SpherePoint, k: int) -> FiberOperator:
-    return pullback_operator(_sphere_matrix(model, pt), k, model.dim)
-
-
-def _sphere_insertion2(model: HypercomplexModel, pt: SpherePoint) -> FiberOperator:
-    return insertion_operator(_sphere_matrix(model, pt), 3, model.dim, 2)
+def _kernel(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> FiberSubspace:
+    stacked = _condition_matrix(model, k, ops)
+    return FiberSubspace(k, len(multi_indices(model.dim, k)), ela.null_space(stacked))
 
 
 def bundle_B(model: HypercomplexModel, k: int,
@@ -136,15 +132,13 @@ def bundle_B(model: HypercomplexModel, k: int,
     """Exact basis of B^k (k in {2, 3}) as a null-space computation."""
     if k not in (2, 3):
         raise DegreeError(f"bundle_B supports k in {{2, 3}}, got {k}")
-    stacked = _stack(_condition_matrices(model, k, extra_points))
-    basis = ela.null_space(stacked)
-    return FiberSubspace(k, len(multi_indices(model.dim, k)), basis)
+    return _kernel(model, k, _condition_operators(model, k, extra_points))
 
 
 def condition_rank(model: HypercomplexModel, k: int,
                    extra_points: Sequence[SpherePoint] | None = None) -> int:
     """Rank of the stacked condition matrix (for stability checks)."""
-    return ela.rank(_stack(_condition_matrices(model, k, extra_points)))
+    return ela.rank(_condition_matrix(model, k, _condition_operators(model, k, extra_points)))
 
 
 def a11_subspace(model: HypercomplexModel) -> FiberSubspace:
@@ -161,6 +155,8 @@ def a11_subspace(model: HypercomplexModel) -> FiberSubspace:
 class ProjectorTable:
     """Cached exact fiber projectors eta_k for k <= 3.
 
+    The table also keeps, per degree, the condition operators whose common
+    kernel is B^k; `in_b` applies them as an eta-free membership test.
     Construction is eager, so a fully built table is read-only and safe to
     query concurrently.
     """
@@ -172,8 +168,10 @@ class ProjectorTable:
         self.b_bases: dict[int, FiberSubspace] = {}
         self.matrices: dict[int, list[list[Fraction]]] = {}
         self.columns: dict[int, FiberOperator] = {}
+        self.conditions: dict[int, list[FiberOperator]] = {}
         for k in range(2, max_degree + 1):
-            sub = bundle_B(model, k)
+            self.conditions[k] = _condition_operators(model, k)
+            sub = _kernel(model, k, self.conditions[k])
             self.b_bases[k] = sub
             proj = ela.projector_onto_complement(sub.basis, sub.ambient_dim)
             self.matrices[k] = proj
@@ -203,6 +201,13 @@ class ProjectorTable:
         if form.degree not in self.columns:
             raise DegreeError(f"eta is available for degrees <= 3, got {form.degree}")
         return apply_operator(self.columns[form.degree], form)
+
+    def in_b(self, form: KForm) -> bool:
+        """Whether a polynomial form lies in B^k identically: every exact
+        condition operator of its degree kills it.  Independent of eta."""
+        if form.degree not in self.conditions:
+            raise DegreeError(f"B conditions are available for degrees 2 and 3, got {form.degree}")
+        return all(apply_operator(op, form).is_zero() for op in self.conditions[form.degree])
 
     def b_basis(self, k: int) -> FiberSubspace:
         if k not in self.b_bases:

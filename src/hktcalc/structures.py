@@ -19,7 +19,12 @@ Two actions on forms coexist and both are exposed:
 
 Every call site states which one it uses.  Sphere points are exact
 rational triples, generated from an integer (stereographic)
-parametrization so the whole sphere family stays inside exact arithmetic.
+parametrization so the whole sphere family stays inside exact arithmetic;
+`HypercomplexModel.sphere_matrix` is the one constructor of aI + bJ + cK.
+
+Complex type components are `ComplexForm` values: (re, im) pairs of
+rational forms.  All operators of the decomposition are real, so the
+exact core never needs complex coefficients.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
 from . import exact_linalg as ela
 from .forms import (
     BilinearForm,
@@ -35,7 +41,6 @@ from .forms import (
     insertion_operator,
     pullback_operator,
 )
-from .scalars import IMAG_UNIT
 
 _BLOCK_I = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
 _BLOCK_J = ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0))
@@ -144,17 +149,20 @@ class HypercomplexModel:
         point = SpherePoint.axis(name)
         return StructureOperator(self, self.matrix(name), point)
 
-    def sphere_operator(self, point: SpherePoint) -> "StructureOperator":
-        mat = [
-            [point.a * self.I[r][c] + point.b * self.J[r][c] + point.c * self.K[r][c]
-             for c in range(self.dim)]
+    def sphere_matrix(self, point: SpherePoint) -> tuple:
+        """The exact matrix aI + bJ + cK of the structure at `point`."""
+        mat = tuple(
+            tuple(point.a * self.I[r][c] + point.b * self.J[r][c] + point.c * self.K[r][c]
+                  for c in range(self.dim))
             for r in range(self.dim)
-        ]
-        op = StructureOperator(self, tuple(tuple(row) for row in mat), point)
+        )
         minus_id = ela.mat_scale(ela.identity(self.dim), Fraction(-1))
-        if not ela.mat_eq(ela.mat_mul(op.matrix, op.matrix), minus_id):
-            raise AssertionError("sphere operator fails to square to -Id")
-        return op
+        if not ela.mat_eq(ela.mat_mul(mat, mat), minus_id):
+            raise AssertionError("sphere matrix fails to square to -Id")
+        return mat
+
+    def sphere_operator(self, point: SpherePoint) -> "StructureOperator":
+        return StructureOperator(self, self.sphere_matrix(point), point)
 
     def to_json(self) -> dict:
         return {"n": self.n, "convention": "left"}
@@ -177,7 +185,7 @@ class StructureOperator:
         """Slots-only action, no degree sign."""
         if form.dim != self.model.dim:
             raise ValueError("dimension mismatch")
-        op = _fiber_op(self.model.n, self.point, form.degree, "pullback")
+        op = _fiber_op(self.model, self.point, form.degree, "pullback")
         return apply_operator(op, form)
 
     def act(self, form: KForm) -> KForm:
@@ -205,17 +213,12 @@ class StructureOperator:
 _FIBER_CACHE: dict = {}
 
 
-def _fiber_op(n: int, point: SpherePoint, k: int, kind: str):
-    key = (n, point.as_tuple(), k, kind)
+def _fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, kind: str):
+    key = (model.n, point.as_tuple(), k, kind)
     cached = _FIBER_CACHE.get(key)
     if cached is not None:
         return cached
-    model = _model_cached(n)
-    mat = [
-        [point.a * model.I[r][c] + point.b * model.J[r][c] + point.c * model.K[r][c]
-         for c in range(model.dim)]
-        for r in range(model.dim)
-    ]
+    mat = model.sphere_matrix(point)
     if kind == "pullback":
         op = pullback_operator(mat, k, model.dim)
     elif kind == "insert1":
@@ -228,46 +231,88 @@ def _fiber_op(n: int, point: SpherePoint, k: int, kind: str):
     return op
 
 
-_MODEL_CACHE: dict[int, HypercomplexModel] = {}
+@dataclass(frozen=True)
+class ComplexForm:
+    """A complex form re + i*im, stored as two rational forms.
+
+    Every fiber operator of the type decomposition (pullback, one- and
+    two-slot insertion) and the exterior derivative are real, so they act
+    on each half separately, and multiplying by i maps (re, im) to
+    (-im, re).  This is the only complex object in the package.
+    """
+
+    re: KForm
+    im: KForm
+
+    @classmethod
+    def real(cls, form: KForm) -> "ComplexForm":
+        return cls(form, KForm.zero(form.degree, form.dim))
+
+    @property
+    def degree(self) -> int:
+        return self.re.degree
+
+    def __add__(self, other: "ComplexForm") -> "ComplexForm":
+        return ComplexForm(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "ComplexForm") -> "ComplexForm":
+        return ComplexForm(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, scalar) -> "ComplexForm":
+        """Multiplication by a rational scalar."""
+        return ComplexForm(self.re * scalar, self.im * scalar)
+
+    def times_i(self) -> "ComplexForm":
+        return ComplexForm(-self.im, self.re)
+
+    def d(self) -> "ComplexForm":
+        return ComplexForm(self.re.d(), self.im.d())
+
+    def is_zero(self) -> bool:
+        return self.re.is_zero() and self.im.is_zero()
+
+    def nonzero_terms(self) -> int:
+        """Multi-indices whose complex coefficient is nonzero."""
+        return len(self.re.terms.keys() | self.im.terms.keys())
+
+    def coefficient_height(self) -> int:
+        return max(self.re.coefficient_height(), self.im.coefficient_height())
 
 
-def _model_cached(n: int) -> HypercomplexModel:
-    if n not in _MODEL_CACHE:
-        _MODEL_CACHE[n] = HypercomplexModel(n)
-    return _MODEL_CACHE[n]
+def _complex(form: KForm | ComplexForm) -> ComplexForm:
+    return form if isinstance(form, ComplexForm) else ComplexForm.real(form)
 
 
-def _half(form: KForm) -> KForm:
-    return form * Fraction(1, 2)
+def _apply(op, form: ComplexForm) -> ComplexForm:
+    """A real fiber operator acts on each half of a complex form."""
+    return ComplexForm(apply_operator(op, form.re), apply_operator(op, form.im))
 
 
-def two_form_type_components(model: HypercomplexModel, point: SpherePoint, form: KForm) -> dict:
+def two_form_type_components(model: HypercomplexModel, point: SpherePoint,
+                             form: KForm | ComplexForm) -> dict:
     """Type components of a 2-form for the structure at `point`.
 
-    Keys "20", "11", "02"; the off-diagonal parts are Q(i)-forms.  The
-    construction uses the slots-only pullback P and the one-slot insertion
-    sum s1 (which acts as 2i on (2,0), 0 on (1,1), -2i on (0,2)):
+    Keys "20", "11", "02", each a `ComplexForm`.  The construction uses the
+    slots-only pullback P and the one-slot insertion sum s1 (which acts as
+    2i on (2,0), 0 on (1,1), -2i on (0,2)):
 
         rho = (w - Pw)/2,  w11 = (w + Pw)/2,  T = s1(rho)/2,
         w02 = (rho + i T)/2,   w20 = (rho - i T)/2.
     """
     if form.degree != 2:
         raise ValueError("expected a 2-form")
-    pulled = apply_operator(_fiber_op(model.n, point, 2, "pullback"), form)
-    rho = _half(form - pulled)
-    w11 = _half(form + pulled)
-    t = _half(apply_operator(_fiber_op(model.n, point, 2, "insert1"), rho))
-    g_rho = rho.promote()
-    g_t = t.promote()
-    return {
-        "20": _half(g_rho - g_t * IMAG_UNIT),
-        "11": w11,
-        "02": _half(g_rho + g_t * IMAG_UNIT),
-    }
+    form = _complex(form)
+    pulled = _apply(_fiber_op(model, point, 2, "pullback"), form)
+    rho = (form - pulled) * Fraction(1, 2)
+    w11 = (form + pulled) * Fraction(1, 2)
+    i_t = _apply(_fiber_op(model, point, 2, "insert1"), rho).times_i()
+    half_rho, half_i_t = rho * Fraction(1, 2), i_t * Fraction(1, 4)
+    return {"20": half_rho - half_i_t, "11": w11, "02": half_rho + half_i_t}
 
 
-def three_form_type_components(model: HypercomplexModel, point: SpherePoint, form: KForm) -> dict:
-    """Extreme type components of a 3-form (keys "30", "03").
+def three_form_type_components(model: HypercomplexModel, point: SpherePoint,
+                               form: KForm | ComplexForm) -> dict:
+    """Extreme type components of a 3-form (keys "30", "03"), as `ComplexForm`s.
 
     s2 (two-slot insertion sum) acts as -3 on (3,0)+(0,3) and +1 on
     (2,1)+(1,2), so psi = (w - s2 w)/4 isolates the extreme part; the
@@ -275,26 +320,24 @@ def three_form_type_components(model: HypercomplexModel, point: SpherePoint, for
     """
     if form.degree != 3:
         raise ValueError("expected a 3-form")
-    s2 = apply_operator(_fiber_op(model.n, point, 3, "insert2"), form)
+    form = _complex(form)
+    s2 = _apply(_fiber_op(model, point, 3, "insert2"), form)
     psi = (form - s2) * Fraction(1, 4)
-    t = apply_operator(_fiber_op(model.n, point, 3, "insert1"), psi) * Fraction(1, 3)
-    g_psi = psi.promote()
-    g_t = t.promote()
-    return {
-        "30": _half(g_psi - g_t * IMAG_UNIT),
-        "03": _half(g_psi + g_t * IMAG_UNIT),
-    }
+    i_t = _apply(_fiber_op(model, point, 3, "insert1"), psi).times_i()
+    half_psi, half_i_t = psi * Fraction(1, 2), i_t * Fraction(1, 6)
+    return {"30": half_psi - half_i_t, "03": half_psi + half_i_t}
 
 
-def complex_type_part(model: HypercomplexModel, point: SpherePoint, form: KForm, part: str) -> KForm:
+def complex_type_part(model: HypercomplexModel, point: SpherePoint,
+                      form: KForm | ComplexForm, part: str) -> ComplexForm:
     """One complex type component of a 2- or 3-form.
 
     `part` is one of "20", "02" (degree 2) or "30", "03" (degree 3).
-    Works for rational and Q(i) input forms alike; the output is always a
-    Q(i) form.
+    Works for rational and complex input forms alike; the output is
+    always a `ComplexForm`.
     """
     if part in ("20", "02"):
-        return two_form_type_components(model, point, form)[part].promote()
+        return two_form_type_components(model, point, form)[part]
     if part in ("30", "03"):
-        return three_form_type_components(model, point, form)[part].promote()
+        return three_form_type_components(model, point, form)[part]
     raise ValueError(f"unknown type part {part!r}")

@@ -8,6 +8,7 @@ import pytest
 from hktcalc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_SOLVER_ERROR,
     main,
@@ -248,6 +249,71 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["verdicts"] == {"converged": True}
         assert report["data"]["runs"][0]["iterations"] == 1
+
+
+def zero_denominator_potential_doc():
+    mu = quarter_norm_potential(4).to_json()
+    mu["terms"][0]["den"] = "0"
+    return {"kind": "potential", "model": {"n": 1}, "payload": {"mu": mu}}
+
+
+def gaussian_conformal_doc():
+    doc = conformal_doc()
+    doc["payload"]["phi"]["terms"][0].update({"inum": "1", "iden": "1"})
+    return doc
+
+
+def zero_denominator_conformal_doc():
+    doc = conformal_doc()
+    doc["payload"]["phi"]["terms"][0]["den"] = "0"
+    return doc
+
+
+class TestFailureTaxonomy:
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("make_doc", [zero_denominator_potential_doc, gaussian_conformal_doc,
+                                          zero_denominator_conformal_doc])
+    def test_bad_coefficients_are_input_errors(self, tmp_path, capsys, command, make_doc):
+        path = write(tmp_path, "bad.json", make_doc())
+        assert main([command, path]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: payload")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_zero_denominator_prints_no_traceback(self, tmp_path, command):
+        path = write(tmp_path, "bad.json", zero_denominator_potential_doc())
+        proc = subprocess.run([sys.executable, "-m", "hktcalc.cli", command, path],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error:") and "zero denominator" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    @staticmethod
+    def _disagreeing_twistor(monkeypatch):
+        import hktcalc.geometry as geometry
+
+        monkeypatch.setattr(geometry, "is_hkt_twistor",
+                            lambda model, form, points=None: geometry.TwistorCheck(False, []))
+
+    def test_convention_error_in_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        self._disagreeing_twistor(monkeypatch)
+        path = write(tmp_path, "flat.json", flat_metric_doc())
+        assert main(["check", path]) == EXIT_INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: HKT criteria disagree")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_convention_error_in_identities_exits_4(self, capsys, monkeypatch):
+        self._disagreeing_twistor(monkeypatch)
+        assert main(["identities", "--n", "1", "--n", "2", "--count", "1"]) == EXIT_INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: HKT criteria disagree")
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestConsoleEntryPoint:

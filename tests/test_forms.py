@@ -12,7 +12,7 @@ from hktcalc.forms import (
     operator_matrix,
     pullback_operator,
 )
-from hktcalc.scalars import GAUSSIAN, Polynomial, random_polynomial
+from hktcalc.scalars import Polynomial, random_polynomial
 
 from conftest import norm_squared
 
@@ -214,9 +214,11 @@ class TestKFormJson:
         w = random_kform(4, 2, rng, n_components=3)
         assert KForm.from_json(w.to_json()) == w
 
-    def test_round_trip_gaussian(self):
-        w = KForm(2, 4, {(0, 1): random_polynomial(4, 2, 3, seed=31, field=GAUSSIAN)})
-        assert KForm.from_json(w.to_json()) == w
+    def test_gaussian_keys_rejected(self):
+        doc = KForm(2, 4, {(0, 1): random_polynomial(4, 2, 3, seed=31)}).to_json()
+        doc["terms"][0]["poly"]["terms"][0].update({"inum": "1", "iden": "2"})
+        with pytest.raises(ValueError, match="inum/iden"):
+            KForm.from_json(doc)
 
     def test_schema_keys(self):
         doc = KForm.basis(4, (0, 2)).to_json()

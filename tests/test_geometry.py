@@ -148,7 +148,7 @@ class TestTwistorCriterion:
 
     def test_nonzero_02_part_off_axis_but_closed(self, model1):
         # At a generic sphere point the (0,2) part of the flat form is a
-        # nonzero Q(i)-form, yet remains del-bar closed since dF = 0.
+        # nonzero complex form, yet remains del-bar closed since dF = 0.
         from hktcalc.structures import complex_type_part
 
         pt = SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0))

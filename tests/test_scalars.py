@@ -3,14 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hktcalc.scalars import (
-    GAUSSIAN,
-    IMAG_UNIT,
-    CoefficientFieldError,
-    GaussianRational,
-    Polynomial,
-    random_polynomial,
-)
+from hktcalc.scalars import Polynomial, random_polynomial
 
 
 def x(i, dim=4):
@@ -38,6 +31,16 @@ class TestPolynomialArithmetic:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Polynomial.variable(4, 0) + Polynomial.variable(8, 0)
+
+    def test_complex_coefficient_rejected(self):
+        # Coefficients are rational; complex values live only in the
+        # (re, im) pairs of hktcalc.structures.
+        with pytest.raises(TypeError):
+            Polynomial(4, {(0, 0, 0, 0): 1j})
+
+    def test_complex_scalar_rejected(self):
+        with pytest.raises(TypeError):
+            x(0) * 1j
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ring_axioms(self, seed):
@@ -141,72 +144,21 @@ class TestRandomPolynomial:
             assert c.denominator == 1 and abs(c.numerator) <= 9 * 8
 
 
-class TestGaussianRational:
-    def test_field_axioms(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            vals = [
-                GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-                for _ in range(3)
-            ]
-            a, b, c = vals
-            assert (a + b) * c == a * c + b * c
-            assert a * b == b * a
-            if b:
-                assert (a / b) * b == a
-
-    def test_conjugation_involution(self):
-        z = GaussianRational(Fraction(3, 7), Fraction(-2, 5))
-        assert z.conjugate().conjugate() == z
-        assert (z * z.conjugate()).is_real
-
-    def test_imaginary_unit(self):
-        assert IMAG_UNIT * IMAG_UNIT == -1
-
-    def test_equality_and_hash_with_fraction(self):
-        z = GaussianRational(Fraction(1, 2))
-        assert z == Fraction(1, 2)
-        assert hash(z) == hash(Fraction(1, 2))
-
-
-class TestFieldPromotion:
-    def test_mixed_addition_rejected(self):
-        p = x(0)
-        q = Polynomial(4, {(0, 0, 0, 0): IMAG_UNIT})
-        with pytest.raises(CoefficientFieldError):
-            p + q
-
-    def test_explicit_promotion(self):
-        p = x(0)
-        q = Polynomial(4, {(0, 0, 0, 0): IMAG_UNIT})
-        s = p.to_gaussian() + q
-        assert s.field == GAUSSIAN
-        assert s.real_part() == p
-        assert s.imag_part() == const(1)
-
-    def test_gaussian_scalar_on_rational_rejected(self):
-        with pytest.raises(CoefficientFieldError):
-            x(0) * IMAG_UNIT
-
-    def test_promoted_equals_original_by_value(self):
-        p = random_polynomial(4, 3, 4, seed=21)
-        assert p.to_gaussian() == p
-
-    def test_conjugate(self):
-        p = x(0).to_gaussian() + Polynomial(4, {(0, 1, 0, 0): IMAG_UNIT})
-        assert p.conjugate().conjugate() == p
-        assert p.conjugate().imag_part() == -p.imag_part()
-
-
 class TestJson:
     def test_round_trip_rational(self):
         p = random_polynomial(4, 4, 6, seed=17) * Fraction(1, 3)
         assert Polynomial.from_json(p.to_json()) == p
 
-    def test_round_trip_gaussian(self):
-        p = random_polynomial(4, 3, 4, seed=19, field=GAUSSIAN)
-        assert Polynomial.from_json(p.to_json()) == p
+    def test_gaussian_keys_rejected(self):
+        doc = {"dim": 4, "terms": [{"num": "1", "den": "1", "inum": "2", "iden": "3",
+                                    "exp": [1, 0, 0, 0]}]}
+        with pytest.raises(ValueError, match="inum/iden"):
+            Polynomial.from_json(doc)
+
+    def test_zero_denominator_rejected(self):
+        doc = {"dim": 4, "terms": [{"num": "1", "den": "0", "exp": [0, 0, 0, 0]}]}
+        with pytest.raises(ValueError, match="zero denominator"):
+            Polynomial.from_json(doc)
 
     def test_big_integers_survive(self):
         big = Fraction(10**40 + 1, 10**39)

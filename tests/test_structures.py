@@ -6,8 +6,9 @@ import pytest
 from hktcalc import exact_linalg as ela
 from hktcalc.batteries import random_kform
 from hktcalc.forms import KForm, hessian, insertion_operator, multi_indices, operator_matrix
-from hktcalc.scalars import GaussianRational, Polynomial, random_polynomial
+from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import (
+    ComplexForm,
     HypercomplexModel,
     SpherePoint,
     complex_type_part,
@@ -188,8 +189,18 @@ class TestTypeDecomposition:
         for _ in range(10):
             w = random_kform(4, 2, rng)
             comps = two_form_type_components(model1, pt, w)
-            total = comps["20"] + comps["11"].promote() + comps["02"]
-            assert total == w.promote()
+            total = comps["20"] + comps["11"] + comps["02"]
+            assert total == ComplexForm.real(w)
+
+    def test_20_part_is_conjugate_of_02(self, model1):
+        # For a real form the (2,0) part is the complex conjugate of the
+        # (0,2) part; conjugation of a pair is (re, im) -> (re, -im).
+        rng = random.Random(36)
+        for pt in random_sphere_points(3, seed=51):
+            w = random_kform(4, 2, rng)
+            p02 = complex_type_part(model1, pt, w, "02")
+            assert not p02.im.is_zero()
+            assert complex_type_part(model1, pt, w, "20") == ComplexForm(p02.re, -p02.im)
 
     def test_02_projector_idempotent_and_kills_20(self, model1):
         rng = random.Random(32)
@@ -204,7 +215,8 @@ class TestTypeDecomposition:
     def test_02_projector_against_eigenspace_oracle(self, model1):
         # Independent oracle: sigma_1 has eigenvalues (2i, 0, -2i) on the
         # (2,0)/(1,1)/(0,2) splitting, so the Lagrange interpolation
-        # (s1^2 - 2i s1)/(-8) is the (0,2) projector.
+        # (s1^2 - 2i s1)/(-8) is the (0,2) projector: its real part is the
+        # rational matrix -s1^2/8 and its imaginary part s1/4.
         pt = SpherePoint(Fraction(3, 5), Fraction(0), Fraction(4, 5))
         mat = [
             [pt.a * model1.I[r][c] + pt.b * model1.J[r][c] + pt.c * model1.K[r][c]
@@ -212,27 +224,27 @@ class TestTypeDecomposition:
             for r in range(4)
         ]
         s1 = operator_matrix(insertion_operator(mat, 2, 4, 1), 2, 4)
-        s1g = [[GaussianRational.lift(v) for v in row] for row in s1]
-        s1_sq = ela.mat_mul(s1g, s1g)
-        two_i = GaussianRational(0, 2)
-        oracle = ela.mat_scale(
-            ela.mat_sub(s1_sq, ela.mat_scale(s1g, two_i)), GaussianRational(Fraction(-1, 8))
-        )
+        real_part = ela.mat_scale(ela.mat_mul(s1, s1), Fraction(-1, 8))
+        imag_part = ela.mat_scale(s1, Fraction(1, 4))
         basis = multi_indices(4, 2)
-        rng = random.Random(33)
-        for _ in range(5):
-            w = random_kform(4, 2, rng)
-            mine = complex_type_part(model1, pt, w, "02")
-            vec = [w.terms.get(idx, Polynomial.zero(4)).to_gaussian() for idx in basis]
-            expected_terms = {}
-            for i, row in enumerate(oracle):
-                acc = Polynomial.zero(4).to_gaussian()
+
+        def apply(matrix, w):
+            vec = [w.terms.get(idx, Polynomial.zero(4)) for idx in basis]
+            terms = {}
+            for i, row in enumerate(matrix):
+                acc = Polynomial.zero(4)
                 for coeff, poly in zip(row, vec):
                     if coeff and not poly.is_zero():
                         acc = acc + poly.scale(coeff)
                 if not acc.is_zero():
-                    expected_terms[basis[i]] = acc
-            assert mine == KForm(2, 4, expected_terms)
+                    terms[basis[i]] = acc
+            return KForm(2, 4, terms)
+
+        rng = random.Random(33)
+        for _ in range(5):
+            w = random_kform(4, 2, rng)
+            mine = complex_type_part(model1, pt, w, "02")
+            assert mine == ComplexForm(apply(real_part, w), apply(imag_part, w))
 
     def test_three_form_extreme_parts(self, model1):
         rng = random.Random(34)
@@ -261,3 +273,32 @@ class TestTypeDecomposition:
     def test_bad_part_label(self, model1):
         with pytest.raises(ValueError):
             complex_type_part(model1, SpherePoint.axis("I"), KForm.zero(2, 4), "12")
+
+
+class TestComplexForm:
+    def _pair(self, seed):
+        rng = random.Random(seed)
+        return ComplexForm(random_kform(4, 2, rng), random_kform(4, 2, rng))
+
+    def test_times_i_squares_to_minus_one(self):
+        z = self._pair(40)
+        assert z.times_i().times_i() == ComplexForm(-z.re, -z.im)
+        assert z.times_i().times_i().times_i().times_i() == z
+
+    def test_complex_linearity(self):
+        a, b = self._pair(41), self._pair(42)
+        q = Fraction(-3, 7)
+        assert (a + b).times_i() == a.times_i() + b.times_i()
+        assert (a - b) + b == a
+        assert (a * q).times_i() == a.times_i() * q
+        # d is real, so it commutes with multiplication by i.
+        assert a.times_i().d() == a.d().times_i()
+
+    def test_summary_counts_union_of_halves(self):
+        re = KForm(2, 4, {(0, 1): Polynomial.constant(4, Fraction(5, 3))})
+        im = KForm(2, 4, {(0, 1): Polynomial.constant(4, 1), (2, 3): Polynomial.constant(4, 7)})
+        z = ComplexForm(re, im)
+        assert z.nonzero_terms() == 2
+        assert z.coefficient_height() == 7
+        assert ComplexForm.real(KForm.zero(2, 4)).is_zero()
+        assert not z.is_zero()
