@@ -22,7 +22,7 @@ import sys
 import time
 
 from .batteries import identity_suite
-from .documents import DocumentError, InputDocument, Report
+from .documents import MAX_N, DocumentError, InputDocument, Report
 from .elliptic import ConformalMetricSpec, SolverConfig, SolverError, solve_potential, verify_potential
 from .geometry import (
     ConventionError,
@@ -49,8 +49,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_id = sub.add_parser("identities", help="run the randomized identity suite")
-    p_id.add_argument("--n", type=int, action="append", choices=(1, 2),
-                      help="quaternionic dimension(s); default 1 and 2")
+    p_id.add_argument("--n", type=int, action="append",
+                      help=f"quaternionic dimension(s), 1 to {MAX_N}; default 1 and 2")
     p_id.add_argument("--seed", type=int, default=0)
     p_id.add_argument("--count", type=int, default=20, help="cases per battery")
     p_id.add_argument("--out", help="write the JSON report here")
@@ -78,6 +78,11 @@ def _emit(report: Report, out_path: str | None) -> None:
         print(text)
 
 
+def _input_error(message) -> int:
+    print(f"input error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def _internal_error(exc: ConventionError) -> int:
     print(f"internal error: {exc}", file=sys.stderr)
     return EXIT_INTERNAL_ERROR
@@ -85,6 +90,10 @@ def _internal_error(exc: ConventionError) -> int:
 
 def cmd_identities(args) -> int:
     ns = sorted(set(args.n)) if args.n else [1, 2]
+    if not 1 <= ns[0] <= ns[-1] <= MAX_N:
+        return _input_error(f"--n must be between 1 and {MAX_N}, got {ns}")
+    if args.count < 0:
+        return _input_error(f"--count must be at least 0, got {args.count}")
     report = Report(command="identities", seed=args.seed)
     report.data["n"] = ns
     report.data["count"] = args.count
@@ -161,8 +170,7 @@ def cmd_check(args) -> int:
             _check_conformal(doc, report)
         report.timings["total_s"] = time.perf_counter() - start
     except (DocumentError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(exc)
     except ConventionError as exc:
         return _internal_error(exc)
     _emit(report, args.out)
@@ -191,8 +199,7 @@ def cmd_solve(args) -> int:
         spec = ConformalMetricSpec(phi, box)
         config = SolverConfig(tol=args.tol, dirichlet=dirichlet)
     except (DocumentError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(exc)
 
     runs = []
     last_grid = None
@@ -207,8 +214,7 @@ def cmd_solve(args) -> int:
             last_grid = result.grid
         report.timings["total_s"] = time.perf_counter() - start
     except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(exc)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR

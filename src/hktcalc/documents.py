@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .forms import BilinearForm, KForm
-from .scalars import Polynomial
+from .scalars import Polynomial, json_int
 from .structures import HypercomplexModel
 
 
@@ -23,6 +23,10 @@ class DocumentError(ValueError):
 
 
 VALID_KINDS = ("metric", "form", "potential", "conformal4d")
+
+# The largest quaternionic dimension the exact engine accepts: the n = 3
+# projector table builds in under a second, larger n are refused up front.
+MAX_N = 3
 
 
 @dataclass
@@ -40,10 +44,14 @@ class InputDocument:
         if kind not in VALID_KINDS:
             raise DocumentError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
         model_spec = obj.get("model") or {}
+        if not isinstance(model_spec, Mapping):
+            raise DocumentError("model must be a JSON object")
         try:
-            n = int(model_spec.get("n", 1))
-        except (TypeError, ValueError):
-            raise DocumentError("model.n must be an integer")
+            n = json_int(model_spec.get("n", 1), "model.n")
+        except ValueError as exc:
+            raise DocumentError(str(exc))
+        if not 1 <= n <= MAX_N:
+            raise DocumentError(f"model.n must be between 1 and {MAX_N}, got {n}")
         if model_spec.get("convention", "left") != "left":
             raise DocumentError("only the left-multiplication convention is supported")
         try:

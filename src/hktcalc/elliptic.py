@@ -408,34 +408,6 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     )
 
 
-def _conjugate_gradient(b: np.ndarray, h: float, tol: float, max_iter: int):
-    """Plain CG on  A v = b; stops on max-norm recursive residual <= tol.
-
-    The solver does not use it: it is kept only as the independent oracle
-    the tests compare the DST solve against.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    if float(np.max(np.abs(r))) <= tol:
-        return x, 0
-    p = r.copy()
-    rr = float(np.sum(r * r))
-    for it in range(1, max_iter + 1):
-        ap = _negative_laplacian(p, h)
-        pap = float(np.sum(p * ap))
-        if pap <= 0.0:
-            raise SolverError("system is not positive definite")
-        alpha = rr / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        if float(np.max(np.abs(r))) <= tol:
-            return x, it
-        rr_new = float(np.sum(r * r))
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise SolverError(f"conjugate gradient did not reach tol={tol} in {max_iter} iterations")
-
-
 def _shifted(full: np.ndarray, shifts: dict, margin: int) -> np.ndarray:
     """Margin-interior view shifted by `shifts[axis]` nodes per axis."""
     sl = []

@@ -1,9 +1,10 @@
-"""Dense exact linear algebra over Fraction entries.
+"""Sparse exact linear algebra over Fraction entries.
 
-Matrices are lists of lists.  Everything here is small (fibers of form
-bundles, at most a few hundred rows), so plain Gaussian elimination with
-exact division is both simple and fast enough.  All callers pass rational
-matrices; the exact core has no complex entries.
+Matrices cross the interface as lists of lists.  The fiber matrices of the
+form bundles are almost all zeros, so products and elimination hold rows as
+{column: value} dicts, touch only nonzero entries and drop entries that
+cancel.  The reduced row echelon form is unique, so every result equals the
+dense route's, which the tests keep as their oracle.
 """
 
 from __future__ import annotations
@@ -11,22 +12,37 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)]
 
 
+def _sparse_rows(m: Sequence[Sequence]) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def _dense_rows(rows: Sequence[dict], cols: int) -> list[list]:
+    return [[row.get(j, _ZERO) for j in range(cols)] for row in rows]
+
+
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    b_rows = _sparse_rows(b)
+    product = []
+    for row in a:
+        acc: dict = {}
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row.items():
+                    acc[j] = acc.get(j, 0) + x * y
+        product.append(acc)
+    return _dense_rows(product, len(b[0]) if b else 0)
 
 
 def mat_add(a, b):
@@ -45,30 +61,42 @@ def mat_eq(a, b) -> bool:
     return all(all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)) and len(a) == len(b)
 
 
-def rref(m: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    a = [list(row) for row in m]
-    if not a:
-        return a, []
-    rows, cols = len(a), len(a[0])
+def _reduce(rows: list[dict], cols: int) -> list[int]:
+    """Bring sparse rows to reduced row echelon form in place; returns the
+    pivot columns.  Row i < len(pivots) is the row of pivot i."""
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c]), None)
+        pivot = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        pivot_row = {j: x / pv for j, x in rows[r].items()}
+        rows[r] = pivot_row
+        for i, row in enumerate(rows):
+            if i != r and c in row:
+                f = row[c]
+                for j, y in pivot_row.items():
+                    v = row.get(j, 0) - f * y
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(rows):
             break
-    return a, pivots
+    return pivots
+
+
+def rref(m: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    if not m:
+        return [], []
+    rows = _sparse_rows(m)
+    pivots = _reduce(rows, len(m[0]))
+    return _dense_rows(rows, len(m[0])), pivots
 
 
 def rank(m: Sequence[Sequence]) -> int:
@@ -80,49 +108,40 @@ def null_space(m: Sequence[Sequence]) -> list[list]:
     if not m:
         return []
     cols = len(m[0])
-    r, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
+    rows = _sparse_rows(m)
+    pivots = _reduce(rows, cols)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -r[row_idx][fc]
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        v = [_ZERO] * cols
+        v[fc] = _ONE
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row.get(fc, _ZERO)
         basis.append(v)
     return basis
 
 
 def solve(a: Sequence[Sequence], b: Sequence):
     """One solution of Ax = b, or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    r, pivots = rref(aug)
+    cols = len(a[0]) if a else 0
+    rows = _sparse_rows([*row, y] for row, y in zip(a, b))
+    pivots = _reduce(rows, cols + 1)
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx][cols]
+    x = [_ZERO] * cols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row.get(cols, _ZERO)
     return x
 
 
 def invert(a: Sequence[Sequence]) -> list[list]:
     """Exact inverse; raises ValueError on a singular matrix."""
     n = len(a)
-    aug = [list(a[i]) + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
+    rows = _sparse_rows(a)
+    for i, row in enumerate(rows):
+        row[n + i] = _ONE
+    if _reduce(rows, 2 * n) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
-
-
-def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
-    """Whether v lies in the column span of the given basis vectors."""
-    if not basis:
-        return all(x == 0 for x in v)
-    cols = [list(b) for b in basis]
-    a = transpose(cols)
-    return solve(a, list(v)) is not None
+    return _dense_rows([{j - n: x for j, x in row.items() if j >= n} for row in rows], n)
 
 
 def projector_onto_complement(basis: Sequence[Sequence], n: int,

@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import Polynomial
+from .scalars import Polynomial, json_int
 
 MultiIndex = tuple
 
@@ -267,9 +267,10 @@ class KForm:
     @classmethod
     def from_json(cls, obj: Mapping) -> "KForm":
         return cls(
-            int(obj["k"]),
-            int(obj["dim"]),
-            {tuple(int(i) for i in t["idx"]): Polynomial.from_json(t["poly"]) for t in obj.get("terms", [])},
+            json_int(obj["k"], "k"),
+            json_int(obj["dim"], "dim"),
+            {tuple(json_int(i, "idx") for i in t["idx"]): Polynomial.from_json(t["poly"])
+             for t in obj.get("terms", [])},
         )
 
     def __repr__(self):
@@ -306,10 +307,6 @@ class AlternatingValue:
                     continue
                 out[idx] = out.get(idx, 0) + sign * va * vb
         return AlternatingValue(self.degree + other.degree, self.dim, out)
-
-    def close_to(self, other: "AlternatingValue", tol: float) -> bool:
-        keys = set(self.components) | set(other.components)
-        return all(abs(self.components.get(k, 0.0) - other.components.get(k, 0.0)) <= tol for k in keys)
 
     def __repr__(self):
         return f"AlternatingValue(k={self.degree}, {self.components})"

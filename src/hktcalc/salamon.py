@@ -37,7 +37,6 @@ from .forms import (
     KForm,
     FiberOperator,
     apply_operator,
-    form_to_vector,
     insertion_operator,
     multi_indices,
     operator_matrix,
@@ -62,27 +61,6 @@ class FiberSubspace:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        return ela.in_span(self.basis, list(vector))
-
-    def contains_form(self, form: KForm) -> bool:
-        """Constant-coefficient membership test, coefficient-wise.
-
-        Every coefficient polynomial of `form` must be constant for a fiber
-        statement to make sense; polynomial forms are tested pointwise by
-        the callers instead.
-        """
-        basis_idx = multi_indices(form.dim, self.degree)
-        vec = [p.constant_term() for p in form_to_vector(form, basis_idx)]
-        return self.contains(vec)
-
-
-def _stack(matrices: Sequence[Sequence[Sequence[Fraction]]]) -> list[list[Fraction]]:
-    rows: list[list[Fraction]] = []
-    for m in matrices:
-        rows.extend(list(r) for r in m)
-    return rows
 
 
 def _minus_identity(op: FiberOperator) -> FiberOperator:
@@ -119,7 +97,7 @@ def _condition_operators(model: HypercomplexModel, k: int,
 
 
 def _condition_matrix(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> list[list[Fraction]]:
-    return _stack([operator_matrix(op, k, model.dim) for op in ops])
+    return [row for op in ops for row in operator_matrix(op, k, model.dim)]
 
 
 def _kernel(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> FiberSubspace:
@@ -148,7 +126,7 @@ def a11_subspace(model: HypercomplexModel) -> FiberSubspace:
     ident = ela.identity(n_fiber)
     p_i = operator_matrix(pullback_operator(model.I, 2, dim), 2, dim)
     p_j = operator_matrix(pullback_operator(model.J, 2, dim), 2, dim)
-    stacked = _stack([ela.mat_sub(p_i, ident), ela.mat_add(p_j, ident)])
+    stacked = ela.mat_sub(p_i, ident) + ela.mat_add(p_j, ident)
     return FiberSubspace(2, n_fiber, ela.null_space(stacked))
 
 

@@ -17,6 +17,7 @@ when their term maps are equal.  Every operation is exact.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -250,17 +251,17 @@ class Polynomial:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Polynomial":
         """Decode `to_json` output; a malformed term raises ValueError."""
-        dim = int(obj["dim"])
+        dim = json_int(obj["dim"], "dim")
         terms = {}
         for entry in obj.get("terms", []):
             if "inum" in entry or "iden" in entry:
                 raise ValueError("complex coefficients (inum/iden) are not supported; "
                                  "coefficients are rational")
-            exp = tuple(int(e) for e in entry["exp"])
-            den = int(entry["den"])
+            exp = tuple(json_int(e, "exp") for e in entry["exp"])
+            den = json_int(entry["den"], "den")
             if den == 0:
                 raise ValueError(f"zero denominator in the term with exponents {list(exp)}")
-            terms[exp] = Fraction(int(entry["num"]), den)
+            terms[exp] = Fraction(json_int(entry["num"], "num"), den)
         return cls(dim, terms)
 
     def __repr__(self):
@@ -272,6 +273,16 @@ class Polynomial:
             c = self.terms[exp]
             bits.append(f"{c}*{mono}" if mono else f"{c}")
         return f"Polynomial({self.dim}, {' + '.join(bits)})"
+
+
+def json_int(value, name: str) -> int:
+    """A JSON integer (not a bool) or a signed decimal string; anything else,
+    a float in particular, raises ValueError instead of being truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[-+]?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def random_polynomial(dim: int, max_degree: int, n_terms: int, seed: int) -> Polynomial:

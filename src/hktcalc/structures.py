@@ -128,10 +128,6 @@ class HypercomplexModel:
         self.K = _block_diagonal(_BLOCK_K, n)
         self._verify_quaternion_identities()
 
-    @classmethod
-    def standard(cls, n: int) -> "HypercomplexModel":
-        return cls(n)
-
     def _verify_quaternion_identities(self):
         minus_id = ela.mat_scale(ela.identity(self.dim), Fraction(-1))
         for name, m in (("I", self.I), ("J", self.J), ("K", self.K)):

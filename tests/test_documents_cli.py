@@ -97,6 +97,23 @@ class TestInputDocument:
         with pytest.raises(DocumentError):
             InputDocument.from_json(doc)
 
+    @pytest.mark.parametrize("n", [0, 4, 40, 2.5, "2.5", True])
+    def test_model_n_outside_one_to_three_rejected(self, n):
+        doc = {"kind": "potential", "model": {"n": n},
+               "payload": {"mu": quarter_norm_potential(4).to_json()}}
+        with pytest.raises(DocumentError, match="model.n"):
+            InputDocument.from_json(doc)
+
+    def test_model_not_an_object_rejected(self):
+        doc = {"kind": "potential", "model": [3], "payload": {"mu": quarter_norm_potential(4).to_json()}}
+        with pytest.raises(DocumentError, match="model must be a JSON object"):
+            InputDocument.from_json(doc)
+
+    def test_model_n3_accepted(self):
+        doc = {"kind": "potential", "model": {"n": 3},
+               "payload": {"mu": quarter_norm_potential(12).to_json()}}
+        assert InputDocument.from_json(doc).model.n == 3
+
     def test_potential_document(self):
         doc = {
             "kind": "potential",
@@ -118,6 +135,21 @@ class TestIdentitiesCommand:
         assert main(["identities", "--count", "0"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["warnings"]
+
+    def test_n3_suite_passes(self, capsys):
+        assert main(["identities", "--n", "3", "--count", "2"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["all_ok"] and report["data"]["n"] == [3]
+        assert all(check["name"].endswith("[n=3]") for check in report["checks"])
+
+    @pytest.mark.parametrize("argv", [["--n", "4"], ["--n", "0"], ["--n", "1", "--n", "40"],
+                                      ["--count", "-3"]])
+    def test_out_of_range_flags_are_input_errors(self, capsys, argv):
+        assert main(["identities", *argv]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: --")
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_determinism_modulo_timings(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -290,6 +322,29 @@ class TestFailureTaxonomy:
         assert proc.stdout == ""
         assert proc.stderr.startswith("input error:") and "zero denominator" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_n4_document_prints_no_traceback(self, tmp_path):
+        doc = {"kind": "potential", "model": {"n": 4},
+               "payload": {"mu": quarter_norm_potential(16).to_json()}}
+        path = write(tmp_path, "n4.json", doc)
+        proc = subprocess.run([sys.executable, "-m", "hktcalc.cli", "check", path],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error: model.n must be between 1 and 3")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_float_coefficient_is_input_error(self, tmp_path, capsys):
+        # {"num": 1.5, "exp": [0, 1.7, 0, 0]} used to be read as x1.
+        mu = {"dim": 4, "terms": [{"num": 1.5, "den": "1", "exp": [0, 1.7, 0, 0]}]}
+        path = write(tmp_path, "float.json", {"kind": "potential", "model": {"n": 1},
+                                              "payload": {"mu": mu}})
+        assert main(["check", path]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: payload (potential): ")
+        assert "must be an integer" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     @staticmethod
     def _disagreeing_twistor(monkeypatch):

@@ -220,6 +220,16 @@ class TestKFormJson:
         with pytest.raises(ValueError, match="inum/iden"):
             KForm.from_json(doc)
 
+    @pytest.mark.parametrize("field", ["k", "dim", "idx"])
+    def test_non_integer_fields_rejected(self, field):
+        doc = KForm.basis(4, (0, 2)).to_json()
+        if field == "idx":
+            doc["terms"][0]["idx"][1] = 2.5
+        else:
+            doc[field] = float(doc[field])
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            KForm.from_json(doc)
+
     def test_schema_keys(self):
         doc = KForm.basis(4, (0, 2)).to_json()
         assert set(doc) == {"k", "dim", "terms"}

@@ -160,6 +160,28 @@ class TestJson:
         with pytest.raises(ValueError, match="zero denominator"):
             Polynomial.from_json(doc)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("num", 1.5), ("num", True), ("num", "1.5"),
+        ("den", 2.0), ("den", False), ("den", "2/1"),
+        ("exp", 1.7), ("exp", True), ("exp", " 1"),
+        ("dim", 4.0), ("dim", True), ("dim", "4.0"),
+    ])
+    def test_non_integer_fields_rejected(self, field, bad):
+        # A float used to be truncated through int(): num 1.5 read as 1.
+        doc = {"dim": 4, "terms": [{"num": "1", "den": "1", "exp": [0, 1, 0, 0]}]}
+        if field == "dim":
+            doc["dim"] = bad
+        elif field == "exp":
+            doc["terms"][0]["exp"][1] = bad
+        else:
+            doc["terms"][0][field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Polynomial.from_json(doc)
+
+    def test_integer_fields_accept_ints_and_digit_strings(self):
+        doc = {"dim": "4", "terms": [{"num": -3, "den": "+7", "exp": ["0", 1, 0, 0]}]}
+        assert Polynomial.from_json(doc) == x(1) * Fraction(-3, 7)
+
     def test_big_integers_survive(self):
         big = Fraction(10**40 + 1, 10**39)
         p = const(big)
