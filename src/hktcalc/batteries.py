@@ -178,13 +178,21 @@ def remark_battery(model: HypercomplexModel, table: ProjectorTable, seed: int, c
     return CheckOutcome("potential-remark", True, count)
 
 
-def equivalence_battery(tables: dict[int, ProjectorTable], seed: int, count: int) -> CheckOutcome:
+# The case cycle of the default equivalence battery: (n, kind) pairs.
+EQUIVALENCE_CYCLE = ((1, "potential"), (1, "conformal"), (2, "potential"), (2, "negative"))
+
+
+def equivalence_battery(tables: dict[int, ProjectorTable], seed: int, count: int,
+                        cycle: tuple = EQUIVALENCE_CYCLE) -> CheckOutcome:
     """The three HKT criteria agree on positives and certified negatives.
 
-    Positives: potential-generated forms on n = 1 and 2 and conformal
-    metrics on n = 1.  Negatives: generic type-(1,1) forms on n = 2,
-    certified generic by a nonzero D-residual (resampled otherwise).
-    `hkt_report` raises on any pairwise disagreement.
+    Case i is `cycle[i % len(cycle)]`, an (n, kind) pair.  Kinds:
+    "potential" (a potential-generated form, positive), "conformal" (a
+    conformal metric, n = 1, positive) and "negative" (a generic type-(1,1)
+    form certified generic by a nonzero D-residual, resampled otherwise).
+    By default: potential forms on n = 1 and 2, conformal metrics on n = 1
+    and negatives on n = 2.  `hkt_report` raises on any pairwise
+    disagreement.
     """
     rng = random.Random(seed)
     positives = negatives = 0
@@ -198,22 +206,15 @@ def equivalence_battery(tables: dict[int, ProjectorTable], seed: int, count: int
         raise RuntimeError("random potentials kept producing the zero form")
 
     for i in range(count):
-        kind = i % 4
-        if kind == 0:
-            table = tables[1]
+        n, kind = cycle[i % len(cycle)]
+        table = tables[n]
+        expect = kind != "negative"
+        if kind == "potential":
             source: object = potential_form(table, 3)
-            expect = True
-        elif kind == 1:
-            table = tables[1]
+        elif kind == "conformal":
             phi = positive_conformal_factor(rng)
             source = HyperhermitianMetric.conformal(table.model, phi)
-            expect = True
-        elif kind == 2:
-            table = tables[2]
-            source = potential_form(table, 3)
-            expect = True
         else:
-            table = tables[2]
             source = None
             for _ in range(10):
                 candidate = random_a11_form(table.model, rng)
@@ -223,7 +224,6 @@ def equivalence_battery(tables: dict[int, ProjectorTable], seed: int, count: int
             if source is None:
                 return CheckOutcome("hkt-equivalence", False, count,
                                     "could not certify a generic negative")
-            expect = False
         report = hkt_report(table, source)
         if report.is_hkt != expect:
             return CheckOutcome("hkt-equivalence", False, count,
@@ -255,6 +255,11 @@ def identity_suite(ns: list[int], seed: int, count: int) -> list[CheckOutcome]:
             outcomes.append(_tag(conformal_battery(table, seed + n, count), n))
     if 1 in tables and 2 in tables:
         outcomes.append(equivalence_battery(tables, seed, max(4, count // 2)))
+    if 3 in tables:
+        # One positive and one certified negative, whatever --count is: an
+        # n = 3 negative is the costliest case of any battery.
+        cycle = ((3, "potential"), (3, "negative"))
+        outcomes.append(_tag(equivalence_battery(tables, seed + 3, len(cycle), cycle), 3))
     return outcomes
 
 

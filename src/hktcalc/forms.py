@@ -11,6 +11,19 @@ and projection layers: a constant linear operator on the k-form fiber is
 represented sparsely as a map  input-index -> [(output-index, coeff), ...]
 and can be applied coefficient-wise to polynomial forms or exported as an
 exact matrix.
+
+Every such operator -- structure pullbacks and insertions, the projectors
+eta, the B conditions -- goes through one kernel, `apply_operator`: it adds
+coeff times each input term straight into one {exponent: Fraction} map per
+output index, drops zeros once at the end and builds each output
+polynomial once.
+
+Pullbacks and insertions are built by one routine, `routed_operator`,
+which expands integer matrices in ints only.  A sphere structure
+aI + bJ + cK is therefore expanded as the integer matrix
+den * (aI + bJ + cK), den the lcm of the point's denominators, and each
+coefficient is divided once by den^slots (see `hktcalc.structures`).
+Every builder stores Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -381,20 +394,18 @@ class BilinearForm:
     def conjugate_by(self, matrix: Sequence[Sequence]) -> "BilinearForm":
         """b(M., M.) as the exact sandwich M^T b M."""
         n = self.dim
-        out = [[Polynomial.zero(n) for _ in range(n)] for _ in range(n)]
+        columns = [[(k, Fraction(matrix[k][i])) for k in range(n) if matrix[k][i]] for i in range(n)]
+        out = []
         for i in range(n):
+            row = []
             for j in range(n):
-                acc = Polynomial.zero(n)
-                for k in range(n):
-                    mki = Fraction(matrix[k][i])
-                    if not mki:
-                        continue
-                    for l in range(n):
-                        mlj = Fraction(matrix[l][j])
-                        if not mlj:
-                            continue
-                        acc = acc + self.entries[k][l].scale(mki * mlj)
-                out[i][j] = acc
+                acc: dict = {}
+                for k, mki in columns[i]:
+                    entries = self.entries[k]
+                    for l, mlj in columns[j]:
+                        _accumulate(acc, entries[l].terms, mki * mlj)
+                row.append(_polynomial(n, acc))
+            out.append(row)
         return BilinearForm(out, symmetric=self.symmetric or None)
 
     def trace(self) -> Polynomial:
@@ -434,8 +445,10 @@ FiberOperator = dict
 
 
 def _wedge_expansion(factors: Sequence[Sequence[tuple[int, Fraction]]]) -> dict:
-    """Expand a wedge of 1-form expansions into {multi-index: coeff}."""
-    partial: dict = {(): Fraction(1)}
+    """Expand a wedge of 1-form expansions into {multi-index: coeff}.
+
+    Integer factors give integer coefficients."""
+    partial: dict = {(): 1}
     for factor in factors:
         nxt: dict = {}
         for idx, coeff in partial.items():
@@ -445,7 +458,7 @@ def _wedge_expansion(factors: Sequence[Sequence[tuple[int, Fraction]]]) -> dict:
                 pos = sum(1 for e in idx if e < j)
                 sign = -1 if (len(idx) - pos) % 2 else 1
                 new = idx[:pos] + (j,) + idx[pos:]
-                val = nxt.get(new, Fraction(0)) + sign * coeff * a
+                val = nxt.get(new, 0) + sign * coeff * a
                 if val:
                     nxt[new] = val
                 elif new in nxt:
@@ -454,24 +467,15 @@ def _wedge_expansion(factors: Sequence[Sequence[tuple[int, Fraction]]]) -> dict:
     return partial
 
 
-def _rows(matrix: Sequence[Sequence], dim: int) -> list[list[tuple[int, Fraction]]]:
-    rows = []
-    for i in range(dim):
-        row = [(j, Fraction(matrix[i][j])) for j in range(dim) if matrix[i][j]]
-        rows.append(row)
-    return rows
+def _rows(matrix: Sequence[Sequence], dim: int) -> list[list[tuple[int, int | Fraction]]]:
+    """Nonzero entries of each row; ints stay ints, anything else becomes a Fraction."""
+    return [[(j, v if isinstance(v, int) else Fraction(v)) for j, v in enumerate(matrix[i]) if v]
+            for i in range(dim)]
 
 
 def pullback_operator(matrix: Sequence[Sequence], k: int, dim: int) -> FiberOperator:
     """Fiber matrix of the slots-only pullback by a constant linear map."""
-    if k == 0:
-        return {(): [((), Fraction(1))]}
-    rows = _rows(matrix, dim)
-    op: FiberOperator = {}
-    for idx in multi_indices(dim, k):
-        expansion = _wedge_expansion([rows[i] for i in idx])
-        op[idx] = sorted(expansion.items())
-    return op
+    return routed_operator(matrix, k, dim, k)
 
 
 def insertion_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int) -> FiberOperator:
@@ -482,20 +486,33 @@ def insertion_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int)
     """
     if not 1 <= slots <= k:
         raise ValueError("slots must lie in [1, k]")
+    return routed_operator(matrix, k, dim, slots)
+
+
+def routed_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int, den: int = 1) -> FiberOperator:
+    """Route `slots` of the k slots through matrix / den, summed over all choices.
+
+    An integer `matrix` is expanded in ints only; each summed coefficient
+    is then divided once by den**slots.  The stored coefficients are
+    Fractions whatever the entries of `matrix` are.
+    """
+    if not 0 <= slots <= k:
+        raise ValueError("slots must lie in [0, k]")
     rows = _rows(matrix, dim)
-    plain = [[(i, Fraction(1))] for i in range(dim)]
+    plain = [[(i, 1)] for i in range(dim)]
+    scale = den ** slots
     op: FiberOperator = {}
     for idx in multi_indices(dim, k):
         total: dict = {}
         for chosen in itertools.combinations(range(k), slots):
             factors = [rows[i] if pos in chosen else plain[i] for pos, i in enumerate(idx)]
             for out_idx, coeff in _wedge_expansion(factors).items():
-                val = total.get(out_idx, Fraction(0)) + coeff
+                val = total.get(out_idx, 0) + coeff
                 if val:
                     total[out_idx] = val
                 elif out_idx in total:
                     del total[out_idx]
-        op[idx] = sorted(total.items())
+        op[idx] = sorted((out_idx, Fraction(coeff, scale)) for out_idx, coeff in total.items())
     return op
 
 
@@ -509,7 +526,7 @@ def pair_insertion_operator(a: Sequence[Sequence], b: Sequence[Sequence], k: int
         raise ValueError("needs degree >= 2")
     rows_a = _rows(a, dim)
     rows_b = _rows(b, dim)
-    plain = [[(i, Fraction(1))] for i in range(dim)]
+    plain = [[(i, 1)] for i in range(dim)]
     half = Fraction(1, 2)
     op: FiberOperator = {}
     for idx in multi_indices(dim, k):
@@ -533,19 +550,38 @@ def pair_insertion_operator(a: Sequence[Sequence], b: Sequence[Sequence], k: int
     return op
 
 
+def _accumulate(acc: dict, terms: dict, coeff) -> None:
+    """acc += coeff * terms, on {exponent: Fraction} maps; zeros are kept."""
+    for exp, value in terms.items():
+        prev = acc.get(exp)
+        acc[exp] = value * coeff if prev is None else prev + value * coeff
+
+
+def _polynomial(dim: int, acc: dict) -> Polynomial:
+    """The canonical polynomial of an accumulated term map."""
+    return Polynomial._raw(dim, {exp: value for exp, value in acc.items() if value})
+
+
 def apply_operator(op: FiberOperator, form: KForm) -> KForm:
-    """Apply a fiber operator coefficient-wise to a polynomial form."""
-    out: dict = {}
+    """Apply a fiber operator coefficient-wise to a polynomial form.
+
+    The one kernel for every constant-coefficient fiber operator: each
+    output index accumulates into one term map, which becomes one
+    polynomial at the end.
+    """
+    sums: dict = {}
     for idx, poly in form.terms.items():
         for out_idx, coeff in op.get(idx, ()):
-            scaled = poly.scale(coeff)
-            acc = out.get(out_idx)
-            scaled = scaled if acc is None else acc + scaled
-            if scaled.is_zero():
-                out.pop(out_idx, None)
-            else:
-                out[out_idx] = scaled
-    return KForm(form.degree, form.dim, out)
+            acc = sums.get(out_idx)
+            if acc is None:
+                sums[out_idx] = acc = {}
+            _accumulate(acc, poly.terms, coeff)
+    terms = {}
+    for out_idx, acc in sums.items():
+        poly = _polynomial(form.dim, acc)
+        if poly.terms:
+            terms[out_idx] = poly
+    return KForm(form.degree, form.dim, terms)
 
 
 def operator_matrix(op: FiberOperator, k: int, dim: int) -> list[list[Fraction]]:

@@ -12,6 +12,13 @@ stores them as (real, imaginary) pairs of rational forms in
 
 Zero coefficients are never stored, so two polynomials are equal exactly
 when their term maps are equal.  Every operation is exact.
+
+The public constructor (and `from_json`) validates every exponent and
+converts every coefficient.  `Polynomial._raw` is internal only: it wraps
+a term map that is already canonical -- tuple exponents, nonzero
+`Fraction` values -- without checking it, and the arithmetic (`+`, `-`,
+`*`, `scale`, `partial`, `zero`) and the fiber kernels of
+`hktcalc.forms` use it for results that are canonical by construction.
 """
 
 from __future__ import annotations
@@ -49,11 +56,22 @@ class Polynomial:
         self.dim = dim
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, dim: int, terms: dict) -> "Polynomial":
+        """Internal: adopt an already-canonical term map (tuple exponents of
+        length `dim`, nonzero Fraction values) without re-checking it."""
+        poly = object.__new__(cls)
+        poly.dim = dim
+        poly.terms = terms
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim, {})
+        if dim < 1:
+            raise ValueError("polynomial dimension must be >= 1")
+        return cls._raw(dim, {})
 
     @classmethod
     def constant(cls, dim: int, value) -> "Polynomial":
@@ -103,13 +121,13 @@ class Polynomial:
                 out[exp] = coeff
             elif exp in out:
                 del out[exp]
-        return Polynomial(self.dim, out)
+        return Polynomial._raw(self.dim, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -125,7 +143,7 @@ class Polynomial:
                         out[exp] = prod
                     elif exp in out:
                         del out[exp]
-            return Polynomial(self.dim, out)
+            return Polynomial._raw(self.dim, out)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -133,8 +151,8 @@ class Polynomial:
     def scale(self, scalar) -> "Polynomial":
         scalar = Fraction(scalar)
         if not scalar:
-            return Polynomial.zero(self.dim)
-        return Polynomial(self.dim, {e: c * scalar for e, c in self.terms.items()})
+            return Polynomial._raw(self.dim, {})
+        return Polynomial._raw(self.dim, {e: c * scalar for e, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -169,7 +187,7 @@ class Polynomial:
             new = list(exp)
             new[index] = e - 1
             out[tuple(new)] = coeff * e
-        return Polynomial(self.dim, out)
+        return Polynomial._raw(self.dim, out)
 
     def evaluate(self, point: Sequence):
         """Evaluate at a point.

@@ -29,6 +29,7 @@ exact core never needs complex coefficients.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,8 +39,7 @@ from .forms import (
     BilinearForm,
     KForm,
     apply_operator,
-    insertion_operator,
-    pullback_operator,
+    routed_operator,
 )
 
 _BLOCK_I = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
@@ -210,19 +210,21 @@ _FIBER_CACHE: dict = {}
 
 
 def _fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, kind: str):
+    """The fiber operator of `kind` for the structure at `point` on k-forms.
+
+    It is routed from the integer matrix den * (aI + bJ + cK), den the lcm
+    of the point's denominators, so the expansion multiplies only ints.
+    """
     key = (model.n, point.as_tuple(), k, kind)
     cached = _FIBER_CACHE.get(key)
     if cached is not None:
         return cached
-    mat = model.sphere_matrix(point)
-    if kind == "pullback":
-        op = pullback_operator(mat, k, model.dim)
-    elif kind == "insert1":
-        op = insertion_operator(mat, k, model.dim, 1)
-    elif kind == "insert2":
-        op = insertion_operator(mat, k, model.dim, 2)
-    else:
+    den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
+    mat = [[v.numerator * (den // v.denominator) for v in row] for row in model.sphere_matrix(point)]
+    slots = {"pullback": k, "insert1": 1, "insert2": 2}.get(kind)
+    if slots is None:
         raise ValueError(kind)
+    op = routed_operator(mat, k, model.dim, slots, den)
     _FIBER_CACHE[key] = op
     return op
 

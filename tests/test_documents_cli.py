@@ -141,6 +141,8 @@ class TestIdentitiesCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["all_ok"] and report["data"]["n"] == [3]
         assert all(check["name"].endswith("[n=3]") for check in report["checks"])
+        equivalence = {c["name"]: c for c in report["checks"]}["hkt-equivalence[n=3]"]
+        assert equivalence["ok"] and equivalence["cases"] == 2
 
     @pytest.mark.parametrize("argv", [["--n", "4"], ["--n", "0"], ["--n", "1", "--n", "40"],
                                       ["--count", "-3"]])
