@@ -9,6 +9,10 @@ Three subcommands:
 * ``hkt solve FILE`` runs the 4D potential solver on a conformal4d
   document and verifies the result.
 
+The float solver (`hktcalc.elliptic`, and with it numpy) is imported only
+inside ``hkt solve``: ``hkt check`` and ``hkt identities`` are exact and
+never load numpy.
+
 Exit codes: 0 pass, 1 check failure, 2 input error, 3 solver failure,
 4 internal error (a broken convention invariant: `ConventionError`, for
 example the three HKT criteria disagreeing; a bug, never a verdict).
@@ -23,7 +27,6 @@ import time
 
 from .batteries import identity_suite
 from .documents import MAX_N, DocumentError, InputDocument, Report
-from .elliptic import ConformalMetricSpec, SolverConfig, SolverError, solve_potential, verify_potential
 from .geometry import (
     ConventionError,
     HyperhermitianMetric,
@@ -181,6 +184,8 @@ def _check_geometric_residual(diagnostics: dict, m: int) -> None:
     """Raise SolverError unless the geometric residual is finite and within
     100 * tol / min(phi): the linear residual bound, carried through the
     row scaling by phi, with room for the geometric operators' rounding."""
+    from .elliptic import SolverError
+
     bound = 100 * diagnostics["tol"] / diagnostics["phi_min"]
     residual = diagnostics["residual_max"]
     if not (math.isfinite(residual) and residual <= bound):
@@ -188,9 +193,20 @@ def _check_geometric_residual(diagnostics: dict, m: int) -> None:
 
 
 def cmd_solve(args) -> int:
+    from .elliptic import (
+        ConformalMetricSpec,
+        SolverConfig,
+        SolverError,
+        check_grid_size,
+        solve_potential,
+        verify_potential,
+    )
+
     report = Report(command="solve")
     grids = args.grid or [17]
     try:
+        for m in grids:
+            check_grid_size(m)
         doc = InputDocument.load(args.file)
         if doc.kind != "conformal4d":
             raise DocumentError("solve requires a conformal4d document")

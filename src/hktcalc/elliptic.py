@@ -35,8 +35,21 @@ from .scalars import Polynomial
 from .structures import HypercomplexModel
 
 
+# Largest grid (nodes per axis) a solve accepts.  Peak memory grows like
+# m^4, about 110 bytes per node: `hkt solve --grid m` peaked at 189 MB for
+# m = 33 and 2.2 GB for m = 65 (max RSS), so the next odd grid, 97, would
+# need about 10 GB.
+MAX_GRID = 65
+
+
 class SolverError(RuntimeError):
     """The linear solve failed (non-convergence or indefiniteness)."""
+
+
+def check_grid_size(m: int) -> None:
+    """Raise ValueError unless 3 <= m <= MAX_GRID; allocates nothing."""
+    if not 3 <= m <= MAX_GRID:
+        raise ValueError(f"grid must have between 3 and {MAX_GRID} nodes per axis, got {m}")
 
 
 @dataclass
@@ -85,8 +98,7 @@ class Grid4D:
     __slots__ = ("m", "lo", "hi", "values")
 
     def __init__(self, m: int, lo: float, hi: float, values: np.ndarray | None = None):
-        if m < 3:
-            raise ValueError("need at least 3 nodes per axis")
+        check_grid_size(m)
         self.m = m
         self.lo = float(lo)
         self.hi = float(hi)

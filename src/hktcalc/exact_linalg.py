@@ -144,6 +144,64 @@ def invert(a: Sequence[Sequence]) -> list[list]:
     return _dense_rows([{j - n: x for j, x in row.items() if j >= n} for row in rows], n)
 
 
+def inertia(m: Sequence[Sequence]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+
+    Symmetric Gaussian elimination replaces S by E S E^T with E invertible,
+    a congruence, so by Sylvester's law of inertia the signs of the pivots
+    it takes off the diagonal count the signs of the eigenvalues.  When
+    every remaining diagonal entry is 0 but some S[i][j] is not, adding row
+    and column j to row and column i (again a congruence) makes
+    S[i][i] = 2 S[i][j] a nonzero pivot.  Raises ValueError on a
+    non-symmetric matrix.
+    """
+    n = len(m)
+    if any(len(row) != n or any(m[i][j] != m[j][i] for j in range(i)) for i, row in enumerate(m)):
+        raise ValueError("inertia needs a square symmetric matrix")
+    rows = {i: {j: Fraction(x) for j, x in enumerate(row) if x} for i, row in enumerate(m)}
+    positive = negative = 0
+    while True:
+        p = next((i for i, row in rows.items() if i in row), None)
+        if p is None:
+            p = next((i for i, row in rows.items() if row), None)
+            if p is None:
+                break  # the rest of S is zero
+            _fold(rows, p, next(iter(rows[p])))
+        pivot_row = rows.pop(p)
+        d = pivot_row.pop(p)
+        if d > 0:
+            positive += 1
+        else:
+            negative += 1
+        for k, s_kp in pivot_row.items():
+            f = s_kp / d
+            row = rows[k]
+            del row[p]
+            for j, s_pj in pivot_row.items():
+                v = row.get(j, 0) - f * s_pj
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+    return positive, negative, n - positive - negative
+
+
+def _fold(rows: dict, i: int, j: int) -> None:
+    """S <- E S E^T for E = Id + e_i e_j^T on symmetric {i: {j: S_ij}} rows:
+    add row and column j to row and column i, in place."""
+    ri, rj = rows[i], rows[j]
+    touched = (set(ri) | set(rj)) - {i}
+    new = {k: ri.get(k, 0) + rj.get(k, 0) for k in touched}
+    new[i] = ri.get(i, 0) + 2 * ri.get(j, 0) + rj.get(j, 0)
+    new = {k: v for k, v in new.items() if v}
+    for k in touched:
+        if k in new:
+            rows[k][i] = new[k]
+        else:
+            rows[k].pop(i, None)
+    rows[i] = new
+
+
 def projector_onto_complement(basis: Sequence[Sequence], n: int,
                               weights: Sequence | None = None) -> list[list]:
     """Projector with kernel span(basis), orthogonal for the given metric.

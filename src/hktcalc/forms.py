@@ -19,11 +19,14 @@ output index, drops zeros once at the end and builds each output
 polynomial once.
 
 Pullbacks and insertions are built by one routine, `routed_operator`,
-which expands integer matrices in ints only.  A sphere structure
+which expands integer-valued matrices (ints, or Fractions such as the
+entries of I, J and K) in ints only.  A sphere structure
 aI + bJ + cK is therefore expanded as the integer matrix
 den * (aI + bJ + cK), den the lcm of the point's denominators, and each
 coefficient is divided once by den^slots (see `hktcalc.structures`).
-Every builder stores Fraction coefficients.
+`pair_insertion_operator`, which builds the degree-3 B conditions, sums
+in ints the same way and divides once by 2.  Every builder stores
+Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -467,10 +470,15 @@ def _wedge_expansion(factors: Sequence[Sequence[tuple[int, Fraction]]]) -> dict:
     return partial
 
 
+def _int_or_fraction(value) -> int | Fraction:
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _rows(matrix: Sequence[Sequence], dim: int) -> list[list[tuple[int, int | Fraction]]]:
-    """Nonzero entries of each row; ints stay ints, anything else becomes a Fraction."""
-    return [[(j, v if isinstance(v, int) else Fraction(v)) for j, v in enumerate(matrix[i]) if v]
-            for i in range(dim)]
+    """Nonzero entries of each row; integer values (such as the Fraction
+    entries of I, J and K) become ints, anything else a Fraction."""
+    return [[(j, _int_or_fraction(v)) for j, v in enumerate(matrix[i]) if v] for i in range(dim)]
 
 
 def pullback_operator(matrix: Sequence[Sequence], k: int, dim: int) -> FiberOperator:
@@ -520,33 +528,29 @@ def pair_insertion_operator(a: Sequence[Sequence], b: Sequence[Sequence], k: int
     """Symmetrized insertion of two maps into two distinct slots.
 
     For each unordered slot pair both orders contribute with weight 1/2,
-    which makes the operator symmetric in (a, b).
+    which makes the operator symmetric in (a, b).  As in `routed_operator`,
+    integer-valued matrices such as I, J and K are expanded in ints only
+    and each summed coefficient is divided once by 2; the stored
+    coefficients are Fractions.
     """
     if k < 2:
         raise ValueError("needs degree >= 2")
     rows_a = _rows(a, dim)
     rows_b = _rows(b, dim)
     plain = [[(i, 1)] for i in range(dim)]
-    half = Fraction(1, 2)
     op: FiberOperator = {}
     for idx in multi_indices(dim, k):
         total: dict = {}
         for s, t in itertools.permutations(range(k), 2):
-            factors = []
-            for pos, i in enumerate(idx):
-                if pos == s:
-                    factors.append(rows_a[i])
-                elif pos == t:
-                    factors.append(rows_b[i])
-                else:
-                    factors.append(plain[i])
+            factors = [rows_a[i] if pos == s else rows_b[i] if pos == t else plain[i]
+                       for pos, i in enumerate(idx)]
             for out_idx, coeff in _wedge_expansion(factors).items():
-                val = total.get(out_idx, Fraction(0)) + half * coeff
+                val = total.get(out_idx, 0) + coeff
                 if val:
                     total[out_idx] = val
                 elif out_idx in total:
                     del total[out_idx]
-        op[idx] = sorted(total.items())
+        op[idx] = sorted((out_idx, Fraction(coeff, 2)) for out_idx, coeff in total.items())
     return op
 
 

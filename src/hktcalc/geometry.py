@@ -53,7 +53,8 @@ class HyperhermitianMetric:
     """A symmetric polynomial 2-tensor invariant under I, J and K.
 
     Invariance is verified exactly at construction.  Definiteness is not
-    required; `signature_samples` reports the pointwise signature instead.
+    required; `signature_samples` reports the exact pointwise signature
+    instead.
     """
 
     __slots__ = ("model", "tensor")
@@ -90,24 +91,13 @@ class HyperhermitianMetric:
         return self.model.n == other.model.n and self.tensor == other.tensor
 
     def signature_samples(self, points: Sequence[Sequence]) -> list[dict]:
-        """Eigenvalue sign counts of g at sample points (float diagnostic)."""
-        import numpy as np
-
+        """Exact inertia of g at rational sample points: the counts of
+        positive, negative and zero eigenvalues (`exact_linalg.inertia`)."""
         out = []
         for pt in points:
-            mat = np.array(
-                [[float(p.evaluate(pt)) for p in row] for row in self.tensor.entries]
-            )
-            eig = np.linalg.eigvalsh(mat)
-            tol = 1e-9 * max(1.0, float(np.abs(eig).max()))
-            out.append(
-                {
-                    "point": [str(c) for c in pt],
-                    "positive": int((eig > tol).sum()),
-                    "negative": int((eig < -tol).sum()),
-                    "zero": int((np.abs(eig) <= tol).sum()),
-                }
-            )
+            positive, negative, zero = ela.inertia(self.tensor.evaluate(pt))
+            out.append({"point": [str(c) for c in pt], "positive": positive,
+                        "negative": negative, "zero": zero})
         return out
 
     def to_json(self) -> dict:

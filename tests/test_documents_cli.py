@@ -248,13 +248,13 @@ class TestSolveCommand:
         assert main(["solve", path]) == EXIT_INPUT_ERROR
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys, monkeypatch):
-        import hktcalc.cli as cli_mod
+        import hktcalc.elliptic as elliptic
         from hktcalc.elliptic import SolverError
 
         def boom(*args, **kwargs):
             raise SolverError("no convergence")
 
-        monkeypatch.setattr(cli_mod, "solve_potential", boom)
+        monkeypatch.setattr(elliptic, "solve_potential", boom)
         path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
         assert main(["solve", path, "--grid", "7"]) == EXIT_SOLVER_ERROR
 
@@ -275,6 +275,24 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("solver error: geometric residual")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("grids", [["100000"], ["17", "100000"], ["2"]])
+    def test_grid_outside_range_refused_before_solving(self, tmp_path, capsys, monkeypatch, grids):
+        import hktcalc.elliptic as elliptic
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("a grid was solved before the out-of-range grid was refused")
+
+        monkeypatch.setattr(elliptic, "solve_potential", no_solve)
+        path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
+        argv = ["solve", path]
+        for m in grids:
+            argv += ["--grid", m]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: grid must have between 3 and {elliptic.MAX_GRID}")
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_report_carries_sweeps_and_converged(self, tmp_path, capsys):
@@ -382,3 +400,37 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["all_ok"]
+
+
+# Runs each exact command in one fresh interpreter and asserts numpy is still
+# not loaded after it; `hkt solve` (which needs numpy) runs last.
+NO_NUMPY_SCRIPT = """
+import os, sys
+from hktcalc.cli import main
+*docs, conformal = sys.argv[1:]
+for path in docs:
+    assert main(["check", path, "--out", os.devnull]) == 0, path
+    assert "numpy" not in sys.modules, path
+assert main(["identities", "--count", "1", "--out", os.devnull]) == 0
+assert "numpy" not in sys.modules, "identities"
+assert main(["solve", conformal, "--grid", "7", "--out", os.devnull]) == 0
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+class TestExactPathLoadsNoNumpy:
+    def test_check_and_identities_never_import_numpy(self, tmp_path):
+        docs = [
+            write(tmp_path, "metric.json", flat_metric_doc()),
+            write(tmp_path, "form.json", {"kind": "form", "model": {"n": 1},
+                                          "payload": {"form": flat_form("I").to_json()}}),
+            write(tmp_path, "potential.json", {"kind": "potential", "model": {"n": 1},
+                                               "payload": {"mu": quarter_norm_potential(4).to_json()}}),
+            write(tmp_path, "conformal.json", conformal_doc()),
+        ]
+        flat = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
+        proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, *docs, flat],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"

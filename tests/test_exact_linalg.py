@@ -8,6 +8,7 @@ reduced row echelon form is unique, so the sparse results must be equal to
 the oracle's, not merely close.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -186,6 +187,19 @@ class TestSparseMatchesDense:
         assert dense_mat_mul(proj, proj) == proj
 
 
+# SHA-1 of json.dumps(ProjectorTable(n).to_json(), sort_keys=True), frozen
+# from the Fraction-built B conditions the integer-built ones replaced.
+TABLE_SHA1 = {
+    1: "88e2dc3cadee8f32b5885ea54e8c171de0647bf8",
+    2: "b5a3df03c43058729e2972622ab77d1ba9abaf76",
+    3: "08b63ad4e02a297c08698adc64445739320a8313",
+}
+
+
+def table_sha1(table):
+    return hashlib.sha1(json.dumps(table.to_json(), sort_keys=True).encode()).hexdigest()
+
+
 class TestProjectorTableMatchesDense:
     @pytest.mark.parametrize("n", [1, 2])
     def test_table_equals_dense_build(self, n, table1, table2):
@@ -197,12 +211,16 @@ class TestProjectorTableMatchesDense:
         dense_json = {str(k): [[[str(x.numerator), str(x.denominator)] for x in row] for row in etas[k]]
                       for k in (2, 3)}
         assert json.dumps(table.to_json()) == json.dumps({"n": n, "eta": dense_json})
+        assert table_sha1(table) == TABLE_SHA1[n]
 
 
 class TestN3Table:
     @pytest.fixture(scope="class")
     def table3(self):
         return ProjectorTable(HypercomplexModel(3))
+
+    def test_to_json_digest_is_frozen(self, table3):
+        assert table_sha1(table3) == TABLE_SHA1[3]
 
     def test_eta_idempotent_and_splits_the_fiber(self, table3):
         for k in (2, 3):
@@ -219,3 +237,61 @@ class TestN3Table:
             base = condition_rank(table3.model, k)
             assert base == len(multi_indices(12, k)) - table3.b_bases[k].rank
             assert condition_rank(table3.model, k, extra) == base
+
+
+def float_inertia(m):
+    """The former float route: sign counts of numpy's eigvalsh with a
+    relative tolerance, kept as the oracle for `ela.inertia`."""
+    import numpy as np
+
+    eig = np.linalg.eigvalsh(np.array(m, dtype=float).reshape(len(m), len(m)))
+    tol = 1e-9 * max(1.0, float(np.abs(eig).max(initial=0.0)))
+    return int((eig > tol).sum()), int((eig < -tol).sum()), int((np.abs(eig) <= tol).sum())
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    """Symmetric small-integer matrices up to 12 x 12: plain, with a zero
+    diagonal, or a signed sum of fewer rank-one terms than rows (singular)."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["plain", "zero_diagonal", "low_rank"]))
+    if kind == "low_rank":
+        vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=n - 1))
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(vectors), max_size=len(vectors)))
+        return [[sum(s * v[i] * v[j] for s, v in zip(signs, vectors)) for j in range(n)] for i in range(n)]
+    upper = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    m = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if kind == "zero_diagonal":
+        for i in range(n):
+            m[i][i] = 0
+    return m
+
+
+class TestInertia:
+    @given(symmetric_integer_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eigvalsh_sign_counts(self, m):
+        counts = ela.inertia(m)
+        assert counts == float_inertia(m)
+        assert counts[2] == len(m) - ela.rank([[Fraction(x) for x in row] for row in m])
+
+    @pytest.mark.parametrize("m, expected", [
+        ([[0, 1], [1, 0]], (1, 1, 0)),
+        ([[0, 0], [0, 0]], (0, 0, 2)),
+        ([[1, 1], [1, 1]], (1, 0, 1)),
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (1, 1, 1)),
+        ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], (1, 1, 1)),
+        ([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(1)]], (2, 0, 0)),
+        ([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(3, 4)]], (1, 0, 1)),
+        # Below the float route's 1e-9 relative tolerance, still exactly positive.
+        ([[1, 0], [0, Fraction(1, 10**12)]], (2, 0, 0)),
+        ([], (0, 0, 0)),
+    ])
+    def test_known_cases(self, m, expected):
+        assert ela.inertia(m) == expected
+
+    def test_rejects_non_symmetric(self):
+        with pytest.raises(ValueError):
+            ela.inertia([[0, 1], [0, 0]])
+        with pytest.raises(ValueError):
+            ela.inertia([[1, 0]])

@@ -10,7 +10,13 @@ equal:
 * `oracle_fiber_op` -- the former `structures._fiber_op`, which expanded
   the sphere matrix aI + bJ + cK in Fractions (with the former
   `_wedge_expansion` and insertion sum) instead of the integer matrix
-  den * (aI + bJ + cK).
+  den * (aI + bJ + cK);
+* `oracle_pair_insertion_operator` -- the former
+  `forms.pair_insertion_operator`, verbatim but for its helpers (the former
+  `_rows`, which kept the Fraction entries of I, J and K as Fractions, and
+  `oracle_wedge_expansion`): it expanded in Fractions and added half of
+  every coefficient into a Fraction total, where the new builder expands
+  integer-valued matrices in ints and divides each sum once by 2.
 
 All arithmetic is exact, so new and old results must be equal, not close.
 """
@@ -107,6 +113,40 @@ def oracle_fiber_op(model, point, k, kind):
             for out_idx, coeff in oracle_wedge_expansion(factors).items():
                 total[out_idx] = total.get(out_idx, Fraction(0)) + coeff
         op[idx] = sorted((i, c) for i, c in total.items() if c)
+    return op
+
+
+def oracle_rows(matrix, dim):
+    return [[(j, v if isinstance(v, int) else Fraction(v)) for j, v in enumerate(matrix[i]) if v]
+            for i in range(dim)]
+
+
+def oracle_pair_insertion_operator(a, b, k, dim):
+    if k < 2:
+        raise ValueError("needs degree >= 2")
+    rows_a = oracle_rows(a, dim)
+    rows_b = oracle_rows(b, dim)
+    plain = [[(i, 1)] for i in range(dim)]
+    half = Fraction(1, 2)
+    op = {}
+    for idx in multi_indices(dim, k):
+        total: dict = {}
+        for s, t in itertools.permutations(range(k), 2):
+            factors = []
+            for pos, i in enumerate(idx):
+                if pos == s:
+                    factors.append(rows_a[i])
+                elif pos == t:
+                    factors.append(rows_b[i])
+                else:
+                    factors.append(plain[i])
+            for out_idx, coeff in oracle_wedge_expansion(factors).items():
+                val = total.get(out_idx, Fraction(0)) + half * coeff
+                if val:
+                    total[out_idx] = val
+                elif out_idx in total:
+                    del total[out_idx]
+        op[idx] = sorted(total.items())
     return op
 
 
@@ -233,3 +273,42 @@ def test_builders_store_fractions_for_integer_matrices(matrix):
 def test_routed_operator_rejects_more_slots_than_degree():
     with pytest.raises(ValueError):
         routed_operator(INT_MATRICES[1], 2, 4, 3)
+
+
+def _assert_pair_insertion_matches(a, b, dim):
+    for k in (2, 3):
+        new, old = pair_insertion_operator(a, b, k, dim), oracle_pair_insertion_operator(a, b, k, dim)
+        assert new == old, (a, b, k)
+        assert list(new) == list(old)  # the same input indices, in the same order
+        assert all(type(c) is Fraction for column in new.values() for _, c in column)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pair_insertion_matches_oracle_for_structure_pairs(n):
+    model = MODELS[n]
+    for a, b in itertools.product("IJK", repeat=2):
+        _assert_pair_insertion_matches(model.matrix(a), model.matrix(b), model.dim)
+
+
+def integer_matrices(dim):
+    entry = st.integers(-3, 3)
+    return st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+
+
+@st.composite
+def integer_matrix_pairs(draw):
+    dim = draw(st.sampled_from([4, 8]))
+    return draw(integer_matrices(dim)), draw(integer_matrices(dim)), dim
+
+
+@given(integer_matrix_pairs())
+@settings(max_examples=25, deadline=None)
+def test_pair_insertion_matches_oracle_for_random_integer_matrices(case):
+    _assert_pair_insertion_matches(*case)
+
+
+def test_pair_insertion_matches_oracle_for_fraction_matrices():
+    point = SpherePoint.from_parameters(Fraction(1, 3), Fraction(-2, 5))
+    for n in (1, 2):
+        model = MODELS[n]
+        _assert_pair_insertion_matches(model.sphere_matrix(point), model.matrix("J"), model.dim)

@@ -59,6 +59,17 @@ class TestMetricValidation:
         assert samples[0]["negative"] == 4
         assert samples[1]["positive"] == 4
 
+    def test_signature_samples_are_exact(self, model1):
+        # phi = x0^2 - 10^-12 is negative at the origin, zero at x0 = 10^-6
+        # and positive at x0 = 1; a 1e-9 float tolerance called the first zero.
+        tiny = Fraction(1, 10**12)
+        metric = conformal(model1, x(0) * x(0) - Polynomial.constant(4, tiny))
+        points = [(0, 0, 0, 0), (Fraction(1, 10**6), 0, 0, 0), (1, 0, 0, 0)]
+        samples = metric.signature_samples(points)
+        counts = [(s["positive"], s["negative"], s["zero"]) for s in samples]
+        assert counts == [(0, 4, 0), (0, 0, 4), (4, 0, 0)]
+        assert samples[1]["point"] == ["1/1000000", "0", "0", "0"]
+
 
 class TestKahlerForm:
     def test_flat_i(self, flat1):
