@@ -155,9 +155,14 @@ class Grid4D:
 
 
 def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarray:
+    """Float values of `poly` on the mesh; ValueError if a coefficient
+    exceeds the float range."""
     total = np.zeros(np.broadcast_shapes(*(m.shape for m in mesh)))
     for exp, coeff in poly.terms.items():
-        term = np.full((), float(coeff))
+        try:
+            term = np.full((), float(coeff))
+        except OverflowError:
+            raise ValueError("a coefficient is too large for the float solver") from None
         for x, e in zip(mesh, exp):
             if e:
                 term = term * x**e

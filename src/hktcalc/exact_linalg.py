@@ -45,14 +45,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return _dense_rows(product, len(b[0]) if b else 0)
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, s):
     return [[x * s for x in row] for row in a]
 
@@ -63,7 +55,10 @@ def mat_eq(a, b) -> bool:
 
 def _reduce(rows: list[dict], cols: int) -> list[int]:
     """Bring sparse rows to reduced row echelon form in place; returns the
-    pivot columns.  Row i < len(pivots) is the row of pivot i."""
+    pivot columns.  Row i < len(pivots) is the row of pivot i.
+
+    Each pivot row is divided by its pivot taken as a Fraction, so int
+    input is eliminated exactly, never in floats."""
     pivots = []
     r = 0
     for c in range(cols):
@@ -71,7 +66,7 @@ def _reduce(rows: list[dict], cols: int) -> list[int]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
+        pv = Fraction(rows[r][c])
         pivot_row = {j: x / pv for j, x in rows[r].items()}
         rows[r] = pivot_row
         for i, row in enumerate(rows):
@@ -104,11 +99,14 @@ def rank(m: Sequence[Sequence]) -> int:
 
 
 def null_space(m: Sequence[Sequence]) -> list[list]:
-    """Exact basis of {v : Mv = 0}, one vector per free column."""
+    """Exact basis of {v : Mv = 0}, one vector per free column.
+
+    Repeated and zero rows span nothing new, so they are dropped before the
+    elimination: stacked fiber conditions repeat many rows."""
     if not m:
         return []
     cols = len(m[0])
-    rows = _sparse_rows(m)
+    rows = list({tuple(row.items()): row for row in _sparse_rows(m) if row}.values())
     pivots = _reduce(rows, cols)
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):
@@ -218,7 +216,8 @@ def projector_onto_complement(basis: Sequence[Sequence], n: int,
         wn = nmat
     else:
         wn = [[weights[i] * nmat[i][j] for j in range(len(basis))] for i in range(n)]
-    gram = mat_mul(transpose(nmat), wn)
-    inv = invert(gram)
-    corr = mat_mul(mat_mul(nmat, inv), transpose(wn))
-    return mat_sub(identity(n), corr)
+    minus_inv = [[-x for x in row] for row in invert(mat_mul(transpose(nmat), wn))]
+    proj = mat_mul(mat_mul(nmat, minus_inv), transpose(wn))  # -N (N^T W N)^{-1} N^T W
+    for i in range(n):
+        proj[i][i] += 1
+    return proj

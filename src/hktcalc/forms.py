@@ -19,14 +19,12 @@ output index, drops zeros once at the end and builds each output
 polynomial once.
 
 Pullbacks and insertions are built by one routine, `routed_operator`,
-which expands integer-valued matrices (ints, or Fractions such as the
-entries of I, J and K) in ints only.  A sphere structure
+which expands integer-valued matrices (ints, such as the entries of I, J
+and K, or integer-valued Fractions) in ints only.  A sphere structure
 aI + bJ + cK is therefore expanded as the integer matrix
 den * (aI + bJ + cK), den the lcm of the point's denominators, and each
 coefficient is divided once by den^slots (see `hktcalc.structures`).
-`pair_insertion_operator`, which builds the degree-3 B conditions, sums
-in ints the same way and divides once by 2.  Every builder stores
-Fraction coefficients.
+The stored coefficients are Fractions.
 """
 
 from __future__ import annotations
@@ -246,27 +244,12 @@ class KForm:
                     out[new_idx] = dp
         return KForm(self.degree + 1, self.dim, out)
 
-    def pullback(self, matrix: Sequence[Sequence], compose_coefficients: bool = False) -> "KForm":
-        """Slots-only pullback (A*w)(X1..Xk) = w(A X1, .., A Xk).
-
-        With `compose_coefficients` the coefficient functions are also
-        composed with the map (the honest pullback by x -> Ax); the
-        pointwise structure actions use the default slots-only mode.
-        """
+    def pullback(self, matrix: Sequence[Sequence]) -> "KForm":
+        """Slots-only pullback (A*w)(X1..Xk) = w(A X1, .., A Xk); the
+        coefficient functions are not composed with the map."""
         if len(matrix) != self.dim:
             raise ValueError("matrix dimension mismatch")
-        op = pullback_operator(matrix, self.degree, self.dim)
-        moved = apply_operator(op, self)
-        if not compose_coefficients:
-            return moved
-        return KForm(self.degree, self.dim,
-                     {i: p.substitute_linear(matrix) for i, p in moved.terms.items()})
-
-    def evaluate(self, point: Sequence) -> "AlternatingValue":
-        if len(point) != self.dim:
-            raise ValueError("point length mismatch")
-        comps = {idx: poly.evaluate(point) for idx, poly in self.terms.items()}
-        return AlternatingValue(self.degree, self.dim, comps)
+        return apply_operator(routed_operator(matrix, self.degree, self.dim, self.degree), self)
 
     # -- serialization -------------------------------------------------
 
@@ -297,35 +280,6 @@ class KForm:
             label = "^".join(f"dx{i}" for i in idx) or "1"
             bits.append(f"({self.terms[idx]!r}) {label}")
         return " + ".join(bits)
-
-
-class AlternatingValue:
-    """A k-form evaluated at one point: components over sorted indices."""
-
-    __slots__ = ("degree", "dim", "components")
-
-    def __init__(self, degree: int, dim: int, components: Mapping):
-        self.degree = degree
-        self.dim = dim
-        self.components = {tuple(i): v for i, v in components.items() if v}
-
-    def __eq__(self, other):
-        if not isinstance(other, AlternatingValue):
-            return NotImplemented
-        return (self.degree, self.dim) == (other.degree, other.dim) and self.components == other.components
-
-    def wedge(self, other: "AlternatingValue") -> "AlternatingValue":
-        out: dict = {}
-        for ia, va in self.components.items():
-            for ib, vb in other.components.items():
-                idx, sign = merge_indices(ia, ib)
-                if idx is None:
-                    continue
-                out[idx] = out.get(idx, 0) + sign * va * vb
-        return AlternatingValue(self.degree + other.degree, self.dim, out)
-
-    def __repr__(self):
-        return f"AlternatingValue(k={self.degree}, {self.components})"
 
 
 class BilinearForm:
@@ -476,25 +430,9 @@ def _int_or_fraction(value) -> int | Fraction:
 
 
 def _rows(matrix: Sequence[Sequence], dim: int) -> list[list[tuple[int, int | Fraction]]]:
-    """Nonzero entries of each row; integer values (such as the Fraction
-    entries of I, J and K) become ints, anything else a Fraction."""
+    """Nonzero entries of each row; integer values become ints, anything
+    else a Fraction."""
     return [[(j, _int_or_fraction(v)) for j, v in enumerate(matrix[i]) if v] for i in range(dim)]
-
-
-def pullback_operator(matrix: Sequence[Sequence], k: int, dim: int) -> FiberOperator:
-    """Fiber matrix of the slots-only pullback by a constant linear map."""
-    return routed_operator(matrix, k, dim, k)
-
-
-def insertion_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int) -> FiberOperator:
-    """Sum over all ways of routing `slots` arguments through the matrix.
-
-    slots=1 is the infinitesimal (Lie-algebra) action, slots=k the full
-    pullback; intermediate values interpolate.  Always alternating.
-    """
-    if not 1 <= slots <= k:
-        raise ValueError("slots must lie in [1, k]")
-    return routed_operator(matrix, k, dim, slots)
 
 
 def routed_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int, den: int = 1) -> FiberOperator:
@@ -521,36 +459,6 @@ def routed_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int, de
                 elif out_idx in total:
                     del total[out_idx]
         op[idx] = sorted((out_idx, Fraction(coeff, scale)) for out_idx, coeff in total.items())
-    return op
-
-
-def pair_insertion_operator(a: Sequence[Sequence], b: Sequence[Sequence], k: int, dim: int) -> FiberOperator:
-    """Symmetrized insertion of two maps into two distinct slots.
-
-    For each unordered slot pair both orders contribute with weight 1/2,
-    which makes the operator symmetric in (a, b).  As in `routed_operator`,
-    integer-valued matrices such as I, J and K are expanded in ints only
-    and each summed coefficient is divided once by 2; the stored
-    coefficients are Fractions.
-    """
-    if k < 2:
-        raise ValueError("needs degree >= 2")
-    rows_a = _rows(a, dim)
-    rows_b = _rows(b, dim)
-    plain = [[(i, 1)] for i in range(dim)]
-    op: FiberOperator = {}
-    for idx in multi_indices(dim, k):
-        total: dict = {}
-        for s, t in itertools.permutations(range(k), 2):
-            factors = [rows_a[i] if pos == s else rows_b[i] if pos == t else plain[i]
-                       for pos, i in enumerate(idx)]
-            for out_idx, coeff in _wedge_expansion(factors).items():
-                val = total.get(out_idx, 0) + coeff
-                if val:
-                    total[out_idx] = val
-                elif out_idx in total:
-                    del total[out_idx]
-        op[idx] = sorted((out_idx, Fraction(coeff, 2)) for out_idx, coeff in total.items())
     return op
 
 

@@ -27,6 +27,7 @@ from .forms import BilinearForm, KForm, hessian
 from .salamon import ProjectorTable, is_salamon_11, salamon_D
 from .scalars import Polynomial
 from .structures import (
+    FIXED_WITNESSES,
     ComplexForm,
     HypercomplexModel,
     SpherePoint,
@@ -115,6 +116,21 @@ def _form_component_matrix(form: KForm) -> list[list[Polynomial]]:
     return mat
 
 
+def _transpose_times(m, rows: Sequence[Sequence[Polynomial]]) -> list[list[Polynomial]]:
+    """(M^T P)[a][b] = sum_k M[k][a] P[k][b] for a constant matrix M and a
+    polynomial matrix P."""
+    d = len(rows)
+    out = [[Polynomial.zero(d) for _ in range(d)] for _ in range(d)]
+    for a in range(d):
+        for b in range(d):
+            acc = Polynomial.zero(d)
+            for k in range(d):
+                if m[k][a]:
+                    acc = acc + rows[k][b].scale(m[k][a])
+            out[a][b] = acc
+    return out
+
+
 def kahler_form(metric: HyperhermitianMetric, op: StructureOperator | str) -> KForm:
     """The 2-form F(X, Y) = g(SX, Y) for a structure S.
 
@@ -124,17 +140,8 @@ def kahler_form(metric: HyperhermitianMetric, op: StructureOperator | str) -> KF
     model = metric.model
     if isinstance(op, str):
         op = model.operator(op)
-    m = op.matrix
     d = model.dim
-    g = metric.tensor.entries
-    comp = [[Polynomial.zero(d) for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            acc = Polynomial.zero(d)
-            for k in range(d):
-                if m[k][a]:
-                    acc = acc + g[k][b].scale(m[k][a])
-            comp[a][b] = acc
+    comp = _transpose_times(op.matrix, metric.tensor.entries)
     terms = {}
     for a in range(d):
         if not comp[a][a].is_zero():
@@ -152,18 +159,8 @@ def metric_from_form(model: HypercomplexModel, form: KForm) -> HyperhermitianMet
     check = is_salamon_11(model, form)
     if not check.ok:
         raise ValueError("form is not of Salamon type (1,1)")
-    f_mat = _form_component_matrix(form)
-    d = model.dim
-    i_mat = model.I
-    entries = [[Polynomial.zero(d) for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            acc = Polynomial.zero(d)
-            for k in range(d):
-                if i_mat[k][a]:
-                    acc = acc + f_mat[k][b].scale(i_mat[k][a])
-            entries[a][b] = -acc
-    return HyperhermitianMetric(model, BilinearForm(entries, symmetric=None))
+    comp = _transpose_times(model.I, _form_component_matrix(form))
+    return HyperhermitianMetric(model, BilinearForm([[-p for p in row] for row in comp], symmetric=None))
 
 
 @dataclass
@@ -224,21 +221,13 @@ def is_hkt_salamon(table: ProjectorTable, form: KForm) -> SalamonCheck:
 
 
 def default_sphere_witnesses(count_random: int = 4, seed: int = 20) -> list[SpherePoint]:
-    """The three axes, three mixed Pythagorean points, plus random points.
+    """The six `FIXED_WITNESSES` plus random points.
 
-    The six fixed points witness the six bilinearized sphere conditions
-    (pure squares and the three cross terms); the random ones guard
-    against coincidences.
+    The fixed points are those of the degree-3 B conditions, so the check
+    reuses the projector table's cached fiber operators; the random ones
+    guard against coincidences.
     """
-    fixed = [
-        SpherePoint.axis("I"),
-        SpherePoint.axis("J"),
-        SpherePoint.axis("K"),
-        SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0)),
-        SpherePoint(Fraction(0), Fraction(3, 5), Fraction(4, 5)),
-        SpherePoint(Fraction(4, 5), Fraction(0), Fraction(3, 5)),
-    ]
-    return fixed + random_sphere_points(count_random, seed)
+    return list(FIXED_WITNESSES) + random_sphere_points(count_random, seed)
 
 
 @dataclass
@@ -485,21 +474,12 @@ def complex_laplacian(f: Polynomial, metric: HyperhermitianMetric) -> Polynomial
 def complex_laplacian_at(f: Polynomial, metric: HyperhermitianMetric, point: Sequence) -> Fraction:
     """Exact pointwise complex Laplacian for a polynomial metric."""
     model = metric.model
-    gmat = [[Fraction(p.evaluate(point)) for p in row] for row in metric.tensor.entries]
     try:
-        ginv = ela.invert(gmat)
+        ginv = ela.invert(metric.tensor.evaluate(point))
     except ValueError:
         raise ValueError(f"metric is degenerate at sample point {point}")
     dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
-    f_i = kahler_form(metric, "I")
-    value = Fraction(0)
-    for (a, b), pa in dd_i.terms.items():
-        va = pa.evaluate(point)
-        for (c, d), pb in f_i.terms.items():
-            w = ginv[a][c] * ginv[b][d] - ginv[a][d] * ginv[b][c]
-            if w:
-                value += Fraction(va) * Fraction(pb.evaluate(point)) * w
-    return value
+    return _pairing_2forms(dd_i, kahler_form(metric, "I"), ginv).evaluate(point)
 
 
 @dataclass

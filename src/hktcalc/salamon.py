@@ -6,18 +6,23 @@ complement B^k; the projection *eta* kills B^k, and the projected
 differential is D = eta o d.
 
 "For every structure on the sphere" is a quadratic condition in the sphere
-coordinates, so it reduces to finitely many exact linear conditions:
+coordinates, so it reduces to finitely many exact linear conditions, all
+built from the cached sphere fiber operators of `hktcalc.structures`:
 
 * degree 2:  the fixed locus of the three slots-only pullbacks, i.e.
   { w : Iw = w, Jw = w, Kw = w };
-* degree 3:  six conditions built from the symmetrized two-slot insertion
-  S(A, B):  S(I,I)w = S(J,J)w = S(K,K)w = w  and
-  S(I,J)w = S(J,K)w = S(K,I)w = 0.
+* degree 3:  S(P)w = w for the two-slot insertion sum S(P) at each of the
+  six `FIXED_WITNESSES` P = (a, b, c).
 
-Both reductions are exactly equivalent to the all-sphere condition (the
-quadratic form in (a, b, c) vanishes on the sphere iff all six symmetric
-coefficients vanish); rank stability under extra random sphere points is
-asserted separately as a guard.
+Both reductions are exactly equivalent to the all-sphere condition.  For
+degree 3, S(P)w - w is a homogeneous quadratic in (a, b, c) (use
+a^2 + b^2 + c^2 = 1 on the identity term): its six coefficients are
+S(A, A)w - w and 2 S(A, B)w for the symmetrized pair insertions S(A, B) of
+I, J, K, and its values at the six witnesses fix them, because their
+evaluation matrix is invertible.  So the stacked conditions span the same
+row space as the six coefficient conditions, and B^3 and eta are the same;
+at an axis S(P) is S(A, A) itself.  Rank stability under extra random
+sphere points is asserted separately as a guard.
 
 Eta is computed once per (n, k) as an exact matrix: the projector onto the
 orthogonal complement of B^k for the flat inner product on the fiber.  Any
@@ -33,17 +38,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exact_linalg as ela
-from .forms import (
-    KForm,
-    FiberOperator,
-    apply_operator,
-    insertion_operator,
-    multi_indices,
-    operator_matrix,
-    pair_insertion_operator,
-    pullback_operator,
-)
-from .structures import HypercomplexModel, SpherePoint
+from .forms import KForm, FiberOperator, apply_operator, multi_indices, operator_matrix
+from .structures import FIXED_WITNESSES, HypercomplexModel, SpherePoint, _fiber_op
 
 
 class DegreeError(ValueError):
@@ -63,13 +59,13 @@ class FiberSubspace:
         return len(self.basis)
 
 
-def _minus_identity(op: FiberOperator) -> FiberOperator:
-    """The fiber operator op - Id (op lists every input multi-index)."""
+def _minus_identity(op: FiberOperator, c=1) -> FiberOperator:
+    """The fiber operator op - c Id (op lists every input multi-index)."""
     out: FiberOperator = {}
     for idx, column in op.items():
         entries = dict(column)
-        entries[idx] = entries.get(idx, Fraction(0)) - 1
-        out[idx] = sorted((i, c) for i, c in entries.items() if c)
+        entries[idx] = entries.get(idx, Fraction(0)) - c
+        out[idx] = sorted((i, v) for i, v in entries.items() if v)
     return out
 
 
@@ -77,23 +73,17 @@ def _condition_operators(model: HypercomplexModel, k: int,
                          points: Sequence[SpherePoint] | None = None) -> list[FiberOperator]:
     """The exact linear conditions cutting out B^k (degree 2 or 3).
 
-    A fiber vector lies in B^k exactly when every returned operator kills it.
+    A fiber vector lies in B^k exactly when every returned operator kills
+    it; each is S - Id for a sphere fiber operator S, and extra points
+    append one condition each.
     """
-    dim = model.dim
     if k == 2:
-        mats = [model.matrix(name) for name in ("I", "J", "K")]
-        mats += [model.sphere_matrix(pt) for pt in points or ()]
-        return [_minus_identity(pullback_operator(m, 2, dim)) for m in mats]
-    if k == 3:
-        ops = []
-        pairs = [("I", "I"), ("J", "J"), ("K", "K"), ("I", "J"), ("J", "K"), ("K", "I")]
-        for a, b in pairs:
-            op = pair_insertion_operator(model.matrix(a), model.matrix(b), 3, dim)
-            ops.append(_minus_identity(op) if a == b else op)
-        for pt in points or ():
-            ops.append(_minus_identity(insertion_operator(model.sphere_matrix(pt), 3, dim, 2)))
-        return ops
-    raise DegreeError(f"bundle computation supports degrees 2 and 3, got {k}")
+        base, kind = [SpherePoint.axis(name) for name in ("I", "J", "K")], "pullback"
+    elif k == 3:
+        base, kind = list(FIXED_WITNESSES), "insert2"
+    else:
+        raise DegreeError(f"bundle computation supports degrees 2 and 3, got {k}")
+    return [_minus_identity(_fiber_op(model, pt, k, kind)) for pt in base + list(points or ())]
 
 
 def _condition_matrix(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> list[list[Fraction]]:
@@ -121,13 +111,8 @@ def condition_rank(model: HypercomplexModel, k: int,
 
 def a11_subspace(model: HypercomplexModel) -> FiberSubspace:
     """The fiber of 2-forms with Iw = w and Jw = -w (slots-only)."""
-    dim = model.dim
-    n_fiber = len(multi_indices(dim, 2))
-    ident = ela.identity(n_fiber)
-    p_i = operator_matrix(pullback_operator(model.I, 2, dim), 2, dim)
-    p_j = operator_matrix(pullback_operator(model.J, 2, dim), 2, dim)
-    stacked = ela.mat_sub(p_i, ident) + ela.mat_add(p_j, ident)
-    return FiberSubspace(2, n_fiber, ela.null_space(stacked))
+    p_i, p_j = (_fiber_op(model, SpherePoint.axis(name), 2, "pullback") for name in ("I", "J"))
+    return _kernel(model, 2, [_minus_identity(p_i), _minus_identity(p_j, -1)])
 
 
 class ProjectorTable:

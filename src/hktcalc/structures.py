@@ -7,9 +7,9 @@ of four coordinates (x0, x1, x2, x3) ~ x0 + x1 i + x2 j + x3 k:
     J = L_j : e0 -> e2,  e1 -> -e3,  e2 -> -e0, e3 -> e1
     K = L_k : e0 -> e3,  e1 -> e2,   e2 -> -e1, e3 -> -e0
 
-so that IJ = K and JI = -K hold as exact matrix identities.  These block
-matrices are the single source of truth for every expected value in the
-test suite.
+so that IJ = K and JI = -K hold as exact matrix identities.  These
+integer block matrices are the single source of truth for every expected
+value in the test suite.
 
 Two actions on forms coexist and both are exposed:
 
@@ -19,8 +19,15 @@ Two actions on forms coexist and both are exposed:
 
 Every call site states which one it uses.  Sphere points are exact
 rational triples, generated from an integer (stereographic)
-parametrization so the whole sphere family stays inside exact arithmetic;
-`HypercomplexModel.sphere_matrix` is the one constructor of aI + bJ + cK.
+parametrization so the whole sphere family stays inside exact arithmetic.
+`HypercomplexModel.integer_sphere_matrix` is the one constructor of
+aI + bJ + cK: with den the lcm of the point's denominators it builds the
+integer matrix den * (aI + bJ + cK) and checks M^2 = -den^2 Id in ints.
+The fiber operators are routed from that integer matrix, and
+`sphere_matrix` divides it by den where a caller needs the Fraction
+matrix.  `FIXED_WITNESSES` are the six sphere points at which both the
+degree-3 B conditions and the twistor check evaluate, so the two share
+their cached fiber operators.
 
 Complex type components are `ComplexForm` values: (re, im) pairs of
 rational forms.  All operators of the decomposition are real, so the
@@ -51,10 +58,10 @@ def _block_diagonal(block, n: int) -> tuple:
     dim = 4 * n
     rows = []
     for r in range(dim):
-        row = [Fraction(0)] * dim
+        row = [0] * dim
         base = 4 * (r // 4)
         for c in range(4):
-            row[base + c] = Fraction(block[r % 4][c])
+            row[base + c] = block[r % 4][c]
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -81,13 +88,9 @@ class SpherePoint:
         s = 1 + u * u + v * v
         return cls(2 * u / s, 2 * v / s, (1 - u * u - v * v) / s)
 
-    @classmethod
-    def axis(cls, name: str) -> "SpherePoint":
-        return {
-            "I": cls(Fraction(1), Fraction(0), Fraction(0)),
-            "J": cls(Fraction(0), Fraction(1), Fraction(0)),
-            "K": cls(Fraction(0), Fraction(0), Fraction(1)),
-        }[name]
+    @staticmethod
+    def axis(name: str) -> "SpherePoint":
+        return _AXES[name]
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c)
@@ -98,6 +101,23 @@ class SpherePoint:
             "b": [str(self.b.numerator), str(self.b.denominator)],
             "c": [str(self.c.numerator), str(self.c.denominator)],
         }
+
+
+# Built once: a SpherePoint is immutable.
+_AXES = {"I": SpherePoint(1, 0, 0), "J": SpherePoint(0, 1, 0), "K": SpherePoint(0, 0, 1)}
+
+# The three axes and three mixed Pythagorean points.  A quadratic form in
+# (a, b, c) is fixed by its values at these six points (their evaluation
+# matrix on the monomials a^2, b^2, c^2, ab, bc, ca is invertible), so the
+# degree-3 B conditions reduce to them; the twistor check starts from them.
+FIXED_WITNESSES = (
+    SpherePoint.axis("I"),
+    SpherePoint.axis("J"),
+    SpherePoint.axis("K"),
+    SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0)),
+    SpherePoint(Fraction(0), Fraction(3, 5), Fraction(4, 5)),
+    SpherePoint(Fraction(4, 5), Fraction(0), Fraction(3, 5)),
+)
 
 
 def random_sphere_points(count: int, seed: int) -> list[SpherePoint]:
@@ -145,17 +165,32 @@ class HypercomplexModel:
         point = SpherePoint.axis(name)
         return StructureOperator(self, self.matrix(name), point)
 
-    def sphere_matrix(self, point: SpherePoint) -> tuple:
-        """The exact matrix aI + bJ + cK of the structure at `point`."""
+    def integer_sphere_matrix(self, point: SpherePoint) -> tuple[int, tuple]:
+        """(den, den * (aI + bJ + cK)) for the structure at `point`.
+
+        den is the lcm of the point's denominators, so the matrix has int
+        entries; it is checked to square to -den^2 Id in ints.
+        """
+        den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
+        a, b, c = (v.numerator * (den // v.denominator) for v in point.as_tuple())
         mat = tuple(
-            tuple(point.a * self.I[r][c] + point.b * self.J[r][c] + point.c * self.K[r][c]
-                  for c in range(self.dim))
-            for r in range(self.dim)
+            tuple(a * i + b * j + c * k for i, j, k in zip(row_i, row_j, row_k))
+            for row_i, row_j, row_k in zip(self.I, self.J, self.K)
         )
-        minus_id = ela.mat_scale(ela.identity(self.dim), Fraction(-1))
-        if not ela.mat_eq(ela.mat_mul(mat, mat), minus_id):
-            raise AssertionError("sphere matrix fails to square to -Id")
-        return mat
+        rows = [[(j, v) for j, v in enumerate(row) if v] for row in mat]
+        for r, row in enumerate(rows):
+            square: dict = {}
+            for k, x in row:
+                for j, y in rows[k]:
+                    square[j] = square.get(j, 0) + x * y
+            if {j: v for j, v in square.items() if v} != {r: -den * den}:
+                raise AssertionError("sphere matrix fails to square to -Id")
+        return den, mat
+
+    def sphere_matrix(self, point: SpherePoint) -> tuple:
+        """The exact Fraction matrix aI + bJ + cK of the structure at `point`."""
+        den, mat = self.integer_sphere_matrix(point)
+        return tuple(tuple(Fraction(v, den) for v in row) for row in mat)
 
     def sphere_operator(self, point: SpherePoint) -> "StructureOperator":
         return StructureOperator(self, self.sphere_matrix(point), point)
@@ -212,15 +247,14 @@ _FIBER_CACHE: dict = {}
 def _fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, kind: str):
     """The fiber operator of `kind` for the structure at `point` on k-forms.
 
-    It is routed from the integer matrix den * (aI + bJ + cK), den the lcm
-    of the point's denominators, so the expansion multiplies only ints.
+    It is routed from `HypercomplexModel.integer_sphere_matrix`, so the
+    expansion multiplies only ints.
     """
     key = (model.n, point.as_tuple(), k, kind)
     cached = _FIBER_CACHE.get(key)
     if cached is not None:
         return cached
-    den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
-    mat = [[v.numerator * (den // v.denominator) for v in row] for row in model.sphere_matrix(point)]
+    den, mat = model.integer_sphere_matrix(point)
     slots = {"pullback": k, "insert1": 1, "insert2": 2}.get(kind)
     if slots is None:
         raise ValueError(kind)

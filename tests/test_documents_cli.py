@@ -354,6 +354,22 @@ class TestFailureTaxonomy:
         assert proc.stderr.startswith("input error: model.n must be between 1 and 3")
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    def test_huge_degree_is_refused_at_once(self, tmp_path):
+        # Exact evaluation of x0^(10^8) at the signature sample points used
+        # to run for more than a minute.
+        g = {"dim": 4, "terms": [{"num": "2", "den": "1", "exp": [0, 0, 0, 0]},
+                                 {"num": "1", "den": "1", "exp": [10**8, 0, 0, 0]}]}
+        zero = {"dim": 4, "terms": []}
+        doc = {"kind": "metric", "model": {"n": 1},
+               "payload": {"g": [[g if i == j else zero for j in range(4)] for i in range(4)]}}
+        path = write(tmp_path, "huge.json", doc)
+        proc = subprocess.run([sys.executable, "-m", "hktcalc.cli", "check", path],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error:") and "maximum degree 10000" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_float_coefficient_is_input_error(self, tmp_path, capsys):
         # {"num": 1.5, "exp": [0, 1.7, 0, 0]} used to be read as x1.
         mu = {"dim": 4, "terms": [{"num": 1.5, "den": "1", "exp": [0, 1.7, 0, 0]}]}

@@ -127,6 +127,16 @@ def square(max_n=6):
 PROPERTY = settings(deadline=None)
 
 
+def integer_matrices():
+    return st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: st.lists(st.lists(st.integers(-5, 5), min_size=shape[1], max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0]))
+
+
+def as_fractions(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
 class TestSparseMatchesDense:
     @PROPERTY
     @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 5), st.data())
@@ -145,6 +155,7 @@ class TestSparseMatchesDense:
     def test_null_space_and_rank(self, m):
         basis = ela.null_space(m)
         assert basis == dense_null_space(m)
+        assert ela.null_space(m + m[::-1]) == basis  # repeated rows are dropped
         assert ela.rank(m) == len(dense_rref(m)[1])
         if m:
             assert ela.rank(m) + len(basis) == len(m[0])
@@ -185,6 +196,47 @@ class TestSparseMatchesDense:
         proj = ela.projector_onto_complement(basis, n, weights)
         assert proj == dense_projector(basis, n, weights)
         assert dense_mat_mul(proj, proj) == proj
+
+
+class TestIntegerInput:
+    """Python ints are eliminated exactly: the same results as the dense
+    oracle on the same matrix as Fractions, never float division."""
+
+    def test_singular_block_has_exact_rank(self):
+        m = [[0] * 11 for _ in range(11)]
+        for i, row in enumerate([[-5, -1, -2], [-1, -1, 0], [-2, 0, -1]]):
+            m[i][:3] = row
+        assert ela.rank(m) == 2
+        basis = ela.null_space(m)
+        assert len(basis) == 9
+        assert all(type(x) is Fraction for v in basis for x in v)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m for v in basis)
+
+    @PROPERTY
+    @given(integer_matrices())
+    def test_rref_null_space_and_rank(self, m):
+        exact = as_fractions(m)
+        assert ela.rref(m) == dense_rref(exact)
+        assert ela.null_space(m) == dense_null_space(exact)
+        assert ela.rank(m) == len(dense_rref(exact)[1])
+
+    @PROPERTY
+    @given(integer_matrices(), st.data())
+    def test_solve(self, a, data):
+        b = data.draw(st.lists(st.integers(-5, 5), min_size=len(a), max_size=len(a)))
+        assert ela.solve(a, b) == dense_solve(as_fractions(a), [Fraction(y) for y in b])
+
+    @PROPERTY
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_invert(self, a):
+        try:
+            expected = dense_invert(as_fractions(a))
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                ela.invert(a)
+            return
+        assert ela.invert(a) == expected
 
 
 # SHA-1 of json.dumps(ProjectorTable(n).to_json(), sort_keys=True), frozen

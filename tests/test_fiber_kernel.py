@@ -1,47 +1,55 @@
 """The exact hot path against the code it replaced.
 
-Three oracles live here, kept only as the references the new code must
+These oracles live here, kept only as the references the new code must
 equal:
 
 * `oracle_apply_operator` -- the former `forms.apply_operator`, which
   scaled every input polynomial and built a new `Polynomial` for every
   partial sum;
 * `oracle_conjugate_by` -- the former dense O(dim^4) `BilinearForm.conjugate_by`;
+* `oracle_sphere_matrix` -- the former `HypercomplexModel.sphere_matrix`,
+  which built aI + bJ + cK in Fractions;
 * `oracle_fiber_op` -- the former `structures._fiber_op`, which expanded
-  the sphere matrix aI + bJ + cK in Fractions (with the former
-  `_wedge_expansion` and insertion sum) instead of the integer matrix
-  den * (aI + bJ + cK);
+  that Fraction matrix (with the former `_wedge_expansion` and insertion
+  sum) instead of the integer matrix den * (aI + bJ + cK);
 * `oracle_pair_insertion_operator` -- the former
-  `forms.pair_insertion_operator`, verbatim but for its helpers (the former
-  `_rows`, which kept the Fraction entries of I, J and K as Fractions, and
-  `oracle_wedge_expansion`): it expanded in Fractions and added half of
-  every coefficient into a Fraction total, where the new builder expands
-  integer-valued matrices in ints and divides each sum once by 2.
+  `forms.pair_insertion_operator` S(A, B), the symmetrized insertion of two
+  maps into two distinct slots, which built the degree-3 B conditions.
+  Those conditions are now the two-slot insertion sums at six sphere
+  points; the polarization S(aI + bJ + cK) = sum_ij a_i a_j S(A_i, A_j)
+  that makes the two condition sets equivalent is checked against it.
 
 All arithmetic is exact, so new and old results must be equal, not close.
 """
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hktcalc import exact_linalg as ela
 from hktcalc.forms import (
     BilinearForm,
     KForm,
     apply_operator,
-    insertion_operator,
     multi_indices,
     operator_matrix,
-    pair_insertion_operator,
-    pullback_operator,
     routed_operator,
 )
 from hktcalc.geometry import default_sphere_witnesses
+from hktcalc.salamon import _minus_identity, bundle_B, condition_rank
 from hktcalc.scalars import Polynomial
-from hktcalc.structures import HypercomplexModel, SpherePoint, _fiber_op
+from hktcalc.structures import (
+    FIXED_WITNESSES,
+    HypercomplexModel,
+    SpherePoint,
+    _fiber_op,
+    random_sphere_points,
+)
 
 MODELS = {1: HypercomplexModel(1), 2: HypercomplexModel(2)}
 KINDS = {"pullback": range(0, 4), "insert1": range(1, 4), "insert2": range(2, 4)}
@@ -100,9 +108,17 @@ def oracle_wedge_expansion(factors):
     return partial
 
 
+def oracle_sphere_matrix(model, point):
+    return tuple(
+        tuple(point.a * model.I[r][c] + point.b * model.J[r][c] + point.c * model.K[r][c]
+              for c in range(model.dim))
+        for r in range(model.dim)
+    )
+
+
 def oracle_fiber_op(model, point, k, kind):
     """Pullback (all k slots) or the one- or two-slot insertion sum, in Fractions."""
-    rows = [[(j, Fraction(v)) for j, v in enumerate(row) if v] for row in model.sphere_matrix(point)]
+    rows = [[(j, Fraction(v)) for j, v in enumerate(row) if v] for row in oracle_sphere_matrix(model, point)]
     plain = [[(i, Fraction(1))] for i in range(model.dim)]
     slots = {"pullback": k, "insert1": 1, "insert2": 2}[kind]
     op = {}
@@ -253,6 +269,28 @@ def test_sphere_matrix_is_checked():
     broken.J = broken.I  # (aI + bI)^2 = -(a + b)^2 Id, not -Id
     with pytest.raises(AssertionError):
         broken.sphere_matrix(point)
+    with pytest.raises(AssertionError):
+        broken.integer_sphere_matrix(point)
+
+
+def _assert_integer_sphere_matrix_matches(model, point):
+    den, mat = model.integer_sphere_matrix(point)
+    assert all(type(v) is int for row in mat for v in row)
+    assert den == math.lcm(*(v.denominator for v in point.as_tuple()))
+    fractions = tuple(tuple(Fraction(v, den) for v in row) for row in mat)
+    assert fractions == model.sphere_matrix(point) == oracle_sphere_matrix(model, point)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_integer_sphere_matrix_over_den_is_the_fraction_matrix(n):
+    for point in default_sphere_witnesses():
+        _assert_integer_sphere_matrix_matches(MODELS[n], point)
+
+
+@given(sphere_points(), st.sampled_from([1, 2]))
+@settings(max_examples=30, deadline=None)
+def test_integer_sphere_matrix_at_random_points(point, n):
+    _assert_integer_sphere_matrix_matches(MODELS[n], point)
 
 
 INT_MATRICES = [tuple(tuple(int(v) for v in row) for row in MODELS[1].I),
@@ -261,13 +299,11 @@ INT_MATRICES = [tuple(tuple(int(v) for v in row) for row in MODELS[1].I),
 
 @pytest.mark.parametrize("matrix", INT_MATRICES)
 def test_builders_store_fractions_for_integer_matrices(matrix):
-    ops = [(pullback_operator(matrix, k, 4), k) for k in range(0, 4)]
-    ops += [(insertion_operator(matrix, k, 4, s), k) for k in range(1, 4) for s in range(1, k + 1)]
-    ops += [(pair_insertion_operator(matrix, matrix, k, 4), k) for k in (2, 3)]
+    ops = [(routed_operator(matrix, k, 4, s), k) for k in range(0, 4) for s in range(0, k + 1)]
     for op, k in ops:
         assert all(type(c) is Fraction for column in op.values() for _, c in column)
         assert all(type(c) is Fraction for row in operator_matrix(op, k, 4) for c in row)
-    assert pullback_operator(matrix, 0, 4) == {(): [((), Fraction(1))]}
+    assert routed_operator(matrix, 0, 4, 0) == {(): [((), Fraction(1))]}
 
 
 def test_routed_operator_rejects_more_slots_than_degree():
@@ -275,19 +311,67 @@ def test_routed_operator_rejects_more_slots_than_degree():
         routed_operator(INT_MATRICES[1], 2, 4, 3)
 
 
-def _assert_pair_insertion_matches(a, b, dim):
+def entries(op):
+    """{(input index, output index): coeff} of a fiber operator, zeros dropped."""
+    return {(in_idx, out_idx): c for in_idx, column in op.items() for out_idx, c in column if c}
+
+
+def combination(terms):
+    """The entries of sum c * op over the (c, op) pairs in `terms`."""
+    total = {}
+    for c, op in terms:
+        for key, value in entries(op).items():
+            total[key] = total.get(key, 0) + c * value
+    return {key: value for key, value in total.items() if value}
+
+
+def _assert_polarization(a, b, dim):
+    """S(a, b) = (R(a + b) - R(a) - R(b)) / 2, R the two-slot insertion sum."""
+    a_plus_b = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    half = Fraction(1, 2)
     for k in (2, 3):
-        new, old = pair_insertion_operator(a, b, k, dim), oracle_pair_insertion_operator(a, b, k, dim)
-        assert new == old, (a, b, k)
-        assert list(new) == list(old)  # the same input indices, in the same order
-        assert all(type(c) is Fraction for column in new.values() for _, c in column)
+        pair = oracle_pair_insertion_operator(a, b, k, dim)
+        polarized = [(half, routed_operator(a_plus_b, k, dim, 2)),
+                     (-half, routed_operator(a, k, dim, 2)), (-half, routed_operator(b, k, dim, 2))]
+        assert combination(polarized) == entries(pair), (a, b, k)
+
+
+@functools.cache
+def structure_pair_oracle(n, k):
+    """oracle_pair_insertion_operator(A_i, A_j) for the structures (I, J, K) of MODELS[n]."""
+    mats = [MODELS[n].matrix(name) for name in "IJK"]
+    return {(i, j): oracle_pair_insertion_operator(mats[i], mats[j], k, MODELS[n].dim)
+            for i in range(3) for j in range(3)}
+
+
+def _assert_insert2_is_polarized(model, point):
+    """The cached two-slot insertion sum at (a, b, c) is sum_ij a_i a_j S(A_i, A_j)."""
+    coords = point.as_tuple()
+    for k in (2, 3):
+        pairs = structure_pair_oracle(model.n, k)
+        expected = combination((coords[i] * coords[j], op) for (i, j), op in pairs.items())
+        assert entries(_fiber_op(model, point, k, "insert2")) == expected, (model.n, point, k)
+
+
+def test_fixed_witnesses_determine_a_quadratic_form():
+    evaluation = [[a * a, b * b, c * c, a * b, b * c, c * a]
+                  for a, b, c in (point.as_tuple() for point in FIXED_WITNESSES)]
+    assert ela.rank(evaluation) == 6
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_pair_insertion_matches_oracle_for_structure_pairs(n):
-    model = MODELS[n]
-    for a, b in itertools.product("IJK", repeat=2):
-        _assert_pair_insertion_matches(model.matrix(a), model.matrix(b), model.dim)
+    # At the six fixed witnesses, whose evaluation matrix on the quadratic
+    # monomials is invertible, so these six identities determine every
+    # S(A, B) of a structure pair from the cached operators.
+    for point in FIXED_WITNESSES:
+        _assert_insert2_is_polarized(MODELS[n], point)
+
+
+@given(sphere_points(), st.sampled_from([1, 2]))
+@settings(max_examples=10, deadline=None)
+def test_insert2_is_polarized_pair_insertion_at_random_points(point, n):
+    _assert_insert2_is_polarized(MODELS[n], point)
 
 
 def integer_matrices(dim):
@@ -304,11 +388,31 @@ def integer_matrix_pairs(draw):
 @given(integer_matrix_pairs())
 @settings(max_examples=25, deadline=None)
 def test_pair_insertion_matches_oracle_for_random_integer_matrices(case):
-    _assert_pair_insertion_matches(*case)
+    _assert_polarization(*case)
 
 
 def test_pair_insertion_matches_oracle_for_fraction_matrices():
     point = SpherePoint.from_parameters(Fraction(1, 3), Fraction(-2, 5))
     for n in (1, 2):
         model = MODELS[n]
-        _assert_pair_insertion_matches(model.sphere_matrix(point), model.matrix("J"), model.dim)
+        _assert_polarization(model.sphere_matrix(point), model.matrix("J"), model.dim)
+
+
+def oracle_b3_conditions(model, points):
+    """The former degree-3 B conditions: S(A, A) - Id and S(A, B) for the
+    structure pairs, then the two-slot insertion sum minus Id per extra point."""
+    ops = []
+    for a, b in [("I", "I"), ("J", "J"), ("K", "K"), ("I", "J"), ("J", "K"), ("K", "I")]:
+        op = oracle_pair_insertion_operator(model.matrix(a), model.matrix(b), 3, model.dim)
+        ops.append(_minus_identity(op) if a == b else op)
+    ops += [_minus_identity(oracle_fiber_op(model, pt, 3, "insert2")) for pt in points]
+    return [row for op in ops for row in operator_matrix(op, 3, model.dim)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_b3_conditions_match_the_pair_insertion_conditions(n):
+    model = MODELS[n]
+    for extra in ([], random_sphere_points(3, seed=41)):
+        stacked = oracle_b3_conditions(model, extra)
+        assert condition_rank(model, 3, extra) == ela.rank(stacked)
+        assert bundle_B(model, 3, extra).basis == ela.null_space(stacked)

@@ -5,7 +5,7 @@ import pytest
 
 from hktcalc import exact_linalg as ela
 from hktcalc.batteries import random_kform
-from hktcalc.forms import KForm, multi_indices, operator_matrix, pullback_operator, vector_to_form
+from hktcalc.forms import KForm, multi_indices, operator_matrix, routed_operator, vector_to_form
 from hktcalc.salamon import (
     DegreeError,
     a11_subspace,
@@ -55,7 +55,7 @@ class TestBundleDimensions:
                 sub = bundle_B(model, k)
                 base_rank = ela.rank(sub.basis)
                 for name in ("I", "J", "K"):
-                    mat = operator_matrix(pullback_operator(model.matrix(name), k, model.dim), k, model.dim)
+                    mat = operator_matrix(routed_operator(model.matrix(name), k, model.dim, k), k, model.dim)
                     for vec in sub.basis:
                         image = ela.mat_mul([vec], ela.transpose(mat))[0]  # M v as a row
                         assert ela.rank(sub.basis + [image]) == base_rank

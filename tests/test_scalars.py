@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hktcalc.scalars import Polynomial, random_polynomial
+from hktcalc.scalars import MAX_JSON_DEGREE, Polynomial, random_polynomial
 
 
 def x(i, dim=4):
@@ -177,6 +177,15 @@ class TestJson:
             doc["terms"][0][field] = bad
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             Polynomial.from_json(doc)
+
+    def test_total_degree_is_capped(self):
+        def doc(exp):
+            return {"dim": 4, "terms": [{"num": "1", "den": "1", "exp": exp}]}
+
+        top = MAX_JSON_DEGREE // 2
+        assert Polynomial.from_json(doc([top, MAX_JSON_DEGREE - top, 0, 0])).degree() == MAX_JSON_DEGREE
+        with pytest.raises(ValueError, match=f"maximum degree {MAX_JSON_DEGREE}"):
+            Polynomial.from_json(doc([top, MAX_JSON_DEGREE - top, 1, 0]))
 
     def test_integer_fields_accept_ints_and_digit_strings(self):
         doc = {"dim": "4", "terms": [{"num": -3, "den": "+7", "exp": ["0", 1, 0, 0]}]}

@@ -5,7 +5,7 @@ import pytest
 
 from hktcalc import exact_linalg as ela
 from hktcalc.batteries import random_kform
-from hktcalc.forms import KForm, hessian, insertion_operator, multi_indices, operator_matrix
+from hktcalc.forms import KForm, hessian, multi_indices, operator_matrix, routed_operator
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import (
     ComplexForm,
@@ -223,7 +223,7 @@ class TestTypeDecomposition:
              for c in range(4)]
             for r in range(4)
         ]
-        s1 = operator_matrix(insertion_operator(mat, 2, 4, 1), 2, 4)
+        s1 = operator_matrix(routed_operator(mat, 2, 4, 1), 2, 4)
         real_part = ela.mat_scale(ela.mat_mul(s1, s1), Fraction(-1, 8))
         imag_part = ela.mat_scale(s1, Fraction(1, 4))
         basis = multi_indices(4, 2)
