@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .forms import BilinearForm, KForm
-from .scalars import Polynomial, json_int
+from .scalars import LongJsonInt, Polynomial, json_int, parse_json_int
 from .structures import HypercomplexModel
 
 
@@ -112,7 +112,7 @@ class InputDocument:
     def load(cls, path) -> "InputDocument":
         try:
             with open(path) as handle:
-                obj = json.load(handle)
+                obj = json.load(handle, parse_int=parse_json_int)
         except OSError as exc:
             raise DocumentError(f"cannot read {path}: {exc}")
         except json.JSONDecodeError as exc:
@@ -120,8 +120,15 @@ class InputDocument:
         return cls.from_json(obj)
 
     def digest(self) -> str:
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"), default=_long_int_text)
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _long_int_text(value):
+    """Digest an over-long integer in a field no check reads by its digits."""
+    if isinstance(value, LongJsonInt):
+        return value.text
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass

@@ -17,7 +17,16 @@ solve is floating point.  Discretization is second-order central
 differences with Dirichlet data.  The resulting constant-coefficient
 Dirichlet Laplacian is diagonalized by the discrete sine transform, so
 the linear system is solved by a direct DST-I Poisson solve (Buzbee,
-Golub & Nielson 1970), refined against the true residual.
+Golub & Nielson 1970), refined against the true residual.  The DST-I is
+applied as four dense sine-matrix products, one per axis, with the sine
+argument reduced in integers, pi * ((k * j) mod 2N) / N, so every sine is
+taken of an angle in [0, 2 pi).
+
+The conformal factor and its gradient are sampled once per grid
+(`ConformalMetricSpec.on_grid`); the solve, both geometric operators and
+the verification share that sampling.  Overflow in the float solve is
+not warned about: non-finite values end in the solver's stall error or
+in the caller's residual gate.
 """
 
 from __future__ import annotations
@@ -36,9 +45,9 @@ from .structures import HypercomplexModel
 
 
 # Largest grid (nodes per axis) a solve accepts.  Peak memory grows like
-# m^4, about 110 bytes per node: `hkt solve --grid m` peaked at 189 MB for
-# m = 33 and 2.2 GB for m = 65 (max RSS), so the next odd grid, 97, would
-# need about 10 GB.
+# m^4, about 100 bytes per node: `hkt solve --grid m` peaked at 136 MB for
+# m = 33 and 571 MB for m = 49 (max RSS), so the next odd grid above 65,
+# 97, would need about 9 GB.
 MAX_GRID = 65
 
 
@@ -58,6 +67,7 @@ class ConformalMetricSpec:
 
     phi: Polynomial
     box: tuple[float, float] = (-1.0, 1.0)
+    _sampled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.phi.dim != 4:
@@ -68,6 +78,24 @@ class ConformalMetricSpec:
 
     def gradient(self) -> list[Polynomial]:
         return [self.phi.partial(i) for i in range(4)]
+
+    def on_grid(self, grid: "Grid4D") -> tuple[np.ndarray, list[np.ndarray]]:
+        """(phi, [d_0 phi, .., d_3 phi]) on the nodes of `grid`, as read-only
+        m^4 views of samples that store only the axes each one depends on.
+
+        Only the latest sampling is kept, keyed by phi and the grid's
+        (m, lo, hi), so a solve and its verification on one grid sample
+        phi once and two grids' samples are never held together.
+        """
+        key = (grid.m, grid.lo, grid.hi)
+        cached = self._sampled
+        if cached is None or cached[0] is not self.phi or cached[1] != key:
+            mesh = grid.meshgrid()
+            shape = (grid.m,) * 4
+            phi = np.broadcast_to(_eval_poly_on_mesh(self.phi, mesh), shape)
+            dphi = [np.broadcast_to(_eval_poly_on_mesh(p, mesh), shape) for p in self.gradient()]
+            self._sampled = cached = (self.phi, key, phi, dphi)
+        return cached[2], cached[3]
 
 
 @dataclass(frozen=True)
@@ -132,7 +160,7 @@ class Grid4D:
     @classmethod
     def from_polynomial(cls, m: int, lo: float, hi: float, poly: Polynomial) -> "Grid4D":
         grid = cls(m, lo, hi)
-        grid.values = _eval_poly_on_mesh(poly, grid.meshgrid())
+        grid.values[...] = _eval_poly_on_mesh(poly, grid.meshgrid())
         return grid
 
     def copy(self) -> "Grid4D":
@@ -155,9 +183,14 @@ class Grid4D:
 
 
 def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarray:
-    """Float values of `poly` on the mesh; ValueError if a coefficient
-    exceeds the float range."""
-    total = np.zeros(np.broadcast_shapes(*(m.shape for m in mesh)))
+    """Float values of `poly` on the sparse mesh; ValueError if a coefficient
+    exceeds the float range.
+
+    The result broadcasts to the full grid but keeps length 1 on every axis
+    whose variable `poly` does not contain.
+    """
+    used = [x.shape for i, x in enumerate(mesh) if any(exp[i] for exp in poly.terms)]
+    total = np.zeros(np.broadcast_shapes(*used))
     for exp, coeff in poly.terms.items():
         try:
             term = np.full((), float(coeff))
@@ -166,7 +199,7 @@ def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarr
         for x, e in zip(mesh, exp):
             if e:
                 term = term * x**e
-        total = total + term
+        total += term
     return total
 
 
@@ -176,13 +209,17 @@ def _interior(a: np.ndarray) -> np.ndarray:
 
 def _second_diff_sum(full: np.ndarray, h: float) -> np.ndarray:
     """sum_i D2_i on interior nodes (standard 9-point 4D stencil)."""
-    core = full[1:-1, 1:-1, 1:-1, 1:-1]
-    out = -8.0 * core
-    out = out + full[2:, 1:-1, 1:-1, 1:-1] + full[:-2, 1:-1, 1:-1, 1:-1]
-    out = out + full[1:-1, 2:, 1:-1, 1:-1] + full[1:-1, :-2, 1:-1, 1:-1]
-    out = out + full[1:-1, 1:-1, 2:, 1:-1] + full[1:-1, 1:-1, :-2, 1:-1]
-    out = out + full[1:-1, 1:-1, 1:-1, 2:] + full[1:-1, 1:-1, 1:-1, :-2]
-    return out / (h * h)
+    out = -8.0 * full[1:-1, 1:-1, 1:-1, 1:-1]
+    out += full[2:, 1:-1, 1:-1, 1:-1]
+    out += full[:-2, 1:-1, 1:-1, 1:-1]
+    out += full[1:-1, 2:, 1:-1, 1:-1]
+    out += full[1:-1, :-2, 1:-1, 1:-1]
+    out += full[1:-1, 1:-1, 2:, 1:-1]
+    out += full[1:-1, 1:-1, :-2, 1:-1]
+    out += full[1:-1, 1:-1, 1:-1, 2:]
+    out += full[1:-1, 1:-1, 1:-1, :-2]
+    out /= h * h
+    return out
 
 
 def _first_diff(full: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -241,14 +278,6 @@ def weyl_identity_residuals(
     return residuals
 
 
-def _phi_arrays(spec: ConformalMetricSpec, grid: Grid4D):
-    mesh = grid.meshgrid()
-    phi = _eval_poly_on_mesh(spec.phi, mesh)
-    phi = np.broadcast_to(phi, (grid.m,) * 4)
-    dphi = [np.broadcast_to(_eval_poly_on_mesh(p, mesh), (grid.m,) * 4) for p in spec.gradient()]
-    return phi, dphi
-
-
 def laplace_beltrami_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
     """Geometer-sign Laplacian of g = phi*delta at interior nodes.
 
@@ -257,27 +286,29 @@ def laplace_beltrami_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
     g^{ij} Gamma^k_ij = -phi^{-2} d_k phi, evaluated exactly from phi.
     Boundary entries of the output are zero.
     """
-    phi, dphi = _phi_arrays(spec, grid)
+    phi, dphi = spec.on_grid(grid)
     h = grid.h
     phi_in = _interior(phi)
-    second = _second_diff_sum(grid.values, h)
+    phi_sq = phi_in**2
     out = np.zeros_like(grid.values)
-    acc = -second / phi_in
+    acc = -_second_diff_sum(grid.values, h)
+    acc /= phi_in
     for k in range(4):
-        acc = acc - (_interior(dphi[k]) / phi_in**2) * _first_diff(grid.values, k, h)
+        acc -= (_interior(dphi[k]) / phi_sq) * _first_diff(grid.values, k, h)
     out[1:-1, 1:-1, 1:-1, 1:-1] = acc
     return Grid4D(grid.m, grid.lo, grid.hi, out)
 
 
 def weyl_drift_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
     """The drift term omega-sharp(mu) = phi^{-2} <d phi, d mu> (interior)."""
-    phi, dphi = _phi_arrays(spec, grid)
+    phi, dphi = spec.on_grid(grid)
     h = grid.h
     phi_in = _interior(phi)
+    phi_sq = phi_in**2
     out = np.zeros_like(grid.values)
     acc = np.zeros_like(phi_in)
     for k in range(4):
-        acc = acc + (_interior(dphi[k]) / phi_in**2) * _first_diff(grid.values, k, h)
+        acc += (_interior(dphi[k]) / phi_sq) * _first_diff(grid.values, k, h)
     out[1:-1, 1:-1, 1:-1, 1:-1] = acc
     return Grid4D(grid.m, grid.lo, grid.hi, out)
 
@@ -315,7 +346,7 @@ def _dirichlet_values(config: SolverConfig, grid: Grid4D) -> np.ndarray:
 def _linear_system(spec: ConformalMetricSpec, grid: Grid4D, config: SolverConfig):
     """(phi, mu0, b): the factor on the grid, the Dirichlet extension mu0
     and the right-hand side b of  A v = b  for the interior unknowns v."""
-    phi, _ = _phi_arrays(spec, grid)
+    phi, _ = spec.on_grid(grid)
     if not np.all(phi > 0):
         raise ValueError("conformal factor must be positive at every grid node")
     mu0 = _dirichlet_values(config, grid)
@@ -328,23 +359,28 @@ def _negative_laplacian(v_int: np.ndarray, h: float) -> np.ndarray:
     return -_second_diff_sum(np.pad(v_int, 1), h)
 
 
-def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized DST-I along `axis`: 2 sum_j a_j sin(pi j k / N), N = n + 1.
+def _sine_matrix(n: int) -> np.ndarray:
+    """S_kj = 2 sin(pi ((k j) mod 2N) / N) for k, j = 1..n, N = n + 1.
 
-    Computed as the real FFT of the odd extension (0, a, 0, -reversed a);
-    applying it twice multiplies by 2N.
+    The unnormalized DST-I matrix; applying it twice multiplies by 2N.
+    The product k j is reduced mod 2N in integers, so every sine is taken
+    of an angle below 2 pi: with the plain argument pi k j / N the
+    rounding of the large angles shows in the solve's residual floor.
     """
-    x = np.moveaxis(a, axis, -1)
-    n = x.shape[-1]
-    ext = np.zeros(x.shape[:-1] + (2 * (n + 1),))
-    ext[..., 1 : n + 1] = x
-    ext[..., n + 2 :] = -x[..., ::-1]
-    return np.moveaxis(-np.fft.rfft(ext, axis=-1).imag[..., 1 : n + 1], -1, axis)
+    big_n = n + 1
+    k = np.arange(1, big_n)
+    return 2.0 * np.sin(np.pi * (np.outer(k, k) % (2 * big_n)) / big_n)
 
 
-def _dst4(a: np.ndarray) -> np.ndarray:
-    for axis in range(4):
-        a = _dst1(a, axis)
+def _dst4(a: np.ndarray, sines: np.ndarray) -> np.ndarray:
+    """DST-I along all four axes of a cube `a` with `sines` = _sine_matrix(n).
+
+    Each step is one matrix product that transforms the first axis and
+    leaves it last, so after four steps the axes are back in order.
+    """
+    n = a.shape[0]
+    for _ in range(4):
+        a = (a.reshape(n, -1).T @ sines).reshape((n,) * 4)
     return a
 
 
@@ -364,13 +400,14 @@ def _dst_poisson_solve(b: np.ndarray, h: float, tol: float, max_iter: int):
         + axis_eig[None, None, None, :]
     )
     eig *= (2.0 * big_n) ** 4
+    sines = _sine_matrix(big_n - 1)
     v = np.zeros_like(b)
     r = b
     res = float(np.max(np.abs(r)))
     if res <= tol:
         return v, 0
     for sweep in range(1, max_iter + 1):
-        v = v + _dst4(_dst4(r) / eig)
+        v += _dst4(_dst4(r, sines) / eig, sines)
         r = b - _negative_laplacian(v, h)
         new_res = float(np.max(np.abs(r)))
         if new_res <= tol:
@@ -384,6 +421,7 @@ def _dst_poisson_solve(b: np.ndarray, h: float, tol: float, max_iter: int):
     raise SolverError(f"DST solve did not reach tol={tol} in {max_iter} sweeps")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | None = None) -> SolveResult:
     """Solve the potential equation on an m^4 grid with Dirichlet data.
 
@@ -464,6 +502,7 @@ def _signed_permutation(matrix) -> list[tuple[int, float]]:
     return cols
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
     """Residual diagnostics of a candidate potential, via independent stencils.
 
@@ -482,7 +521,7 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
     if grid.m < 2 * margin + 1:
         raise ValueError("grid too small for verification stencils")
     h = grid.h
-    phi, _ = _phi_arrays(spec, grid)
+    phi, _ = spec.on_grid(grid)
     sl = (slice(margin, -margin),) * 4
     phi_in = phi[sl]
 
@@ -492,8 +531,12 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
     def hess(k: int, l: int) -> np.ndarray:
         return wide[k] if k == l else mixed[min(k, l), max(k, l)]
 
-    trace = wide[0] + wide[1] + wide[2] + wide[3]
-    trace_res = np.abs(trace / phi_in - float(TRACE_TARGET))
+    trace_res = wide[0] + wide[1]
+    trace_res += wide[2]
+    trace_res += wide[3]
+    trace_res /= phi_in
+    trace_res -= float(TRACE_TARGET)
+    np.abs(trace_res, out=trace_res)
 
     model = HypercomplexModel(1)
     perms = [_signed_permutation(model.matrix(nm)) for nm in ("I", "J", "K")]
@@ -503,13 +546,18 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
         c, sign_i = perms[0][a]
         for b in range(a + 1, 4):
             # avg_cb = (H + I^T H I + J^T H J + K^T H K)_cb / 2 and f_ab = I_ca avg_cb.
-            avg = hess(c, b)
+            f_rec = hess(c, b).copy()
             for perm in perms:
                 (kc, sc), (kb, sb) = perm[c], perm[b]
-                avg = avg + hess(kc, kb) if sc == sb else avg - hess(kc, kb)
-            f_rec = 0.5 * sign_i * avg
-            expected = scale * phi_in * sign_i if c == b else 0.0
-            form_res = np.maximum(form_res, np.abs(f_rec - expected))
+                if sc == sb:
+                    f_rec += hess(kc, kb)
+                else:
+                    f_rec -= hess(kc, kb)
+            f_rec *= 0.5 * sign_i
+            if c == b:
+                f_rec -= scale * phi_in * sign_i
+            np.abs(f_rec, out=f_rec)
+            np.maximum(form_res, f_rec, out=form_res)
 
     return {
         "trace_residual_max": float(trace_res.max()),

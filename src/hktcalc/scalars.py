@@ -35,6 +35,12 @@ from typing import Mapping, Sequence
 # at e = 10^8.
 MAX_JSON_DEGREE = 10_000
 
+# The most digits a JSON integer may have, as a number or a decimal string:
+# Python's default limit for converting text to int.  Documents are parsed
+# with `parse_json_int`, so a longer integer becomes a `LongJsonInt` marker
+# and `json_int` rejects it with the name of the field that reads it.
+MAX_JSON_DIGITS = 4300
+
 
 class Polynomial:
     """A sparse multivariate polynomial with rational coefficients.
@@ -277,13 +283,36 @@ class Polynomial:
         return f"Polynomial({self.dim}, {' + '.join(bits)})"
 
 
+class LongJsonInt:
+    """A JSON integer literal of more than MAX_JSON_DIGITS digits, kept as text."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self):
+        return f"<integer of {len(self.text.lstrip('-'))} digits>"
+
+
+def parse_json_int(text: str):
+    """The `parse_int` hook of `json.load`: an int, or a LongJsonInt marker
+    for a literal the int conversion would refuse."""
+    return LongJsonInt(text) if len(text.lstrip("-")) > MAX_JSON_DIGITS else int(text)
+
+
 def json_int(value, name: str) -> int:
-    """A JSON integer (not a bool) or a signed decimal string; anything else,
-    a float in particular, raises ValueError instead of being truncated."""
+    """A JSON integer (not a bool) or a signed decimal string of at most
+    MAX_JSON_DIGITS digits; anything else, a float in particular, raises
+    ValueError instead of being truncated."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and re.fullmatch(r"[-+]?[0-9]+", value):
-        return int(value)
+    text = value.text if isinstance(value, LongJsonInt) else value
+    if isinstance(text, str) and re.fullmatch(r"[-+]?[0-9]+", text):
+        digits = len(text.lstrip("+-"))
+        if digits > MAX_JSON_DIGITS:
+            raise ValueError(f"{name} has {digits} digits, above the limit of {MAX_JSON_DIGITS} digits")
+        return int(text)
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -3,7 +3,8 @@
 Every document kind, malformed and mistyped fields, zero and negative
 denominators, huge exponents and numerators: whatever the document, the
 command returns an exit code (never raises), an input error is one
-`input error:` line on stderr, and nothing prints a traceback.
+`input error:` line on stderr, a solver failure is one `solver error:`
+line, and nothing prints a traceback or a numpy warning.
 """
 
 import contextlib
@@ -12,10 +13,11 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hktcalc.cli import EXIT_INPUT_ERROR, main
+from hktcalc.cli import EXIT_INPUT_ERROR, EXIT_SOLVER_ERROR, main
 
 JUNK = st.sampled_from([None, True, 1.5, -1, 0, "x", "", [], {}, [1, 2], {"a": 1},
                         10**300, "9" * 5000, float("nan"), float("inf")])
@@ -130,6 +132,9 @@ def assert_clean(code, out, err):
     if code == EXIT_INPUT_ERROR:
         assert out == ""
         assert err.startswith("input error:") and len(err.strip().splitlines()) == 1, err
+    if code == EXIT_SOLVER_ERROR:
+        assert out == ""
+        assert err.startswith("solver error:") and len(err.strip().splitlines()) == 1, err
 
 
 FUZZ = settings(deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
@@ -147,6 +152,7 @@ CONFORMAL_DOCUMENTS = conformal_payload().map(
     lambda payload: {"kind": "conformal4d", "model": {"n": 1}, "payload": payload})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(FUZZ, max_examples=100)
 @given(st.one_of(documents(kinds=("conformal4d", "potential")), CONFORMAL_DOCUMENTS))
 def test_solve_exit_codes(doc):

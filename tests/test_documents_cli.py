@@ -382,6 +382,30 @@ class TestFailureTaxonomy:
         assert "must be an integer" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("num", ["9" * 5000, '"' + "9" * 5000 + '"'])
+    def test_overlong_integer_names_field_and_limit(self, tmp_path, command, num):
+        # A 5000-digit JSON integer is beyond Python's int conversion limit,
+        # whose own message tells the user to change an interpreter setting.
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "conformal4d", "model": {"n": 1}, "payload": {"phi": {"dim": 4, '
+                        '"terms": [{"num": %s, "den": "1", "exp": [0, 0, 0, 0]}]}}}' % num)
+        proc = subprocess.run([sys.executable, "-m", "hktcalc.cli", command, str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error:")
+        assert "num has 5000 digits" in proc.stderr and "4300" in proc.stderr
+        assert "set_int_max_str_digits" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_overlong_integer_in_an_unread_field_is_digested(self, tmp_path, capsys):
+        path = tmp_path / "note.json"
+        path.write_text('{"kind": "conformal4d", "model": {"n": 1}, "note": %s, "payload": {"phi": '
+                        '{"dim": 4, "terms": [{"num": 2, "den": "1", "exp": [0, 0, 0, 0]}]}}}' % ("7" * 5000))
+        assert main(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["input_digest"]
+
     @staticmethod
     def _disagreeing_twistor(monkeypatch):
         import hktcalc.geometry as geometry

@@ -11,12 +11,14 @@ from hktcalc.elliptic import (
     Grid4D,
     SolverConfig,
     SolverError,
+    _dst4,
     _dst_poisson_solve,
+    _eval_poly_on_mesh,
     _linear_system,
     _mixed_diff,
     _negative_laplacian,
-    _phi_arrays,
     _second_diff_sum,
+    _sine_matrix,
     _wide_second_diff,
     laplace_beltrami_apply,
     potential_operator_apply,
@@ -57,6 +59,21 @@ def _conjugate_gradient(b: np.ndarray, h: float, tol: float, max_iter: int):
         p = r + (rr_new / rr) * p
         rr = rr_new
     raise SolverError(f"conjugate gradient did not reach tol={tol} in {max_iter} iterations")
+
+
+def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DST-I along `axis`: 2 sum_j a_j sin(pi j k / N), N = n + 1.
+
+    Computed as the real FFT of the odd extension (0, a, 0, -reversed a).
+    The solver applies the sine matrix instead; this is the oracle its
+    products are compared against.
+    """
+    x = np.moveaxis(a, axis, -1)
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    ext[..., 1 : n + 1] = x
+    ext[..., n + 2 :] = -x[..., ::-1]
+    return np.moveaxis(-np.fft.rfft(ext, axis=-1).imag[..., 1 : n + 1], -1, axis)
 
 
 def x(i):
@@ -261,7 +278,7 @@ class TestSolver:
         assert result.diagnostics["iterations"] == 1
 
     def test_tolerance_below_floor_raises(self):
-        # The true residual cannot fall below its rounding floor (about 3e-14
+        # The true residual cannot fall below its rounding floor (about 7e-14
         # at m = 9), so the solve stops with an error instead of sweeping on
         # until max_iter.
         with pytest.raises(SolverError, match="stalled"):
@@ -270,6 +287,100 @@ class TestSolver:
     def test_nonconvergence_raises(self):
         with pytest.raises(SolverError):
             solve_potential(flat_spec(), 9, SolverConfig(tol=1e-15, max_iter=2))
+
+
+class TestSineTransform:
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_sine_matrix_matches_fft_oracle(self, n):
+        block = np.random.default_rng(500 + n).normal(size=(n, 7))
+        oracle = _dst1(block, 0)
+        products = _sine_matrix(n).T @ block
+        assert np.max(np.abs(products - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    def test_sine_depends_only_on_the_reduced_product(self):
+        # The argument is reduced mod 2N in integers before the sine, so
+        # entries whose k j agree mod 2N are bit-identical; with the plain
+        # argument pi k j / N they differ in the last bits and the m = 17
+        # solve needs a second sweep.
+        for n in range(1, 64):
+            k = np.arange(1, n + 1)
+            residues = np.outer(k, k) % (2 * (n + 1))
+            sines = _sine_matrix(n)
+            for r in np.unique(residues):
+                assert np.ptp(sines[residues == r]) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 32))
+    def test_dst4_matches_four_fft_passes(self, n):
+        # Cubes up to n = 31 (m = 33); an n = 63 cube is 126 MB per copy,
+        # and the per-axis matrix above is checked up to n = 63.
+        a = np.random.default_rng(600 + n).normal(size=(n,) * 4)
+        oracle = a
+        for axis in range(4):
+            oracle = _dst1(oracle, axis)
+        assert np.max(np.abs(_dst4(a, _sine_matrix(n)) - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 15, 31])
+    def test_dst4_twice_scales_by_2n_to_the_fourth(self, n):
+        a = np.random.default_rng(700 + n).normal(size=(n,) * 4)
+        sines = _sine_matrix(n)
+        scale = (2.0 * (n + 1)) ** 4
+        assert np.max(np.abs(_dst4(_dst4(a, sines), sines) - scale * a)) <= 1e-13 * scale * np.max(np.abs(a))
+
+
+def _fresh_samples(spec, m):
+    mesh = Grid4D(m, *spec.box).meshgrid()
+    return [_eval_poly_on_mesh(p, mesh) for p in [spec.phi, *spec.gradient()]]
+
+
+class TestSamplingOnce:
+    def test_solve_samples_phi_once_per_grid(self, monkeypatch, tmp_path):
+        import json
+
+        from hktcalc import elliptic
+        from hktcalc.cli import main
+
+        calls = []
+        original = elliptic._eval_poly_on_mesh
+
+        def counting(poly, mesh):
+            calls.append(poly)
+            return original(poly, mesh)
+
+        monkeypatch.setattr(elliptic, "_eval_poly_on_mesh", counting)
+        spec = conformal_spec()
+        doc = {"kind": "conformal4d", "model": {"n": 1},
+               "payload": {"phi": spec.phi.to_json(), "dirichlet": conformal_manufactured().to_json()}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--grid", "9", "--grid", "13", "--out", str(tmp_path / "r.json")]) == 0
+        # Per grid: phi and its four partials once, the Dirichlet data once.
+        assert len(calls) == 12
+        assert calls.count(conformal_manufactured()) == 2
+
+    def test_sampling_follows_the_grid(self):
+        spec = conformal_spec()
+        cfg = SolverConfig(tol=1e-11, dirichlet=conformal_manufactured())
+        for m in (9, 13, 9):
+            result = solve_potential(spec, m, cfg)
+            phi, dphi = spec.on_grid(Grid4D(m, *spec.box))
+            fresh = [np.broadcast_to(a, (m,) * 4) for a in _fresh_samples(spec, m)]
+            for sampled, expected in zip([phi, *dphi], fresh):
+                assert sampled.shape == (m,) * 4
+                assert np.array_equal(sampled, expected)
+            assert result.diagnostics["phi_min"] == float(np.min(fresh[0][1:-1, 1:-1, 1:-1, 1:-1]))
+
+    def test_sampling_follows_the_factor(self):
+        grid = Grid4D(7, -1.0, 1.0)
+        grid.values[:] = np.random.default_rng(94).normal(size=(7,) * 4)
+        first, second = conformal_spec(), ConformalMetricSpec(one() + x(2) * x(3) * Fraction(1, 3))
+        potential_operator_apply(first, grid)
+        combined = potential_operator_apply(second, grid)
+        phi = np.broadcast_to(_fresh_samples(second, 7)[0], (7,) * 4)[1:-1, 1:-1, 1:-1, 1:-1]
+        expected = -_second_diff_sum(grid.values, grid.h) / phi
+        assert np.allclose(combined.values[1:-1, 1:-1, 1:-1, 1:-1], expected, rtol=1e-12, atol=1e-12)
+        # Replacing the factor of a spec drops its sampling too.
+        first.phi = second.phi
+        assert np.array_equal(potential_operator_apply(first, grid).values, combined.values)
 
 
 class TestVerification:
@@ -307,7 +418,7 @@ def einsum_verify(grid, spec):
     """The dense-Hessian einsum formulation of verify_potential (oracle)."""
     margin = 2
     h = grid.h
-    phi, _ = _phi_arrays(spec, grid)
+    phi = np.broadcast_to(_eval_poly_on_mesh(spec.phi, grid.meshgrid()), (grid.m,) * 4)
     sl = (slice(margin, -margin),) * 4
     phi_in = phi[sl]
     hess = np.zeros((4, 4) + phi_in.shape)
@@ -359,6 +470,15 @@ class TestGrid:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             Grid4D(2, 0.0, 1.0)
+
+    def test_samples_keep_only_the_axes_they_use(self):
+        mesh = Grid4D(5, -1.0, 1.0).meshgrid()
+        assert _eval_poly_on_mesh(x(0) * x(0) + one(), mesh).shape == (5, 1, 1, 1)
+        assert _eval_poly_on_mesh(x(1) * x(3), mesh).shape == (1, 5, 1, 5)
+        assert _eval_poly_on_mesh(one() * 3, mesh) == 3.0
+        grid = Grid4D.from_polynomial(5, -1.0, 1.0, x(2))
+        assert grid.values.shape == (5,) * 4 and grid.values.flags.writeable
+        assert np.array_equal(grid.values[1, 2, :, 3], grid.axis())
 
     def test_csv_slice_export(self, tmp_path):
         grid = Grid4D.from_polynomial(5, -1.0, 1.0, x(0) + x(1))

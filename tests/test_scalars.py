@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from hktcalc.scalars import MAX_JSON_DEGREE, Polynomial, random_polynomial
+from hktcalc.scalars import (
+    MAX_JSON_DEGREE,
+    MAX_JSON_DIGITS,
+    LongJsonInt,
+    Polynomial,
+    json_int,
+    parse_json_int,
+    random_polynomial,
+)
 
 
 def x(i, dim=4):
@@ -190,6 +198,16 @@ class TestJson:
     def test_integer_fields_accept_ints_and_digit_strings(self):
         doc = {"dim": "4", "terms": [{"num": -3, "den": "+7", "exp": ["0", 1, 0, 0]}]}
         assert Polynomial.from_json(doc) == x(1) * Fraction(-3, 7)
+
+    def test_integer_digits_are_capped(self):
+        top = "9" * MAX_JSON_DIGITS
+        assert parse_json_int(top) == int(top) and parse_json_int("-" + top) == -int(top)
+        assert json_int("+" + top, "num") == int(top)
+        marker = parse_json_int("-" + top + "9")
+        assert isinstance(marker, LongJsonInt)
+        for value, digits in ((marker, MAX_JSON_DIGITS + 1), (top + "99", MAX_JSON_DIGITS + 2)):
+            with pytest.raises(ValueError, match=f"den has {digits} digits, above the limit of {MAX_JSON_DIGITS}"):
+                json_int(value, "den")
 
     def test_big_integers_survive(self):
         big = Fraction(10**40 + 1, 10**39)
