@@ -198,6 +198,7 @@ def cmd_solve(args) -> int:
         SolverConfig,
         SolverError,
         check_grid_size,
+        check_grid_spacing,
         solve_potential,
         verify_potential,
     )
@@ -212,6 +213,8 @@ def cmd_solve(args) -> int:
             raise DocumentError("solve requires a conformal4d document")
         report.input_digest = doc.digest()
         phi, box, dirichlet = doc.payload
+        for m in grids:
+            check_grid_spacing(m, *box)
         spec = ConformalMetricSpec(phi, box)
         config = SolverConfig(tol=args.tol, dirichlet=dirichlet)
     except (DocumentError, ValueError) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -98,15 +99,13 @@ class InputDocument:
         phi = Polynomial.from_json(payload["phi"])
         if phi.dim != 4:
             raise DocumentError("conformal factor must live on R^4")
-        box = payload.get("box", [-1.0, 1.0])
-        if len(box) != 2:
-            raise DocumentError("box must be [lo, hi]")
+        box = _box(payload.get("box", [-1.0, 1.0]))
         dirichlet = payload.get("dirichlet")
         if dirichlet is not None:
             dirichlet = Polynomial.from_json(dirichlet)
             if dirichlet.dim != 4:
                 raise DocumentError("dirichlet data must live on R^4")
-        return (phi, (float(box[0]), float(box[1])), dirichlet)
+        return (phi, box, dirichlet)
 
     @classmethod
     def load(cls, path) -> "InputDocument":
@@ -122,6 +121,28 @@ class InputDocument:
     def digest(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"), default=_long_int_text)
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _box(box) -> tuple[float, float]:
+    """The conformal4d box [lo, hi] as floats: two finite JSON numbers
+    (not bools, strings or over-long integers) with lo < hi."""
+    if not isinstance(box, list) or len(box) != 2:
+        raise DocumentError("box must be a list [lo, hi] of two numbers")
+    ends = []
+    for end in box:
+        if isinstance(end, bool) or not isinstance(end, (int, float)):
+            raise DocumentError(f"box entries must be finite JSON numbers, got {end!r}")
+        try:
+            value = float(end)
+        except OverflowError:
+            raise DocumentError("box entries must be finite JSON numbers, got an integer beyond the float range")
+        if not math.isfinite(value):
+            raise DocumentError(f"box entries must be finite JSON numbers, got {value!r}")
+        ends.append(value)
+    lo, hi = ends
+    if not lo < hi:
+        raise DocumentError(f"box must satisfy lo < hi, got [{lo!r}, {hi!r}]")
+    return lo, hi
 
 
 def _long_int_text(value):

@@ -27,11 +27,24 @@ The conformal factor and its gradient are sampled once per grid
 the verification share that sampling.  Overflow in the float solve is
 not warned about: non-finite values end in the solver's stall error or
 in the caller's residual gate.
+
+The two stencil passes after the solve -- the geometric residual and the
+verification -- run slab by slab: SLAB_ROWS rows along axis 0 at a time,
+read with a halo of 1 row (solver stencil) or 2 rows (verification
+stencils).  Every node goes through the same arithmetic in the same
+order as in a whole-grid pass, so every nodal value is bit-identical to
+it (only the verification means, sums of slab sums, may differ in the
+last bits), but no temporary of the full m^4 size is ever alive.
+Within a slab the four first-order products (d_k phi / phi^2) D1_k mu
+are computed once; the Laplace-Beltrami summand subtracts them, the
+drift summand adds them, and the two summands are added afterwards, so
+the cancellation is computed rather than assumed.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,10 +58,14 @@ from .structures import HypercomplexModel
 
 
 # Largest grid (nodes per axis) a solve accepts.  Peak memory grows like
-# m^4, about 100 bytes per node: `hkt solve --grid m` peaked at 136 MB for
-# m = 33 and 571 MB for m = 49 (max RSS), so the next odd grid above 65,
-# 97, would need about 9 GB.
+# m^4, about 50 bytes per node: `hkt solve --grid m` peaked at 97 MB for
+# m = 33, 332 MB for m = 49 and 970 MB for m = 65 (max RSS), so the next
+# odd grid above 65, 97, would need about 4.5 GB.
 MAX_GRID = 65
+
+# Rows along axis 0 per slab of the stencil passes after the solve.  1, 2,
+# 4 and 8 rows gave the same peak RSS at m = 33 and times within noise.
+SLAB_ROWS = 4
 
 
 class SolverError(RuntimeError):
@@ -59,6 +76,17 @@ def check_grid_size(m: int) -> None:
     """Raise ValueError unless 3 <= m <= MAX_GRID; allocates nothing."""
     if not 3 <= m <= MAX_GRID:
         raise ValueError(f"grid must have between 3 and {MAX_GRID} nodes per axis, got {m}")
+
+
+def check_grid_spacing(m: int, lo: float, hi: float) -> None:
+    """Raise ValueError unless the spacing h of an m-node grid on [lo, hi]
+    has a positive finite square, the divisor of every stencil."""
+    h = (hi - lo) / (m - 1)
+    if not (h * h > 0 and math.isfinite(h * h)):
+        raise ValueError(
+            f"box [{lo!r}, {hi!r}] gives grid spacing h = {h!r} on grid m = {m}, "
+            "whose square is not a positive finite float"
+        )
 
 
 @dataclass
@@ -130,6 +158,7 @@ class Grid4D:
         self.m = m
         self.lo = float(lo)
         self.hi = float(hi)
+        check_grid_spacing(m, self.lo, self.hi)
         if values is None:
             values = np.zeros((m, m, m, m))
         if values.shape != (m, m, m, m):
@@ -278,6 +307,39 @@ def weyl_identity_residuals(
     return residuals
 
 
+def _slab_rows(m: int, margin: int):
+    """(start, stop) row ranges of at most SLAB_ROWS rows covering the
+    margin-interior rows margin .. m - margin - 1 along axis 0."""
+    for start in range(margin, m - margin, SLAB_ROWS):
+        yield start, min(start + SLAB_ROWS, m - margin)
+
+
+def _geometric_slabs(spec: ConformalMetricSpec, grid: Grid4D):
+    """Yield (rows, lap, drift) slab by slab over the interior.
+
+    `lap` and `drift` are the Laplace-Beltrami and Weyl drift summands at
+    the interior nodes of axis-0 rows `rows`, computed from those rows and
+    a halo of one row on each side.  The products
+    (d_k phi / phi^2) D1_k mu are formed once and enter both summands.
+    """
+    phi, dphi = spec.on_grid(grid)
+    h = grid.h
+    for start, stop in _slab_rows(grid.m, 1):
+        rows = slice(start, stop)
+        full = grid.values[start - 1 : stop + 1]
+        phi_in = phi[rows, 1:-1, 1:-1, 1:-1]
+        phi_sq = phi_in**2
+        lap = -_second_diff_sum(full, h)
+        lap /= phi_in
+        drift = np.zeros(lap.shape)
+        for k in range(4):
+            product = dphi[k][rows, 1:-1, 1:-1, 1:-1] / phi_sq
+            product *= _first_diff(full, k, h)
+            lap -= product
+            drift += product
+        yield rows, lap, drift
+
+
 def laplace_beltrami_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
     """Geometer-sign Laplacian of g = phi*delta at interior nodes.
 
@@ -286,30 +348,17 @@ def laplace_beltrami_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
     g^{ij} Gamma^k_ij = -phi^{-2} d_k phi, evaluated exactly from phi.
     Boundary entries of the output are zero.
     """
-    phi, dphi = spec.on_grid(grid)
-    h = grid.h
-    phi_in = _interior(phi)
-    phi_sq = phi_in**2
     out = np.zeros_like(grid.values)
-    acc = -_second_diff_sum(grid.values, h)
-    acc /= phi_in
-    for k in range(4):
-        acc -= (_interior(dphi[k]) / phi_sq) * _first_diff(grid.values, k, h)
-    out[1:-1, 1:-1, 1:-1, 1:-1] = acc
+    for rows, lap, _ in _geometric_slabs(spec, grid):
+        out[rows, 1:-1, 1:-1, 1:-1] = lap
     return Grid4D(grid.m, grid.lo, grid.hi, out)
 
 
 def weyl_drift_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
     """The drift term omega-sharp(mu) = phi^{-2} <d phi, d mu> (interior)."""
-    phi, dphi = spec.on_grid(grid)
-    h = grid.h
-    phi_in = _interior(phi)
-    phi_sq = phi_in**2
     out = np.zeros_like(grid.values)
-    acc = np.zeros_like(phi_in)
-    for k in range(4):
-        acc += (_interior(dphi[k]) / phi_sq) * _first_diff(grid.values, k, h)
-    out[1:-1, 1:-1, 1:-1, 1:-1] = acc
+    for rows, _, drift in _geometric_slabs(spec, grid):
+        out[rows, 1:-1, 1:-1, 1:-1] = drift
     return Grid4D(grid.m, grid.lo, grid.hi, out)
 
 
@@ -318,10 +367,12 @@ def potential_operator_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
 
     The first-order stencils of the two summands cancel exactly (same
     nodal coefficients, same differences), leaving -phi^{-1} sum_i D2_i.
+    Both summands are still built and added, slab by slab.
     """
-    lap = laplace_beltrami_apply(spec, grid)
-    drift = weyl_drift_apply(spec, grid)
-    return Grid4D(grid.m, grid.lo, grid.hi, lap.values + drift.values)
+    out = np.zeros_like(grid.values)
+    for rows, lap, drift in _geometric_slabs(spec, grid):
+        np.add(lap, drift, out=out[rows, 1:-1, 1:-1, 1:-1])
+    return Grid4D(grid.m, grid.lo, grid.hi, out)
 
 
 @dataclass
@@ -444,8 +495,9 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
 
     geo = potential_operator_apply(spec, solution)
     residual = _interior(geo.values) + float(TRACE_TARGET)
-    res_max = float(np.max(np.abs(residual)))
-    res_mean = float(np.mean(np.abs(residual)))
+    np.abs(residual, out=residual)
+    res_max = float(np.max(residual))
+    res_mean = float(np.mean(residual))
     return SolveResult(
         solution,
         iterations,
@@ -515,55 +567,69 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
 
     I, J and K are signed permutations, so every entry of M^T H M and of
     the I-contraction is a single signed Hessian entry; only the six
-    entries a < b of the rebuilt form are computed.
+    entries a < b of the rebuilt form are computed.  The Hessian is built
+    and reduced one slab of rows at a time (halo 2): the maxima are exact
+    maxima over the slabs, the means are the sums of the slab sums over
+    the node count.
     """
     margin = 2
     if grid.m < 2 * margin + 1:
         raise ValueError("grid too small for verification stencils")
     h = grid.h
     phi, _ = spec.on_grid(grid)
-    sl = (slice(margin, -margin),) * 4
-    phi_in = phi[sl]
-
-    wide = [_wide_second_diff(grid.values, a, h, margin) for a in range(4)]
-    mixed = {(a, b): _mixed_diff(grid.values, a, b, h, margin) for a in range(4) for b in range(a + 1, 4)}
-
-    def hess(k: int, l: int) -> np.ndarray:
-        return wide[k] if k == l else mixed[min(k, l), max(k, l)]
-
-    trace_res = wide[0] + wide[1]
-    trace_res += wide[2]
-    trace_res += wide[3]
-    trace_res /= phi_in
-    trace_res -= float(TRACE_TARGET)
-    np.abs(trace_res, out=trace_res)
-
     model = HypercomplexModel(1)
     perms = [_signed_permutation(model.matrix(nm)) for nm in ("I", "J", "K")]
-    form_res = np.zeros_like(phi_in)
     scale = float(SOLVER_FORM_SCALE)
-    for a in range(4):
-        c, sign_i = perms[0][a]
-        for b in range(a + 1, 4):
-            # avg_cb = (H + I^T H I + J^T H J + K^T H K)_cb / 2 and f_ab = I_ca avg_cb.
-            f_rec = hess(c, b).copy()
-            for perm in perms:
-                (kc, sc), (kb, sb) = perm[c], perm[b]
-                if sc == sb:
-                    f_rec += hess(kc, kb)
-                else:
-                    f_rec -= hess(kc, kb)
-            f_rec *= 0.5 * sign_i
-            if c == b:
-                f_rec -= scale * phi_in * sign_i
-            np.abs(f_rec, out=f_rec)
-            np.maximum(form_res, f_rec, out=form_res)
+    inner = (slice(margin, -margin),) * 3
+    trace_max = form_max = -math.inf
+    trace_sum = form_sum = 0.0
 
+    for start, stop in _slab_rows(grid.m, margin):
+        full = grid.values[start - margin : stop + margin]
+        phi_in = phi[(slice(start, stop), *inner)]
+        wide = [_wide_second_diff(full, a, h, margin) for a in range(4)]
+        mixed = {(a, b): _mixed_diff(full, a, b, h, margin) for a in range(4) for b in range(a + 1, 4)}
+
+        def hess(k: int, l: int) -> np.ndarray:
+            return wide[k] if k == l else mixed[min(k, l), max(k, l)]
+
+        trace_res = wide[0] + wide[1]
+        trace_res += wide[2]
+        trace_res += wide[3]
+        trace_res /= phi_in
+        trace_res -= float(TRACE_TARGET)
+        np.abs(trace_res, out=trace_res)
+
+        form_res = np.zeros(trace_res.shape)
+        for a in range(4):
+            c, sign_i = perms[0][a]
+            for b in range(a + 1, 4):
+                # avg_cb = (H + I^T H I + J^T H J + K^T H K)_cb / 2 and f_ab = I_ca avg_cb.
+                f_rec = hess(c, b).copy()
+                for perm in perms:
+                    (kc, sc), (kb, sb) = perm[c], perm[b]
+                    if sc == sb:
+                        f_rec += hess(kc, kb)
+                    else:
+                        f_rec -= hess(kc, kb)
+                f_rec *= 0.5 * sign_i
+                if c == b:
+                    f_rec -= scale * phi_in * sign_i
+                np.abs(f_rec, out=f_rec)
+                np.maximum(form_res, f_rec, out=form_res)
+
+        # np.maximum, unlike max(), carries a NaN through as the whole-grid max would.
+        trace_max = float(np.maximum(trace_max, trace_res.max()))
+        form_max = float(np.maximum(form_max, form_res.max()))
+        trace_sum += float(trace_res.sum())
+        form_sum += float(form_res.sum())
+
+    nodes = (grid.m - 2 * margin) ** 4
     return {
-        "trace_residual_max": float(trace_res.max()),
-        "trace_residual_mean": float(trace_res.mean()),
-        "form_residual_max": float(form_res.max()),
-        "form_residual_mean": float(form_res.mean()),
+        "trace_residual_max": trace_max,
+        "trace_residual_mean": trace_sum / nodes,
+        "form_residual_max": form_max,
+        "form_residual_mean": form_sum / nodes,
         "h": h,
         "margin": margin,
     }

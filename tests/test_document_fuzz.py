@@ -84,12 +84,23 @@ def form_payload(draw):
     return {"form": draw(maybe(form))}
 
 
+# Box endpoints: ordinary, tiny, huge, beyond the float range and not numbers.
+ENDPOINTS = st.sampled_from([-1.0, 0.0, 1.0, 2, "1", "nan", True, 1e-200, -5e-324, 1e300,
+                             -1e308, 10**400, "9" * 5000])
+# [lo, lo + width] boxes whose grid spacing underflows, overflows or is ordinary.
+BOXES = st.one_of(
+    st.lists(maybe(ENDPOINTS), min_size=1, max_size=3),
+    st.tuples(st.sampled_from([-1.0, 0.0, 1e300, -1e308]),
+              st.sampled_from([1e-200, 2e-161, 1e-150, 1.0, 1e150, 1e300, 1e308]))
+    .map(lambda box: [box[0], box[0] + box[1]]),
+)
+
+
 @st.composite
 def conformal_payload(draw):
     out = {"phi": draw(maybe(FACTORS))}
     if draw(st.booleans()):
-        out["box"] = draw(maybe(st.lists(maybe(st.sampled_from([-1.0, 0.0, 1.0, 2, "1"])),
-                                         min_size=1, max_size=3)))
+        out["box"] = draw(maybe(BOXES))
     if draw(st.booleans()):
         out["dirichlet"] = draw(maybe(polynomial()))
     return out
@@ -158,4 +169,17 @@ CONFORMAL_DOCUMENTS = conformal_payload().map(
 def test_solve_exit_codes(doc):
     code, out, err = run(["solve"], doc, ["--grid", "5"])
     assert code in (0, 1, 2, 3), (code, err)
+    assert_clean(code, out, err)
+
+
+BOXED_DOCUMENTS = st.fixed_dictionaries({"phi": positive_factor(), "box": BOXES}).map(
+    lambda payload: {"kind": "conformal4d", "model": {"n": 1}, "payload": payload})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(FUZZ, max_examples=60)
+@given(BOXED_DOCUMENTS)
+def test_solve_exit_codes_on_boxes(doc):
+    code, out, err = run(["solve"], doc, ["--grid", "5"])
+    assert code in (0, 2, 3), (code, err)
     assert_clean(code, out, err)

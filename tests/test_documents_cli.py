@@ -406,6 +406,70 @@ class TestFailureTaxonomy:
         assert main(["check", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["input_digest"]
 
+    # Box entries as JSON text: (text, commands refusing it, words of the message).
+    BAD_BOXES = [
+        ('["nan", 1]', ("check", "solve"), "box entries must be finite JSON numbers"),
+        ('[1, "2"]', ("check", "solve"), "box entries must be finite JSON numbers"),
+        ("[true, 2]", ("check", "solve"), "box entries must be finite JSON numbers"),
+        ("[NaN, 1]", ("check", "solve"), "box entries must be finite JSON numbers"),
+        ("[-1, 1e400]", ("check", "solve"), "box entries must be finite JSON numbers"),
+        ("[%s, 1]" % ("9" * 5000), ("check", "solve"), "box entries must be finite JSON numbers"),
+        ("[%s, 1]" % ("9" * 400), ("check", "solve"), "integer beyond the float range"),
+        ("[1, 0]", ("check", "solve"), "box must satisfy lo < hi"),
+        ("[0, 1, 2]", ("check", "solve"), "box must be a list [lo, hi]"),
+        # h = 2.5e-201 at --grid 5: h * h underflows to zero.
+        ("[0, 1e-200]", ("solve",), "box [0.0, 1e-200] gives grid spacing"),
+        # h = 5e299: h * h overflows.
+        ("[-1e300, 1e300]", ("solve",), "box [-1e+300, 1e+300] gives grid spacing"),
+    ]
+
+    @staticmethod
+    def _box_doc(tmp_path, box_text):
+        path = tmp_path / "box.json"
+        path.write_text('{"kind": "conformal4d", "model": {"n": 1}, "payload": {"phi": {"dim": 4, '
+                        '"terms": [{"num": 2, "den": "1", "exp": [0, 0, 0, 0]}]}, "box": %s}}' % box_text)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("box_text, refused_by, words", BAD_BOXES)
+    def test_bad_box_is_one_input_error(self, tmp_path, capsys, command, box_text, refused_by, words):
+        path = self._box_doc(tmp_path, box_text)
+        argv = [command, path] + (["--grid", "5"] if command == "solve" else [])
+        if command not in refused_by:
+            assert main(argv) == EXIT_OK
+            return
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: box") and words in captured.err
+        if command == "solve" and "spacing" in words:
+            assert "on grid m = 5," in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("box_text, refused_by, words", BAD_BOXES)
+    def test_bad_box_prints_no_traceback(self, tmp_path, box_text, refused_by, words):
+        path = self._box_doc(tmp_path, box_text)
+        for command in refused_by:
+            argv = [sys.executable, "-m", "hktcalc.cli", command, path]
+            proc = subprocess.run(argv + (["--grid", "5"] if command == "solve" else []),
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("input error: box") and words in proc.stderr
+            assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_spacing_is_checked_before_any_grid_is_solved(self, tmp_path, capsys, monkeypatch):
+        import hktcalc.elliptic as elliptic
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("a grid was solved before the box was refused")
+
+        monkeypatch.setattr(elliptic, "solve_potential", no_solve)
+        # h * h is positive (subnormal) at --grid 5 but underflows to zero at --grid 65.
+        path = self._box_doc(tmp_path, "[0, 2e-161]")
+        assert main(["solve", path, "--grid", "5", "--grid", "65"]) == EXIT_INPUT_ERROR
+        assert "on grid m = 65," in capsys.readouterr().err
+
     @staticmethod
     def _disagreeing_twistor(monkeypatch):
         import hktcalc.geometry as geometry

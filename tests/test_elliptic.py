@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from hktcalc.conventions import SOLVER_FORM_SCALE, TRACE_TARGET
 from hktcalc.elliptic import (
+    SLAB_ROWS,
     ConformalMetricSpec,
     Grid4D,
     SolverConfig,
@@ -14,16 +16,20 @@ from hktcalc.elliptic import (
     _dst4,
     _dst_poisson_solve,
     _eval_poly_on_mesh,
+    _first_diff,
+    _interior,
     _linear_system,
     _mixed_diff,
     _negative_laplacian,
     _second_diff_sum,
+    _signed_permutation,
     _sine_matrix,
     _wide_second_diff,
     laplace_beltrami_apply,
     potential_operator_apply,
     solve_potential,
     verify_potential,
+    weyl_drift_apply,
     weyl_form,
     weyl_identity_residuals,
 )
@@ -487,3 +493,181 @@ class TestGrid:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,mu"
         assert len(lines) == 1 + 25
+
+
+# Whole-grid versions of the slab passes: each builds its m^4 arrays in one
+# piece.  The library no longer uses them; they are the oracles the slab
+# versions must reproduce.
+
+def whole_laplace_beltrami(spec, grid):
+    phi, dphi = spec.on_grid(grid)
+    h = grid.h
+    phi_in = _interior(phi)
+    phi_sq = phi_in**2
+    out = np.zeros_like(grid.values)
+    acc = -_second_diff_sum(grid.values, h)
+    acc /= phi_in
+    for k in range(4):
+        acc -= (_interior(dphi[k]) / phi_sq) * _first_diff(grid.values, k, h)
+    out[1:-1, 1:-1, 1:-1, 1:-1] = acc
+    return Grid4D(grid.m, grid.lo, grid.hi, out)
+
+
+def whole_weyl_drift(spec, grid):
+    phi, dphi = spec.on_grid(grid)
+    h = grid.h
+    phi_in = _interior(phi)
+    phi_sq = phi_in**2
+    out = np.zeros_like(grid.values)
+    acc = np.zeros_like(phi_in)
+    for k in range(4):
+        acc += (_interior(dphi[k]) / phi_sq) * _first_diff(grid.values, k, h)
+    out[1:-1, 1:-1, 1:-1, 1:-1] = acc
+    return Grid4D(grid.m, grid.lo, grid.hi, out)
+
+
+def whole_potential_operator(spec, grid):
+    lap = whole_laplace_beltrami(spec, grid)
+    drift = whole_weyl_drift(spec, grid)
+    return Grid4D(grid.m, grid.lo, grid.hi, lap.values + drift.values)
+
+
+def whole_verify(grid, spec):
+    margin = 2
+    h = grid.h
+    phi, _ = spec.on_grid(grid)
+    phi_in = phi[(slice(margin, -margin),) * 4]
+    wide = [_wide_second_diff(grid.values, a, h, margin) for a in range(4)]
+    mixed = {(a, b): _mixed_diff(grid.values, a, b, h, margin) for a in range(4) for b in range(a + 1, 4)}
+
+    def hess(k, l):
+        return wide[k] if k == l else mixed[min(k, l), max(k, l)]
+
+    trace_res = wide[0] + wide[1]
+    trace_res += wide[2]
+    trace_res += wide[3]
+    trace_res /= phi_in
+    trace_res -= float(TRACE_TARGET)
+    np.abs(trace_res, out=trace_res)
+    model = HypercomplexModel(1)
+    perms = [_signed_permutation(model.matrix(nm)) for nm in ("I", "J", "K")]
+    form_res = np.zeros_like(phi_in)
+    scale = float(SOLVER_FORM_SCALE)
+    for a in range(4):
+        c, sign_i = perms[0][a]
+        for b in range(a + 1, 4):
+            f_rec = hess(c, b).copy()
+            for perm in perms:
+                (kc, sc), (kb, sb) = perm[c], perm[b]
+                if sc == sb:
+                    f_rec += hess(kc, kb)
+                else:
+                    f_rec -= hess(kc, kb)
+            f_rec *= 0.5 * sign_i
+            if c == b:
+                f_rec -= scale * phi_in * sign_i
+            np.abs(f_rec, out=f_rec)
+            np.maximum(form_res, f_rec, out=form_res)
+    return {
+        "trace_residual_max": float(trace_res.max()),
+        "trace_residual_mean": float(trace_res.mean()),
+        "form_residual_max": float(form_res.max()),
+        "form_residual_mean": float(form_res.mean()),
+    }
+
+
+def four_axis_spec():
+    # phi uses every coordinate, so no sample is constant along a slab's rows.
+    phi = Polynomial.constant(4, 2) + x(0) * x(1) * Fraction(1, 3) + x(2) * x(2) * Fraction(1, 4)
+    phi = phi - x(3) * Fraction(1, 5) + x(0) * x(3) * Fraction(1, 7)
+    return ConformalMetricSpec(phi, (-0.5, 1.5))
+
+
+class TestSlabPasses:
+    @pytest.mark.parametrize("m", range(3, 18))
+    def test_operators_match_whole_grid_oracles(self, m):
+        rng = np.random.default_rng(800 + m)
+        for spec in (four_axis_spec(), conformal_spec()):
+            grid = Grid4D(m, *spec.box, rng.normal(size=(m,) * 4))
+            for slab, whole in ((laplace_beltrami_apply, whole_laplace_beltrami),
+                                (weyl_drift_apply, whole_weyl_drift),
+                                (potential_operator_apply, whole_potential_operator)):
+                assert np.array_equal(slab(spec, grid).values, whole(spec, grid).values), slab.__name__
+
+    @pytest.mark.parametrize("m", range(5, 18))
+    def test_verification_matches_whole_grid_oracle(self, m):
+        # m = 5 has a single margin-2 row; m - 4 is a multiple of SLAB_ROWS
+        # only for m = 8, 12 and 16.
+        rng = np.random.default_rng(900 + m)
+        spec = four_axis_spec()
+        base = Grid4D.from_polynomial(m, *spec.box, conformal_manufactured())
+        for noise in (0.0, 1e-3):
+            grid = Grid4D(m, *spec.box, base.values + noise * rng.normal(size=(m,) * 4))
+            slab, whole = verify_potential(grid, spec), whole_verify(grid, spec)
+            for key in ("trace_residual_max", "form_residual_max"):
+                assert slab[key] == whole[key], key
+            for key in ("trace_residual_mean", "form_residual_mean"):
+                assert slab[key] == pytest.approx(whole[key], rel=1e-13, abs=0.0), key
+
+    def test_verification_carries_nan_through_the_maxima(self):
+        grid = Grid4D.from_polynomial(13, -1.0, 1.0, conformal_manufactured())
+        grid.values[10, 6, 6, 6] = np.nan
+        report = verify_potential(grid, conformal_spec())
+        assert math.isnan(report["trace_residual_max"]) and math.isnan(report["form_residual_max"])
+
+    @pytest.mark.parametrize("m", [3, 5, 11, 17])
+    def test_products_are_computed_once_per_slab(self, monkeypatch, m):
+        from hktcalc import elliptic
+
+        calls = []
+
+        def counting(full, axis, h):
+            calls.append(axis)
+            return _first_diff(full, axis, h)
+
+        monkeypatch.setattr(elliptic, "_first_diff", counting)
+        grid = Grid4D(m, -1.0, 1.0, np.random.default_rng(m).normal(size=(m,) * 4))
+        potential_operator_apply(conformal_spec(), grid)
+        slabs = -(-(m - 2) // SLAB_ROWS)
+        assert calls == [0, 1, 2, 3] * slabs
+
+
+@pytest.fixture(scope="module")
+def manufactured_m33():
+    spec = conformal_spec()
+    result = solve_potential(spec, 33, SolverConfig(tol=1e-10, dirichlet=conformal_manufactured()))
+    return spec, result.grid
+
+
+def traced_peak_above_live(fn):
+    """Peak traced allocation (bytes) during fn() above what was live before it;
+    numpy reports its array buffers to tracemalloc, so this counts them."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak - live
+
+
+class TestStencilMemory:
+    # m = 33 interior arrays are 7 MB each (31^4 doubles), the whole grid is
+    # 9 MB and a 4-row slab about 1 MB.
+    MB = 2**20
+
+    def test_verification_never_holds_the_whole_hessian(self, manufactured_m33):
+        # Guards the slab loop of verify_potential: the whole-grid pass held
+        # ten margin-interior Hessian arrays and peaked at 79 MB.
+        spec, grid = manufactured_m33
+        assert traced_peak_above_live(lambda: verify_potential(grid, spec)) < 20 * self.MB
+
+    def test_geometric_residual_builds_one_grid(self, manufactured_m33):
+        # Guards the shared slab loop of the geometric operators: the output
+        # grid (9 MB) plus a few slab temporaries.  Building the Laplacian
+        # and drift grids separately and adding them peaked at 49 MB.
+        spec, grid = manufactured_m33
+        assert traced_peak_above_live(lambda: potential_operator_apply(spec, grid)) < 20 * self.MB
