@@ -80,12 +80,16 @@ def check_grid_size(m: int) -> None:
 
 def check_grid_spacing(m: int, lo: float, hi: float) -> None:
     """Raise ValueError unless the spacing h of an m-node grid on [lo, hi]
-    has a positive finite square, the divisor of every stencil."""
+    has a positive finite square, the divisor of every stencil, and the DST
+    solve's eigenvalues stay finite: each is below 16/h^2 (four axes of
+    4/h^2) times the (2(m - 1))^4 of the unnormalized transform pair.  A
+    subnormal h^2 passes the first test but not the second."""
     h = (hi - lo) / (m - 1)
-    if not (h * h > 0 and math.isfinite(h * h)):
+    h2 = h * h
+    if not (h2 > 0 and math.isfinite(h2) and math.isfinite(16.0 / h2 * (2.0 * (m - 1)) ** 4)):
         raise ValueError(
             f"box [{lo!r}, {hi!r}] gives grid spacing h = {h!r} on grid m = {m}, "
-            "whose square is not a positive finite float"
+            "whose square is not a positive finite float or overflows 16/h^2 (2(m-1))^4"
         )
 
 

@@ -7,7 +7,12 @@ Three equivalent HKT characterizations are implemented side by side:
   differential D;
 * twistor:     for every structure on the sphere, the (0,2)-part of F_I
   is closed under the corresponding del-bar, i.e. the (0,3)-part of its
-  exterior derivative vanishes.
+  exterior derivative vanishes.  It is decided at the three axes I, J
+  and K: on a Salamon (1,1)-form every criterion is a constant matrix
+  applied to the first jet of the coefficients, and
+  tests/test_twistor_certificate.py proves for n <= 3 that the axes'
+  stacked matrix has the same row space as the Salamon residual's and as
+  ten sphere points' (the six `FIXED_WITNESSES` and four random ones).
 
 They must agree on every input; a disagreement is a convention bug, never
 a valid outcome, and the report type asserts this.  Metrics may be
@@ -22,18 +27,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exact_linalg as ela
-from .conventions import COFRAME_SIGN, HESSIAN_AVERAGE_FACTOR
+from .conventions import HESSIAN_AVERAGE_FACTOR
 from .forms import BilinearForm, KForm, hessian
 from .salamon import ProjectorTable, is_salamon_11, salamon_D
 from .scalars import Polynomial
 from .structures import (
-    FIXED_WITNESSES,
     ComplexForm,
     HypercomplexModel,
     SpherePoint,
     StructureOperator,
     complex_type_part,
-    random_sphere_points,
 )
 
 
@@ -220,14 +223,10 @@ def is_hkt_salamon(table: ProjectorTable, form: KForm) -> SalamonCheck:
     return SalamonCheck(ok, residual, consistent)
 
 
-def default_sphere_witnesses(count_random: int = 4, seed: int = 20) -> list[SpherePoint]:
-    """The six `FIXED_WITNESSES` plus random points.
-
-    The fixed points are those of the degree-3 B conditions, so the check
-    reuses the projector table's cached fiber operators; the random ones
-    guard against coincidences.
-    """
-    return list(FIXED_WITNESSES) + random_sphere_points(count_random, seed)
+# The structures at which `is_hkt_twistor` decides by default.  A (1,1)-form
+# has no (0,2)-part for I, so its residual at I is zero; J alone already has
+# the full rank of the Salamon residual (tests/test_twistor_certificate.py).
+TWISTOR_AXES = tuple(SpherePoint.axis(name) for name in ("I", "J", "K"))
 
 
 @dataclass
@@ -256,9 +255,15 @@ def is_hkt_twistor(
     (real, imaginary) pair of rational forms, its exterior derivative
     computed, and the (0,3)-part w.r.t. the same structure must vanish
     exactly; each point's residual is a `ComplexForm`.
+
+    By default the structures are the three axes `TWISTOR_AXES`.  For a
+    Salamon (1,1)-form on n <= 3 this decides the whole sphere family:
+    tests/test_twistor_certificate.py proves, with first-jet rank
+    certificates, that the axes' residuals vanish exactly when those at
+    the ten former witnesses and the Salamon residual do.
     """
     if points is None:
-        points = default_sphere_witnesses()
+        points = TWISTOR_AXES
     results = []
     ok = True
     for pt in points:
@@ -277,51 +282,6 @@ def torsion_form(metric: HyperhermitianMetric) -> tuple[KForm, bool]:
         raise NotHKTError("metric is not HKT; torsion form undefined")
     c = check.torsion_candidate
     return c, c.d().is_zero()
-
-
-@dataclass
-class CoframeForms:
-    f_i: KForm
-    f_j: KForm
-    f_k: KForm
-    metric: HyperhermitianMetric
-    sign: int
-
-
-def coframe_forms(model: HypercomplexModel, alpha: KForm) -> CoframeForms:
-    """The three 2-forms of a quaternionic coframe (alpha, Ia, Ja, Ka).
-
-    Four-dimensional model only.  Uses the signed 1-form action; each
-    output is certified against the Kahler form of the induced metric
-    sum of squares of the coframe legs (global sign from the ledger).
-    """
-    if model.n != 1:
-        raise ValueError("coframe construction is specific to n = 1")
-    if alpha.degree != 1:
-        raise ValueError("expected a 1-form")
-    legs = {
-        "a": alpha,
-        "I": model.operator("I").act(alpha),
-        "J": model.operator("J").act(alpha),
-        "K": model.operator("K").act(alpha),
-    }
-    f_i = legs["a"].wedge(legs["I"]) + legs["J"].wedge(legs["K"])
-    f_j = legs["a"].wedge(legs["J"]) + legs["K"].wedge(legs["I"])
-    f_k = legs["a"].wedge(legs["K"]) + legs["I"].wedge(legs["J"])
-    d = model.dim
-    zero = Polynomial.zero(d)
-    entries = [[zero for _ in range(d)] for _ in range(d)]
-    for leg in legs.values():
-        comps = [leg.coefficient((i,)) for i in range(d)]
-        for i in range(d):
-            for j in range(d):
-                entries[i][j] = entries[i][j] + comps[i] * comps[j]
-    metric = HyperhermitianMetric(model, BilinearForm(entries, symmetric=True))
-    sign = Fraction(COFRAME_SIGN)
-    for name, f in (("I", f_i), ("J", f_j), ("K", f_k)):
-        if kahler_form(metric, name) != f * sign:
-            raise ConventionError("coframe forms disagree with the induced metric")
-    return CoframeForms(f_i, f_j, f_k, metric, COFRAME_SIGN)
 
 
 @dataclass
@@ -400,22 +360,6 @@ def is_hkt_potential(
     return PotentialCheck(oks[0], oks[1], oks[2], hess_ok, residuals)
 
 
-def kahler_potential_to_forms(model: HypercomplexModel, nu: Polynomial) -> PotentialForms:
-    """The three 2-forms a Kahler potential for I induces:
-
-    F_I = d d_I nu,
-    F_J = (1/2)(d d_J + d_K d_I) nu,
-    F_K = (1/2)(d d_K + d_I d_J) nu.
-    """
-    f0 = KForm.from_polynomial(nu)
-    half = Fraction(1, 2)
-    op = {name: model.operator(name) for name in ("I", "J", "K")}
-    f_i = op["I"].twisted_d(f0).d()
-    f_j = (op["J"].twisted_d(f0).d() + op["K"].twisted_d(op["I"].twisted_d(f0))) * half
-    f_k = (op["K"].twisted_d(f0).d() + op["I"].twisted_d(op["J"].twisted_d(f0))) * half
-    return PotentialForms(f_i, f_j, f_k)
-
-
 @dataclass
 class ThetaCertificate:
     theta: KForm
@@ -438,48 +382,6 @@ def theta_from_potential(table: ProjectorTable, mu: Polynomial) -> ThetaCertific
     if not (is_11 and matches):
         raise ConventionError("theta certificate failed; action conventions are inconsistent")
     return ThetaCertificate(theta, is_11, matches)
-
-
-def _pairing_2forms(alpha: KForm, beta: KForm, ginv: Sequence[Sequence[Fraction]]) -> Polynomial:
-    """<dx^a^dx^b, dx^c^dx^d> = g^{ac} g^{bd} - g^{ad} g^{bc}, extended
-    bilinearly over the polynomial components."""
-    out = Polynomial.zero(alpha.dim)
-    for (a, b), pa in alpha.terms.items():
-        for (c, d), pb in beta.terms.items():
-            w = ginv[a][c] * ginv[b][d] - ginv[a][d] * ginv[b][c]
-            if w:
-                out = out + (pa * pb).scale(w)
-    return out
-
-
-def complex_laplacian(f: Polynomial, metric: HyperhermitianMetric) -> Polynomial:
-    """The complex Laplacian g(d d_I f, F_I) for a constant-entry metric.
-
-    For metrics with genuinely polynomial entries the inverse is not
-    polynomial; use `complex_laplacian_at` for exact pointwise values.
-    """
-    model = metric.model
-    entries = metric.tensor.entries
-    const = [[p.constant_term() for p in row] for row in entries]
-    for i, row in enumerate(entries):
-        for j, p in enumerate(row):
-            if p != Polynomial.constant(model.dim, const[i][j]):
-                raise ValueError("metric entries are not constant; use complex_laplacian_at")
-    ginv = ela.invert([[Fraction(c) for c in row] for row in const])
-    dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
-    f_i = kahler_form(metric, "I")
-    return _pairing_2forms(dd_i, f_i, ginv)
-
-
-def complex_laplacian_at(f: Polynomial, metric: HyperhermitianMetric, point: Sequence) -> Fraction:
-    """Exact pointwise complex Laplacian for a polynomial metric."""
-    model = metric.model
-    try:
-        ginv = ela.invert(metric.tensor.evaluate(point))
-    except ValueError:
-        raise ValueError(f"metric is degenerate at sample point {point}")
-    dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
-    return _pairing_2forms(dd_i, kahler_form(metric, "I"), ginv).evaluate(point)
 
 
 @dataclass
@@ -530,13 +432,13 @@ def default_sample_points(dim: int, count: int = 5, seed: int = 3) -> list[tuple
 def hkt_report(
     table: ProjectorTable,
     source: HyperhermitianMetric | KForm,
-    sphere_points: Sequence[SpherePoint] | None = None,
     sample_points: Sequence | None = None,
 ) -> HKTReport:
     """Run all three criteria on a metric or a Salamon (1,1)-form.
 
-    The three booleans are required to coincide; disagreement raises
-    instead of producing a report.
+    The twistor criterion is decided at `TWISTOR_AXES`.  The three booleans
+    are required to coincide; disagreement raises instead of producing a
+    report.
     """
     model = table.model
     if isinstance(source, HyperhermitianMetric):
@@ -547,7 +449,7 @@ def hkt_report(
         metric = metric_from_form(model, form)
     defn = is_hkt_definition(metric)
     sal = is_hkt_salamon(table, form)
-    tw = is_hkt_twistor(model, form, sphere_points)
+    tw = is_hkt_twistor(model, form)
     if not (defn.ok == sal.ok == tw.ok):
         raise ConventionError(
             f"HKT criteria disagree: definition={defn.ok} projection={sal.ok} twistor={tw.ok}"

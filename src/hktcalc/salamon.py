@@ -201,25 +201,6 @@ def salamon_DI(table: ProjectorTable, form: KForm) -> KForm:
     return out if form.degree % 2 == 0 else -out
 
 
-def eta2_closed_form(model: HypercomplexModel, form: KForm) -> KForm:
-    """The closed-form degree-2 projector (1/2)(1-I) + (1/4)(1+I)(1-J).
-
-    All actions slots-only; on 2-forms these agree with the signed action.
-    Kept as an independent code path and compared with the matrix
-    projector in the tests.
-    """
-    if form.degree != 2:
-        raise ValueError("expected a 2-form")
-    op_i = model.operator("I")
-    op_j = model.operator("J")
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    part1 = (form - op_i.pullback(form)) * half
-    tmp = form - op_j.pullback(form)
-    part2 = (tmp + op_i.pullback(tmp)) * quarter
-    return part1 + part2
-
-
 def proj_formula_D(model: HypercomplexModel, theta: KForm) -> KForm:
     """D on 1-forms via the explicit type-projection formula.
 

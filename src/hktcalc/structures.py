@@ -25,9 +25,9 @@ aI + bJ + cK: with den the lcm of the point's denominators it builds the
 integer matrix den * (aI + bJ + cK) and checks M^2 = -den^2 Id in ints.
 The fiber operators are routed from that integer matrix, and
 `sphere_matrix` divides it by den where a caller needs the Fraction
-matrix.  `FIXED_WITNESSES` are the six sphere points at which both the
-degree-3 B conditions and the twistor check evaluate, so the two share
-their cached fiber operators.
+matrix.  `FIXED_WITNESSES` are the six sphere points at which the degree-3
+B conditions evaluate; the twistor check evaluates at the first three,
+the axes, so the two share their cached fiber operators.
 
 Complex type components are `ComplexForm` values: (re, im) pairs of
 rational forms.  All operators of the decomposition are real, so the
@@ -109,7 +109,7 @@ _AXES = {"I": SpherePoint(1, 0, 0), "J": SpherePoint(0, 1, 0), "K": SpherePoint(
 # The three axes and three mixed Pythagorean points.  A quadratic form in
 # (a, b, c) is fixed by its values at these six points (their evaluation
 # matrix on the monomials a^2, b^2, c^2, ab, bc, ca is invertible), so the
-# degree-3 B conditions reduce to them; the twistor check starts from them.
+# degree-3 B conditions reduce to them.
 FIXED_WITNESSES = (
     SpherePoint.axis("I"),
     SpherePoint.axis("J"),

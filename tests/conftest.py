@@ -1,9 +1,12 @@
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from hktcalc import HypercomplexModel, KForm, Polynomial, ProjectorTable
-from hktcalc.geometry import HyperhermitianMetric
+from hktcalc import exact_linalg as ela
+from hktcalc.geometry import HyperhermitianMetric, kahler_form
+from hktcalc.structures import FIXED_WITNESSES, SpherePoint, random_sphere_points
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +57,59 @@ def flat_form(name: str) -> KForm:
         "K": {(0, 3): 1, (1, 2): 1},
     }[name]
     return KForm(2, 4, {idx: Polynomial.constant(4, c) for idx, c in terms.items()})
+
+
+def default_sphere_witnesses(count_random: int = 4, seed: int = 20) -> list[SpherePoint]:
+    """Test oracle: the ten sphere points the twistor check once decided on.
+
+    The six `FIXED_WITNESSES` plus four random points (denominators up to
+    385).  `is_hkt_twistor` now decides at the three axes; the tests keep
+    these points to prove, and to spot-check, that the verdict is unchanged.
+    """
+    return list(FIXED_WITNESSES) + random_sphere_points(count_random, seed)
+
+
+# The complex Laplacian: a test oracle.  No verdict of the package uses it;
+# the acceptance criterion 7 and the geometry tests check it on the kernel
+# of D D_I.
+
+def _pairing_2forms(alpha: KForm, beta: KForm, ginv: Sequence[Sequence[Fraction]]) -> Polynomial:
+    """<dx^a^dx^b, dx^c^dx^d> = g^{ac} g^{bd} - g^{ad} g^{bc}, extended
+    bilinearly over the polynomial components."""
+    out = Polynomial.zero(alpha.dim)
+    for (a, b), pa in alpha.terms.items():
+        for (c, d), pb in beta.terms.items():
+            w = ginv[a][c] * ginv[b][d] - ginv[a][d] * ginv[b][c]
+            if w:
+                out = out + (pa * pb).scale(w)
+    return out
+
+
+def complex_laplacian(f: Polynomial, metric: HyperhermitianMetric) -> Polynomial:
+    """The complex Laplacian g(d d_I f, F_I) for a constant-entry metric.
+
+    For metrics with genuinely polynomial entries the inverse is not
+    polynomial; use `complex_laplacian_at` for exact pointwise values.
+    """
+    model = metric.model
+    entries = metric.tensor.entries
+    const = [[p.constant_term() for p in row] for row in entries]
+    for i, row in enumerate(entries):
+        for j, p in enumerate(row):
+            if p != Polynomial.constant(model.dim, const[i][j]):
+                raise ValueError("metric entries are not constant; use complex_laplacian_at")
+    ginv = ela.invert([[Fraction(c) for c in row] for row in const])
+    dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
+    f_i = kahler_form(metric, "I")
+    return _pairing_2forms(dd_i, f_i, ginv)
+
+
+def complex_laplacian_at(f: Polynomial, metric: HyperhermitianMetric, point: Sequence) -> Fraction:
+    """Exact pointwise complex Laplacian for a polynomial metric."""
+    model = metric.model
+    try:
+        ginv = ela.invert(metric.tensor.evaluate(point))
+    except ValueError:
+        raise ValueError(f"metric is degenerate at sample point {point}")
+    dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
+    return _pairing_2forms(dd_i, kahler_form(metric, "I"), ginv).evaluate(point)

@@ -23,8 +23,6 @@ from hktcalc.batteries import (
 from hktcalc.elliptic import ConformalMetricSpec, Grid4D, SolverConfig, solve_potential, verify_potential
 from hktcalc.forms import KForm, form_to_vector, multi_indices
 from hktcalc.geometry import (
-    complex_laplacian,
-    complex_laplacian_at,
     default_sample_points,
     hessian_average_metric,
     is_hkt_potential,
@@ -35,7 +33,13 @@ from hktcalc.salamon import a11_subspace, condition_rank, salamon_D
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import random_sphere_points
 
-from conftest import flat_form, norm_squared, quarter_norm_potential
+from conftest import (
+    complex_laplacian,
+    complex_laplacian_at,
+    flat_form,
+    norm_squared,
+    quarter_norm_potential,
+)
 
 SEED = 20260811
 

@@ -421,6 +421,11 @@ class TestFailureTaxonomy:
         ("[0, 1e-200]", ("solve",), "box [0.0, 1e-200] gives grid spacing"),
         # h = 5e299: h * h overflows.
         ("[-1e300, 1e300]", ("solve",), "box [-1e+300, 1e+300] gives grid spacing"),
+        # h = 5e-162: h * h is positive but subnormal, 4/h^2 overflows.
+        ("[0, 2e-161]", ("solve",), "box [0.0, 2e-161] gives grid spacing"),
+        # h = 2.5e-154: h * h is a normal float, but the DST eigenvalues
+        # 16/h^2 (2(m-1))^4 overflow; at the parent the solve stalled (exit 3).
+        ("[0, 1e-153]", ("solve",), "box [0.0, 1e-153] gives grid spacing"),
     ]
 
     @staticmethod
@@ -465,8 +470,8 @@ class TestFailureTaxonomy:
             pytest.fail("a grid was solved before the box was refused")
 
         monkeypatch.setattr(elliptic, "solve_potential", no_solve)
-        # h * h is positive (subnormal) at --grid 5 but underflows to zero at --grid 65.
-        path = self._box_doc(tmp_path, "[0, 2e-161]")
+        # The DST eigenvalues are finite at --grid 5 but overflow at --grid 65.
+        path = self._box_doc(tmp_path, "[0, 1e-150]")
         assert main(["solve", path, "--grid", "5", "--grid", "65"]) == EXIT_INPUT_ERROR
         assert "on grid m = 65," in capsys.readouterr().err
 

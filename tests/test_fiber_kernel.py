@@ -40,7 +40,6 @@ from hktcalc.forms import (
     operator_matrix,
     routed_operator,
 )
-from hktcalc.geometry import default_sphere_witnesses
 from hktcalc.salamon import _minus_identity, bundle_B, condition_rank
 from hktcalc.scalars import Polynomial
 from hktcalc.structures import (
@@ -50,6 +49,8 @@ from hktcalc.structures import (
     _fiber_op,
     random_sphere_points,
 )
+
+from conftest import default_sphere_witnesses
 
 MODELS = {1: HypercomplexModel(1), 2: HypercomplexModel(2)}
 KINDS = {"pullback": range(0, 4), "insert1": range(1, 4), "insert2": range(2, 4)}

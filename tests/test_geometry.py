@@ -1,16 +1,17 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from hktcalc.batteries import positive_conformal_factor, random_a11_form
+from hktcalc.conventions import COFRAME_SIGN
 from hktcalc.forms import BilinearForm, KForm
 from hktcalc.geometry import (
+    ConventionError,
     HyperhermitianMetric,
     NotHKTError,
-    coframe_forms,
-    complex_laplacian,
-    complex_laplacian_at,
+    PotentialForms,
     default_sample_points,
     hessian_average_metric,
     hkt_report,
@@ -19,7 +20,6 @@ from hktcalc.geometry import (
     is_hkt_salamon,
     is_hkt_twistor,
     kahler_form,
-    kahler_potential_to_forms,
     metric_from_form,
     potential_to_forms,
     theta_from_potential,
@@ -27,9 +27,15 @@ from hktcalc.geometry import (
 )
 from hktcalc.salamon import salamon_D
 from hktcalc.scalars import Polynomial, random_polynomial
-from hktcalc.structures import SpherePoint
+from hktcalc.structures import HypercomplexModel, SpherePoint
 
-from conftest import flat_form, norm_squared, quarter_norm_potential
+from conftest import (
+    complex_laplacian,
+    complex_laplacian_at,
+    flat_form,
+    norm_squared,
+    quarter_norm_potential,
+)
 
 
 def x(i, dim=4):
@@ -38,6 +44,71 @@ def x(i, dim=4):
 
 def conformal(model, phi):
     return HyperhermitianMetric.conformal(model, phi)
+
+
+# Two constructions no verdict of the package uses, kept here as test
+# oracles: the coframe forms must equal the Kahler forms of the metric they
+# induce, and a Kahler potential's forms must be closed HKT forms.
+
+@dataclass
+class CoframeForms:
+    f_i: KForm
+    f_j: KForm
+    f_k: KForm
+    metric: HyperhermitianMetric
+    sign: int
+
+
+def coframe_forms(model: HypercomplexModel, alpha: KForm) -> CoframeForms:
+    """The three 2-forms of a quaternionic coframe (alpha, Ia, Ja, Ka).
+
+    Four-dimensional model only.  Uses the signed 1-form action; each
+    output is certified against the Kahler form of the induced metric
+    sum of squares of the coframe legs (global sign from the ledger).
+    """
+    if model.n != 1:
+        raise ValueError("coframe construction is specific to n = 1")
+    if alpha.degree != 1:
+        raise ValueError("expected a 1-form")
+    legs = {
+        "a": alpha,
+        "I": model.operator("I").act(alpha),
+        "J": model.operator("J").act(alpha),
+        "K": model.operator("K").act(alpha),
+    }
+    f_i = legs["a"].wedge(legs["I"]) + legs["J"].wedge(legs["K"])
+    f_j = legs["a"].wedge(legs["J"]) + legs["K"].wedge(legs["I"])
+    f_k = legs["a"].wedge(legs["K"]) + legs["I"].wedge(legs["J"])
+    d = model.dim
+    zero = Polynomial.zero(d)
+    entries = [[zero for _ in range(d)] for _ in range(d)]
+    for leg in legs.values():
+        comps = [leg.coefficient((i,)) for i in range(d)]
+        for i in range(d):
+            for j in range(d):
+                entries[i][j] = entries[i][j] + comps[i] * comps[j]
+    metric = HyperhermitianMetric(model, BilinearForm(entries, symmetric=True))
+    sign = Fraction(COFRAME_SIGN)
+    for name, f in (("I", f_i), ("J", f_j), ("K", f_k)):
+        if kahler_form(metric, name) != f * sign:
+            raise ConventionError("coframe forms disagree with the induced metric")
+    return CoframeForms(f_i, f_j, f_k, metric, COFRAME_SIGN)
+
+
+def kahler_potential_to_forms(model: HypercomplexModel, nu: Polynomial) -> PotentialForms:
+    """The three 2-forms a Kahler potential for I induces:
+
+    F_I = d d_I nu,
+    F_J = (1/2)(d d_J + d_K d_I) nu,
+    F_K = (1/2)(d d_K + d_I d_J) nu.
+    """
+    f0 = KForm.from_polynomial(nu)
+    half = Fraction(1, 2)
+    op = {name: model.operator(name) for name in ("I", "J", "K")}
+    f_i = op["I"].twisted_d(f0).d()
+    f_j = (op["J"].twisted_d(f0).d() + op["K"].twisted_d(op["I"].twisted_d(f0))) * half
+    f_k = (op["K"].twisted_d(f0).d() + op["I"].twisted_d(op["J"].twisted_d(f0))) * half
+    return PotentialForms(f_i, f_j, f_k)
 
 
 class TestMetricValidation:

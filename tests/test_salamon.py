@@ -11,16 +11,34 @@ from hktcalc.salamon import (
     a11_subspace,
     bundle_B,
     condition_rank,
-    eta2_closed_form,
     is_salamon_11,
     proj_formula_D,
     salamon_D,
     salamon_DI,
 )
 from hktcalc.scalars import Polynomial, random_polynomial
-from hktcalc.structures import random_sphere_points
+from hktcalc.structures import HypercomplexModel, random_sphere_points
 
 from conftest import flat_form, quarter_norm_potential
+
+
+def eta2_closed_form(model: HypercomplexModel, form: KForm) -> KForm:
+    """Test oracle: the closed-form degree-2 projector
+    (1/2)(1-I) + (1/4)(1+I)(1-J).
+
+    All actions slots-only; on 2-forms these agree with the signed action.
+    An independent code path, compared with the matrix projector.
+    """
+    if form.degree != 2:
+        raise ValueError("expected a 2-form")
+    op_i = model.operator("I")
+    op_j = model.operator("J")
+    half = Fraction(1, 2)
+    quarter = Fraction(1, 4)
+    part1 = (form - op_i.pullback(form)) * half
+    tmp = form - op_j.pullback(form)
+    part2 = (tmp + op_i.pullback(tmp)) * quarter
+    return part1 + part2
 
 
 class TestBundleDimensions:
