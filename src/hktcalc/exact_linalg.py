@@ -4,7 +4,9 @@ Matrices cross the interface as lists of lists.  The fiber matrices of the
 form bundles are almost all zeros, so products and elimination hold rows as
 {column: value} dicts, touch only nonzero entries and drop entries that
 cancel.  The reduced row echelon form is unique, so every result equals the
-dense route's, which the tests keep as their oracle.
+dense route's, which the tests keep as their oracle.  No inverse and no
+projector is formed here: the fiber projectors of `hktcalc.salamon` are
+polynomials in the sp(1) Casimir.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ _ONE = Fraction(1)
 
 def identity(n: int) -> list[list[Fraction]]:
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-
-
-def transpose(m: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*m)]
 
 
 def _sparse_rows(m: Sequence[Sequence]) -> list[dict]:
@@ -131,17 +129,6 @@ def solve(a: Sequence[Sequence], b: Sequence):
     return x
 
 
-def invert(a: Sequence[Sequence]) -> list[list]:
-    """Exact inverse; raises ValueError on a singular matrix."""
-    n = len(a)
-    rows = _sparse_rows(a)
-    for i, row in enumerate(rows):
-        row[n + i] = _ONE
-    if _reduce(rows, 2 * n) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return _dense_rows([{j - n: x for j, x in row.items() if j >= n} for row in rows], n)
-
-
 def inertia(m: Sequence[Sequence]) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
 
@@ -199,25 +186,3 @@ def _fold(rows: dict, i: int, j: int) -> None:
             rows[k].pop(i, None)
     rows[i] = new
 
-
-def projector_onto_complement(basis: Sequence[Sequence], n: int,
-                              weights: Sequence | None = None) -> list[list]:
-    """Projector with kernel span(basis), orthogonal for the given metric.
-
-    `basis` lists linearly independent vectors spanning the kernel; the
-    projector maps onto their orthogonal complement with respect to the
-    diagonal inner product `weights` (Euclidean when omitted).  Returns the
-    exact n x n matrix  I - N (N^T W N)^{-1} N^T W.
-    """
-    if not basis:
-        return identity(n)
-    nmat = transpose([list(b) for b in basis])  # n x r, columns span kernel
-    if weights is None:
-        wn = nmat
-    else:
-        wn = [[weights[i] * nmat[i][j] for j in range(len(basis))] for i in range(n)]
-    minus_inv = [[-x for x in row] for row in invert(mat_mul(transpose(nmat), wn))]
-    proj = mat_mul(mat_mul(nmat, minus_inv), transpose(wn))  # -N (N^T W N)^{-1} N^T W
-    for i in range(n):
-        proj[i][i] += 1
-    return proj

@@ -496,6 +496,22 @@ def apply_operator(op: FiberOperator, form: KForm) -> KForm:
     return KForm(form.degree, form.dim, terms)
 
 
+def compose_operators(a: FiberOperator, b: FiberOperator) -> FiberOperator:
+    """The fiber operator a o b (first b, then a), with b's input indices.
+
+    Each column lists its nonzero entries sorted by output index, as the
+    builders do, so `apply_operator` meets the same order either way.
+    """
+    out: FiberOperator = {}
+    for idx, column in b.items():
+        acc: dict = {}
+        for mid, x in column:
+            for out_idx, y in a.get(mid, ()):
+                acc[out_idx] = acc.get(out_idx, 0) + y * x
+        out[idx] = sorted((i, v) for i, v in acc.items() if v)
+    return out
+
+
 def operator_matrix(op: FiberOperator, k: int, dim: int) -> list[list[Fraction]]:
     """Dense exact matrix of a fiber operator (rows/cols in lex order)."""
     basis = multi_indices(dim, k)

@@ -5,9 +5,27 @@ the extreme types (k,0)+(0,k) over the whole sphere of structures and its
 complement B^k; the projection *eta* kills B^k, and the projected
 differential is D = eta o d.
 
-"For every structure on the sphere" is a quadratic condition in the sphere
-coordinates, so it reduces to finitely many exact linear conditions, all
-built from the cached sphere fiber operators of `hktcalc.structures`:
+eta is a polynomial in the sp(1) Casimir.  I, J and K act on k-forms as
+derivations rho_A (the cached one-slot insertions at the axes), with
+[rho_I, rho_J] = -2 rho_K cyclically, so C = rho_I^2 + rho_J^2 + rho_K^2 is
+four times the su(2) Casimir.  In Salamon's E-H splitting Lambda^k is a
+sum of pieces F_j(E) (x) S^j H with j <= k, j = k mod 2, and C acts as
+-j(j + 2) on S^j H.  B^2 is the j = 0 part and B^3 the j = 1 part; eta_k,
+the projection onto j = k, is 1 at -k(k + 2) and 0 at the other eigenvalue:
+
+    eta_2 = -C/8,    eta_3 = -(C + 3)/12,
+
+one sparse fiber operator each, with no inversion or elimination.  It is
+orthogonal for every constant hyperhermitian inner product g: each A is
+g-skew, so each rho_A is skew and C symmetric for the inner product g
+induces on Lambda^k, and the eigenspaces of C are g-orthogonal.  The tests
+compare it with the weighted dense projector onto the complement of B^k.
+
+B^k itself is kept as exact linear conditions, for the eta-independent
+`ProjectorTable.in_b` and for `bundle_B`.  "For every structure on the
+sphere" is a quadratic condition in the sphere coordinates, so it reduces
+to finitely many exact linear conditions, all built from the cached sphere
+fiber operators of `hktcalc.structures`:
 
 * degree 2:  the fixed locus of the three slots-only pullbacks, i.e.
   { w : Iw = w, Jw = w, Kw = w };
@@ -20,15 +38,9 @@ a^2 + b^2 + c^2 = 1 on the identity term): its six coefficients are
 S(A, A)w - w and 2 S(A, B)w for the symmetrized pair insertions S(A, B) of
 I, J, K, and its values at the six witnesses fix them, because their
 evaluation matrix is invertible.  So the stacked conditions span the same
-row space as the six coefficient conditions, and B^3 and eta are the same;
-at an axis S(P) is S(A, A) itself.  Rank stability under extra random
-sphere points is asserted separately as a guard.
-
-Eta is computed once per (n, k) as an exact matrix: the projector onto the
-orthogonal complement of B^k for the flat inner product on the fiber.  Any
-constant hyperhermitian inner product gives the same projector because both
-summands are invariant under the group the structures generate; the test
-suite checks this rather than assuming it.
+row space as the six coefficient conditions; at an axis S(P) is S(A, A)
+itself.  Rank stability under extra random sphere points is asserted
+separately as a guard.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exact_linalg as ela
-from .forms import KForm, FiberOperator, apply_operator, multi_indices, operator_matrix
+from .forms import KForm, FiberOperator, apply_operator, compose_operators, multi_indices, operator_matrix
 from .structures import FIXED_WITNESSES, HypercomplexModel, SpherePoint, _fiber_op
 
 
@@ -115,8 +127,26 @@ def a11_subspace(model: HypercomplexModel) -> FiberSubspace:
     return _kernel(model, 2, [_minus_identity(p_i), _minus_identity(p_j, -1)])
 
 
+# k -> (shift, scale) with eta_k = scale * (C + shift Id).
+_ETA_FROM_CASIMIR = {2: (0, Fraction(-1, 8)), 3: (3, Fraction(-1, 12))}
+
+
+def _casimir_polynomial(model: HypercomplexModel, k: int, shift, scale) -> FiberOperator:
+    """scale * (C + shift Id) on k-forms, C = rho_I^2 + rho_J^2 + rho_K^2."""
+    total: dict = {}
+    for name in ("I", "J", "K"):
+        rho = _fiber_op(model, SpherePoint.axis(name), k, "insert1")
+        for idx, column in compose_operators(rho, rho).items():
+            acc = total.setdefault(idx, {idx: shift})
+            for out_idx, v in column:
+                acc[out_idx] = acc.get(out_idx, 0) + v
+    return {idx: sorted((i, v * scale) for i, v in acc.items() if v) for idx, acc in total.items()}
+
+
 class ProjectorTable:
-    """Cached exact fiber projectors eta_k for k <= 3.
+    """Cached exact fiber projectors eta_k for k <= 3, each one sparse fiber
+    operator in `columns`: eta_2 = -C/8 and eta_3 = -(C + 3)/12 for the
+    Casimir C (see the module docstring).
 
     The table also keeps, per degree, the condition operators whose common
     kernel is B^k; `in_b` applies them as an eta-free membership test.
@@ -124,36 +154,18 @@ class ProjectorTable:
     query concurrently.
     """
 
-    def __init__(self, model: HypercomplexModel, max_degree: int = 3):
-        if max_degree > 3:
-            raise DegreeError("projectors are available for degrees <= 3")
+    def __init__(self, model: HypercomplexModel):
         self.model = model
-        self.b_bases: dict[int, FiberSubspace] = {}
-        self.matrices: dict[int, list[list[Fraction]]] = {}
         self.columns: dict[int, FiberOperator] = {}
         self.conditions: dict[int, list[FiberOperator]] = {}
-        for k in range(2, max_degree + 1):
+        for k, (shift, scale) in _ETA_FROM_CASIMIR.items():
             self.conditions[k] = _condition_operators(model, k)
-            sub = _kernel(model, k, self.conditions[k])
-            self.b_bases[k] = sub
-            proj = ela.projector_onto_complement(sub.basis, sub.ambient_dim)
-            self.matrices[k] = proj
-            self.columns[k] = self._columns(proj, k)
-
-    def _columns(self, proj, k: int) -> FiberOperator:
-        basis = multi_indices(self.model.dim, k)
-        op: FiberOperator = {}
-        for j, in_idx in enumerate(basis):
-            col = [(basis[i], proj[i][j]) for i in range(len(basis)) if proj[i][j]]
-            op[in_idx] = col
-        return op
+            self.columns[k] = _casimir_polynomial(model, k, shift, scale)
 
     def eta_matrix(self, k: int):
-        if k in (0, 1):
-            return ela.identity(len(multi_indices(self.model.dim, k)))
-        if k not in self.matrices:
-            raise DegreeError(f"eta is available for degrees <= 3, got {k}")
-        return self.matrices[k]
+        if k not in self.columns:
+            raise DegreeError(f"eta_matrix is available for degrees 2 and 3, got {k}")
+        return operator_matrix(self.columns[k], k, self.model.dim)
 
     def eta(self, form: KForm) -> KForm:
         """Project a polynomial form fiberwise onto the complement of B."""
@@ -172,16 +184,11 @@ class ProjectorTable:
             raise DegreeError(f"B conditions are available for degrees 2 and 3, got {form.degree}")
         return all(apply_operator(op, form).is_zero() for op in self.conditions[form.degree])
 
-    def b_basis(self, k: int) -> FiberSubspace:
-        if k not in self.b_bases:
-            raise DegreeError(f"no B basis for degree {k}")
-        return self.b_bases[k]
-
     def to_json(self) -> dict:
         """Exact projector matrices for golden-file comparisons."""
         out = {}
-        for k, mat in self.matrices.items():
-            out[str(k)] = [[[str(x.numerator), str(x.denominator)] for x in row] for row in mat]
+        for k in self.columns:
+            out[str(k)] = [[[str(x.numerator), str(x.denominator)] for x in row] for row in self.eta_matrix(k)]
         return {"n": self.model.n, "eta": out}
 
 

@@ -4,9 +4,85 @@ from typing import Sequence
 import pytest
 
 from hktcalc import HypercomplexModel, KForm, Polynomial, ProjectorTable
-from hktcalc import exact_linalg as ela
 from hktcalc.geometry import HyperhermitianMetric, kahler_form
 from hktcalc.structures import FIXED_WITNESSES, SpherePoint, random_sphere_points
+
+
+# Dense exact linear algebra: test oracles.  `hktcalc.exact_linalg` is the
+# sparse route, checked against these; the package forms no inverse and no
+# projector, so the tests take theirs from here.
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def dense_mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def dense_rref(m):
+    a = [list(row) for row in m]
+    if not a:
+        return a, []
+    rows, cols = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def dense_null_space(m):
+    if not m:
+        return []
+    cols = len(m[0])
+    r, pivots = dense_rref(m)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -r[row_idx][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_invert(a):
+    """Exact inverse of a Fraction matrix; ValueError when singular."""
+    n = len(a)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    r, pivots = dense_rref([list(a[i]) + ident[i] for i in range(n)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in r]
+
+
+def dense_projector(basis, n, weights=None):
+    """I - N (N^T W N)^{-1} N^T W: the projector with kernel span(basis),
+    orthogonal for the diagonal inner product `weights` (Euclidean when
+    omitted)."""
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if not basis:
+        return ident
+    nmat = transpose(basis)
+    wn = nmat if weights is None else [[weights[i] * x for x in nmat[i]] for i in range(n)]
+    inv = dense_invert(dense_mat_mul(transpose(nmat), wn))
+    corr = dense_mat_mul(dense_mat_mul(nmat, inv), transpose(wn))
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ident, corr)]
 
 
 @pytest.fixture(scope="session")
@@ -98,7 +174,7 @@ def complex_laplacian(f: Polynomial, metric: HyperhermitianMetric) -> Polynomial
         for j, p in enumerate(row):
             if p != Polynomial.constant(model.dim, const[i][j]):
                 raise ValueError("metric entries are not constant; use complex_laplacian_at")
-    ginv = ela.invert([[Fraction(c) for c in row] for row in const])
+    ginv = dense_invert([[Fraction(c) for c in row] for row in const])
     dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
     f_i = kahler_form(metric, "I")
     return _pairing_2forms(dd_i, f_i, ginv)
@@ -108,7 +184,7 @@ def complex_laplacian_at(f: Polynomial, metric: HyperhermitianMetric, point: Seq
     """Exact pointwise complex Laplacian for a polynomial metric."""
     model = metric.model
     try:
-        ginv = ela.invert(metric.tensor.evaluate(point))
+        ginv = dense_invert([[Fraction(x) for x in row] for row in metric.tensor.evaluate(point)])
     except ValueError:
         raise ValueError(f"metric is degenerate at sample point {point}")
     dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()

@@ -1,11 +1,13 @@
 """The sparse exact linear algebra against the dense route it replaced.
 
-`dense_mat_mul` and `dense_rref` below are the dense Gaussian elimination
-that `hktcalc.exact_linalg` used before it skipped zeros, kept here only as
-the oracle; `dense_null_space`, `dense_solve`, `dense_invert` and
-`dense_projector` are the old derived routines on top of them.  The
-reduced row echelon form is unique, so the sparse results must be equal to
-the oracle's, not merely close.
+`conftest.dense_mat_mul` and `conftest.dense_rref` are the dense Gaussian
+elimination that `hktcalc.exact_linalg` used before it skipped zeros, kept
+only as the oracle; `dense_null_space` there and `dense_solve` here are the
+old derived routines on top of them.  The reduced row echelon form is
+unique, so the sparse results must be equal to the oracle's, not merely
+close.  The projector table is checked against `conftest.dense_projector`
+of the null-space basis of B^k, the route it was built by before the
+Casimir.
 """
 
 import hashlib
@@ -18,53 +20,10 @@ from hypothesis import strategies as st
 
 from hktcalc import exact_linalg as ela
 from hktcalc.forms import multi_indices
-from hktcalc.salamon import ProjectorTable, _condition_matrix, _condition_operators, condition_rank
+from hktcalc.salamon import ProjectorTable, _condition_matrix, _condition_operators, bundle_B, condition_rank
 from hktcalc.structures import HypercomplexModel, random_sphere_points
 
-
-def dense_mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def dense_rref(m):
-    a = [list(row) for row in m]
-    if not a:
-        return a, []
-    rows, cols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
-def dense_null_space(m):
-    if not m:
-        return []
-    cols = len(m[0])
-    r, pivots = dense_rref(m)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -r[row_idx][fc]
-        basis.append(v)
-    return basis
+from conftest import dense_mat_mul, dense_null_space, dense_projector, dense_rref
 
 
 def dense_solve(a, b):
@@ -76,26 +35,6 @@ def dense_solve(a, b):
     for row_idx, pc in enumerate(pivots):
         x[pc] = r[row_idx][cols]
     return x
-
-
-def dense_invert(a):
-    n = len(a)
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    r, pivots = dense_rref([list(a[i]) + ident[i] for i in range(n)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
-
-
-def dense_projector(basis, n, weights=None):
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    if not basis:
-        return ident
-    nmat = ela.transpose(basis)
-    wn = nmat if weights is None else [[weights[i] * x for x in nmat[i]] for i in range(n)]
-    inv = dense_invert(dense_mat_mul(ela.transpose(nmat), wn))
-    corr = dense_mat_mul(dense_mat_mul(nmat, inv), ela.transpose(wn))
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ident, corr)]
 
 
 def dense_table(model):
@@ -117,11 +56,6 @@ def matrices(min_rows=0, max_rows=6, min_cols=0, max_cols=6):
     return st.tuples(st.integers(min_rows, max_rows), st.integers(min_cols, max_cols)).flatmap(
         lambda shape: st.lists(st.lists(ENTRY, min_size=shape[1], max_size=shape[1]),
                                min_size=shape[0], max_size=shape[0]))
-
-
-def square(max_n=6):
-    return st.integers(0, max_n).flatmap(lambda n: st.lists(
-        st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
 
 
 PROPERTY = settings(deadline=None)
@@ -171,32 +105,6 @@ class TestSparseMatchesDense:
         if x is not None:
             assert dense_mat_mul(a, [[v] for v in x]) == [[y] for y in b]
 
-    @PROPERTY
-    @given(square())
-    def test_invert(self, a):
-        try:
-            expected = dense_invert(a)
-        except ValueError:
-            with pytest.raises(ValueError, match="singular"):
-                ela.invert(a)
-            return
-        inv = ela.invert(a)
-        assert inv == expected
-        assert dense_mat_mul(a, inv) == ela.identity(len(a))
-
-    @PROPERTY
-    @given(matrices(min_cols=1), st.booleans(), st.data())
-    def test_projector_onto_complement(self, m, weighted, data):
-        n = len(m[0]) if m else 0
-        basis = dense_null_space(m)  # linearly independent by construction
-        weights = None
-        if weighted:
-            weights = data.draw(st.lists(st.fractions(min_value=Fraction(1, 3), max_value=3),
-                                         min_size=n, max_size=n))
-        proj = ela.projector_onto_complement(basis, n, weights)
-        assert proj == dense_projector(basis, n, weights)
-        assert dense_mat_mul(proj, proj) == proj
-
 
 class TestIntegerInput:
     """Python ints are eliminated exactly: the same results as the dense
@@ -226,18 +134,6 @@ class TestIntegerInput:
         b = data.draw(st.lists(st.integers(-5, 5), min_size=len(a), max_size=len(a)))
         assert ela.solve(a, b) == dense_solve(as_fractions(a), [Fraction(y) for y in b])
 
-    @PROPERTY
-    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
-        st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
-    def test_invert(self, a):
-        try:
-            expected = dense_invert(as_fractions(a))
-        except ValueError:
-            with pytest.raises(ValueError, match="singular"):
-                ela.invert(a)
-            return
-        assert ela.invert(a) == expected
-
 
 # SHA-1 of json.dumps(ProjectorTable(n).to_json(), sort_keys=True), frozen
 # from the Fraction-built B conditions the integer-built ones replaced.
@@ -258,8 +154,8 @@ class TestProjectorTableMatchesDense:
         table = table1 if n == 1 else table2
         bases, etas = dense_table(table.model)
         for k in (2, 3):
-            assert table.b_bases[k].basis == bases[k]
-            assert table.matrices[k] == etas[k]
+            assert bundle_B(table.model, k).basis == bases[k]
+            assert table.eta_matrix(k) == etas[k]
         dense_json = {str(k): [[[str(x.numerator), str(x.denominator)] for x in row] for row in etas[k]]
                       for k in (2, 3)}
         assert json.dumps(table.to_json()) == json.dumps({"n": n, "eta": dense_json})
@@ -274,20 +170,24 @@ class TestN3Table:
     def test_to_json_digest_is_frozen(self, table3):
         assert table_sha1(table3) == TABLE_SHA1[3]
 
-    def test_eta_idempotent_and_splits_the_fiber(self, table3):
+    @pytest.fixture(scope="class")
+    def b_ranks3(self, table3):
+        return {k: bundle_B(table3.model, k).rank for k in (2, 3)}
+
+    def test_eta_idempotent_and_splits_the_fiber(self, table3, b_ranks3):
         for k in (2, 3):
-            eta = table3.matrices[k]
+            eta = table3.eta_matrix(k)
             assert ela.mat_mul(eta, eta) == eta
             total = len(multi_indices(12, k))
-            assert ela.rank(eta) + table3.b_bases[k].rank == total
+            assert ela.rank(eta) + b_ranks3[k] == total
 
-    def test_b_ranks_stable_under_extra_sphere_points(self, table3):
+    def test_b_ranks_stable_under_extra_sphere_points(self, table3, b_ranks3):
         # Frozen from the exact null-space computation: 21 = n(2n + 1).
-        assert (table3.b_bases[2].rank, table3.b_bases[3].rank) == (21, 140)
+        assert (b_ranks3[2], b_ranks3[3]) == (21, 140)
         extra = random_sphere_points(4, seed=77)
         for k in (2, 3):
             base = condition_rank(table3.model, k)
-            assert base == len(multi_indices(12, k)) - table3.b_bases[k].rank
+            assert base == len(multi_indices(12, k)) - b_ranks3[k]
             assert condition_rank(table3.model, k, extra) == base
 
 

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from hktcalc import exact_linalg as ela
 from hktcalc.batteries import random_kform
-from hktcalc.forms import KForm, multi_indices, operator_matrix, routed_operator, vector_to_form
+from hktcalc.forms import KForm, compose_operators, multi_indices, operator_matrix, routed_operator, vector_to_form
 from hktcalc.salamon import (
     DegreeError,
+    ProjectorTable,
     a11_subspace,
     bundle_B,
     condition_rank,
@@ -19,7 +21,7 @@ from hktcalc.salamon import (
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel, random_sphere_points
 
-from conftest import flat_form, quarter_norm_potential
+from conftest import dense_projector, flat_form, quarter_norm_potential
 
 
 def eta2_closed_form(model: HypercomplexModel, form: KForm) -> KForm:
@@ -75,7 +77,7 @@ class TestBundleDimensions:
                 for name in ("I", "J", "K"):
                     mat = operator_matrix(routed_operator(model.matrix(name), k, model.dim, k), k, model.dim)
                     for vec in sub.basis:
-                        image = ela.mat_mul([vec], ela.transpose(mat))[0]  # M v as a row
+                        image = [sum(x * y for x, y in zip(row, vec)) for row in mat]  # M v
                         assert ela.rank(sub.basis + [image]) == base_rank
 
 
@@ -111,7 +113,7 @@ class TestEta:
         for table in (table1, table2):
             for k in (2, 3):
                 total = len(multi_indices(table.model.dim, k))
-                b_rank = table.b_basis(k).rank
+                b_rank = bundle_B(table.model, k).rank
                 eta_rank = ela.rank(table.eta_matrix(k))
                 assert b_rank + eta_rank == total
 
@@ -125,7 +127,8 @@ class TestEta:
     def test_alternative_hyperhermitian_inner_product_gives_same_projector(self, model2, table2):
         # Diagonal hyperhermitian metric with blocks (1,1,1,1,2,2,2,2):
         # the induced fiber weights change the inner product but not the
-        # projector, because both summands are invariant subspaces.
+        # projector, because the Casimir is symmetric for every
+        # hyperhermitian inner product.
         diag = [Fraction(1)] * 4 + [Fraction(2)] * 4
         for k in (2, 3):
             weights = []
@@ -134,9 +137,31 @@ class TestEta:
                 for i in idx:
                     w *= diag[i]
                 weights.append(w)
-            sub = table2.b_basis(k)
-            alt = ela.projector_onto_complement(sub.basis, sub.ambient_dim, weights)
+            sub = bundle_B(model2, k)
+            alt = dense_projector(sub.basis, sub.ambient_dim, weights)
             assert ela.mat_eq(alt, table2.eta_matrix(k))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_casimir_projectors_and_rank_formulas(self, n):
+        # eta_k o eta_k = eta_k, so the trace of eta_k is its rank and
+        # dim Lambda^k - trace is rank B^k: n(2n + 1) and C(4n,3) - 4 C(2n,3).
+        table = ProjectorTable(HypercomplexModel(n))
+        for k, b_rank in ((2, n * (2 * n + 1)), (3, comb(4 * n, 3) - 4 * comb(2 * n, 3))):
+            eta = table.columns[k]
+            assert compose_operators(eta, eta) == eta
+            trace = sum(v for idx, column in eta.items() for out_idx, v in column if out_idx == idx)
+            assert comb(4 * n, k) - trace == b_rank
+
+    def test_table_build_needs_no_elimination(self, monkeypatch):
+        model = HypercomplexModel(2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the projector table must not eliminate or multiply matrices")
+
+        for name in ("null_space", "rref", "mat_mul"):
+            monkeypatch.setattr(ela, name, refuse)
+        table = ProjectorTable(model)
+        assert set(table.columns) == {2, 3}
 
 
 class TestProjectedDifferential:
