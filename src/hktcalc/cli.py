@@ -221,16 +221,17 @@ def cmd_solve(args) -> int:
         return _input_error(exc)
 
     runs = []
-    last_grid = None
     try:
         start = time.perf_counter()
         for m in grids:
+            # Free the previous grid first: the assignment happens only
+            # after the next solve has returned.
+            result = None
             result = solve_potential(spec, m, config)
             _check_geometric_residual(result.diagnostics, m)
             diagnostics = dict(result.diagnostics)
             diagnostics.update(verify_potential(result.grid, spec))
             runs.append(diagnostics)
-            last_grid = result.grid
         report.timings["total_s"] = time.perf_counter() - start
     except ValueError as exc:
         return _input_error(exc)
@@ -250,9 +251,9 @@ def cmd_solve(args) -> int:
     report.data["runs"] = runs
     report.verdicts["converged"] = True  # every run passed _check_geometric_residual
     _emit(report, args.out)
-    if args.out and last_grid is not None:
+    if args.out:
         csv_path = args.out.rsplit(".", 1)[0] + ".csv"
-        last_grid.export_slice_csv(csv_path)
+        result.grid.export_slice_csv(csv_path)
     return EXIT_OK
 
 

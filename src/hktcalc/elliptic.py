@@ -6,14 +6,15 @@ potential is characterized by the trace identity
     trace_g(Hess mu) = 4   i.e.   sum_i d^2 mu / dx_i^2 = 4 * phi.
 
 The geometric operator is assembled from its two textbook pieces -- the
-Levi-Civita Laplacian of g (geometer sign, with exact Christoffel symbols
-of the conformal factor) and the Weyl drift term -- whose first-order
-parts cancel exactly at the stencil level, leaving a plain Poisson system.
-The cancellation is a test obligation, not an assumption.
+Levi-Civita Laplacian of g (geometer sign; the contracted Christoffel
+symbols of the conformal metric reduce to -phi^{-2} d_k phi) and the Weyl
+drift term -- whose first-order parts cancel exactly at the stencil
+level, leaving a plain Poisson system.  The cancellation is a test
+obligation, not an assumption: the tests derive the Christoffel closed
+form in the exact core and check each summand against whole-grid oracles.
 
-Conformal factors are polynomials with rational coefficients, so the Weyl
-form and all Christoffel data come from the exact core; only the linear
-solve is floating point.  Discretization is second-order central
+Conformal factors are polynomials with rational coefficients; only the
+linear solve is floating point.  Discretization is second-order central
 differences with Dirichlet data.  The resulting constant-coefficient
 Dirichlet Laplacian is diagonalized by the discrete sine transform, so
 the linear system is solved by a direct DST-I Poisson solve (Buzbee,
@@ -21,6 +22,16 @@ Golub & Nielson 1970), refined against the true residual.  The DST-I is
 applied as four dense sine-matrix products, one per axis, with the sine
 argument reduced in integers, pi * ((k * j) mod 2N) / N, so every sine is
 taken of an angle in [0, 2 pi).
+
+The solve holds the solution grid and three arrays of the interior's
+size: the right-hand side b, the residual r and a transform scratch.
+The unknowns are the interior view of the solution grid itself; each
+transform step is a matrix product written into r or the scratch, the
+eigenvalue division builds its divisors one axis-0 row at a time, and
+the residual b - A v is formed in r by slice updates.  The Dirichlet data
+are evaluated on the boundary faces only.  Every value goes through the
+same float operations as in the textbook whole-array formulation (kept
+in the tests as the oracle), so the solution is bit-identical to it.
 
 The conformal factor and its gradient are sampled once per grid
 (`ConformalMetricSpec.on_grid`); the solve, both geometric operators and
@@ -51,16 +62,17 @@ from typing import Sequence
 import numpy as np
 
 from .conventions import SOLVER_FORM_SCALE, TRACE_TARGET
-from .forms import KForm
 from .geometry import ConventionError
 from .scalars import Polynomial
 from .structures import HypercomplexModel
 
 
 # Largest grid (nodes per axis) a solve accepts.  Peak memory grows like
-# m^4, about 50 bytes per node: `hkt solve --grid m` peaked at 97 MB for
-# m = 33, 332 MB for m = 49 and 970 MB for m = 65 (max RSS), so the next
-# odd grid above 65, 97, would need about 4.5 GB.
+# m^4, about 40 bytes per node (the solution grid, three interior arrays
+# and, for a factor using all four coordinates, its m^4 sample):
+# `hkt solve --grid m` peaked at 80 MB for m = 33, 247 MB for m = 49 and
+# 687 MB for m = 65 (max RSS), so the next odd grid above 65, 97, would
+# need about 3.3 GB.
 MAX_GRID = 65
 
 # Rows along axis 0 per slab of the stencil passes after the solve.  1, 2,
@@ -180,16 +192,6 @@ class Grid4D:
         ax = self.axis()
         return list(np.meshgrid(ax, ax, ax, ax, indexing="ij", sparse=True))
 
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros((self.m,) * 4, dtype=bool)
-        for a in range(4):
-            sl = [slice(None)] * 4
-            sl[a] = 0
-            mask[tuple(sl)] = True
-            sl[a] = -1
-            mask[tuple(sl)] = True
-        return mask
-
     @classmethod
     def from_polynomial(cls, m: int, lo: float, hi: float, poly: Polynomial) -> "Grid4D":
         grid = cls(m, lo, hi)
@@ -264,53 +266,6 @@ def _first_diff(full: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (full[tuple(plus)] - full[tuple(minus)]) / (2.0 * h)
 
 
-def weyl_form(spec: ConformalMetricSpec) -> tuple[KForm, Polynomial]:
-    """The Weyl 1-form of g = phi*delta as the exact pair (d phi, phi).
-
-    The 1-form itself is d(log phi) = dphi / phi; returning numerator and
-    denominator keeps it inside polynomial arithmetic.
-    """
-    dphi = KForm.from_polynomial(spec.phi).d()
-    return dphi, spec.phi
-
-
-def weyl_identity_residuals(
-    spec: ConformalMetricSpec, closed_form: Sequence[Polynomial] | None = None
-) -> list[Polynomial]:
-    """Exact residuals of the contracted Christoffel closed form.
-
-    The Christoffel symbols of g = phi*delta come from the general formula
-    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), with the
-    inverse metric g^{kl} = delta^{kl} / phi.  Multiplying the contraction
-    by 2 phi^2 clears every denominator:
-
-        2 phi^2 g^{ij} Gamma^k_ij
-            = sum_{i,j,l} delta^{ij} delta^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
-
-    Residual k is that polynomial minus `closed_form[k]`, by default
-    -2 d_k phi: the closed form g^{ij} Gamma^k_ij = -phi^{-2} d_k phi that
-    `laplace_beltrami_apply` relies on.  All four must be exactly zero.
-    """
-    phi = spec.phi
-    zero = Polynomial.zero(4)
-    one = Polynomial.constant(4, 1)
-    g = [[phi if i == j else zero for j in range(4)] for i in range(4)]
-    phi_g_inv = [[one if i == j else zero for j in range(4)] for i in range(4)]
-    dg = [[[g[j][l].partial(i) for l in range(4)] for j in range(4)] for i in range(4)]
-    if closed_form is None:
-        closed_form = [dp * -2 for dp in spec.gradient()]
-    residuals = []
-    for k in range(4):
-        contraction = zero
-        for i in range(4):
-            for j in range(4):
-                for l in range(4):
-                    first_kind = dg[i][j][l] + dg[j][i][l] - dg[l][i][j]
-                    contraction = contraction + phi_g_inv[i][j] * phi_g_inv[k][l] * first_kind
-        residuals.append(contraction - closed_form[k])
-    return residuals
-
-
 def _slab_rows(m: int, margin: int):
     """(start, stop) row ranges of at most SLAB_ROWS rows covering the
     margin-interior rows margin .. m - margin - 1 along axis 0."""
@@ -344,28 +299,6 @@ def _geometric_slabs(spec: ConformalMetricSpec, grid: Grid4D):
         yield rows, lap, drift
 
 
-def laplace_beltrami_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
-    """Geometer-sign Laplacian of g = phi*delta at interior nodes.
-
-    Delta mu = -g^{ij}(d_i d_j mu - Gamma^k_ij d_k mu); for the conformal
-    metric the contracted Christoffel term reduces to
-    g^{ij} Gamma^k_ij = -phi^{-2} d_k phi, evaluated exactly from phi.
-    Boundary entries of the output are zero.
-    """
-    out = np.zeros_like(grid.values)
-    for rows, lap, _ in _geometric_slabs(spec, grid):
-        out[rows, 1:-1, 1:-1, 1:-1] = lap
-    return Grid4D(grid.m, grid.lo, grid.hi, out)
-
-
-def weyl_drift_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
-    """The drift term omega-sharp(mu) = phi^{-2} <d phi, d mu> (interior)."""
-    out = np.zeros_like(grid.values)
-    for rows, _, drift in _geometric_slabs(spec, grid):
-        out[rows, 1:-1, 1:-1, 1:-1] = drift
-    return Grid4D(grid.m, grid.lo, grid.hi, out)
-
-
 def potential_operator_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
     """The assembled left-hand side  Delta mu + omega-sharp(mu).
 
@@ -388,30 +321,52 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _dirichlet_values(config: SolverConfig, grid: Grid4D) -> np.ndarray:
-    full = np.zeros((grid.m,) * 4)
+def _write_dirichlet_faces(config: SolverConfig, grid: Grid4D) -> None:
+    """Write the Dirichlet data into the eight boundary faces of grid.values.
+
+    Each pair of opposite faces is one evaluation on the sparse mesh with
+    its axis cut to the two end nodes, so no m^4 sample is ever built.
+    """
     if config.dirichlet is None:
-        return full
-    vals = np.broadcast_to(_eval_poly_on_mesh(config.dirichlet, grid.meshgrid()), (grid.m,) * 4)
-    mask = grid.boundary_mask()
-    full[mask] = vals[mask]
-    return full
+        return
+    mesh = grid.meshgrid()
+    for a in range(4):
+        ends = (slice(None),) * a + (slice(None, None, grid.m - 1),)
+        cut = [x[ends] if i == a else x for i, x in enumerate(mesh)]
+        grid.values[ends] = _eval_poly_on_mesh(config.dirichlet, cut)
 
 
 def _linear_system(spec: ConformalMetricSpec, grid: Grid4D, config: SolverConfig):
-    """(phi, mu0, b): the factor on the grid, the Dirichlet extension mu0
-    and the right-hand side b of  A v = b  for the interior unknowns v."""
+    """(phi, b): the factor on the grid and the right-hand side b of
+    A v = b for the interior unknowns v.  The Dirichlet data are written
+    into the boundary of grid.values, whose interior must be zero."""
     phi, _ = spec.on_grid(grid)
     if not np.all(phi > 0):
         raise ValueError("conformal factor must be positive at every grid node")
-    mu0 = _dirichlet_values(config, grid)
-    b = -float(TRACE_TARGET) * _interior(phi) + _second_diff_sum(mu0, grid.h)
-    return phi, mu0, b
+    _write_dirichlet_faces(config, grid)
+    b = _second_diff_sum(grid.values, grid.h)
+    # b += -4 phi, one row at a time so no interior temporary is built.
+    target = -float(TRACE_TARGET)
+    phi_in = _interior(phi)
+    for i in range(b.shape[0]):
+        b[i] += target * phi_in[i]
+    return phi, b
 
 
-def _negative_laplacian(v_int: np.ndarray, h: float) -> np.ndarray:
-    """A v = -sum_i D2_i v, with v extended by zero Dirichlet data."""
-    return -_second_diff_sum(np.pad(v_int, 1), h)
+def _negative_laplacian(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """out = A v = -sum_i D2_i v with v extended by zero Dirichlet data.
+
+    Formed in `out` as 8 v minus each neighbour, one slice update per
+    neighbour.  Float rounding is symmetric in sign, so this equals, bit
+    for bit, the negation of  -8 v + neighbours  added in the same order."""
+    np.multiply(v, 8.0, out=out)
+    for a in range(4):
+        lo = (slice(None),) * a + (slice(None, -1),)
+        hi = (slice(None),) * a + (slice(1, None),)
+        out[lo] -= v[hi]
+        out[hi] -= v[lo]
+    out /= h * h
+    return out
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -427,46 +382,54 @@ def _sine_matrix(n: int) -> np.ndarray:
     return 2.0 * np.sin(np.pi * (np.outer(k, k) % (2 * big_n)) / big_n)
 
 
-def _dst4(a: np.ndarray, sines: np.ndarray) -> np.ndarray:
-    """DST-I along all four axes of a cube `a` with `sines` = _sine_matrix(n).
+def _dst4(a: np.ndarray, scratch: np.ndarray, sines: np.ndarray) -> np.ndarray:
+    """DST-I along all four axes of a cube `a`, in place; returns `a`.
 
-    Each step is one matrix product that transforms the first axis and
-    leaves it last, so after four steps the axes are back in order.
+    `sines` = _sine_matrix(n) and `scratch` is a buffer of a's shape.  Each
+    step is one matrix product that transforms the first axis and leaves
+    it last, written alternately into `scratch` and back into `a`, so
+    after four steps the axes are back in order and the result is in `a`.
     """
     n = a.shape[0]
-    for _ in range(4):
-        a = (a.reshape(n, -1).T @ sines).reshape((n,) * 4)
+    for src, dst in ((a, scratch), (scratch, a)) * 2:
+        np.matmul(src.reshape(n, -1).T, sines, out=dst.reshape(-1, n))
     return a
 
 
-def _dst_poisson_solve(b: np.ndarray, h: float, tol: float, max_iter: int):
+def _dst_poisson_solve(b: np.ndarray, v: np.ndarray, h: float, tol: float, max_iter: int) -> int:
     """Direct DST-I solve of  A v = b, refined until max|b - A v| <= tol.
 
-    The sines diagonalize A with eigenvalues sum_axes (4/h^2) sin^2(pi k / 2N),
-    so each sweep applies A^{-1} exactly up to rounding: v += A^{-1} r, then
-    the true residual r = b - A v is recomputed.  Returns (v, sweeps).
+    `v` holds zeros on entry (typically the interior view of the solution
+    grid) and the solution on return.  The sines diagonalize A with
+    eigenvalues sum_axes (4/h^2) sin^2(pi k / 2N), so each sweep applies
+    A^{-1} exactly up to rounding: v += A^{-1} r, then the true residual
+    r = b - A v is recomputed.  Besides b, the sweeps use two work arrays
+    of b's shape, r and the transform scratch.  Returns the sweep count.
     """
     big_n = b.shape[0] + 1
     axis_eig = (4.0 / (h * h)) * np.sin(np.pi * np.arange(1, big_n) / (2 * big_n)) ** 2
-    eig = (
-        axis_eig[:, None, None, None]
-        + axis_eig[None, :, None, None]
-        + axis_eig[None, None, :, None]
-        + axis_eig[None, None, None, :]
-    )
-    eig *= (2.0 * big_n) ** 4
+    scale = (2.0 * big_n) ** 4
     sines = _sine_matrix(big_n - 1)
-    v = np.zeros_like(b)
-    r = b
-    res = float(np.max(np.abs(r)))
+    # max|r| as max(max r, -min r): no |r| temporary, and a NaN still
+    # propagates into the stall check.
+    res = float(max(b.max(), -b.min()))
     if res <= tol:
-        return v, 0
+        return 0
+    r = b.copy()
+    scratch = np.empty_like(b)
     for sweep in range(1, max_iter + 1):
-        v += _dst4(_dst4(r, sines) / eig, sines)
-        r = b - _negative_laplacian(v, h)
-        new_res = float(np.max(np.abs(r)))
+        _dst4(r, scratch, sines)
+        # Divide by the eigenvalues (2N)^4 (a_i + a_j + a_k + a_l) one
+        # axis-0 row at a time, never materializing the whole cube.
+        for i, a_i in enumerate(axis_eig):
+            row = (a_i + axis_eig[:, None, None]) + axis_eig[None, :, None] + axis_eig
+            row *= scale
+            r[i] /= row
+        v += _dst4(r, scratch, sines)
+        np.subtract(b, _negative_laplacian(v, h, r), out=r)
+        new_res = float(max(r.max(), -r.min()))
         if new_res <= tol:
-            return v, sweep
+            return sweep
         if not new_res < res:
             raise SolverError(
                 f"DST sweeps stalled at residual {new_res:.3g}, above tol={tol} "
@@ -489,13 +452,11 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     the cancellation rather than assuming it.
     """
     config = config or SolverConfig()
-    grid = Grid4D(m, *spec.box)
-    phi, mu0, b = _linear_system(spec, grid, config)
-    h = grid.h
-    v, iterations = _dst_poisson_solve(b, h, config.tol, config.max_iter)
-    mu = mu0
-    mu[1:-1, 1:-1, 1:-1, 1:-1] = v
-    solution = Grid4D(m, grid.lo, grid.hi, mu)
+    solution = Grid4D(m, *spec.box)
+    phi, b = _linear_system(spec, solution, config)
+    h = solution.h
+    iterations = _dst_poisson_solve(b, _interior(solution.values), h, config.tol, config.max_iter)
+    del b  # freed before the geometric residual allocates its grid
 
     geo = potential_operator_apply(spec, solution)
     residual = _interior(geo.values) + float(TRACE_TARGET)

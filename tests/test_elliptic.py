@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from hktcalc.elliptic import (
     _dst_poisson_solve,
     _eval_poly_on_mesh,
     _first_diff,
+    _geometric_slabs,
     _interior,
     _linear_system,
     _mixed_diff,
@@ -25,14 +27,11 @@ from hktcalc.elliptic import (
     _signed_permutation,
     _sine_matrix,
     _wide_second_diff,
-    laplace_beltrami_apply,
     potential_operator_apply,
     solve_potential,
     verify_potential,
-    weyl_drift_apply,
-    weyl_form,
-    weyl_identity_residuals,
 )
+from hktcalc.forms import KForm
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel
 
@@ -52,7 +51,7 @@ def _conjugate_gradient(b: np.ndarray, h: float, tol: float, max_iter: int):
     p = r.copy()
     rr = float(np.sum(r * r))
     for it in range(1, max_iter + 1):
-        ap = _negative_laplacian(p, h)
+        ap = pad_negative_laplacian(p, h)
         pap = float(np.sum(p * ap))
         if pap <= 0.0:
             raise SolverError("system is not positive definite")
@@ -65,6 +64,87 @@ def _conjugate_gradient(b: np.ndarray, h: float, tol: float, max_iter: int):
         p = r + (rr_new / rr) * p
         rr = rr_new
     raise SolverError(f"conjugate gradient did not reach tol={tol} in {max_iter} iterations")
+
+
+# Whole-array formulation of the linear solve: every step allocates its
+# result.  The library solves in three reused interior buffers with the
+# unknowns in the solution grid; these are the oracles it must reproduce
+# bit for bit.
+
+def boundary_mask(m: int) -> np.ndarray:
+    mask = np.zeros((m,) * 4, dtype=bool)
+    for a in range(4):
+        sl = [slice(None)] * 4
+        sl[a] = 0
+        mask[tuple(sl)] = True
+        sl[a] = -1
+        mask[tuple(sl)] = True
+    return mask
+
+
+def mask_dirichlet_values(config: SolverConfig, grid: Grid4D) -> np.ndarray:
+    full = np.zeros((grid.m,) * 4)
+    if config.dirichlet is None:
+        return full
+    vals = np.broadcast_to(_eval_poly_on_mesh(config.dirichlet, grid.meshgrid()), (grid.m,) * 4)
+    mask = boundary_mask(grid.m)
+    full[mask] = vals[mask]
+    return full
+
+
+def pad_negative_laplacian(v_int: np.ndarray, h: float) -> np.ndarray:
+    """A v = -sum_i D2_i v, with v extended by zero Dirichlet data."""
+    return -_second_diff_sum(np.pad(v_int, 1), h)
+
+
+def dense_dst4(a: np.ndarray, sines: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    for _ in range(4):
+        a = (a.reshape(n, -1).T @ sines).reshape((n,) * 4)
+    return a
+
+
+def dense_dst_poisson_solve(b: np.ndarray, h: float, tol: float, max_iter: int):
+    """(v, sweeps) with the eigenvalues materialized as one cube."""
+    big_n = b.shape[0] + 1
+    axis_eig = (4.0 / (h * h)) * np.sin(np.pi * np.arange(1, big_n) / (2 * big_n)) ** 2
+    eig = (
+        axis_eig[:, None, None, None]
+        + axis_eig[None, :, None, None]
+        + axis_eig[None, None, :, None]
+        + axis_eig[None, None, None, :]
+    )
+    eig *= (2.0 * big_n) ** 4
+    sines = _sine_matrix(big_n - 1)
+    v = np.zeros_like(b)
+    r = b
+    res = float(np.max(np.abs(r)))
+    if res <= tol:
+        return v, 0
+    for sweep in range(1, max_iter + 1):
+        v += dense_dst4(dense_dst4(r, sines) / eig, sines)
+        r = b - pad_negative_laplacian(v, h)
+        new_res = float(np.max(np.abs(r)))
+        if new_res <= tol:
+            return v, sweep
+        if not new_res < res:
+            raise SolverError(f"DST sweeps stalled at residual {new_res:.3g}, above tol={tol}")
+        res = new_res
+    raise SolverError(f"DST solve did not reach tol={tol} in {max_iter} sweeps")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def dense_solve(spec: ConformalMetricSpec, m: int, config: SolverConfig):
+    """(solution grid, sweeps, residual_max) of the whole-array solve."""
+    grid = Grid4D(m, *spec.box)
+    phi, _ = spec.on_grid(grid)
+    mu = mask_dirichlet_values(config, grid)
+    b = -float(TRACE_TARGET) * _interior(phi) + _second_diff_sum(mu, grid.h)
+    v, sweeps = dense_dst_poisson_solve(b, grid.h, config.tol, config.max_iter)
+    mu[1:-1, 1:-1, 1:-1, 1:-1] = v
+    solution = Grid4D(m, grid.lo, grid.hi, mu)
+    residual = np.abs(_interior(potential_operator_apply(spec, solution).values) + float(TRACE_TARGET))
+    return solution, sweeps, float(np.max(residual))
 
 
 def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
@@ -108,14 +188,82 @@ def conformal_manufactured():
     return half_norm() + (x(0) ** 4 + x(1) ** 4) * Fraction(1, 12)
 
 
+# The exact Weyl data and the two geometric summands one at a time.  The
+# library assembles only their sum (`potential_operator_apply`); these
+# check the pieces it is built from.
+
+def weyl_form(spec: ConformalMetricSpec) -> tuple[KForm, Polynomial]:
+    """The Weyl 1-form of g = phi*delta as the exact pair (d phi, phi).
+
+    The 1-form itself is d(log phi) = dphi / phi; returning numerator and
+    denominator keeps it inside polynomial arithmetic.
+    """
+    return KForm.from_polynomial(spec.phi).d(), spec.phi
+
+
+def weyl_identity_residuals(spec: ConformalMetricSpec, closed_form=None) -> list[Polynomial]:
+    """Exact residuals of the contracted Christoffel closed form.
+
+    The Christoffel symbols of g = phi*delta come from the general formula
+    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), with the
+    inverse metric g^{kl} = delta^{kl} / phi.  Multiplying the contraction
+    by 2 phi^2 clears every denominator:
+
+        2 phi^2 g^{ij} Gamma^k_ij
+            = sum_{i,j,l} delta^{ij} delta^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
+
+    Residual k is that polynomial minus `closed_form[k]`, by default
+    -2 d_k phi: the closed form g^{ij} Gamma^k_ij = -phi^{-2} d_k phi that
+    the Laplace-Beltrami summand relies on.  All four must be exactly zero.
+    """
+    phi = spec.phi
+    zero = Polynomial.zero(4)
+    g = [[phi if i == j else zero for j in range(4)] for i in range(4)]
+    phi_g_inv = [[one() if i == j else zero for j in range(4)] for i in range(4)]
+    dg = [[[g[j][l].partial(i) for l in range(4)] for j in range(4)] for i in range(4)]
+    if closed_form is None:
+        closed_form = [dp * -2 for dp in spec.gradient()]
+    residuals = []
+    for k in range(4):
+        contraction = zero
+        for i in range(4):
+            for j in range(4):
+                for l in range(4):
+                    first_kind = dg[i][j][l] + dg[j][i][l] - dg[l][i][j]
+                    contraction = contraction + phi_g_inv[i][j] * phi_g_inv[k][l] * first_kind
+        residuals.append(contraction - closed_form[k])
+    return residuals
+
+
+def laplace_beltrami_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
+    """Geometer-sign Laplacian of g = phi*delta at interior nodes: the
+    `lap` summand of the solver's slab pass.
+
+    Delta mu = -g^{ij}(d_i d_j mu - Gamma^k_ij d_k mu); for the conformal
+    metric the contracted Christoffel term reduces to
+    g^{ij} Gamma^k_ij = -phi^{-2} d_k phi.  Boundary entries are zero.
+    """
+    out = np.zeros_like(grid.values)
+    for rows, lap, _ in _geometric_slabs(spec, grid):
+        out[rows, 1:-1, 1:-1, 1:-1] = lap
+    return Grid4D(grid.m, grid.lo, grid.hi, out)
+
+
+def weyl_drift_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
+    """The drift term omega-sharp(mu) = phi^{-2} <d phi, d mu> (interior):
+    the `drift` summand of the solver's slab pass."""
+    out = np.zeros_like(grid.values)
+    for rows, _, drift in _geometric_slabs(spec, grid):
+        out[rows, 1:-1, 1:-1, 1:-1] = drift
+    return Grid4D(grid.m, grid.lo, grid.hi, out)
+
+
 class TestWeylForm:
     def test_flat_factor_gives_zero(self):
         dphi, phi = weyl_form(flat_spec())
         assert dphi.is_zero() and phi == one()
 
     def test_logarithmic_derivative_pair(self):
-        from hktcalc.forms import KForm
-
         spec = ConformalMetricSpec(one() + x(0) * x(0))
         dphi, phi = weyl_form(spec)
         assert dphi == KForm(1, 4, {(0,): x(0) * 2})
@@ -224,7 +372,7 @@ class TestSolver:
         result = solve_potential(flat_spec(), 9, SolverConfig(tol=1e-11))
         interior = result.grid.values[1:-1, 1:-1, 1:-1, 1:-1]
         assert np.all(interior < 0)
-        boundary = result.grid.values[result.grid.boundary_mask()]
+        boundary = result.grid.values[boundary_mask(9)]
         assert np.all(boundary == 0)
 
     def test_rhs_scaling_linearity(self):
@@ -262,8 +410,9 @@ class TestSolver:
         else:
             spec, cfg = conformal_spec(), SolverConfig(tol=1e-12, dirichlet=conformal_manufactured())
         grid = Grid4D(m, *spec.box)
-        _, _, b = _linear_system(spec, grid, cfg)
-        v_dst, sweeps = _dst_poisson_solve(b, grid.h, cfg.tol, cfg.max_iter)
+        _, b = _linear_system(spec, grid, cfg)
+        v_dst = np.zeros_like(b)
+        sweeps = _dst_poisson_solve(b, v_dst, grid.h, cfg.tol, cfg.max_iter)
         v_cg, _ = _conjugate_gradient(b, grid.h, cfg.tol, cfg.max_iter)
         assert sweeps == 1
         assert np.max(np.abs(v_dst - v_cg)) <= 1e-10
@@ -273,9 +422,9 @@ class TestSolver:
         spec = conformal_spec()
         cfg = SolverConfig(tol=1e-11, dirichlet=conformal_manufactured())
         result = solve_potential(spec, m, cfg)
-        _, _, b = _linear_system(spec, Grid4D(m, *spec.box), cfg)
+        _, b = _linear_system(spec, Grid4D(m, *spec.box), cfg)
         v = result.grid.values[1:-1, 1:-1, 1:-1, 1:-1]
-        assert np.max(np.abs(b - _negative_laplacian(v, result.grid.h))) <= cfg.tol
+        assert np.max(np.abs(b - _negative_laplacian(v, result.grid.h, np.empty_like(b)))) <= cfg.tol
 
     @pytest.mark.parametrize("m", [17, 33])
     def test_manufactured_solve_takes_one_sweep(self, m):
@@ -323,14 +472,17 @@ class TestSineTransform:
         oracle = a
         for axis in range(4):
             oracle = _dst1(oracle, axis)
-        assert np.max(np.abs(_dst4(a, _sine_matrix(n)) - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        got = _dst4(a.copy(), np.empty_like(a), _sine_matrix(n))
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 15, 31])
     def test_dst4_twice_scales_by_2n_to_the_fourth(self, n):
         a = np.random.default_rng(700 + n).normal(size=(n,) * 4)
         sines = _sine_matrix(n)
         scale = (2.0 * (n + 1)) ** 4
-        assert np.max(np.abs(_dst4(_dst4(a, sines), sines) - scale * a)) <= 1e-13 * scale * np.max(np.abs(a))
+        scratch = np.empty_like(a)
+        twice = _dst4(_dst4(a.copy(), scratch, sines), scratch, sines)
+        assert np.max(np.abs(twice - scale * a)) <= 1e-13 * scale * np.max(np.abs(a))
 
 
 def _fresh_samples(spec, m):
@@ -338,10 +490,18 @@ def _fresh_samples(spec, m):
     return [_eval_poly_on_mesh(p, mesh) for p in [spec.phi, *spec.gradient()]]
 
 
+def write_conformal_doc(tmp_path) -> str:
+    """Path of a conformal4d document for conformal_spec() with the
+    manufactured Dirichlet data."""
+    doc = {"kind": "conformal4d", "model": {"n": 1},
+           "payload": {"phi": conformal_spec().phi.to_json(), "dirichlet": conformal_manufactured().to_json()}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestSamplingOnce:
     def test_solve_samples_phi_once_per_grid(self, monkeypatch, tmp_path):
-        import json
-
         from hktcalc import elliptic
         from hktcalc.cli import main
 
@@ -353,15 +513,12 @@ class TestSamplingOnce:
             return original(poly, mesh)
 
         monkeypatch.setattr(elliptic, "_eval_poly_on_mesh", counting)
-        spec = conformal_spec()
-        doc = {"kind": "conformal4d", "model": {"n": 1},
-               "payload": {"phi": spec.phi.to_json(), "dirichlet": conformal_manufactured().to_json()}}
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        assert main(["solve", str(path), "--grid", "9", "--grid", "13", "--out", str(tmp_path / "r.json")]) == 0
-        # Per grid: phi and its four partials once, the Dirichlet data once.
-        assert len(calls) == 12
-        assert calls.count(conformal_manufactured()) == 2
+        path = write_conformal_doc(tmp_path)
+        assert main(["solve", path, "--grid", "9", "--grid", "13", "--out", str(tmp_path / "r.json")]) == 0
+        # Per grid: phi and its four partials once, the Dirichlet data once
+        # per pair of opposite boundary faces.
+        assert len(calls) == 18
+        assert calls.count(conformal_manufactured()) == 8
 
     def test_sampling_follows_the_grid(self):
         spec = conformal_spec()
@@ -632,6 +789,63 @@ class TestSlabPasses:
         assert calls == [0, 1, 2, 3] * slabs
 
 
+class TestWholeArrayOracle:
+    """The buffered solve against the whole-array formulation above."""
+
+    @pytest.mark.parametrize("m", [9, 17, 33])
+    @pytest.mark.parametrize("make_spec", [flat_spec, conformal_spec, four_axis_spec])
+    @pytest.mark.parametrize("dirichlet", [None, conformal_manufactured()], ids=["zero", "manufactured"])
+    def test_solution_is_bit_identical(self, m, make_spec, dirichlet):
+        cfg = SolverConfig(tol=1e-10, dirichlet=dirichlet)
+        result = solve_potential(make_spec(), m, cfg)
+        grid, sweeps, res_max = dense_solve(make_spec(), m, cfg)
+        assert np.array_equal(result.grid.values, grid.values)
+        assert result.iterations == sweeps
+        assert result.residual_max == res_max
+
+    @pytest.mark.parametrize("make_spec, tol", [(flat_spec, 5e-14), (four_axis_spec, 1e-13)])
+    def test_second_sweep_is_bit_identical(self, make_spec, tol):
+        cfg = SolverConfig(tol=tol, dirichlet=conformal_manufactured())
+        result = solve_potential(make_spec(), 9, cfg)
+        grid, sweeps, res_max = dense_solve(make_spec(), 9, cfg)
+        assert result.iterations == sweeps == 2
+        assert np.array_equal(result.grid.values, grid.values)
+        assert result.residual_max == res_max
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(tol=1e-16), SolverConfig(tol=1e-15, max_iter=2)])
+    def test_failures_match(self, cfg):
+        with pytest.raises(SolverError) as lean:
+            solve_potential(flat_spec(), 9, cfg)
+        with pytest.raises(SolverError) as dense:
+            dense_solve(flat_spec(), 9, cfg)
+        assert str(dense.value) in str(lean.value)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 15])
+    def test_negative_laplacian_matches_pad(self, n):
+        full = np.random.default_rng(1000 + n).normal(size=(n + 2,) * 4)
+        v = _interior(full)  # a strided view, as the solver passes it
+        out = _negative_laplacian(v, 0.3, np.empty(v.shape))
+        assert np.array_equal(out, pad_negative_laplacian(v, 0.3))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 15, 31])
+    def test_dst4_matches_dense_products(self, n):
+        a = np.random.default_rng(1100 + n).normal(size=(n,) * 4)
+        sines = _sine_matrix(n)
+        assert np.array_equal(_dst4(a.copy(), np.empty_like(a), sines), dense_dst4(a, sines))
+
+    @pytest.mark.parametrize("m", [3, 4, 9])
+    def test_dirichlet_faces_match_mask(self, m):
+        spec = four_axis_spec()
+        for poly in (conformal_manufactured(), one() * 3, x(3) * x(3) - x(0), Polynomial.zero(4)):
+            cfg = SolverConfig(dirichlet=poly)
+            grid = Grid4D(m, *spec.box)
+            _, b = _linear_system(spec, grid, cfg)
+            mu = mask_dirichlet_values(cfg, grid)
+            phi, _ = spec.on_grid(grid)
+            assert np.array_equal(grid.values, mu)
+            assert np.array_equal(b, -float(TRACE_TARGET) * _interior(phi) + _second_diff_sum(mu, grid.h))
+
+
 @pytest.fixture(scope="module")
 def manufactured_m33():
     spec = conformal_spec()
@@ -664,6 +878,31 @@ class TestStencilMemory:
         # ten margin-interior Hessian arrays and peaked at 79 MB.
         spec, grid = manufactured_m33
         assert traced_peak_above_live(lambda: verify_potential(grid, spec)) < 20 * self.MB
+
+    def test_solve_holds_three_interior_arrays(self, manufactured_m33):
+        # Guards the buffered DST solve: the solution grid (9 MB) and the
+        # interior arrays b, r and the transform scratch (7 MB each), with
+        # phi already sampled.  Read 30.8 MB here; the whole-array solve,
+        # which allocated every transform step, the eigenvalue cube, the
+        # padded residual stencil and a separate unknown vector, read
+        # 55.4 MB.
+        spec, _ = manufactured_m33
+        cfg = SolverConfig(tol=1e-10, dirichlet=conformal_manufactured())
+        assert traced_peak_above_live(lambda: solve_potential(spec, 33, cfg)) < 40 * self.MB
+
+    def test_repeated_grid_holds_one_grid(self, tmp_path):
+        # `hkt solve` drops each grid before solving the next, so a repeated
+        # --grid 25 peaks as high as a single one: both read 10.2 MB.  With
+        # the previous grid kept alive the repeated run read 13.3 MB, its
+        # 3 MB more.
+        from hktcalc.cli import main
+
+        path, out = write_conformal_doc(tmp_path), str(tmp_path / "r.json")
+        solve = lambda *grids: main(["solve", path, *(a for m in grids for a in ("--grid", str(m))), "--out", out])
+        solve(25)  # imports and the first sampling of phi are not measured
+        single = traced_peak_above_live(lambda: solve(25))
+        repeated = traced_peak_above_live(lambda: solve(25, 25))
+        assert repeated < single + 25**4 * 8 // 4
 
     def test_geometric_residual_builds_one_grid(self, manufactured_m33):
         # Guards the shared slab loop of the geometric operators: the output
