@@ -3,8 +3,7 @@
 A `KForm` stores its components against strictly increasing multi-indices,
 so every form has one canonical representation and equality of forms is
 equality of term maps.  Coefficients are `Polynomial` values over Q.
-Wedge products, exterior derivatives and pullbacks by constant
-linear maps are all exact.
+Wedge products and exterior derivatives are exact.
 
 The module also provides the fiberwise machinery shared by the structure
 and projection layers: a constant linear operator on the k-form fiber is
@@ -18,13 +17,12 @@ coeff times each input term straight into one {exponent: Fraction} map per
 output index, drops zeros once at the end and builds each output
 polynomial once.
 
-Pullbacks and insertions are built by one routine, `routed_operator`,
-which expands integer-valued matrices (ints, such as the entries of I, J
-and K, or integer-valued Fractions) in ints only.  A sphere structure
-aI + bJ + cK is therefore expanded as the integer matrix
-den * (aI + bJ + cK), den the lcm of the point's denominators, and each
-coefficient is divided once by den^slots (see `hktcalc.structures`).
-The stored coefficients are Fractions.
+Operators are built by two sparse routines.  `compose_operators` composes
+two of them, and `combine_operators` forms sum c_i op_i + shift Id over one
+int denominator.  `hktcalc.structures` builds the axis derivations
+rho_I, rho_J, rho_K with int entries, and every sphere operator is a
+polynomial in them: products and sums stay in ints, and each entry is
+divided once at the end.  The stored coefficients are Fractions.
 """
 
 from __future__ import annotations
@@ -244,13 +242,6 @@ class KForm:
                     out[new_idx] = dp
         return KForm(self.degree + 1, self.dim, out)
 
-    def pullback(self, matrix: Sequence[Sequence]) -> "KForm":
-        """Slots-only pullback (A*w)(X1..Xk) = w(A X1, .., A Xk); the
-        coefficient functions are not composed with the map."""
-        if len(matrix) != self.dim:
-            raise ValueError("matrix dimension mismatch")
-        return apply_operator(routed_operator(matrix, self.degree, self.dim, self.degree), self)
-
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> dict:
@@ -316,11 +307,6 @@ class BilinearForm:
     def zero(cls, dim: int) -> "BilinearForm":
         z = Polynomial.zero(dim)
         return cls([[z] * dim for _ in range(dim)], symmetric=True)
-
-    @classmethod
-    def from_constant(cls, matrix: Sequence[Sequence], dim: int | None = None) -> "BilinearForm":
-        dim = dim or len(matrix)
-        return cls([[Polynomial.constant(dim, v) for v in row] for row in matrix])
 
     @classmethod
     def scaled_identity(cls, dim: int, scale: Polynomial) -> "BilinearForm":
@@ -401,67 +387,6 @@ def hessian(f: Polynomial) -> BilinearForm:
 FiberOperator = dict
 
 
-def _wedge_expansion(factors: Sequence[Sequence[tuple[int, Fraction]]]) -> dict:
-    """Expand a wedge of 1-form expansions into {multi-index: coeff}.
-
-    Integer factors give integer coefficients."""
-    partial: dict = {(): 1}
-    for factor in factors:
-        nxt: dict = {}
-        for idx, coeff in partial.items():
-            for j, a in factor:
-                if j in idx:
-                    continue
-                pos = sum(1 for e in idx if e < j)
-                sign = -1 if (len(idx) - pos) % 2 else 1
-                new = idx[:pos] + (j,) + idx[pos:]
-                val = nxt.get(new, 0) + sign * coeff * a
-                if val:
-                    nxt[new] = val
-                elif new in nxt:
-                    del nxt[new]
-        partial = nxt
-    return partial
-
-
-def _int_or_fraction(value) -> int | Fraction:
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _rows(matrix: Sequence[Sequence], dim: int) -> list[list[tuple[int, int | Fraction]]]:
-    """Nonzero entries of each row; integer values become ints, anything
-    else a Fraction."""
-    return [[(j, _int_or_fraction(v)) for j, v in enumerate(matrix[i]) if v] for i in range(dim)]
-
-
-def routed_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int, den: int = 1) -> FiberOperator:
-    """Route `slots` of the k slots through matrix / den, summed over all choices.
-
-    An integer `matrix` is expanded in ints only; each summed coefficient
-    is then divided once by den**slots.  The stored coefficients are
-    Fractions whatever the entries of `matrix` are.
-    """
-    if not 0 <= slots <= k:
-        raise ValueError("slots must lie in [0, k]")
-    rows = _rows(matrix, dim)
-    plain = [[(i, 1)] for i in range(dim)]
-    scale = den ** slots
-    op: FiberOperator = {}
-    for idx in multi_indices(dim, k):
-        total: dict = {}
-        for chosen in itertools.combinations(range(k), slots):
-            factors = [rows[i] if pos in chosen else plain[i] for pos, i in enumerate(idx)]
-            for out_idx, coeff in _wedge_expansion(factors).items():
-                val = total.get(out_idx, 0) + coeff
-                if val:
-                    total[out_idx] = val
-                elif out_idx in total:
-                    del total[out_idx]
-        op[idx] = sorted((out_idx, Fraction(coeff, scale)) for out_idx, coeff in total.items())
-    return op
-
-
 def _accumulate(acc: dict, terms: dict, coeff) -> None:
     """acc += coeff * terms, on {exponent: Fraction} maps; zeros are kept."""
     for exp, value in terms.items():
@@ -512,6 +437,26 @@ def compose_operators(a: FiberOperator, b: FiberOperator) -> FiberOperator:
     return out
 
 
+def combine_operators(terms: Sequence[tuple[int, FiberOperator]], shift: int = 0,
+                      den: int | None = None) -> FiberOperator:
+    """(sum of c * op over `terms` + shift * Id) / den, on the terms' input indices.
+
+    Integer coefficients and entries are summed in ints.  With `den` each
+    entry is divided once into a Fraction; without it the sums are kept as
+    they are.  Columns are sorted by output index, as the builders do.
+    """
+    total: dict = {}
+    for c, op in terms:
+        for idx, column in op.items():
+            acc = total.get(idx)
+            if acc is None:
+                total[idx] = acc = {idx: shift}
+            for out_idx, v in column:
+                acc[out_idx] = acc.get(out_idx, 0) + c * v
+    return {idx: sorted((i, v if den is None else Fraction(v, den)) for i, v in acc.items() if v)
+            for idx, acc in total.items()}
+
+
 def operator_matrix(op: FiberOperator, k: int, dim: int) -> list[list[Fraction]]:
     """Dense exact matrix of a fiber operator (rows/cols in lex order)."""
     basis = multi_indices(dim, k)
@@ -523,11 +468,6 @@ def operator_matrix(op: FiberOperator, k: int, dim: int) -> list[list[Fraction]]
         for out_idx, coeff in column:
             mat[pos[out_idx]][j] = coeff
     return mat
-
-
-def form_to_vector(form: KForm, basis: Sequence[MultiIndex]) -> list[Polynomial]:
-    zero = Polynomial.zero(form.dim)
-    return [form.terms.get(idx, zero) for idx in basis]
 
 
 def vector_to_form(vec: Sequence, basis: Sequence[MultiIndex], k: int, dim: int) -> KForm:

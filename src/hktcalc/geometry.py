@@ -12,7 +12,8 @@ Three equivalent HKT characterizations are implemented side by side:
   applied to the first jet of the coefficients, and
   tests/test_twistor_certificate.py proves for n <= 3 that the axes'
   stacked matrix has the same row space as the Salamon residual's and as
-  ten sphere points' (the six `FIXED_WITNESSES` and four random ones).
+  ten sphere points' (the axes, three mixed Pythagorean points and four
+  random ones).
 
 They must agree on every input; a disagreement is a convention bug, never
 a valid outcome, and the report type asserts this.  Metrics may be

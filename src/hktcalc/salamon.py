@@ -6,7 +6,7 @@ complement B^k; the projection *eta* kills B^k, and the projected
 differential is D = eta o d.
 
 eta is a polynomial in the sp(1) Casimir.  I, J and K act on k-forms as
-derivations rho_A (the cached one-slot insertions at the axes), with
+derivations rho_A (the one-slot insertions at the axes), with
 [rho_I, rho_J] = -2 rho_K cyclically, so C = rho_I^2 + rho_J^2 + rho_K^2 is
 four times the su(2) Casimir.  In Salamon's E-H splitting Lambda^k is a
 sum of pieces F_j(E) (x) S^j H with j <= k, j = k mod 2, and C acts as
@@ -24,22 +24,24 @@ compare it with the weighted dense projector onto the complement of B^k.
 B^k itself is kept as exact linear conditions, for the eta-independent
 `ProjectorTable.in_b` and for `bundle_B`.  "For every structure on the
 sphere" is a quadratic condition in the sphere coordinates, so it reduces
-to finitely many exact linear conditions, all built from the cached sphere
-fiber operators of `hktcalc.structures`:
+to finitely many exact linear conditions, all built from the axis
+derivations of `hktcalc.structures`:
 
-* degree 2:  the fixed locus of the three slots-only pullbacks, i.e.
+* degree 2:  the fixed locus of the three slots-only axis pullbacks, i.e.
   { w : Iw = w, Jw = w, Kw = w };
-* degree 3:  S(P)w = w for the two-slot insertion sum S(P) at each of the
-  six `FIXED_WITNESSES` P = (a, b, c).
+* degree 3:  S(P)w = w for the two-slot insertion sum
+  S(P) = (rho_P^2 + 3)/2 at every P = (a, b, c) on the sphere.
 
 Both reductions are exactly equivalent to the all-sphere condition.  For
 degree 3, S(P)w - w is a homogeneous quadratic in (a, b, c) (use
-a^2 + b^2 + c^2 = 1 on the identity term): its six coefficients are
-S(A, A)w - w and 2 S(A, B)w for the symmetrized pair insertions S(A, B) of
-I, J, K, and its values at the six witnesses fix them, because their
-evaluation matrix is invertible.  So the stacked conditions span the same
-row space as the six coefficient conditions; at an axis S(P) is S(A, A)
-itself.  Rank stability under extra random sphere points is asserted
+a^2 + b^2 + c^2 = 1 on the identity term), since rho_P is linear in P.
+It vanishes on the sphere exactly when its six coefficients do:
+
+    (rho_A^2 + 1)/2            for A = I, J, K,
+    (rho_A rho_B + rho_B rho_A)/2   for the pairs AB = IJ, JK, KI,
+
+the six coefficient conditions.  The three rho_A^2 are the ones eta_3
+composes.  Rank stability under extra random sphere points is asserted
 separately as a guard.
 """
 
@@ -50,8 +52,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exact_linalg as ela
-from .forms import KForm, FiberOperator, apply_operator, compose_operators, multi_indices, operator_matrix
-from .structures import FIXED_WITNESSES, HypercomplexModel, SpherePoint, _fiber_op
+from .forms import (
+    FiberOperator,
+    KForm,
+    apply_operator,
+    combine_operators,
+    compose_operators,
+    multi_indices,
+    operator_matrix,
+)
+from .structures import HypercomplexModel, _axis_operators, axis_derivations
 
 
 class DegreeError(ValueError):
@@ -71,31 +81,25 @@ class FiberSubspace:
         return len(self.basis)
 
 
-def _minus_identity(op: FiberOperator, c=1) -> FiberOperator:
-    """The fiber operator op - c Id (op lists every input multi-index)."""
-    out: FiberOperator = {}
-    for idx, column in op.items():
-        entries = dict(column)
-        entries[idx] = entries.get(idx, Fraction(0)) - c
-        out[idx] = sorted((i, v) for i, v in entries.items() if v)
-    return out
-
-
 def _condition_operators(model: HypercomplexModel, k: int,
-                         points: Sequence[SpherePoint] | None = None) -> list[FiberOperator]:
+                         squares: Sequence[FiberOperator] | None = None) -> list[FiberOperator]:
     """The exact linear conditions cutting out B^k (degree 2 or 3).
 
     A fiber vector lies in B^k exactly when every returned operator kills
-    it; each is S - Id for a sphere fiber operator S, and extra points
-    append one condition each.
+    it: A* - Id at the three axes for k = 2, the six coefficient
+    conditions for k = 3.  `squares` are rho_I^2, rho_J^2, rho_K^2 on
+    3-forms when the caller has them.
     """
     if k == 2:
-        base, kind = [SpherePoint.axis(name) for name in ("I", "J", "K")], "pullback"
-    elif k == 3:
-        base, kind = list(FIXED_WITNESSES), "insert2"
-    else:
+        return [combine_operators([(1, _axis_operators(model, name, 2)[1])], -1, 1) for name in ("I", "J", "K")]
+    if k != 3:
         raise DegreeError(f"bundle computation supports degrees 2 and 3, got {k}")
-    return [_minus_identity(_fiber_op(model, pt, k, kind)) for pt in base + list(points or ())]
+    rho = axis_derivations(model, 3)
+    squares = squares or [compose_operators(r, r) for r in rho]
+    pairs = [(compose_operators(rho[a], rho[b]), compose_operators(rho[b], rho[a]))
+             for a, b in ((0, 1), (1, 2), (2, 0))]
+    return ([combine_operators([(1, sq)], 1, 2) for sq in squares]
+            + [combine_operators([(1, ab), (1, ba)], 0, 2) for ab, ba in pairs])
 
 
 def _condition_matrix(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> list[list[Fraction]]:
@@ -107,40 +111,21 @@ def _kernel(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> F
     return FiberSubspace(k, len(multi_indices(model.dim, k)), ela.null_space(stacked))
 
 
-def bundle_B(model: HypercomplexModel, k: int,
-             extra_points: Sequence[SpherePoint] | None = None) -> FiberSubspace:
+def bundle_B(model: HypercomplexModel, k: int) -> FiberSubspace:
     """Exact basis of B^k (k in {2, 3}) as a null-space computation."""
     if k not in (2, 3):
         raise DegreeError(f"bundle_B supports k in {{2, 3}}, got {k}")
-    return _kernel(model, k, _condition_operators(model, k, extra_points))
-
-
-def condition_rank(model: HypercomplexModel, k: int,
-                   extra_points: Sequence[SpherePoint] | None = None) -> int:
-    """Rank of the stacked condition matrix (for stability checks)."""
-    return ela.rank(_condition_matrix(model, k, _condition_operators(model, k, extra_points)))
+    return _kernel(model, k, _condition_operators(model, k))
 
 
 def a11_subspace(model: HypercomplexModel) -> FiberSubspace:
     """The fiber of 2-forms with Iw = w and Jw = -w (slots-only)."""
-    p_i, p_j = (_fiber_op(model, SpherePoint.axis(name), 2, "pullback") for name in ("I", "J"))
-    return _kernel(model, 2, [_minus_identity(p_i), _minus_identity(p_j, -1)])
+    p_i, p_j = (_axis_operators(model, name, 2)[1] for name in ("I", "J"))
+    return _kernel(model, 2, [combine_operators([(1, p_i)], -1, 1), combine_operators([(1, p_j)], 1, 1)])
 
 
-# k -> (shift, scale) with eta_k = scale * (C + shift Id).
-_ETA_FROM_CASIMIR = {2: (0, Fraction(-1, 8)), 3: (3, Fraction(-1, 12))}
-
-
-def _casimir_polynomial(model: HypercomplexModel, k: int, shift, scale) -> FiberOperator:
-    """scale * (C + shift Id) on k-forms, C = rho_I^2 + rho_J^2 + rho_K^2."""
-    total: dict = {}
-    for name in ("I", "J", "K"):
-        rho = _fiber_op(model, SpherePoint.axis(name), k, "insert1")
-        for idx, column in compose_operators(rho, rho).items():
-            acc = total.setdefault(idx, {idx: shift})
-            for out_idx, v in column:
-                acc[out_idx] = acc.get(out_idx, 0) + v
-    return {idx: sorted((i, v * scale) for i, v in acc.items() if v) for idx, acc in total.items()}
+# k -> (shift, den) with eta_k = -(C + shift Id)/den.
+_ETA_FROM_CASIMIR = {2: (0, 8), 3: (3, 12)}
 
 
 class ProjectorTable:
@@ -158,9 +143,10 @@ class ProjectorTable:
         self.model = model
         self.columns: dict[int, FiberOperator] = {}
         self.conditions: dict[int, list[FiberOperator]] = {}
-        for k, (shift, scale) in _ETA_FROM_CASIMIR.items():
-            self.conditions[k] = _condition_operators(model, k)
-            self.columns[k] = _casimir_polynomial(model, k, shift, scale)
+        for k, (shift, den) in _ETA_FROM_CASIMIR.items():
+            squares = [compose_operators(rho, rho) for rho in axis_derivations(model, k)]
+            self.columns[k] = combine_operators([(-1, sq) for sq in squares], -shift, den)
+            self.conditions[k] = _condition_operators(model, k, squares)
 
     def eta_matrix(self, k: int):
         if k not in self.columns:

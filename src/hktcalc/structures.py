@@ -20,14 +20,17 @@ Two actions on forms coexist and both are exposed:
 Every call site states which one it uses.  Sphere points are exact
 rational triples, generated from an integer (stereographic)
 parametrization so the whole sphere family stays inside exact arithmetic.
-`HypercomplexModel.integer_sphere_matrix` is the one constructor of
-aI + bJ + cK: with den the lcm of the point's denominators it builds the
-integer matrix den * (aI + bJ + cK) and checks M^2 = -den^2 Id in ints.
-The fiber operators are routed from that integer matrix, and
-`sphere_matrix` divides it by den where a caller needs the Fraction
-matrix.  `FIXED_WITNESSES` are the six sphere points at which the degree-3
-B conditions evaluate; the twistor check evaluates at the first three,
-the axes, so the two share their cached fiber operators.
+
+The fiber operators come from the three axis derivations.  sp(1) acts on
+forms by the derivations rho_A (A = I, J, K), the one-slot insertions
+(Salamon's E-H splitting).  I, J and K are signed permutation matrices, so
+rho_A is a sum of signed single-slot index replacements and the axis
+pullback A* a signed permutation of the basis k-forms; both are built
+directly.  At a sphere point P = (a, b, c) the one-slot insertion is
+rho_P = a rho_I + b rho_J + c rho_K and the two-slot insertion is
+(rho_P^2 + k)/2, which on 2-forms is the pullback P*.  They are composed
+in ints over den, the lcm of the point's denominators, and divided once.
+No matrix aI + bJ + cK is formed.
 
 Complex type components are `ComplexForm` values: (re, im) pairs of
 rational forms.  All operators of the decomposition are real, so the
@@ -44,9 +47,13 @@ from fractions import Fraction
 from . import exact_linalg as ela
 from .forms import (
     BilinearForm,
+    FiberOperator,
     KForm,
     apply_operator,
-    routed_operator,
+    combine_operators,
+    compose_operators,
+    multi_indices,
+    sort_with_sign,
 )
 
 _BLOCK_I = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
@@ -106,20 +113,6 @@ class SpherePoint:
 # Built once: a SpherePoint is immutable.
 _AXES = {"I": SpherePoint(1, 0, 0), "J": SpherePoint(0, 1, 0), "K": SpherePoint(0, 0, 1)}
 
-# The three axes and three mixed Pythagorean points.  A quadratic form in
-# (a, b, c) is fixed by its values at these six points (their evaluation
-# matrix on the monomials a^2, b^2, c^2, ab, bc, ca is invertible), so the
-# degree-3 B conditions reduce to them.
-FIXED_WITNESSES = (
-    SpherePoint.axis("I"),
-    SpherePoint.axis("J"),
-    SpherePoint.axis("K"),
-    SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0)),
-    SpherePoint(Fraction(0), Fraction(3, 5), Fraction(4, 5)),
-    SpherePoint(Fraction(4, 5), Fraction(0), Fraction(3, 5)),
-)
-
-
 def random_sphere_points(count: int, seed: int) -> list[SpherePoint]:
     """Deterministic exact rational sphere points (no axis points)."""
     rng = random.Random(seed)
@@ -128,7 +121,8 @@ def random_sphere_points(count: int, seed: int) -> list[SpherePoint]:
         u = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         pt = SpherePoint.from_parameters(u, v)
-        if pt not in points:
+        # u, v in {0, +-1} can land on an axis; those have two zero coordinates.
+        if pt not in points and pt.as_tuple().count(0) < 2:
             points.append(pt)
     return points
 
@@ -165,36 +159,6 @@ class HypercomplexModel:
         point = SpherePoint.axis(name)
         return StructureOperator(self, self.matrix(name), point)
 
-    def integer_sphere_matrix(self, point: SpherePoint) -> tuple[int, tuple]:
-        """(den, den * (aI + bJ + cK)) for the structure at `point`.
-
-        den is the lcm of the point's denominators, so the matrix has int
-        entries; it is checked to square to -den^2 Id in ints.
-        """
-        den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
-        a, b, c = (v.numerator * (den // v.denominator) for v in point.as_tuple())
-        mat = tuple(
-            tuple(a * i + b * j + c * k for i, j, k in zip(row_i, row_j, row_k))
-            for row_i, row_j, row_k in zip(self.I, self.J, self.K)
-        )
-        rows = [[(j, v) for j, v in enumerate(row) if v] for row in mat]
-        for r, row in enumerate(rows):
-            square: dict = {}
-            for k, x in row:
-                for j, y in rows[k]:
-                    square[j] = square.get(j, 0) + x * y
-            if {j: v for j, v in square.items() if v} != {r: -den * den}:
-                raise AssertionError("sphere matrix fails to square to -Id")
-        return den, mat
-
-    def sphere_matrix(self, point: SpherePoint) -> tuple:
-        """The exact Fraction matrix aI + bJ + cK of the structure at `point`."""
-        den, mat = self.integer_sphere_matrix(point)
-        return tuple(tuple(Fraction(v, den) for v in row) for row in mat)
-
-    def sphere_operator(self, point: SpherePoint) -> "StructureOperator":
-        return StructureOperator(self, self.sphere_matrix(point), point)
-
     def to_json(self) -> dict:
         return {"n": self.n, "convention": "left"}
 
@@ -203,7 +167,7 @@ class HypercomplexModel:
 
 
 class StructureOperator:
-    """A complex structure aI + bJ + cK from the sphere family."""
+    """A complex structure from the sphere family; it acts on forms at the axes only."""
 
     __slots__ = ("model", "matrix", "point")
 
@@ -239,26 +203,73 @@ class StructureOperator:
         return f"StructureOperator({self.point.a}, {self.point.b}, {self.point.c})"
 
 
-# Fiber operators for a given (n, sphere point, degree) are cached; the
-# table is read-only after construction so concurrent reads are safe.
+# Fiber operators for a given (n, sphere point or axis, degree) are cached;
+# the table is read-only after construction so concurrent reads are safe.
 _FIBER_CACHE: dict = {}
+
+_AXIS_NAMES = {point: name for name, point in _AXES.items()}
+
+
+def _axis_operators(model: HypercomplexModel, name: str, k: int) -> tuple[FiberOperator, FiberOperator]:
+    """(rho_A, A*) on k-forms for the axis A = `name`, with int entries.
+
+    Each row i of the signed permutation matrix A has one entry s at j, so
+    A* dx_i = s dx_j.  rho_A replaces one slot at a time by its image, and
+    A* replaces every slot at once.
+    """
+    key = (model.n, name, k)
+    cached = _FIBER_CACHE.get(key)
+    if cached is not None:
+        return cached
+    image = [next((j, s) for j, s in enumerate(row) if s) for row in model.matrix(name)]
+    rho: FiberOperator = {}
+    pull: FiberOperator = {}
+    for idx in multi_indices(model.dim, k):
+        column: dict = {}
+        for pos, i in enumerate(idx):
+            j, s = image[i]
+            out_idx, sign = sort_with_sign(idx[:pos] + (j,) + idx[pos + 1:])
+            if out_idx is not None:
+                column[out_idx] = column.get(out_idx, 0) + s * sign
+        rho[idx] = sorted((i, v) for i, v in column.items() if v)
+        out_idx, sign = sort_with_sign([image[i][0] for i in idx])
+        pull[idx] = [(out_idx, sign * math.prod(image[i][1] for i in idx))]
+    _FIBER_CACHE[key] = rho, pull
+    return rho, pull
+
+
+def axis_derivations(model: HypercomplexModel, k: int) -> list[FiberOperator]:
+    """rho_I, rho_J, rho_K on k-forms, with int entries."""
+    return [_axis_operators(model, name, k)[0] for name in ("I", "J", "K")]
 
 
 def _fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, kind: str):
     """The fiber operator of `kind` for the structure at `point` on k-forms.
 
-    It is routed from `HypercomplexModel.integer_sphere_matrix`, so the
-    expansion multiplies only ints.
+    "insert1" is rho_P and "insert2" is (rho_P^2 + k)/2, built in ints from
+    den * rho_P and divided once; "pullback" is built at the three axes
+    only.  The stored coefficients are Fractions.
     """
     key = (model.n, point.as_tuple(), k, kind)
     cached = _FIBER_CACHE.get(key)
     if cached is not None:
         return cached
-    den, mat = model.integer_sphere_matrix(point)
-    slots = {"pullback": k, "insert1": 1, "insert2": 2}.get(kind)
-    if slots is None:
+    if kind == "pullback":
+        name = _AXIS_NAMES.get(point)
+        if name is None:
+            raise ValueError("pullbacks are built at the axes I, J, K only")
+        op = combine_operators([(1, _axis_operators(model, name, k)[1])], den=1)
+    elif kind in ("insert1", "insert2"):
+        den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
+        terms = [(v.numerator * (den // v.denominator), rho)
+                 for v, rho in zip(point.as_tuple(), axis_derivations(model, k)) if v]
+        if kind == "insert1":
+            op = combine_operators(terms, den=den)
+        else:
+            scaled = combine_operators(terms)
+            op = combine_operators([(1, compose_operators(scaled, scaled))], k * den * den, 2 * den * den)
+    else:
         raise ValueError(kind)
-    op = routed_operator(mat, k, model.dim, slots, den)
     _FIBER_CACHE[key] = op
     return op
 
@@ -325,16 +336,17 @@ def two_form_type_components(model: HypercomplexModel, point: SpherePoint,
     """Type components of a 2-form for the structure at `point`.
 
     Keys "20", "11", "02", each a `ComplexForm`.  The construction uses the
-    slots-only pullback P and the one-slot insertion sum s1 (which acts as
-    2i on (2,0), 0 on (1,1), -2i on (0,2)):
+    slots-only pullback P, on 2-forms the two-slot insertion (rho_P^2 + 2)/2,
+    and the one-slot insertion sum s1 = rho_P (which acts as 2i on (2,0),
+    0 on (1,1), -2i on (0,2)):
 
-        rho = (w - Pw)/2,  w11 = (w + Pw)/2,  T = s1(rho)/2,
+        rho = (w - Pw)/2 = -rho_P^2 w/4,  w11 = (w + Pw)/2,  T = s1(rho)/2,
         w02 = (rho + i T)/2,   w20 = (rho - i T)/2.
     """
     if form.degree != 2:
         raise ValueError("expected a 2-form")
     form = _complex(form)
-    pulled = _apply(_fiber_op(model, point, 2, "pullback"), form)
+    pulled = _apply(_fiber_op(model, point, 2, "insert2"), form)
     rho = (form - pulled) * Fraction(1, 2)
     w11 = (form + pulled) * Fraction(1, 2)
     i_t = _apply(_fiber_op(model, point, 2, "insert1"), rho).times_i()

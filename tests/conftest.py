@@ -1,11 +1,16 @@
+import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
 from hktcalc import HypercomplexModel, KForm, Polynomial, ProjectorTable
+from hktcalc import exact_linalg as ela
+from hktcalc.forms import BilinearForm, apply_operator, combine_operators, multi_indices
 from hktcalc.geometry import HyperhermitianMetric, kahler_form
-from hktcalc.structures import FIXED_WITNESSES, SpherePoint, random_sphere_points
+from hktcalc.salamon import _condition_matrix, _condition_operators
+from hktcalc.structures import SpherePoint, StructureOperator, random_sphere_points
 
 
 # Dense exact linear algebra: test oracles.  `hktcalc.exact_linalg` is the
@@ -133,6 +138,167 @@ def flat_form(name: str) -> KForm:
         "K": {(0, 3): 1, (1, 2): 1},
     }[name]
     return KForm(2, 4, {idx: Polynomial.constant(4, c) for idx, c in terms.items()})
+
+
+# The wedge-expansion builder: a test oracle.  The package builds every
+# sphere fiber operator from the axis derivations rho_I, rho_J, rho_K
+# (`hktcalc.structures`); these helpers build the same operators from the
+# matrix den * (aI + bJ + cK) by expanding wedges of its rows, as the
+# package once did, and the tests compare the two.
+
+def bilinear_from_constant(matrix: Sequence[Sequence]) -> BilinearForm:
+    """The bilinear form with constant entries `matrix`."""
+    dim = len(matrix)
+    return BilinearForm([[Polynomial.constant(dim, v) for v in row] for row in matrix])
+
+
+def _wedge_expansion(factors: Sequence[Sequence[tuple[int, Fraction]]]) -> dict:
+    """Expand a wedge of 1-form expansions into {multi-index: coeff}.
+
+    Integer factors give integer coefficients."""
+    partial: dict = {(): 1}
+    for factor in factors:
+        nxt: dict = {}
+        for idx, coeff in partial.items():
+            for j, a in factor:
+                if j in idx:
+                    continue
+                pos = sum(1 for e in idx if e < j)
+                sign = -1 if (len(idx) - pos) % 2 else 1
+                new = idx[:pos] + (j,) + idx[pos:]
+                val = nxt.get(new, 0) + sign * coeff * a
+                if val:
+                    nxt[new] = val
+                elif new in nxt:
+                    del nxt[new]
+        partial = nxt
+    return partial
+
+
+def _int_or_fraction(value) -> int | Fraction:
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _rows(matrix: Sequence[Sequence], dim: int) -> list[list[tuple[int, int | Fraction]]]:
+    """Nonzero entries of each row; integer values become ints, anything
+    else a Fraction."""
+    return [[(j, _int_or_fraction(v)) for j, v in enumerate(matrix[i]) if v] for i in range(dim)]
+
+
+def routed_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int, den: int = 1) -> dict:
+    """Test oracle: route `slots` of the k slots through matrix / den,
+    summed over all choices.
+
+    An integer `matrix` is expanded in ints only; each summed coefficient
+    is then divided once by den**slots.  The stored coefficients are
+    Fractions whatever the entries of `matrix` are.
+    """
+    if not 0 <= slots <= k:
+        raise ValueError("slots must lie in [0, k]")
+    rows = _rows(matrix, dim)
+    plain = [[(i, 1)] for i in range(dim)]
+    scale = den ** slots
+    op: dict = {}
+    for idx in multi_indices(dim, k):
+        total: dict = {}
+        for chosen in itertools.combinations(range(k), slots):
+            factors = [rows[i] if pos in chosen else plain[i] for pos, i in enumerate(idx)]
+            for out_idx, coeff in _wedge_expansion(factors).items():
+                val = total.get(out_idx, 0) + coeff
+                if val:
+                    total[out_idx] = val
+                elif out_idx in total:
+                    del total[out_idx]
+        op[idx] = sorted((out_idx, Fraction(coeff, scale)) for out_idx, coeff in total.items())
+    return op
+
+
+def pullback(form: KForm, matrix: Sequence[Sequence]) -> KForm:
+    """Test oracle: the slots-only pullback (A*w)(X1..Xk) = w(A X1, .., A Xk)
+    by any constant matrix; the coefficient functions are not composed
+    with the map."""
+    if len(matrix) != form.dim:
+        raise ValueError("matrix dimension mismatch")
+    return apply_operator(routed_operator(matrix, form.degree, form.dim, form.degree), form)
+
+
+def integer_sphere_matrix(model: HypercomplexModel, point: SpherePoint) -> tuple[int, tuple]:
+    """Test oracle: (den, den * (aI + bJ + cK)) for the structure at `point`.
+
+    den is the lcm of the point's denominators, so the matrix has int
+    entries; it is checked to square to -den^2 Id in ints.
+    """
+    den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
+    a, b, c = (v.numerator * (den // v.denominator) for v in point.as_tuple())
+    mat = tuple(
+        tuple(a * i + b * j + c * k for i, j, k in zip(row_i, row_j, row_k))
+        for row_i, row_j, row_k in zip(model.I, model.J, model.K)
+    )
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in mat]
+    for r, row in enumerate(rows):
+        square: dict = {}
+        for k, x in row:
+            for j, y in rows[k]:
+                square[j] = square.get(j, 0) + x * y
+        if {j: v for j, v in square.items() if v} != {r: -den * den}:
+            raise AssertionError("sphere matrix fails to square to -Id")
+    return den, mat
+
+
+def sphere_matrix(model: HypercomplexModel, point: SpherePoint) -> tuple:
+    """Test oracle: the exact Fraction matrix aI + bJ + cK at `point`."""
+    den, mat = integer_sphere_matrix(model, point)
+    return tuple(tuple(Fraction(v, den) for v in row) for row in mat)
+
+
+def routed_fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, slots: int) -> dict:
+    """Test oracle: the `slots`-slot insertion sum at `point` on k-forms,
+    expanded from den * (aI + bJ + cK) (slots = k is the pullback)."""
+    den, mat = integer_sphere_matrix(model, point)
+    return routed_operator(mat, k, model.dim, slots, den)
+
+
+class OracleSphereOperator(StructureOperator):
+    """Test oracle: the structure at any sphere point, whose pullback
+    expands its matrix with `routed_operator`.  The package builds
+    pullbacks at the axes only."""
+
+    __slots__ = ()
+
+    def pullback(self, form: KForm) -> KForm:
+        return pullback(form, self.matrix)
+
+
+def sphere_operator(model: HypercomplexModel, point: SpherePoint) -> OracleSphereOperator:
+    return OracleSphereOperator(model, sphere_matrix(model, point), point)
+
+
+# The three axes and three mixed Pythagorean points: a test oracle.  A
+# quadratic form in (a, b, c) is fixed by its values at these six points
+# (their evaluation matrix on the monomials a^2, b^2, c^2, ab, bc, ca is
+# invertible), so the degree-3 B conditions once were the two-slot
+# insertion sums at them; the package now uses the six coefficient
+# conditions, and the tests check that both give one row space.
+FIXED_WITNESSES = (
+    SpherePoint.axis("I"),
+    SpherePoint.axis("J"),
+    SpherePoint.axis("K"),
+    SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0)),
+    SpherePoint(Fraction(0), Fraction(3, 5), Fraction(4, 5)),
+    SpherePoint(Fraction(4, 5), Fraction(0), Fraction(3, 5)),
+)
+
+
+def condition_rank(model: HypercomplexModel, k: int, extra_points: Sequence[SpherePoint] = ()) -> int:
+    """Rank of the stacked B^k conditions (for stability checks).
+
+    Each extra point appends S(P) - Id for the oracle two-slot insertion
+    sum S(P), which on 2-forms is the pullback.
+    """
+    ops = _condition_operators(model, k)
+    ops += [combine_operators([(1, routed_fiber_op(model, pt, k, 2))], -1) for pt in extra_points]
+    return ela.rank(_condition_matrix(model, k, ops))
 
 
 def default_sphere_witnesses(count_random: int = 4, seed: int = 20) -> list[SpherePoint]:

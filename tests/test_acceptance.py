@@ -21,7 +21,7 @@ from hktcalc.batteries import (
     projected_d_squared_battery,
 )
 from hktcalc.elliptic import ConformalMetricSpec, Grid4D, SolverConfig, solve_potential, verify_potential
-from hktcalc.forms import KForm, form_to_vector, multi_indices
+from hktcalc.forms import KForm, multi_indices
 from hktcalc.geometry import (
     default_sample_points,
     hessian_average_metric,
@@ -29,13 +29,14 @@ from hktcalc.geometry import (
     potential_to_forms,
     theta_from_potential,
 )
-from hktcalc.salamon import a11_subspace, condition_rank, salamon_D
+from hktcalc.salamon import a11_subspace, salamon_D
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import random_sphere_points
 
 from conftest import (
     complex_laplacian,
     complex_laplacian_at,
+    condition_rank,
     flat_form,
     norm_squared,
     quarter_norm_potential,
@@ -156,7 +157,7 @@ def test_criterion_7_complex_laplacian(model1, table1, flat1):
     op_i = model1.operator("I")
     for q in quadratics:
         w = table1.eta(op_i.twisted_d(KForm.from_polynomial(q)).d())
-        columns.append([p.constant_term() for p in form_to_vector(w, basis2)])
+        columns.append([w.terms.get(idx, Polynomial.zero(dim)).constant_term() for idx in basis2])
     rows = [[columns[j][i] for j in range(len(quadratics))] for i in range(len(basis2))]
     kernel = ela.null_space(rows)
     constructed = 0

@@ -6,13 +6,14 @@ import pytest
 
 from hktcalc import exact_linalg as ela
 from hktcalc.batteries import random_kform
-from hktcalc.forms import KForm, compose_operators, multi_indices, operator_matrix, routed_operator, vector_to_form
+from hktcalc.forms import KForm, combine_operators, compose_operators, multi_indices, operator_matrix, vector_to_form
 from hktcalc.salamon import (
     DegreeError,
     ProjectorTable,
     a11_subspace,
     bundle_B,
-    condition_rank,
+    _condition_matrix,
+    _condition_operators,
     is_salamon_11,
     proj_formula_D,
     salamon_D,
@@ -21,7 +22,7 @@ from hktcalc.salamon import (
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel, random_sphere_points
 
-from conftest import dense_projector, flat_form, quarter_norm_potential
+from conftest import condition_rank, dense_projector, flat_form, quarter_norm_potential, routed_operator
 
 
 def eta2_closed_form(model: HypercomplexModel, form: KForm) -> KForm:
@@ -151,6 +152,16 @@ class TestEta:
             assert compose_operators(eta, eta) == eta
             trace = sum(v for idx, column in eta.items() for out_idx, v in column if out_idx == idx)
             assert comb(4 * n, k) - trace == b_rank
+        # Every coefficient condition kills B^3 = image(Id - eta_3).
+        complement = combine_operators([(-1, table.columns[3])], 1)
+        for condition in table.conditions[3]:
+            assert not any(compose_operators(condition, complement).values())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_b3_condition_rank_formula(self, n):
+        # rank = dim Lambda^3 - dim B^3 = 4 C(2n, 3), independently of eta.
+        model = HypercomplexModel(n)
+        assert ela.rank(_condition_matrix(model, 3, _condition_operators(model, 3))) == 4 * comb(2 * n, 3)
 
     def test_table_build_needs_no_elimination(self, monkeypatch):
         model = HypercomplexModel(2)

@@ -5,7 +5,7 @@ import pytest
 
 from hktcalc import exact_linalg as ela
 from hktcalc.batteries import random_kform
-from hktcalc.forms import KForm, hessian, multi_indices, operator_matrix, routed_operator
+from hktcalc.forms import KForm, hessian, multi_indices, operator_matrix
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import (
     ComplexForm,
@@ -16,7 +16,7 @@ from hktcalc.structures import (
     two_form_type_components,
 )
 
-from conftest import flat_form, norm_squared
+from conftest import bilinear_from_constant, flat_form, norm_squared, routed_operator, sphere_operator
 
 
 class TestStandardModel:
@@ -51,17 +51,17 @@ class TestStandardModel:
 
 class TestSpherePoints:
     def test_axis_point_is_i(self, model1):
-        op = model1.sphere_operator(SpherePoint.axis("I"))
+        op = sphere_operator(model1, SpherePoint.axis("I"))
         assert ela.mat_eq(op.matrix, model1.I)
 
     def test_pythagorean_point(self, model1):
-        op = model1.sphere_operator(SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0)))
+        op = sphere_operator(model1, SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0)))
         minus_id = ela.mat_scale(ela.identity(4), Fraction(-1))
         assert ela.mat_eq(ela.mat_mul(op.matrix, op.matrix), minus_id)
 
     def test_two_thirds_point(self, model1):
         pt = SpherePoint(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
-        op = model1.sphere_operator(pt)
+        op = sphere_operator(model1, pt)
         minus_id = ela.mat_scale(ela.identity(4), Fraction(-1))
         assert ela.mat_eq(ela.mat_mul(op.matrix, op.matrix), minus_id)
 
@@ -75,6 +75,12 @@ class TestSpherePoints:
 
     def test_random_points_deterministic(self):
         assert random_sphere_points(4, seed=5) == random_sphere_points(4, seed=5)
+
+    def test_random_points_avoid_the_axes(self):
+        # u, v in {0, +-1} map to +-I, +-J or +-K; seed 8 draws -I first.
+        for seed in range(300):
+            for pt in random_sphere_points(5, seed):
+                assert pt.as_tuple().count(0) < 2, (seed, pt)
 
 
 class TestSignedAction:
@@ -97,7 +103,7 @@ class TestSignedAction:
     def test_sphere_operator_action_interpolates(self, model1):
         # At the I axis the sphere action equals the named action.
         w = random_kform(4, 2, random.Random(11))
-        axis = model1.sphere_operator(SpherePoint.axis("I"))
+        axis = sphere_operator(model1, SpherePoint.axis("I"))
         assert axis.act(w) == model1.operator("I").act(w)
 
 
@@ -129,7 +135,7 @@ class TestTwistedDifferential:
     def test_sphere_twisted_d_squares_to_zero(self, model1):
         rng = random.Random(23)
         for pt in random_sphere_points(3, seed=40):
-            op = model1.sphere_operator(pt)
+            op = sphere_operator(model1, pt)
             w = random_kform(4, 1, rng)
             assert op.twisted_d(op.twisted_d(w)).is_zero()
 
@@ -150,9 +156,7 @@ class TestTwistedDifferential:
 
 class TestActBilinear:
     def test_identity_fixed(self, model1):
-        from hktcalc.forms import BilinearForm
-
-        delta = BilinearForm.from_constant([[int(i == j) for j in range(4)] for i in range(4)])
+        delta = bilinear_from_constant([[int(i == j) for j in range(4)] for i in range(4)])
         assert model1.operator("I").act_bilinear(delta) == delta
 
     def test_hessian_of_half_norm(self, model1):
