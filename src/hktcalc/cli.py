@@ -36,7 +36,6 @@ from .geometry import (
     potential_to_forms,
     residual_summary,
     theta_from_potential,
-    torsion_form,
 )
 from .salamon import ProjectorTable, is_salamon_11
 
@@ -153,9 +152,8 @@ def _check_conformal(doc: InputDocument, report: Report) -> None:
     report.verdicts["is_hkt"] = check.ok
     report.data["definition"] = check.summary()
     if check.ok:
-        torsion, strong = torsion_form(metric)
-        report.data["torsion"] = residual_summary(torsion)
-        report.data["strong"] = strong
+        report.data["torsion"] = residual_summary(check.torsion_candidate)
+        report.data["strong"] = check.torsion_candidate.d().is_zero()
 
 
 def cmd_check(args) -> int:

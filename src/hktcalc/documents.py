@@ -206,9 +206,3 @@ class Report:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
-
-    def comparable(self) -> dict:
-        """The deterministic part (everything except timings)."""
-        out = self.to_json()
-        out.pop("timings")
-        return out

@@ -23,33 +23,26 @@ applied as four dense sine-matrix products, one per axis, with the sine
 argument reduced in integers, pi * ((k * j) mod 2N) / N, so every sine is
 taken of an angle in [0, 2 pi).
 
-The solve holds the solution grid and three arrays of the interior's
-size: the right-hand side b, the residual r and a transform scratch.
-The unknowns are the interior view of the solution grid itself; each
-transform step is a matrix product written into r or the scratch, the
-eigenvalue division builds its divisors one axis-0 row at a time, and
-the residual b - A v is formed in r by slice updates.  The Dirichlet data
-are evaluated on the boundary faces only.  Every value goes through the
-same float operations as in the textbook whole-array formulation (kept
-in the tests as the oracle), so the solution is bit-identical to it.
-
-The conformal factor and its gradient are sampled once per grid
-(`ConformalMetricSpec.on_grid`); the solve, both geometric operators and
-the verification share that sampling.  Overflow in the float solve is
-not warned about: non-finite values end in the solver's stall error or
-in the caller's residual gate.
+The solve holds the solution grid, whose interior view is the unknowns,
+one interior array (the residual r) and temporaries of O(m^3) size.  The
+transform runs in place in r, the eigenvalue divisors are built one row
+at a time, and b is never stored: each residual b - A v is A v formed in
+r by slice updates, subtracted from b rebuilt row by row.  The Dirichlet
+data are evaluated on the boundary faces only, and phi and its gradient
+per row or slab, never on the whole m^4 mesh.  Every value goes through
+the same float operations as in the textbook whole-array formulation
+(kept in the tests as the oracle), so the solution is bit-identical to
+it.  Overflow in the float solve is not warned about: non-finite values
+end in the solver's stall error or in the caller's residual gate.
 
 The two stencil passes after the solve -- the geometric residual and the
 verification -- run slab by slab: SLAB_ROWS rows along axis 0 at a time,
 read with a halo of 1 row (solver stencil) or 2 rows (verification
-stencils).  Every node goes through the same arithmetic in the same
-order as in a whole-grid pass, so every nodal value is bit-identical to
-it (only the verification means, sums of slab sums, may differ in the
-last bits), but no temporary of the full m^4 size is ever alive.
-Within a slab the four first-order products (d_k phi / phi^2) D1_k mu
-are computed once; the Laplace-Beltrami summand subtracts them, the
-drift summand adds them, and the two summands are added afterwards, so
-the cancellation is computed rather than assumed.
+stencils), and reduce to max and mean as they go.  Every node goes
+through the same arithmetic in the same order as in a whole-grid pass, so
+every nodal value is bit-identical to it (only the means, sums of slab
+sums, may differ in the last bits), but no temporary of the full m^4 size
+is ever alive.
 """
 
 from __future__ import annotations
@@ -68,15 +61,15 @@ from .structures import HypercomplexModel
 
 
 # Largest grid (nodes per axis) a solve accepts.  Peak memory grows like
-# m^4, about 40 bytes per node (the solution grid, three interior arrays
-# and, for a factor using all four coordinates, its m^4 sample):
-# `hkt solve --grid m` peaked at 80 MB for m = 33, 247 MB for m = 49 and
-# 687 MB for m = 65 (max RSS), so the next odd grid above 65, 97, would
-# need about 3.3 GB.
+# m^4, about 17 bytes per node (the solution grid and the residual r):
+# `hkt solve --grid m` on a factor using all four coordinates peaked at
+# 60 MB for m = 33, 141 MB for m = 49 and 328 MB for m = 65 (max RSS), so
+# the next odd grid above 65, 97, would need about 1.5 GB.
 MAX_GRID = 65
 
-# Rows along axis 0 per slab of the stencil passes after the solve.  1, 2,
-# 4 and 8 rows gave the same peak RSS at m = 33 and times within noise.
+# Rows along axis 0 per slab of the factor check and of the stencil passes
+# after the solve.  1, 2, 4 and 8 rows gave the same peak RSS at m = 33 and
+# times within noise.
 SLAB_ROWS = 4
 
 
@@ -111,7 +104,6 @@ class ConformalMetricSpec:
 
     phi: Polynomial
     box: tuple[float, float] = (-1.0, 1.0)
-    _sampled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.phi.dim != 4:
@@ -122,24 +114,6 @@ class ConformalMetricSpec:
 
     def gradient(self) -> list[Polynomial]:
         return [self.phi.partial(i) for i in range(4)]
-
-    def on_grid(self, grid: "Grid4D") -> tuple[np.ndarray, list[np.ndarray]]:
-        """(phi, [d_0 phi, .., d_3 phi]) on the nodes of `grid`, as read-only
-        m^4 views of samples that store only the axes each one depends on.
-
-        Only the latest sampling is kept, keyed by phi and the grid's
-        (m, lo, hi), so a solve and its verification on one grid sample
-        phi once and two grids' samples are never held together.
-        """
-        key = (grid.m, grid.lo, grid.hi)
-        cached = self._sampled
-        if cached is None or cached[0] is not self.phi or cached[1] != key:
-            mesh = grid.meshgrid()
-            shape = (grid.m,) * 4
-            phi = np.broadcast_to(_eval_poly_on_mesh(self.phi, mesh), shape)
-            dphi = [np.broadcast_to(_eval_poly_on_mesh(p, mesh), shape) for p in self.gradient()]
-            self._sampled = cached = (self.phi, key, phi, dphi)
-        return cached[2], cached[3]
 
 
 @dataclass(frozen=True)
@@ -198,9 +172,6 @@ class Grid4D:
         grid.values[...] = _eval_poly_on_mesh(poly, grid.meshgrid())
         return grid
 
-    def copy(self) -> "Grid4D":
-        return Grid4D(self.m, self.lo, self.hi, self.values.copy())
-
     def export_slice_csv(self, path, fixed_axes=(2, 3)) -> None:
         """Write the 2D slice through the box center as x_a, x_b, value."""
         free = [a for a in range(4) if a not in fixed_axes]
@@ -238,32 +209,43 @@ def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarr
     return total
 
 
+def _sample_rows(polys: Sequence[Polynomial], grid: Grid4D, start: int, stop: int) -> list[np.ndarray]:
+    """Each of `polys` on the axis-0 rows start .. stop - 1 of `grid`, as
+    read-only (stop - start, m, m, m) views of samples that store only the
+    axes each one depends on.  Every value is bit-identical to the one a
+    whole-mesh sample holds at that node."""
+    mesh = grid.meshgrid()
+    mesh[0] = mesh[0][start:stop]
+    shape = (stop - start,) + (grid.m,) * 3
+    return [np.broadcast_to(_eval_poly_on_mesh(p, mesh), shape) for p in polys]
+
+
 def _interior(a: np.ndarray) -> np.ndarray:
     return a[1:-1, 1:-1, 1:-1, 1:-1]
 
 
+def _shifted(full: np.ndarray, shifts: dict, margin: int) -> np.ndarray:
+    """Margin-interior view shifted by `shifts[axis]` nodes per axis."""
+    sl = []
+    for axis in range(4):
+        s = shifts.get(axis, 0)
+        sl.append(slice(margin + s, full.shape[axis] - margin + s))
+    return full[tuple(sl)]
+
+
 def _second_diff_sum(full: np.ndarray, h: float) -> np.ndarray:
     """sum_i D2_i on interior nodes (standard 9-point 4D stencil)."""
-    out = -8.0 * full[1:-1, 1:-1, 1:-1, 1:-1]
-    out += full[2:, 1:-1, 1:-1, 1:-1]
-    out += full[:-2, 1:-1, 1:-1, 1:-1]
-    out += full[1:-1, 2:, 1:-1, 1:-1]
-    out += full[1:-1, :-2, 1:-1, 1:-1]
-    out += full[1:-1, 1:-1, 2:, 1:-1]
-    out += full[1:-1, 1:-1, :-2, 1:-1]
-    out += full[1:-1, 1:-1, 1:-1, 2:]
-    out += full[1:-1, 1:-1, 1:-1, :-2]
+    out = -8.0 * _interior(full)
+    for a in range(4):
+        out += _shifted(full, {a: 1}, 1)
+        out += _shifted(full, {a: -1}, 1)
     out /= h * h
     return out
 
 
 def _first_diff(full: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Central first difference on interior nodes."""
-    plus = [slice(1, -1)] * 4
-    minus = [slice(1, -1)] * 4
-    plus[axis] = slice(2, None)
-    minus[axis] = slice(None, -2)
-    return (full[tuple(plus)] - full[tuple(minus)]) / (2.0 * h)
+    return (_shifted(full, {axis: 1}, 1) - _shifted(full, {axis: -1}, 1)) / (2.0 * h)
 
 
 def _slab_rows(m: int, margin: int):
@@ -281,35 +263,37 @@ def _geometric_slabs(spec: ConformalMetricSpec, grid: Grid4D):
     a halo of one row on each side.  The products
     (d_k phi / phi^2) D1_k mu are formed once and enter both summands.
     """
-    phi, dphi = spec.on_grid(grid)
+    polys = [spec.phi, *spec.gradient()]
     h = grid.h
     for start, stop in _slab_rows(grid.m, 1):
-        rows = slice(start, stop)
         full = grid.values[start - 1 : stop + 1]
-        phi_in = phi[rows, 1:-1, 1:-1, 1:-1]
+        phi_in, *dphi_in = (a[:, 1:-1, 1:-1, 1:-1] for a in _sample_rows(polys, grid, start, stop))
         phi_sq = phi_in**2
         lap = -_second_diff_sum(full, h)
         lap /= phi_in
         drift = np.zeros(lap.shape)
         for k in range(4):
-            product = dphi[k][rows, 1:-1, 1:-1, 1:-1] / phi_sq
+            product = dphi_in[k] / phi_sq
             product *= _first_diff(full, k, h)
             lap -= product
             drift += product
-        yield rows, lap, drift
+        yield slice(start, stop), lap, drift
 
 
-def potential_operator_apply(spec: ConformalMetricSpec, grid: Grid4D) -> Grid4D:
-    """The assembled left-hand side  Delta mu + omega-sharp(mu).
-
-    The first-order stencils of the two summands cancel exactly (same
-    nodal coefficients, same differences), leaving -phi^{-1} sum_i D2_i.
-    Both summands are still built and added, slab by slab.
-    """
-    out = np.zeros_like(grid.values)
-    for rows, lap, drift in _geometric_slabs(spec, grid):
-        np.add(lap, drift, out=out[rows, 1:-1, 1:-1, 1:-1])
-    return Grid4D(grid.m, grid.lo, grid.hi, out)
+def _geometric_residual(spec: ConformalMetricSpec, grid: Grid4D) -> tuple[float, float]:
+    """(max, mean) of |Delta mu + omega-sharp(mu) + 4| over the interior,
+    reduced slab by slab.  The first-order stencils of the two summands
+    cancel exactly, leaving -phi^{-1} sum_i D2_i; both are still built and
+    added, so the cancellation is computed rather than assumed."""
+    res_max, res_sum = -math.inf, 0.0
+    for _, lap, drift in _geometric_slabs(spec, grid):
+        lap += drift
+        lap += float(TRACE_TARGET)
+        np.abs(lap, out=lap)
+        # np.maximum, unlike max(), carries a NaN through as the whole-grid max would.
+        res_max = float(np.maximum(res_max, lap.max()))
+        res_sum += float(lap.sum())
+    return res_max, res_sum / (grid.m - 2) ** 4
 
 
 @dataclass
@@ -336,21 +320,35 @@ def _write_dirichlet_faces(config: SolverConfig, grid: Grid4D) -> None:
         grid.values[ends] = _eval_poly_on_mesh(config.dirichlet, cut)
 
 
-def _linear_system(spec: ConformalMetricSpec, grid: Grid4D, config: SolverConfig):
-    """(phi, b): the factor on the grid and the right-hand side b of
-    A v = b for the interior unknowns v.  The Dirichlet data are written
-    into the boundary of grid.values, whose interior must be zero."""
-    phi, _ = spec.on_grid(grid)
-    if not np.all(phi > 0):
-        raise ValueError("conformal factor must be positive at every grid node")
-    _write_dirichlet_faces(config, grid)
-    b = _second_diff_sum(grid.values, grid.h)
-    # b += -4 phi, one row at a time so no interior temporary is built.
+def _factor_minimum(spec: ConformalMetricSpec, grid: Grid4D) -> float:
+    """min phi over the interior nodes; ValueError unless phi > 0 at every
+    node.  Sampled and reduced slab by slab."""
+    m, phi_min = grid.m, math.inf
+    for start, stop in _slab_rows(m, 0):
+        (phi,) = _sample_rows([spec.phi], grid, start, stop)
+        if not np.all(phi > 0):
+            raise ValueError("conformal factor must be positive at every grid node")
+        inner = phi[max(start, 1) - start : min(stop, m - 1) - start, 1:-1, 1:-1, 1:-1]
+        phi_min = min(phi_min, float(inner.min(initial=math.inf)))
+    return phi_min
+
+
+def _rhs_rows(spec: ConformalMetricSpec, grid: Grid4D):
+    """Yield (rows, b[rows]) one interior row at a time for b = sum_i D2_i
+    (Dirichlet data) - 4 phi, each built from a copy of the row's 3-row
+    grid slab with the unknowns zeroed, so b is never stored.  phi is
+    sampled once per slab of rows."""
+    m, h = grid.m, grid.h
     target = -float(TRACE_TARGET)
-    phi_in = _interior(phi)
-    for i in range(b.shape[0]):
-        b[i] += target * phi_in[i]
-    return phi, b
+    for start, stop in _slab_rows(m, 1):
+        (phi,) = _sample_rows([spec.phi], grid, start, stop)
+        for i in range(start, stop):
+            data = grid.values[i - 1 : i + 2].copy()
+            # Grid rows 0 and m - 1 are boundary faces throughout.
+            data[(1 if i == 1 else 0) : (2 if i == m - 2 else 3), 1:-1, 1:-1, 1:-1] = 0.0
+            b = _second_diff_sum(data, h)
+            b += target * phi[i - start : i - start + 1, 1:-1, 1:-1, 1:-1]
+            yield slice(i - 1, i), b
 
 
 def _negative_laplacian(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
@@ -383,40 +381,50 @@ def _sine_matrix(n: int) -> np.ndarray:
 
 
 def _dst4(a: np.ndarray, scratch: np.ndarray, sines: np.ndarray) -> np.ndarray:
-    """DST-I along all four axes of a cube `a`, in place; returns `a`.
+    """DST-I along all four axes of a cube `a` of side n, in place; returns `a`.
 
-    `sines` = _sine_matrix(n) and `scratch` is a buffer of a's shape.  Each
-    step is one matrix product that transforms the first axis and leaves
-    it last, written alternately into `scratch` and back into `a`, so
-    after four steps the axes are back in order and the result is in `a`.
+    `sines` = _sine_matrix(n) and `scratch` is an (n, n, n) buffer.  Axis 0
+    is transformed in blocks of n^2 columns, then each axis-0 row takes
+    three products that each transform its first axis and leave it last.
+    Every product is `block.T @ sines`, as in the whole-array formulation,
+    which it matches bit for bit.
     """
     n = a.shape[0]
-    for src, dst in ((a, scratch), (scratch, a)) * 2:
-        np.matmul(src.reshape(n, -1).T, sines, out=dst.reshape(-1, n))
+    columns, out = a.reshape(n, -1), scratch.reshape(-1, n)
+    for c in range(0, n**3, n * n):
+        block = columns[:, c : c + n * n]
+        np.matmul(block.T, sines, out=out)
+        block[...] = out.T
+    for row in a:
+        for src, dst in ((row, scratch), (scratch, row), (row, scratch)):
+            np.matmul(src.reshape(n, -1).T, sines, out=dst.reshape(-1, n))
+        row[...] = scratch
     return a
 
 
-def _dst_poisson_solve(b: np.ndarray, v: np.ndarray, h: float, tol: float, max_iter: int) -> int:
+def _dst_poisson_solve(rhs, v: np.ndarray, h: float, tol: float, max_iter: int) -> int:
     """Direct DST-I solve of  A v = b, refined until max|b - A v| <= tol.
 
-    `v` holds zeros on entry (typically the interior view of the solution
-    grid) and the solution on return.  The sines diagonalize A with
-    eigenvalues sum_axes (4/h^2) sin^2(pi k / 2N), so each sweep applies
-    A^{-1} exactly up to rounding: v += A^{-1} r, then the true residual
-    r = b - A v is recomputed.  Besides b, the sweeps use two work arrays
-    of b's shape, r and the transform scratch.  Returns the sweep count.
+    `rhs()` yields (rows, b[rows]) slabs covering b, rebuilt for every
+    residual.  `v` holds zeros on entry (typically the interior view of the
+    solution grid) and the solution on return.  The sines diagonalize A
+    with eigenvalues sum_axes (4/h^2) sin^2(pi k / 2N), so each sweep
+    applies A^{-1} exactly up to rounding: v += A^{-1} r, then the true
+    residual r = b - A v is recomputed.  Returns the sweep count.
     """
-    big_n = b.shape[0] + 1
+    big_n = v.shape[0] + 1
     axis_eig = (4.0 / (h * h)) * np.sin(np.pi * np.arange(1, big_n) / (2 * big_n)) ** 2
     scale = (2.0 * big_n) ** 4
     sines = _sine_matrix(big_n - 1)
+    r = np.empty(v.shape)
+    for rows, b in rhs():
+        r[rows] = b
     # max|r| as max(max r, -min r): no |r| temporary, and a NaN still
     # propagates into the stall check.
-    res = float(max(b.max(), -b.min()))
+    res = float(max(r.max(), -r.min()))
     if res <= tol:
         return 0
-    r = b.copy()
-    scratch = np.empty_like(b)
+    scratch = np.empty((big_n - 1,) * 3)
     for sweep in range(1, max_iter + 1):
         _dst4(r, scratch, sines)
         # Divide by the eigenvalues (2N)^4 (a_i + a_j + a_k + a_l) one
@@ -426,7 +434,9 @@ def _dst_poisson_solve(b: np.ndarray, v: np.ndarray, h: float, tol: float, max_i
             row *= scale
             r[i] /= row
         v += _dst4(r, scratch, sines)
-        np.subtract(b, _negative_laplacian(v, h, r), out=r)
+        _negative_laplacian(v, h, r)
+        for rows, b in rhs():
+            np.subtract(b, r[rows], out=r[rows])
         new_res = float(max(r.max(), -r.min()))
         if new_res <= tol:
             return sweep
@@ -453,16 +463,13 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     """
     config = config or SolverConfig()
     solution = Grid4D(m, *spec.box)
-    phi, b = _linear_system(spec, solution, config)
+    phi_min = _factor_minimum(spec, solution)
+    _write_dirichlet_faces(config, solution)
     h = solution.h
-    iterations = _dst_poisson_solve(b, _interior(solution.values), h, config.tol, config.max_iter)
-    del b  # freed before the geometric residual allocates its grid
-
-    geo = potential_operator_apply(spec, solution)
-    residual = _interior(geo.values) + float(TRACE_TARGET)
-    np.abs(residual, out=residual)
-    res_max = float(np.max(residual))
-    res_mean = float(np.mean(residual))
+    iterations = _dst_poisson_solve(
+        lambda: _rhs_rows(spec, solution), _interior(solution.values), h, config.tol, config.max_iter
+    )
+    res_max, res_mean = _geometric_residual(spec, solution)
     return SolveResult(
         solution,
         iterations,
@@ -475,18 +482,9 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
             "h": h,
             "unknowns": (m - 2) ** 4,
             "tol": config.tol,
-            "phi_min": float(np.min(_interior(phi))),
+            "phi_min": phi_min,
         },
     )
-
-
-def _shifted(full: np.ndarray, shifts: dict, margin: int) -> np.ndarray:
-    """Margin-interior view shifted by `shifts[axis]` nodes per axis."""
-    sl = []
-    for axis in range(4):
-        s = shifts.get(axis, 0)
-        sl.append(slice(margin + s, full.shape[axis] - margin + s))
-    return full[tuple(sl)]
 
 
 def _wide_second_diff(full: np.ndarray, axis: int, h: float, margin: int = 2) -> np.ndarray:
@@ -541,7 +539,6 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
     if grid.m < 2 * margin + 1:
         raise ValueError("grid too small for verification stencils")
     h = grid.h
-    phi, _ = spec.on_grid(grid)
     model = HypercomplexModel(1)
     perms = [_signed_permutation(model.matrix(nm)) for nm in ("I", "J", "K")]
     scale = float(SOLVER_FORM_SCALE)
@@ -551,7 +548,8 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
 
     for start, stop in _slab_rows(grid.m, margin):
         full = grid.values[start - margin : stop + margin]
-        phi_in = phi[(slice(start, stop), *inner)]
+        (phi,) = _sample_rows([spec.phi], grid, start, stop)
+        phi_in = phi[(slice(None), *inner)]
         wide = [_wide_second_diff(full, a, h, margin) for a in range(4)]
         mixed = {(a, b): _mixed_diff(full, a, b, h, margin) for a in range(4) for b in range(a + 1, 4)}
 

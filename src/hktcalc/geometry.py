@@ -459,7 +459,8 @@ def hkt_report(
         raise ConventionError("bilinearized sphere conditions disagree with the projector")
     torsion = strong = None
     if defn.ok:
-        torsion, strong = torsion_form(metric)
+        torsion = defn.torsion_candidate
+        strong = torsion.d().is_zero()
     pts = sample_points if sample_points is not None else default_sample_points(model.dim)
     return HKTReport(
         defn.ok,

@@ -40,9 +40,9 @@ It vanishes on the sphere exactly when its six coefficients do:
     (rho_A^2 + 1)/2            for A = I, J, K,
     (rho_A rho_B + rho_B rho_A)/2   for the pairs AB = IJ, JK, KI,
 
-the six coefficient conditions.  The three rho_A^2 are the ones eta_3
-composes.  Rank stability under extra random sphere points is asserted
-separately as a guard.
+the six coefficient conditions.  The three rho_A^2 are shared with eta_3
+and the axis insertions (`structures.axis_squares`).  Rank stability
+under extra random sphere points is asserted separately as a guard.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .forms import (
     multi_indices,
     operator_matrix,
 )
-from .structures import HypercomplexModel, _axis_operators, axis_derivations
+from .structures import HypercomplexModel, _axis_operators, axis_derivations, axis_squares
 
 
 class DegreeError(ValueError):
@@ -81,24 +81,21 @@ class FiberSubspace:
         return len(self.basis)
 
 
-def _condition_operators(model: HypercomplexModel, k: int,
-                         squares: Sequence[FiberOperator] | None = None) -> list[FiberOperator]:
+def _condition_operators(model: HypercomplexModel, k: int) -> list[FiberOperator]:
     """The exact linear conditions cutting out B^k (degree 2 or 3).
 
     A fiber vector lies in B^k exactly when every returned operator kills
     it: A* - Id at the three axes for k = 2, the six coefficient
-    conditions for k = 3.  `squares` are rho_I^2, rho_J^2, rho_K^2 on
-    3-forms when the caller has them.
+    conditions for k = 3.
     """
     if k == 2:
         return [combine_operators([(1, _axis_operators(model, name, 2)[1])], -1, 1) for name in ("I", "J", "K")]
     if k != 3:
         raise DegreeError(f"bundle computation supports degrees 2 and 3, got {k}")
     rho = axis_derivations(model, 3)
-    squares = squares or [compose_operators(r, r) for r in rho]
     pairs = [(compose_operators(rho[a], rho[b]), compose_operators(rho[b], rho[a]))
              for a, b in ((0, 1), (1, 2), (2, 0))]
-    return ([combine_operators([(1, sq)], 1, 2) for sq in squares]
+    return ([combine_operators([(1, sq)], 1, 2) for sq in axis_squares(model, 3)]
             + [combine_operators([(1, ab), (1, ba)], 0, 2) for ab, ba in pairs])
 
 
@@ -144,9 +141,8 @@ class ProjectorTable:
         self.columns: dict[int, FiberOperator] = {}
         self.conditions: dict[int, list[FiberOperator]] = {}
         for k, (shift, den) in _ETA_FROM_CASIMIR.items():
-            squares = [compose_operators(rho, rho) for rho in axis_derivations(model, k)]
-            self.columns[k] = combine_operators([(-1, sq) for sq in squares], -shift, den)
-            self.conditions[k] = _condition_operators(model, k, squares)
+            self.columns[k] = combine_operators([(-1, sq) for sq in axis_squares(model, k)], -shift, den)
+            self.conditions[k] = _condition_operators(model, k)
 
     def eta_matrix(self, k: int):
         if k not in self.columns:

@@ -243,19 +243,30 @@ def axis_derivations(model: HypercomplexModel, k: int) -> list[FiberOperator]:
     return [_axis_operators(model, name, k)[0] for name in ("I", "J", "K")]
 
 
+def axis_squares(model: HypercomplexModel, k: int) -> list[FiberOperator]:
+    """rho_I^2, rho_J^2, rho_K^2 on k-forms, with int entries, each composed
+    once per (n, axis, k): eta, the B^3 conditions and the two-slot
+    insertions at the axes share them."""
+    for name, rho in zip("IJK", axis_derivations(model, k)):
+        if (model.n, name, k, "square") not in _FIBER_CACHE:
+            _FIBER_CACHE[model.n, name, k, "square"] = compose_operators(rho, rho)
+    return [_FIBER_CACHE[model.n, name, k, "square"] for name in "IJK"]
+
+
 def _fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, kind: str):
     """The fiber operator of `kind` for the structure at `point` on k-forms.
 
     "insert1" is rho_P and "insert2" is (rho_P^2 + k)/2, built in ints from
-    den * rho_P and divided once; "pullback" is built at the three axes
-    only.  The stored coefficients are Fractions.
+    den * rho_P and divided once (at an axis from the cached rho_A^2);
+    "pullback" is built at the three axes only.  The stored coefficients
+    are Fractions.
     """
     key = (model.n, point.as_tuple(), k, kind)
     cached = _FIBER_CACHE.get(key)
     if cached is not None:
         return cached
+    name = _AXIS_NAMES.get(point)
     if kind == "pullback":
-        name = _AXIS_NAMES.get(point)
         if name is None:
             raise ValueError("pullbacks are built at the axes I, J, K only")
         op = combine_operators([(1, _axis_operators(model, name, k)[1])], den=1)
@@ -265,6 +276,8 @@ def _fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, kind: str):
                  for v, rho in zip(point.as_tuple(), axis_derivations(model, k)) if v]
         if kind == "insert1":
             op = combine_operators(terms, den=den)
+        elif name is not None:
+            op = combine_operators([(1, axis_squares(model, k)["IJK".index(name)])], k, 2)
         else:
             scaled = combine_operators(terms)
             op = combine_operators([(1, compose_operators(scaled, scaled))], k * den * den, 2 * den * den)

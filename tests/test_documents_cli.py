@@ -178,9 +178,23 @@ class TestCheckCommand:
         assert report["verdicts"]["is_hkt"]
         assert report["data"]["hkt_report"]["strong"]
 
-    def test_conformal_document(self, tmp_path, capsys):
+    def test_conformal_document(self, tmp_path, capsys, monkeypatch):
+        import hktcalc.cli as cli
+        import hktcalc.geometry as geometry
+
+        calls = []
+        original = geometry.is_hkt_definition
+
+        def spy(metric):
+            calls.append(metric)
+            return original(metric)
+
+        # The torsion comes from the one definition check, not a second one.
+        monkeypatch.setattr(cli, "is_hkt_definition", spy)
+        monkeypatch.setattr(geometry, "is_hkt_definition", spy)
         path = write(tmp_path, "conf.json", conformal_doc())
         assert main(["check", path]) == EXIT_OK
+        assert len(calls) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["verdicts"]["is_hkt"]
         assert report["data"]["torsion"]["nonzero_terms"] > 0
@@ -262,14 +276,14 @@ class TestSolveCommand:
     def test_corrupted_residual_exit_code(self, tmp_path, capsys, monkeypatch, corruption):
         import hktcalc.elliptic as elliptic
 
-        apply = elliptic.potential_operator_apply
+        slabs = elliptic._geometric_slabs
 
         def corrupted(spec, grid):
-            out = apply(spec, grid)
-            out.values[1:-1, 1:-1, 1:-1, 1:-1] += corruption
-            return out
+            # The slab pass the solve reduces to its geometric residual.
+            for rows, lap, drift in slabs(spec, grid):
+                yield rows, lap + corruption, drift
 
-        monkeypatch.setattr(elliptic, "potential_operator_apply", corrupted)
+        monkeypatch.setattr(elliptic, "_geometric_slabs", corrupted)
         path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
         assert main(["solve", path, "--grid", "7"]) == EXIT_SOLVER_ERROR
         captured = capsys.readouterr()

@@ -47,6 +47,24 @@ def _report(name: str, tables: dict) -> dict:
 
 
 @pytest.mark.parametrize("name", CASES)
+def test_report_checks_the_definition_once(name, table1, table2, monkeypatch):
+    # The torsion of an HKT report comes from the definition check's own
+    # candidate, not from a second `is_hkt_definition` via `torsion_form`.
+    from hktcalc import geometry
+
+    calls = []
+    original = geometry.is_hkt_definition
+
+    def spy(metric):
+        calls.append(metric)
+        return original(metric)
+
+    monkeypatch.setattr(geometry, "is_hkt_definition", spy)
+    _report(name, {1: table1, 2: table2})
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", CASES)
 def test_report_matches_golden(name, table1, table2):
     expected = json.loads((DATA / f"hkt_report_{name}.json").read_text())
     assert _report(name, {1: table1, 2: table2}) == expected

@@ -306,3 +306,32 @@ class TestComplexForm:
         assert z.coefficient_height() == 7
         assert ComplexForm.real(KForm.zero(2, 4)).is_zero()
         assert not z.is_zero()
+
+
+class TestAxisSquares:
+    def test_cold_table_and_negative_report_compose_each_square_once(self, monkeypatch):
+        # rho_A^2 is composed once per (n, axis, k) and shared by eta, the
+        # B^3 conditions and the two-slot insertions at the axes.
+        from hktcalc import structures
+        from hktcalc.batteries import random_a11_form
+        from hktcalc.forms import combine_operators, compose_operators
+        from hktcalc.geometry import hkt_report
+        from hktcalc.salamon import ProjectorTable
+
+        monkeypatch.setattr(structures, "_FIBER_CACHE", {})
+        squared = []
+
+        def spy(a, b):
+            if a is b:
+                squared.append(a)
+            return compose_operators(a, b)
+
+        monkeypatch.setattr(structures, "compose_operators", spy)
+        model = HypercomplexModel(2)
+        report = hkt_report(ProjectorTable(model), random_a11_form(model, random.Random(504)))
+        assert not report.twistor_ok
+        rho = {(name, k): structures._axis_operators(model, name, k)[0] for name in "IJK" for k in (2, 3)}
+        assert sorted(id(op) for op in squared) == sorted(id(op) for op in rho.values())
+        for (name, k), op in rho.items():
+            insertion = structures._fiber_op(model, SpherePoint.axis(name), k, "insert2")
+            assert insertion == combine_operators([(1, compose_operators(op, op))], k, 2)
