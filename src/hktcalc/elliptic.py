@@ -27,13 +27,12 @@ The solve holds the solution grid, whose interior view is the unknowns,
 one interior array (the residual r) and temporaries of O(m^3) size.  The
 transform runs in place in r, the eigenvalue divisors are built one row
 at a time, and b is never stored: each residual b - A v is A v formed in
-r by slice updates, subtracted from b rebuilt row by row.  The Dirichlet
-data are evaluated on the boundary faces only, and phi and its gradient
-per row or slab, never on the whole m^4 mesh.  Every value goes through
-the same float operations as in the textbook whole-array formulation
-(kept in the tests as the oracle), so the solution is bit-identical to
-it.  Overflow in the float solve is not warned about: non-finite values
-end in the solver's stall error or in the caller's residual gate.
+r by slice updates, subtracted from b rebuilt row by row from the faces.
+The Dirichlet data are sampled on the boundary faces only, phi and its
+gradient per row or slab.  Up to added exact zeros, every value goes
+through the float operations of the textbook whole-array formulation (the
+tests' oracle), so the solution is bit-identical to it.  Overflow is not
+warned about: non-finite values end in the stall error or residual gate.
 
 The two stencil passes after the solve -- the geometric residual and the
 verification -- run slab by slab: SLAB_ROWS rows along axis 0 at a time,
@@ -48,6 +47,7 @@ is ever alive.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -63,7 +63,7 @@ from .structures import HypercomplexModel
 # Largest grid (nodes per axis) a solve accepts.  Peak memory grows like
 # m^4, about 17 bytes per node (the solution grid and the residual r):
 # `hkt solve --grid m` on a factor using all four coordinates peaked at
-# 60 MB for m = 33, 141 MB for m = 49 and 328 MB for m = 65 (max RSS), so
+# 54 MB for m = 33, 127 MB for m = 49 and 318 MB for m = 65 (max RSS), so
 # the next odd grid above 65, 97, would need about 1.5 GB.
 MAX_GRID = 65
 
@@ -130,8 +130,9 @@ class SolverConfig:
     dirichlet: Polynomial | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        # An infinite tolerance would accept the unsolved zero interior.
+        if not (0 < self.tol < math.inf):
+            raise ValueError(f"tolerance must be a positive finite number, got {self.tol!r}")
         if self.dirichlet is not None and not (
             isinstance(self.dirichlet, Polynomial) and self.dirichlet.dim == 4
         ):
@@ -192,11 +193,10 @@ def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarr
     """Float values of `poly` on the sparse mesh; ValueError if a coefficient
     exceeds the float range.
 
-    The result broadcasts to the full grid but keeps length 1 on every axis
-    whose variable `poly` does not contain.
+    The result broadcasts to the full grid; it, like each partial sum, keeps
+    length 1 on every axis whose variable none of the terms summed contains.
     """
-    used = [x.shape for i, x in enumerate(mesh) if any(exp[i] for exp in poly.terms)]
-    total = np.zeros(np.broadcast_shapes(*used))
+    total = np.zeros(())
     for exp, coeff in poly.terms.items():
         try:
             term = np.full((), float(coeff))
@@ -205,7 +205,10 @@ def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarr
         for x, e in zip(mesh, exp):
             if e:
                 term = term * x**e
-        total += term
+        if np.broadcast_shapes(total.shape, term.shape) == total.shape:
+            total += term
+        else:
+            total = total + term
     return total
 
 
@@ -224,12 +227,10 @@ def _interior(a: np.ndarray) -> np.ndarray:
     return a[1:-1, 1:-1, 1:-1, 1:-1]
 
 
-def _shifted(full: np.ndarray, shifts: dict, margin: int) -> np.ndarray:
-    """Margin-interior view shifted by `shifts[axis]` nodes per axis."""
-    sl = []
-    for axis in range(4):
-        s = shifts.get(axis, 0)
-        sl.append(slice(margin + s, full.shape[axis] - margin + s))
+def _shifted(full: np.ndarray, axis: int, step: int, margin: int) -> np.ndarray:
+    """Margin-interior view shifted by `step` nodes along `axis`."""
+    sl = [slice(margin, n - margin) for n in full.shape]
+    sl[axis] = slice(margin + step, full.shape[axis] - margin + step)
     return full[tuple(sl)]
 
 
@@ -237,15 +238,15 @@ def _second_diff_sum(full: np.ndarray, h: float) -> np.ndarray:
     """sum_i D2_i on interior nodes (standard 9-point 4D stencil)."""
     out = -8.0 * _interior(full)
     for a in range(4):
-        out += _shifted(full, {a: 1}, 1)
-        out += _shifted(full, {a: -1}, 1)
+        out += _shifted(full, a, 1, 1)
+        out += _shifted(full, a, -1, 1)
     out /= h * h
     return out
 
 
 def _first_diff(full: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Central first difference on interior nodes."""
-    return (_shifted(full, {axis: 1}, 1) - _shifted(full, {axis: -1}, 1)) / (2.0 * h)
+    return (_shifted(full, axis, 1, 1) - _shifted(full, axis, -1, 1)) / (2.0 * h)
 
 
 def _slab_rows(m: int, margin: int):
@@ -335,19 +336,25 @@ def _factor_minimum(spec: ConformalMetricSpec, grid: Grid4D) -> float:
 
 def _rhs_rows(spec: ConformalMetricSpec, grid: Grid4D):
     """Yield (rows, b[rows]) one interior row at a time for b = sum_i D2_i
-    (Dirichlet data) - 4 phi, each built from a copy of the row's 3-row
-    grid slab with the unknowns zeroed, so b is never stored.  phi is
-    sampled once per slab of rows."""
+    (Dirichlet data) - 4 phi: -4 phi (phi sampled per slab) plus, at nodes
+    next to a face, the face neighbours summed in stencil order over h^2; the
+    stencil's other terms are exact zeros, so every value is bit-identical."""
     m, h = grid.m, grid.h
-    target = -float(TRACE_TARGET)
+    inner = (slice(1, -1),) * 3
+    # (nodes of a row, their neighbours in it) for the faces of axes 1 .. 3.
+    faces = [((slice(None),) * a + (node,), inner[:a] + (face,) + inner[a + 1 :])
+             for a in range(3) for node, face in ((m - 3, m - 1), (0, 0))]
     for start, stop in _slab_rows(m, 1):
         (phi,) = _sample_rows([spec.phi], grid, start, stop)
         for i in range(start, stop):
-            data = grid.values[i - 1 : i + 2].copy()
+            near = np.zeros((m - 2,) * 3)
             # Grid rows 0 and m - 1 are boundary faces throughout.
-            data[(1 if i == 1 else 0) : (2 if i == m - 2 else 3), 1:-1, 1:-1, 1:-1] = 0.0
-            b = _second_diff_sum(data, h)
-            b += target * phi[i - start : i - start + 1, 1:-1, 1:-1, 1:-1]
+            for edge in [m - 1] * (i == m - 2) + [0] * (i == 1):
+                near += grid.values[edge][inner]
+            for nodes, face in faces:
+                near[nodes] += grid.values[i][face]
+            b = -float(TRACE_TARGET) * phi[i - start : i - start + 1, 1:-1, 1:-1, 1:-1]
+            b[0] += near / (h * h)
             yield slice(i - 1, i), b
 
 
@@ -490,19 +497,9 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
 def _wide_second_diff(full: np.ndarray, axis: int, h: float, margin: int = 2) -> np.ndarray:
     """Width-2h second difference, independent of the solver stencil."""
     return (
-        _shifted(full, {axis: 2}, margin)
-        - 2.0 * _shifted(full, {}, margin)
-        + _shifted(full, {axis: -2}, margin)
-    ) / (4.0 * h * h)
-
-
-def _mixed_diff(full: np.ndarray, a: int, b: int, h: float, margin: int = 2) -> np.ndarray:
-    """D1_a D1_b mixed central difference on the margin interior."""
-    return (
-        _shifted(full, {a: 1, b: 1}, margin)
-        - _shifted(full, {a: 1, b: -1}, margin)
-        - _shifted(full, {a: -1, b: 1}, margin)
-        + _shifted(full, {a: -1, b: -1}, margin)
+        _shifted(full, axis, 2, margin)
+        - 2.0 * _shifted(full, axis, 0, margin)
+        + _shifted(full, axis, -2, margin)
     ) / (4.0 * h * h)
 
 
@@ -517,6 +514,27 @@ def _signed_permutation(matrix) -> list[tuple[int, float]]:
     return cols
 
 
+def _form_table(perms) -> list:
+    """Entries a < b of f_ab = I_ca avg_cb, avg = (H + sum_M M^T H M) / 2 over
+    `perms` = I, J, K, as (c == b, [((k, l), coefficient), ...]): the nonzero
+    integer coefficients of avg_cb in the order the sum meets them (I_ca =
+    +-1 drops out of the residual).  ConventionError if an off-diagonal
+    Hessian entry survives."""
+    table = []
+    for a, b in itertools.combinations(range(4), 2):
+        c = perms[0][a][0]
+        coeffs: dict = {}
+        for (kc, sc), (kb, sb) in [((c, 1), (b, 1))] + [(perm[c], perm[b]) for perm in perms]:
+            key = (min(kc, kb), max(kc, kb))
+            coeffs[key] = coeffs.get(key, 0) + (1 if sc == sb else -1)
+        terms = [(key, coeff) for key, coeff in coeffs.items() if coeff]
+        if any(k != l for (k, l), _ in terms):
+            raise ConventionError("the averaged Hessian keeps an off-diagonal entry")
+        if terms:
+            table.append((c == b, terms))
+    return table
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
     """Residual diagnostics of a candidate potential, via independent stencils.
@@ -528,20 +546,20 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
         finite-difference Hessian vs SOLVER_FORM_SCALE * phi * (flat form).
     Both are reported as max and mean over the margin-2 interior.
 
-    I, J and K are signed permutations, so every entry of M^T H M and of
-    the I-contraction is a single signed Hessian entry; only the six
-    entries a < b of the rebuilt form are computed.  The Hessian is built
-    and reduced one slab of rows at a time (halo 2): the maxima are exact
-    maxima over the slabs, the means are the sums of the slab sums over
-    the node count.
+    For n = 1 the Sp(1) average of a symmetric Hessian is (tr H / 2) Id, so
+    (b) is the trace identity through the paper's potential formula (form
+    residual ~ phi / 2 * trace residual), kept for `hkt solve`'s order
+    estimate.  Only its two nonvanishing entries are evaluated; the four
+    vanishing ones, from mixed differences, left residues of order eps |H|.
+    Slabs of rows (halo 2) are reduced as they go: the maxima are exact, the
+    means are the sums of the slab sums over the node count.
     """
     margin = 2
     if grid.m < 2 * margin + 1:
         raise ValueError("grid too small for verification stencils")
     h = grid.h
     model = HypercomplexModel(1)
-    perms = [_signed_permutation(model.matrix(nm)) for nm in ("I", "J", "K")]
-    scale = float(SOLVER_FORM_SCALE)
+    table = _form_table([_signed_permutation(model.matrix(nm)) for nm in ("I", "J", "K")])
     inner = (slice(margin, -margin),) * 3
     trace_max = form_max = -math.inf
     trace_sum = form_sum = 0.0
@@ -551,35 +569,16 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
         (phi,) = _sample_rows([spec.phi], grid, start, stop)
         phi_in = phi[(slice(None), *inner)]
         wide = [_wide_second_diff(full, a, h, margin) for a in range(4)]
-        mixed = {(a, b): _mixed_diff(full, a, b, h, margin) for a in range(4) for b in range(a + 1, 4)}
 
-        def hess(k: int, l: int) -> np.ndarray:
-            return wide[k] if k == l else mixed[min(k, l), max(k, l)]
-
-        trace_res = wide[0] + wide[1]
-        trace_res += wide[2]
-        trace_res += wide[3]
-        trace_res /= phi_in
-        trace_res -= float(TRACE_TARGET)
-        np.abs(trace_res, out=trace_res)
+        trace_res = np.abs(sum(wide) / phi_in - float(TRACE_TARGET))
 
         form_res = np.zeros(trace_res.shape)
-        for a in range(4):
-            c, sign_i = perms[0][a]
-            for b in range(a + 1, 4):
-                # avg_cb = (H + I^T H I + J^T H J + K^T H K)_cb / 2 and f_ab = I_ca avg_cb.
-                f_rec = hess(c, b).copy()
-                for perm in perms:
-                    (kc, sc), (kb, sb) = perm[c], perm[b]
-                    if sc == sb:
-                        f_rec += hess(kc, kb)
-                    else:
-                        f_rec -= hess(kc, kb)
-                f_rec *= 0.5 * sign_i
-                if c == b:
-                    f_rec -= scale * phi_in * sign_i
-                np.abs(f_rec, out=f_rec)
-                np.maximum(form_res, f_rec, out=form_res)
+        for on_diagonal, terms in table:
+            f_rec = 0.5 * sum(coeff * wide[k] for (k, _), coeff in terms)
+            if on_diagonal:
+                f_rec -= float(SOLVER_FORM_SCALE) * phi_in
+            np.abs(f_rec, out=f_rec)
+            np.maximum(form_res, f_rec, out=form_res)
 
         # np.maximum, unlike max(), carries a NaN through as the whole-grid max would.
         trace_max = float(np.maximum(trace_max, trace_res.max()))

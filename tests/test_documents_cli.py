@@ -309,6 +309,24 @@ class TestSolveCommand:
         assert captured.err.startswith(f"input error: grid must have between 3 and {elliptic.MAX_GRID}")
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, capsys, monkeypatch, tol):
+        # An infinite tolerance accepted the unsolved zero interior after 0
+        # sweeps and reported it converged; a NaN one stalled on the first
+        # sweep "above tol=nan".
+        import hktcalc.elliptic as elliptic
+
+        def no_solve(*args, **kwargs):
+            pytest.fail(f"a grid was solved with --tol {tol}")
+
+        monkeypatch.setattr(elliptic, "solve_potential", no_solve)
+        path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
+        assert main(["solve", path, "--grid", "9", f"--tol={tol}"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: tolerance must be a positive finite number")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_report_carries_sweeps_and_converged(self, tmp_path, capsys):
         path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
         assert main(["solve", path, "--grid", "9"]) == EXIT_OK

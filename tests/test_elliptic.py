@@ -19,10 +19,10 @@ from hktcalc.elliptic import (
     _eval_poly_on_mesh,
     _factor_minimum,
     _first_diff,
+    _form_table,
     _geometric_residual,
     _geometric_slabs,
     _interior,
-    _mixed_diff,
     _negative_laplacian,
     _rhs_rows,
     _sample_rows,
@@ -36,6 +36,7 @@ from hktcalc.elliptic import (
     verify_potential,
 )
 from hktcalc.forms import KForm
+from hktcalc.geometry import ConventionError
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel
 
@@ -641,6 +642,20 @@ class TestVerification:
         assert residuals[1] / residuals[0] == pytest.approx(2.0, rel=0.05)
 
 
+def _mixed_diff(full: np.ndarray, a: int, b: int, h: float, margin: int = 2) -> np.ndarray:
+    """D1_a D1_b mixed central difference on the margin interior.  The
+    library never forms it (the mixed entries cancel in the Sp(1) average);
+    the oracles below build the whole Hessian from it."""
+
+    def at(step_a, step_b):
+        sl = [slice(margin, n - margin) for n in full.shape]
+        for axis, step in ((a, step_a), (b, step_b)):
+            sl[axis] = slice(margin + step, full.shape[axis] - margin + step)
+        return full[tuple(sl)]
+
+    return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * h * h)
+
+
 def einsum_verify(grid, spec):
     """The dense-Hessian einsum formulation of verify_potential (oracle)."""
     margin = 2
@@ -690,6 +705,62 @@ class TestVerificationOracle:
                 assert lean[key] == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
+def zero_filled_eval(poly, mesh):
+    """_eval_poly_on_mesh accumulating into a zero-filled array of the
+    full result shape (oracle)."""
+    used = [x.shape for i, x in enumerate(mesh) if any(exp[i] for exp in poly.terms)]
+    total = np.zeros(np.broadcast_shapes(*used))
+    for exp, coeff in poly.terms.items():
+        term = np.full((), float(coeff))
+        for x, e in zip(mesh, exp):
+            if e:
+                term = term * x**e
+        total += term
+    return total
+
+
+class TestFormTable:
+    def test_model_one_keeps_the_diagonal_in_rebuild_order(self):
+        # Exact oracle: f_ab = sum_k I_ka avg_kb, avg = (H + sum_M M^T H M) / 2,
+        # for random symmetric rational Hessians.
+        model = HypercomplexModel(1)
+        mats = [model.matrix(nm) for nm in ("I", "J", "K")]
+        perms = [_signed_permutation(mat) for mat in mats]
+        table = _form_table(perms)
+        rebuilt = {}
+        for a in range(4):
+            c, _ = perms[0][a]
+            for b in range(a + 1, 4):
+                if c == b:
+                    rebuilt[a, b] = [c] + [perm[c][0] for perm in perms]
+        assert [(on_diagonal, [k for (k, _), _ in terms]) for on_diagonal, terms in table] == [
+            (True, order) for order in rebuilt.values()
+        ]
+        assert all(k == l and coeff == 1 for _, terms in table for (k, l), coeff in terms)
+        rng = random.Random(19)
+        for _ in range(5):
+            hess = [[Fraction(0)] * 4 for _ in range(4)]
+            for k in range(4):
+                for l in range(k, 4):
+                    hess[k][l] = hess[l][k] = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+            avg = [[hess[k][l] + sum(mat[p][k] * hess[p][q] * mat[q][l] for mat in mats for p in range(4) for q in range(4))
+                    for l in range(4)] for k in range(4)]
+            exact = {(a, b): sum(mats[0][k][a] * avg[k][b] for k in range(4)) / 2 for a in range(4) for b in range(a + 1, 4)}
+            compiled = dict.fromkeys(exact, Fraction(0))
+            for (a, b), (_, terms) in zip(rebuilt, table):
+                sign_i = int(perms[0][a][1])
+                compiled[a, b] = Fraction(sign_i, 2) * sum(coeff * hess[k][l] for (k, l), coeff in terms)
+            assert compiled == exact
+
+    @pytest.mark.parametrize("perms", [
+        [[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]] * 3,
+        [[(1, 1.0), (0, 1.0), (3, 1.0), (2, 1.0)]] * 3,
+    ], ids=["identity", "swaps"])
+    def test_off_diagonal_survivor_is_a_convention_error(self, perms):
+        with pytest.raises(ConventionError, match="off-diagonal"):
+            _form_table(perms)
+
+
 class TestGrid:
     def test_spacing(self):
         assert Grid4D(17, -1.0, 1.0).h == pytest.approx(0.125)
@@ -706,6 +777,26 @@ class TestGrid:
         grid = Grid4D.from_polynomial(5, -1.0, 1.0, x(2))
         assert grid.values.shape == (5,) * 4 and grid.values.flags.writeable
         assert np.array_equal(grid.values[1, 2, :, 3], grid.axis())
+
+    def test_sampling_matches_zero_filled_accumulation(self):
+        mesh = Grid4D(7, -0.5, 1.5).meshgrid()
+        slab = [mesh[0][2:5], *mesh[1:]]
+        polys = [Polynomial.zero(4), one() * Fraction(-7, 3), x(2) * Fraction(1, 3) - x(2) ** 3 * Fraction(2, 7)]
+        polys += [random_polynomial(4, 4, 6, seed=1900 + k) * Fraction(1, 3 + k) for k in range(8)]
+        polys += [Polynomial.constant(4, 1) + x(0) * x(1) * x(2) * x(3) * Fraction(1, 11)]
+        for poly in polys:
+            for points in (mesh, slab):
+                got, expected = _eval_poly_on_mesh(poly, points), zero_filled_eval(poly, points)
+                assert np.shape(got) == expected.shape
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_sampling_adds_in_place_once_the_sum_is_full(self):
+        # Reads 2.26 results (the sum, a term and its last factor); a new
+        # array for every partial sum reads 3.0.
+        mesh = Grid4D(17, -1.0, 1.0).meshgrid()
+        poly = (one() + x(0) + x(1) + x(2) + x(3)) ** 4
+        assert traced_peak_above_live(lambda: _eval_poly_on_mesh(poly, mesh)) < 2.6 * 17**4 * 8
 
     def test_csv_slice_export(self, tmp_path):
         grid = Grid4D.from_polynomial(5, -1.0, 1.0, x(0) + x(1))
@@ -823,6 +914,20 @@ class TestSlabPasses:
             for key in ("trace_residual_mean", "form_residual_mean"):
                 assert slab[key] == pytest.approx(whole[key], rel=1e-13, abs=0.0), key
 
+    def test_form_residual_leaves_out_the_cancelled_entries(self):
+        # A quadratic potential of the flat factor with large cross terms:
+        # the form residual is at rounding level, and at some nodes the
+        # oracle's entries built from mixed differences, which cancel in
+        # exact arithmetic, leave residues of order eps |H| above it.  The
+        # compiled table never forms them.
+        cross = x(1) * x(2) * Fraction(1, 3) + x(0) * x(3) * Fraction(1, 7)
+        cross = cross + x(1) * x(3) * Fraction(5, 11) + x(0) * x(2) * Fraction(3, 13)
+        grid = Grid4D.from_polynomial(13, -1.0, 1.0, half_norm() + cross * 1000)
+        slab, whole = verify_potential(grid, flat_spec()), whole_verify(grid, flat_spec())
+        assert slab["trace_residual_max"] == whole["trace_residual_max"]
+        assert slab["form_residual_max"] <= whole["form_residual_max"] < 1e-11
+        assert slab["form_residual_mean"] < whole["form_residual_mean"]
+
     def test_verification_carries_nan_through_the_maxima(self):
         grid = Grid4D.from_polynomial(13, -1.0, 1.0, conformal_manufactured())
         grid.values[10, 6, 6, 6] = np.nan
@@ -890,26 +995,54 @@ class TestWholeArrayOracle:
         sines = _sine_matrix(n)
         assert np.array_equal(_dst4(a.copy(), np.empty((n,) * 3), sines), dense_dst4(a, sines))
 
-    @pytest.mark.parametrize("m", [3, 4, 9, 10])
+    @staticmethod
+    def rows_of_b(spec, grid):
+        b = np.full((grid.m - 2,) * 4, np.nan)
+        for rows, row in _rhs_rows(spec, grid):
+            b[rows] = row
+        return b
+
+    @pytest.mark.parametrize("m", [3, 4, 9, 10, 33])
     def test_dirichlet_faces_and_rhs_rows_match_mask(self, m):
         # The rows of b are rebuilt from the faces alone, whatever the
-        # unknowns hold; at m = 3 the one row's slab holds both boundary rows.
+        # unknowns hold; at m = 3 the one row's slab holds both boundary rows
+        # and its one node is next to all eight faces.
         spec = four_axis_spec()
         rng = np.random.default_rng(1200 + m)
+        phi, _ = whole_samples(spec, Grid4D(m, *spec.box))
+
+        def whole_b(mu, h):
+            return -float(TRACE_TARGET) * _interior(phi) + _second_diff_sum(mu, h)
+
         for poly in (conformal_manufactured(), one() * 3, x(3) * x(3) - x(0), Polynomial.zero(4)):
             cfg = SolverConfig(dirichlet=poly)
             grid = Grid4D(m, *spec.box)
             _write_dirichlet_faces(cfg, grid)
             mu = mask_dirichlet_values(cfg, grid)
             assert np.array_equal(grid.values, mu)
-            phi, _ = whole_samples(spec, grid)
-            expected = -float(TRACE_TARGET) * _interior(phi) + _second_diff_sum(mu, grid.h)
             for unknowns in (0.0, rng.normal(size=(m - 2,) * 4)):
                 grid.values[1:-1, 1:-1, 1:-1, 1:-1] = unknowns
-                b = np.full((m - 2,) * 4, np.nan)
-                for rows, row in _rhs_rows(spec, grid):
-                    b[rows] = row
-                assert np.array_equal(b, expected)
+                assert np.array_equal(self.rows_of_b(spec, grid), whole_b(mu, grid.h))
+        # A NaN and an inf on the x1 = lo face reach b where the whole-grid
+        # stencil puts them: the NaN next to an edge of the last row (at
+        # m = 3 the face has one node next to the interior, which takes the inf).
+        for node, value in (((m - 2, 0, 1, m // 2), np.nan), ((m // 2, 0, m // 2, m - 2), np.inf)):
+            grid.values[node] = mu[node] = value
+        expected = whole_b(mu, grid.h)
+        assert np.isinf(expected).any() and (np.isnan(expected).any() or m == 3)
+        assert np.array_equal(self.rows_of_b(spec, grid), expected, equal_nan=True)
+
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_rhs_rows_never_run_the_whole_stencil(self, monkeypatch, m):
+        from hktcalc import elliptic
+
+        def refuse(*args):
+            pytest.fail("_rhs_rows ran the 9-point stencil")
+
+        spec, grid = four_axis_spec(), Grid4D(m, -0.5, 1.5)
+        _write_dirichlet_faces(SolverConfig(dirichlet=conformal_manufactured()), grid)
+        monkeypatch.setattr(elliptic, "_second_diff_sum", refuse)
+        assert len(list(_rhs_rows(spec, grid))) == m - 2
 
 
 @pytest.fixture(scope="module")
@@ -941,15 +1074,16 @@ class TestStencilMemory:
 
     def test_verification_never_holds_the_whole_hessian(self, manufactured_m33):
         # Guards the slab loop of verify_potential: the whole-grid pass held
-        # ten margin-interior Hessian arrays and peaked at 79 MB.
+        # ten margin-interior Hessian arrays and peaked at 79 MB.  Reads 9.0
+        # MB; forming the six mixed differences per slab read 14.3 MB.
         spec, grid = manufactured_m33
-        assert traced_peak_above_live(lambda: verify_potential(grid, spec)) < 20 * self.MB
+        assert traced_peak_above_live(lambda: verify_potential(grid, spec)) < 12 * self.MB
 
     @pytest.mark.parametrize("make_spec", [conformal_spec, four_axis_spec])
     def test_solve_holds_the_grid_and_the_residual(self, make_spec):
         # Guards the one-buffer DST solve: the solution grid (9 MB) and the
-        # residual r (7 MB), plus row and (m - 2)^3 temporaries.  Reads 18.4
-        # MB (conformal_spec) and 18.7 MB (four_axis_spec).  Storing b and a
+        # residual r (7 MB), plus row and (m - 2)^3 temporaries.  Reads 17.5
+        # MB (conformal_spec) and 19.4 MB (four_axis_spec).  Storing b and a
         # whole-cube transform scratch read 30.8 MB with phi sampled
         # beforehand, and 39.8 MB for four_axis_spec, whose m^4 sample of
         # phi was cached for the whole solve.
