@@ -5,13 +5,13 @@ potential is characterized by the trace identity
 
     trace_g(Hess mu) = 4   i.e.   sum_i d^2 mu / dx_i^2 = 4 * phi.
 
-The geometric operator is assembled from its two textbook pieces -- the
-Levi-Civita Laplacian of g (geometer sign; the contracted Christoffel
-symbols of the conformal metric reduce to -phi^{-2} d_k phi) and the Weyl
-drift term -- whose first-order parts cancel exactly at the stencil
-level, leaving a plain Poisson system.  The cancellation is a test
-obligation, not an assumption: the tests derive the Christoffel closed
-form in the exact core and check each summand against whole-grid oracles.
+For g = phi * delta the Weyl drift omega-sharp cancels the first-order
+part of the Levi-Civita Laplacian exactly (the contracted Christoffel
+symbols reduce to -phi^{-2} d_k phi), so Delta mu + omega-sharp(mu) + 4 = 0
+is the trace identity and its discrete form is a plain Poisson system.
+The cancellation is a test obligation, not an assumption: the tests derive
+the Christoffel closed form in the exact core and keep the two textbook
+summands as whole-grid oracles, which the solver's residual must match.
 
 Conformal factors are polynomials with rational coefficients; only the
 linear solve is floating point.  Discretization is second-order central
@@ -28,15 +28,16 @@ one interior array (the residual r) and temporaries of O(m^3) size.  The
 transform runs in place in r, the eigenvalue divisors are built one row
 at a time, and b is never stored: each residual b - A v is A v formed in
 r by slice updates, subtracted from b rebuilt row by row from the faces.
-The Dirichlet data are sampled on the boundary faces only, phi and its
-gradient per row or slab.  Up to added exact zeros, every value goes
-through the float operations of the textbook whole-array formulation (the
-tests' oracle), so the solution is bit-identical to it.  Overflow is not
-warned about: non-finite values end in the stall error or residual gate.
+The Dirichlet data are sampled on the boundary faces only, phi per row or
+slab.  Up to added exact zeros, every value goes through the float
+operations of the textbook whole-array formulation (the tests' oracle), so
+the solution is bit-identical to it.  Overflow is not warned about:
+non-finite values end in the stall error or the residual gate.
 
-The two stencil passes after the solve -- the geometric residual and the
-verification -- run slab by slab: SLAB_ROWS rows along axis 0 at a time,
-read with a halo of 1 row (solver stencil) or 2 rows (verification
+The two stencil passes after the solve -- the geometric residual
+|4 - phi^{-1} sum_i D2_i mu|, whose 9-point stencil the solve itself never
+runs, and the verification -- run slab by slab: SLAB_ROWS rows along axis
+0 at a time, read with a halo of 1 row (residual) or 2 rows (verification
 stencils), and reduce to max and mean as they go.  Every node goes
 through the same arithmetic in the same order as in a whole-grid pass, so
 every nodal value is bit-identical to it (only the means, sums of slab
@@ -49,7 +50,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -112,9 +113,6 @@ class ConformalMetricSpec:
         if not lo < hi:
             raise ValueError("box must satisfy lo < hi")
 
-    def gradient(self) -> list[Polynomial]:
-        return [self.phi.partial(i) for i in range(4)]
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -130,7 +128,8 @@ class SolverConfig:
     dirichlet: Polynomial | None = None
 
     def __post_init__(self):
-        # An infinite tolerance would accept the unsolved zero interior.
+        # An infinite or NaN tolerance bounds nothing: the residual gate's
+        # 100 * tol / min(phi) would pass any finite residual, or none.
         if not (0 < self.tol < math.inf):
             raise ValueError(f"tolerance must be a positive finite number, got {self.tol!r}")
         if self.dirichlet is not None and not (
@@ -212,15 +211,14 @@ def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarr
     return total
 
 
-def _sample_rows(polys: Sequence[Polynomial], grid: Grid4D, start: int, stop: int) -> list[np.ndarray]:
-    """Each of `polys` on the axis-0 rows start .. stop - 1 of `grid`, as
-    read-only (stop - start, m, m, m) views of samples that store only the
-    axes each one depends on.  Every value is bit-identical to the one a
-    whole-mesh sample holds at that node."""
+def _sample_rows(poly: Polynomial, grid: Grid4D, start: int, stop: int) -> np.ndarray:
+    """`poly` on the axis-0 rows start .. stop - 1 of `grid`, as a read-only
+    (stop - start, m, m, m) view of a sample that stores only the axes it
+    depends on.  Every value is bit-identical to the one a whole-mesh sample
+    holds at that node."""
     mesh = grid.meshgrid()
     mesh[0] = mesh[0][start:stop]
-    shape = (stop - start,) + (grid.m,) * 3
-    return [np.broadcast_to(_eval_poly_on_mesh(p, mesh), shape) for p in polys]
+    return np.broadcast_to(_eval_poly_on_mesh(poly, mesh), (stop - start,) + (grid.m,) * 3)
 
 
 def _interior(a: np.ndarray) -> np.ndarray:
@@ -244,11 +242,6 @@ def _second_diff_sum(full: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _first_diff(full: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central first difference on interior nodes."""
-    return (_shifted(full, axis, 1, 1) - _shifted(full, axis, -1, 1)) / (2.0 * h)
-
-
 def _slab_rows(m: int, margin: int):
     """(start, stop) row ranges of at most SLAB_ROWS rows covering the
     margin-interior rows margin .. m - margin - 1 along axis 0."""
@@ -256,54 +249,27 @@ def _slab_rows(m: int, margin: int):
         yield start, min(start + SLAB_ROWS, m - margin)
 
 
-def _geometric_slabs(spec: ConformalMetricSpec, grid: Grid4D):
-    """Yield (rows, lap, drift) slab by slab over the interior.
-
-    `lap` and `drift` are the Laplace-Beltrami and Weyl drift summands at
-    the interior nodes of axis-0 rows `rows`, computed from those rows and
-    a halo of one row on each side.  The products
-    (d_k phi / phi^2) D1_k mu are formed once and enter both summands.
-    """
-    polys = [spec.phi, *spec.gradient()]
-    h = grid.h
-    for start, stop in _slab_rows(grid.m, 1):
-        full = grid.values[start - 1 : stop + 1]
-        phi_in, *dphi_in = (a[:, 1:-1, 1:-1, 1:-1] for a in _sample_rows(polys, grid, start, stop))
-        phi_sq = phi_in**2
-        lap = -_second_diff_sum(full, h)
-        lap /= phi_in
-        drift = np.zeros(lap.shape)
-        for k in range(4):
-            product = dphi_in[k] / phi_sq
-            product *= _first_diff(full, k, h)
-            lap -= product
-            drift += product
-        yield slice(start, stop), lap, drift
-
-
 def _geometric_residual(spec: ConformalMetricSpec, grid: Grid4D) -> tuple[float, float]:
-    """(max, mean) of |Delta mu + omega-sharp(mu) + 4| over the interior,
-    reduced slab by slab.  The first-order stencils of the two summands
-    cancel exactly, leaving -phi^{-1} sum_i D2_i; both are still built and
-    added, so the cancellation is computed rather than assumed."""
+    """(max, mean) of |4 - phi^{-1} sum_i D2_i mu| over the interior, reduced
+    slab by slab.  With the drift's first-order part cancelled, this is
+    |Delta mu + omega-sharp(mu) + 4|; the tests check it against the two
+    textbook summands."""
     res_max, res_sum = -math.inf, 0.0
-    for _, lap, drift in _geometric_slabs(spec, grid):
-        lap += drift
-        lap += float(TRACE_TARGET)
-        np.abs(lap, out=lap)
+    for start, stop in _slab_rows(grid.m, 1):
+        res = _second_diff_sum(grid.values[start - 1 : stop + 1], grid.h)
+        res /= _sample_rows(spec.phi, grid, start, stop)[:, 1:-1, 1:-1, 1:-1]
+        np.subtract(float(TRACE_TARGET), res, out=res)
+        np.abs(res, out=res)
         # np.maximum, unlike max(), carries a NaN through as the whole-grid max would.
-        res_max = float(np.maximum(res_max, lap.max()))
-        res_sum += float(lap.sum())
+        res_max = float(np.maximum(res_max, res.max()))
+        res_sum += float(res.sum())
     return res_max, res_sum / (grid.m - 2) ** 4
 
 
 @dataclass
 class SolveResult:
     grid: Grid4D
-    iterations: int
-    residual_max: float
-    residual_mean: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def _write_dirichlet_faces(config: SolverConfig, grid: Grid4D) -> None:
@@ -326,7 +292,7 @@ def _factor_minimum(spec: ConformalMetricSpec, grid: Grid4D) -> float:
     node.  Sampled and reduced slab by slab."""
     m, phi_min = grid.m, math.inf
     for start, stop in _slab_rows(m, 0):
-        (phi,) = _sample_rows([spec.phi], grid, start, stop)
+        phi = _sample_rows(spec.phi, grid, start, stop)
         if not np.all(phi > 0):
             raise ValueError("conformal factor must be positive at every grid node")
         inner = phi[max(start, 1) - start : min(stop, m - 1) - start, 1:-1, 1:-1, 1:-1]
@@ -345,7 +311,7 @@ def _rhs_rows(spec: ConformalMetricSpec, grid: Grid4D):
     faces = [((slice(None),) * a + (node,), inner[:a] + (face,) + inner[a + 1 :])
              for a in range(3) for node, face in ((m - 3, m - 1), (0, 0))]
     for start, stop in _slab_rows(m, 1):
-        (phi,) = _sample_rows([spec.phi], grid, start, stop)
+        phi = _sample_rows(spec.phi, grid, start, stop)
         for i in range(start, stop):
             near = np.zeros((m - 2,) * 3)
             # Grid rows 0 and m - 1 are boundary faces throughout.
@@ -417,7 +383,8 @@ def _dst_poisson_solve(rhs, v: np.ndarray, h: float, tol: float, max_iter: int) 
     solution grid) and the solution on return.  The sines diagonalize A
     with eigenvalues sum_axes (4/h^2) sin^2(pi k / 2N), so each sweep
     applies A^{-1} exactly up to rounding: v += A^{-1} r, then the true
-    residual r = b - A v is recomputed.  Returns the sweep count.
+    residual r = b - A v is recomputed.  Returns the sweep count, at least
+    1: the zero start is never accepted, however large `tol` is.
     """
     big_n = v.shape[0] + 1
     axis_eig = (4.0 / (h * h)) * np.sin(np.pi * np.arange(1, big_n) / (2 * big_n)) ** 2
@@ -429,8 +396,6 @@ def _dst_poisson_solve(rhs, v: np.ndarray, h: float, tol: float, max_iter: int) 
     # max|r| as max(max r, -min r): no |r| temporary, and a NaN still
     # propagates into the stall check.
     res = float(max(r.max(), -r.min()))
-    if res <= tol:
-        return 0
     scratch = np.empty((big_n - 1,) * 3)
     for sweep in range(1, max_iter + 1):
         _dst4(r, scratch, sines)
@@ -463,10 +428,13 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     The continuum problem is  Delta mu + omega-sharp(mu) + 4 = 0, whose
     discrete form reduces (after the exact drift cancellation and row
     scaling by -phi) to the SPD system  (-sum_i D2_i) mu = -4 phi.  That
-    system is solved by a direct DST-I Poisson solve; `iterations` counts
-    its sweeps, each ending on a recomputed true residual.  The residual
-    reported at the end goes through the geometric operators, exercising
-    the cancellation rather than assuming it.
+    system is solved by a direct DST-I Poisson solve; the diagnostics'
+    `iterations` counts its sweeps, each ending on a recomputed true
+    residual.  The geometric
+    residual |4 - phi^{-1} sum_i D2_i mu| is then gated: SolverError
+    unless it is finite and within 100 * tol / min(phi), the linear
+    residual bound carried through the row scaling by phi, with room for
+    the rounding of a stencil the solve did not run.
     """
     config = config or SolverConfig()
     solution = Grid4D(m, *spec.box)
@@ -477,12 +445,12 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
         lambda: _rhs_rows(spec, solution), _interior(solution.values), h, config.tol, config.max_iter
     )
     res_max, res_mean = _geometric_residual(spec, solution)
+    bound = 100 * config.tol / phi_min
+    if not (math.isfinite(res_max) and res_max <= bound):
+        raise SolverError(f"geometric residual {res_max:.3g} above {bound:.3g} at m = {m}")
     return SolveResult(
         solution,
-        iterations,
-        res_max,
-        res_mean,
-        diagnostics={
+        {
             "residual_max": res_max,
             "residual_mean": res_mean,
             "iterations": iterations,
@@ -566,7 +534,7 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
 
     for start, stop in _slab_rows(grid.m, margin):
         full = grid.values[start - margin : stop + margin]
-        (phi,) = _sample_rows([spec.phi], grid, start, stop)
+        phi = _sample_rows(spec.phi, grid, start, stop)
         phi_in = phi[(slice(None), *inner)]
         wide = [_wide_second_diff(full, a, h, margin) for a in range(4)]
 

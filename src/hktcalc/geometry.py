@@ -45,10 +45,6 @@ class ConventionError(AssertionError):
     """An internal sign/scale invariant was violated."""
 
 
-class NotHKTError(ValueError):
-    """An operation requiring an HKT metric received a non-HKT one."""
-
-
 def residual_summary(form: KForm | ComplexForm) -> dict:
     """Size summary of an exact residual: term count and coefficient height."""
     return {"nonzero_terms": form.nonzero_terms(), "max_height": form.coefficient_height()}
@@ -274,15 +270,6 @@ def is_hkt_twistor(
             ok = False
         results.append((pt, residual))
     return TwistorCheck(ok, results)
-
-
-def torsion_form(metric: HyperhermitianMetric) -> tuple[KForm, bool]:
-    """The torsion 3-form c = I dF_I and whether it is closed (strong)."""
-    check = is_hkt_definition(metric)
-    if not check.ok:
-        raise NotHKTError("metric is not HKT; torsion form undefined")
-    c = check.torsion_candidate
-    return c, c.d().is_zero()
 
 
 @dataclass

@@ -195,7 +195,7 @@ def test_criterion_8_flat_manufactured_solver():
     ok = err <= 10 * tol and elapsed <= 300
     _verdict(8, ok, "flat manufactured solution on 17^4",
              f"max error {err:.2e} vs 10*tol {10 * tol:.0e}, {elapsed:.1f}s, "
-             f"{result.iterations} iterations")
+             f"{result.diagnostics['iterations']} iterations")
 
 
 def test_criterion_9_conformal_convergence():

@@ -276,14 +276,10 @@ class TestSolveCommand:
     def test_corrupted_residual_exit_code(self, tmp_path, capsys, monkeypatch, corruption):
         import hktcalc.elliptic as elliptic
 
-        slabs = elliptic._geometric_slabs
-
-        def corrupted(spec, grid):
-            # The slab pass the solve reduces to its geometric residual.
-            for rows, lap, drift in slabs(spec, grid):
-                yield rows, lap + corruption, drift
-
-        monkeypatch.setattr(elliptic, "_geometric_slabs", corrupted)
+        # The 9-point stencil of the geometric residual, which the solve
+        # itself never runs.
+        stencil = elliptic._second_diff_sum
+        monkeypatch.setattr(elliptic, "_second_diff_sum", lambda full, h: stencil(full, h) + corruption)
         path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
         assert main(["solve", path, "--grid", "7"]) == EXIT_SOLVER_ERROR
         captured = capsys.readouterr()
@@ -326,6 +322,30 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("input error: tolerance must be a positive finite number")
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_huge_tolerance_takes_one_sweep(self, tmp_path):
+        # The zero start met any tol above max|b| (b = -4 phi plus face
+        # terms): --tol 1e300 exited 0 with `converged` after 0 sweeps,
+        # residual_max 67.2 and form_residual_max 5.15.  It now sweeps once
+        # and reports what --tol 1e-10 does.
+        from conftest import norm_squared
+
+        phi = Polynomial.constant(4, 1) + (x(0) * x(0) + x(1) * x(1)) * Fraction(1, 4)
+        mu_star = norm_squared(4) * Fraction(1, 2) + (x(0) ** 4 + x(1) ** 4) * Fraction(1, 12)
+        path = write(tmp_path, "conf.json", conformal_doc(phi=phi, dirichlet=mu_star))
+        runs, slices = [], []
+        for tol in ("1e300", "1e-10"):
+            out = tmp_path / f"tol{tol}.json"
+            assert main(["solve", path, "--grid", "9", "--tol", tol, "--out", str(out)]) == EXIT_OK
+            report = json.loads(out.read_text())
+            assert report["verdicts"] == {"converged": True}
+            runs.append(report["data"]["runs"][0])
+            slices.append((tmp_path / f"tol{tol}.csv").read_bytes())
+        huge, usual = runs
+        assert huge["iterations"] == usual["iterations"] == 1
+        assert huge["tol"] == 1e300
+        assert {**huge, "tol": usual["tol"]} == usual
+        assert slices[0] == slices[1]
 
     def test_report_carries_sweeps_and_converged(self, tmp_path, capsys):
         path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))

@@ -10,7 +10,6 @@ from hktcalc.forms import BilinearForm, KForm
 from hktcalc.geometry import (
     ConventionError,
     HyperhermitianMetric,
-    NotHKTError,
     PotentialForms,
     default_sample_points,
     hessian_average_metric,
@@ -23,7 +22,6 @@ from hktcalc.geometry import (
     metric_from_form,
     potential_to_forms,
     theta_from_potential,
-    torsion_form,
 )
 from hktcalc.salamon import salamon_D
 from hktcalc.scalars import Polynomial, random_polynomial
@@ -253,32 +251,22 @@ class TestTwistorCriterion:
 
 
 class TestTorsion:
-    def test_flat_torsion_zero_and_strong(self, flat1):
-        c, strong = torsion_form(flat1)
-        assert c.is_zero() and strong
+    def test_flat_torsion_zero_and_strong(self, table1, flat1):
+        report = hkt_report(table1, flat1)
+        assert report.torsion.is_zero() and report.strong
 
-    def test_conformal_torsion_value(self, model1):
+    def test_conformal_torsion_value(self, table1, model1):
         # Frozen by hand from the block matrices: for g = (1+x0^2) delta,
         # dF_I = 2 x0 dx0^dx2^dx3 and the signed I-action sends it to
         # 2 x0 dx1^dx2^dx3.
         metric = conformal(model1, Polynomial.constant(4, 1) + x(0) * x(0))
-        c, strong = torsion_form(metric)
-        expected = KForm(3, 4, {(1, 2, 3): x(0) * 2})
-        assert c == expected
-        assert not strong
+        report = hkt_report(table1, metric)
+        assert report.torsion == KForm(3, 4, {(1, 2, 3): x(0) * 2})
+        assert not report.strong
 
-    def test_scaling_linearity(self, model1):
+    def test_scaling_linearity(self, table1, model1):
         metric = conformal(model1, positive_conformal_factor(random.Random(77)))
-        c1, _ = torsion_form(metric)
-        c2, _ = torsion_form(metric.scale(2))
-        assert c2 == c1 * 2
-
-    def test_requires_hkt(self, model2):
-        rng = random.Random(78)
-        form = random_a11_form(model2, rng)
-        metric = metric_from_form(model2, form)
-        with pytest.raises(NotHKTError):
-            torsion_form(metric)
+        assert hkt_report(table1, metric.scale(2)).torsion == hkt_report(table1, metric).torsion * 2
 
 
 class TestCoframe:

@@ -49,7 +49,7 @@ def _report(name: str, tables: dict) -> dict:
 @pytest.mark.parametrize("name", CASES)
 def test_report_checks_the_definition_once(name, table1, table2, monkeypatch):
     # The torsion of an HKT report comes from the definition check's own
-    # candidate, not from a second `is_hkt_definition` via `torsion_form`.
+    # candidate, not from a second `is_hkt_definition`.
     from hktcalc import geometry
 
     calls = []
