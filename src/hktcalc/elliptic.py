@@ -34,21 +34,22 @@ operations of the textbook whole-array formulation (the tests' oracle), so
 the solution is bit-identical to it.  Overflow is not warned about:
 non-finite values end in the stall error or the residual gate.
 
-The two stencil passes after the solve -- the geometric residual
+The one stencil pass after the solve computes the geometric residual
 |4 - phi^{-1} sum_i D2_i mu|, whose 9-point stencil the solve itself never
-runs, and the verification -- run slab by slab: SLAB_ROWS rows along axis
-0 at a time, read with a halo of 1 row (residual) or 2 rows (verification
-stencils), and reduce to max and mean as they go.  Every node goes
-through the same arithmetic in the same order as in a whole-grid pass, so
-every nodal value is bit-identical to it (only the means, sums of slab
-sums, may differ in the last bits), but no temporary of the full m^4 size
-is ever alive.
+runs, and the trace and form checks of the width-2h second differences.
+It runs slab by slab: SLAB_ROWS rows along axis 0 at a time, read with a
+halo of 2 rows and sampled for phi once, reduced to max and mean as it
+goes.  Every node goes through the same arithmetic in the same order as
+in a whole-grid pass, so every nodal value is bit-identical to it (only
+the means, sums of slab sums, may differ in the last bits), but no
+temporary of the full m^4 size is ever alive.  The form check needs no
+Hessian beyond its trace: the tests prove over Q that the Sp(1)-averaged
+Hessian of the n = 1 model is (tr H / 2) Id.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,19 +57,17 @@ from typing import Sequence
 import numpy as np
 
 from .conventions import SOLVER_FORM_SCALE, TRACE_TARGET
-from .geometry import ConventionError
 from .scalars import Polynomial
-from .structures import HypercomplexModel
 
 
 # Largest grid (nodes per axis) a solve accepts.  Peak memory grows like
 # m^4, about 17 bytes per node (the solution grid and the residual r):
 # `hkt solve --grid m` on a factor using all four coordinates peaked at
-# 54 MB for m = 33, 127 MB for m = 49 and 318 MB for m = 65 (max RSS), so
+# 53 MB for m = 33, 127 MB for m = 49 and 318 MB for m = 65 (max RSS), so
 # the next odd grid above 65, 97, would need about 1.5 GB.
 MAX_GRID = 65
 
-# Rows along axis 0 per slab of the factor check and of the stencil passes
+# Rows along axis 0 per slab of the factor check and of the stencil pass
 # after the solve.  1, 2, 4 and 8 rows gave the same peak RSS at m = 33 and
 # times within noise.
 SLAB_ROWS = 4
@@ -79,9 +78,10 @@ class SolverError(RuntimeError):
 
 
 def check_grid_size(m: int) -> None:
-    """Raise ValueError unless 3 <= m <= MAX_GRID; allocates nothing."""
-    if not 3 <= m <= MAX_GRID:
-        raise ValueError(f"grid must have between 3 and {MAX_GRID} nodes per axis, got {m}")
+    """Raise ValueError unless 5 <= m <= MAX_GRID; allocates nothing.  The
+    verification's width-2h stencils need a node 2 rows from every face."""
+    if not 5 <= m <= MAX_GRID:
+        raise ValueError(f"grid must have between 5 and {MAX_GRID} nodes per axis, got {m}")
 
 
 def check_grid_spacing(m: int, lo: float, hi: float) -> None:
@@ -242,6 +242,14 @@ def _second_diff_sum(full: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _wide_second_diff(full: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Width-2h second difference on the margin-2 interior, independent of
+    the solver stencil."""
+    return (
+        _shifted(full, axis, 2, 2) - 2.0 * _shifted(full, axis, 0, 2) + _shifted(full, axis, -2, 2)
+    ) / (4.0 * h * h)
+
+
 def _slab_rows(m: int, margin: int):
     """(start, stop) row ranges of at most SLAB_ROWS rows covering the
     margin-interior rows margin .. m - margin - 1 along axis 0."""
@@ -249,21 +257,67 @@ def _slab_rows(m: int, margin: int):
         yield start, min(start + SLAB_ROWS, m - margin)
 
 
-def _geometric_residual(spec: ConformalMetricSpec, grid: Grid4D) -> tuple[float, float]:
-    """(max, mean) of |4 - phi^{-1} sum_i D2_i mu| over the interior, reduced
-    slab by slab.  With the drift's first-order part cancelled, this is
-    |Delta mu + omega-sharp(mu) + 4|; the tests check it against the two
-    textbook summands."""
-    res_max, res_sum = -math.inf, 0.0
-    for start, stop in _slab_rows(grid.m, 1):
-        res = _second_diff_sum(grid.values[start - 1 : stop + 1], grid.h)
-        res /= _sample_rows(spec.phi, grid, start, stop)[:, 1:-1, 1:-1, 1:-1]
-        np.subtract(float(TRACE_TARGET), res, out=res)
-        np.abs(res, out=res)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
+    """Residual diagnostics of a candidate potential, in one slab pass.
+
+    (a) geometric residual  |4 - phi^{-1} sum_i D2_i mu|  over the interior,
+        with the 9-point stencil, which the DST solve never runs;
+    (b) trace residual  |phi^{-1} S - 4|,  S = sum_i Dw2_i mu  the sum of the
+        width-2h second differences, so a solved grid is not checked
+        against its own stencil;
+    (c) form residual  |S / 2 - SOLVER_FORM_SCALE * phi|:  the Kahler form
+        rebuilt from the averaged Hessian against SOLVER_FORM_SCALE * phi
+        times the flat form.
+    (b) and (c) cover the margin-2 interior.  For n = 1 the Sp(1) average
+    of a symmetric Hessian is (tr H / 2) Id, so the rebuilt form is
+    +-S / 2 on its two nonzero entries and zero on the four others (the
+    tests prove this over Q with the exact core's I, J, K); (c) is exactly
+    phi / 2 times the signed (b) in exact arithmetic, kept for `hkt
+    solve`'s order estimate.  Each slab of rows is read with a halo of 2 and sampled for
+    phi once, and reduced as it goes: the maxima are exact, the means are
+    the sums of the slab sums over the node count.
+    """
+    m, h = grid.m, grid.h
+    maxima, sums = [-math.inf] * 3, [0.0] * 3
+
+    def fold(k: int, part: np.ndarray) -> None:
+        np.abs(part, out=part)
         # np.maximum, unlike max(), carries a NaN through as the whole-grid max would.
-        res_max = float(np.maximum(res_max, res.max()))
-        res_sum += float(res.sum())
-    return res_max, res_sum / (grid.m - 2) ** 4
+        maxima[k] = float(np.maximum(maxima[k], part.max(initial=-math.inf)))
+        sums[k] += float(part.sum())
+
+    for start, stop in _slab_rows(m, 1):
+        phi = _sample_rows(spec.phi, grid, start, stop)
+        res = _second_diff_sum(grid.values[start - 1 : stop + 1], h)
+        res /= phi[:, 1:-1, 1:-1, 1:-1]
+        fold(0, np.subtract(float(TRACE_TARGET), res, out=res))
+        # Each part is freed before the next is formed: that halves the peak.
+        del res
+        # The slab's rows at least 2 from a face (none in a last one-row slab).
+        lo, hi = max(start, 2), min(stop, m - 2)
+        full = grid.values[lo - 2 : hi + 2]
+        wide = _wide_second_diff(full, 0, h)
+        for a in (1, 2, 3):
+            wide += _wide_second_diff(full, a, h)
+        phi_in = phi[lo - start : hi - start, 2:-2, 2:-2, 2:-2]
+        trace = wide / phi_in
+        trace -= float(TRACE_TARGET)
+        fold(1, trace)
+        del trace
+        wide *= 0.5
+        wide -= float(SOLVER_FORM_SCALE) * phi_in
+        fold(2, wide)
+    inner = (m - 4) ** 4
+    return {
+        "residual_max": maxima[0],
+        "residual_mean": sums[0] / (m - 2) ** 4,
+        "trace_residual_max": maxima[1],
+        "trace_residual_mean": sums[1] / inner,
+        "form_residual_max": maxima[2],
+        "form_residual_mean": sums[2] / inner,
+        "margin": 2,
+    }
 
 
 @dataclass
@@ -430,11 +484,12 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     scaling by -phi) to the SPD system  (-sum_i D2_i) mu = -4 phi.  That
     system is solved by a direct DST-I Poisson solve; the diagnostics'
     `iterations` counts its sweeps, each ending on a recomputed true
-    residual.  The geometric
-    residual |4 - phi^{-1} sum_i D2_i mu| is then gated: SolverError
-    unless it is finite and within 100 * tol / min(phi), the linear
-    residual bound carried through the row scaling by phi, with room for
-    the rounding of a stencil the solve did not run.
+    residual.  `verify_potential` then checks the grid once; its geometric
+    residual |4 - phi^{-1} sum_i D2_i mu| is gated: SolverError unless it
+    is finite and within 100 * tol / min(phi), the linear residual bound
+    carried through the row scaling by phi, with room for the rounding of
+    a stencil the solve did not run.  The diagnostics hold the grid size
+    m and every key of the check.
     """
     config = config or SolverConfig()
     solution = Grid4D(m, *spec.box)
@@ -444,122 +499,10 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     iterations = _dst_poisson_solve(
         lambda: _rhs_rows(spec, solution), _interior(solution.values), h, config.tol, config.max_iter
     )
-    res_max, res_mean = _geometric_residual(spec, solution)
+    checks = verify_potential(solution, spec)
+    res_max = checks["residual_max"]
     bound = 100 * config.tol / phi_min
     if not (math.isfinite(res_max) and res_max <= bound):
         raise SolverError(f"geometric residual {res_max:.3g} above {bound:.3g} at m = {m}")
-    return SolveResult(
-        solution,
-        {
-            "residual_max": res_max,
-            "residual_mean": res_mean,
-            "iterations": iterations,
-            "h": h,
-            "unknowns": (m - 2) ** 4,
-            "tol": config.tol,
-            "phi_min": phi_min,
-        },
-    )
-
-
-def _wide_second_diff(full: np.ndarray, axis: int, h: float, margin: int = 2) -> np.ndarray:
-    """Width-2h second difference, independent of the solver stencil."""
-    return (
-        _shifted(full, axis, 2, margin)
-        - 2.0 * _shifted(full, axis, 0, margin)
-        + _shifted(full, axis, -2, margin)
-    ) / (4.0 * h * h)
-
-
-def _signed_permutation(matrix) -> list[tuple[int, float]]:
-    """Column a of a signed permutation matrix as (row k, sign M_ka)."""
-    cols = []
-    for a in range(len(matrix)):
-        rows = [k for k in range(len(matrix)) if matrix[k][a] != 0]
-        if len(rows) != 1 or abs(matrix[rows[0]][a]) != 1:
-            raise ConventionError("structure matrix is not a signed permutation")
-        cols.append((rows[0], float(matrix[rows[0]][a])))
-    return cols
-
-
-def _form_table(perms) -> list:
-    """Entries a < b of f_ab = I_ca avg_cb, avg = (H + sum_M M^T H M) / 2 over
-    `perms` = I, J, K, as (c == b, [((k, l), coefficient), ...]): the nonzero
-    integer coefficients of avg_cb in the order the sum meets them (I_ca =
-    +-1 drops out of the residual).  ConventionError if an off-diagonal
-    Hessian entry survives."""
-    table = []
-    for a, b in itertools.combinations(range(4), 2):
-        c = perms[0][a][0]
-        coeffs: dict = {}
-        for (kc, sc), (kb, sb) in [((c, 1), (b, 1))] + [(perm[c], perm[b]) for perm in perms]:
-            key = (min(kc, kb), max(kc, kb))
-            coeffs[key] = coeffs.get(key, 0) + (1 if sc == sb else -1)
-        terms = [(key, coeff) for key, coeff in coeffs.items() if coeff]
-        if any(k != l for (k, l), _ in terms):
-            raise ConventionError("the averaged Hessian keeps an off-diagonal entry")
-        if terms:
-            table.append((c == b, terms))
-    return table
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
-    """Residual diagnostics of a candidate potential, via independent stencils.
-
-    (a) trace identity:  phi^{-1} sum_i d_i^2 mu  vs the target constant,
-        using width-2h second differences so a solved grid is not checked
-        against its own stencil;
-    (b) form reconstruction:  the Kahler 2-form rebuilt from the averaged
-        finite-difference Hessian vs SOLVER_FORM_SCALE * phi * (flat form).
-    Both are reported as max and mean over the margin-2 interior.
-
-    For n = 1 the Sp(1) average of a symmetric Hessian is (tr H / 2) Id, so
-    (b) is the trace identity through the paper's potential formula (form
-    residual ~ phi / 2 * trace residual), kept for `hkt solve`'s order
-    estimate.  Only its two nonvanishing entries are evaluated; the four
-    vanishing ones, from mixed differences, left residues of order eps |H|.
-    Slabs of rows (halo 2) are reduced as they go: the maxima are exact, the
-    means are the sums of the slab sums over the node count.
-    """
-    margin = 2
-    if grid.m < 2 * margin + 1:
-        raise ValueError("grid too small for verification stencils")
-    h = grid.h
-    model = HypercomplexModel(1)
-    table = _form_table([_signed_permutation(model.matrix(nm)) for nm in ("I", "J", "K")])
-    inner = (slice(margin, -margin),) * 3
-    trace_max = form_max = -math.inf
-    trace_sum = form_sum = 0.0
-
-    for start, stop in _slab_rows(grid.m, margin):
-        full = grid.values[start - margin : stop + margin]
-        phi = _sample_rows(spec.phi, grid, start, stop)
-        phi_in = phi[(slice(None), *inner)]
-        wide = [_wide_second_diff(full, a, h, margin) for a in range(4)]
-
-        trace_res = np.abs(sum(wide) / phi_in - float(TRACE_TARGET))
-
-        form_res = np.zeros(trace_res.shape)
-        for on_diagonal, terms in table:
-            f_rec = 0.5 * sum(coeff * wide[k] for (k, _), coeff in terms)
-            if on_diagonal:
-                f_rec -= float(SOLVER_FORM_SCALE) * phi_in
-            np.abs(f_rec, out=f_rec)
-            np.maximum(form_res, f_rec, out=form_res)
-
-        # np.maximum, unlike max(), carries a NaN through as the whole-grid max would.
-        trace_max = float(np.maximum(trace_max, trace_res.max()))
-        form_max = float(np.maximum(form_max, form_res.max()))
-        trace_sum += float(trace_res.sum())
-        form_sum += float(form_res.sum())
-
-    nodes = (grid.m - 2 * margin) ** 4
-    return {
-        "trace_residual_max": trace_max,
-        "trace_residual_mean": trace_sum / nodes,
-        "form_residual_max": form_max,
-        "form_residual_mean": form_sum / nodes,
-        "h": h,
-        "margin": margin,
-    }
+    return SolveResult(solution, {"m": m, "iterations": iterations, "h": h, "unknowns": (m - 2) ** 4,
+                                  "tol": config.tol, "phi_min": phi_min, **checks})

@@ -287,7 +287,9 @@ class TestSolveCommand:
         assert captured.err.startswith("solver error: geometric residual")
         assert len(captured.err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("grids", [["100000"], ["17", "100000"], ["2"]])
+    # A 3- or 4-node grid has no node 2 rows from every face for the
+    # verification stencils; it was refused only after a whole solve.
+    @pytest.mark.parametrize("grids", [["100000"], ["17", "100000"], ["2"], ["4"], ["9", "3"]])
     def test_grid_outside_range_refused_before_solving(self, tmp_path, capsys, monkeypatch, grids):
         import hktcalc.elliptic as elliptic
 
@@ -302,7 +304,7 @@ class TestSolveCommand:
         assert main(argv) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"input error: grid must have between 3 and {elliptic.MAX_GRID}")
+        assert captured.err.startswith(f"input error: grid must have between 5 and {elliptic.MAX_GRID}")
         assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0"])
@@ -349,10 +351,13 @@ class TestSolveCommand:
 
     def test_report_carries_sweeps_and_converged(self, tmp_path, capsys):
         path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
-        assert main(["solve", path, "--grid", "9"]) == EXIT_OK
+        assert main(["solve", path, "--grid", "9", "--grid", "5"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["verdicts"] == {"converged": True}
-        assert report["data"]["runs"][0]["iterations"] == 1
+        runs = report["data"]["runs"]
+        assert [run["iterations"] for run in runs] == [1, 1]
+        # Each run names its grid, in --grid order.
+        assert [(run["m"], run["unknowns"]) for run in runs] == [(9, 7**4), (5, 3**4)]
 
 
 def zero_denominator_potential_doc():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -17,15 +18,12 @@ from hktcalc.elliptic import (
     _dst_poisson_solve,
     _eval_poly_on_mesh,
     _factor_minimum,
-    _form_table,
-    _geometric_residual,
     _interior,
     _negative_laplacian,
     _rhs_rows,
     _sample_rows,
     _second_diff_sum,
     _shifted,
-    _signed_permutation,
     _sine_matrix,
     _slab_rows,
     _wide_second_diff,
@@ -33,7 +31,7 @@ from hktcalc.elliptic import (
     solve_potential,
     verify_potential,
 )
-from hktcalc.forms import KForm
+from hktcalc.forms import BilinearForm, KForm
 from hktcalc.geometry import ConventionError
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel
@@ -225,7 +223,7 @@ def four_axis_spec():
 
 # The exact Weyl data and the two geometric summands one at a time.  The
 # library computes only their sum, |4 - phi^{-1} sum_i D2_i mu|
-# (`_geometric_residual`), in which the first-order parts cancel; these
+# (`verify_potential`'s residual), in which the first-order parts cancel; these
 # build each summand on the whole grid and check the cancellation.
 
 def weyl_form(spec: ConformalMetricSpec) -> tuple[KForm, Polynomial]:
@@ -319,7 +317,7 @@ def whole_potential_operator(spec, grid):
 
 def whole_residual(spec, grid) -> np.ndarray:
     """|4 - phi^{-1} sum_i D2_i mu| at the interior nodes, on the whole grid
-    at once: the oracle of `_geometric_residual`."""
+    at once: the oracle of `verify_potential`'s residual."""
     phi, _ = whole_samples(spec, grid)
     return np.abs(float(TRACE_TARGET) - _second_diff_sum(grid.values, grid.h) / _interior(phi))
 
@@ -613,12 +611,11 @@ class TestSlabSampling:
 
         # Per grid: phi once per slab of the positivity pass (every row,
         # slabs(m, 0)), of the right-hand side (built before the one sweep and
-        # after it) and of the geometric residual (3 * slabs(m, 1)), and of
-        # the verification (slabs(m, 2)); the Dirichlet data once per pair of
-        # opposite boundary faces (4).  That is 3 + 6 + 2 + 4 = 15 for m = 9
-        # and 4 + 9 + 3 + 4 = 20 for m = 13.
-        expected = sum(slabs(m, 0) + 3 * slabs(m, 1) + slabs(m, 2) + 4 for m in (9, 13))
-        assert len(calls) == expected == 35
+        # after it) and of the one verification pass (3 * slabs(m, 1)); the
+        # Dirichlet data once per pair of opposite boundary faces (4).  That
+        # is 3 + 6 + 4 = 13 for m = 9 and 4 + 9 + 4 = 17 for m = 13.
+        expected = sum(slabs(m, 0) + 3 * slabs(m, 1) + 4 for m in (9, 13))
+        assert len(calls) == expected == 30
         assert calls.count(conformal_manufactured()) == 8
 
     @pytest.mark.parametrize("make_spec", [conformal_spec, four_axis_spec])
@@ -648,18 +645,17 @@ class TestSlabSampling:
         grid = Grid4D(7, -1.0, 1.0)
         grid.values[:] = np.random.default_rng(94).normal(size=(7,) * 4)
         first, second = conformal_spec(), ConformalMetricSpec(one() + x(2) * x(3) * Fraction(1, 3))
-        _geometric_residual(first, grid)
-        res_max, _ = _geometric_residual(second, grid)
-        assert res_max == float(np.max(whole_residual(second, grid)))
+        verify_potential(grid, first)
+        report = verify_potential(grid, second)
+        assert report["residual_max"] == float(np.max(whole_residual(second, grid)))
         # Nothing is cached: replacing the factor of a spec changes the pass.
         first.phi = second.phi
-        assert _geometric_residual(first, grid) == _geometric_residual(second, grid)
+        assert verify_potential(grid, first) == report
 
 
 class TestVerification:
     def test_flat_residuals_machine_scale(self):
-        result = solve_potential(flat_spec(), 9, SolverConfig(tol=1e-12, dirichlet=half_norm()))
-        report = verify_potential(result.grid, flat_spec())
+        report = solve_potential(flat_spec(), 9, SolverConfig(tol=1e-12, dirichlet=half_norm())).diagnostics
         assert report["trace_residual_max"] < 1e-9
         assert report["form_residual_max"] < 1e-9
 
@@ -668,8 +664,7 @@ class TestVerification:
         mu_star = conformal_manufactured()
         reports = {}
         for m in (9, 13, 17):
-            result = solve_potential(spec, m, SolverConfig(tol=1e-11, dirichlet=mu_star))
-            reports[m] = verify_potential(result.grid, spec)
+            reports[m] = solve_potential(spec, m, SolverConfig(tol=1e-11, dirichlet=mu_star)).diagnostics
         order = math.log2(reports[9]["form_residual_max"] / reports[17]["form_residual_max"])
         assert 1.6 <= order <= 2.4
         traces = [reports[m]["trace_residual_max"] for m in (9, 13, 17)]
@@ -710,7 +705,7 @@ def einsum_verify(grid, spec):
     phi_in = phi[sl]
     hess = np.zeros((4, 4) + phi_in.shape)
     for a in range(4):
-        hess[a, a] = _wide_second_diff(grid.values, a, h, margin)
+        hess[a, a] = _wide_second_diff(grid.values, a, h)
         for b in range(a + 1, 4):
             hess[a, b] = hess[b, a] = _mixed_diff(grid.values, a, b, h, margin)
     trace = hess[0, 0] + hess[1, 1] + hess[2, 2] + hess[3, 3]
@@ -764,6 +759,77 @@ def zero_filled_eval(poly, mesh):
     return total
 
 
+# The averaged Hessian compiled entry by entry from the signed permutations
+# I, J, K: the oracle of the form check, whose shape TestAveragedHessian
+# proves.
+
+def _signed_permutation(matrix) -> list[tuple[int, float]]:
+    """Column a of a signed permutation matrix as (row k, sign M_ka)."""
+    cols = []
+    for a in range(len(matrix)):
+        rows = [k for k in range(len(matrix)) if matrix[k][a] != 0]
+        if len(rows) != 1 or abs(matrix[rows[0]][a]) != 1:
+            raise ConventionError("structure matrix is not a signed permutation")
+        cols.append((rows[0], float(matrix[rows[0]][a])))
+    return cols
+
+
+def _form_table(perms) -> list:
+    """Entries a < b of f_ab = I_ca avg_cb, avg = (H + sum_M M^T H M) / 2 over
+    `perms` = I, J, K, as (c == b, [((k, l), coefficient), ...]): the nonzero
+    integer coefficients of avg_cb in the order the sum meets them (I_ca =
+    +-1 drops out of the residual).  ConventionError if an off-diagonal
+    Hessian entry survives."""
+    table = []
+    for a, b in itertools.combinations(range(4), 2):
+        c = perms[0][a][0]
+        coeffs: dict = {}
+        for (kc, sc), (kb, sb) in [((c, 1), (b, 1))] + [(perm[c], perm[b]) for perm in perms]:
+            key = (min(kc, kb), max(kc, kb))
+            coeffs[key] = coeffs.get(key, 0) + (1 if sc == sb else -1)
+        terms = [(key, coeff) for key, coeff in coeffs.items() if coeff]
+        if any(k != l for (k, l), _ in terms):
+            raise ConventionError("the averaged Hessian keeps an off-diagonal entry")
+        if terms:
+            table.append((c == b, terms))
+    return table
+
+
+def symmetric_basis(dim: int) -> list[BilinearForm]:
+    """E_kk and E_kl + E_lk, k < l: a basis of the symmetric dim x dim matrices."""
+    zero, one_ = Polynomial.zero(dim), Polynomial.constant(dim, 1)
+    return [BilinearForm([[one_ if {i, j} == {k, l} else zero for j in range(dim)] for i in range(dim)])
+            for k in range(dim) for l in range(k, dim)]
+
+
+class TestAveragedHessian:
+    """The exact fact behind `verify_potential`'s form check: for the n = 1
+    model, H + I^T H I + J^T H J + K^T H K = tr(H) Id over Q.  The map is
+    linear in H, so checking the 10 basis matrices proves it for every
+    symmetric H.  The rebuilt Kahler form (1/2) I^T (that sum) is then
+    tr(H) / 2 times I^T: +-tr(H) / 2 on the pairs (0, 1) and (2, 3) and zero
+    elsewhere, so its residual against SOLVER_FORM_SCALE * phi * I^T is
+    |tr(H) / 2 - SOLVER_FORM_SCALE * phi| on both nonzero entries."""
+
+    def test_sum_of_conjugates_is_trace_times_identity(self):
+        model = HypercomplexModel(1)
+        i_mat = model.matrix("I")
+        basis = symmetric_basis(4)
+        assert len(basis) == 10
+        for hess in basis:
+            total = hess
+            for name in ("I", "J", "K"):
+                total = total + hess.conjugate_by(model.matrix(name))
+            assert total == BilinearForm.scaled_identity(4, hess.trace())
+            half_trace = hess.trace() * Fraction(1, 2)
+            for a, b in itertools.combinations(range(4), 2):
+                f_ab = sum((total.entries[c][b] * Fraction(i_mat[c][a], 2) for c in range(4)), Polynomial.zero(4))
+                if (a, b) in ((0, 1), (2, 3)):
+                    assert i_mat[b][a] in (1, -1) and f_ab == half_trace * i_mat[b][a]
+                else:
+                    assert f_ab.is_zero()
+
+
 class TestFormTable:
     def test_model_one_keeps_the_diagonal_in_rebuild_order(self):
         # Exact oracle: f_ab = sum_k I_ka avg_kb, avg = (H + sum_M M^T H M) / 2,
@@ -811,8 +877,10 @@ class TestGrid:
         assert Grid4D(17, -1.0, 1.0).h == pytest.approx(0.125)
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            Grid4D(2, 0.0, 1.0)
+        # The verification stencils need a node 2 rows from every face.
+        for m in (2, 4):
+            with pytest.raises(ValueError, match="between 5 and"):
+                Grid4D(m, 0.0, 1.0)
 
     def test_samples_keep_only_the_axes_they_use(self):
         mesh = Grid4D(5, -1.0, 1.0).meshgrid()
@@ -861,7 +929,7 @@ def whole_verify(grid, spec):
     h = grid.h
     phi, _ = whole_samples(spec, grid)
     phi_in = phi[(slice(margin, -margin),) * 4]
-    wide = [_wide_second_diff(grid.values, a, h, margin) for a in range(4)]
+    wide = [_wide_second_diff(grid.values, a, h) for a in range(4)]
     mixed = {(a, b): _mixed_diff(grid.values, a, b, h, margin) for a in range(4) for b in range(a + 1, 4)}
 
     def hess(k, l):
@@ -900,8 +968,17 @@ def whole_verify(grid, spec):
     }
 
 
+def whole_form_residual_max(grid, spec) -> float:
+    """max |S / 2 - SOLVER_FORM_SCALE * phi| over the margin-2 interior, S the
+    width-2h second differences summed in axis order, on the whole grid."""
+    phi, _ = whole_samples(spec, grid)
+    wide = [_wide_second_diff(grid.values, a, grid.h) for a in range(4)]
+    trace = wide[0] + wide[1] + wide[2] + wide[3]
+    return float(np.max(np.abs(0.5 * trace - float(SOLVER_FORM_SCALE) * phi[(slice(2, -2),) * 4])))
+
+
 class TestSlabPasses:
-    @pytest.mark.parametrize("m", range(3, 18))
+    @pytest.mark.parametrize("m", range(5, 18))
     def test_residual_matches_whole_grid_oracles(self, m):
         # Bit for bit (the max) against the same stencil on the whole grid,
         # and to rounding against the two textbook summands, whose
@@ -911,10 +988,10 @@ class TestSlabPasses:
             base = Grid4D.from_polynomial(m, *spec.box, conformal_manufactured())
             for noise in (0.0, 1.0):
                 grid = Grid4D(m, *spec.box, base.values + noise * rng.normal(size=(m,) * 4))
-                res_max, res_mean = _geometric_residual(spec, grid)
+                report = verify_potential(grid, spec)
                 whole = whole_residual(spec, grid)
-                assert res_max == float(np.max(whole))
-                assert res_mean == pytest.approx(float(np.mean(whole)), rel=1e-13, abs=0.0)
+                assert report["residual_max"] == float(np.max(whole))
+                assert report["residual_mean"] == pytest.approx(float(np.mean(whole)), rel=1e-13, abs=0.0)
                 lap, drift = whole_laplace_beltrami(spec, grid).values, whole_weyl_drift(spec, grid).values
                 textbook = _interior(lap + drift + float(TRACE_TARGET))
                 scale = _interior(np.abs(lap) + np.abs(drift)) + float(TRACE_TARGET)
@@ -922,16 +999,22 @@ class TestSlabPasses:
 
     @pytest.mark.parametrize("m", range(5, 18))
     def test_verification_matches_whole_grid_oracle(self, m):
-        # m = 5 has a single margin-2 row; m - 4 is a multiple of SLAB_ROWS
-        # only for m = 8, 12 and 16.
+        # m = 5 has a single margin-2 row; m - 3 is a multiple of SLAB_ROWS,
+        # leaving a last slab with no margin-2 row, for m = 7, 11 and 15.
+        # The form residual sums the four second differences in axis order,
+        # bit for bit as |S / 2 - 2 phi|; the entry-by-entry oracle sums them
+        # in the orders (1, 0, 3, 2) and (3, 2, 1, 0), which can move the
+        # last bit.
         rng = np.random.default_rng(900 + m)
         spec = four_axis_spec()
         base = Grid4D.from_polynomial(m, *spec.box, conformal_manufactured())
         for noise in (0.0, 1e-3):
             grid = Grid4D(m, *spec.box, base.values + noise * rng.normal(size=(m,) * 4))
             slab, whole = verify_potential(grid, spec), whole_verify(grid, spec)
-            for key in ("trace_residual_max", "form_residual_max"):
-                assert slab[key] == whole[key], key
+            assert slab["trace_residual_max"] == whole["trace_residual_max"]
+            assert slab["form_residual_max"] == whole_form_residual_max(grid, spec)
+            eps = np.finfo(float).eps
+            assert abs(slab["form_residual_max"] - whole["form_residual_max"]) <= 2 * eps * whole["form_residual_max"]
             for key in ("trace_residual_mean", "form_residual_mean"):
                 assert slab[key] == pytest.approx(whole[key], rel=1e-13, abs=0.0), key
 
@@ -1016,11 +1099,10 @@ class TestWholeArrayOracle:
             b[rows] = row
         return b
 
-    @pytest.mark.parametrize("m", [3, 4, 9, 10, 33])
+    @pytest.mark.parametrize("m", [5, 6, 9, 10, 33])
     def test_dirichlet_faces_and_rhs_rows_match_mask(self, m):
         # The rows of b are rebuilt from the faces alone, whatever the
-        # unknowns hold; at m = 3 the one row's slab holds both boundary rows
-        # and its one node is next to all eight faces.
+        # unknowns hold; at m = 5 the one slab holds both boundary rows.
         spec = four_axis_spec()
         rng = np.random.default_rng(1200 + m)
         phi, _ = whole_samples(spec, Grid4D(m, *spec.box))
@@ -1038,15 +1120,14 @@ class TestWholeArrayOracle:
                 grid.values[1:-1, 1:-1, 1:-1, 1:-1] = unknowns
                 assert np.array_equal(self.rows_of_b(spec, grid), whole_b(mu, grid.h))
         # A NaN and an inf on the x1 = lo face reach b where the whole-grid
-        # stencil puts them: the NaN next to an edge of the last row (at
-        # m = 3 the face has one node next to the interior, which takes the inf).
+        # stencil puts them: the NaN next to an edge of the last row.
         for node, value in (((m - 2, 0, 1, m // 2), np.nan), ((m // 2, 0, m // 2, m - 2), np.inf)):
             grid.values[node] = mu[node] = value
         expected = whole_b(mu, grid.h)
-        assert np.isinf(expected).any() and (np.isnan(expected).any() or m == 3)
+        assert np.isinf(expected).any() and np.isnan(expected).any()
         assert np.array_equal(self.rows_of_b(spec, grid), expected, equal_nan=True)
 
-    @pytest.mark.parametrize("m", [3, 9])
+    @pytest.mark.parametrize("m", [5, 9])
     def test_rhs_rows_never_run_the_whole_stencil(self, monkeypatch, m):
         from hktcalc import elliptic
 
@@ -1057,13 +1138,6 @@ class TestWholeArrayOracle:
         _write_dirichlet_faces(SolverConfig(dirichlet=conformal_manufactured()), grid)
         monkeypatch.setattr(elliptic, "_second_diff_sum", refuse)
         assert len(list(_rhs_rows(spec, grid))) == m - 2
-
-
-@pytest.fixture(scope="module")
-def manufactured_m33():
-    spec = conformal_spec()
-    result = solve_potential(spec, 33, SolverConfig(tol=1e-10, dirichlet=conformal_manufactured()))
-    return spec, result.grid
 
 
 def traced_peak_above_live(fn):
@@ -1086,12 +1160,16 @@ class TestStencilMemory:
     # 9 MB and a 4-row slab about 1 MB.
     MB = 2**20
 
-    def test_verification_never_holds_the_whole_hessian(self, manufactured_m33):
-        # Guards the slab loop of verify_potential: the whole-grid pass held
-        # ten margin-interior Hessian arrays and peaked at 79 MB.  Reads 9.0
-        # MB; forming the six mixed differences per slab read 14.3 MB.
-        spec, grid = manufactured_m33
-        assert traced_peak_above_live(lambda: verify_potential(grid, spec)) < 12 * self.MB
+    @pytest.mark.parametrize("make_spec", [conformal_spec, four_axis_spec])
+    def test_verification_never_holds_the_whole_hessian(self, make_spec):
+        # Guards the one slab loop of verify_potential: slab temporaries only,
+        # with phi sampled per slab.  Reads 2.3 MB (conformal_spec) and 4.5
+        # MB (four_axis_spec); with every part of a slab alive at once, 4.7
+        # and 6.9 MB.  A whole-grid pass holding the ten margin-interior
+        # Hessian arrays peaked at 79 MB.
+        spec = make_spec()
+        grid = Grid4D.from_polynomial(33, *spec.box, conformal_manufactured())
+        assert traced_peak_above_live(lambda: verify_potential(grid, spec)) < 6 * self.MB
 
     @pytest.mark.parametrize("make_spec", [conformal_spec, four_axis_spec])
     def test_solve_holds_the_grid_and_the_residual(self, make_spec):
@@ -1107,7 +1185,7 @@ class TestStencilMemory:
 
     def test_repeated_grid_holds_one_grid(self, tmp_path):
         # `hkt solve` drops each grid before solving the next, so a repeated
-        # --grid 25 peaks as high as a single one: both read 10.2 MB.  With
+        # --grid 25 peaks as high as a single one: both read 5.7 MB.  With
         # the previous grid kept alive the repeated run read 13.3 MB, its
         # 3 MB more.
         from hktcalc.cli import main
@@ -1118,13 +1196,3 @@ class TestStencilMemory:
         single = traced_peak_above_live(lambda: solve(25))
         repeated = traced_peak_above_live(lambda: solve(25, 25))
         assert repeated < single + 25**4 * 8 // 4
-
-    @pytest.mark.parametrize("make_spec", [conformal_spec, four_axis_spec])
-    def test_geometric_residual_pass_holds_slabs(self, make_spec):
-        # Guards the solve's residual pass: slab temporaries only, with phi
-        # sampled per slab.  Reads 1.9 MB (conformal_spec) and 2.2 MB
-        # (four_axis_spec); the drift products and the partials of phi read
-        # 6.5 and 7.6 MB, and an m^4 output grid alone adds 9 MB.
-        spec = make_spec()
-        grid = Grid4D.from_polynomial(33, *spec.box, conformal_manufactured())
-        assert traced_peak_above_live(lambda: _geometric_residual(spec, grid)) < 4 * self.MB
