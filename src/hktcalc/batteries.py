@@ -81,7 +81,7 @@ def leibniz_battery(model: HypercomplexModel, seed: int, count: int) -> CheckOut
         a = random_kform(model.dim, ka, rng)
         b = random_kform(model.dim, kb, rng)
         lhs = a.wedge(b).d()
-        sign = Fraction(-1) if ka % 2 else Fraction(1)
+        sign = -1 if ka % 2 else 1
         rhs = a.d().wedge(b) + a.wedge(b.d()) * sign
         if lhs != rhs:
             return CheckOutcome("graded-leibniz", False, count, f"failed at case {i}")

@@ -13,8 +13,8 @@ exact matrix.
 
 Every such operator -- structure pullbacks and insertions, the projectors
 eta, the B conditions -- goes through one kernel, `apply_operator`: it adds
-coeff times each input term straight into one {exponent: Fraction} map per
-output index, drops zeros once at the end and builds each output
+coeff times each input term straight into one {exponent: coefficient} map
+per output index, drops zeros once at the end and builds each output
 polynomial once.
 
 Operators are built by two sparse routines.  `compose_operators` composes
@@ -22,7 +22,7 @@ two of them, and `combine_operators` forms sum c_i op_i + shift Id over one
 int denominator.  `hktcalc.structures` builds the axis derivations
 rho_I, rho_J, rho_K with int entries, and every sphere operator is a
 polynomial in them: products and sums stay in ints, and each entry is
-divided once at the end.  The stored coefficients are Fractions.
+divided once at the end.  The stored operator entries are Fractions.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import Polynomial, json_int
+from .scalars import Polynomial, exact_coefficient, json_int
 
 MultiIndex = tuple
 
@@ -117,6 +117,16 @@ class KForm:
         self.dim = dim
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, degree: int, dim: int, terms: dict) -> "KForm":
+        """Internal: adopt the canonical result of `+`, `-`, `wedge`, `d` or
+        `apply_operator` without re-checking it."""
+        form = object.__new__(cls)
+        form.degree = degree
+        form.dim = dim
+        form.terms = terms
+        return form
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -133,7 +143,7 @@ class KForm:
         if idx is None:
             return cls.zero(len(indices), dim)
         poly = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(dim, coeff)
-        return cls(len(indices), dim, {idx: poly * Fraction(sign)})
+        return cls(len(indices), dim, {idx: poly * sign})
 
     @classmethod
     def dx(cls, dim: int, i: int) -> "KForm":
@@ -176,13 +186,13 @@ class KForm:
                 out.pop(idx, None)
             else:
                 out[idx] = poly
-        return KForm(self.degree, self.dim, out)
+        return KForm._raw(self.degree, self.dim, out)
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
     def __neg__(self) -> "KForm":
-        return KForm(self.degree, self.dim, {i: -p for i, p in self.terms.items()})
+        return KForm._raw(self.degree, self.dim, {i: -p for i, p in self.terms.items()})
 
     def __mul__(self, other) -> "KForm":
         if isinstance(other, Polynomial):
@@ -219,7 +229,7 @@ class KForm:
                     out.pop(idx, None)
                 else:
                     out[idx] = poly
-        return KForm(degree, self.dim, out)
+        return KForm._raw(degree, self.dim, out)
 
     def d(self) -> "KForm":
         """Exterior derivative; top-degree input yields the zero form."""
@@ -240,7 +250,7 @@ class KForm:
                     out.pop(new_idx, None)
                 else:
                     out[new_idx] = dp
-        return KForm(self.degree + 1, self.dim, out)
+        return KForm._raw(self.degree + 1, self.dim, out)
 
     # -- serialization -------------------------------------------------
 
@@ -337,7 +347,7 @@ class BilinearForm:
     def conjugate_by(self, matrix: Sequence[Sequence]) -> "BilinearForm":
         """b(M., M.) as the exact sandwich M^T b M."""
         n = self.dim
-        columns = [[(k, Fraction(matrix[k][i])) for k in range(n) if matrix[k][i]] for i in range(n)]
+        columns = [[(k, exact_coefficient(matrix[k][i])) for k in range(n) if matrix[k][i]] for i in range(n)]
         out = []
         for i in range(n):
             row = []
@@ -358,6 +368,9 @@ class BilinearForm:
         return out
 
     def evaluate(self, point: Sequence) -> list[list]:
+        """The matrix of values at a point; an exact point becomes Fractions once."""
+        if all(isinstance(v, (int, Fraction)) for v in point):
+            point = [Fraction(v) for v in point]
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
     def to_json(self) -> dict:
@@ -388,7 +401,7 @@ FiberOperator = dict
 
 
 def _accumulate(acc: dict, terms: dict, coeff) -> None:
-    """acc += coeff * terms, on {exponent: Fraction} maps; zeros are kept."""
+    """acc += coeff * terms, on {exponent: int or Fraction} maps; zeros are kept."""
     for exp, value in terms.items():
         prev = acc.get(exp)
         acc[exp] = value * coeff if prev is None else prev + value * coeff
@@ -418,7 +431,7 @@ def apply_operator(op: FiberOperator, form: KForm) -> KForm:
         poly = _polynomial(form.dim, acc)
         if poly.terms:
             terms[out_idx] = poly
-    return KForm(form.degree, form.dim, terms)
+    return KForm._raw(form.degree, form.dim, terms)
 
 
 def compose_operators(a: FiberOperator, b: FiberOperator) -> FiberOperator:
@@ -471,9 +484,4 @@ def operator_matrix(op: FiberOperator, k: int, dim: int) -> list[list[Fraction]]
 
 
 def vector_to_form(vec: Sequence, basis: Sequence[MultiIndex], k: int, dim: int) -> KForm:
-    terms = {}
-    for idx, val in zip(basis, vec):
-        poly = val if isinstance(val, Polynomial) else Polynomial.constant(dim, val)
-        if not poly.is_zero():
-            terms[idx] = poly
-    return KForm(k, dim, terms)
+    return KForm(k, dim, dict(zip(basis, vec)))

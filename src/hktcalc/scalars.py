@@ -1,7 +1,10 @@
 """Exact scalar arithmetic: rationals and sparse polynomials over Q.
 
-Coefficients are `fractions.Fraction`: arbitrary precision, always stored
-reduced with positive denominator.  The exact core is real; the one place
+A coefficient is a nonzero `int` or `fractions.Fraction`, never a float or
+a bool.  The constructors store an integral value as an `int`, so integer
+data stays in int arithmetic (no gcd per product) through `+`, `*` and
+`partial`; a sum of Fractions may still be integral.  Two ints are never
+divided, which would give a float.  The exact core is real; the one place
 that needs complex values (type decompositions for the twistor criterion)
 stores them as (real, imaginary) pairs of rational forms in
 `hktcalc.structures`.
@@ -15,10 +18,10 @@ when their term maps are equal.  Every operation is exact.
 
 The public constructor (and `from_json`) validates every exponent and
 converts every coefficient.  `Polynomial._raw` is internal only: it wraps
-a term map that is already canonical -- tuple exponents, nonzero
+a term map that is already canonical -- tuple exponents, nonzero `int` or
 `Fraction` values -- without checking it, and the arithmetic (`+`, `-`,
-`*`, `scale`, `partial`, `zero`) and the fiber kernels of
-`hktcalc.forms` use it for results that are canonical by construction.
+`*`, `scale`, `partial`, `zero`) and the fiber kernels of `hktcalc.forms`
+use it for results that are canonical by construction.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ class Polynomial:
     """A sparse multivariate polynomial with rational coefficients.
 
     `dim` is the number of variables and `terms` maps exponent tuples to
-    nonzero Fraction coefficients.  Instances are immutable by convention;
-    all operations return new polynomials in canonical form (no zero
-    terms).
+    nonzero int or Fraction coefficients.  Instances are immutable by
+    convention; all operations return new polynomials in canonical form (no
+    zero terms).
     """
 
     __slots__ = ("dim", "terms")
@@ -63,7 +66,7 @@ class Polynomial:
                 raise ValueError(f"exponent vector {exp} does not have length {dim}")
             if any((not isinstance(e, int)) or e < 0 for e in exp):
                 raise ValueError(f"exponents must be non-negative integers: {exp}")
-            coeff = Fraction(coeff)
+            coeff = exact_coefficient(coeff)
             if coeff:
                 clean[exp] = coeff
         self.dim = dim
@@ -72,7 +75,7 @@ class Polynomial:
     @classmethod
     def _raw(cls, dim: int, terms: dict) -> "Polynomial":
         """Internal: adopt an already-canonical term map (tuple exponents of
-        length `dim`, nonzero Fraction values) without re-checking it."""
+        length `dim`, nonzero int or Fraction values) without re-checking it."""
         poly = object.__new__(cls)
         poly.dim = dim
         poly.terms = terms
@@ -96,7 +99,7 @@ class Polynomial:
             raise IndexError(f"variable index {index} out of range for dimension {dim}")
         exp = [0] * dim
         exp[index] = 1
-        return cls(dim, {tuple(exp): Fraction(1)})
+        return cls._raw(dim, {tuple(exp): 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -109,8 +112,8 @@ class Polynomial:
             return 0
         return max(sum(exp) for exp in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
+    def constant_term(self):
+        return self.terms.get((0,) * self.dim, 0)
 
     def coefficient_height(self) -> int:
         """max(|numerator|, denominator) over all coefficients."""
@@ -162,7 +165,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "Polynomial":
-        scalar = Fraction(scalar)
+        scalar = exact_coefficient(scalar)
         if not scalar:
             return Polynomial._raw(self.dim, {})
         return Polynomial._raw(self.dim, {e: c * scalar for e, c in self.terms.items()})
@@ -212,9 +215,8 @@ class Polynomial:
         point = list(point)
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        exact = all(isinstance(v, (int, Fraction)) for v in point)
-        if exact:
-            coords = [Fraction(v) for v in point]
+        if all(isinstance(v, (int, Fraction)) for v in point):
+            coords = [v if type(v) is Fraction else Fraction(v) for v in point]
             total = Fraction(0)
             # Cache powers per variable; exponents repeat across terms.
             powers: list[dict[int, Fraction]] = [{} for _ in coords]
@@ -283,6 +285,15 @@ class Polynomial:
         return f"Polynomial({self.dim}, {' + '.join(bits)})"
 
 
+def exact_coefficient(value):
+    """`value` as an exact coefficient: a Python int when it is integral (a bool
+    or a numpy integer too), else a Fraction; a float converts exactly."""
+    if type(value) is int:
+        return value
+    value = value if type(value) is Fraction else Fraction(value)
+    return int(value.numerator) if value.denominator == 1 else value
+
+
 class LongJsonInt:
     """A JSON integer literal of more than MAX_JSON_DIGITS digits, kept as text."""
 
@@ -334,7 +345,7 @@ def random_polynomial(dim: int, max_degree: int, n_terms: int, seed: int) -> Pol
         exp = [0] * dim
         for _ in range(degree):
             exp[rng.randrange(dim)] += 1
-        coeff = Fraction(rng.choice(coeff_pool))
+        coeff = rng.choice(coeff_pool)
         key = tuple(exp)
         terms[key] = terms[key] + coeff if key in terms else coeff
     return Polynomial(dim, terms)

@@ -145,13 +145,36 @@ class TestIdentitiesCommand:
         assert equivalence["ok"] and equivalence["cases"] == 2
 
     @pytest.mark.parametrize("argv", [["--n", "4"], ["--n", "0"], ["--n", "1", "--n", "40"],
-                                      ["--count", "-3"]])
+                                      ["--count", "-3"], ["--count", "1000000000"]])
     def test_out_of_range_flags_are_input_errors(self, capsys, argv):
         assert main(["identities", *argv]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: --")
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_count_above_limit_refused_before_any_table(self, capsys, monkeypatch):
+        import hktcalc.cli as cli
+        import hktcalc.salamon as salamon
+
+        tables, suites = [], []
+        original = salamon.ProjectorTable.__init__
+
+        def table_spy(self, model):
+            tables.append(model.n)
+            original(self, model)
+
+        monkeypatch.setattr(salamon.ProjectorTable, "__init__", table_spy)
+        monkeypatch.setattr(cli, "identity_suite", lambda *args: suites.append(args) or [])
+        argv = ["identities", "--n", "1", "--n", "2", "--n", "3", "--count"]
+        assert main([*argv, str(cli.MAX_COUNT + 1)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and tables == [] and suites == []
+        assert captured.err == f"input error: --count must be between 0 and {cli.MAX_COUNT}, got {cli.MAX_COUNT + 1}\n"
+        # The limit itself is accepted (the suite is stubbed out here).
+        assert main([*argv, str(cli.MAX_COUNT)]) == EXIT_OK
+        assert suites == [([1, 2, 3], 0, cli.MAX_COUNT)]
+        capsys.readouterr()
 
     def test_determinism_modulo_timings(self, tmp_path):
         out1 = tmp_path / "a.json"

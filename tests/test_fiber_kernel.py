@@ -49,7 +49,7 @@ from hktcalc.forms import (
     operator_matrix,
 )
 from hktcalc.salamon import bundle_B
-from hktcalc.scalars import Polynomial
+from hktcalc.scalars import Polynomial, exact_coefficient
 from hktcalc.structures import (
     HypercomplexModel,
     SpherePoint,
@@ -183,9 +183,14 @@ def oracle_pair_insertion_operator(a, b, k, dim):
 
 
 def _canonical(poly):
-    """Tuple exponents of ints, nonzero Fraction values."""
+    """Tuple exponents of ints, nonzero int or Fraction values (never a bool
+    or a float)."""
     return all(type(exp) is tuple and len(exp) == poly.dim and all(type(e) is int for e in exp)
-               and type(c) is Fraction and c for exp, c in poly.terms.items())
+               and type(c) in (int, Fraction) and c for exp, c in poly.terms.items())
+
+
+def _exact_form(form):
+    return all(_canonical(p) for p in form.terms.values())
 
 
 # Small coefficient pools make cancellations, and so zero-dropping, common.
@@ -197,16 +202,26 @@ def polynomials(dim):
     return st.dictionaries(exps, COEFFS, max_size=4).map(lambda t: Polynomial(dim, t))
 
 
+def kforms(dim, k):
+    indices = st.sampled_from(multi_indices(dim, k))
+    return st.dictionaries(indices, polynomials(dim), max_size=5).map(lambda t: KForm(k, dim, t))
+
+
 @st.composite
 def forms_and_operators(draw):
     dim = draw(st.sampled_from([4, 8]))
     k = draw(st.integers(0, 3))
-    basis = multi_indices(dim, k)
-    indices = st.sampled_from(basis)
-    form = KForm(k, dim, draw(st.dictionaries(indices, polynomials(dim), max_size=5)))
+    indices = st.sampled_from(multi_indices(dim, k))
+    form = draw(kforms(dim, k))
     columns = st.dictionaries(indices, COEFFS, max_size=4).map(lambda c: sorted(c.items()))
     op = draw(st.dictionaries(indices, columns, max_size=12))
     return op, form
+
+
+@st.composite
+def form_pairs_and_operators(draw):
+    op, form = draw(forms_and_operators())
+    return op, form, draw(kforms(form.dim, form.degree))
 
 
 @given(forms_and_operators())
@@ -215,7 +230,7 @@ def test_apply_operator_matches_oracle(case):
     op, form = case
     out = apply_operator(op, form)
     assert out == oracle_apply_operator(op, form)
-    assert all(_canonical(p) for p in out.terms.values())
+    assert _exact_form(out)
 
 
 def sphere_points():
@@ -281,6 +296,82 @@ def test_arithmetic_results_are_canonical(a, b, scalar, index):
     for r in results:
         assert r == Polynomial(r.dim, r.terms)
         assert _canonical(r)
+
+
+@given(form_pairs_and_operators())
+@settings(max_examples=150, deadline=None)
+def test_form_results_are_canonical(case):
+    # +, -, wedge, d and apply_operator adopt their results through
+    # KForm._raw unchecked; the public constructor re-validates each one.
+    op, form, other = case
+    results = [form + other, form - other, form - form, -form, form.wedge(other),
+               form.wedge(other.d()), form.d(), form.d().d(), apply_operator(op, form)]
+    for r in results:
+        assert r == KForm(r.degree, r.dim, r.terms) and _exact_form(r)
+
+
+def _fraction_valued(poly):
+    """The same polynomial with every value a Fraction, adopted by `_raw`."""
+    return Polynomial._raw(poly.dim, {e: Fraction(c) for e, c in poly.terms.items()})
+
+
+def _fraction_valued_form(form):
+    return KForm._raw(form.degree, form.dim, {i: _fraction_valued(p) for i, p in form.terms.items()})
+
+
+# Integral values are ints and the rest Fractions, so each input below is
+# built twice: as stored (ints where integral) and with every value a
+# Fraction.  Both must give equal results.  Equality alone cannot see a
+# float (0.5 == Fraction(1, 2)), so the value types are checked as well.
+POINTS = st.tuples(*[st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))] * 4)
+
+
+@given(polynomials(4), polynomials(4), st.sampled_from([-2, 3, Fraction(1, 3), Fraction(4, 2)]),
+       st.integers(0, 3), POINTS)
+@settings(max_examples=150, deadline=None)
+def test_int_and_fraction_values_give_equal_polynomials(a, b, scalar, index, point):
+    af, bf = _fraction_valued(a), _fraction_valued(b)
+
+    def results(x, y):
+        return [x + y, x - y, -x, x * y, x * scalar, x.scale(scalar), x.partial(index)]
+
+    for r, rf, mixed in zip(results(a, b), results(af, bf), results(a, bf)):
+        assert r == rf == mixed
+        assert _canonical(r) and _canonical(rf) and _canonical(mixed)
+    values = [a.evaluate(point), af.evaluate(point)]
+    assert values[0] == values[1] and all(type(v) is Fraction for v in values)
+
+
+@given(form_pairs_and_operators())
+@settings(max_examples=100, deadline=None)
+def test_int_and_fraction_values_give_equal_forms(case):
+    op, form, other = case
+    op_int = {idx: [(i, exact_coefficient(c)) for i, c in column] for idx, column in op.items()}
+    op_frac = {idx: [(i, Fraction(c)) for i, c in column] for idx, column in op.items()}
+
+    def results(w, v, o):
+        return [w + v, w - v, -w, w.d(), w.wedge(v), w.wedge(v.d()), apply_operator(o, w)]
+
+    as_stored = results(form, other, op_int)
+    as_fractions = results(_fraction_valued_form(form), _fraction_valued_form(other), op_frac)
+    for r, rf in zip(as_stored, as_fractions):
+        assert r == rf and _exact_form(r) and _exact_form(rf)
+
+
+@given(bilinear_cases(), POINTS)
+@settings(max_examples=40, deadline=None)
+def test_int_and_fraction_values_give_equal_conjugates(case, point):
+    b, matrix = case
+    b_frac = BilinearForm([[_fraction_valued(p) for p in row] for row in b.entries])
+    m_int = [[exact_coefficient(v) for v in row] for row in matrix]
+    m_frac = [[Fraction(v) for v in row] for row in matrix]
+    new, new_frac = b.conjugate_by(m_int), b_frac.conjugate_by(m_frac)
+    assert new == new_frac
+    assert all(_canonical(p) for form in (new, new_frac) for row in form.entries for p in row)
+    point = (point * b.dim)[:b.dim]
+    values = [b.evaluate(point), b_frac.evaluate(point)]
+    assert values[0] == values[1]
+    assert all(type(v) is Fraction for m in values for row in m for v in row)
 
 
 def test_pullback_is_built_at_the_axes_only():

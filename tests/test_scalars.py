@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hktcalc.scalars import (
@@ -49,6 +50,15 @@ class TestPolynomialArithmetic:
     def test_complex_scalar_rejected(self):
         with pytest.raises(TypeError):
             x(0) * 1j
+
+    @pytest.mark.parametrize("value, stored", [(3, 3), (True, 1), (np.int64(-4), -4), (2.0, 2),
+                                               (Fraction(6, 3), 2), (0.5, Fraction(1, 2)),
+                                               ("3/2", Fraction(3, 2))])
+    def test_integral_values_are_stored_as_int(self, value, stored):
+        # Never a bool, a float or a fixed-width numpy int in a term map.
+        for p in (Polynomial.constant(4, value), x(0).scale(value), Polynomial(4, {(1, 0, 0, 0): value})):
+            (c,) = p.terms.values()
+            assert c == stored and type(c) is type(stored)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ring_axioms(self, seed):
@@ -149,7 +159,7 @@ class TestRandomPolynomial:
     def test_coefficients_small_integers(self):
         p = random_polynomial(4, 3, 8, seed=13)
         for c in p.terms.values():
-            assert c.denominator == 1 and abs(c.numerator) <= 9 * 8
+            assert type(c) is int and abs(c) <= 9 * 8
 
 
 class TestJson:
