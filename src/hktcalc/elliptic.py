@@ -72,6 +72,10 @@ MAX_GRID = 65
 # times within noise.
 SLAB_ROWS = 4
 
+# Cap on the DST sweeps of one solve.  Each sweep applies the exact inverse
+# up to rounding, so a solve reaches its tolerance or stalls long before it.
+MAX_SWEEPS = 50_000
+
 
 class SolverError(RuntimeError):
     """The linear solve failed (non-convergence or indefiniteness)."""
@@ -119,12 +123,11 @@ class SolverConfig:
     """Linear-solve controls for the direct DST-I Poisson solve.
 
     `tol` bounds the max-norm of the true linear residual b - A v,
-    recomputed after every sweep; `max_iter` caps the number of DST
-    sweeps; `dirichlet` is a Polynomial, or None for zero boundary data.
+    recomputed after every sweep, at most `MAX_SWEEPS` times;
+    `dirichlet` is a Polynomial, or None for zero boundary data.
     """
 
     tol: float = 1e-10
-    max_iter: int = 50_000
     dirichlet: Polynomial | None = None
 
     def __post_init__(self):
@@ -429,7 +432,7 @@ def _dst4(a: np.ndarray, scratch: np.ndarray, sines: np.ndarray) -> np.ndarray:
     return a
 
 
-def _dst_poisson_solve(rhs, v: np.ndarray, h: float, tol: float, max_iter: int) -> int:
+def _dst_poisson_solve(rhs, v: np.ndarray, h: float, tol: float) -> int:
     """Direct DST-I solve of  A v = b, refined until max|b - A v| <= tol.
 
     `rhs()` yields (rows, b[rows]) slabs covering b, rebuilt for every
@@ -451,7 +454,7 @@ def _dst_poisson_solve(rhs, v: np.ndarray, h: float, tol: float, max_iter: int) 
     # propagates into the stall check.
     res = float(max(r.max(), -r.min()))
     scratch = np.empty((big_n - 1,) * 3)
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         _dst4(r, scratch, sines)
         # Divide by the eigenvalues (2N)^4 (a_i + a_j + a_k + a_l) one
         # axis-0 row at a time, never materializing the whole cube.
@@ -472,7 +475,7 @@ def _dst_poisson_solve(rhs, v: np.ndarray, h: float, tol: float, max_iter: int) 
                 "(below the floating-point floor of this grid)"
             )
         res = new_res
-    raise SolverError(f"DST solve did not reach tol={tol} in {max_iter} sweeps")
+    raise SolverError(f"DST solve did not reach tol={tol} in {MAX_SWEEPS} sweeps")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -497,7 +500,7 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     _write_dirichlet_faces(config, solution)
     h = solution.h
     iterations = _dst_poisson_solve(
-        lambda: _rhs_rows(spec, solution), _interior(solution.values), h, config.tol, config.max_iter
+        lambda: _rhs_rows(spec, solution), _interior(solution.values), h, config.tol
     )
     checks = verify_potential(solution, spec)
     res_max = checks["residual_max"]

@@ -11,7 +11,7 @@ represented sparsely as a map  input-index -> [(output-index, coeff), ...]
 and can be applied coefficient-wise to polynomial forms or exported as an
 exact matrix.
 
-Every such operator -- structure pullbacks and insertions, the projectors
+Every such operator -- structure pullbacks, type projectors, the projectors
 eta, the B conditions -- goes through one kernel, `apply_operator`: it adds
 coeff times each input term straight into one {exponent: coefficient} map
 per output index, drops zeros once at the end and builds each output
@@ -22,7 +22,9 @@ two of them, and `combine_operators` forms sum c_i op_i + shift Id over one
 int denominator.  `hktcalc.structures` builds the axis derivations
 rho_I, rho_J, rho_K with int entries, and every sphere operator is a
 polynomial in them: products and sums stay in ints, and each entry is
-divided once at the end.  The stored operator entries are Fractions.
+divided once at the end.  Operator entries are ints or Fractions, like
+polynomial coefficients: the axis operators keep int entries, and an
+operator divided by a denominator stores Fractions.
 """
 
 from __future__ import annotations
@@ -372,13 +374,6 @@ class BilinearForm:
         if all(isinstance(v, (int, Fraction)) for v in point):
             point = [Fraction(v) for v in point]
         return [[p.evaluate(point) for p in row] for row in self.entries]
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "entries": [[p.to_json() for p in row] for row in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "BilinearForm":
-        return cls([[Polynomial.from_json(p) for p in row] for row in obj["entries"]])
 
 
 def hessian(f: Polynomial) -> BilinearForm:

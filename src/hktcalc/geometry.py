@@ -101,9 +101,6 @@ class HyperhermitianMetric:
                         "negative": negative, "zero": zero})
         return out
 
-    def to_json(self) -> dict:
-        return {"model": self.model.to_json(), "g": [[p.to_json() for p in row] for row in self.tensor.entries]}
-
 
 def _form_component_matrix(form: KForm) -> list[list[Polynomial]]:
     """The full antisymmetric component matrix F[i][j] = F(e_i, e_j)."""
@@ -417,14 +414,11 @@ def default_sample_points(dim: int, count: int = 5, seed: int = 3) -> list[tuple
     return pts
 
 
-def hkt_report(
-    table: ProjectorTable,
-    source: HyperhermitianMetric | KForm,
-    sample_points: Sequence | None = None,
-) -> HKTReport:
+def hkt_report(table: ProjectorTable, source: HyperhermitianMetric | KForm) -> HKTReport:
     """Run all three criteria on a metric or a Salamon (1,1)-form.
 
-    The twistor criterion is decided at `TWISTOR_AXES`.  The three booleans
+    The twistor criterion is decided at `TWISTOR_AXES`, and the metric's
+    signature is sampled at `default_sample_points`.  The three booleans
     are required to coincide; disagreement raises instead of producing a
     report.
     """
@@ -448,7 +442,6 @@ def hkt_report(
     if defn.ok:
         torsion = defn.torsion_candidate
         strong = torsion.d().is_zero()
-    pts = sample_points if sample_points is not None else default_sample_points(model.dim)
     return HKTReport(
         defn.ok,
         sal.ok,
@@ -460,5 +453,5 @@ def hkt_report(
             "salamon": sal.summary(),
             "twistor": tw.summary(),
         },
-        signature_samples=metric.signature_samples(pts),
+        signature_samples=metric.signature_samples(default_sample_points(model.dim)),
     )

@@ -41,7 +41,7 @@ It vanishes on the sphere exactly when its six coefficients do:
     (rho_A rho_B + rho_B rho_A)/2   for the pairs AB = IJ, JK, KI,
 
 the six coefficient conditions.  The three rho_A^2 are shared with eta_3
-and the axis insertions (`structures.axis_squares`).  Rank stability
+and the type projectors at the axes (`structures.axis_squares`).  Rank stability
 under extra random sphere points is asserted separately as a guard.
 """
 

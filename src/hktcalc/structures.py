@@ -26,15 +26,16 @@ forms by the derivations rho_A (A = I, J, K), the one-slot insertions
 (Salamon's E-H splitting).  I, J and K are signed permutation matrices, so
 rho_A is a sum of signed single-slot index replacements and the axis
 pullback A* a signed permutation of the basis k-forms; both are built
-directly.  At a sphere point P = (a, b, c) the one-slot insertion is
-rho_P = a rho_I + b rho_J + c rho_K and the two-slot insertion is
-(rho_P^2 + k)/2, which on 2-forms is the pullback P*.  They are composed
-in ints over den, the lcm of the point's denominators, and divided once.
-No matrix aI + bJ + cK is formed.
+directly, with int entries.  At a sphere point P = (a, b, c) the
+structure's derivation is rho_P = a rho_I + b rho_J + c rho_K, and every
+fiber operator at P is a polynomial in it, composed in ints over den, the
+lcm of the point's denominators, and divided once.  No matrix
+aI + bJ + cK is formed.
 
 Complex type components are `ComplexForm` values: (re, im) pairs of
-rational forms.  All operators of the decomposition are real, so the
-exact core never needs complex coefficients.
+rational forms.  The (0,2) and (0,3) type projectors are stored as pairs
+(Re, Im) of real polynomials in rho_P (`type_projector`), so the exact
+core never needs complex coefficients.
 """
 
 from __future__ import annotations
@@ -102,13 +103,6 @@ class SpherePoint:
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c)
 
-    def to_json(self) -> dict:
-        return {
-            "a": [str(self.a.numerator), str(self.a.denominator)],
-            "b": [str(self.b.numerator), str(self.b.denominator)],
-            "c": [str(self.c.numerator), str(self.c.denominator)],
-        }
-
 
 # Built once: a SpherePoint is immutable.
 _AXES = {"I": SpherePoint(1, 0, 0), "J": SpherePoint(0, 1, 0), "K": SpherePoint(0, 0, 1)}
@@ -159,9 +153,6 @@ class HypercomplexModel:
         point = SpherePoint.axis(name)
         return StructureOperator(self, self.matrix(name), point)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "convention": "left"}
-
     def __repr__(self):
         return f"HypercomplexModel(n={self.n})"
 
@@ -180,8 +171,10 @@ class StructureOperator:
         """Slots-only action, no degree sign."""
         if form.dim != self.model.dim:
             raise ValueError("dimension mismatch")
-        op = _fiber_op(self.model, self.point, form.degree, "pullback")
-        return apply_operator(op, form)
+        name = _AXIS_NAMES.get(self.point)
+        if name is None:
+            raise ValueError("pullbacks are built at the axes I, J, K only")
+        return apply_operator(_axis_operators(self.model, name, form.degree)[1], form)
 
     def act(self, form: KForm) -> KForm:
         """The signed action on k-forms: (-1)^k times the pullback."""
@@ -245,81 +238,62 @@ def axis_derivations(model: HypercomplexModel, k: int) -> list[FiberOperator]:
 
 def axis_squares(model: HypercomplexModel, k: int) -> list[FiberOperator]:
     """rho_I^2, rho_J^2, rho_K^2 on k-forms, with int entries, each composed
-    once per (n, axis, k): eta, the B^3 conditions and the two-slot
-    insertions at the axes share them."""
+    once per (n, axis, k): eta, the B^3 conditions and the type projectors
+    at the axes share them."""
     for name, rho in zip("IJK", axis_derivations(model, k)):
         if (model.n, name, k, "square") not in _FIBER_CACHE:
             _FIBER_CACHE[model.n, name, k, "square"] = compose_operators(rho, rho)
     return [_FIBER_CACHE[model.n, name, k, "square"] for name in "IJK"]
 
 
-def _fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, kind: str):
-    """The fiber operator of `kind` for the structure at `point` on k-forms.
+def type_projector(model: HypercomplexModel, point: SpherePoint, k: int) -> tuple[FiberOperator, FiberOperator]:
+    """(Re, Im) of the (0,k) type projector at `point` on k-forms, k = 2 or 3.
 
-    "insert1" is rho_P and "insert2" is (rho_P^2 + k)/2, built in ints from
-    den * rho_P and divided once (at an axis from the cached rho_A^2);
-    "pullback" is built at the three axes only.  The stored coefficients
-    are Fractions.
+    rho_P acts as i(p - q) on (p,q)-forms, so the Lagrange polynomials in
+    rho_P that are 1 on (0,k) and 0 on the other types are
+
+        pi02 = -rho_P^2/8 + i rho_P/4,
+        pi03 = -(rho_P^2 + 1)/16 - i (rho_P^3 + rho_P)/48.
+
+    Both halves are built in ints from den * rho_P (at an axis from the
+    cached rho_A^2) and divided once; their entries are Fractions.  The
+    (k,0) projector is the conjugate pair (Re, -Im).
     """
-    key = (model.n, point.as_tuple(), k, kind)
+    if k not in (2, 3):
+        raise ValueError("type projectors are built on 2- and 3-forms only")
+    key = (model.n, point.as_tuple(), k, "type")
     cached = _FIBER_CACHE.get(key)
     if cached is not None:
         return cached
     name = _AXIS_NAMES.get(point)
-    if kind == "pullback":
-        if name is None:
-            raise ValueError("pullbacks are built at the axes I, J, K only")
-        op = combine_operators([(1, _axis_operators(model, name, k)[1])], den=1)
-    elif kind in ("insert1", "insert2"):
-        den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
-        terms = [(v.numerator * (den // v.denominator), rho)
-                 for v, rho in zip(point.as_tuple(), axis_derivations(model, k)) if v]
-        if kind == "insert1":
-            op = combine_operators(terms, den=den)
-        elif name is not None:
-            op = combine_operators([(1, axis_squares(model, k)["IJK".index(name)])], k, 2)
-        else:
-            scaled = combine_operators(terms)
-            op = combine_operators([(1, compose_operators(scaled, scaled))], k * den * den, 2 * den * den)
+    if name is not None:
+        den, rho, square = 1, _axis_operators(model, name, k)[0], axis_squares(model, k)["IJK".index(name)]
     else:
-        raise ValueError(kind)
-    _FIBER_CACHE[key] = op
-    return op
+        den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
+        rho = combine_operators([(v.numerator * (den // v.denominator), r)
+                                 for v, r in zip(point.as_tuple(), axis_derivations(model, k)) if v])
+        square = compose_operators(rho, rho)
+    den2 = den * den
+    if k == 2:
+        pair = combine_operators([(-1, square)], den=8 * den2), combine_operators([(1, rho)], den=4 * den)
+    else:
+        cube = compose_operators(rho, square)
+        pair = (combine_operators([(-1, square)], -den2, 16 * den2),
+                combine_operators([(-1, cube), (-den2, rho)], den=48 * den2 * den))
+    _FIBER_CACHE[key] = pair
+    return pair
 
 
 @dataclass(frozen=True)
 class ComplexForm:
     """A complex form re + i*im, stored as two rational forms.
 
-    Every fiber operator of the type decomposition (pullback, one- and
-    two-slot insertion) and the exterior derivative are real, so they act
-    on each half separately, and multiplying by i maps (re, im) to
-    (-im, re).  This is the only complex object in the package.
+    The type projectors and the exterior derivative act on each half
+    separately.  This is the only complex object in the package.
     """
 
     re: KForm
     im: KForm
-
-    @classmethod
-    def real(cls, form: KForm) -> "ComplexForm":
-        return cls(form, KForm.zero(form.degree, form.dim))
-
-    @property
-    def degree(self) -> int:
-        return self.re.degree
-
-    def __add__(self, other: "ComplexForm") -> "ComplexForm":
-        return ComplexForm(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexForm") -> "ComplexForm":
-        return ComplexForm(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, scalar) -> "ComplexForm":
-        """Multiplication by a rational scalar."""
-        return ComplexForm(self.re * scalar, self.im * scalar)
-
-    def times_i(self) -> "ComplexForm":
-        return ComplexForm(-self.im, self.re)
 
     def d(self) -> "ComplexForm":
         return ComplexForm(self.re.d(), self.im.d())
@@ -335,66 +309,26 @@ class ComplexForm:
         return max(self.re.coefficient_height(), self.im.coefficient_height())
 
 
-def _complex(form: KForm | ComplexForm) -> ComplexForm:
-    return form if isinstance(form, ComplexForm) else ComplexForm.real(form)
-
-
-def _apply(op, form: ComplexForm) -> ComplexForm:
-    """A real fiber operator acts on each half of a complex form."""
-    return ComplexForm(apply_operator(op, form.re), apply_operator(op, form.im))
-
-
-def two_form_type_components(model: HypercomplexModel, point: SpherePoint,
-                             form: KForm | ComplexForm) -> dict:
-    """Type components of a 2-form for the structure at `point`.
-
-    Keys "20", "11", "02", each a `ComplexForm`.  The construction uses the
-    slots-only pullback P, on 2-forms the two-slot insertion (rho_P^2 + 2)/2,
-    and the one-slot insertion sum s1 = rho_P (which acts as 2i on (2,0),
-    0 on (1,1), -2i on (0,2)):
-
-        rho = (w - Pw)/2 = -rho_P^2 w/4,  w11 = (w + Pw)/2,  T = s1(rho)/2,
-        w02 = (rho + i T)/2,   w20 = (rho - i T)/2.
-    """
-    if form.degree != 2:
-        raise ValueError("expected a 2-form")
-    form = _complex(form)
-    pulled = _apply(_fiber_op(model, point, 2, "insert2"), form)
-    rho = (form - pulled) * Fraction(1, 2)
-    w11 = (form + pulled) * Fraction(1, 2)
-    i_t = _apply(_fiber_op(model, point, 2, "insert1"), rho).times_i()
-    half_rho, half_i_t = rho * Fraction(1, 2), i_t * Fraction(1, 4)
-    return {"20": half_rho - half_i_t, "11": w11, "02": half_rho + half_i_t}
-
-
-def three_form_type_components(model: HypercomplexModel, point: SpherePoint,
-                               form: KForm | ComplexForm) -> dict:
-    """Extreme type components of a 3-form (keys "30", "03"), as `ComplexForm`s.
-
-    s2 (two-slot insertion sum) acts as -3 on (3,0)+(0,3) and +1 on
-    (2,1)+(1,2), so psi = (w - s2 w)/4 isolates the extreme part; the
-    one-slot sum, scaled by 1/3, then splits it by eigenvalue +-i.
-    """
-    if form.degree != 3:
-        raise ValueError("expected a 3-form")
-    form = _complex(form)
-    s2 = _apply(_fiber_op(model, point, 3, "insert2"), form)
-    psi = (form - s2) * Fraction(1, 4)
-    i_t = _apply(_fiber_op(model, point, 3, "insert1"), psi).times_i()
-    half_psi, half_i_t = psi * Fraction(1, 2), i_t * Fraction(1, 6)
-    return {"30": half_psi - half_i_t, "03": half_psi + half_i_t}
-
-
 def complex_type_part(model: HypercomplexModel, point: SpherePoint,
                       form: KForm | ComplexForm, part: str) -> ComplexForm:
     """One complex type component of a 2- or 3-form.
 
-    `part` is one of "20", "02" (degree 2) or "30", "03" (degree 3).
-    Works for rational and complex input forms alike; the output is
-    always a `ComplexForm`.
+    `part` is one of "20", "02" (degree 2) or "30", "03" (degree 3).  With
+    R + iS the (0,k) projector, a complex input x + iy maps to
+    (Rx - Sy) + i(Sx + Ry), and a rational input is x alone.  The (k,0)
+    part is the conjugate of the (0,k) part of the conjugate input.  The
+    output is always a `ComplexForm`.
     """
-    if part in ("20", "02"):
-        return two_form_type_components(model, point, form)[part]
-    if part in ("30", "03"):
-        return three_form_type_components(model, point, form)[part]
-    raise ValueError(f"unknown type part {part!r}")
+    if part not in ("20", "02", "30", "03"):
+        raise ValueError(f"unknown type part {part!r}")
+    x, y = (form.re, form.im) if isinstance(form, ComplexForm) else (form, None)
+    k = int(part[0]) + int(part[1])
+    if x.degree != k:
+        raise ValueError(f"expected a {k}-form")
+    re_op, im_op = type_projector(model, point, k)
+    conjugate = part[0] != "0"
+    re, im = apply_operator(re_op, x), apply_operator(im_op, x)
+    if y is not None:
+        y = -y if conjugate else y
+        re, im = re - apply_operator(im_op, y), im + apply_operator(re_op, y)
+    return ComplexForm(re, -im if conjugate else im)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hktcalc import elliptic
 from hktcalc.conventions import SOLVER_FORM_SCALE, TRACE_TARGET
 from hktcalc.elliptic import (
     ConformalMetricSpec,
@@ -167,7 +168,7 @@ def dense_solve(spec: ConformalMetricSpec, m: int, config: SolverConfig):
     phi, _ = whole_samples(spec, grid)
     mu = mask_dirichlet_values(config, grid)
     b = -float(TRACE_TARGET) * _interior(phi) + _second_diff_sum(mu, grid.h)
-    v, sweeps = dense_dst_poisson_solve(b, grid.h, config.tol, config.max_iter)
+    v, sweeps = dense_dst_poisson_solve(b, grid.h, config.tol, elliptic.MAX_SWEEPS)
     mu[1:-1, 1:-1, 1:-1, 1:-1] = v
     solution = Grid4D(m, grid.lo, grid.hi, mu)
     return solution, sweeps, float(np.max(whole_residual(spec, solution)))
@@ -476,8 +477,8 @@ class TestSolver:
         grid = Grid4D(m, *spec.box)
         _, b = linear_system(spec, grid, cfg)
         v_dst = np.zeros_like(b)
-        sweeps = _dst_poisson_solve(whole_rhs(b), v_dst, grid.h, cfg.tol, cfg.max_iter)
-        v_cg, _ = _conjugate_gradient(b, grid.h, cfg.tol, cfg.max_iter)
+        sweeps = _dst_poisson_solve(whole_rhs(b), v_dst, grid.h, cfg.tol)
+        v_cg, _ = _conjugate_gradient(b, grid.h, cfg.tol, elliptic.MAX_SWEEPS)
         assert sweeps == 1
         assert np.max(np.abs(v_dst - v_cg)) <= 1e-10
 
@@ -498,20 +499,19 @@ class TestSolver:
     def test_tolerance_below_floor_raises(self):
         # The true residual cannot fall below its rounding floor (about 7e-14
         # at m = 9), so the solve stops with an error instead of sweeping on
-        # until max_iter.
+        # until MAX_SWEEPS.
         with pytest.raises(SolverError, match="stalled"):
             solve_potential(flat_spec(), 9, SolverConfig(tol=1e-16))
 
-    def test_nonconvergence_raises(self):
-        with pytest.raises(SolverError):
-            solve_potential(flat_spec(), 9, SolverConfig(tol=1e-15, max_iter=2))
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "MAX_SWEEPS", 2)
+        with pytest.raises(SolverError, match="did not reach tol=1e-15 in 2 sweeps"):
+            solve_potential(flat_spec(), 9, SolverConfig(tol=1e-15))
 
     @pytest.mark.parametrize("corruption", [1.0, float("nan")])
     def test_corrupted_residual_raises(self, monkeypatch, corruption):
         # The solve never runs the residual's 9-point stencil, so corrupting
         # it leaves the solution alone and trips the gate.
-        from hktcalc import elliptic
-
         stencil = elliptic._second_diff_sum
         monkeypatch.setattr(elliptic, "_second_diff_sum", lambda full, h: stencil(full, h) + corruption)
         with pytest.raises(SolverError, match=r"^geometric residual .* above .* at m = 7$"):
@@ -523,8 +523,6 @@ class TestSolver:
         # A constant phi and a stencil shifted by `shift` give a residual of
         # shift / phi, up to a rounding floor near 1e-13; the bound is
         # 100 * 1e-10 / phi, so shift = 1e-8 is the edge for either factor.
-        from hktcalc import elliptic
-
         stencil = elliptic._second_diff_sum
         monkeypatch.setattr(elliptic, "_second_diff_sum", lambda full, h: stencil(full, h) + shift)
         spec = ConformalMetricSpec(Polynomial.constant(4, phi))
@@ -592,7 +590,6 @@ def write_conformal_doc(tmp_path) -> str:
 
 class TestSlabSampling:
     def test_solve_samples_phi_per_slab(self, monkeypatch, tmp_path):
-        from hktcalc import elliptic
         from hktcalc.cli import main
 
         calls = []
@@ -1071,8 +1068,10 @@ class TestWholeArrayOracle:
         assert np.array_equal(result.grid.values, grid.values)
         assert result.diagnostics["residual_max"] == res_max
 
-    @pytest.mark.parametrize("cfg", [SolverConfig(tol=1e-16), SolverConfig(tol=1e-15, max_iter=2)])
-    def test_failures_match(self, cfg):
+    @pytest.mark.parametrize("tol, max_sweeps", [(1e-16, elliptic.MAX_SWEEPS), (1e-15, 2)])
+    def test_failures_match(self, monkeypatch, tol, max_sweeps):
+        monkeypatch.setattr(elliptic, "MAX_SWEEPS", max_sweeps)
+        cfg = SolverConfig(tol=tol)
         with pytest.raises(SolverError) as lean:
             solve_potential(flat_spec(), 9, cfg)
         with pytest.raises(SolverError) as dense:
@@ -1129,8 +1128,6 @@ class TestWholeArrayOracle:
 
     @pytest.mark.parametrize("m", [5, 9])
     def test_rhs_rows_never_run_the_whole_stencil(self, monkeypatch, m):
-        from hktcalc import elliptic
-
         def refuse(*args):
             pytest.fail("_rhs_rows ran the 9-point stencil")
 

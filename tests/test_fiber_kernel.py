@@ -11,10 +11,11 @@ equal:
   which built aI + bJ + cK in Fractions;
 * `oracle_fiber_op` -- an earlier `structures._fiber_op`, which expanded
   that Fraction matrix (with `_wedge_expansion` and the insertion sum).
-  The package now builds the insertions as rho_P = a rho_I + b rho_J +
-  c rho_K and (rho_P^2 + k)/2 from the axis derivations, and pullbacks at
-  the axes only; the P* identities below tie rho_P to the pullback at
-  every sphere point;
+  The package now builds pullbacks at the axes only, with int entries,
+  and the (0,2) and (0,3) type projectors as polynomials in
+  rho_P = a rho_I + b rho_J + c rho_K; the tests below check them against
+  the one- and two-slot insertion sums S1, S2 of the oracle, and the P*
+  identities tie rho_P to the pullback at every sphere point;
 * `oracle_pair_insertion_operator` -- the former
   `forms.pair_insertion_operator` S(A, B), the symmetrized insertion of two
   maps into two distinct slots, which built the degree-3 B conditions.
@@ -32,6 +33,7 @@ All arithmetic is exact, so new and old results must be equal, not close.
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hktcalc import exact_linalg as ela
+from hktcalc.batteries import random_kform
 from hktcalc.forms import (
     BilinearForm,
     KForm,
@@ -53,8 +56,11 @@ from hktcalc.scalars import Polynomial, exact_coefficient
 from hktcalc.structures import (
     HypercomplexModel,
     SpherePoint,
-    _fiber_op,
+    StructureOperator,
+    _axis_operators,
+    axis_derivations,
     random_sphere_points,
+    type_projector,
 )
 
 from conftest import (
@@ -68,7 +74,6 @@ from conftest import (
 )
 
 MODELS = {1: HypercomplexModel(1), 2: HypercomplexModel(2)}
-KINDS = {"pullback": range(0, 4), "insert1": range(1, 4), "insert2": range(2, 4)}
 
 
 def oracle_apply_operator(op, form):
@@ -132,11 +137,10 @@ def oracle_sphere_matrix(model, point):
     )
 
 
-def oracle_fiber_op(model, point, k, kind):
-    """Pullback (all k slots) or the one- or two-slot insertion sum, in Fractions."""
+def oracle_fiber_op(model, point, k, slots):
+    """The `slots`-slot insertion sum on k-forms, in Fractions (slots = k is the pullback)."""
     rows = [[(j, Fraction(v)) for j, v in enumerate(row) if v] for row in oracle_sphere_matrix(model, point)]
     plain = [[(i, Fraction(1))] for i in range(model.dim)]
-    slots = {"pullback": k, "insert1": 1, "insert2": 2}[kind]
     op = {}
     for idx in multi_indices(model.dim, k):
         total = {}
@@ -264,28 +268,61 @@ def test_conjugate_by_matches_dense_oracle(case):
     assert all(_canonical(p) for row in new.entries for p in row)
 
 
-def _assert_fiber_op_matches(model, point):
-    # Pullbacks are built at the axes only.
-    is_axis = point.as_tuple().count(0) == 2
-    for kind, degrees in KINDS.items():
-        if kind == "pullback" and not is_axis:
-            continue
-        for k in degrees:
-            op = _fiber_op(model, point, k, kind)
-            assert op == oracle_fiber_op(model, point, k, kind), (model.n, point, k, kind)
-            assert all(type(c) is Fraction for column in op.values() for _, c in column)
+def entries(op):
+    """{(input index, output index): coeff} of a fiber operator, zeros dropped."""
+    return {(in_idx, out_idx): c for in_idx, column in op.items() for out_idx, c in column if c}
+
+
+def _assert_type_projectors_match(model, point):
+    """pi02 = ((1 - S2) + i S1)/4 and pi03 = (1 - S2)/8 - i S1 (S2 - 1)/24,
+    with S1, S2 the oracle's one- and two-slot insertion sums."""
+    for k in (2, 3):
+        s1, s2 = (routed_fiber_op(model, point, k, slots) for slots in (1, 2))
+        if k == 2:
+            expected = combine_operators([(-1, s2)], 1, 4), combine_operators([(1, s1)], den=4)
+        else:
+            s2_minus_1 = combine_operators([(1, s2)], -1)
+            expected = combine_operators([(-1, s2)], 1, 8), combine_operators([(-1, compose_operators(s1, s2_minus_1))], den=24)
+        pair = type_projector(model, point, k)
+        assert [entries(op) for op in pair] == [entries(op) for op in expected], (model.n, point, k)
+        assert all(type(c) is Fraction for op in pair for column in op.values() for _, c in column)
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_fiber_op_matches_oracle_at_default_witnesses(n):
-    for point in default_sphere_witnesses():
-        _assert_fiber_op_matches(MODELS[n], point)
+def test_type_projectors_match_oracle_at_fixed_witnesses(n):
+    for point in FIXED_WITNESSES:
+        _assert_type_projectors_match(MODELS[n], point)
 
 
 @given(sphere_points(), st.sampled_from([1, 2]))
 @settings(max_examples=12, deadline=None)
-def test_fiber_op_matches_oracle_at_random_points(point, n):
-    _assert_fiber_op_matches(MODELS[n], point)
+def test_type_projectors_match_oracle_at_random_points(point, n):
+    _assert_type_projectors_match(MODELS[n], point)
+
+
+def test_type_projectors_are_built_in_degrees_2_and_3_only():
+    for k in (1, 4):
+        with pytest.raises(ValueError, match="2- and 3-forms"):
+            type_projector(MODELS[2], FIXED_WITNESSES[3], k)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_axis_pullbacks_are_int_and_keep_int_forms_int(n):
+    model = MODELS[n]
+    for name in "IJK":
+        for k in range(0, 4):
+            pull = _axis_operators(model, name, k)[1]
+            assert entries(pull) == entries(oracle_fiber_op(model, SpherePoint.axis(name), k, k)), (n, name, k)
+            assert all(type(c) is int for column in pull.values() for _, c in column)
+            form = random_kform(model.dim, k, random.Random(100 * n + k), n_components=4)
+            assert not form.is_zero() and _int_valued(form)
+            moved = model.operator(name).pullback(form)
+            assert moved == apply_operator(oracle_fiber_op(model, SpherePoint.axis(name), k, k), form)
+            assert _int_valued(moved)
+
+
+def _int_valued(form):
+    return all(type(c) is int for poly in form.terms.values() for c in poly.terms.values())
 
 
 @given(polynomials(4), polynomials(4), COEFFS, st.integers(0, 3))
@@ -375,13 +412,9 @@ def test_int_and_fraction_values_give_equal_conjugates(case, point):
 
 
 def test_pullback_is_built_at_the_axes_only():
+    model, point = MODELS[1], FIXED_WITNESSES[3]
     with pytest.raises(ValueError, match="axes"):
-        _fiber_op(MODELS[1], FIXED_WITNESSES[3], 2, "pullback")
-
-
-def entries(op):
-    """{(input index, output index): coeff} of a fiber operator, zeros dropped."""
-    return {(in_idx, out_idx): c for in_idx, column in op.items() for out_idx, c in column if c}
+        StructureOperator(model, sphere_matrix(model, point), point).pullback(KForm.basis(4, (0, 1)))
 
 
 @given(sphere_points(), st.sampled_from([1, 2]))
@@ -390,7 +423,7 @@ def test_pullback_is_a_polynomial_in_rho_at_random_points(point, n):
     # P* acts as i^(p-q) and rho_P as i(p - q) on (p,q)-forms, so
     # P* = 1 + rho_P^2/2 on 2-forms and (7 rho_P + rho_P^3)/6 on 3-forms.
     model = MODELS[n]
-    rho2, rho3 = (_fiber_op(model, point, k, "insert1") for k in (2, 3))
+    rho2, rho3 = (combine_operators(list(zip(point.as_tuple(), axis_derivations(model, k)))) for k in (2, 3))
     pull2, pull3 = (routed_fiber_op(model, point, k, k) for k in (2, 3))
     assert entries(combine_operators([(2, pull2)])) == entries(combine_operators([(1, compose_operators(rho2, rho2))], 2))
     cube = compose_operators(rho3, compose_operators(rho3, rho3))
@@ -473,13 +506,15 @@ def structure_pair_oracle(n, k):
             for i in range(3) for j in range(3)}
 
 
-def _assert_insert2_is_polarized(model, point):
-    """The cached two-slot insertion sum at (a, b, c) is sum_ij a_i a_j S(A_i, A_j)."""
+def _assert_two_slot_sum_is_polarized(model, point):
+    """The two-slot insertion sum at (a, b, c), read off the type projectors
+    as S2 = 1 - 4 Re pi02 and 1 - 8 Re pi03, is sum_ij a_i a_j S(A_i, A_j)."""
     coords = point.as_tuple()
-    for k in (2, 3):
+    for k, scale in ((2, -4), (3, -8)):
         pairs = structure_pair_oracle(model.n, k)
         expected = combination((coords[i] * coords[j], op) for (i, j), op in pairs.items())
-        assert entries(_fiber_op(model, point, k, "insert2")) == expected, (model.n, point, k)
+        two_slot = combine_operators([(scale, type_projector(model, point, k)[0])], 1)
+        assert entries(two_slot) == expected, (model.n, point, k)
 
 
 def test_fixed_witnesses_determine_a_quadratic_form():
@@ -494,13 +529,13 @@ def test_pair_insertion_matches_oracle_for_structure_pairs(n):
     # monomials is invertible, so these six identities determine every
     # S(A, B) of a structure pair from the cached operators.
     for point in FIXED_WITNESSES:
-        _assert_insert2_is_polarized(MODELS[n], point)
+        _assert_two_slot_sum_is_polarized(MODELS[n], point)
 
 
 @given(sphere_points(), st.sampled_from([1, 2]))
 @settings(max_examples=10, deadline=None)
-def test_insert2_is_polarized_pair_insertion_at_random_points(point, n):
-    _assert_insert2_is_polarized(MODELS[n], point)
+def test_two_slot_sum_is_polarized_pair_insertion_at_random_points(point, n):
+    _assert_two_slot_sum_is_polarized(MODELS[n], point)
 
 
 def integer_matrices(dim):
@@ -534,7 +569,7 @@ def oracle_b3_conditions(model, points):
     for a, b in [("I", "I"), ("J", "J"), ("K", "K"), ("I", "J"), ("J", "K"), ("K", "I")]:
         op = oracle_pair_insertion_operator(model.matrix(a), model.matrix(b), 3, model.dim)
         ops.append(combine_operators([(1, op)], -1) if a == b else op)
-    ops += [combine_operators([(1, oracle_fiber_op(model, pt, 3, "insert2"))], -1) for pt in points]
+    ops += [combine_operators([(1, oracle_fiber_op(model, pt, 3, 2))], -1) for pt in points]
     return [row for op in ops for row in operator_matrix(op, 3, model.dim)]
 
 

@@ -13,10 +13,25 @@ from hktcalc.structures import (
     SpherePoint,
     complex_type_part,
     random_sphere_points,
-    two_form_type_components,
 )
 
 from conftest import bilinear_from_constant, flat_form, norm_squared, routed_operator, sphere_operator
+
+
+def imaginary_spectrum_projector(s1, spectrum, target):
+    """(Re, Im) of the product of (s1 - it)/(i(target - t)) over t in
+    `spectrum`, t != target, in Fraction matrices: the projector onto the
+    i*target eigenspace of a matrix s1 with eigenvalues it, t in `spectrum`."""
+    re, im = ela.identity(len(s1)), ela.mat_scale(ela.identity(len(s1)), 0)
+    for t in spectrum:
+        if t == target:
+            continue
+        # (re + i im)(s1 - it) = (re s1 + t im) + i(im s1 - t re), then / i(target - t).
+        x = [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(ela.mat_mul(re, s1), im)]
+        y = [[a - t * b for a, b in zip(ra, rb)] for ra, rb in zip(ela.mat_mul(im, s1), re)]
+        scale = Fraction(1, target - t)
+        re, im = ela.mat_scale(y, scale), ela.mat_scale(x, -scale)
+    return re, im
 
 
 class TestStandardModel:
@@ -188,13 +203,17 @@ class TestTypeDecomposition:
         assert part.is_zero()
 
     def test_two_form_completeness(self, model1):
+        # w = w20 + w11 + w02, with the (1,1) part (w + P*w)/2 from the
+        # oracle pullback: the real parts sum to w, the imaginary parts cancel.
         rng = random.Random(31)
         pt = SpherePoint(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
+        oracle = sphere_operator(model1, pt)
         for _ in range(10):
             w = random_kform(4, 2, rng)
-            comps = two_form_type_components(model1, pt, w)
-            total = comps["20"] + comps["11"] + comps["02"]
-            assert total == ComplexForm.real(w)
+            p20, p02 = (complex_type_part(model1, pt, w, part) for part in ("20", "02"))
+            w11 = (w + oracle.pullback(w)) * Fraction(1, 2)
+            assert p20.re + w11 + p02.re == w
+            assert (p20.im + p02.im).is_zero()
 
     def test_20_part_is_conjugate_of_02(self, model1):
         # For a real form the (2,0) part is the complex conjugate of the
@@ -216,39 +235,41 @@ class TestTypeDecomposition:
             p20 = complex_type_part(model1, pt, w, "20")
             assert complex_type_part(model1, pt, p20, "02").is_zero()
 
-    def test_02_projector_against_eigenspace_oracle(self, model1):
-        # Independent oracle: sigma_1 has eigenvalues (2i, 0, -2i) on the
-        # (2,0)/(1,1)/(0,2) splitting, so the Lagrange interpolation
-        # (s1^2 - 2i s1)/(-8) is the (0,2) projector: its real part is the
-        # rational matrix -s1^2/8 and its imaginary part s1/4.
+    def test_02_projector_against_eigenspace_oracle(self, model1, model2):
+        # Independent oracle: the one-slot insertion sum s1 acts as i(p - q)
+        # on (p,q)-forms, so its eigenvalues are 2i, 0, -2i on 2-forms and
+        # 3i, i, -i, -3i on 3-forms.  The Lagrange interpolant at -ki over
+        # them, multiplied out in Fraction matrices, is the (0,k) projector.
         pt = SpherePoint(Fraction(3, 5), Fraction(0), Fraction(4, 5))
-        mat = [
-            [pt.a * model1.I[r][c] + pt.b * model1.J[r][c] + pt.c * model1.K[r][c]
-             for c in range(4)]
-            for r in range(4)
-        ]
-        s1 = operator_matrix(routed_operator(mat, 2, 4, 1), 2, 4)
-        real_part = ela.mat_scale(ela.mat_mul(s1, s1), Fraction(-1, 8))
-        imag_part = ela.mat_scale(s1, Fraction(1, 4))
-        basis = multi_indices(4, 2)
-
-        def apply(matrix, w):
-            vec = [w.terms.get(idx, Polynomial.zero(4)) for idx in basis]
-            terms = {}
-            for i, row in enumerate(matrix):
-                acc = Polynomial.zero(4)
-                for coeff, poly in zip(row, vec):
-                    if coeff and not poly.is_zero():
-                        acc = acc + poly.scale(coeff)
-                if not acc.is_zero():
-                    terms[basis[i]] = acc
-            return KForm(2, 4, terms)
-
         rng = random.Random(33)
-        for _ in range(5):
-            w = random_kform(4, 2, rng)
-            mine = complex_type_part(model1, pt, w, "02")
-            assert mine == ComplexForm(apply(real_part, w), apply(imag_part, w))
+        for model, k, part, spectrum in ((model1, 2, "02", (2, 0, -2)), (model2, 3, "03", (3, 1, -1, -3))):
+            dim = model.dim
+            mat = [
+                [pt.a * model.I[r][c] + pt.b * model.J[r][c] + pt.c * model.K[r][c]
+                 for c in range(dim)]
+                for r in range(dim)
+            ]
+            s1 = operator_matrix(routed_operator(mat, k, dim, 1), k, dim)
+            real_part, imag_part = imaginary_spectrum_projector(s1, spectrum, -k)
+            basis = multi_indices(dim, k)
+
+            def apply(matrix, w):
+                vec = [w.terms.get(idx, Polynomial.zero(dim)) for idx in basis]
+                terms = {}
+                for i, row in enumerate(matrix):
+                    acc = Polynomial.zero(dim)
+                    for coeff, poly in zip(row, vec):
+                        if coeff and not poly.is_zero():
+                            acc = acc + poly.scale(coeff)
+                    if not acc.is_zero():
+                        terms[basis[i]] = acc
+                return KForm(k, dim, terms)
+
+            for _ in range(5):
+                w = random_kform(dim, k, rng)
+                mine = complex_type_part(model, pt, w, part)
+                assert mine == ComplexForm(apply(real_part, w), apply(imag_part, w))
+                assert not mine.is_zero()
 
     def test_three_form_extreme_parts(self, model1):
         rng = random.Random(34)
@@ -280,23 +301,17 @@ class TestTypeDecomposition:
 
 
 class TestComplexForm:
-    def _pair(self, seed):
-        rng = random.Random(seed)
-        return ComplexForm(random_kform(4, 2, rng), random_kform(4, 2, rng))
-
-    def test_times_i_squares_to_minus_one(self):
-        z = self._pair(40)
-        assert z.times_i().times_i() == ComplexForm(-z.re, -z.im)
-        assert z.times_i().times_i().times_i().times_i() == z
-
-    def test_complex_linearity(self):
-        a, b = self._pair(41), self._pair(42)
-        q = Fraction(-3, 7)
-        assert (a + b).times_i() == a.times_i() + b.times_i()
-        assert (a - b) + b == a
-        assert (a * q).times_i() == a.times_i() * q
-        # d is real, so it commutes with multiplication by i.
-        assert a.times_i().d() == a.d().times_i()
+    def test_type_parts_are_complex_linear(self, model2):
+        # pi(x + iy) = pi(x) + i pi(y) for every part, at an axis and off it.
+        rng = random.Random(41)
+        for pt in (SpherePoint.axis("J"), SpherePoint(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))):
+            for part in ("20", "02", "30", "03"):
+                k = int(part[0]) + int(part[1])
+                x, y = random_kform(8, k, rng, 4), random_kform(8, k, rng, 4)
+                px, py = (complex_type_part(model2, pt, f, part) for f in (x, y))
+                z = complex_type_part(model2, pt, ComplexForm(x, y), part)
+                assert z == ComplexForm(px.re - py.im, px.im + py.re)
+                assert not z.is_zero()
 
     def test_summary_counts_union_of_halves(self):
         re = KForm(2, 4, {(0, 1): Polynomial.constant(4, Fraction(5, 3))})
@@ -304,14 +319,14 @@ class TestComplexForm:
         z = ComplexForm(re, im)
         assert z.nonzero_terms() == 2
         assert z.coefficient_height() == 7
-        assert ComplexForm.real(KForm.zero(2, 4)).is_zero()
+        assert ComplexForm(KForm.zero(2, 4), KForm.zero(2, 4)).is_zero()
         assert not z.is_zero()
 
 
 class TestAxisSquares:
     def test_cold_table_and_negative_report_compose_each_square_once(self, monkeypatch):
         # rho_A^2 is composed once per (n, axis, k) and shared by eta, the
-        # B^3 conditions and the two-slot insertions at the axes.
+        # B^3 conditions and the type projectors at the axes.
         from hktcalc import structures
         from hktcalc.batteries import random_a11_form
         from hktcalc.forms import combine_operators, compose_operators
@@ -333,5 +348,10 @@ class TestAxisSquares:
         rho = {(name, k): structures._axis_operators(model, name, k)[0] for name in "IJK" for k in (2, 3)}
         assert sorted(id(op) for op in squared) == sorted(id(op) for op in rho.values())
         for (name, k), op in rho.items():
-            insertion = structures._fiber_op(model, SpherePoint.axis(name), k, "insert2")
-            assert insertion == combine_operators([(1, compose_operators(op, op))], k, 2)
+            square = compose_operators(op, op)
+            if k == 2:
+                expected = combine_operators([(-1, square)], den=8), combine_operators([(1, op)], den=4)
+            else:
+                cube = compose_operators(op, square)
+                expected = combine_operators([(-1, square)], -1, 16), combine_operators([(-1, cube), (-1, op)], den=48)
+            assert structures.type_projector(model, SpherePoint.axis(name), k) == expected
