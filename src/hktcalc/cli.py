@@ -14,8 +14,11 @@ inside ``hkt solve``: ``hkt check`` and ``hkt identities`` are exact and
 never load numpy.
 
 Exit codes: 0 pass, 1 check failure, 2 input error, 3 solver failure,
-4 internal error (a broken convention invariant: `ConventionError`, for
-example the three HKT criteria disagreeing; a bug, never a verdict).
+4 internal error.  Exit 4 means a broken internal invariant
+(`conventions.ConventionError`): the structure matrices failing the
+quaternion identities, a Salamon-type or projector cross-check failing,
+or the HKT criteria disagreeing.  It is a bug, never a verdict; every
+subcommand maps it to exit 4 with one stderr line and no traceback.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import sys
 import time
 
 from .batteries import identity_suite
+from .conventions import ConventionError
 from .documents import MAX_N, DocumentError, InputDocument, Report
 from .geometry import (
-    ConventionError,
     HyperhermitianMetric,
     hkt_report,
     is_hkt_definition,
@@ -64,7 +67,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run HKT checks on an input document")
     p_check.add_argument("file")
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--out", help="write the JSON report here")
 
     p_solve = sub.add_parser("solve", help="solve the 4D potential equation")
@@ -127,7 +129,7 @@ def _check_metric_or_form(doc: InputDocument, report: Report) -> None:
         source = HyperhermitianMetric(doc.model, doc.payload)
     else:
         source = doc.payload
-        if not is_salamon_11(doc.model, source).ok:
+        if not is_salamon_11(doc.model, source):
             raise DocumentError("form document does not carry a Salamon (1,1)-form")
     result = hkt_report(table, source)
     report.verdicts["is_hkt"] = result.is_hkt
@@ -137,16 +139,17 @@ def _check_metric_or_form(doc: InputDocument, report: Report) -> None:
 def _check_potential(doc: InputDocument, report: Report) -> None:
     table = ProjectorTable(doc.model)
     forms = potential_to_forms(doc.model, doc.payload)
-    cert = theta_from_potential(table, doc.payload)
+    theta_from_potential(table, doc.payload)
     # Only F_I is a Salamon (1,1)-form for the preferred structure; F_J
     # and F_K have extreme type with respect to it.
     if forms.f_i.is_zero():
         report.verdicts["form_salamon_11"] = True
         report.verdicts["d_closed"] = True
     else:
-        report.verdicts["form_salamon_11"] = is_salamon_11(doc.model, forms.f_i).ok
+        report.verdicts["form_salamon_11"] = is_salamon_11(doc.model, forms.f_i)
         report.verdicts["d_closed"] = is_hkt_salamon(table, forms.f_i).ok
-    report.verdicts["theta_certificate"] = cert.ok
+    # theta_from_potential raises ConventionError unless D(I d mu) = F_I.
+    report.verdicts["theta_certificate"] = True
     report.data["form_I"] = forms.f_i.to_json()
 
 
@@ -162,7 +165,7 @@ def _check_conformal(doc: InputDocument, report: Report) -> None:
 
 
 def cmd_check(args) -> int:
-    report = Report(command="check", seed=args.seed)
+    report = Report(command="check")
     try:
         doc = InputDocument.load(args.file)
         report.input_digest = doc.digest()
@@ -209,6 +212,8 @@ def cmd_solve(args) -> int:
         config = SolverConfig(tol=args.tol, dirichlet=dirichlet)
     except (DocumentError, ValueError) as exc:
         return _input_error(exc)
+    except ConventionError as exc:
+        return _internal_error(exc)
 
     runs = []
     try:

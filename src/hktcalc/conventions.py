@@ -2,11 +2,13 @@
 
 Several scale conventions interlock and are easy to get wrong by a factor
 of two, so they are frozen here in one place and every module (and the
-test suite) reads them from here.
+test suite) reads them from here.  `ConventionError` is the one error an
+internal invariant raises when it fails: a bug, never a verdict, which
+the CLI maps to exit 4 in every subcommand.
 
 * The potential-form convention is  F_I = (1/2)(d d_I + d_J d_K) mu  and
   its two cyclic companions.  Under it the flat metric on R^4 has the
-  potential  mu = |x|^2 / 4  (FLAT_POTENTIAL_COEFF).
+  potential  mu = |x|^2 / 4.
 
 * The equivalent Hessian form of the same statement is
   g = HESSIAN_AVERAGE_FACTOR * (1 + I + J + K) Hess(mu);
@@ -26,8 +28,11 @@ test suite) reads them from here.
 
 from fractions import Fraction
 
-FLAT_POTENTIAL_COEFF = Fraction(1, 4)
 HESSIAN_AVERAGE_FACTOR = Fraction(1, 2)
 TRACE_TARGET = 4
 SOLVER_FORM_SCALE = 2
 COFRAME_SIGN = 1
+
+
+class ConventionError(AssertionError):
+    """An internal sign/scale invariant was violated."""

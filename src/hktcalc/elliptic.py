@@ -175,20 +175,16 @@ class Grid4D:
         grid.values[...] = _eval_poly_on_mesh(poly, grid.meshgrid())
         return grid
 
-    def export_slice_csv(self, path, fixed_axes=(2, 3)) -> None:
-        """Write the 2D slice through the box center as x_a, x_b, value."""
-        free = [a for a in range(4) if a not in fixed_axes]
+    def export_slice_csv(self, path) -> None:
+        """Write the (x0, x1) slice through the box center as x0, x1, mu."""
         mid = self.m // 2
         ax = self.axis()
-        idx: list = [mid] * 4
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow([f"x{free[0]}", f"x{free[1]}", "mu"])
+            writer.writerow(["x0", "x1", "mu"])
             for i in range(self.m):
                 for j in range(self.m):
-                    idx[free[0]] = i
-                    idx[free[1]] = j
-                    writer.writerow([repr(ax[i]), repr(ax[j]), repr(self.values[tuple(idx)])])
+                    writer.writerow([repr(ax[i]), repr(ax[j]), repr(self.values[i, j, mid, mid])])
 
 
 def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarray:

@@ -316,11 +316,6 @@ class BilinearForm:
         self.symmetric = symmetric
 
     @classmethod
-    def zero(cls, dim: int) -> "BilinearForm":
-        z = Polynomial.zero(dim)
-        return cls([[z] * dim for _ in range(dim)], symmetric=True)
-
-    @classmethod
     def scaled_identity(cls, dim: int, scale: Polynomial) -> "BilinearForm":
         z = Polynomial.zero(dim)
         return cls([[scale if i == j else z for j in range(dim)] for i in range(dim)], symmetric=True)

@@ -16,7 +16,9 @@ Three equivalent HKT characterizations are implemented side by side:
   random ones).
 
 They must agree on every input; a disagreement is a convention bug, never
-a valid outcome, and the report type asserts this.  Metrics may be
+a valid outcome.  Each check returns its verdict and the residuals a
+report prints, and raises `ConventionError` (`hktcalc.conventions`) when
+an invariant it checks fails.  Metrics may be
 indefinite or degenerate -- this is reported via pointwise signature
 sampling, not rejected.
 """
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exact_linalg as ela
-from .conventions import HESSIAN_AVERAGE_FACTOR
+from .conventions import HESSIAN_AVERAGE_FACTOR, ConventionError
 from .forms import BilinearForm, KForm, hessian
 from .salamon import ProjectorTable, is_salamon_11, salamon_D
 from .scalars import Polynomial
@@ -39,10 +41,6 @@ from .structures import (
     StructureOperator,
     complex_type_part,
 )
-
-
-class ConventionError(AssertionError):
-    """An internal sign/scale invariant was violated."""
 
 
 def residual_summary(form: KForm | ComplexForm) -> dict:
@@ -153,8 +151,7 @@ def kahler_form(metric: HyperhermitianMetric, op: StructureOperator | str) -> KF
 
 def metric_from_form(model: HypercomplexModel, form: KForm) -> HyperhermitianMetric:
     """Recover the metric g = -F(I., .) from a Salamon (1,1)-form."""
-    check = is_salamon_11(model, form)
-    if not check.ok:
+    if not is_salamon_11(model, form):
         raise ValueError("form is not of Salamon type (1,1)")
     comp = _transpose_times(model.I, _form_component_matrix(form))
     return HyperhermitianMetric(model, BilinearForm([[-p for p in row] for row in comp], symmetric=None))
@@ -191,30 +188,26 @@ def is_hkt_definition(metric: HyperhermitianMetric) -> DefinitionCheck:
 class SalamonCheck:
     ok: bool
     residual: KForm
-    bilinear_consistent: bool
 
     def summary(self) -> dict:
-        return {
-            "ok": self.ok,
-            "residual_D": residual_summary(self.residual),
-            "bilinear_consistent": self.bilinear_consistent,
-        }
+        return {"ok": self.ok, "residual_D": residual_summary(self.residual)}
 
 
 def is_hkt_salamon(table: ProjectorTable, form: KForm) -> SalamonCheck:
     """D-closedness of a Salamon (1,1)-form, with a bilinear cross-check.
 
-    The cross-check verifies that D F = 0 coincides exactly with the six
-    bilinearized sphere conditions holding on dF.
+    D F = eta_3(dF) must vanish exactly when dF meets the six bilinearized
+    sphere conditions (`ProjectorTable.in_b`, independent of eta); a
+    disagreement raises `ConventionError`.
     """
-    model = table.model
-    if not is_salamon_11(model, form).ok:
+    if not is_salamon_11(table.model, form):
         raise ValueError("form is not of Salamon type (1,1)")
     df = form.d()
     residual = table.eta(df)
     ok = residual.is_zero()
-    consistent = table.in_b(df) == ok
-    return SalamonCheck(ok, residual, consistent)
+    if table.in_b(df) != ok:
+        raise ConventionError("bilinearized sphere conditions disagree with the projector")
+    return SalamonCheck(ok, residual)
 
 
 # The structures at which `is_hkt_twistor` decides by default.  A (1,1)-form
@@ -306,15 +299,8 @@ def hessian_average_metric(model: HypercomplexModel, mu: Polynomial) -> Hyperher
 
 @dataclass
 class PotentialCheck:
-    form_i_ok: bool
-    form_j_ok: bool
-    form_k_ok: bool
-    hessian_ok: bool
+    ok: bool
     residuals: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.form_i_ok and self.form_j_ok and self.form_k_ok and self.hessian_ok
 
 
 def is_hkt_potential(
@@ -323,8 +309,8 @@ def is_hkt_potential(
     """Test all four equivalent potential identities against a metric.
 
     Three form identities plus the averaged-Hessian reconstruction; the
-    four verdicts must agree (they are equivalent statements), which is
-    asserted.
+    four verdicts must agree (they are equivalent statements), and a
+    disagreement raises `ConventionError`.
     """
     forms = potential_to_forms(model, mu)
     oks = []
@@ -333,48 +319,35 @@ def is_hkt_potential(
         res = built - kahler_form(metric, name)
         oks.append(res.is_zero())
         residuals[f"form_{name}"] = residual_summary(res)
-    rec = hessian_average_metric(model, mu)
-    diff = rec.tensor - metric.tensor
+    diff = hessian_average_metric(model, mu).tensor - metric.tensor
     hess_ok = diff.is_zero()
     residuals["hessian"] = {
         "nonzero_terms": sum(0 if p.is_zero() else 1 for row in diff.entries for p in row)
     }
-    verdicts = set(oks + [hess_ok])
-    if len(verdicts) != 1:
+    if len(set(oks + [hess_ok])) != 1:
         raise ConventionError("the four potential identities disagree")
-    return PotentialCheck(oks[0], oks[1], oks[2], hess_ok, residuals)
+    return PotentialCheck(hess_ok, residuals)
 
 
-@dataclass
-class ThetaCertificate:
-    theta: KForm
-    d_theta_is_11: bool
-    matches_potential_form: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.d_theta_is_11 and self.matches_potential_form
-
-
-def theta_from_potential(table: ProjectorTable, mu: Polynomial) -> ThetaCertificate:
+def theta_from_potential(table: ProjectorTable, mu: Polynomial) -> KForm:
     """The primitive theta = I(d mu), certified: D theta equals the
-    potential form of mu exactly and d theta is of type (1,1) for I."""
-    model = table.model
-    theta = model.operator("I").act(KForm.from_polynomial(mu).d())
+    potential form of mu exactly and d theta is of type (1,1) for I;
+    `ConventionError` otherwise."""
+    op_i = table.model.operator("I")
+    theta = op_i.act(KForm.from_polynomial(mu).d())
     d_theta = theta.d()
-    is_11 = model.operator("I").pullback(d_theta) == d_theta
-    matches = salamon_D(table, theta) == potential_to_forms(model, mu).f_i
-    if not (is_11 and matches):
+    if (op_i.pullback(d_theta) != d_theta
+            or salamon_D(table, theta) != potential_to_forms(table.model, mu).f_i):
         raise ConventionError("theta certificate failed; action conventions are inconsistent")
-    return ThetaCertificate(theta, is_11, matches)
+    return theta
 
 
 @dataclass
 class HKTReport:
     """Joint outcome of the three equivalent HKT criteria.
 
-    The three verdicts must agree; the constructor-level assertion lives
-    in `hkt_report`, so a materialized report always carries a consistent
+    The three verdicts must agree; `hkt_report` checks this before it
+    builds a report, so a materialized report always carries a consistent
     triple together with torsion data and signature samples.
     """
 
@@ -419,8 +392,8 @@ def hkt_report(table: ProjectorTable, source: HyperhermitianMetric | KForm) -> H
 
     The twistor criterion is decided at `TWISTOR_AXES`, and the metric's
     signature is sampled at `default_sample_points`.  The three booleans
-    are required to coincide; disagreement raises instead of producing a
-    report.
+    are required to coincide; disagreement raises `ConventionError`
+    instead of producing a report.
     """
     model = table.model
     if isinstance(source, HyperhermitianMetric):
@@ -436,8 +409,6 @@ def hkt_report(table: ProjectorTable, source: HyperhermitianMetric | KForm) -> H
         raise ConventionError(
             f"HKT criteria disagree: definition={defn.ok} projection={sal.ok} twistor={tw.ok}"
         )
-    if not sal.bilinear_consistent:
-        raise ConventionError("bilinearized sphere conditions disagree with the projector")
     torsion = strong = None
     if defn.ok:
         torsion = defn.torsion_candidate

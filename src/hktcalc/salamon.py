@@ -52,6 +52,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exact_linalg as ela
+from .conventions import ConventionError
 from .forms import (
     FiberOperator,
     KForm,
@@ -208,29 +209,16 @@ def proj_formula_D(model: HypercomplexModel, theta: KForm) -> KForm:
     return extreme + (w11 - op_j.pullback(w11)) * half
 
 
-@dataclass
-class Salamon11Result:
-    """Outcome of the type-(1,1) test; residuals are exact forms."""
-
-    ok: bool
-    residual_i: KForm
-    residual_j: KForm
-    residual_k: KForm
-
-
-def is_salamon_11(model: HypercomplexModel, form: KForm) -> Salamon11Result:
+def is_salamon_11(model: HypercomplexModel, form: KForm) -> bool:
     """Whether Iw = w and Jw = -w hold exactly (slots-only actions).
 
     When both hold, Kw = -w follows because the K pullback is the
-    composition of the other two on 2-forms; this is asserted rather than
-    trusted.
+    composition of the other two on 2-forms; this is checked rather than
+    trusted, and a failure raises `ConventionError`.
     """
     if form.degree != 2:
         raise ValueError("expected a 2-form")
-    res_i = model.operator("I").pullback(form) - form
-    res_j = model.operator("J").pullback(form) + form
-    res_k = model.operator("K").pullback(form) + form
-    ok = res_i.is_zero() and res_j.is_zero()
-    if ok and not res_k.is_zero():
-        raise AssertionError("I and J residuals vanish but the K residual does not")
-    return Salamon11Result(ok, res_i, res_j, res_k)
+    ok = model.operator("I").pullback(form) == form and model.operator("J").pullback(form) == -form
+    if ok and model.operator("K").pullback(form) != -form:
+        raise ConventionError("I and J residuals vanish but the K residual does not")
+    return ok

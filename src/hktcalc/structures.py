@@ -7,9 +7,9 @@ of four coordinates (x0, x1, x2, x3) ~ x0 + x1 i + x2 j + x3 k:
     J = L_j : e0 -> e2,  e1 -> -e3,  e2 -> -e0, e3 -> e1
     K = L_k : e0 -> e3,  e1 -> e2,   e2 -> -e1, e3 -> -e0
 
-so that IJ = K and JI = -K hold as exact matrix identities.  These
-integer block matrices are the single source of truth for every expected
-value in the test suite.
+so that IJ = K and JI = -K hold as exact matrix identities, checked at
+construction (`ConventionError` otherwise).  These integer block matrices
+are the single source of truth for every expected value in the tests.
 
 Two actions on forms coexist and both are exposed:
 
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact_linalg as ela
+from .conventions import ConventionError
 from .forms import (
     BilinearForm,
     FiberOperator,
@@ -140,11 +141,11 @@ class HypercomplexModel:
         minus_id = ela.mat_scale(ela.identity(self.dim), Fraction(-1))
         for name, m in (("I", self.I), ("J", self.J), ("K", self.K)):
             if not ela.mat_eq(ela.mat_mul(m, m), minus_id):
-                raise AssertionError(f"{name}^2 != -Id")
+                raise ConventionError(f"{name}^2 != -Id")
         if not ela.mat_eq(ela.mat_mul(self.I, self.J), [list(r) for r in self.K]):
-            raise AssertionError("IJ != K")
+            raise ConventionError("IJ != K")
         if not ela.mat_eq(ela.mat_mul(self.J, self.I), ela.mat_scale(self.K, Fraction(-1))):
-            raise AssertionError("JI != -K")
+            raise ConventionError("JI != -K")
 
     def matrix(self, name: str):
         return {"I": self.I, "J": self.J, "K": self.K}[name]

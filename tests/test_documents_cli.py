@@ -579,6 +579,40 @@ class TestFailureTaxonomy:
         assert captured.err.startswith("internal error: HKT criteria disagree")
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_in_b_disagreement_in_potential_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        # is_hkt_salamon owns the eta-free cross-check, so the potential
+        # path, which never builds an HKT report, enforces it too.
+        import hktcalc.salamon as salamon
+
+        in_b = salamon.ProjectorTable.in_b
+        monkeypatch.setattr(salamon.ProjectorTable, "in_b", lambda self, form: not in_b(self, form))
+        doc = {"kind": "potential", "model": {"n": 1},
+               "payload": {"mu": quarter_norm_potential(4).to_json()}}
+        path = write(tmp_path, "mu.json", doc)
+        assert main(["check", path]) == EXIT_INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: bilinearized sphere conditions disagree")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["check", "solve", "identities"])
+    def test_broken_structure_matrices_exit_4(self, tmp_path, capsys, monkeypatch, command):
+        # J = I fails IJ = K when a document's or the suite's model is built.
+        import hktcalc.structures as structures
+
+        # The documents are written first: flat_metric_doc builds a model.
+        argv = {
+            "check": ["check", write(tmp_path, "flat.json", flat_metric_doc())],
+            "solve": ["solve", write(tmp_path, "conf.json", conformal_doc()), "--grid", "9"],
+            "identities": ["identities", "--n", "1", "--count", "1"],
+        }[command]
+        monkeypatch.setattr(structures, "_BLOCK_J", structures._BLOCK_I)
+        assert main(argv) == EXIT_INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: IJ != K")
+        assert len(captured.err.strip().splitlines()) == 1
+
 
 class TestConsoleEntryPoint:
     def test_installed_script(self):

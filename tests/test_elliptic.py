@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hktcalc import elliptic
-from hktcalc.conventions import SOLVER_FORM_SCALE, TRACE_TARGET
+from hktcalc.conventions import SOLVER_FORM_SCALE, TRACE_TARGET, ConventionError
 from hktcalc.elliptic import (
     ConformalMetricSpec,
     Grid4D,
@@ -33,7 +33,6 @@ from hktcalc.elliptic import (
     verify_potential,
 )
 from hktcalc.forms import BilinearForm, KForm
-from hktcalc.geometry import ConventionError
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel
 

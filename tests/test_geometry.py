@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from hktcalc.batteries import positive_conformal_factor, random_a11_form
-from hktcalc.conventions import COFRAME_SIGN
+from hktcalc.conventions import COFRAME_SIGN, ConventionError
 from hktcalc.forms import BilinearForm, KForm
 from hktcalc.geometry import (
-    ConventionError,
     HyperhermitianMetric,
     PotentialForms,
     default_sample_points,
@@ -213,8 +212,8 @@ class TestProjectionCriterion:
     def test_potential_forms_are_closed(self, model2, table2):
         mu = random_polynomial(8, 3, 4, seed=74)
         form = potential_to_forms(model2, mu).f_i
-        check = is_hkt_salamon(table2, form)
-        assert check.ok and check.bilinear_consistent
+        # is_hkt_salamon raises ConventionError if in_b disagrees with eta.
+        assert is_hkt_salamon(table2, form).ok
 
     def test_rejects_non_salamon_input(self, table1):
         with pytest.raises(ValueError):
@@ -321,20 +320,23 @@ class TestPotentialForms:
                 form = potential_to_forms(model, mu).f_i
                 if form.is_zero():
                     continue
-                assert is_salamon_11(model, form).ok
+                assert is_salamon_11(model, form)
                 assert is_hkt_salamon(table, form).ok
 
 
 class TestPotentialCheck:
+    # One verdict stands for all four identities: a disagreement among them
+    # raises ConventionError, so `ok` and the residual sizes must agree.
     def test_flat_pair_passes_all_four(self, model1, flat1):
         result = is_hkt_potential(model1, quarter_norm_potential(4), flat1)
         assert result.ok
-        assert result.hessian_ok
+        assert all(r["nonzero_terms"] == 0 for r in result.residuals.values())
 
     def test_scaled_metric_fails_all_four(self, model1, flat1):
         result = is_hkt_potential(model1, quarter_norm_potential(4), flat1.scale(2))
         assert not result.ok
-        assert not result.hessian_ok
+        assert set(result.residuals) == {"form_I", "form_J", "form_K", "hessian"}
+        assert all(r["nonzero_terms"] > 0 for r in result.residuals.values())
 
     def test_reconstructed_metric_passes(self, model1, model2):
         rng = random.Random(81)
@@ -376,26 +378,31 @@ class TestKahlerPotential:
 
 class TestThetaFromPotential:
     def test_flat_theta(self, table1):
-        cert = theta_from_potential(table1, quarter_norm_potential(4))
+        theta = theta_from_potential(table1, quarter_norm_potential(4))
         half = Fraction(1, 2)
         expected = KForm(1, 4, {
             (0,): x(1) * -half, (1,): x(0) * half,
             (2,): x(3) * -half, (3,): x(2) * half,
         })
-        assert cert.theta == expected
-        assert salamon_D(table1, cert.theta) == flat_form("I")
+        assert theta == expected
+        assert salamon_D(table1, theta) == flat_form("I")
 
     def test_affine_gives_constant_theta(self, table1):
-        cert = theta_from_potential(table1, x(0) * 7)
-        assert salamon_D(table1, cert.theta).is_zero()
+        theta = theta_from_potential(table1, x(0) * 7)
+        assert theta == KForm(1, 4, {(1,): Polynomial.constant(4, 7)})
+        assert salamon_D(table1, theta).is_zero()
 
     def test_random_battery(self, table1, table2):
+        # theta_from_potential raises ConventionError unless D theta is the
+        # potential form; the test restates both halves of the certificate.
         rng = random.Random(83)
         for table in (table1, table2):
+            op_i = table.model.operator("I")
             for _ in range(15):
                 mu = random_polynomial(table.model.dim, 3, 4, seed=rng.randrange(10**6))
-                cert = theta_from_potential(table, mu)
-                assert cert.ok
+                theta = theta_from_potential(table, mu)
+                assert op_i.pullback(theta.d()) == theta.d()
+                assert salamon_D(table, theta) == potential_to_forms(table.model, mu).f_i
 
 
 class TestClassShift:
@@ -413,7 +420,7 @@ class TestClassShift:
             shifted = base + shift
             if shifted.is_zero():
                 continue
-            assert is_salamon_11(model2, shifted).ok
+            assert is_salamon_11(model2, shifted)
             assert is_hkt_salamon(table2, shifted).ok
 
 

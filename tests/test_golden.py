@@ -82,6 +82,15 @@ def test_all_exports_resolve():
         assert getattr(hktcalc, name) is not None, name
 
 
+def test_convention_error_is_defined_once():
+    # Every module raises the one class in `conventions`, so the CLI's one
+    # except clause per subcommand catches each internal invariant.
+    from hktcalc import cli, conventions, geometry, salamon, structures
+
+    for module in (cli, geometry, salamon, structures):
+        assert module.ConventionError is conventions.ConventionError, module.__name__
+
+
 if __name__ == "__main__":
     tables = {n: ProjectorTable(HypercomplexModel(n)) for n in (1, 2)}
     DATA.mkdir(exist_ok=True)

@@ -16,14 +16,18 @@ and of the definition residuals.  It also runs the old ten-point check
 next to the new one on the golden sources, on equivalence-battery cases
 and on the benchmark's `hkt check` documents.
 
-The columns are read off one form per v: F_v = (|x|^2 / 2) v has
-d_c p_v = x_c, so its residual is sum_c x_c (column of (c, v)).  A test
-checks this against F = x_c v for n = 1, 2.
+The columns are built from constant forms.  For a constant form w,
+d(x_c w) = e_c ^ w, and the type projectors and eta are constant, so for
+F = x_c v the twistor residual at P is pi03_P(e_c ^ pi02_P(v)) and the
+Salamon residual is eta_3(e_c ^ v).  The Kahler forms of the metric of
+F = x_c v are x_c F_A(v), with F_A(v) those of the metric of v, so its
+definition residuals are A(e_c ^ F_A(v)) - B(e_c ^ F_B(v)) for AB = IJ,
+JK.  A test checks these columns against the residuals the polynomial
+pipeline computes for F = x_c v, for n = 1, 2.
 """
 
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,7 +36,7 @@ from hktcalc import HypercomplexModel, ProjectorTable
 from hktcalc import batteries
 from hktcalc import exact_linalg as ela
 from hktcalc.documents import MAX_N, InputDocument
-from hktcalc.forms import multi_indices, vector_to_form
+from hktcalc.forms import KForm, multi_indices, vector_to_form
 from hktcalc.geometry import (
     TWISTOR_AXES,
     HyperhermitianMetric,
@@ -45,6 +49,7 @@ from hktcalc.geometry import (
 )
 from hktcalc.salamon import a11_subspace
 from hktcalc.scalars import Polynomial
+from hktcalc.structures import ComplexForm, complex_type_part
 
 from conftest import default_sphere_witnesses
 from test_golden import CASES as GOLDEN_CASES
@@ -78,21 +83,40 @@ def _residuals(model, table, form) -> dict:
     return out
 
 
+def _column(residuals: dict) -> dict:
+    """{(criterion key..., multi-index): coefficient} of constant residuals."""
+    column = {}
+    for key, form in residuals.items():
+        for idx, poly in form.terms.items():
+            assert poly.degree() == 0, "a jet column residual is not constant"
+            column[key + (idx,)] = poly.constant_term()
+    return column
+
+
 @functools.lru_cache(maxsize=None)
 def jet_columns(n: int) -> dict:
     """{(c, v): {(criterion key..., multi-index): coefficient}} over all jets."""
     model = HypercomplexModel(n)
     table = ProjectorTable(model)
-    dim = model.dim
-    half_norm = sum((Polynomial.variable(dim, c) * Polynomial.variable(dim, c)
-                     for c in range(dim)), Polynomial.zero(dim)) * Fraction(1, 2)
-    columns = {(c, v): {} for v in range(len(_basis_forms(model))) for c in range(dim)}
+    columns = {}
+    ops = [model.operator(name) for name in "IJK"]
     for v, basis_form in enumerate(_basis_forms(model)):
-        for key, form in _residuals(model, table, basis_form * half_norm).items():
-            for idx, poly in form.terms.items():
-                for exp, coeff in poly.terms.items():
-                    assert sorted(exp) == [0] * (dim - 1) + [1], "a residual is not linear in x"
-                    columns[(exp.index(1), v)][key + (idx,)] = coeff
+        parts = [complex_type_part(model, point, basis_form, "02") for point in WITNESSES]
+        metric = metric_from_form(model, basis_form)
+        kahler = [kahler_form(metric, op) for op in ops]
+        for c in range(model.dim):
+            e_c = KForm.dx(model.dim, c)
+            residuals = {}
+            for i, (point, part) in enumerate(zip(WITNESSES, parts)):
+                d_part = ComplexForm(e_c.wedge(part.re), e_c.wedge(part.im))
+                residual = complex_type_part(model, point, d_part, "03")
+                residuals[("twistor", i, "re")] = residual.re
+                residuals[("twistor", i, "im")] = residual.im
+            residuals[("salamon",)] = table.eta(e_c.wedge(basis_form))
+            i_part, j_part, k_part = (op.act(e_c.wedge(f)) for op, f in zip(ops, kahler))
+            residuals[("definition", "IJ")] = i_part - j_part
+            residuals[("definition", "JK")] = j_part - k_part
+            columns[(c, v)] = _column(residuals)
     return columns
 
 
@@ -169,12 +193,8 @@ def test_columns_equal_the_residuals_of_x_c_v(n):
     columns = jet_columns(n)
     for v, basis_form in enumerate(_basis_forms(model)):
         for c in range(model.dim):
-            direct = {}
-            for key, form in _residuals(model, table, basis_form * Polynomial.variable(model.dim, c)).items():
-                for idx, poly in form.terms.items():
-                    assert poly.degree() == 0
-                    direct[key + (idx,)] = poly.constant_term()
-            assert direct == columns[(c, v)]
+            direct = _residuals(model, table, basis_form * Polynomial.variable(model.dim, c))
+            assert _column(direct) == columns[(c, v)]
 
 
 # The old path as an oracle: ten witnesses against the axes on real inputs.
