@@ -141,14 +141,13 @@ def _check_potential(doc: InputDocument, report: Report) -> None:
     forms = potential_to_forms(doc.model, doc.payload)
     theta_from_potential(table, doc.payload)
     # Only F_I is a Salamon (1,1)-form for the preferred structure; F_J
-    # and F_K have extreme type with respect to it.
-    if forms.f_i.is_zero():
-        report.verdicts["form_salamon_11"] = True
-        report.verdicts["d_closed"] = True
-    else:
-        report.verdicts["form_salamon_11"] = is_salamon_11(doc.model, forms.f_i)
-        report.verdicts["d_closed"] = is_hkt_salamon(table, forms.f_i).ok
-    # theta_from_potential raises ConventionError unless D(I d mu) = F_I.
+    # and F_K have extreme type with respect to it.  F_I of every potential
+    # is (1,1), and theta_from_potential raises ConventionError unless
+    # D(I d mu) = F_I, so both verdicts hold once the calls return.
+    if not is_salamon_11(doc.model, forms.f_i):
+        raise ConventionError("the potential's form F_I is not of Salamon type (1,1)")
+    report.verdicts["form_salamon_11"] = True
+    report.verdicts["d_closed"] = is_hkt_salamon(table, forms.f_i).ok
     report.verdicts["theta_certificate"] = True
     report.data["form_I"] = forms.f_i.to_json()
 

@@ -33,7 +33,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import Polynomial, exact_coefficient, json_int
+from .scalars import Polynomial, json_int
 
 MultiIndex = tuple
 
@@ -286,16 +286,17 @@ class KForm:
 
 
 class BilinearForm:
-    """A dim x dim matrix of polynomials, optionally flagged symmetric.
+    """A dim x dim matrix of polynomials: metrics, Hessians and their
+    images under I, J and K.
 
-    Symmetric instances house metrics and Hessians; keeping them apart
-    from alternating forms avoids sign mistakes when both occur in one
-    computation.
+    Keeping them apart from alternating forms avoids sign mistakes when
+    both occur in one computation.  Symmetry is not tracked here;
+    `geometry.HyperhermitianMetric` checks it.
     """
 
-    __slots__ = ("dim", "entries", "symmetric")
+    __slots__ = ("dim", "entries")
 
-    def __init__(self, entries: Sequence[Sequence[Polynomial]], symmetric: bool | None = None):
+    def __init__(self, entries: Sequence[Sequence[Polynomial]]):
         dim = len(entries)
         rows = []
         for row in entries:
@@ -304,21 +305,11 @@ class BilinearForm:
             rows.append(tuple(p if isinstance(p, Polynomial) else Polynomial.constant(dim, p) for p in row))
         self.dim = dim
         self.entries = tuple(rows)
-        if symmetric is None:
-            symmetric = all(
-                self.entries[i][j] == self.entries[j][i] for i in range(dim) for j in range(i + 1, dim)
-            )
-        elif symmetric:
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise ValueError(f"entry ({i},{j}) breaks the declared symmetry")
-        self.symmetric = symmetric
 
     @classmethod
     def scaled_identity(cls, dim: int, scale: Polynomial) -> "BilinearForm":
         z = Polynomial.zero(dim)
-        return cls([[scale if i == j else z for j in range(dim)] for i in range(dim)], symmetric=True)
+        return cls([[scale if i == j else z for j in range(dim)] for i in range(dim)])
 
     def __add__(self, other: "BilinearForm") -> "BilinearForm":
         return BilinearForm(
@@ -341,23 +332,6 @@ class BilinearForm:
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
-    def conjugate_by(self, matrix: Sequence[Sequence]) -> "BilinearForm":
-        """b(M., M.) as the exact sandwich M^T b M."""
-        n = self.dim
-        columns = [[(k, exact_coefficient(matrix[k][i])) for k in range(n) if matrix[k][i]] for i in range(n)]
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc: dict = {}
-                for k, mki in columns[i]:
-                    entries = self.entries[k]
-                    for l, mlj in columns[j]:
-                        _accumulate(acc, entries[l].terms, mki * mlj)
-                row.append(_polynomial(n, acc))
-            out.append(row)
-        return BilinearForm(out, symmetric=self.symmetric or None)
-
     def trace(self) -> Polynomial:
         out = Polynomial.zero(self.dim)
         for i in range(self.dim):
@@ -365,9 +339,8 @@ class BilinearForm:
         return out
 
     def evaluate(self, point: Sequence) -> list[list]:
-        """The matrix of values at a point; an exact point becomes Fractions once."""
-        if all(isinstance(v, (int, Fraction)) for v in point):
-            point = [Fraction(v) for v in point]
+        """The matrix of exact values at a point; the point becomes Fractions once."""
+        point = [Fraction(v) for v in point]
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
 
@@ -382,7 +355,7 @@ def hessian(f: Polynomial) -> BilinearForm:
     for i in range(n):
         for j in range(i):
             entries[i][j] = entries[j][i]
-    return BilinearForm(entries, symmetric=True)
+    return BilinearForm(entries)
 
 
 # -- fiberwise constant operators on k-forms ------------------------------

@@ -32,13 +32,13 @@ from typing import Sequence
 from . import exact_linalg as ela
 from .conventions import HESSIAN_AVERAGE_FACTOR, ConventionError
 from .forms import BilinearForm, KForm, hessian
-from .salamon import ProjectorTable, is_salamon_11, salamon_D
+from .salamon import ProjectorTable, salamon_D
 from .scalars import Polynomial
 from .structures import (
     ComplexForm,
     HypercomplexModel,
     SpherePoint,
-    StructureOperator,
+    axis_image,
     complex_type_part,
 )
 
@@ -61,11 +61,11 @@ class HyperhermitianMetric:
     def __init__(self, model: HypercomplexModel, tensor: BilinearForm):
         if tensor.dim != model.dim:
             raise ValueError("tensor dimension does not match the model")
-        if not tensor.symmetric:
+        entries = tensor.entries
+        if any(entries[i][j] != entries[j][i] for i in range(model.dim) for j in range(i)):
             raise ValueError("metric tensor must be symmetric")
         for name in ("I", "J", "K"):
-            moved = tensor.conjugate_by(model.matrix(name))
-            if moved != tensor:
+            if model.operator(name).act_bilinear(tensor) != tensor:
                 raise ValueError(f"tensor is not invariant under {name}")
         self.model = model
         self.tensor = tensor
@@ -100,61 +100,27 @@ class HyperhermitianMetric:
         return out
 
 
-def _form_component_matrix(form: KForm) -> list[list[Polynomial]]:
-    """The full antisymmetric component matrix F[i][j] = F(e_i, e_j)."""
-    d = form.dim
-    zero = Polynomial.zero(d)
-    mat = [[zero] * d for _ in range(d)]
-    for (a, b), poly in form.terms.items():
-        mat[a][b] = poly
-        mat[b][a] = -poly
-    return mat
+def kahler_form(metric: HyperhermitianMetric, name: str) -> KForm:
+    """The 2-form F_A(X, Y) = g(AX, Y) for the axis A = `name`.
 
-
-def _transpose_times(m, rows: Sequence[Sequence[Polynomial]]) -> list[list[Polynomial]]:
-    """(M^T P)[a][b] = sum_k M[k][a] P[k][b] for a constant matrix M and a
-    polynomial matrix P."""
-    d = len(rows)
-    out = [[Polynomial.zero(d) for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            acc = Polynomial.zero(d)
-            for k in range(d):
-                if m[k][a]:
-                    acc = acc + rows[k][b].scale(m[k][a])
-            out[a][b] = acc
-    return out
-
-
-def kahler_form(metric: HyperhermitianMetric, op: StructureOperator | str) -> KForm:
-    """The 2-form F(X, Y) = g(SX, Y) for a structure S.
-
+    With A e_a = -s_a e_(j_a) (`axis_image`), F_A[a][b] = -s_a g[j_a][b].
     The output is asserted alternating; failure signals a convention
     violation, not bad input.
     """
-    model = metric.model
-    if isinstance(op, str):
-        op = model.operator(op)
-    d = model.dim
-    comp = _transpose_times(op.matrix, metric.tensor.entries)
-    terms = {}
-    for a in range(d):
-        if not comp[a][a].is_zero():
-            raise ConventionError("Kahler form has a nonzero diagonal component")
-        for b in range(a + 1, d):
-            if comp[a][b] != -comp[b][a]:
-                raise ConventionError("Kahler form output is not alternating")
-            if not comp[a][b].is_zero():
-                terms[(a, b)] = comp[a][b]
-    return KForm(2, d, terms)
+    d = metric.model.dim
+    comp = [[p.scale(-s) for p in metric.tensor.entries[j]] for j, s in axis_image(metric.model, name)]
+    if any(comp[a][b] != -comp[b][a] for a in range(d) for b in range(a, d)):
+        raise ConventionError("Kahler form output is not alternating")
+    return KForm(2, d, {(a, b): comp[a][b] for a in range(d) for b in range(a + 1, d)})
 
 
 def metric_from_form(model: HypercomplexModel, form: KForm) -> HyperhermitianMetric:
-    """Recover the metric g = -F(I., .) from a Salamon (1,1)-form."""
-    if not is_salamon_11(model, form):
-        raise ValueError("form is not of Salamon type (1,1)")
-    comp = _transpose_times(model.I, _form_component_matrix(form))
-    return HyperhermitianMetric(model, BilinearForm([[-p for p in row] for row in comp], symmetric=None))
+    """Recover the metric g = -F(I., .), g[a][b] = s_a F(e_(j_a), e_b), from
+    a Salamon (1,1)-form.  g is a metric exactly when the form is (1,1), so
+    the metric's constructor raises `ValueError` on any other 2-form.
+    """
+    rows = [[form.coefficient((j, b)).scale(s) for b in range(model.dim)] for j, s in axis_image(model, "I")]
+    return HyperhermitianMetric(model, BilinearForm(rows))
 
 
 @dataclass
@@ -177,8 +143,7 @@ def is_hkt_definition(metric: HyperhermitianMetric) -> DefinitionCheck:
     model = metric.model
     parts = {}
     for name in ("I", "J", "K"):
-        op = model.operator(name)
-        parts[name] = op.act(kahler_form(metric, op).d())
+        parts[name] = model.operator(name).act(kahler_form(metric, name).d())
     res_ij = parts["I"] - parts["J"]
     res_jk = parts["J"] - parts["K"]
     return DefinitionCheck(res_ij.is_zero() and res_jk.is_zero(), res_ij, res_jk, parts["I"])
@@ -196,12 +161,11 @@ class SalamonCheck:
 def is_hkt_salamon(table: ProjectorTable, form: KForm) -> SalamonCheck:
     """D-closedness of a Salamon (1,1)-form, with a bilinear cross-check.
 
-    D F = eta_3(dF) must vanish exactly when dF meets the six bilinearized
-    sphere conditions (`ProjectorTable.in_b`, independent of eta); a
-    disagreement raises `ConventionError`.
+    The caller ensures the form is (1,1) (`is_salamon_11`, or a metric's
+    Kahler form).  D F = eta_3(dF) must vanish exactly when dF meets the
+    six bilinearized sphere conditions (`ProjectorTable.in_b`, independent
+    of eta); a disagreement raises `ConventionError`.
     """
-    if not is_salamon_11(table.model, form):
-        raise ValueError("form is not of Salamon type (1,1)")
     df = form.d()
     residual = table.eta(df)
     ok = residual.is_zero()
@@ -248,6 +212,9 @@ def is_hkt_twistor(
     tests/test_twistor_certificate.py proves, with first-jet rank
     certificates, that the axes' residuals vanish exactly when those at
     the ten former witnesses and the Salamon residual do.
+
+    No `src/` caller passes `points`; tests/test_twistor_certificate.py
+    passes the ten witnesses as the oracle of the axes.
     """
     if points is None:
         points = TWISTOR_AXES

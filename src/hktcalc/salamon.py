@@ -110,7 +110,11 @@ def _kernel(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> F
 
 
 def bundle_B(model: HypercomplexModel, k: int) -> FiberSubspace:
-    """Exact basis of B^k (k in {2, 3}) as a null-space computation."""
+    """Exact basis of B^k (k in {2, 3}) as a null-space computation.
+
+    No `src/` caller; an oracle independent of eta for the fiber splitting
+    in tests/test_salamon.py and tests/test_exact_linalg.py.
+    """
     if k not in (2, 3):
         raise DegreeError(f"bundle_B supports k in {{2, 3}}, got {k}")
     return _kernel(model, k, _condition_operators(model, k))
@@ -146,6 +150,8 @@ class ProjectorTable:
             self.conditions[k] = _condition_operators(model, k)
 
     def eta_matrix(self, k: int):
+        """Dense eta_k, for `to_json` and as the oracle of the rank splitting
+        in tests/test_salamon.py and tests/test_exact_linalg.py."""
         if k not in self.columns:
             raise DegreeError(f"eta_matrix is available for degrees 2 and 3, got {k}")
         return operator_matrix(self.columns[k], k, self.model.dim)
@@ -183,7 +189,11 @@ def salamon_D(table: ProjectorTable, form: KForm) -> KForm:
 
 
 def salamon_DI(table: ProjectorTable, form: KForm) -> KForm:
-    """The twisted projected differential (-1)^k I D I on degrees <= 2."""
+    """The twisted projected differential (-1)^k I D I on degrees <= 2.
+
+    No `src/` caller; the oracle of `twisted_d` and of the potential
+    forms in tests/test_salamon.py and tests/test_geometry.py.
+    """
     if form.degree > 2:
         raise DegreeError(f"D_I is defined here for degrees <= 2, got {form.degree}")
     op_i = table.model.operator("I")

@@ -205,40 +205,28 @@ class Polynomial:
             out[tuple(new)] = coeff * e
         return Polynomial._raw(self.dim, out)
 
-    def evaluate(self, point: Sequence):
-        """Evaluate at a point.
+    def evaluate(self, point: Sequence) -> Fraction:
+        """The exact value at a point, a Fraction.
 
-        Exact mode (all entries int or Fraction) returns a Fraction.  If
-        any entry is a float the evaluation happens in IEEE double
-        precision (round-to-nearest), returning a float.
+        Coordinates convert exactly through `Fraction`, a float included.
         """
         point = list(point)
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        if all(isinstance(v, (int, Fraction)) for v in point):
-            coords = [v if type(v) is Fraction else Fraction(v) for v in point]
-            total = Fraction(0)
-            # Cache powers per variable; exponents repeat across terms.
-            powers: list[dict[int, Fraction]] = [{} for _ in coords]
-            for exp, coeff in self.terms.items():
-                v = coeff
-                for i, e in enumerate(exp):
-                    if e:
-                        cache = powers[i]
-                        if e not in cache:
-                            cache[e] = coords[i] ** e
-                        v = v * cache[e]
-                total = total + v
-            return total
-        coords_f = [float(v) for v in point]
-        total_f = 0.0
+        coords = [v if type(v) is Fraction else Fraction(v) for v in point]
+        total = Fraction(0)
+        # Cache powers per variable; exponents repeat across terms.
+        powers: list[dict[int, Fraction]] = [{} for _ in coords]
         for exp, coeff in self.terms.items():
-            v = float(coeff)
+            v = coeff
             for i, e in enumerate(exp):
                 if e:
-                    v *= coords_f[i] ** e
-            total_f += v
-        return total_f
+                    cache = powers[i]
+                    if e not in cache:
+                        cache[e] = coords[i] ** e
+                    v = v * cache[e]
+            total = total + v
+        return total
 
     # -- serialization -------------------------------------------------
 

@@ -11,6 +11,11 @@ so that IJ = K and JI = -K hold as exact matrix identities, checked at
 construction (`ConventionError` otherwise).  These integer block matrices
 are the single source of truth for every expected value in the tests.
 
+Each is a signed permutation, and its index map `axis_image` (row i of A
+has one entry s, at column j) builds every action of I, J and K: on forms,
+on 2-tensors, and between metrics and Kahler forms in `geometry`.  No
+other module reads a dense structure matrix.
+
 Two actions on forms coexist and both are exposed:
 
 * `StructureOperator.pullback`  -- slots-only: (Aw)(X1..Xk) = w(AX1..AXk);
@@ -109,7 +114,12 @@ class SpherePoint:
 _AXES = {"I": SpherePoint(1, 0, 0), "J": SpherePoint(0, 1, 0), "K": SpherePoint(0, 0, 1)}
 
 def random_sphere_points(count: int, seed: int) -> list[SpherePoint]:
-    """Deterministic exact rational sphere points (no axis points)."""
+    """Deterministic exact rational sphere points (no axis points).
+
+    No `src/` caller; test oracles: the random twistor witnesses of
+    tests/test_twistor_certificate.py, and extra points that leave the B
+    ranks unchanged in tests/test_salamon.py and tests/test_exact_linalg.py.
+    """
     rng = random.Random(seed)
     points = []
     while len(points) < count:
@@ -151,31 +161,32 @@ class HypercomplexModel:
         return {"I": self.I, "J": self.J, "K": self.K}[name]
 
     def operator(self, name: str) -> "StructureOperator":
-        point = SpherePoint.axis(name)
-        return StructureOperator(self, self.matrix(name), point)
+        return StructureOperator(self, SpherePoint.axis(name))
 
     def __repr__(self):
         return f"HypercomplexModel(n={self.n})"
 
 
 class StructureOperator:
-    """A complex structure from the sphere family; it acts on forms at the axes only."""
+    """A complex structure from the sphere family; it acts on forms and 2-tensors at the axes only."""
 
-    __slots__ = ("model", "matrix", "point")
+    __slots__ = ("model", "point")
 
-    def __init__(self, model: HypercomplexModel, matrix, point: SpherePoint):
+    def __init__(self, model: HypercomplexModel, point: SpherePoint):
         self.model = model
-        self.matrix = matrix
         self.point = point
+
+    def _axis_name(self) -> str:
+        name = _AXIS_NAMES.get(self.point)
+        if name is None:
+            raise ValueError("structures act at the axes I, J, K only")
+        return name
 
     def pullback(self, form: KForm) -> KForm:
         """Slots-only action, no degree sign."""
         if form.dim != self.model.dim:
             raise ValueError("dimension mismatch")
-        name = _AXIS_NAMES.get(self.point)
-        if name is None:
-            raise ValueError("pullbacks are built at the axes I, J, K only")
-        return apply_operator(_axis_operators(self.model, name, form.degree)[1], form)
+        return apply_operator(_axis_operators(self.model, self._axis_name(), form.degree)[1], form)
 
     def act(self, form: KForm) -> KForm:
         """The signed action on k-forms: (-1)^k times the pullback."""
@@ -188,10 +199,12 @@ class StructureOperator:
         return out if form.degree % 2 == 0 else -out
 
     def act_bilinear(self, b: BilinearForm) -> BilinearForm:
-        """b(., .) -> b(Ix, Iy); sign-free, preserves symmetry."""
+        """b(., .) -> b(A., A.) = A^T b A, entry (i, j) s_i s_j b[j_i][j_j]
+        with `axis_image`; sign-free, preserves symmetry."""
         if b.dim != self.model.dim:
             raise ValueError("dimension mismatch")
-        return b.conjugate_by(self.matrix)
+        image = axis_image(self.model, self._axis_name())
+        return BilinearForm([[b.entries[j][l].scale(s * t) for l, t in image] for j, s in image])
 
     def __repr__(self):
         return f"StructureOperator({self.point.a}, {self.point.b}, {self.point.c})"
@@ -204,18 +217,31 @@ _FIBER_CACHE: dict = {}
 _AXIS_NAMES = {point: name for name, point in _AXES.items()}
 
 
+def axis_image(model: HypercomplexModel, name: str) -> tuple[tuple[int, int], ...]:
+    """The axis A = `name` as its index map: (j, s) per row i, with A[i][j] = s.
+
+    A is a signed permutation and A^T = -A, so A* dx_i = s dx_j and
+    A e_i = -s e_j.  The one place where the dense matrices are read.
+    """
+    key = (model.n, name, "image")
+    cached = _FIBER_CACHE.get(key)
+    if cached is None:
+        cached = _FIBER_CACHE[key] = tuple(next((j, s) for j, s in enumerate(row) if s)
+                                           for row in model.matrix(name))
+    return cached
+
+
 def _axis_operators(model: HypercomplexModel, name: str, k: int) -> tuple[FiberOperator, FiberOperator]:
     """(rho_A, A*) on k-forms for the axis A = `name`, with int entries.
 
-    Each row i of the signed permutation matrix A has one entry s at j, so
-    A* dx_i = s dx_j.  rho_A replaces one slot at a time by its image, and
-    A* replaces every slot at once.
+    rho_A replaces one slot at a time by its image under A* dx_i = s dx_j
+    (`axis_image`), and A* replaces every slot at once.
     """
     key = (model.n, name, k)
     cached = _FIBER_CACHE.get(key)
     if cached is not None:
         return cached
-    image = [next((j, s) for j, s in enumerate(row) if s) for row in model.matrix(name)]
+    image = axis_image(model, name)
     rho: FiberOperator = {}
     pull: FiberOperator = {}
     for idx in multi_indices(model.dim, k):
@@ -270,6 +296,9 @@ def type_projector(model: HypercomplexModel, point: SpherePoint, k: int) -> tupl
     if name is not None:
         den, rho, square = 1, _axis_operators(model, name, k)[0], axis_squares(model, k)["IJK".index(name)]
     else:
+        # Only tests come here, with off-axis points as oracles: the twistor
+        # witnesses of tests/test_twistor_certificate.py and the insertion
+        # sums of tests/test_fiber_kernel.py.
         den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
         rho = combine_operators([(v.numerator * (den // v.denominator), r)
                                  for v, r in zip(point.as_tuple(), axis_derivations(model, k)) if v])

@@ -152,6 +152,37 @@ def bilinear_from_constant(matrix: Sequence[Sequence]) -> BilinearForm:
     return BilinearForm([[Polynomial.constant(dim, v) for v in row] for row in matrix])
 
 
+# The dense metric kernels: test oracles.  The package applies I, J and K to
+# metrics and Kahler forms through their index maps
+# (`structures.axis_image`); these are the dense matrix products it used
+# before, and tests/test_fiber_kernel.py compares the two.
+
+def form_component_matrix(form: KForm) -> list[list[Polynomial]]:
+    """The full antisymmetric component matrix F[i][j] = F(e_i, e_j)."""
+    d = form.dim
+    zero = Polynomial.zero(d)
+    mat = [[zero] * d for _ in range(d)]
+    for (a, b), poly in form.terms.items():
+        mat[a][b] = poly
+        mat[b][a] = -poly
+    return mat
+
+
+def oracle_transpose_times(m, rows: Sequence[Sequence[Polynomial]]) -> list[list[Polynomial]]:
+    """(M^T P)[a][b] = sum_k M[k][a] P[k][b] for a constant matrix M and a
+    polynomial matrix P."""
+    d = len(rows)
+    out = [[Polynomial.zero(d) for _ in range(d)] for _ in range(d)]
+    for a in range(d):
+        for b in range(d):
+            acc = Polynomial.zero(d)
+            for k in range(d):
+                if m[k][a]:
+                    acc = acc + rows[k][b].scale(m[k][a])
+            out[a][b] = acc
+    return out
+
+
 def _wedge_expansion(factors: Sequence[Sequence[tuple[int, Fraction]]]) -> dict:
     """Expand a wedge of 1-form expansions into {multi-index: coeff}.
 
@@ -260,18 +291,22 @@ def routed_fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, slots:
 
 
 class OracleSphereOperator(StructureOperator):
-    """Test oracle: the structure at any sphere point, whose pullback
-    expands its matrix with `routed_operator`.  The package builds
-    pullbacks at the axes only."""
+    """Test oracle: the structure at any sphere point, with its matrix
+    aI + bJ + cK, whose pullback expands that matrix with
+    `routed_operator`.  The package builds pullbacks at the axes only."""
 
-    __slots__ = ()
+    __slots__ = ("matrix",)
+
+    def __init__(self, model: HypercomplexModel, point: SpherePoint):
+        super().__init__(model, point)
+        self.matrix = sphere_matrix(model, point)
 
     def pullback(self, form: KForm) -> KForm:
         return pullback(form, self.matrix)
 
 
 def sphere_operator(model: HypercomplexModel, point: SpherePoint) -> OracleSphereOperator:
-    return OracleSphereOperator(model, sphere_matrix(model, point), point)
+    return OracleSphereOperator(model, point)
 
 
 # The three axes and three mixed Pythagorean points: a test oracle.  A

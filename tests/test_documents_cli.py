@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +243,68 @@ class TestCheckCommand:
         assert report["verdicts"]["theta_certificate"]
         assert report["verdicts"]["d_closed"]
         assert report["verdicts"]["form_salamon_11"]
+
+    def test_affine_potential_report(self, tmp_path, capsys):
+        # An affine mu has F_I = 0 and goes through the same checks as any
+        # other potential; the report is the one the former zero-form
+        # shortcut gave.
+        mu = x(0) * 3 - x(2) + Polynomial.constant(4, 5)
+        doc = {"kind": "potential", "model": {"n": 1}, "payload": {"mu": mu.to_json()}}
+        path = write(tmp_path, "affine.json", doc)
+        assert main(["check", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        del report["timings"]
+        assert report == {
+            "all_ok": True,
+            "checks": [],
+            "command": "check",
+            "data": {"form_I": {"dim": 4, "k": 2, "terms": []}, "kind": "potential"},
+            "input_digest": "c6fda9458a4fa719ac61a74dae1e06744e3dc5fafc080ba0b4de1ec08ef3d341",
+            "seed": None,
+            "verdicts": {"d_closed": True, "form_salamon_11": True, "theta_certificate": True},
+            "warnings": [],
+        }
+
+    def test_non_salamon_form_is_one_input_error(self, tmp_path, capsys):
+        doc = {"kind": "form", "model": {"n": 1},
+               "payload": {"form": flat_form("J").to_json()}}
+        path = write(tmp_path, "form.json", doc)
+        assert main(["check", path]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: form document does not carry a Salamon (1,1)-form\n"
+
+    def test_one_salamon_type_check_per_document(self, tmp_path, capsys, monkeypatch):
+        # The form document check and the potential check test the type of
+        # their form once; a metric's Kahler form is (1,1) by construction.
+        import hktcalc
+        import hktcalc.salamon as salamon
+
+        sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+        try:
+            from gen import check_cases
+        finally:
+            sys.path.pop(0)
+        calls = []
+        original = salamon.is_salamon_11
+
+        def spy(model, form):
+            calls.append(form)
+            return original(model, form)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hktcalc" and getattr(module, "is_salamon_11", None) is original:
+                monkeypatch.setattr(module, "is_salamon_11", spy)
+        counts = {}
+        for case in check_cases(1001):
+            calls.clear()
+            path = write(tmp_path, f"{case['name']}.json", case["doc"])
+            assert main(["check", path]) == case["expect"]["exit"]
+            counts[case["name"]] = len(calls)
+        capsys.readouterr()
+        assert counts == {"form-n2-negative": 1, "form-n2-potential": 1, "potential-n2": 1,
+                          "metric-n1-conformal": 0, "conformal4d-n1": 0}
+        assert hktcalc.is_salamon_11 is spy
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -593,6 +656,21 @@ class TestFailureTaxonomy:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error: bilinearized sphere conditions disagree")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_potential_form_off_type_11_exits_4(self, tmp_path, capsys, monkeypatch):
+        # F_I of a potential is (1,1) by construction, so a failed type
+        # check is a broken invariant, not bad input.
+        import hktcalc.cli as cli
+
+        monkeypatch.setattr(cli, "is_salamon_11", lambda model, form: False)
+        doc = {"kind": "potential", "model": {"n": 1},
+               "payload": {"mu": quarter_norm_potential(4).to_json()}}
+        path = write(tmp_path, "mu.json", doc)
+        assert main(["check", path]) == EXIT_INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: the potential's form F_I is not of Salamon type (1,1)")
         assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["check", "solve", "identities"])

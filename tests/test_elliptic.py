@@ -815,7 +815,7 @@ class TestAveragedHessian:
         for hess in basis:
             total = hess
             for name in ("I", "J", "K"):
-                total = total + hess.conjugate_by(model.matrix(name))
+                total = total + model.operator(name).act_bilinear(hess)
             assert total == BilinearForm.scaled_identity(4, hess.trace())
             half_trace = hess.trace() * Fraction(1, 2)
             for a, b in itertools.combinations(range(4), 2):

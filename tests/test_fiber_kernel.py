@@ -6,7 +6,11 @@ equal:
 * `oracle_apply_operator` -- the former `forms.apply_operator`, which
   scaled every input polynomial and built a new `Polynomial` for every
   partial sum;
-* `oracle_conjugate_by` -- the former dense O(dim^4) `BilinearForm.conjugate_by`;
+* `oracle_conjugate_by` -- the dense sandwich M^T b M of the former
+  `BilinearForm.conjugate_by`; I, J and K now act on 2-tensors, and turn
+  metrics into Kahler forms and back, through their index maps
+  (`structures.axis_image`), checked against it and against the dense
+  `oracle_transpose_times` of `conftest`;
 * `oracle_sphere_matrix` -- an earlier `HypercomplexModel.sphere_matrix`,
   which built aI + bJ + cK in Fractions;
 * `oracle_fiber_op` -- an earlier `structures._fiber_op`, which expanded
@@ -51,8 +55,9 @@ from hktcalc.forms import (
     multi_indices,
     operator_matrix,
 )
-from hktcalc.salamon import bundle_B
-from hktcalc.scalars import Polynomial, exact_coefficient
+from hktcalc.geometry import HyperhermitianMetric, kahler_form, metric_from_form
+from hktcalc.salamon import bundle_B, is_salamon_11
+from hktcalc.scalars import Polynomial, exact_coefficient, random_polynomial
 from hktcalc.structures import (
     HypercomplexModel,
     SpherePoint,
@@ -67,7 +72,9 @@ from conftest import (
     FIXED_WITNESSES,
     condition_rank,
     default_sphere_witnesses,
+    form_component_matrix,
     integer_sphere_matrix,
+    oracle_transpose_times,
     routed_fiber_op,
     routed_operator,
     sphere_matrix,
@@ -106,7 +113,7 @@ def oracle_conjugate_by(b, matrix):
                         continue
                     acc = acc + b.entries[k][l].scale(mki * mlj)
             out[i][j] = acc
-    return BilinearForm(out, symmetric=b.symmetric or None)
+    return BilinearForm(out)
 
 
 def oracle_wedge_expansion(factors):
@@ -249,23 +256,77 @@ def bilinear_forms(dim):
 
 @st.composite
 def bilinear_cases(draw):
-    n = draw(st.sampled_from([1, 2]))
-    model = MODELS[n]
+    """(model, b, axis name): b symmetric or not, n = 1 or 2."""
+    model = MODELS[draw(st.sampled_from([1, 2]))]
     entries = draw(bilinear_forms(model.dim))
     if draw(st.booleans()):
         entries = [[entries[min(i, j)][max(i, j)] for j in range(model.dim)] for i in range(model.dim)]
-    matrix = draw(st.one_of(st.sampled_from([model.I, model.J, model.K]),
-                            sphere_points().map(lambda point: sphere_matrix(model, point))))
-    return BilinearForm(entries), matrix
+    return model, BilinearForm(entries), draw(st.sampled_from("IJK"))
 
 
 @given(bilinear_cases())
 @settings(max_examples=60, deadline=None)
 def test_conjugate_by_matches_dense_oracle(case):
-    b, matrix = case
-    new, old = b.conjugate_by(matrix), oracle_conjugate_by(b, matrix)
-    assert new == old and new.symmetric == old.symmetric
+    model, b, name = case
+    new = model.operator(name).act_bilinear(b)
+    assert new == oracle_conjugate_by(b, model.matrix(name))
     assert all(_canonical(p) for row in new.entries for p in row)
+
+
+def _random_tensor(model, rng):
+    """A sparse random polynomial 2-tensor, neither symmetric nor invariant."""
+    d = model.dim
+    return BilinearForm([[random_polynomial(d, 2, 2, seed=rng.randrange(2**31)) if rng.random() < 0.3 else 0
+                          for _ in range(d)] for _ in range(d)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_metric_actions_match_dense_oracles(n):
+    """act_bilinear, kahler_form and metric_from_form read the index map;
+    the dense sandwich, F_A = A^T g and g = -I^T F must give the same."""
+    model = HypercomplexModel(n)
+    d = model.dim
+    rng = random.Random(2500 + n)
+    for _ in range(3):
+        raw = _random_tensor(model, rng)
+        for name in "IJK":
+            assert model.operator(name).act_bilinear(raw) == oracle_conjugate_by(raw, model.matrix(name))
+        # The average of b + b^T over {1, I, J, K} is a hyperhermitian metric.
+        tensor = raw + BilinearForm([list(col) for col in zip(*raw.entries)])
+        tensor = sum((oracle_conjugate_by(tensor, model.matrix(name)) for name in "IJK"), tensor)
+        metric = HyperhermitianMetric(model, tensor)
+        for name in "IJK":
+            comp = oracle_transpose_times(model.matrix(name), tensor.entries)
+            assert all(comp[a][b] == -comp[b][a] for a in range(d) for b in range(d))
+            expected = KForm(2, d, {(a, b): comp[a][b] for a, b in itertools.combinations(range(d), 2)})
+            assert kahler_form(metric, name) == expected
+        form = kahler_form(metric, "I")
+        comp = oracle_transpose_times(model.matrix("I"), form_component_matrix(form))
+        assert metric_from_form(model, form).tensor == BilinearForm([[-p for p in row] for row in comp]) == tensor
+
+
+def _klein_projection(model, form, signs):
+    """(1 + s_I I*)(1 + s_J J*)/4: the projection of 2-forms onto the character
+    of the Klein four-group {1, I*, J*, K*} with I* = s_I, J* = s_J."""
+    s_i, s_j = signs
+    op_i, op_j = model.operator("I"), model.operator("J")
+    half = form + op_i.pullback(form) * s_i
+    return (half + op_j.pullback(half) * s_j) * Fraction(1, 4)
+
+
+@given(st.sampled_from([1, 2]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_metric_from_form_raises_exactly_off_type_11(n, data):
+    model = MODELS[n]
+    form = data.draw(kforms(model.dim, 2))
+    signs = data.draw(st.sampled_from([None, (1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    if signs is not None:
+        form = _klein_projection(model, form, signs)
+    if is_salamon_11(model, form):
+        assert kahler_form(metric_from_form(model, form), "I") == form
+    else:
+        with pytest.raises(ValueError):
+            metric_from_form(model, form)
 
 
 def entries(op):
@@ -398,11 +459,10 @@ def test_int_and_fraction_values_give_equal_forms(case):
 @given(bilinear_cases(), POINTS)
 @settings(max_examples=40, deadline=None)
 def test_int_and_fraction_values_give_equal_conjugates(case, point):
-    b, matrix = case
+    model, b, name = case
     b_frac = BilinearForm([[_fraction_valued(p) for p in row] for row in b.entries])
-    m_int = [[exact_coefficient(v) for v in row] for row in matrix]
-    m_frac = [[Fraction(v) for v in row] for row in matrix]
-    new, new_frac = b.conjugate_by(m_int), b_frac.conjugate_by(m_frac)
+    op = model.operator(name)
+    new, new_frac = op.act_bilinear(b), op.act_bilinear(b_frac)
     assert new == new_frac
     assert all(_canonical(p) for form in (new, new_frac) for row in form.entries for p in row)
     point = (point * b.dim)[:b.dim]
@@ -414,7 +474,7 @@ def test_int_and_fraction_values_give_equal_conjugates(case, point):
 def test_pullback_is_built_at_the_axes_only():
     model, point = MODELS[1], FIXED_WITNESSES[3]
     with pytest.raises(ValueError, match="axes"):
-        StructureOperator(model, sphere_matrix(model, point), point).pullback(KForm.basis(4, (0, 1)))
+        StructureOperator(model, point).pullback(KForm.basis(4, (0, 1)))
 
 
 @given(sphere_points(), st.sampled_from([1, 2]))

@@ -84,7 +84,7 @@ def coframe_forms(model: HypercomplexModel, alpha: KForm) -> CoframeForms:
         for i in range(d):
             for j in range(d):
                 entries[i][j] = entries[i][j] + comps[i] * comps[j]
-    metric = HyperhermitianMetric(model, BilinearForm(entries, symmetric=True))
+    metric = HyperhermitianMetric(model, BilinearForm(entries))
     sign = Fraction(COFRAME_SIGN)
     for name, f in (("I", f_i), ("J", f_j), ("K", f_k)):
         if kahler_form(metric, name) != f * sign:
@@ -118,6 +118,13 @@ class TestMetricValidation:
             entries[i][i] = Polynomial.constant(4, 1)
         entries[0][0] = Polynomial.constant(4, 2)  # breaks I-invariance
         with pytest.raises(ValueError):
+            HyperhermitianMetric(model1, BilinearForm(entries))
+
+    def test_non_symmetric_tensor_rejected(self, model1):
+        # Symmetry is checked here, in the one reader that needs it.
+        entries = [[Polynomial.constant(4, int(i == j)) for j in range(4)] for i in range(4)]
+        entries[0][1] = Polynomial.constant(4, 1)
+        with pytest.raises(ValueError, match="symmetric"):
             HyperhermitianMetric(model1, BilinearForm(entries))
 
     def test_indefinite_metric_reported_not_rejected(self, model1):
@@ -214,10 +221,6 @@ class TestProjectionCriterion:
         form = potential_to_forms(model2, mu).f_i
         # is_hkt_salamon raises ConventionError if in_b disagrees with eta.
         assert is_hkt_salamon(table2, form).ok
-
-    def test_rejects_non_salamon_input(self, table1):
-        with pytest.raises(ValueError):
-            is_hkt_salamon(table1, KForm.basis(4, (0, 1)))
 
 
 class TestTwistorCriterion:

@@ -134,8 +134,11 @@ class TestEvaluate:
             assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
 
     def test_float_mode(self):
+        # A float coordinate converts exactly: 0.1 is the double nearest 1/10.
         p = x(0) * x(0) + x(1)
-        assert p.evaluate((0.5, 1.0, 0.0, 0.0)) == pytest.approx(1.25)
+        value = p.evaluate((0.1, 1.0, 0.0, 0.0))
+        assert type(value) is Fraction and value == Fraction(0.1) ** 2 + 1
+        assert value != Fraction(101, 100)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -188,7 +188,7 @@ class TestActBilinear:
                 entries[j][i] = p
         from hktcalc.forms import BilinearForm
 
-        b = BilinearForm(entries, symmetric=True)
+        b = BilinearForm(entries)
         avg = b
         for name in ("I", "J", "K"):
             avg = avg + model1.operator(name).act_bilinear(b)

@@ -103,7 +103,7 @@ def jet_columns(n: int) -> dict:
     for v, basis_form in enumerate(_basis_forms(model)):
         parts = [complex_type_part(model, point, basis_form, "02") for point in WITNESSES]
         metric = metric_from_form(model, basis_form)
-        kahler = [kahler_form(metric, op) for op in ops]
+        kahler = [kahler_form(metric, name) for name in "IJK"]
         for c in range(model.dim):
             e_c = KForm.dx(model.dim, c)
             residuals = {}
