@@ -1,8 +1,8 @@
 """Sparse exact linear algebra over Fraction entries.
 
 Matrices cross the interface as lists of lists.  The fiber matrices of the
-form bundles are almost all zeros, so products and elimination hold rows as
-{column: value} dicts, touch only nonzero entries and drop entries that
+form bundles are almost all zeros, so elimination holds rows as
+{column: value} dicts, touches only nonzero entries and drops entries that
 cancel.  The reduced row echelon form is unique, so every result equals the
 dense route's, which the tests keep as their oracle.  No inverse and no
 projector is formed here: the fiber projectors of `hktcalc.salamon` are
@@ -18,37 +18,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-
-
 def _sparse_rows(m: Sequence[Sequence]) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 def _dense_rows(rows: Sequence[dict], cols: int) -> list[list]:
     return [[row.get(j, _ZERO) for j in range(cols)] for row in rows]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    b_rows = _sparse_rows(b)
-    product = []
-    for row in a:
-        acc: dict = {}
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row.items():
-                    acc[j] = acc.get(j, 0) + x * y
-        product.append(acc)
-    return _dense_rows(product, len(b[0]) if b else 0)
-
-
-def mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
-
-
-def mat_eq(a, b) -> bool:
-    return all(all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)) and len(a) == len(b)
 
 
 def _reduce(rows: list[dict], cols: int) -> list[int]:

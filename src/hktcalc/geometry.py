@@ -129,6 +129,7 @@ class DefinitionCheck:
     residual_ij: KForm
     residual_jk: KForm
     torsion_candidate: KForm
+    f_i: KForm
 
     def summary(self) -> dict:
         return {
@@ -139,14 +140,13 @@ class DefinitionCheck:
 
 
 def is_hkt_definition(metric: HyperhermitianMetric) -> DefinitionCheck:
-    """Exact test of I dF_I = J dF_J = K dF_K."""
+    """Exact test of I dF_I = J dF_J = K dF_K; the check keeps the F_I it built."""
     model = metric.model
-    parts = {}
-    for name in ("I", "J", "K"):
-        parts[name] = model.operator(name).act(kahler_form(metric, name).d())
+    forms = {name: kahler_form(metric, name) for name in ("I", "J", "K")}
+    parts = {name: model.operator(name).act(form.d()) for name, form in forms.items()}
     res_ij = parts["I"] - parts["J"]
     res_jk = parts["J"] - parts["K"]
-    return DefinitionCheck(res_ij.is_zero() and res_jk.is_zero(), res_ij, res_jk, parts["I"])
+    return DefinitionCheck(res_ij.is_zero() and res_jk.is_zero(), res_ij, res_jk, parts["I"], forms["I"])
 
 
 @dataclass
@@ -363,13 +363,10 @@ def hkt_report(table: ProjectorTable, source: HyperhermitianMetric | KForm) -> H
     instead of producing a report.
     """
     model = table.model
-    if isinstance(source, HyperhermitianMetric):
-        metric = source
-        form = kahler_form(metric, "I")
-    else:
-        form = source
-        metric = metric_from_form(model, form)
+    metric = source if isinstance(source, HyperhermitianMetric) else metric_from_form(model, source)
     defn = is_hkt_definition(metric)
+    # A metric's F_I is the one the definition check built.
+    form = defn.f_i if metric is source else source
     sal = is_hkt_salamon(table, form)
     tw = is_hkt_twistor(model, form)
     if not (defn.ok == sal.ok == tw.ok):

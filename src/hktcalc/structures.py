@@ -7,14 +7,13 @@ of four coordinates (x0, x1, x2, x3) ~ x0 + x1 i + x2 j + x3 k:
     J = L_j : e0 -> e2,  e1 -> -e3,  e2 -> -e0, e3 -> e1
     K = L_k : e0 -> e3,  e1 -> e2,   e2 -> -e1, e3 -> -e0
 
-so that IJ = K and JI = -K hold as exact matrix identities, checked at
-construction (`ConventionError` otherwise).  These integer block matrices
-are the single source of truth for every expected value in the tests.
-
-Each is a signed permutation, and its index map `axis_image` (row i of A
-has one entry s, at column j) builds every action of I, J and K: on forms,
-on 2-tensors, and between metrics and Kahler forms in `geometry`.  No
-other module reads a dense structure matrix.
+Each is a signed permutation, held only as its index map `axis_image`
+(row i of A has one entry s, at column j), tiled over the n blocks from
+one four-row table per axis.  A model composes these maps to check
+I^2 = J^2 = K^2 = -Id and IJ = K (`ConventionError` otherwise), and the
+maps build every action of I, J and K: on forms, on 2-tensors, and
+between metrics and Kahler forms in `geometry`.  No dense structure
+matrix is formed.
 
 Two actions on forms coexist and both are exposed:
 
@@ -50,7 +49,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exact_linalg as ela
 from .conventions import ConventionError
 from .forms import (
     BilinearForm,
@@ -63,21 +61,18 @@ from .forms import (
     sort_with_sign,
 )
 
-_BLOCK_I = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
-_BLOCK_J = ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0))
-_BLOCK_K = ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+# One block of each axis as (column, sign) per row: row r of the block has
+# its one entry, sign, at column.
+_BLOCK_IMAGES = {
+    "I": ((1, -1), (0, 1), (3, -1), (2, 1)),
+    "J": ((2, -1), (3, 1), (0, 1), (1, -1)),
+    "K": ((3, -1), (2, -1), (1, 1), (0, 1)),
+}
 
 
-def _block_diagonal(block, n: int) -> tuple:
-    dim = 4 * n
-    rows = []
-    for r in range(dim):
-        row = [0] * dim
-        base = 4 * (r // 4)
-        for c in range(4):
-            row[base + c] = block[r % 4][c]
-        rows.append(tuple(row))
-    return tuple(rows)
+def _compose(a, b):
+    """The index map of AB: (AB)[i] = (k, s t) for A[i] = (j, s), B[j] = (k, t)."""
+    return tuple((b[j][0], s * b[j][1]) for j, s in a)
 
 
 @dataclass(frozen=True)
@@ -135,30 +130,29 @@ def random_sphere_points(count: int, seed: int) -> list[SpherePoint]:
 class HypercomplexModel:
     """R^(4n) with the constant left-multiplication structures I, J, K."""
 
-    __slots__ = ("n", "dim", "I", "J", "K")
+    __slots__ = ("n", "dim", "images")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("quaternionic dimension must be >= 1")
         self.n = n
         self.dim = 4 * n
-        self.I = _block_diagonal(_BLOCK_I, n)
-        self.J = _block_diagonal(_BLOCK_J, n)
-        self.K = _block_diagonal(_BLOCK_K, n)
+        self.images = {name: tuple((4 * b + j, s) for b in range(n) for j, s in block)
+                       for name, block in _BLOCK_IMAGES.items()}
         self._verify_quaternion_identities()
 
     def _verify_quaternion_identities(self):
-        minus_id = ela.mat_scale(ela.identity(self.dim), Fraction(-1))
-        for name, m in (("I", self.I), ("J", self.J), ("K", self.K)):
-            if not ela.mat_eq(ela.mat_mul(m, m), minus_id):
-                raise ConventionError(f"{name}^2 != -Id")
-        if not ela.mat_eq(ela.mat_mul(self.I, self.J), [list(r) for r in self.K]):
-            raise ConventionError("IJ != K")
-        if not ela.mat_eq(ela.mat_mul(self.J, self.I), ela.mat_scale(self.K, Fraction(-1))):
-            raise ConventionError("JI != -K")
+        """I^2 = J^2 = K^2 = -Id and IJ = K, on the index maps.
 
-    def matrix(self, name: str):
-        return {"I": self.I, "J": self.J, "K": self.K}[name]
+        JI = -K follows: IJIJ = K^2 = -Id, so JIJ = I (multiply by I on
+        the left) and -JI = JIJJ = IJ = K (multiply by J on the right).
+        """
+        minus_id = tuple((i, -1) for i in range(self.dim))
+        for name, image in self.images.items():
+            if _compose(image, image) != minus_id:
+                raise ConventionError(f"{name}^2 != -Id")
+        if _compose(self.images["I"], self.images["J"]) != self.images["K"]:
+            raise ConventionError("IJ != K")
 
     def operator(self, name: str) -> "StructureOperator":
         return StructureOperator(self, SpherePoint.axis(name))
@@ -221,14 +215,9 @@ def axis_image(model: HypercomplexModel, name: str) -> tuple[tuple[int, int], ..
     """The axis A = `name` as its index map: (j, s) per row i, with A[i][j] = s.
 
     A is a signed permutation and A^T = -A, so A* dx_i = s dx_j and
-    A e_i = -s e_j.  The one place where the dense matrices are read.
+    A e_i = -s e_j.
     """
-    key = (model.n, name, "image")
-    cached = _FIBER_CACHE.get(key)
-    if cached is None:
-        cached = _FIBER_CACHE[key] = tuple(next((j, s) for j, s in enumerate(row) if s)
-                                           for row in model.matrix(name))
-    return cached
+    return model.images[name]
 
 
 def _axis_operators(model: HypercomplexModel, name: str, k: int) -> tuple[FiberOperator, FiberOperator]:

@@ -22,8 +22,9 @@ def transpose(m):
 
 
 def dense_mat_mul(a, b):
+    """The dense product; zero factors are skipped, not multiplied."""
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(x * y for x, y in zip(row, col) if x and y) for col in bt] for row in a]
 
 
 def dense_rref(m):
@@ -88,6 +89,23 @@ def dense_projector(basis, n, weights=None):
     inv = dense_invert(dense_mat_mul(transpose(nmat), wn))
     corr = dense_mat_mul(dense_mat_mul(nmat, inv), transpose(wn))
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ident, corr)]
+
+
+# The dense structure matrices: a test oracle.  The package holds I, J and K
+# only as index maps (`structures.axis_image`); these are the documented
+# left-multiplication blocks written out by hand, tiled by `structure_matrix`.
+DENSE_BLOCKS = {
+    "I": ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
+    "J": ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0)),
+    "K": ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+}
+
+
+def structure_matrix(model: HypercomplexModel, name: str) -> tuple:
+    """Test oracle: the block-diagonal (4n) x (4n) int matrix of the axis `name`."""
+    block = DENSE_BLOCKS[name]
+    return tuple(tuple(block[r % 4][c % 4] if r // 4 == c // 4 else 0 for c in range(model.dim))
+                 for r in range(model.dim))
 
 
 @pytest.fixture(scope="session")
@@ -264,7 +282,7 @@ def integer_sphere_matrix(model: HypercomplexModel, point: SpherePoint) -> tuple
     a, b, c = (v.numerator * (den // v.denominator) for v in point.as_tuple())
     mat = tuple(
         tuple(a * i + b * j + c * k for i, j, k in zip(row_i, row_j, row_k))
-        for row_i, row_j, row_k in zip(model.I, model.J, model.K)
+        for row_i, row_j, row_k in zip(*(structure_matrix(model, name) for name in "IJK"))
     )
     rows = [[(j, v) for j, v in enumerate(row) if v] for row in mat]
     for r, row in enumerate(rows):

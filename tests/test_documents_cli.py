@@ -69,6 +69,16 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+def bench_check_cases(seed):
+    """The documents of the benchmark's check-docs workload (`bench/gen.py`)."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+    try:
+        from gen import check_cases
+    finally:
+        sys.path.pop(0)
+    return check_cases(seed)
+
+
 class TestInputDocument:
     def test_metric_document(self):
         doc = InputDocument.from_json(flat_metric_doc())
@@ -280,11 +290,6 @@ class TestCheckCommand:
         import hktcalc
         import hktcalc.salamon as salamon
 
-        sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
-        try:
-            from gen import check_cases
-        finally:
-            sys.path.pop(0)
         calls = []
         original = salamon.is_salamon_11
 
@@ -296,7 +301,7 @@ class TestCheckCommand:
             if name.split(".")[0] == "hktcalc" and getattr(module, "is_salamon_11", None) is original:
                 monkeypatch.setattr(module, "is_salamon_11", spy)
         counts = {}
-        for case in check_cases(1001):
+        for case in bench_check_cases(1001):
             calls.clear()
             path = write(tmp_path, f"{case['name']}.json", case["doc"])
             assert main(["check", path]) == case["expect"]["exit"]
@@ -305,6 +310,30 @@ class TestCheckCommand:
         assert counts == {"form-n2-negative": 1, "form-n2-potential": 1, "potential-n2": 1,
                           "metric-n1-conformal": 0, "conformal4d-n1": 0}
         assert hktcalc.is_salamon_11 is spy
+
+    def test_one_kahler_form_per_axis_per_document(self, tmp_path, capsys, monkeypatch):
+        # A metric document's F_I comes from the definition check, which
+        # builds each Kahler form once.
+        import hktcalc.geometry as geometry
+
+        calls = []
+        original = geometry.kahler_form
+
+        def spy(metric, name):
+            calls.append(name)
+            return original(metric, name)
+
+        monkeypatch.setattr(geometry, "kahler_form", spy)
+        axes = {}
+        for case in bench_check_cases(1001):
+            calls.clear()
+            path = write(tmp_path, f"{case['name']}.json", case["doc"])
+            assert main(["check", path]) == case["expect"]["exit"]
+            axes[case["name"]] = sorted(calls)
+        capsys.readouterr()
+        assert axes == {"form-n2-negative": ["I", "J", "K"], "form-n2-potential": ["I", "J", "K"],
+                        "potential-n2": [], "metric-n1-conformal": ["I", "J", "K"],
+                        "conformal4d-n1": ["I", "J", "K"]}
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -675,7 +704,8 @@ class TestFailureTaxonomy:
 
     @pytest.mark.parametrize("command", ["check", "solve", "identities"])
     def test_broken_structure_matrices_exit_4(self, tmp_path, capsys, monkeypatch, command):
-        # J = I fails IJ = K when a document's or the suite's model is built.
+        # J = I in the index table fails IJ = K when a document's or the
+        # suite's model is built.
         import hktcalc.structures as structures
 
         # The documents are written first: flat_metric_doc builds a model.
@@ -684,7 +714,7 @@ class TestFailureTaxonomy:
             "solve": ["solve", write(tmp_path, "conf.json", conformal_doc()), "--grid", "9"],
             "identities": ["identities", "--n", "1", "--count", "1"],
         }[command]
-        monkeypatch.setattr(structures, "_BLOCK_J", structures._BLOCK_I)
+        monkeypatch.setitem(structures._BLOCK_IMAGES, "J", structures._BLOCK_IMAGES["I"])
         assert main(argv) == EXIT_INTERNAL_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""

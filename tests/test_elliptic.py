@@ -36,7 +36,7 @@ from hktcalc.forms import BilinearForm, KForm
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel
 
-from conftest import norm_squared
+from conftest import norm_squared, structure_matrix
 
 
 def _conjugate_gradient(b: np.ndarray, h: float, tol: float, max_iter: int):
@@ -707,7 +707,7 @@ def einsum_verify(grid, spec):
     trace = hess[0, 0] + hess[1, 1] + hess[2, 2] + hess[3, 3]
     trace_res = np.abs(trace / phi_in - float(TRACE_TARGET))
     model = HypercomplexModel(1)
-    mats = [np.array([[float(v) for v in row] for row in model.matrix(nm)]) for nm in ("I", "J", "K")]
+    mats = [np.array([[float(v) for v in row] for row in structure_matrix(model, nm)]) for nm in ("I", "J", "K")]
     avg = hess.copy()
     for mat in mats:
         avg = avg + np.einsum("ka,kl...,lb->ab...", mat, hess, mat)
@@ -809,7 +809,7 @@ class TestAveragedHessian:
 
     def test_sum_of_conjugates_is_trace_times_identity(self):
         model = HypercomplexModel(1)
-        i_mat = model.matrix("I")
+        i_mat = structure_matrix(model, "I")
         basis = symmetric_basis(4)
         assert len(basis) == 10
         for hess in basis:
@@ -831,7 +831,7 @@ class TestFormTable:
         # Exact oracle: f_ab = sum_k I_ka avg_kb, avg = (H + sum_M M^T H M) / 2,
         # for random symmetric rational Hessians.
         model = HypercomplexModel(1)
-        mats = [model.matrix(nm) for nm in ("I", "J", "K")]
+        mats = [structure_matrix(model, nm) for nm in ("I", "J", "K")]
         perms = [_signed_permutation(mat) for mat in mats]
         table = _form_table(perms)
         rebuilt = {}
@@ -938,7 +938,7 @@ def whole_verify(grid, spec):
     trace_res -= float(TRACE_TARGET)
     np.abs(trace_res, out=trace_res)
     model = HypercomplexModel(1)
-    perms = [_signed_permutation(model.matrix(nm)) for nm in ("I", "J", "K")]
+    perms = [_signed_permutation(structure_matrix(model, nm)) for nm in ("I", "J", "K")]
     form_res = np.zeros_like(phi_in)
     scale = float(SOLVER_FORM_SCALE)
     for a in range(4):

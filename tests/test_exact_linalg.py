@@ -1,13 +1,12 @@
 """The sparse exact linear algebra against the dense route it replaced.
 
-`conftest.dense_mat_mul` and `conftest.dense_rref` are the dense Gaussian
-elimination that `hktcalc.exact_linalg` used before it skipped zeros, kept
-only as the oracle; `dense_null_space` there and `dense_solve` here are the
-old derived routines on top of them.  The reduced row echelon form is
-unique, so the sparse results must be equal to the oracle's, not merely
-close.  The projector table is checked against `conftest.dense_projector`
-of the null-space basis of B^k, the route it was built by before the
-Casimir.
+`conftest.dense_rref` is the dense Gaussian elimination that
+`hktcalc.exact_linalg` used before it skipped zeros, kept only as the
+oracle; `dense_null_space` there and `dense_solve` here are the old derived
+routines on top of it.  The reduced row echelon form is unique, so the
+sparse results must be equal to the oracle's, not merely close.  The
+projector table is checked against `conftest.dense_projector` of the
+null-space basis of B^k, the route it was built by before the Casimir.
 """
 
 import hashlib
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hktcalc import exact_linalg as ela
-from hktcalc.forms import multi_indices
+from hktcalc.forms import compose_operators, multi_indices
 from hktcalc.salamon import ProjectorTable, _condition_matrix, _condition_operators, bundle_B
 from hktcalc.structures import HypercomplexModel, random_sphere_points
 
@@ -72,13 +71,6 @@ def as_fractions(m):
 
 
 class TestSparseMatchesDense:
-    @PROPERTY
-    @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 5), st.data())
-    def test_mat_mul(self, inner, rows, cols, data):
-        a = data.draw(st.lists(st.lists(ENTRY, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
-        b = data.draw(st.lists(st.lists(ENTRY, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
-        assert ela.mat_mul(a, b) == dense_mat_mul(a, b)
-
     @PROPERTY
     @given(matrices(min_cols=1))
     def test_rref_and_pivots(self, m):
@@ -177,7 +169,7 @@ class TestN3Table:
     def test_eta_idempotent_and_splits_the_fiber(self, table3, b_ranks3):
         for k in (2, 3):
             eta = table3.eta_matrix(k)
-            assert ela.mat_mul(eta, eta) == eta
+            assert compose_operators(table3.columns[k], table3.columns[k]) == table3.columns[k]
             total = len(multi_indices(12, k))
             assert ela.rank(eta) + b_ranks3[k] == total
 

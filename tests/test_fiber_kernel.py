@@ -78,6 +78,7 @@ from conftest import (
     routed_fiber_op,
     routed_operator,
     sphere_matrix,
+    structure_matrix,
 )
 
 MODELS = {1: HypercomplexModel(1), 2: HypercomplexModel(2)}
@@ -137,8 +138,9 @@ def oracle_wedge_expansion(factors):
 
 
 def oracle_sphere_matrix(model, point):
+    i_mat, j_mat, k_mat = (structure_matrix(model, name) for name in "IJK")
     return tuple(
-        tuple(point.a * model.I[r][c] + point.b * model.J[r][c] + point.c * model.K[r][c]
+        tuple(point.a * i_mat[r][c] + point.b * j_mat[r][c] + point.c * k_mat[r][c]
               for c in range(model.dim))
         for r in range(model.dim)
     )
@@ -269,7 +271,7 @@ def bilinear_cases(draw):
 def test_conjugate_by_matches_dense_oracle(case):
     model, b, name = case
     new = model.operator(name).act_bilinear(b)
-    assert new == oracle_conjugate_by(b, model.matrix(name))
+    assert new == oracle_conjugate_by(b, structure_matrix(model, name))
     assert all(_canonical(p) for row in new.entries for p in row)
 
 
@@ -290,18 +292,18 @@ def test_metric_actions_match_dense_oracles(n):
     for _ in range(3):
         raw = _random_tensor(model, rng)
         for name in "IJK":
-            assert model.operator(name).act_bilinear(raw) == oracle_conjugate_by(raw, model.matrix(name))
+            assert model.operator(name).act_bilinear(raw) == oracle_conjugate_by(raw, structure_matrix(model, name))
         # The average of b + b^T over {1, I, J, K} is a hyperhermitian metric.
         tensor = raw + BilinearForm([list(col) for col in zip(*raw.entries)])
-        tensor = sum((oracle_conjugate_by(tensor, model.matrix(name)) for name in "IJK"), tensor)
+        tensor = sum((oracle_conjugate_by(tensor, structure_matrix(model, name)) for name in "IJK"), tensor)
         metric = HyperhermitianMetric(model, tensor)
         for name in "IJK":
-            comp = oracle_transpose_times(model.matrix(name), tensor.entries)
+            comp = oracle_transpose_times(structure_matrix(model, name), tensor.entries)
             assert all(comp[a][b] == -comp[b][a] for a in range(d) for b in range(d))
             expected = KForm(2, d, {(a, b): comp[a][b] for a, b in itertools.combinations(range(d), 2)})
             assert kahler_form(metric, name) == expected
         form = kahler_form(metric, "I")
-        comp = oracle_transpose_times(model.matrix("I"), form_component_matrix(form))
+        comp = oracle_transpose_times(structure_matrix(model, "I"), form_component_matrix(form))
         assert metric_from_form(model, form).tensor == BilinearForm([[-p for p in row] for row in comp]) == tensor
 
 
@@ -490,10 +492,13 @@ def test_pullback_is_a_polynomial_in_rho_at_random_points(point, n):
     assert entries(combine_operators([(6, pull3)])) == entries(combine_operators([(7, rho3), (1, cube)]))
 
 
-def test_sphere_matrix_is_checked():
+def test_sphere_matrix_is_checked(monkeypatch):
+    import conftest
+
     point = SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0))
     broken = HypercomplexModel(1)
-    broken.J = broken.I  # (aI + bI)^2 = -(a + b)^2 Id, not -Id
+    # J = I: (aI + bI)^2 = -(a + b)^2 Id, not -Id
+    monkeypatch.setitem(conftest.DENSE_BLOCKS, "J", conftest.DENSE_BLOCKS["I"])
     with pytest.raises(AssertionError):
         sphere_matrix(broken, point)
     with pytest.raises(AssertionError):
@@ -520,7 +525,7 @@ def test_integer_sphere_matrix_at_random_points(point, n):
     _assert_integer_sphere_matrix_matches(MODELS[n], point)
 
 
-INT_MATRICES = [tuple(tuple(int(v) for v in row) for row in MODELS[1].I),
+INT_MATRICES = [structure_matrix(MODELS[1], "I"),
                 ((2, 0, 0, 1), (0, -3, 0, 0), (1, 0, 1, 0), (0, 0, 5, 1))]
 
 
@@ -561,7 +566,7 @@ def _assert_polarization(a, b, dim):
 @functools.cache
 def structure_pair_oracle(n, k):
     """oracle_pair_insertion_operator(A_i, A_j) for the structures (I, J, K) of MODELS[n]."""
-    mats = [MODELS[n].matrix(name) for name in "IJK"]
+    mats = [structure_matrix(MODELS[n], name) for name in "IJK"]
     return {(i, j): oracle_pair_insertion_operator(mats[i], mats[j], k, MODELS[n].dim)
             for i in range(3) for j in range(3)}
 
@@ -619,7 +624,7 @@ def test_pair_insertion_matches_oracle_for_fraction_matrices():
     point = SpherePoint.from_parameters(Fraction(1, 3), Fraction(-2, 5))
     for n in (1, 2):
         model = MODELS[n]
-        _assert_polarization(sphere_matrix(model, point), model.matrix("J"), model.dim)
+        _assert_polarization(sphere_matrix(model, point), structure_matrix(model, "J"), model.dim)
 
 
 def oracle_b3_conditions(model, points):
@@ -627,7 +632,7 @@ def oracle_b3_conditions(model, points):
     structure pairs, then the two-slot insertion sum minus Id per extra point."""
     ops = []
     for a, b in [("I", "I"), ("J", "J"), ("K", "K"), ("I", "J"), ("J", "K"), ("K", "I")]:
-        op = oracle_pair_insertion_operator(model.matrix(a), model.matrix(b), 3, model.dim)
+        op = oracle_pair_insertion_operator(structure_matrix(model, a), structure_matrix(model, b), 3, model.dim)
         ops.append(combine_operators([(1, op)], -1) if a == b else op)
     ops += [combine_operators([(1, oracle_fiber_op(model, pt, 3, 2))], -1) for pt in points]
     return [row for op in ops for row in operator_matrix(op, 3, model.dim)]

@@ -13,7 +13,7 @@ from hktcalc.forms import (
 )
 from hktcalc.scalars import Polynomial, random_polynomial
 
-from conftest import bilinear_from_constant, norm_squared, pullback, routed_operator
+from conftest import DENSE_BLOCKS, bilinear_from_constant, norm_squared, pullback, routed_operator
 
 
 def x(i, dim=4):
@@ -90,9 +90,9 @@ class TestPullback:
             w = random_kform(4, k, rng)
             assert pullback(w, ident) == w
 
-    def test_slots_only_dx01_under_standard_i(self, model1):
+    def test_slots_only_dx01_under_standard_i(self):
         w = KForm.basis(4, (0, 1))
-        assert pullback(w, model1.I) == w
+        assert pullback(w, DENSE_BLOCKS["I"]) == w
 
     def test_contravariant_functoriality(self):
         rng = random.Random(4)

@@ -1,63 +1,125 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from hktcalc import exact_linalg as ela
+from hktcalc import structures
 from hktcalc.batteries import random_kform
+from hktcalc.conventions import ConventionError
 from hktcalc.forms import KForm, hessian, multi_indices, operator_matrix
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import (
     ComplexForm,
     HypercomplexModel,
     SpherePoint,
+    _compose,
+    axis_image,
     complex_type_part,
     random_sphere_points,
 )
 
-from conftest import bilinear_from_constant, flat_form, norm_squared, routed_operator, sphere_operator
+from conftest import (
+    DENSE_BLOCKS,
+    bilinear_from_constant,
+    dense_mat_mul,
+    flat_form,
+    norm_squared,
+    routed_operator,
+    sphere_matrix,
+    sphere_operator,
+    structure_matrix,
+)
+
+MINUS_ID4 = [[-int(i == j) for j in range(4)] for i in range(4)]
 
 
 def imaginary_spectrum_projector(s1, spectrum, target):
     """(Re, Im) of the product of (s1 - it)/(i(target - t)) over t in
     `spectrum`, t != target, in Fraction matrices: the projector onto the
     i*target eigenspace of a matrix s1 with eigenvalues it, t in `spectrum`."""
-    re, im = ela.identity(len(s1)), ela.mat_scale(ela.identity(len(s1)), 0)
+    size = len(s1)
+    re = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    im = [[Fraction(0)] * size for _ in range(size)]
     for t in spectrum:
         if t == target:
             continue
         # (re + i im)(s1 - it) = (re s1 + t im) + i(im s1 - t re), then / i(target - t).
-        x = [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(ela.mat_mul(re, s1), im)]
-        y = [[a - t * b for a, b in zip(ra, rb)] for ra, rb in zip(ela.mat_mul(im, s1), re)]
+        x = [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(dense_mat_mul(re, s1), im)]
+        y = [[a - t * b for a, b in zip(ra, rb)] for ra, rb in zip(dense_mat_mul(im, s1), re)]
         scale = Fraction(1, target - t)
-        re, im = ela.mat_scale(y, scale), ela.mat_scale(x, -scale)
+        re, im = [[v * scale for v in row] for row in y], [[-v * scale for v in row] for row in x]
     return re, im
 
 
+def index_map(matrix) -> tuple:
+    """The index map of a signed permutation matrix: (j, M[i][j]) per row i."""
+    assert all(sorted(map(abs, row)) == [0] * (len(row) - 1) + [1] for row in matrix)
+    return tuple(next((j, s) for j, s in enumerate(row) if s) for row in matrix)
+
+
+def negated(image) -> tuple:
+    return tuple((j, -s) for j, s in image)
+
+
 class TestStandardModel:
-    def test_ij_on_first_basis_vector(self, model1):
+    def test_ij_on_first_basis_vector(self):
         # IJ(e0) = I(e2) = e3 = K(e0), by explicit matrix products.
-        ij = ela.mat_mul(model1.I, model1.J)
+        ij = dense_mat_mul(DENSE_BLOCKS["I"], DENSE_BLOCKS["J"])
         col0 = [row[0] for row in ij]
-        assert col0 == [row[0] for row in model1.K]
+        assert col0 == [row[0] for row in DENSE_BLOCKS["K"]]
         assert col0 == [0, 0, 0, 1]
 
-    def test_squares_to_minus_identity(self, model1):
-        minus_id = ela.mat_scale(ela.identity(4), Fraction(-1))
+    def test_squares_to_minus_identity(self):
         for name in ("I", "J", "K"):
-            m = model1.matrix(name)
-            assert ela.mat_eq(ela.mat_mul(m, m), minus_id)
+            m = DENSE_BLOCKS[name]
+            assert dense_mat_mul(m, m) == MINUS_ID4
 
     def test_n2_block_structure(self, model2):
-        assert len(model2.I) == 8
         for name in ("I", "J", "K"):
-            m = model2.matrix(name)
-            for r in range(8):
-                for c in range(8):
-                    if (r // 4) != (c // 4):
-                        assert m[r][c] == 0
-                    else:
-                        assert m[r][c] == m[r % 4][c % 4]
+            image = axis_image(model2, name)
+            assert len(image) == 8
+            for r, (c, s) in enumerate(image):
+                assert r // 4 == c // 4 and (c % 4, s) == image[r % 4]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_index_maps_match_the_dense_blocks(self, n):
+        # Ties the index tables to the hand-written blocks of conftest.
+        model = HypercomplexModel(n)
+        dense = {name: structure_matrix(model, name) for name in "IJK"}
+        for name in "IJK":
+            assert axis_image(model, name) == index_map(dense[name])
+        for a, b in itertools.product("IJK", repeat=2):
+            composed = _compose(axis_image(model, a), axis_image(model, b))
+            assert composed == index_map(dense_mat_mul(dense[a], dense[b]))
+
+    def test_ij_equal_k_forces_ji_equal_minus_k(self):
+        # The model checks A^2 = -Id and IJ = K only.  Among all signed 4 x 4
+        # permutations, every triple of square roots of -Id with IJ = K
+        # also has JI = -K.
+        perms = [tuple(zip(p, signs)) for p in itertools.permutations(range(4))
+                 for signs in itertools.product((1, -1), repeat=4)]
+        minus_id = tuple((i, -1) for i in range(4))
+        roots = [m for m in perms if _compose(m, m) == minus_id]
+        assert len(roots) == 12
+        triples = [(i, j, _compose(i, j)) for i in roots for j in roots if _compose(i, j) in roots]
+        assert len(triples) == 48
+        assert all(_compose(j, i) == negated(k) for i, j, k in triples)
+
+    @pytest.mark.parametrize("name, message", [("I", "I^2 != -Id"), ("J", "J^2 != -Id"),
+                                               ("K", "K^2 != -Id"), ("IJ", "IJ != K")])
+    def test_each_broken_identity_has_its_own_message(self, monkeypatch, name, message):
+        table = structures._BLOCK_IMAGES
+        if name == "IJ":
+            # -K still squares to -Id, but IJ = K then fails.
+            monkeypatch.setitem(table, "K", negated(table["K"]))
+        else:
+            # One flipped sign: A^2 sends e0 to +e0.
+            (j, s), *rest = table[name]
+            monkeypatch.setitem(table, name, ((j, -s), *rest))
+        with pytest.raises(ConventionError) as info:
+            HypercomplexModel(2)
+        assert str(info.value) == message
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
@@ -67,18 +129,16 @@ class TestStandardModel:
 class TestSpherePoints:
     def test_axis_point_is_i(self, model1):
         op = sphere_operator(model1, SpherePoint.axis("I"))
-        assert ela.mat_eq(op.matrix, model1.I)
+        assert op.matrix == structure_matrix(model1, "I")
 
     def test_pythagorean_point(self, model1):
         op = sphere_operator(model1, SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0)))
-        minus_id = ela.mat_scale(ela.identity(4), Fraction(-1))
-        assert ela.mat_eq(ela.mat_mul(op.matrix, op.matrix), minus_id)
+        assert dense_mat_mul(op.matrix, op.matrix) == MINUS_ID4
 
     def test_two_thirds_point(self, model1):
         pt = SpherePoint(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
         op = sphere_operator(model1, pt)
-        minus_id = ela.mat_scale(ela.identity(4), Fraction(-1))
-        assert ela.mat_eq(ela.mat_mul(op.matrix, op.matrix), minus_id)
+        assert dense_mat_mul(op.matrix, op.matrix) == MINUS_ID4
 
     def test_off_sphere_rejected(self):
         with pytest.raises(ValueError):
@@ -244,11 +304,7 @@ class TestTypeDecomposition:
         rng = random.Random(33)
         for model, k, part, spectrum in ((model1, 2, "02", (2, 0, -2)), (model2, 3, "03", (3, 1, -1, -3))):
             dim = model.dim
-            mat = [
-                [pt.a * model.I[r][c] + pt.b * model.J[r][c] + pt.c * model.K[r][c]
-                 for c in range(dim)]
-                for r in range(dim)
-            ]
+            mat = sphere_matrix(model, pt)
             s1 = operator_matrix(routed_operator(mat, k, dim, 1), k, dim)
             real_part, imag_part = imaginary_spectrum_projector(s1, spectrum, -k)
             basis = multi_indices(dim, k)
