@@ -171,7 +171,7 @@ def remark_battery(model: HypercomplexModel, table: ProjectorTable, seed: int, c
         result = is_hkt_potential(model, mu, metric)
         if not result.ok:
             return CheckOutcome("potential-remark", False, count, f"identities failed at case {i}")
-        theta_from_potential(table, mu)
+        theta_from_potential(table, mu, result.forms.f_i)
     return CheckOutcome("potential-remark", True, count)
 
 

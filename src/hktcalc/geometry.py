@@ -268,6 +268,7 @@ def hessian_average_metric(model: HypercomplexModel, mu: Polynomial) -> Hyperher
 class PotentialCheck:
     ok: bool
     residuals: dict
+    forms: PotentialForms
 
 
 def is_hkt_potential(
@@ -277,7 +278,8 @@ def is_hkt_potential(
 
     Three form identities plus the averaged-Hessian reconstruction; the
     four verdicts must agree (they are equivalent statements), and a
-    disagreement raises `ConventionError`.
+    disagreement raises `ConventionError`.  The check carries the forms
+    it built.
     """
     forms = potential_to_forms(model, mu)
     oks = []
@@ -293,18 +295,18 @@ def is_hkt_potential(
     }
     if len(set(oks + [hess_ok])) != 1:
         raise ConventionError("the four potential identities disagree")
-    return PotentialCheck(hess_ok, residuals)
+    return PotentialCheck(hess_ok, residuals, forms)
 
 
-def theta_from_potential(table: ProjectorTable, mu: Polynomial) -> KForm:
-    """The primitive theta = I(d mu), certified: D theta equals the
-    potential form of mu exactly and d theta is of type (1,1) for I;
-    `ConventionError` otherwise."""
+def theta_from_potential(table: ProjectorTable, mu: Polynomial, f_i: KForm) -> KForm:
+    """The primitive theta = I(d mu), certified against `f_i`, the F_I of
+    mu from `potential_to_forms`: D theta equals f_i exactly and d theta
+    is of type (1,1) for I; `ConventionError` otherwise."""
     op_i = table.model.operator("I")
     theta = op_i.act(KForm.from_polynomial(mu).d())
     d_theta = theta.d()
     if (op_i.pullback(d_theta) != d_theta
-            or salamon_D(table, theta) != potential_to_forms(table.model, mu).f_i):
+            or salamon_D(table, theta) != f_i):
         raise ConventionError("theta certificate failed; action conventions are inconsistent")
     return theta
 

@@ -127,7 +127,7 @@ def test_criterion_6_potential_calculus(model1, table1, model2, table2):
         built = potential_to_forms(model, mu)
         # theta_from_potential and is_hkt_potential raise ConventionError on
         # a broken certificate or disagreeing identities.
-        d_route = salamon_D(table, theta_from_potential(table, mu))
+        d_route = salamon_D(table, theta_from_potential(table, mu, built.f_i))
         metric = hessian_average_metric(model, mu)
         check = is_hkt_potential(model, mu, metric)
         random_ok = random_ok and d_route == built.f_i and check.ok

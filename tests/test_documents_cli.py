@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hktcalc.cli import (
+    BLAS_THREAD_VARIABLES,
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -335,6 +337,30 @@ class TestCheckCommand:
                         "potential-n2": [], "metric-n1-conformal": ["I", "J", "K"],
                         "conformal4d-n1": ["I", "J", "K"]}
 
+    def test_one_potential_form_build_per_document(self, tmp_path, capsys, monkeypatch):
+        # The theta certificate compares against the F_I the check built.
+        import hktcalc.geometry as geometry
+
+        calls = []
+        original = geometry.potential_to_forms
+
+        def spy(model, mu):
+            calls.append(mu)
+            return original(model, mu)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hktcalc" and getattr(module, "potential_to_forms", None) is original:
+                monkeypatch.setattr(module, "potential_to_forms", spy)
+        counts = {}
+        for case in bench_check_cases(1001):
+            calls.clear()
+            path = write(tmp_path, f"{case['name']}.json", case["doc"])
+            assert main(["check", path]) == case["expect"]["exit"]
+            counts[case["name"]] = len(calls)
+        capsys.readouterr()
+        assert counts == {"form-n2-negative": 0, "form-n2-potential": 0, "potential-n2": 1,
+                          "metric-n1-conformal": 0, "conformal4d-n1": 0}
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -342,6 +368,36 @@ class TestCheckCommand:
 
     def test_missing_file(self):
         assert main(["check", "/nonexistent/file.json"]) == EXIT_INPUT_ERROR
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["check", "identities", "solve"])
+    def test_unwritable_out_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # The report was written only at the end: a whole run, then a
+        # FileNotFoundError traceback and exit 1.
+        import hktcalc.cli as cli
+
+        argv = {
+            "check": ["check", write(tmp_path, "flat.json", flat_metric_doc())],
+            "identities": ["identities", "--n", "1", "--count", "1"],
+            "solve": ["solve", write(tmp_path, "conf.json", conformal_doc()), "--grid", "9"],
+        }[command]
+        for name in ("cmd_check", "cmd_identities", "cmd_solve"):
+            monkeypatch.setattr(cli, name, lambda args: pytest.fail("work started before --out was checked"))
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            assert main(argv + ["--out", str(out)]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"input error: cannot write --out {out}: ")
+            assert len(captured.err.strip().splitlines()) == 1
+
+    def test_earlier_report_survives_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["check", str(bad), "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert out.read_text() == "earlier report\n"
 
 
 class TestSolveCommand:
@@ -354,6 +410,26 @@ class TestSolveCommand:
         run = report["data"]["runs"][0]
         assert run["residual_max"] < 1e-7
         assert (tmp_path / "report.csv").exists()
+
+    def test_csv_lands_next_to_report_in_a_dotted_directory(self, tmp_path):
+        # The CSV path was the --out text up to its last dot: out.d/report
+        # wrote out.csv beside the directory.
+        path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
+        (tmp_path / "out.d").mkdir()
+        assert main(["solve", path, "--grid", "7", "--out", str(tmp_path / "out.d" / "report")]) == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out.d").iterdir()) == ["report", "report.csv"]
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_devnull_out_writes_no_csv(self, tmp_path, capsys, monkeypatch):
+        import hktcalc.elliptic as elliptic
+
+        written = []
+        monkeypatch.setattr(elliptic.Grid4D, "export_slice_csv", lambda grid, csv_path: written.append(csv_path))
+        path = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
+        assert main(["solve", path, "--grid", "7", "--out", os.devnull]) == EXIT_OK
+        assert written == []
+        assert main(["solve", path, "--grid", "7", "--out", str(tmp_path / "report.json")]) == EXIT_OK
+        assert written == [tmp_path / "report.csv"]
 
     def test_order_estimate_with_two_grids(self, tmp_path, capsys):
         from conftest import norm_squared
@@ -734,20 +810,36 @@ class TestConsoleEntryPoint:
 
 
 # Runs each exact command in one fresh interpreter and asserts numpy is still
-# not loaded after it; `hkt solve` (which needs numpy) runs last.
+# not loaded after it, nor any BLAS thread variable set; `hkt solve` (which
+# needs numpy) runs last.
 NO_NUMPY_SCRIPT = """
 import os, sys
-from hktcalc.cli import main
+from hktcalc.cli import BLAS_THREAD_VARIABLES, main
 *docs, conformal = sys.argv[1:]
 for path in docs:
     assert main(["check", path, "--out", os.devnull]) == 0, path
     assert "numpy" not in sys.modules, path
 assert main(["identities", "--count", "1", "--out", os.devnull]) == 0
 assert "numpy" not in sys.modules, "identities"
+assert not set(BLAS_THREAD_VARIABLES) & set(os.environ)
 assert main(["solve", conformal, "--grid", "7", "--out", os.devnull]) == 0
 assert "numpy" in sys.modules
 print("ok")
 """
+
+# Runs `hkt solve` in a fresh interpreter and prints the BLAS thread
+# variables it leaves set.
+BLAS_THREADS_SCRIPT = """
+import json, os, sys
+from hktcalc.cli import BLAS_THREAD_VARIABLES, main
+assert main(["solve", sys.argv[1], "--grid", "7", "--out", os.devnull]) == 0
+print(json.dumps({name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}))
+"""
+
+
+def blas_free_environ(**preset):
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
+    return {**env, **preset}
 
 
 class TestExactPathLoadsNoNumpy:
@@ -762,6 +854,18 @@ class TestExactPathLoadsNoNumpy:
         ]
         flat = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
         proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, *docs, flat],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=blas_free_environ())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+
+class TestBlasThreadDefault:
+    @pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"},
+                                        {"OPENBLAS_NUM_THREADS": "2"}], ids=["none", "omp", "goto", "openblas"])
+    def test_solve_defaults_to_one_thread_unless_the_caller_pinned_one(self, tmp_path, preset):
+        flat = write(tmp_path, "flat.json", conformal_doc(phi=Polynomial.constant(4, 1)))
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT, flat],
+                              capture_output=True, text=True, env=blas_free_environ(**preset))
+        assert proc.returncode == 0, proc.stderr
+        expected = {**dict.fromkeys(BLAS_THREAD_VARIABLES), **(preset or {"OPENBLAS_NUM_THREADS": "1"})}
+        assert json.loads(proc.stdout) == expected

@@ -381,7 +381,7 @@ class TestKahlerPotential:
 
 class TestThetaFromPotential:
     def test_flat_theta(self, table1):
-        theta = theta_from_potential(table1, quarter_norm_potential(4))
+        theta = theta_from_potential(table1, quarter_norm_potential(4), flat_form("I"))
         half = Fraction(1, 2)
         expected = KForm(1, 4, {
             (0,): x(1) * -half, (1,): x(0) * half,
@@ -391,7 +391,7 @@ class TestThetaFromPotential:
         assert salamon_D(table1, theta) == flat_form("I")
 
     def test_affine_gives_constant_theta(self, table1):
-        theta = theta_from_potential(table1, x(0) * 7)
+        theta = theta_from_potential(table1, x(0) * 7, KForm(2, 4, {}))
         assert theta == KForm(1, 4, {(1,): Polynomial.constant(4, 7)})
         assert salamon_D(table1, theta).is_zero()
 
@@ -403,9 +403,13 @@ class TestThetaFromPotential:
             op_i = table.model.operator("I")
             for _ in range(15):
                 mu = random_polynomial(table.model.dim, 3, 4, seed=rng.randrange(10**6))
-                theta = theta_from_potential(table, mu)
+                forms = potential_to_forms(table.model, mu)
+                theta = theta_from_potential(table, mu, forms.f_i)
                 assert op_i.pullback(theta.d()) == theta.d()
-                assert salamon_D(table, theta) == potential_to_forms(table.model, mu).f_i
+                assert salamon_D(table, theta) == forms.f_i
+                if forms.f_j != forms.f_i:
+                    with pytest.raises(ConventionError, match="theta certificate failed"):
+                        theta_from_potential(table, mu, forms.f_j)
 
 
 class TestClassShift:

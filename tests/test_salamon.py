@@ -174,6 +174,23 @@ class TestEta:
         table = ProjectorTable(model)
         assert set(table.columns) == {2, 3}
 
+    def test_table_builds_each_degree_conditions_once(self, monkeypatch):
+        # The B^2 and B^3 conditions are about half of a cold table build.
+        import hktcalc.salamon as salamon
+
+        degrees = []
+
+        def spy(model, k):
+            degrees.append(k)
+            return _condition_operators(model, k)
+
+        monkeypatch.setattr(salamon, "_condition_operators", spy)
+        for n in (1, 2):
+            degrees.clear()
+            table = ProjectorTable(HypercomplexModel(n))
+            assert degrees == [2, 3]
+            assert set(table.conditions) == {2, 3}
+
 
 class TestProjectedDifferential:
     @pytest.mark.parametrize("n", [1, 2])
