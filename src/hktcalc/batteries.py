@@ -19,6 +19,7 @@ from .geometry import (
     hkt_report,
     is_hkt_definition,
     is_hkt_potential,
+    kahler_form,
     potential_to_forms,
     theta_from_potential,
 )
@@ -149,8 +150,7 @@ def conformal_battery(table: ProjectorTable, seed: int, count: int) -> CheckOutc
         for pt in sample_points:
             if phi.evaluate(pt) <= 0:
                 return CheckOutcome("conformal-4d", False, count, f"factor not positive at {pt}")
-        metric = HyperhermitianMetric.conformal(table.model, phi)
-        check = is_hkt_definition(metric)
+        check = is_hkt_definition(table.model, kahler_form(HyperhermitianMetric.conformal(table.model, phi)))
         if not check.ok:
             return CheckOutcome("conformal-4d", False, count, f"definition residual nonzero at case {i}")
     return CheckOutcome("conformal-4d", True, count)
@@ -184,8 +184,8 @@ def equivalence_battery(tables: dict[int, ProjectorTable], seed: int, count: int
     """The three HKT criteria agree on positives and certified negatives.
 
     Case i is `cycle[i % len(cycle)]`, an (n, kind) pair.  Kinds:
-    "potential" (a potential-generated form, positive), "conformal" (a
-    conformal metric, n = 1, positive) and "negative" (a generic type-(1,1)
+    "potential" (a potential-generated form, positive), "conformal" (F_I of
+    a conformal metric, n = 1, positive) and "negative" (a generic type-(1,1)
     form certified generic by a nonzero D-residual, resampled otherwise).
     By default: potential forms on n = 1 and 2, conformal metrics on n = 1
     and negatives on n = 2.  `hkt_report` raises on any pairwise
@@ -207,21 +207,21 @@ def equivalence_battery(tables: dict[int, ProjectorTable], seed: int, count: int
         table = tables[n]
         expect = kind != "negative"
         if kind == "potential":
-            source: object = potential_form(table, 3)
+            form = potential_form(table, 3)
         elif kind == "conformal":
             phi = positive_conformal_factor(rng)
-            source = HyperhermitianMetric.conformal(table.model, phi)
+            form = kahler_form(HyperhermitianMetric.conformal(table.model, phi))
         else:
-            source = None
+            form = None
             for _ in range(10):
                 candidate = random_a11_form(table.model, rng)
                 if not salamon_D(table, candidate).is_zero():
-                    source = candidate
+                    form = candidate
                     break
-            if source is None:
+            if form is None:
                 return CheckOutcome("hkt-equivalence", False, count,
                                     "could not certify a generic negative")
-        report = hkt_report(table, source)
+        report = hkt_report(table, form)
         if report.is_hkt != expect:
             return CheckOutcome("hkt-equivalence", False, count,
                                 f"case {i}: expected is_hkt={expect}, got {report.is_hkt}")

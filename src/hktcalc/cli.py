@@ -19,8 +19,11 @@ solve's only BLAS calls are small sine-matrix products.
 
 ``--out`` must name a file that can be opened for writing; that is
 checked before any work starts, and a bad path is an input error.
-``hkt solve --out REPORT`` writes its grid slice to REPORT with the
-suffix ``.csv`` in the same directory, and none for ``os.devnull``.
+``hkt solve --out REPORT`` writes its grid slice, one number per cell, to
+REPORT with the suffix ``.csv`` (none for ``os.devnull``); a REPORT ending
+in ``.csv`` would be overwritten by it and is an input error.  ``hkt
+check`` reads a metric document as its Kahler form F_I, the one input of
+every HKT criterion (`hktcalc.geometry`).
 
 Exit codes: 0 pass, 1 check failure, 2 input error, 3 solver failure,
 4 internal error.  Exit 4 means a broken internal invariant
@@ -47,6 +50,7 @@ from .geometry import (
     hkt_report,
     is_hkt_definition,
     is_hkt_salamon,
+    kahler_form,
     potential_to_forms,
     residual_summary,
     theta_from_potential,
@@ -155,12 +159,12 @@ def cmd_identities(args) -> int:
 def _check_metric_or_form(doc: InputDocument, report: Report) -> None:
     table = ProjectorTable(doc.model)
     if doc.kind == "metric":
-        source = HyperhermitianMetric(doc.model, doc.payload)
+        f_i = kahler_form(HyperhermitianMetric(doc.model, doc.payload))
     else:
-        source = doc.payload
-        if not is_salamon_11(doc.model, source):
+        f_i = doc.payload
+        if not is_salamon_11(doc.model, f_i):
             raise DocumentError("form document does not carry a Salamon (1,1)-form")
-    result = hkt_report(table, source)
+    result = hkt_report(table, f_i)
     report.verdicts["is_hkt"] = result.is_hkt
     report.data["hkt_report"] = result.to_json()
 
@@ -183,8 +187,7 @@ def _check_potential(doc: InputDocument, report: Report) -> None:
 
 def _check_conformal(doc: InputDocument, report: Report) -> None:
     phi, _box, _data = doc.payload
-    metric = HyperhermitianMetric.conformal(doc.model, phi)
-    check = is_hkt_definition(metric)
+    check = is_hkt_definition(doc.model, kahler_form(HyperhermitianMetric.conformal(doc.model, phi)))
     report.verdicts["is_hkt"] = check.ok
     report.data["definition"] = check.summary()
     if check.ok:
@@ -288,7 +291,10 @@ def main(argv=None) -> int:
     if not argv:
         argv = ["identities"]
     args = _parser().parse_args(argv)
-    unwritable = _unwritable(getattr(args, "out", None))
+    out = getattr(args, "out", None)
+    if args.command == "solve" and out and Path(out).suffix == ".csv":
+        return _input_error(f"--out {out} is where the grid CSV goes; give the report another suffix")
+    unwritable = _unwritable(out)
     if unwritable:
         return _input_error(unwritable)
     if args.command == "identities":

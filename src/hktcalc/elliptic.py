@@ -176,7 +176,8 @@ class Grid4D:
         return grid
 
     def export_slice_csv(self, path) -> None:
-        """Write the (x0, x1) slice through the box center as x0, x1, mu."""
+        """Write the (x0, x1) slice through the box center as x0, x1, mu,
+        each cell the repr of a Python float, which `float()` reads back exactly."""
         mid = self.m // 2
         ax = self.axis()
         with open(path, "w", newline="") as handle:
@@ -184,7 +185,7 @@ class Grid4D:
             writer.writerow(["x0", "x1", "mu"])
             for i in range(self.m):
                 for j in range(self.m):
-                    writer.writerow([repr(ax[i]), repr(ax[j]), repr(self.values[i, j, mid, mid])])
+                    writer.writerow([repr(float(v)) for v in (ax[i], ax[j], self.values[i, j, mid, mid])])
 
 
 def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarray:

@@ -338,11 +338,6 @@ class BilinearForm:
             out = out + self.entries[i][i]
         return out
 
-    def evaluate(self, point: Sequence) -> list[list]:
-        """The matrix of exact values at a point; the point becomes Fractions once."""
-        point = [Fraction(v) for v in point]
-        return [[p.evaluate(point) for p in row] for row in self.entries]
-
 
 def hessian(f: Polynomial) -> BilinearForm:
     """The symmetric matrix of second partials of a function."""

@@ -15,6 +15,11 @@ Three equivalent HKT characterizations are implemented side by side:
   ten sphere points' (the axes, three mixed Pythagorean points and four
   random ones).
 
+All three read one object, the Salamon (1,1)-form F_I.  It fixes the
+metric g = -F_I(I., .), so F_J, F_K (`kahler_forms`) and the signature
+samples are read off F_I through the index maps.  A metric enters once, as
+its F_I (`kahler_form`); no metric is rebuilt from a form.
+
 They must agree on every input; a disagreement is a convention bug, never
 a valid outcome.  Each check returns its verdict and the residuals a
 report prints, and raises `ConventionError` (`hktcalc.conventions`) when
@@ -38,6 +43,7 @@ from .structures import (
     ComplexForm,
     HypercomplexModel,
     SpherePoint,
+    _compose,
     axis_image,
     complex_type_part,
 )
@@ -52,8 +58,8 @@ class HyperhermitianMetric:
     """A symmetric polynomial 2-tensor invariant under I, J and K.
 
     Invariance is verified exactly at construction.  Definiteness is not
-    required; `signature_samples` reports the exact pointwise signature
-    instead.
+    required; `signature_samples` of its Kahler form reports the exact
+    pointwise signature instead.
     """
 
     __slots__ = ("model", "tensor")
@@ -84,43 +90,56 @@ class HyperhermitianMetric:
     def scale(self, scalar) -> "HyperhermitianMetric":
         return HyperhermitianMetric(self.model, self.tensor.scale(scalar))
 
-    def __eq__(self, other):
-        if not isinstance(other, HyperhermitianMetric):
-            return NotImplemented
-        return self.model.n == other.model.n and self.tensor == other.tensor
 
-    def signature_samples(self, points: Sequence[Sequence]) -> list[dict]:
-        """Exact inertia of g at rational sample points: the counts of
-        positive, negative and zero eigenvalues (`exact_linalg.inertia`)."""
-        out = []
-        for pt in points:
-            positive, negative, zero = ela.inertia(self.tensor.evaluate(pt))
-            out.append({"point": [str(c) for c in pt], "positive": positive,
-                        "negative": negative, "zero": zero})
-        return out
+def kahler_form(metric: HyperhermitianMetric) -> KForm:
+    """F_I(X, Y) = g(IX, Y), the one input of the HKT criteria.
 
-
-def kahler_form(metric: HyperhermitianMetric, name: str) -> KForm:
-    """The 2-form F_A(X, Y) = g(AX, Y) for the axis A = `name`.
-
-    With A e_a = -s_a e_(j_a) (`axis_image`), F_A[a][b] = -s_a g[j_a][b].
-    The output is asserted alternating; failure signals a convention
-    violation, not bad input.
+    With I e_a = -s_a e_(j_a) (`axis_image`), F_I[a][b] = -s_a g[j_a][b];
+    it alternates because the constructor checked g symmetric and I-invariant.
     """
     d = metric.model.dim
-    comp = [[p.scale(-s) for p in metric.tensor.entries[j]] for j, s in axis_image(metric.model, name)]
-    if any(comp[a][b] != -comp[b][a] for a in range(d) for b in range(a, d)):
-        raise ConventionError("Kahler form output is not alternating")
-    return KForm(2, d, {(a, b): comp[a][b] for a in range(d) for b in range(a + 1, d)})
+    rows = metric.tensor.entries
+    return KForm(2, d, {(a, b): rows[j][b].scale(-s)
+                        for a, (j, s) in enumerate(axis_image(metric.model, "I")) for b in range(a + 1, d)})
 
 
-def metric_from_form(model: HypercomplexModel, form: KForm) -> HyperhermitianMetric:
-    """Recover the metric g = -F(I., .), g[a][b] = s_a F(e_(j_a), e_b), from
-    a Salamon (1,1)-form.  g is a metric exactly when the form is (1,1), so
-    the metric's constructor raises `ValueError` on any other 2-form.
+def kahler_forms(model: HypercomplexModel, f_i: KForm) -> tuple[KForm, KForm, KForm]:
+    """F_I, F_J and F_K of the metric g = -F_I(I., .) that F_I fixes.
+
+    F_A(X, Y) = g(AX, Y) = -F_I(IAX, Y): F_A[a][b] = -s F_I[j][b] with
+    (j, s) row a of the index map of AI.  F_J and F_K alternate exactly
+    when F_I is a Salamon (1,1)-form, which the caller ensures
+    (`is_salamon_11`, or `kahler_form`); `ConventionError` otherwise.
     """
-    rows = [[form.coefficient((j, b)).scale(s) for b in range(model.dim)] for j, s in axis_image(model, "I")]
-    return HyperhermitianMetric(model, BilinearForm(rows))
+    rows: list[dict] = [{} for _ in range(model.dim)]
+    for (a, b), p in f_i.terms.items():
+        rows[a][b], rows[b][a] = p, -p
+    forms = [f_i]
+    for name in ("J", "K"):
+        comp = {(a, b): p.scale(-s)
+                for a, (j, s) in enumerate(_compose(axis_image(model, name), axis_image(model, "I")))
+                for b, p in rows[j].items()}
+        if any(a == b or comp.get((b, a)) != -p for (a, b), p in comp.items()):
+            raise ConventionError(f"Kahler form F_{name} is not alternating; F_I is not of type (1,1)")
+        forms.append(KForm(2, model.dim, {(a, b): p for (a, b), p in comp.items() if a < b}))
+    return tuple(forms)
+
+
+def signature_samples(model: HypercomplexModel, f_i: KForm, points: Sequence[Sequence]) -> list[dict]:
+    """Exact inertia (`exact_linalg.inertia`) of g = -F_I(I., .) at rational
+    points: g[a][b] = s_a F_I[j_a][b] (`axis_image`), so each nonzero
+    coefficient of F_I is evaluated once per point."""
+    d = model.dim
+    out = []
+    for pt in points:
+        coords = [Fraction(c) for c in pt]
+        values = [[Fraction(0)] * d for _ in range(d)]
+        for (a, b), p in f_i.terms.items():
+            values[a][b] = p.evaluate(coords)
+            values[b][a] = -values[a][b]
+        positive, negative, zero = ela.inertia([[s * v for v in values[j]] for j, s in axis_image(model, "I")])
+        out.append({"point": [str(c) for c in pt], "positive": positive, "negative": negative, "zero": zero})
+    return out
 
 
 @dataclass
@@ -129,7 +148,6 @@ class DefinitionCheck:
     residual_ij: KForm
     residual_jk: KForm
     torsion_candidate: KForm
-    f_i: KForm
 
     def summary(self) -> dict:
         return {
@@ -139,14 +157,14 @@ class DefinitionCheck:
         }
 
 
-def is_hkt_definition(metric: HyperhermitianMetric) -> DefinitionCheck:
-    """Exact test of I dF_I = J dF_J = K dF_K; the check keeps the F_I it built."""
-    model = metric.model
-    forms = {name: kahler_form(metric, name) for name in ("I", "J", "K")}
-    parts = {name: model.operator(name).act(form.d()) for name, form in forms.items()}
-    res_ij = parts["I"] - parts["J"]
-    res_jk = parts["J"] - parts["K"]
-    return DefinitionCheck(res_ij.is_zero() and res_jk.is_zero(), res_ij, res_jk, parts["I"], forms["I"])
+def is_hkt_definition(model: HypercomplexModel, f_i: KForm) -> DefinitionCheck:
+    """Exact test of I dF_I = J dF_J = K dF_K, with F_J and F_K from
+    `kahler_forms`; a form F_I that is not (1,1) raises `ConventionError`."""
+    part_i, part_j, part_k = (model.operator(name).act(form.d())
+                              for name, form in zip("IJK", kahler_forms(model, f_i)))
+    res_ij = part_i - part_j
+    res_jk = part_j - part_k
+    return DefinitionCheck(res_ij.is_zero() and res_jk.is_zero(), res_ij, res_jk, part_i)
 
 
 @dataclass
@@ -161,8 +179,8 @@ class SalamonCheck:
 def is_hkt_salamon(table: ProjectorTable, form: KForm) -> SalamonCheck:
     """D-closedness of a Salamon (1,1)-form, with a bilinear cross-check.
 
-    The caller ensures the form is (1,1) (`is_salamon_11`, or a metric's
-    Kahler form).  D F = eta_3(dF) must vanish exactly when dF meets the
+    The caller ensures the form is (1,1) (`is_salamon_11`, or `kahler_form`
+    of a metric).  D F = eta_3(dF) must vanish exactly when dF meets the
     six bilinearized sphere conditions (`ProjectorTable.in_b`, independent
     of eta); a disagreement raises `ConventionError`.
     """
@@ -271,9 +289,7 @@ class PotentialCheck:
     forms: PotentialForms
 
 
-def is_hkt_potential(
-    model: HypercomplexModel, mu: Polynomial, metric: HyperhermitianMetric
-) -> PotentialCheck:
+def is_hkt_potential(model: HypercomplexModel, mu: Polynomial, metric: HyperhermitianMetric) -> PotentialCheck:
     """Test all four equivalent potential identities against a metric.
 
     Three form identities plus the averaged-Hessian reconstruction; the
@@ -284,15 +300,13 @@ def is_hkt_potential(
     forms = potential_to_forms(model, mu)
     oks = []
     residuals = {}
-    for name, built in zip("IJK", forms.as_tuple()):
-        res = built - kahler_form(metric, name)
+    for name, built, expected in zip("IJK", forms.as_tuple(), kahler_forms(model, kahler_form(metric))):
+        res = built - expected
         oks.append(res.is_zero())
         residuals[f"form_{name}"] = residual_summary(res)
     diff = hessian_average_metric(model, mu).tensor - metric.tensor
     hess_ok = diff.is_zero()
-    residuals["hessian"] = {
-        "nonzero_terms": sum(0 if p.is_zero() else 1 for row in diff.entries for p in row)
-    }
+    residuals["hessian"] = {"nonzero_terms": sum(0 if p.is_zero() else 1 for row in diff.entries for p in row)}
     if len(set(oks + [hess_ok])) != 1:
         raise ConventionError("the four potential identities disagree")
     return PotentialCheck(hess_ok, residuals, forms)
@@ -350,45 +364,28 @@ def default_sample_points(dim: int, count: int = 5, seed: int = 3) -> list[tuple
     import random as _random
 
     rng = _random.Random(seed)
-    pts = []
-    for _ in range(count):
-        pts.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)))
-    return pts
+    return [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)) for _ in range(count)]
 
 
-def hkt_report(table: ProjectorTable, source: HyperhermitianMetric | KForm) -> HKTReport:
-    """Run all three criteria on a metric or a Salamon (1,1)-form.
+def hkt_report(table: ProjectorTable, f_i: KForm) -> HKTReport:
+    """Run all three criteria on a Salamon (1,1)-form F_I.
 
-    The twistor criterion is decided at `TWISTOR_AXES`, and the metric's
-    signature is sampled at `default_sample_points`.  The three booleans
+    The caller ensures F_I is (1,1): `is_salamon_11` decides it for a form,
+    and `kahler_form` of a metric is (1,1) by construction.  The twistor
+    criterion is decided at `TWISTOR_AXES`, and the signature of the metric
+    F_I fixes is sampled at `default_sample_points`.  The three booleans
     are required to coincide; disagreement raises `ConventionError`
     instead of producing a report.
     """
     model = table.model
-    metric = source if isinstance(source, HyperhermitianMetric) else metric_from_form(model, source)
-    defn = is_hkt_definition(metric)
-    # A metric's F_I is the one the definition check built.
-    form = defn.f_i if metric is source else source
-    sal = is_hkt_salamon(table, form)
-    tw = is_hkt_twistor(model, form)
+    defn = is_hkt_definition(model, f_i)
+    sal = is_hkt_salamon(table, f_i)
+    tw = is_hkt_twistor(model, f_i)
     if not (defn.ok == sal.ok == tw.ok):
-        raise ConventionError(
-            f"HKT criteria disagree: definition={defn.ok} projection={sal.ok} twistor={tw.ok}"
-        )
-    torsion = strong = None
-    if defn.ok:
-        torsion = defn.torsion_candidate
-        strong = torsion.d().is_zero()
+        raise ConventionError(f"HKT criteria disagree: definition={defn.ok} projection={sal.ok} twistor={tw.ok}")
+    torsion = defn.torsion_candidate if defn.ok else None
     return HKTReport(
-        defn.ok,
-        sal.ok,
-        tw.ok,
-        torsion,
-        strong,
-        details={
-            "definition": defn.summary(),
-            "salamon": sal.summary(),
-            "twistor": tw.summary(),
-        },
-        signature_samples=metric.signature_samples(default_sample_points(model.dim)),
+        defn.ok, sal.ok, tw.ok, torsion, None if torsion is None else torsion.d().is_zero(),
+        details={"definition": defn.summary(), "salamon": sal.summary(), "twistor": tw.summary()},
+        signature_samples=signature_samples(model, f_i, default_sample_points(model.dim)),
     )

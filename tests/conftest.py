@@ -395,7 +395,7 @@ def complex_laplacian(f: Polynomial, metric: HyperhermitianMetric) -> Polynomial
                 raise ValueError("metric entries are not constant; use complex_laplacian_at")
     ginv = dense_invert([[Fraction(c) for c in row] for row in const])
     dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
-    f_i = kahler_form(metric, "I")
+    f_i = kahler_form(metric)
     return _pairing_2forms(dd_i, f_i, ginv)
 
 
@@ -403,8 +403,8 @@ def complex_laplacian_at(f: Polynomial, metric: HyperhermitianMetric, point: Seq
     """Exact pointwise complex Laplacian for a polynomial metric."""
     model = metric.model
     try:
-        ginv = dense_invert([[Fraction(x) for x in row] for row in metric.tensor.evaluate(point)])
+        ginv = dense_invert([[p.evaluate(point) for p in row] for row in metric.tensor.entries])
     except ValueError:
         raise ValueError(f"metric is degenerate at sample point {point}")
     dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
-    return _pairing_2forms(dd_i, kahler_form(metric, "I"), ginv).evaluate(point)
+    return _pairing_2forms(dd_i, kahler_form(metric), ginv).evaluate(point)

@@ -221,9 +221,9 @@ class TestCheckCommand:
         calls = []
         original = geometry.is_hkt_definition
 
-        def spy(metric):
-            calls.append(metric)
-            return original(metric)
+        def spy(model, f_i):
+            calls.append(f_i)
+            return original(model, f_i)
 
         # The torsion comes from the one definition check, not a second one.
         monkeypatch.setattr(cli, "is_hkt_definition", spy)
@@ -314,28 +314,30 @@ class TestCheckCommand:
         assert hktcalc.is_salamon_11 is spy
 
     def test_one_kahler_form_per_axis_per_document(self, tmp_path, capsys, monkeypatch):
-        # A metric document's F_I comes from the definition check, which
-        # builds each Kahler form once.
+        # A metric enters as its F_I, built once; a form document is its
+        # F_I.  The definition check reads F_J and F_K off F_I once.
         import hktcalc.geometry as geometry
 
         calls = []
-        original = geometry.kahler_form
+        for name in ("kahler_form", "kahler_forms"):
+            original = getattr(geometry, name)
 
-        def spy(metric, name):
-            calls.append(name)
-            return original(metric, name)
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(geometry, "kahler_form", spy)
-        axes = {}
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "hktcalc" and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        counts = {}
         for case in bench_check_cases(1001):
             calls.clear()
             path = write(tmp_path, f"{case['name']}.json", case["doc"])
             assert main(["check", path]) == case["expect"]["exit"]
-            axes[case["name"]] = sorted(calls)
+            counts[case["name"]] = (calls.count("kahler_form"), calls.count("kahler_forms"))
         capsys.readouterr()
-        assert axes == {"form-n2-negative": ["I", "J", "K"], "form-n2-potential": ["I", "J", "K"],
-                        "potential-n2": [], "metric-n1-conformal": ["I", "J", "K"],
-                        "conformal4d-n1": ["I", "J", "K"]}
+        assert counts == {"form-n2-negative": (0, 1), "form-n2-potential": (0, 1), "potential-n2": (0, 0),
+                          "metric-n1-conformal": (1, 1), "conformal4d-n1": (1, 1)}
 
     def test_one_potential_form_build_per_document(self, tmp_path, capsys, monkeypatch):
         # The theta certificate compares against the F_I the check built.
@@ -390,6 +392,22 @@ class TestOutPath:
             assert captured.out == ""
             assert captured.err.startswith(f"input error: cannot write --out {out}: ")
             assert len(captured.err.strip().splitlines()) == 1
+
+    def test_csv_report_path_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # The grid CSV goes to the report path with the suffix .csv, so a
+        # report named R.csv was overwritten by the slice.
+        import hktcalc.cli as cli
+
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: pytest.fail("work started before --out was checked"))
+        out = tmp_path / "R.csv"
+        out.write_text("earlier report\n")
+        path = write(tmp_path, "conf.json", conformal_doc())
+        assert main(["solve", path, "--grid", "9", "--out", str(out)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: --out {out} ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert out.read_text() == "earlier report\n"
 
     def test_earlier_report_survives_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -914,6 +914,11 @@ class TestGrid:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,mu"
         assert len(lines) == 1 + 25
+        # Every cell is a number that reads back exactly: under numpy 2 the
+        # repr of a numpy scalar was the text np.float64(...).
+        ax, mid = grid.axis(), grid.m // 2
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert rows == [[ax[i], ax[j], grid.values[i, j, mid, mid]] for i in range(5) for j in range(5)]
 
 
 # Whole-grid version of the slab verification pass: it builds its m^4

@@ -7,10 +7,11 @@ equal:
   scaled every input polynomial and built a new `Polynomial` for every
   partial sum;
 * `oracle_conjugate_by` -- the dense sandwich M^T b M of the former
-  `BilinearForm.conjugate_by`; I, J and K now act on 2-tensors, and turn
-  metrics into Kahler forms and back, through their index maps
-  (`structures.axis_image`), checked against it and against the dense
-  `oracle_transpose_times` of `conftest`;
+  `BilinearForm.conjugate_by`; I, J and K now act on 2-tensors, turn a
+  metric into F_I and F_I into F_J, F_K and the metric's signature,
+  through their index maps (`structures.axis_image`), checked against it,
+  against the dense `oracle_transpose_times` of `conftest` and against
+  `exact_linalg.inertia` of the oracle metric;
 * `oracle_sphere_matrix` -- an earlier `HypercomplexModel.sphere_matrix`,
   which built aI + bJ + cK in Fractions;
 * `oracle_fiber_op` -- an earlier `structures._fiber_op`, which expanded
@@ -55,7 +56,15 @@ from hktcalc.forms import (
     multi_indices,
     operator_matrix,
 )
-from hktcalc.geometry import HyperhermitianMetric, kahler_form, metric_from_form
+from hktcalc.conventions import ConventionError
+from hktcalc.geometry import (
+    HyperhermitianMetric,
+    default_sample_points,
+    is_hkt_definition,
+    kahler_form,
+    kahler_forms,
+    signature_samples,
+)
 from hktcalc.salamon import bundle_B, is_salamon_11
 from hktcalc.scalars import Polynomial, exact_coefficient, random_polynomial
 from hktcalc.structures import (
@@ -282,10 +291,17 @@ def _random_tensor(model, rng):
                           for _ in range(d)] for _ in range(d)])
 
 
+def _oracle_metric(model, form):
+    """g = -I^T F, the dense oracle of the metric a 2-form F = F_I fixes."""
+    comp = oracle_transpose_times(structure_matrix(model, "I"), form_component_matrix(form))
+    return BilinearForm([[-p for p in row] for row in comp])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_metric_actions_match_dense_oracles(n):
-    """act_bilinear, kahler_form and metric_from_form read the index map;
-    the dense sandwich, F_A = A^T g and g = -I^T F must give the same."""
+    """act_bilinear, kahler_form, kahler_forms and the signature samples
+    read the index maps; the dense sandwich, F_A = A^T g, g = -I^T F_I and
+    the inertia of g at each sample point must give the same."""
     model = HypercomplexModel(n)
     d = model.dim
     rng = random.Random(2500 + n)
@@ -297,14 +313,18 @@ def test_metric_actions_match_dense_oracles(n):
         tensor = raw + BilinearForm([list(col) for col in zip(*raw.entries)])
         tensor = sum((oracle_conjugate_by(tensor, structure_matrix(model, name)) for name in "IJK"), tensor)
         metric = HyperhermitianMetric(model, tensor)
+        expected = []
         for name in "IJK":
             comp = oracle_transpose_times(structure_matrix(model, name), tensor.entries)
             assert all(comp[a][b] == -comp[b][a] for a in range(d) for b in range(d))
-            expected = KForm(2, d, {(a, b): comp[a][b] for a, b in itertools.combinations(range(d), 2)})
-            assert kahler_form(metric, name) == expected
-        form = kahler_form(metric, "I")
-        comp = oracle_transpose_times(structure_matrix(model, "I"), form_component_matrix(form))
-        assert metric_from_form(model, form).tensor == BilinearForm([[-p for p in row] for row in comp]) == tensor
+            expected.append(KForm(2, d, {(a, b): comp[a][b] for a, b in itertools.combinations(range(d), 2)}))
+        f_i = kahler_form(metric)
+        assert f_i == expected[0]
+        assert kahler_forms(model, f_i) == tuple(expected)
+        assert _oracle_metric(model, f_i) == tensor
+        points = default_sample_points(d)
+        counts = [(s["positive"], s["negative"], s["zero"]) for s in signature_samples(model, f_i, points)]
+        assert counts == [ela.inertia([[p.evaluate(pt) for p in row] for row in tensor.entries]) for pt in points]
 
 
 def _klein_projection(model, form, signs):
@@ -318,17 +338,24 @@ def _klein_projection(model, form, signs):
 
 @given(st.sampled_from([1, 2]), st.data())
 @settings(max_examples=60, deadline=None)
-def test_metric_from_form_raises_exactly_off_type_11(n, data):
+def test_oracle_metric_of_a_form_is_hyperhermitian_exactly_on_type_11(n, data):
+    """is_salamon_11(F) holds exactly when the oracle g = -I^T F passes the
+    metric constructor's checks, and exactly when the definition check,
+    which reads F_J and F_K off F, accepts F."""
     model = MODELS[n]
     form = data.draw(kforms(model.dim, 2))
     signs = data.draw(st.sampled_from([None, (1, 1), (1, -1), (-1, 1), (-1, -1)]))
     if signs is not None:
         form = _klein_projection(model, form, signs)
+    tensor = _oracle_metric(model, form)
     if is_salamon_11(model, form):
-        assert kahler_form(metric_from_form(model, form), "I") == form
+        assert kahler_form(HyperhermitianMetric(model, tensor)) == form
+        is_hkt_definition(model, form)
     else:
         with pytest.raises(ValueError):
-            metric_from_form(model, form)
+            HyperhermitianMetric(model, tensor)
+        with pytest.raises(ConventionError, match="not alternating"):
+            is_hkt_definition(model, form)
 
 
 def entries(op):
@@ -468,7 +495,7 @@ def test_int_and_fraction_values_give_equal_conjugates(case, point):
     assert new == new_frac
     assert all(_canonical(p) for form in (new, new_frac) for row in form.entries for p in row)
     point = (point * b.dim)[:b.dim]
-    values = [b.evaluate(point), b_frac.evaluate(point)]
+    values = [[[p.evaluate(point) for p in row] for row in m.entries] for m in (b, b_frac)]
     assert values[0] == values[1]
     assert all(type(v) is Fraction for m in values for row in m for v in row)
 

@@ -18,11 +18,12 @@ from hktcalc.geometry import (
     is_hkt_salamon,
     is_hkt_twistor,
     kahler_form,
-    metric_from_form,
+    kahler_forms,
     potential_to_forms,
+    signature_samples,
     theta_from_potential,
 )
-from hktcalc.salamon import salamon_D
+from hktcalc.salamon import is_salamon_11, salamon_D
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel, SpherePoint
 
@@ -86,8 +87,8 @@ def coframe_forms(model: HypercomplexModel, alpha: KForm) -> CoframeForms:
                 entries[i][j] = entries[i][j] + comps[i] * comps[j]
     metric = HyperhermitianMetric(model, BilinearForm(entries))
     sign = Fraction(COFRAME_SIGN)
-    for name, f in (("I", f_i), ("J", f_j), ("K", f_k)):
-        if kahler_form(metric, name) != f * sign:
+    for kahler, f in zip(kahler_forms(model, kahler_form(metric)), (f_i, f_j, f_k)):
+        if kahler != f * sign:
             raise ConventionError("coframe forms disagree with the induced metric")
     return CoframeForms(f_i, f_j, f_k, metric, COFRAME_SIGN)
 
@@ -130,7 +131,7 @@ class TestMetricValidation:
     def test_indefinite_metric_reported_not_rejected(self, model1):
         phi = x(0) * x(0) - Polynomial.constant(4, 2)
         metric = conformal(model1, phi)
-        samples = metric.signature_samples([(0, 0, 0, 0), (2, 0, 0, 0)])
+        samples = signature_samples(model1, kahler_form(metric), [(0, 0, 0, 0), (2, 0, 0, 0)])
         assert samples[0]["negative"] == 4
         assert samples[1]["positive"] == 4
 
@@ -140,7 +141,7 @@ class TestMetricValidation:
         tiny = Fraction(1, 10**12)
         metric = conformal(model1, x(0) * x(0) - Polynomial.constant(4, tiny))
         points = [(0, 0, 0, 0), (Fraction(1, 10**6), 0, 0, 0), (1, 0, 0, 0)]
-        samples = metric.signature_samples(points)
+        samples = signature_samples(model1, kahler_form(metric), points)
         counts = [(s["positive"], s["negative"], s["zero"]) for s in samples]
         assert counts == [(0, 4, 0), (0, 0, 4), (4, 0, 0)]
         assert samples[1]["point"] == ["1/1000000", "0", "0", "0"]
@@ -148,54 +149,58 @@ class TestMetricValidation:
 
 class TestKahlerForm:
     def test_flat_i(self, flat1):
-        assert kahler_form(flat1, "I") == flat_form("I")
+        assert kahler_form(flat1) == flat_form("I")
 
-    def test_flat_j(self, flat1):
-        assert kahler_form(flat1, "J") == flat_form("J")
+    def test_flat_j(self, model1, flat1):
+        assert kahler_forms(model1, kahler_form(flat1))[1] == flat_form("J")
 
-    def test_flat_k(self, flat1):
-        assert kahler_form(flat1, "K") == flat_form("K")
+    def test_flat_k(self, model1, flat1):
+        assert kahler_forms(model1, kahler_form(flat1))[2] == flat_form("K")
 
     def test_conformal_scales_linearly(self, model1):
         phi = Polynomial.constant(4, 1) + x(0) * x(0)
-        assert kahler_form(conformal(model1, phi), "I") == flat_form("I") * phi
+        assert kahler_form(conformal(model1, phi)) == flat_form("I") * phi
 
 
-class TestMetricFromForm:
-    def test_flat_round_trip(self, model1, flat1):
-        assert metric_from_form(model1, flat_form("I")) == flat1
+class TestKahlerForms:
+    def test_flat_forms(self, model1):
+        assert kahler_forms(model1, flat_form("I")) == tuple(flat_form(name) for name in "IJK")
 
-    def test_linearity(self, model1, flat1):
-        assert metric_from_form(model1, flat_form("I") * 2) == flat1.scale(2)
+    def test_linearity(self, model1):
+        assert kahler_forms(model1, flat_form("I") * 2) == tuple(flat_form(name) * 2 for name in "IJK")
 
-    def test_random_round_trips(self, model1, model2):
+    def test_random_forms_have_extreme_type(self, model1, model2):
+        # F_A(AX, AY) = F_A(X, Y), and the other two axes flip its sign.
         rng = random.Random(70)
         for model in (model1, model2):
             for _ in range(10):
                 form = random_a11_form(model, rng)
                 if form.is_zero():
                     continue
-                metric = metric_from_form(model, form)
-                assert kahler_form(metric, "I") == form
+                forms = kahler_forms(model, form)
+                assert forms[0] is form
+                for name, f in zip("IJK", forms):
+                    for axis in "IJK":
+                        assert model.operator(axis).pullback(f) == (f if axis == name else -f)
 
-    def test_inverse_direction(self, model1):
+    def test_conformal_metric(self, model1):
         phi = positive_conformal_factor(random.Random(71))
-        metric = conformal(model1, phi)
-        assert metric_from_form(model1, kahler_form(metric, "I")) == metric
+        forms = kahler_forms(model1, kahler_form(conformal(model1, phi)))
+        assert forms == tuple(flat_form(name) * phi for name in "IJK")
 
     def test_rejects_non_salamon_form(self, model1):
-        with pytest.raises(ValueError):
-            metric_from_form(model1, KForm.basis(4, (0, 1)))
+        with pytest.raises(ConventionError, match="not alternating"):
+            kahler_forms(model1, KForm.basis(4, (0, 1)))
 
 
 class TestDefinitionCriterion:
-    def test_flat_metric(self, flat1):
-        check = is_hkt_definition(flat1)
+    def test_flat_metric(self, model1, flat1):
+        check = is_hkt_definition(model1, kahler_form(flat1))
         assert check.ok and check.torsion_candidate.is_zero()
 
     def test_conformal_has_nonzero_torsion(self, model1):
         metric = conformal(model1, Polynomial.constant(4, 1) + x(0) * x(0))
-        check = is_hkt_definition(metric)
+        check = is_hkt_definition(model1, kahler_form(metric))
         assert check.ok
         assert not check.torsion_candidate.is_zero()
 
@@ -203,8 +208,15 @@ class TestDefinitionCriterion:
         rng = random.Random(72)
         form = random_a11_form(model2, rng)
         sal = is_hkt_salamon(table2, form)
-        defn = is_hkt_definition(metric_from_form(model2, form))
+        defn = is_hkt_definition(model2, form)
         assert sal.ok == defn.ok == False  # noqa: E712  (generic case)
+
+    def test_form_not_of_type_11_raises(self, model1):
+        # F_J and F_K, read off F_I, alternate only when F_I is (1,1).
+        for form in (KForm.basis(4, (0, 1)), flat_form("J"), flat_form("I") + flat_form("K")):
+            assert not is_salamon_11(model1, form)
+            with pytest.raises(ConventionError, match="not alternating"):
+                is_hkt_definition(model1, form)
 
 
 class TestProjectionCriterion:
@@ -242,8 +254,7 @@ class TestTwistorCriterion:
         rng = random.Random(75)
         for _ in range(3):
             metric = conformal(model1, positive_conformal_factor(rng))
-            form = kahler_form(metric, "I")
-            assert is_hkt_twistor(model1, form).ok
+            assert is_hkt_twistor(model1, kahler_form(metric)).ok
 
     def test_negative_matches_projection(self, model2, table2):
         rng = random.Random(76)
@@ -254,7 +265,7 @@ class TestTwistorCriterion:
 
 class TestTorsion:
     def test_flat_torsion_zero_and_strong(self, table1, flat1):
-        report = hkt_report(table1, flat1)
+        report = hkt_report(table1, kahler_form(flat1))
         assert report.torsion.is_zero() and report.strong
 
     def test_conformal_torsion_value(self, table1, model1):
@@ -262,28 +273,27 @@ class TestTorsion:
         # dF_I = 2 x0 dx0^dx2^dx3 and the signed I-action sends it to
         # 2 x0 dx1^dx2^dx3.
         metric = conformal(model1, Polynomial.constant(4, 1) + x(0) * x(0))
-        report = hkt_report(table1, metric)
+        report = hkt_report(table1, kahler_form(metric))
         assert report.torsion == KForm(3, 4, {(1, 2, 3): x(0) * 2})
         assert not report.strong
 
     def test_scaling_linearity(self, table1, model1):
         metric = conformal(model1, positive_conformal_factor(random.Random(77)))
-        assert hkt_report(table1, metric.scale(2)).torsion == hkt_report(table1, metric).torsion * 2
+        torsion = hkt_report(table1, kahler_form(metric)).torsion
+        assert hkt_report(table1, kahler_form(metric.scale(2))).torsion == torsion * 2
 
 
 class TestCoframe:
     def test_dx0_coframe_reproduces_flat_forms(self, model1, flat1):
         cf = coframe_forms(model1, KForm.dx(4, 0))
-        assert cf.f_i == kahler_form(flat1, "I")
-        assert cf.f_j == kahler_form(flat1, "J")
-        assert cf.f_k == kahler_form(flat1, "K")
+        assert (cf.f_i, cf.f_j, cf.f_k) == kahler_forms(model1, kahler_form(flat1))
         assert cf.sign == 1
 
     def test_polynomial_coframe_certificate(self, model1):
         rng = random.Random(79)
         terms = {(i,): random_polynomial(4, 2, 2, seed=rng.randrange(10**6)) for i in range(4)}
         cf = coframe_forms(model1, KForm(1, 4, terms))
-        assert kahler_form(cf.metric, "I") == cf.f_i
+        assert kahler_form(cf.metric) == cf.f_i
 
     def test_scaled_coframe_matches_conformal_route(self, model1):
         # alpha = f dx0 induces g = f^2 delta; the coframe forms must agree
@@ -291,9 +301,8 @@ class TestCoframe:
         f = Polynomial.constant(4, 1) + x(1) * x(1)
         cf = coframe_forms(model1, KForm(1, 4, {(0,): f}))
         metric = conformal(model1, f * f)
-        for name, built in (("I", cf.f_i), ("J", cf.f_j), ("K", cf.f_k)):
-            assert built == kahler_form(metric, name)
-        check = is_hkt_definition(cf.metric)
+        assert (cf.f_i, cf.f_j, cf.f_k) == kahler_forms(model1, kahler_form(metric))
+        check = is_hkt_definition(model1, kahler_form(cf.metric))
         assert check.ok
 
     def test_requires_n1(self, model2):
@@ -304,9 +313,8 @@ class TestCoframe:
 class TestPotentialForms:
     def test_flat_potential_exact(self, model1, flat1):
         forms = potential_to_forms(model1, quarter_norm_potential(4))
-        assert forms.f_i == kahler_form(flat1, "I") == flat_form("I")
-        assert forms.f_j == kahler_form(flat1, "J") == flat_form("J")
-        assert forms.f_k == kahler_form(flat1, "K") == flat_form("K")
+        assert forms.as_tuple() == kahler_forms(model1, kahler_form(flat1))
+        assert forms.as_tuple() == tuple(flat_form(name) for name in "IJK")
 
     def test_affine_potential_gives_zero(self, model1):
         mu = x(0) * 3 + Polynomial.constant(4, 2)
@@ -357,7 +365,7 @@ class TestKahlerPotential:
         assert forms.f_k == flat_form("K") * 2
         for f in forms.as_tuple():
             assert f.d().is_zero()
-        assert is_hkt_definition(metric_from_form(model1, forms.f_i)).ok
+        assert is_hkt_definition(model1, forms.f_i).ok
 
     def test_affine_gives_zero(self, model1):
         forms = kahler_potential_to_forms(model1, x(3) - Polynomial.constant(4, 4))
@@ -465,7 +473,7 @@ class TestComplexLaplacian:
 
 class TestReport:
     def test_positive_report(self, table1, flat1):
-        rep = hkt_report(table1, flat1)
+        rep = hkt_report(table1, kahler_form(flat1))
         assert rep.is_hkt and rep.strong
         assert rep.torsion.is_zero()
         doc = rep.to_json()

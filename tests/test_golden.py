@@ -18,7 +18,7 @@ import pytest
 import hktcalc
 from hktcalc import HypercomplexModel, ProjectorTable
 from hktcalc.batteries import positive_conformal_factor, random_a11_form
-from hktcalc.geometry import HyperhermitianMetric, hkt_report, potential_to_forms
+from hktcalc.geometry import HyperhermitianMetric, hkt_report, kahler_form, potential_to_forms
 from hktcalc.salamon import salamon_D
 from hktcalc.scalars import random_polynomial
 
@@ -28,11 +28,12 @@ CASES = ("n1-potential-form", "n1-conformal-metric", "n2-potential-form", "n2-ne
 
 
 def _source(name: str, table: ProjectorTable):
+    """The F_I of a golden case; the conformal case's is its metric's."""
     model = table.model
     if name == "n1-potential-form":
         return potential_to_forms(model, random_polynomial(4, 3, 3, seed=501)).f_i
     if name == "n1-conformal-metric":
-        return HyperhermitianMetric.conformal(model, positive_conformal_factor(random.Random(502)))
+        return kahler_form(HyperhermitianMetric.conformal(model, positive_conformal_factor(random.Random(502))))
     if name == "n2-potential-form":
         return potential_to_forms(model, random_polynomial(8, 3, 3, seed=503)).f_i
     form = random_a11_form(model, random.Random(504))
@@ -55,9 +56,9 @@ def test_report_checks_the_definition_once(name, table1, table2, monkeypatch):
     calls = []
     original = geometry.is_hkt_definition
 
-    def spy(metric):
-        calls.append(metric)
-        return original(metric)
+    def spy(model, f_i):
+        calls.append(f_i)
+        return original(model, f_i)
 
     monkeypatch.setattr(geometry, "is_hkt_definition", spy)
     _report(name, {1: table1, 2: table2})

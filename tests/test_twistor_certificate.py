@@ -19,8 +19,8 @@ and on the benchmark's `hkt check` documents.
 The columns are built from constant forms.  For a constant form w,
 d(x_c w) = e_c ^ w, and the type projectors and eta are constant, so for
 F = x_c v the twistor residual at P is pi03_P(e_c ^ pi02_P(v)) and the
-Salamon residual is eta_3(e_c ^ v).  The Kahler forms of the metric of
-F = x_c v are x_c F_A(v), with F_A(v) those of the metric of v, so its
+Salamon residual is eta_3(e_c ^ v).  The Kahler forms of F = x_c v
+(`kahler_forms`) are x_c F_A(v), with F_A(v) those of v, so its
 definition residuals are A(e_c ^ F_A(v)) - B(e_c ^ F_B(v)) for AB = IJ,
 JK.  A test checks these columns against the residuals the polynomial
 pipeline computes for F = x_c v, for n = 1, 2.
@@ -44,7 +44,7 @@ from hktcalc.geometry import (
     is_hkt_salamon,
     is_hkt_twistor,
     kahler_form,
-    metric_from_form,
+    kahler_forms,
     potential_to_forms,
 )
 from hktcalc.salamon import a11_subspace
@@ -77,7 +77,7 @@ def _residuals(model, table, form) -> dict:
         out[("twistor", i, "re")] = residual.re
         out[("twistor", i, "im")] = residual.im
     out[("salamon",)] = is_hkt_salamon(table, form).residual
-    definition = is_hkt_definition(metric_from_form(model, form))
+    definition = is_hkt_definition(model, form)
     out[("definition", "IJ")] = definition.residual_ij
     out[("definition", "JK")] = definition.residual_jk
     return out
@@ -102,8 +102,7 @@ def jet_columns(n: int) -> dict:
     ops = [model.operator(name) for name in "IJK"]
     for v, basis_form in enumerate(_basis_forms(model)):
         parts = [complex_type_part(model, point, basis_form, "02") for point in WITNESSES]
-        metric = metric_from_form(model, basis_form)
-        kahler = [kahler_form(metric, name) for name in "IJK"]
+        kahler = kahler_forms(model, basis_form)
         for c in range(model.dim):
             e_c = KForm.dx(model.dim, c)
             residuals = {}
@@ -207,32 +206,27 @@ def _assert_axes_agree_with_ten_witnesses(model, form):
     assert default.point_residuals == [oracle.point_residuals[i] for i in AXES]
 
 
-def _form_of(source):
-    return kahler_form(source, "I") if isinstance(source, HyperhermitianMetric) else source
-
-
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_old_path_on_golden_sources(name, table1, table2):
     table = table1 if name.startswith("n1") else table2
-    _assert_axes_agree_with_ten_witnesses(table.model, _form_of(golden_source(name, table)))
+    _assert_axes_agree_with_ten_witnesses(table.model, golden_source(name, table))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_old_path_on_equivalence_battery_cases(seed, table1, table2, monkeypatch):
-    sources = []
+    forms = []
     report = batteries.hkt_report
 
-    def recording_report(table, source, *args, **kwargs):
-        sources.append((table.model, source))
-        return report(table, source, *args, **kwargs)
+    def recording_report(table, f_i):
+        forms.append((table.model, f_i))
+        return report(table, f_i)
 
     monkeypatch.setattr(batteries, "hkt_report", recording_report)
     outcome = batteries.equivalence_battery({1: table1, 2: table2}, seed, 8)
-    assert outcome.ok and len(sources) == 8
-    kinds = {(model.n, isinstance(source, HyperhermitianMetric)) for model, source in sources}
-    assert kinds == {(1, False), (1, True), (2, False)}
-    for model, source in sources:
-        _assert_axes_agree_with_ten_witnesses(model, _form_of(source))
+    # Case i is EQUIVALENCE_CYCLE[i % 4]: potential, conformal, potential, negative.
+    assert outcome.ok and [model.n for model, _ in forms] == [1, 1, 2, 2] * 2
+    for model, f_i in forms:
+        _assert_axes_agree_with_ten_witnesses(model, f_i)
 
 
 def test_old_path_on_check_documents():
@@ -248,9 +242,9 @@ def test_old_path_on_check_documents():
         if doc.kind == "potential":
             form = potential_to_forms(doc.model, doc.payload).f_i
         elif doc.kind == "conformal4d":
-            form = _form_of(HyperhermitianMetric.conformal(doc.model, doc.payload[0]))
+            form = kahler_form(HyperhermitianMetric.conformal(doc.model, doc.payload[0]))
         elif doc.kind == "metric":
-            form = _form_of(HyperhermitianMetric(doc.model, doc.payload))
+            form = kahler_form(HyperhermitianMetric(doc.model, doc.payload))
         else:
             form = doc.payload
         assert not form.is_zero(), case["name"]
