@@ -6,7 +6,7 @@ identities, and constructs 4-dimensional HKT potentials numerically.
 """
 
 from .scalars import Polynomial, random_polynomial
-from .forms import BilinearForm, KForm, hessian
+from .forms import KForm, hessian
 from .structures import (
     ComplexForm,
     HypercomplexModel,
@@ -29,7 +29,6 @@ from .salamon import (
 __all__ = [
     "Polynomial",
     "random_polynomial",
-    "BilinearForm",
     "KForm",
     "hessian",
     "ComplexForm",

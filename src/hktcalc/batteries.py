@@ -14,8 +14,8 @@ from fractions import Fraction
 from .documents import CheckOutcome
 from .forms import KForm, multi_indices, vector_to_form
 from .geometry import (
-    HyperhermitianMetric,
-    hessian_average_metric,
+    conformal_metric,
+    hessian_kahler_form,
     hkt_report,
     is_hkt_definition,
     is_hkt_potential,
@@ -150,7 +150,7 @@ def conformal_battery(table: ProjectorTable, seed: int, count: int) -> CheckOutc
         for pt in sample_points:
             if phi.evaluate(pt) <= 0:
                 return CheckOutcome("conformal-4d", False, count, f"factor not positive at {pt}")
-        check = is_hkt_definition(table.model, kahler_form(HyperhermitianMetric.conformal(table.model, phi)))
+        check = is_hkt_definition(table.model, kahler_form(table.model, conformal_metric(table.model, phi)))
         if not check.ok:
             return CheckOutcome("conformal-4d", False, count, f"definition residual nonzero at case {i}")
     return CheckOutcome("conformal-4d", True, count)
@@ -159,16 +159,15 @@ def conformal_battery(table: ProjectorTable, seed: int, count: int) -> CheckOutc
 def remark_battery(model: HypercomplexModel, table: ProjectorTable, seed: int, count: int) -> CheckOutcome:
     """Equivalence of the four potential identities on random potentials.
 
-    For each mu the metric is reconstructed from the averaged Hessian and
-    all four identities must then hold; `theta_from_potential` checks the
-    primitive certificate D(I d mu) = F_I(mu) as well and raises
-    `ConventionError` if it fails.
+    For each mu the Kahler form F_I is rebuilt from the averaged Hessian
+    (`hessian_kahler_form`) and all four identities must then hold;
+    `theta_from_potential` checks the primitive certificate
+    D(I d mu) = F_I(mu) as well and raises `ConventionError` if it fails.
     """
     rng = random.Random(seed)
     for i in range(count):
         mu = random_polynomial(model.dim, 3, 4, seed=rng.randrange(2**31))
-        metric = hessian_average_metric(model, mu)
-        result = is_hkt_potential(model, mu, metric)
+        result = is_hkt_potential(model, mu, hessian_kahler_form(model, mu))
         if not result.ok:
             return CheckOutcome("potential-remark", False, count, f"identities failed at case {i}")
         theta_from_potential(table, mu, result.forms.f_i)
@@ -210,7 +209,7 @@ def equivalence_battery(tables: dict[int, ProjectorTable], seed: int, count: int
             form = potential_form(table, 3)
         elif kind == "conformal":
             phi = positive_conformal_factor(rng)
-            form = kahler_form(HyperhermitianMetric.conformal(table.model, phi))
+            form = kahler_form(table.model, conformal_metric(table.model, phi))
         else:
             form = None
             for _ in range(10):

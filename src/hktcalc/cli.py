@@ -23,7 +23,8 @@ checked before any work starts, and a bad path is an input error.
 REPORT with the suffix ``.csv`` (none for ``os.devnull``); a REPORT ending
 in ``.csv`` would be overwritten by it and is an input error.  ``hkt
 check`` reads a metric document as its Kahler form F_I, the one input of
-every HKT criterion (`hktcalc.geometry`).
+every HKT criterion (`hktcalc.geometry`), and refuses it as an input
+error unless the metric is symmetric and invariant under I, J and K.
 
 Exit codes: 0 pass, 1 check failure, 2 input error, 3 solver failure,
 4 internal error.  Exit 4 means a broken internal invariant
@@ -46,7 +47,7 @@ from .batteries import identity_suite
 from .conventions import ConventionError
 from .documents import MAX_N, DocumentError, InputDocument, Report
 from .geometry import (
-    HyperhermitianMetric,
+    conformal_metric,
     hkt_report,
     is_hkt_definition,
     is_hkt_salamon,
@@ -90,7 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve the 4D potential equation")
     p_solve.add_argument("file")
     p_solve.add_argument("--grid", type=int, action="append",
-                         help="nodes per axis (repeatable; default 17)")
+                         help="nodes per axis (repeatable with distinct values; default 17)")
     p_solve.add_argument("--tol", type=float, default=1e-10)
     p_solve.add_argument("--out", help="report path; grid CSV goes next to it")
     return parser
@@ -157,14 +158,7 @@ def cmd_identities(args) -> int:
 
 
 def _check_metric_or_form(doc: InputDocument, report: Report) -> None:
-    table = ProjectorTable(doc.model)
-    if doc.kind == "metric":
-        f_i = kahler_form(HyperhermitianMetric(doc.model, doc.payload))
-    else:
-        f_i = doc.payload
-        if not is_salamon_11(doc.model, f_i):
-            raise DocumentError("form document does not carry a Salamon (1,1)-form")
-    result = hkt_report(table, f_i)
+    result = hkt_report(ProjectorTable(doc.model), doc.payload)
     report.verdicts["is_hkt"] = result.is_hkt
     report.data["hkt_report"] = result.to_json()
 
@@ -187,7 +181,7 @@ def _check_potential(doc: InputDocument, report: Report) -> None:
 
 def _check_conformal(doc: InputDocument, report: Report) -> None:
     phi, _box, _data = doc.payload
-    check = is_hkt_definition(doc.model, kahler_form(HyperhermitianMetric.conformal(doc.model, phi)))
+    check = is_hkt_definition(doc.model, kahler_form(doc.model, conformal_metric(doc.model, phi)))
     report.verdicts["is_hkt"] = check.ok
     report.data["definition"] = check.summary()
     if check.ok:
@@ -237,8 +231,10 @@ def cmd_solve(args) -> int:
     report = Report(command="solve")
     grids = args.grid or [17]
     try:
-        for m in grids:
+        for i, m in enumerate(grids):
             check_grid_size(m)
+            if m in grids[:i]:
+                raise ValueError(f"--grid {m} is given twice; each grid is solved once")
         doc = InputDocument.load(args.file)
         if doc.kind != "conformal4d":
             raise DocumentError("solve requires a conformal4d document")

@@ -10,8 +10,11 @@ the CLI maps to exit 4 in every subcommand.
   its two cyclic companions.  Under it the flat metric on R^4 has the
   potential  mu = |x|^2 / 4.
 
-* The equivalent Hessian form of the same statement is
-  g = HESSIAN_AVERAGE_FACTOR * (1 + I + J + K) Hess(mu);
+* The equivalent Hessian form of the same statement averages H = Hess(mu)
+  to g = HESSIAN_AVERAGE_FACTOR * (H + sum_A A^T H A), A = I, J, K, and
+  is stated through its Kahler form F_I(X, Y) = g(IX, Y):
+  F_I = HESSIAN_AVERAGE_FACTOR * (1 + I* - J* - K*) alt H(I., .), with A*
+  the pullback and alt the alternating part (`geometry.hessian_kahler_form`);
   the factor 1/2 is forced by the form convention above (checked for
   random mu by the test suite, not assumed).
 

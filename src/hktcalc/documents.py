@@ -1,7 +1,11 @@
 """Typed input documents and deterministic reports for the CLI.
 
 Documents are JSON with exact integer-pair rationals in every algebraic
-payload; floats never cross the boundary into the exact core.  Reports are
+payload; floats never cross the boundary into the exact core.  A metric
+or form document is parsed into the Salamon (1,1)-form F_I every HKT
+criterion reads: a metric into its Kahler form (`geometry.kahler_form`),
+and either is refused unless `is_salamon_11` holds, which for a metric
+means it is symmetric and invariant under I, J and K.  Reports are
 deterministic given (input, seed): timings live in their own key so two
 runs can be compared byte-for-byte after dropping it.
 """
@@ -14,7 +18,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .forms import BilinearForm, KForm
+from .forms import KForm
+from .geometry import kahler_form
+from .salamon import is_salamon_11
 from .scalars import LongJsonInt, Polynomial, json_int, parse_json_int
 from .structures import HypercomplexModel
 
@@ -46,7 +52,7 @@ class InputDocument:
         kind = obj.get("kind")
         if kind not in VALID_KINDS:
             raise DocumentError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
-        model_spec = obj.get("model") or {}
+        model_spec = obj.get("model", {})
         if not isinstance(model_spec, Mapping):
             raise DocumentError("model must be a JSON object")
         try:
@@ -75,20 +81,18 @@ class InputDocument:
     @staticmethod
     def _parse_payload(kind: str, model: HypercomplexModel, payload: Mapping):
         if kind == "metric":
-            rows = payload["g"]
-            entries = [[Polynomial.from_json(p) for p in row] for row in rows]
-            tensor = BilinearForm(entries)
-            if tensor.dim != model.dim:
-                raise DocumentError(
-                    f"metric is {tensor.dim}x{tensor.dim} but the model has dimension {model.dim}"
-                )
-            return tensor
+            f_i = kahler_form(model, [[Polynomial.from_json(p) for p in row] for row in payload["g"]])
+            if not is_salamon_11(model, f_i):
+                raise ValueError("the metric is not symmetric and invariant under I, J and K")
+            return f_i
         if kind == "form":
             form = KForm.from_json(payload["form"])
             if form.dim != model.dim:
                 raise DocumentError("form dimension does not match the model")
             if form.degree != 2:
                 raise DocumentError("form documents must carry a 2-form")
+            if not is_salamon_11(model, form):
+                raise DocumentError("form document does not carry a Salamon (1,1)-form")
             return form
         if kind == "potential":
             mu = Polynomial.from_json(payload["mu"])

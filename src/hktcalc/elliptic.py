@@ -43,8 +43,9 @@ goes.  Every node goes through the same arithmetic in the same order as
 in a whole-grid pass, so every nodal value is bit-identical to it (only
 the means, sums of slab sums, may differ in the last bits), but no
 temporary of the full m^4 size is ever alive.  The form check needs no
-Hessian beyond its trace: the tests prove over Q that the Sp(1)-averaged
-Hessian of the n = 1 model is (tr H / 2) Id.
+Hessian beyond its trace: tests/test_elliptic.py (`TestAveragedHessian`,
+with the dense I, J, K of tests/conftest.py) proves over Q that the
+Sp(1)-averaged Hessian of the n = 1 model is (tr H / 2) Id.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
     (b) and (c) cover the margin-2 interior.  For n = 1 the Sp(1) average
     of a symmetric Hessian is (tr H / 2) Id, so the rebuilt form is
     +-S / 2 on its two nonzero entries and zero on the four others (the
-    tests prove this over Q with the exact core's I, J, K); (c) is exactly
+    tests prove this over Q with dense I, J, K); (c) is exactly
     phi / 2 times the signed (b) in exact arithmetic, kept for `hkt
     solve`'s order estimate.  Each slab of rows is read with a halo of 2 and sampled for
     phi once, and reduced as it goes: the maxima are exact, the means are

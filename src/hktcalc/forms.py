@@ -285,72 +285,15 @@ class KForm:
         return " + ".join(bits)
 
 
-class BilinearForm:
-    """A dim x dim matrix of polynomials: metrics, Hessians and their
-    images under I, J and K.
-
-    Keeping them apart from alternating forms avoids sign mistakes when
-    both occur in one computation.  Symmetry is not tracked here;
-    `geometry.HyperhermitianMetric` checks it.
-    """
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[Polynomial]]):
-        dim = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != dim:
-                raise ValueError("entries must form a square matrix")
-            rows.append(tuple(p if isinstance(p, Polynomial) else Polynomial.constant(dim, p) for p in row))
-        self.dim = dim
-        self.entries = tuple(rows)
-
-    @classmethod
-    def scaled_identity(cls, dim: int, scale: Polynomial) -> "BilinearForm":
-        z = Polynomial.zero(dim)
-        return cls([[scale if i == j else z for j in range(dim)] for i in range(dim)])
-
-    def __add__(self, other: "BilinearForm") -> "BilinearForm":
-        return BilinearForm(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "BilinearForm") -> "BilinearForm":
-        return BilinearForm(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def scale(self, scalar) -> "BilinearForm":
-        return BilinearForm([[p.scale(scalar) for p in row] for row in self.entries])
-
-    def __eq__(self, other):
-        if not isinstance(other, BilinearForm):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
-    def trace(self) -> Polynomial:
-        out = Polynomial.zero(self.dim)
-        for i in range(self.dim):
-            out = out + self.entries[i][i]
-        return out
-
-
-def hessian(f: Polynomial) -> BilinearForm:
-    """The symmetric matrix of second partials of a function."""
+def hessian(f: Polynomial) -> list[list[Polynomial]]:
+    """The symmetric matrix of second partials of a function, as rows."""
     n = f.dim
     firsts = [f.partial(i) for i in range(n)]
-    entries = [[Polynomial.zero(n)] * n for _ in range(n)]
+    rows = [[Polynomial.zero(n)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entries[i][j] = firsts[i].partial(j)
-    for i in range(n):
-        for j in range(i):
-            entries[i][j] = entries[j][i]
-    return BilinearForm(entries)
+            rows[i][j] = rows[j][i] = firsts[i].partial(j)
+    return rows
 
 
 # -- fiberwise constant operators on k-forms ------------------------------

@@ -1,4 +1,4 @@
-"""Hyperhermitian metrics, Kahler forms, HKT criteria and potentials.
+"""Kahler forms of hyperhermitian metrics, HKT criteria and potentials.
 
 Three equivalent HKT characterizations are implemented side by side:
 
@@ -18,7 +18,10 @@ Three equivalent HKT characterizations are implemented side by side:
 All three read one object, the Salamon (1,1)-form F_I.  It fixes the
 metric g = -F_I(I., .), so F_J, F_K (`kahler_forms`) and the signature
 samples are read off F_I through the index maps.  A metric enters once, as
-its F_I (`kahler_form`); no metric is rebuilt from a form.
+its F_I (`kahler_form`, which with `is_salamon_11` decides that it is
+hyperhermitian), and a potential's averaged Hessian is built as its F_I
+(`hessian_kahler_form`); no 2-tensor is kept and no metric is rebuilt
+from a form.
 
 They must agree on every input; a disagreement is a convention bug, never
 a valid outcome.  Each check returns its verdict and the residuals a
@@ -36,7 +39,7 @@ from typing import Sequence
 
 from . import exact_linalg as ela
 from .conventions import HESSIAN_AVERAGE_FACTOR, ConventionError
-from .forms import BilinearForm, KForm, hessian
+from .forms import KForm, hessian
 from .salamon import ProjectorTable, salamon_D
 from .scalars import Polynomial
 from .structures import (
@@ -54,53 +57,38 @@ def residual_summary(form: KForm | ComplexForm) -> dict:
     return {"nonzero_terms": form.nonzero_terms(), "max_height": form.coefficient_height()}
 
 
-class HyperhermitianMetric:
-    """A symmetric polynomial 2-tensor invariant under I, J and K.
+def _i_rows(model: HypercomplexModel, g: Sequence[Sequence[Polynomial]]) -> list[list[Polynomial]]:
+    """The rows of g(I., .): with I e_a = -s_a e_(j_a) (`axis_image`), row a is -s_a g[j_a]."""
+    return [[p.scale(-s) for p in g[j]] for j, s in axis_image(model, "I")]
 
-    Invariance is verified exactly at construction.  Definiteness is not
-    required; `signature_samples` of its Kahler form reports the exact
+
+def kahler_form(model: HypercomplexModel, g: Sequence[Sequence[Polynomial]]) -> KForm:
+    """F_I(X, Y) = g(IX, Y) of a metric g given as square polynomial rows.
+
+    `ValueError` unless g(I., .) alternates.  Alternation and I*F_I = F_I
+    make g symmetric and I-invariant, J*F_I = -F_I makes it J-invariant,
+    and K-invariance follows from IJ = K: g is hyperhermitian exactly when
+    its F_I alternates and is a Salamon (1,1)-form (`is_salamon_11`).
+    Definiteness is not required; `signature_samples` reports the exact
     pointwise signature instead.
     """
-
-    __slots__ = ("model", "tensor")
-
-    def __init__(self, model: HypercomplexModel, tensor: BilinearForm):
-        if tensor.dim != model.dim:
-            raise ValueError("tensor dimension does not match the model")
-        entries = tensor.entries
-        if any(entries[i][j] != entries[j][i] for i in range(model.dim) for j in range(i)):
-            raise ValueError("metric tensor must be symmetric")
-        for name in ("I", "J", "K"):
-            if model.operator(name).act_bilinear(tensor) != tensor:
-                raise ValueError(f"tensor is not invariant under {name}")
-        self.model = model
-        self.tensor = tensor
-
-    @classmethod
-    def flat(cls, model: HypercomplexModel) -> "HyperhermitianMetric":
-        one = Polynomial.constant(model.dim, 1)
-        return cls(model, BilinearForm.scaled_identity(model.dim, one))
-
-    @classmethod
-    def conformal(cls, model: HypercomplexModel, phi: Polynomial) -> "HyperhermitianMetric":
-        if phi.dim != model.dim:
-            raise ValueError("conformal factor dimension mismatch")
-        return cls(model, BilinearForm.scaled_identity(model.dim, phi))
-
-    def scale(self, scalar) -> "HyperhermitianMetric":
-        return HyperhermitianMetric(self.model, self.tensor.scale(scalar))
+    d = model.dim
+    if len(g) != d or any(len(row) != d for row in g):
+        raise ValueError(f"metric must be {d}x{d}, the dimension of the model")
+    if any(p.dim != d for row in g for p in row):
+        raise ValueError("coefficient polynomial dimension mismatch")
+    f = _i_rows(model, g)
+    if any(f[a][b] != -f[b][a] for a in range(d) for b in range(a + 1)):
+        raise ValueError("g(I., .) does not alternate: the metric is not symmetric and I-invariant")
+    return KForm(2, d, {(a, b): f[a][b] for a in range(d) for b in range(a + 1, d)})
 
 
-def kahler_form(metric: HyperhermitianMetric) -> KForm:
-    """F_I(X, Y) = g(IX, Y), the one input of the HKT criteria.
-
-    With I e_a = -s_a e_(j_a) (`axis_image`), F_I[a][b] = -s_a g[j_a][b];
-    it alternates because the constructor checked g symmetric and I-invariant.
-    """
-    d = metric.model.dim
-    rows = metric.tensor.entries
-    return KForm(2, d, {(a, b): rows[j][b].scale(-s)
-                        for a, (j, s) in enumerate(axis_image(metric.model, "I")) for b in range(a + 1, d)})
+def conformal_metric(model: HypercomplexModel, phi: Polynomial) -> list[list[Polynomial]]:
+    """The rows of phi * Id."""
+    if phi.dim != model.dim:
+        raise ValueError("conformal factor dimension mismatch")
+    zero = Polynomial.zero(model.dim)
+    return [[phi if i == j else zero for j in range(model.dim)] for i in range(model.dim)]
 
 
 def kahler_forms(model: HypercomplexModel, f_i: KForm) -> tuple[KForm, KForm, KForm]:
@@ -109,7 +97,7 @@ def kahler_forms(model: HypercomplexModel, f_i: KForm) -> tuple[KForm, KForm, KF
     F_A(X, Y) = g(AX, Y) = -F_I(IAX, Y): F_A[a][b] = -s F_I[j][b] with
     (j, s) row a of the index map of AI.  F_J and F_K alternate exactly
     when F_I is a Salamon (1,1)-form, which the caller ensures
-    (`is_salamon_11`, or `kahler_form`); `ConventionError` otherwise.
+    (`is_salamon_11`); `ConventionError` otherwise.
     """
     rows: list[dict] = [{} for _ in range(model.dim)]
     for (a, b), p in f_i.terms.items():
@@ -179,10 +167,10 @@ class SalamonCheck:
 def is_hkt_salamon(table: ProjectorTable, form: KForm) -> SalamonCheck:
     """D-closedness of a Salamon (1,1)-form, with a bilinear cross-check.
 
-    The caller ensures the form is (1,1) (`is_salamon_11`, or `kahler_form`
-    of a metric).  D F = eta_3(dF) must vanish exactly when dF meets the
-    six bilinearized sphere conditions (`ProjectorTable.in_b`, independent
-    of eta); a disagreement raises `ConventionError`.
+    The caller ensures the form is (1,1) (`is_salamon_11`).  D F = eta_3(dF)
+    must vanish exactly when dF meets the six bilinearized sphere
+    conditions (`ProjectorTable.in_b`, independent of eta); a disagreement
+    raises `ConventionError`.
     """
     df = form.d()
     residual = table.eta(df)
@@ -273,13 +261,22 @@ def potential_to_forms(model: HypercomplexModel, mu: Polynomial) -> PotentialFor
     return PotentialForms(build("I", "J", "K"), build("J", "K", "I"), build("K", "I", "J"))
 
 
-def hessian_average_metric(model: HypercomplexModel, mu: Polynomial) -> HyperhermitianMetric:
-    """The metric reconstructed from a potential via the averaged Hessian."""
-    h = hessian(mu)
-    total = h
-    for name in ("I", "J", "K"):
-        total = total + model.operator(name).act_bilinear(h)
-    return HyperhermitianMetric(model, total.scale(HESSIAN_AVERAGE_FACTOR))
+def hessian_kahler_form(model: HypercomplexModel, mu: Polynomial) -> KForm:
+    """F_I of the averaged Hessian HESSIAN_AVERAGE_FACTOR (H + sum_A A^T H A).
+
+    With T = H(I., .), F_I(A^T H A) is I*T, -J*T and -K*T for A = I, J, K,
+    and F_I of the average alternates, so it is
+    HESSIAN_AVERAGE_FACTOR (1 + I* - J* - K*) alt T.
+    """
+    if mu.dim != model.dim:
+        raise ValueError("potential dimension mismatch")
+    t = _i_rows(model, hessian(mu))
+    # alt T halves T[a][b] - T[b][a].
+    factor = HESSIAN_AVERAGE_FACTOR / 2
+    alt = KForm(2, model.dim, {(a, b): (t[a][b] - t[b][a]).scale(factor)
+                               for a in range(model.dim) for b in range(a + 1, model.dim)})
+    pulled = [model.operator(name).pullback(alt) for name in "IJK"]
+    return alt + pulled[0] - pulled[1] - pulled[2]
 
 
 @dataclass
@@ -289,24 +286,26 @@ class PotentialCheck:
     forms: PotentialForms
 
 
-def is_hkt_potential(model: HypercomplexModel, mu: Polynomial, metric: HyperhermitianMetric) -> PotentialCheck:
-    """Test all four equivalent potential identities against a metric.
+def is_hkt_potential(model: HypercomplexModel, mu: Polynomial, f_i: KForm) -> PotentialCheck:
+    """Test all four equivalent potential identities against the Salamon
+    (1,1)-form F_I of a metric.
 
-    Three form identities plus the averaged-Hessian reconstruction; the
-    four verdicts must agree (they are equivalent statements), and a
-    disagreement raises `ConventionError`.  The check carries the forms
-    it built.
+    Three form identities, against F_I and the F_J, F_K it fixes
+    (`kahler_forms`), plus the averaged Hessian's F_I
+    (`hessian_kahler_form`); the four verdicts must agree (they are
+    equivalent statements), and a disagreement raises `ConventionError`.
+    The check carries the forms it built.
     """
     forms = potential_to_forms(model, mu)
     oks = []
     residuals = {}
-    for name, built, expected in zip("IJK", forms.as_tuple(), kahler_forms(model, kahler_form(metric))):
+    for name, built, expected in zip("IJK", forms.as_tuple(), kahler_forms(model, f_i)):
         res = built - expected
         oks.append(res.is_zero())
         residuals[f"form_{name}"] = residual_summary(res)
-    diff = hessian_average_metric(model, mu).tensor - metric.tensor
+    diff = hessian_kahler_form(model, mu) - f_i
     hess_ok = diff.is_zero()
-    residuals["hessian"] = {"nonzero_terms": sum(0 if p.is_zero() else 1 for row in diff.entries for p in row)}
+    residuals["hessian"] = residual_summary(diff)
     if len(set(oks + [hess_ok])) != 1:
         raise ConventionError("the four potential identities disagree")
     return PotentialCheck(hess_ok, residuals, forms)
@@ -370,8 +369,7 @@ def default_sample_points(dim: int, count: int = 5, seed: int = 3) -> list[tuple
 def hkt_report(table: ProjectorTable, f_i: KForm) -> HKTReport:
     """Run all three criteria on a Salamon (1,1)-form F_I.
 
-    The caller ensures F_I is (1,1): `is_salamon_11` decides it for a form,
-    and `kahler_form` of a metric is (1,1) by construction.  The twistor
+    The caller ensures F_I is (1,1) (`is_salamon_11`).  The twistor
     criterion is decided at `TWISTOR_AXES`, and the signature of the metric
     F_I fixes is sampled at `default_sample_points`.  The three booleans
     are required to coincide; disagreement raises `ConventionError`

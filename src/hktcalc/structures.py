@@ -11,9 +11,9 @@ Each is a signed permutation, held only as its index map `axis_image`
 (row i of A has one entry s, at column j), tiled over the n blocks from
 one four-row table per axis.  A model composes these maps to check
 I^2 = J^2 = K^2 = -Id and IJ = K (`ConventionError` otherwise), and the
-maps build every action of I, J and K: on forms, on 2-tensors, and
-between metrics and Kahler forms in `geometry`.  No dense structure
-matrix is formed.
+maps build every action of I, J and K: on forms, and between a metric
+and its Kahler forms in `geometry`.  No dense structure matrix is
+formed.
 
 Two actions on forms coexist and both are exposed:
 
@@ -51,7 +51,6 @@ from fractions import Fraction
 
 from .conventions import ConventionError
 from .forms import (
-    BilinearForm,
     FiberOperator,
     KForm,
     apply_operator,
@@ -162,7 +161,7 @@ class HypercomplexModel:
 
 
 class StructureOperator:
-    """A complex structure from the sphere family; it acts on forms and 2-tensors at the axes only."""
+    """A complex structure from the sphere family; it acts on forms at the axes only."""
 
     __slots__ = ("model", "point")
 
@@ -191,14 +190,6 @@ class StructureOperator:
         """The twisted differential: (-1)^k act(d(act(form)))."""
         out = self.act(self.act(form).d())
         return out if form.degree % 2 == 0 else -out
-
-    def act_bilinear(self, b: BilinearForm) -> BilinearForm:
-        """b(., .) -> b(A., A.) = A^T b A, entry (i, j) s_i s_j b[j_i][j_j]
-        with `axis_image`; sign-free, preserves symmetry."""
-        if b.dim != self.model.dim:
-            raise ValueError("dimension mismatch")
-        image = axis_image(self.model, self._axis_name())
-        return BilinearForm([[b.entries[j][l].scale(s * t) for l, t in image] for j, s in image])
 
     def __repr__(self):
         return f"StructureOperator({self.point.a}, {self.point.b}, {self.point.c})"

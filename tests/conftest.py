@@ -7,8 +7,8 @@ import pytest
 
 from hktcalc import HypercomplexModel, KForm, Polynomial, ProjectorTable
 from hktcalc import exact_linalg as ela
-from hktcalc.forms import BilinearForm, apply_operator, combine_operators, multi_indices
-from hktcalc.geometry import HyperhermitianMetric, kahler_form
+from hktcalc.forms import apply_operator, combine_operators, multi_indices
+from hktcalc.geometry import conformal_metric, kahler_form
 from hktcalc.salamon import _condition_matrix, _condition_operators
 from hktcalc.structures import SpherePoint, StructureOperator, random_sphere_points
 
@@ -130,7 +130,8 @@ def table2(model2):
 
 @pytest.fixture(scope="session")
 def flat1(model1):
-    return HyperhermitianMetric.flat(model1)
+    """The rows of the flat metric on R^4."""
+    return conformal_metric(model1, Polynomial.constant(4, 1))
 
 
 def norm_squared(dim: int) -> Polynomial:
@@ -164,10 +165,10 @@ def flat_form(name: str) -> KForm:
 # matrix den * (aI + bJ + cK) by expanding wedges of its rows, as the
 # package once did, and the tests compare the two.
 
-def bilinear_from_constant(matrix: Sequence[Sequence]) -> BilinearForm:
-    """The bilinear form with constant entries `matrix`."""
+def constant_rows(matrix: Sequence[Sequence]) -> list[list[Polynomial]]:
+    """The polynomial rows with constant entries `matrix`."""
     dim = len(matrix)
-    return BilinearForm([[Polynomial.constant(dim, v) for v in row] for row in matrix])
+    return [[Polynomial.constant(dim, v) for v in row] for row in matrix]
 
 
 # The dense metric kernels: test oracles.  The package applies I, J and K to
@@ -199,6 +200,12 @@ def oracle_transpose_times(m, rows: Sequence[Sequence[Polynomial]]) -> list[list
                     acc = acc + rows[k][b].scale(m[k][a])
             out[a][b] = acc
     return out
+
+
+def oracle_conjugate(m, rows: Sequence[Sequence[Polynomial]]) -> list[list[Polynomial]]:
+    """M^T P M = (M^T (M^T P)^T)^T, from `oracle_transpose_times`: the
+    2-tensor P(M., M.) for a constant matrix M."""
+    return transpose(oracle_transpose_times(m, transpose(oracle_transpose_times(m, rows))))
 
 
 def _wedge_expansion(factors: Sequence[Sequence[tuple[int, Fraction]]]) -> dict:
@@ -380,31 +387,30 @@ def _pairing_2forms(alpha: KForm, beta: KForm, ginv: Sequence[Sequence[Fraction]
     return out
 
 
-def complex_laplacian(f: Polynomial, metric: HyperhermitianMetric) -> Polynomial:
-    """The complex Laplacian g(d d_I f, F_I) for a constant-entry metric.
+def complex_laplacian(f: Polynomial, g: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """The complex Laplacian g(d d_I f, F_I) for a constant-entry metric,
+    given as its rows.
 
     For metrics with genuinely polynomial entries the inverse is not
     polynomial; use `complex_laplacian_at` for exact pointwise values.
     """
-    model = metric.model
-    entries = metric.tensor.entries
-    const = [[p.constant_term() for p in row] for row in entries]
-    for i, row in enumerate(entries):
+    model = HypercomplexModel(len(g) // 4)
+    const = [[p.constant_term() for p in row] for row in g]
+    for i, row in enumerate(g):
         for j, p in enumerate(row):
             if p != Polynomial.constant(model.dim, const[i][j]):
                 raise ValueError("metric entries are not constant; use complex_laplacian_at")
     ginv = dense_invert([[Fraction(c) for c in row] for row in const])
     dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
-    f_i = kahler_form(metric)
-    return _pairing_2forms(dd_i, f_i, ginv)
+    return _pairing_2forms(dd_i, kahler_form(model, g), ginv)
 
 
-def complex_laplacian_at(f: Polynomial, metric: HyperhermitianMetric, point: Sequence) -> Fraction:
-    """Exact pointwise complex Laplacian for a polynomial metric."""
-    model = metric.model
+def complex_laplacian_at(f: Polynomial, g: Sequence[Sequence[Polynomial]], point: Sequence) -> Fraction:
+    """Exact pointwise complex Laplacian for a polynomial metric, given as its rows."""
+    model = HypercomplexModel(len(g) // 4)
     try:
-        ginv = dense_invert([[p.evaluate(point) for p in row] for row in metric.tensor.entries])
+        ginv = dense_invert([[p.evaluate(point) for p in row] for row in g])
     except ValueError:
         raise ValueError(f"metric is degenerate at sample point {point}")
     dd_i = model.operator("I").twisted_d(KForm.from_polynomial(f)).d()
-    return _pairing_2forms(dd_i, kahler_form(metric), ginv).evaluate(point)
+    return _pairing_2forms(dd_i, kahler_form(model, g), ginv).evaluate(point)

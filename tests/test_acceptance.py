@@ -24,7 +24,7 @@ from hktcalc.elliptic import ConformalMetricSpec, Grid4D, SolverConfig, solve_po
 from hktcalc.forms import KForm, multi_indices
 from hktcalc.geometry import (
     default_sample_points,
-    hessian_average_metric,
+    hessian_kahler_form,
     is_hkt_potential,
     potential_to_forms,
     theta_from_potential,
@@ -128,8 +128,7 @@ def test_criterion_6_potential_calculus(model1, table1, model2, table2):
         # theta_from_potential and is_hkt_potential raise ConventionError on
         # a broken certificate or disagreeing identities.
         d_route = salamon_D(table, theta_from_potential(table, mu, built.f_i))
-        metric = hessian_average_metric(model, mu)
-        check = is_hkt_potential(model, mu, metric)
+        check = is_hkt_potential(model, mu, hessian_kahler_form(model, mu))
         random_ok = random_ok and d_route == built.f_i and check.ok
         cases += 1
     ok = flat_ok and random_ok and cases >= 30

@@ -17,7 +17,7 @@ from hktcalc.cli import (
     main,
 )
 from hktcalc.documents import DocumentError, InputDocument
-from hktcalc.geometry import HyperhermitianMetric
+from hktcalc.geometry import conformal_metric
 from hktcalc.scalars import Polynomial
 
 from conftest import flat_form, quarter_norm_potential
@@ -27,15 +27,18 @@ def x(i):
     return Polynomial.variable(4, i)
 
 
-def flat_metric_doc():
-    from hktcalc import HypercomplexModel
-
-    metric = HyperhermitianMetric.flat(HypercomplexModel(1))
+def metric_doc(rows):
     return {
         "kind": "metric",
         "model": {"n": 1, "convention": "left"},
-        "payload": {"g": [[p.to_json() for p in row] for row in metric.tensor.entries]},
+        "payload": {"g": [[p.to_json() for p in row] for row in rows]},
     }
+
+
+def flat_metric_doc():
+    from hktcalc import HypercomplexModel
+
+    return metric_doc(conformal_metric(HypercomplexModel(1), Polynomial.constant(4, 1)))
 
 
 def conformal_doc(phi=None, box=(-1.0, 1.0), dirichlet=None):
@@ -117,10 +120,21 @@ class TestInputDocument:
         with pytest.raises(DocumentError, match="model.n"):
             InputDocument.from_json(doc)
 
-    def test_model_not_an_object_rejected(self):
-        doc = {"kind": "potential", "model": [3], "payload": {"mu": quarter_norm_potential(4).to_json()}}
+    # A falsy model ([], 0, false, "" or null) was read as {} and checked
+    # as n = 1 with exit 0.
+    @pytest.mark.parametrize("model", [[3], [], 0, False, "", None], ids=repr)
+    def test_model_not_an_object_rejected(self, tmp_path, capsys, model):
+        doc = {"kind": "potential", "model": model, "payload": {"mu": quarter_norm_potential(4).to_json()}}
         with pytest.raises(DocumentError, match="model must be a JSON object"):
             InputDocument.from_json(doc)
+        assert main(["check", write(tmp_path, "model.json", doc)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: model must be a JSON object\n"
+
+    def test_missing_model_defaults_to_n1(self):
+        doc = {"kind": "potential", "payload": {"mu": quarter_norm_potential(4).to_json()}}
+        assert InputDocument.from_json(doc).model.n == 1
 
     def test_model_n3_accepted(self):
         doc = {"kind": "potential", "model": {"n": 3},
@@ -286,9 +300,50 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err == "input error: form document does not carry a Salamon (1,1)-form\n"
 
+    @pytest.mark.parametrize("kind", ["metric", "metric-one-entry", "form"])
+    def test_wrong_coefficient_dimension_names_the_payload(self, tmp_path, capsys, kind):
+        # A metric's mismatch surfaced only in the check, as an unnamed
+        # "coefficient polynomial dimension mismatch".
+        five = {"dim": 5, "terms": [{"num": "1", "den": "1", "exp": [0, 0, 0, 0, 0]}]}
+        zero = {"dim": 5, "terms": []}
+        if kind == "metric":
+            doc = {"kind": "metric", "model": {"n": 1},
+                   "payload": {"g": [[five if i == j else zero for j in range(4)] for i in range(4)]}}
+        elif kind == "metric-one-entry":
+            # One odd entry below the diagonal, which F_I does not store.
+            doc = flat_metric_doc()
+            doc["payload"]["g"][1][0] = zero
+            kind = "metric"
+        else:
+            doc = {"kind": "form", "model": {"n": 1},
+                   "payload": {"form": {"k": 2, "dim": 4, "terms": [{"idx": [0, 1], "poly": five}]}}}
+        assert main(["check", write(tmp_path, f"{kind}.json", doc)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: payload ({kind}): coefficient polynomial dimension mismatch\n"
+
+    # Each breaks one property: symmetry, I-invariance, J-invariance (the
+    # first two make g(I., .) fail to alternate, the third F_I fail to be
+    # of type (1,1)), and the shape.
+    BAD_METRICS = {
+        "non-symmetric": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "non-I-invariant": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "non-J-invariant": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "not-square": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    }
+
+    @pytest.mark.parametrize("name", BAD_METRICS)
+    def test_invalid_metric_is_one_input_error(self, tmp_path, capsys, name):
+        rows = [[Polynomial.constant(4, v) for v in row] for row in self.BAD_METRICS[name]]
+        assert main(["check", write(tmp_path, "bad.json", metric_doc(rows))]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: payload (metric): ")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_one_salamon_type_check_per_document(self, tmp_path, capsys, monkeypatch):
-        # The form document check and the potential check test the type of
-        # their form once; a metric's Kahler form is (1,1) by construction.
+        # Each metric, form and potential document tests the type of its
+        # F_I once; for a metric that call is its J-invariance check.
         import hktcalc
         import hktcalc.salamon as salamon
 
@@ -310,7 +365,7 @@ class TestCheckCommand:
             counts[case["name"]] = len(calls)
         capsys.readouterr()
         assert counts == {"form-n2-negative": 1, "form-n2-potential": 1, "potential-n2": 1,
-                          "metric-n1-conformal": 0, "conformal4d-n1": 0}
+                          "metric-n1-conformal": 1, "conformal4d-n1": 0}
         assert hktcalc.is_salamon_11 is spy
 
     def test_one_kahler_form_per_axis_per_document(self, tmp_path, capsys, monkeypatch):
@@ -408,6 +463,18 @@ class TestOutPath:
         assert captured.err.startswith(f"input error: --out {out} ")
         assert len(captured.err.strip().splitlines()) == 1
         assert out.read_text() == "earlier report\n"
+
+    def test_repeated_grid_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # Each repeat of --grid 65 ran another ~2 s solve of the same grid.
+        import hktcalc.elliptic as elliptic
+
+        monkeypatch.setattr(elliptic, "solve_potential",
+                            lambda *args, **kwargs: pytest.fail("a grid was solved before the repeat was refused"))
+        path = write(tmp_path, "conf.json", conformal_doc())
+        assert main(["solve", path, "--grid", "9", "--grid", "17", "--grid", "9"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --grid 9 is given twice; each grid is solved once\n"
 
     def test_earlier_report_survives_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "report.json"

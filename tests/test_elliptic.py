@@ -32,11 +32,11 @@ from hktcalc.elliptic import (
     solve_potential,
     verify_potential,
 )
-from hktcalc.forms import BilinearForm, KForm
+from hktcalc.forms import KForm
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel
 
-from conftest import norm_squared, structure_matrix
+from conftest import norm_squared, oracle_conjugate, structure_matrix
 
 
 def _conjugate_gradient(b: np.ndarray, h: float, tol: float, max_iter: int):
@@ -791,10 +791,10 @@ def _form_table(perms) -> list:
     return table
 
 
-def symmetric_basis(dim: int) -> list[BilinearForm]:
-    """E_kk and E_kl + E_lk, k < l: a basis of the symmetric dim x dim matrices."""
+def symmetric_basis(dim: int) -> list[list[list[Polynomial]]]:
+    """E_kk and E_kl + E_lk, k < l, as rows: a basis of the symmetric dim x dim matrices."""
     zero, one_ = Polynomial.zero(dim), Polynomial.constant(dim, 1)
-    return [BilinearForm([[one_ if {i, j} == {k, l} else zero for j in range(dim)] for i in range(dim)])
+    return [[[one_ if {i, j} == {k, l} else zero for j in range(dim)] for i in range(dim)]
             for k in range(dim) for l in range(k, dim)]
 
 
@@ -805,21 +805,25 @@ class TestAveragedHessian:
     symmetric H.  The rebuilt Kahler form (1/2) I^T (that sum) is then
     tr(H) / 2 times I^T: +-tr(H) / 2 on the pairs (0, 1) and (2, 3) and zero
     elsewhere, so its residual against SOLVER_FORM_SCALE * phi * I^T is
-    |tr(H) / 2 - SOLVER_FORM_SCALE * phi| on both nonzero entries."""
+    |tr(H) / 2 - SOLVER_FORM_SCALE * phi| on both nonzero entries.  The
+    conjugates A^T H A come from the dense oracle of `conftest`."""
 
     def test_sum_of_conjugates_is_trace_times_identity(self):
         model = HypercomplexModel(1)
         i_mat = structure_matrix(model, "I")
         basis = symmetric_basis(4)
         assert len(basis) == 10
+        zero = Polynomial.zero(4)
         for hess in basis:
+            trace = sum((hess[c][c] for c in range(4)), zero)
             total = hess
             for name in ("I", "J", "K"):
-                total = total + model.operator(name).act_bilinear(hess)
-            assert total == BilinearForm.scaled_identity(4, hess.trace())
-            half_trace = hess.trace() * Fraction(1, 2)
+                conj = oracle_conjugate(structure_matrix(model, name), hess)
+                total = [[p + q for p, q in zip(r, c)] for r, c in zip(total, conj)]
+            assert total == [[trace if i == j else zero for j in range(4)] for i in range(4)]
+            half_trace = trace * Fraction(1, 2)
             for a, b in itertools.combinations(range(4), 2):
-                f_ab = sum((total.entries[c][b] * Fraction(i_mat[c][a], 2) for c in range(4)), Polynomial.zero(4))
+                f_ab = sum((total[c][b] * Fraction(i_mat[c][a], 2) for c in range(4)), zero)
                 if (a, b) in ((0, 1), (2, 3)):
                     assert i_mat[b][a] in (1, -1) and f_ab == half_trace * i_mat[b][a]
                 else:

@@ -6,11 +6,14 @@ equal:
 * `oracle_apply_operator` -- the former `forms.apply_operator`, which
   scaled every input polynomial and built a new `Polynomial` for every
   partial sum;
-* `oracle_conjugate_by` -- the dense sandwich M^T b M of the former
-  `BilinearForm.conjugate_by`; I, J and K now act on 2-tensors, turn a
-  metric into F_I and F_I into F_J, F_K and the metric's signature,
-  through their index maps (`structures.axis_image`), checked against it,
-  against the dense `oracle_transpose_times` of `conftest` and against
+* the dense metric kernels of `conftest`, `oracle_transpose_times` and
+  `oracle_conjugate` (the sandwich M^T b M of the former
+  `BilinearForm.conjugate_by`): I, J and K now turn a metric into F_I,
+  F_I into F_J, F_K and the metric's signature, and a potential's Hessian
+  into the averaged Hessian's F_I through their index maps
+  (`structures.axis_image`).  The tests check these against the dense
+  products, check that a metric passes validation exactly when it is
+  symmetric with A^T g A = g for A = I, J, K, and compare signatures with
   `exact_linalg.inertia` of the oracle metric;
 * `oracle_sphere_matrix` -- an earlier `HypercomplexModel.sphere_matrix`,
   which built aI + bJ + cK in Fractions;
@@ -47,8 +50,9 @@ from hypothesis import strategies as st
 
 from hktcalc import exact_linalg as ela
 from hktcalc.batteries import random_kform
+from hktcalc.conventions import HESSIAN_AVERAGE_FACTOR
+from hktcalc.documents import DocumentError, InputDocument
 from hktcalc.forms import (
-    BilinearForm,
     KForm,
     apply_operator,
     combine_operators,
@@ -58,8 +62,8 @@ from hktcalc.forms import (
 )
 from hktcalc.conventions import ConventionError
 from hktcalc.geometry import (
-    HyperhermitianMetric,
     default_sample_points,
+    hessian_kahler_form,
     is_hkt_definition,
     kahler_form,
     kahler_forms,
@@ -83,11 +87,13 @@ from conftest import (
     default_sphere_witnesses,
     form_component_matrix,
     integer_sphere_matrix,
+    oracle_conjugate,
     oracle_transpose_times,
     routed_fiber_op,
     routed_operator,
     sphere_matrix,
     structure_matrix,
+    transpose,
 )
 
 MODELS = {1: HypercomplexModel(1), 2: HypercomplexModel(2)}
@@ -105,25 +111,6 @@ def oracle_apply_operator(op, form):
             else:
                 out[out_idx] = scaled
     return KForm(form.degree, form.dim, out)
-
-
-def oracle_conjugate_by(b, matrix):
-    n = b.dim
-    out = [[Polynomial.zero(n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Polynomial.zero(n)
-            for k in range(n):
-                mki = Fraction(matrix[k][i])
-                if not mki:
-                    continue
-                for l in range(n):
-                    mlj = Fraction(matrix[l][j])
-                    if not mlj:
-                        continue
-                    acc = acc + b.entries[k][l].scale(mki * mlj)
-            out[i][j] = acc
-    return BilinearForm(out)
 
 
 def oracle_wedge_expansion(factors):
@@ -267,64 +254,156 @@ def bilinear_forms(dim):
 
 @st.composite
 def bilinear_cases(draw):
-    """(model, b, axis name): b symmetric or not, n = 1 or 2."""
+    """(model, rows): raw, symmetric or averaged over {1, I, J, K}, n = 1 or 2."""
     model = MODELS[draw(st.sampled_from([1, 2]))]
-    entries = draw(bilinear_forms(model.dim))
-    if draw(st.booleans()):
-        entries = [[entries[min(i, j)][max(i, j)] for j in range(model.dim)] for i in range(model.dim)]
-    return model, BilinearForm(entries), draw(st.sampled_from("IJK"))
+    rows = draw(bilinear_forms(model.dim))
+    kind = draw(st.sampled_from(["raw", "symmetric", "averaged"]))
+    if kind != "raw":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(model.dim)] for i in range(model.dim)]
+    if kind == "averaged":
+        rows = _oracle_average(model, rows)
+    return model, rows
+
+
+def _oracle_kahler_rows(model, g):
+    """F_I = I^T g, the dense oracle of g(I., .)."""
+    return oracle_transpose_times(structure_matrix(model, "I"), g)
 
 
 @given(bilinear_cases())
 @settings(max_examples=60, deadline=None)
-def test_conjugate_by_matches_dense_oracle(case):
-    model, b, name = case
-    new = model.operator(name).act_bilinear(b)
-    assert new == oracle_conjugate_by(b, structure_matrix(model, name))
-    assert all(_canonical(p) for row in new.entries for p in row)
+def test_kahler_form_matches_dense_oracle(case):
+    """kahler_form reads g(I., .) off the index map of I; it is I^T g, and
+    the form is refused exactly when I^T g does not alternate."""
+    model, g = case
+    d = model.dim
+    comp = _oracle_kahler_rows(model, g)
+    if all(comp[a][b] == -comp[b][a] for a in range(d) for b in range(a + 1)):
+        f_i = kahler_form(model, g)
+        assert f_i == KForm(2, d, {(a, b): comp[a][b] for a, b in itertools.combinations(range(d), 2)})
+        assert _exact_form(f_i)
+    else:
+        with pytest.raises(ValueError, match="alternate"):
+            kahler_form(model, g)
 
 
 def _random_tensor(model, rng):
     """A sparse random polynomial 2-tensor, neither symmetric nor invariant."""
     d = model.dim
-    return BilinearForm([[random_polynomial(d, 2, 2, seed=rng.randrange(2**31)) if rng.random() < 0.3 else 0
-                          for _ in range(d)] for _ in range(d)])
+    zero = Polynomial.zero(d)
+    return [[random_polynomial(d, 2, 2, seed=rng.randrange(2**31)) if rng.random() < 0.3 else zero
+             for _ in range(d)] for _ in range(d)]
+
+
+def _oracle_average(model, g):
+    """g + sum_A A^T g A over A = I, J, K, with the dense oracle."""
+    total = [list(row) for row in g]
+    for name in "IJK":
+        conj = oracle_conjugate(structure_matrix(model, name), g)
+        total = [[p + q for p, q in zip(r, c)] for r, c in zip(total, conj)]
+    return total
+
+
+def _hyperhermitian_metric(model, rng):
+    """The average of b + b^T over {1, I, J, K}, b a random tensor."""
+    raw = _random_tensor(model, rng)
+    return _oracle_average(model, [[p + q for p, q in zip(r, c)] for r, c in zip(raw, transpose(raw))])
 
 
 def _oracle_metric(model, form):
     """g = -I^T F, the dense oracle of the metric a 2-form F = F_I fixes."""
     comp = oracle_transpose_times(structure_matrix(model, "I"), form_component_matrix(form))
-    return BilinearForm([[-p for p in row] for row in comp])
+    return [[-p for p in row] for row in comp]
+
+
+def _oracle_hyperhermitian(model, g):
+    """The dense oracle of a valid metric: symmetric, and A^T g A = g for A = I, J, K."""
+    return g == transpose(g) and all(oracle_conjugate(structure_matrix(model, name), g) == g for name in "IJK")
+
+
+def _validates(model, g):
+    """Whether `hkt check` accepts g: a metric document's F_I, or None."""
+    doc = {"kind": "metric", "model": {"n": model.n},
+           "payload": {"g": [[p.to_json() for p in row] for row in g]}}
+    try:
+        return InputDocument.from_json(doc).payload
+    except DocumentError:
+        return None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_metric_validation_matches_dense_oracle(n):
+    """A metric document is accepted exactly when the dense oracle calls
+    its tensor hyperhermitian, on valid tensors, on valid tensors with one
+    entry perturbed (or one symmetric pair), which breaks symmetry or
+    invariance, and on random ones; an accepted metric enters as the
+    oracle's F_I = I^T g."""
+    model = HypercomplexModel(n)
+    d = model.dim
+    rng = random.Random(2600 + n)
+    verdicts = []
+    for case in range(30):
+        g = _hyperhermitian_metric(model, rng) if case % 3 < 2 else _random_tensor(model, rng)
+        if case % 3 == 1:
+            a, b = rng.randrange(d), rng.randrange(d)
+            bump = Polynomial.variable(d, rng.randrange(d)) + Polynomial.constant(d, rng.randint(1, 3))
+            g = [list(row) for row in g]
+            g[a][b] = g[a][b] + bump
+            if rng.random() < 0.5:
+                g[b][a] = g[a][b]
+        expected = _oracle_hyperhermitian(model, g)
+        f_i = _validates(model, g)
+        assert (f_i is not None) == expected
+        if expected:
+            comp = _oracle_kahler_rows(model, g)
+            assert f_i == KForm(2, d, {(a, b): comp[a][b] for a, b in itertools.combinations(range(d), 2)})
+        verdicts.append(expected)
+    assert verdicts.count(True) == 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hessian_kahler_form_matches_dense_oracle(n):
+    """hessian_kahler_form, built as (1 + I* - J* - K*) alt H(I., .), is
+    the F_I = I^T G of the dense average G = HESSIAN_AVERAGE_FACTOR (H +
+    sum_A A^T H A) of the Hessian H."""
+    model = HypercomplexModel(n)
+    d = model.dim
+    rng = random.Random(2700 + n)
+    nonzero = 0
+    for _ in range(3 if n < 3 else 1):
+        mu = random_polynomial(d, 3, 4, seed=rng.randrange(2**31))
+        h = [[mu.partial(i).partial(j) for j in range(d)] for i in range(d)]
+        avg = [[p.scale(HESSIAN_AVERAGE_FACTOR) for p in row] for row in _oracle_average(model, h)]
+        assert _oracle_hyperhermitian(model, avg)
+        comp = _oracle_kahler_rows(model, avg)
+        expected = KForm(2, d, {(a, b): comp[a][b] for a, b in itertools.combinations(range(d), 2)})
+        assert hessian_kahler_form(model, mu) == expected == kahler_form(model, avg)
+        nonzero += not expected.is_zero()
+    assert nonzero
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_metric_actions_match_dense_oracles(n):
-    """act_bilinear, kahler_form, kahler_forms and the signature samples
-    read the index maps; the dense sandwich, F_A = A^T g, g = -I^T F_I and
-    the inertia of g at each sample point must give the same."""
+    """kahler_form, kahler_forms and the signature samples read the index
+    maps; F_A = A^T g, g = -I^T F_I and the inertia of g at each sample
+    point must give the same."""
     model = HypercomplexModel(n)
     d = model.dim
     rng = random.Random(2500 + n)
     for _ in range(3):
-        raw = _random_tensor(model, rng)
-        for name in "IJK":
-            assert model.operator(name).act_bilinear(raw) == oracle_conjugate_by(raw, structure_matrix(model, name))
-        # The average of b + b^T over {1, I, J, K} is a hyperhermitian metric.
-        tensor = raw + BilinearForm([list(col) for col in zip(*raw.entries)])
-        tensor = sum((oracle_conjugate_by(tensor, structure_matrix(model, name)) for name in "IJK"), tensor)
-        metric = HyperhermitianMetric(model, tensor)
+        tensor = _hyperhermitian_metric(model, rng)
         expected = []
         for name in "IJK":
-            comp = oracle_transpose_times(structure_matrix(model, name), tensor.entries)
+            comp = oracle_transpose_times(structure_matrix(model, name), tensor)
             assert all(comp[a][b] == -comp[b][a] for a in range(d) for b in range(d))
             expected.append(KForm(2, d, {(a, b): comp[a][b] for a, b in itertools.combinations(range(d), 2)}))
-        f_i = kahler_form(metric)
+        f_i = kahler_form(model, tensor)
         assert f_i == expected[0]
         assert kahler_forms(model, f_i) == tuple(expected)
         assert _oracle_metric(model, f_i) == tensor
         points = default_sample_points(d)
         counts = [(s["positive"], s["negative"], s["zero"]) for s in signature_samples(model, f_i, points)]
-        assert counts == [ela.inertia([[p.evaluate(pt) for p in row] for row in tensor.entries]) for pt in points]
+        assert counts == [ela.inertia([[p.evaluate(pt) for p in row] for row in tensor]) for pt in points]
 
 
 def _klein_projection(model, form, signs):
@@ -339,21 +418,20 @@ def _klein_projection(model, form, signs):
 @given(st.sampled_from([1, 2]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_oracle_metric_of_a_form_is_hyperhermitian_exactly_on_type_11(n, data):
-    """is_salamon_11(F) holds exactly when the oracle g = -I^T F passes the
-    metric constructor's checks, and exactly when the definition check,
-    which reads F_J and F_K off F, accepts F."""
+    """is_salamon_11(F) holds exactly when the oracle g = -I^T F is
+    hyperhermitian by the dense oracle, and exactly when the definition
+    check, which reads F_J and F_K off F, accepts F."""
     model = MODELS[n]
     form = data.draw(kforms(model.dim, 2))
     signs = data.draw(st.sampled_from([None, (1, 1), (1, -1), (-1, 1), (-1, -1)]))
     if signs is not None:
         form = _klein_projection(model, form, signs)
     tensor = _oracle_metric(model, form)
+    assert _oracle_hyperhermitian(model, tensor) == is_salamon_11(model, form)
     if is_salamon_11(model, form):
-        assert kahler_form(HyperhermitianMetric(model, tensor)) == form
+        assert kahler_form(model, tensor) == form
         is_hkt_definition(model, form)
     else:
-        with pytest.raises(ValueError):
-            HyperhermitianMetric(model, tensor)
         with pytest.raises(ConventionError, match="not alternating"):
             is_hkt_definition(model, form)
 
@@ -487,15 +565,15 @@ def test_int_and_fraction_values_give_equal_forms(case):
 
 @given(bilinear_cases(), POINTS)
 @settings(max_examples=40, deadline=None)
-def test_int_and_fraction_values_give_equal_conjugates(case, point):
-    model, b, name = case
-    b_frac = BilinearForm([[_fraction_valued(p) for p in row] for row in b.entries])
-    op = model.operator(name)
-    new, new_frac = op.act_bilinear(b), op.act_bilinear(b_frac)
-    assert new == new_frac
-    assert all(_canonical(p) for form in (new, new_frac) for row in form.entries for p in row)
-    point = (point * b.dim)[:b.dim]
-    values = [[[p.evaluate(point) for p in row] for row in m.entries] for m in (b, b_frac)]
+def test_int_and_fraction_values_give_equal_kahler_forms(case, point):
+    model, b = case
+    g = _oracle_average(model, [[p + q for p, q in zip(r, c)] for r, c in zip(b, transpose(b))])
+    g_frac = [[_fraction_valued(p) for p in row] for row in g]
+    f_i, f_frac = kahler_form(model, g), kahler_form(model, g_frac)
+    assert f_i == f_frac
+    assert _exact_form(f_i) and _exact_form(f_frac)
+    point = (point * model.dim)[:model.dim]
+    values = [[[p.evaluate(point) for p in row] for row in m] for m in (g, g_frac)]
     assert values[0] == values[1]
     assert all(type(v) is Fraction for m in values for row in m for v in row)
 

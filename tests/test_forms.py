@@ -5,7 +5,6 @@ import pytest
 
 from hktcalc.batteries import random_kform
 from hktcalc.forms import (
-    BilinearForm,
     KForm,
     hessian,
     multi_indices,
@@ -13,7 +12,7 @@ from hktcalc.forms import (
 )
 from hktcalc.scalars import Polynomial, random_polynomial
 
-from conftest import DENSE_BLOCKS, bilinear_from_constant, norm_squared, pullback, routed_operator
+from conftest import DENSE_BLOCKS, constant_rows, norm_squared, pullback, routed_operator
 
 
 def x(i, dim=4):
@@ -114,22 +113,26 @@ class TestPullback:
 class TestHessian:
     def test_half_norm_squared(self):
         h = hessian(norm_squared(4) * Fraction(1, 2))
-        assert h == bilinear_from_constant([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+        assert h == constant_rows([[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
     def test_cross_term(self):
         h = hessian(x(0) * x(1))
         expected = [[0] * 4 for _ in range(4)]
         expected[0][1] = expected[1][0] = 1
-        assert h == bilinear_from_constant(expected)
+        assert h == constant_rows(expected)
 
     def test_affine_vanishes(self):
         f = x(0) * 3 - x(2) + Polynomial.constant(4, 5)
-        assert hessian(f).is_zero()
+        assert all(p.is_zero() for row in hessian(f) for p in row)
 
     def test_symmetry_random(self):
         for seed in range(10):
             h = hessian(random_polynomial(4, 4, 5, seed=seed))
-            assert all(h.entries[i][j] == h.entries[j][i] for i in range(4) for j in range(4))
+            assert all(h[i][j] == h[j][i] for i in range(4) for j in range(4))
+
+    def test_trace(self):
+        h = hessian(norm_squared(4))
+        assert sum((h[i][i] for i in range(4)), Polynomial.zero(4)) == Polynomial.constant(4, 8)
 
 
 def at_point(form, point):
@@ -166,17 +169,6 @@ class TestFormEvaluation:
                 w_down = w.coefficient(comp).evaluate(down)
                 approx += sign * (w_up - w_down) / (2 * h)
             assert abs(exact - approx) < 5e-6
-
-
-class TestBilinearForm:
-    def test_conjugation_by_orthogonal_preserves_identity(self, model1):
-        ident = bilinear_from_constant([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-        for name in "IJK":
-            assert model1.operator(name).act_bilinear(ident) == ident
-
-    def test_trace(self):
-        h = hessian(norm_squared(4))
-        assert h.trace() == Polynomial.constant(4, 8)
 
 
 class TestKFormJson:

@@ -6,12 +6,13 @@ import pytest
 
 from hktcalc.batteries import positive_conformal_factor, random_a11_form
 from hktcalc.conventions import COFRAME_SIGN, ConventionError
-from hktcalc.forms import BilinearForm, KForm
+from hktcalc.documents import DocumentError, InputDocument
+from hktcalc.forms import KForm
 from hktcalc.geometry import (
-    HyperhermitianMetric,
     PotentialForms,
+    conformal_metric,
     default_sample_points,
-    hessian_average_metric,
+    hessian_kahler_form,
     hkt_report,
     is_hkt_definition,
     is_hkt_potential,
@@ -41,7 +42,14 @@ def x(i, dim=4):
 
 
 def conformal(model, phi):
-    return HyperhermitianMetric.conformal(model, phi)
+    return conformal_metric(model, phi)
+
+
+def metric_document(model, rows):
+    """A metric document's F_I: `InputDocument` validates the metric."""
+    doc = {"kind": "metric", "model": {"n": model.n},
+           "payload": {"g": [[p.to_json() for p in row] for row in rows]}}
+    return InputDocument.from_json(doc).payload
 
 
 # Two constructions no verdict of the package uses, kept here as test
@@ -53,7 +61,7 @@ class CoframeForms:
     f_i: KForm
     f_j: KForm
     f_k: KForm
-    metric: HyperhermitianMetric
+    metric: list
     sign: int
 
 
@@ -85,12 +93,12 @@ def coframe_forms(model: HypercomplexModel, alpha: KForm) -> CoframeForms:
         for i in range(d):
             for j in range(d):
                 entries[i][j] = entries[i][j] + comps[i] * comps[j]
-    metric = HyperhermitianMetric(model, BilinearForm(entries))
     sign = Fraction(COFRAME_SIGN)
-    for kahler, f in zip(kahler_forms(model, kahler_form(metric)), (f_i, f_j, f_k)):
+    # kahler_forms raises ConventionError unless the metric's F_I is (1,1).
+    for kahler, f in zip(kahler_forms(model, kahler_form(model, entries)), (f_i, f_j, f_k)):
         if kahler != f * sign:
             raise ConventionError("coframe forms disagree with the induced metric")
-    return CoframeForms(f_i, f_j, f_k, metric, COFRAME_SIGN)
+    return CoframeForms(f_i, f_j, f_k, entries, COFRAME_SIGN)
 
 
 def kahler_potential_to_forms(model: HypercomplexModel, nu: Polynomial) -> PotentialForms:
@@ -110,28 +118,38 @@ def kahler_potential_to_forms(model: HypercomplexModel, nu: Polynomial) -> Poten
 
 
 class TestMetricValidation:
-    def test_flat_is_hyperhermitian(self, model1):
-        HyperhermitianMetric.flat(model1)
+    def test_flat_is_hyperhermitian(self, model1, flat1):
+        assert metric_document(model1, flat1) == flat_form("I")
 
     def test_non_invariant_tensor_rejected(self, model1):
         entries = [[Polynomial.zero(4)] * 4 for _ in range(4)]
         for i in range(4):
             entries[i][i] = Polynomial.constant(4, 1)
         entries[0][0] = Polynomial.constant(4, 2)  # breaks I-invariance
-        with pytest.raises(ValueError):
-            HyperhermitianMetric(model1, BilinearForm(entries))
+        with pytest.raises(ValueError, match="alternate"):
+            kahler_form(model1, entries)
+        with pytest.raises(DocumentError, match=r"^payload \(metric\): "):
+            metric_document(model1, entries)
+
+    def test_j_breaking_tensor_rejected(self, model1):
+        # diag(2, 2, 1, 1) is I-invariant, so its F_I alternates, but J
+        # swaps e0 and e2: F_I is not of type (1,1).
+        entries = [[Polynomial.constant(4, (2 if i < 2 else 1) if i == j else 0) for j in range(4)]
+                   for i in range(4)]
+        assert not is_salamon_11(model1, kahler_form(model1, entries))
+        with pytest.raises(DocumentError, match="invariant under I, J and K"):
+            metric_document(model1, entries)
 
     def test_non_symmetric_tensor_rejected(self, model1):
-        # Symmetry is checked here, in the one reader that needs it.
         entries = [[Polynomial.constant(4, int(i == j)) for j in range(4)] for i in range(4)]
         entries[0][1] = Polynomial.constant(4, 1)
         with pytest.raises(ValueError, match="symmetric"):
-            HyperhermitianMetric(model1, BilinearForm(entries))
+            kahler_form(model1, entries)
 
     def test_indefinite_metric_reported_not_rejected(self, model1):
         phi = x(0) * x(0) - Polynomial.constant(4, 2)
         metric = conformal(model1, phi)
-        samples = signature_samples(model1, kahler_form(metric), [(0, 0, 0, 0), (2, 0, 0, 0)])
+        samples = signature_samples(model1, kahler_form(model1, metric), [(0, 0, 0, 0), (2, 0, 0, 0)])
         assert samples[0]["negative"] == 4
         assert samples[1]["positive"] == 4
 
@@ -141,25 +159,25 @@ class TestMetricValidation:
         tiny = Fraction(1, 10**12)
         metric = conformal(model1, x(0) * x(0) - Polynomial.constant(4, tiny))
         points = [(0, 0, 0, 0), (Fraction(1, 10**6), 0, 0, 0), (1, 0, 0, 0)]
-        samples = signature_samples(model1, kahler_form(metric), points)
+        samples = signature_samples(model1, kahler_form(model1, metric), points)
         counts = [(s["positive"], s["negative"], s["zero"]) for s in samples]
         assert counts == [(0, 4, 0), (0, 0, 4), (4, 0, 0)]
         assert samples[1]["point"] == ["1/1000000", "0", "0", "0"]
 
 
 class TestKahlerForm:
-    def test_flat_i(self, flat1):
-        assert kahler_form(flat1) == flat_form("I")
+    def test_flat_i(self, model1, flat1):
+        assert kahler_form(model1, flat1) == flat_form("I")
 
     def test_flat_j(self, model1, flat1):
-        assert kahler_forms(model1, kahler_form(flat1))[1] == flat_form("J")
+        assert kahler_forms(model1, kahler_form(model1, flat1))[1] == flat_form("J")
 
     def test_flat_k(self, model1, flat1):
-        assert kahler_forms(model1, kahler_form(flat1))[2] == flat_form("K")
+        assert kahler_forms(model1, kahler_form(model1, flat1))[2] == flat_form("K")
 
     def test_conformal_scales_linearly(self, model1):
         phi = Polynomial.constant(4, 1) + x(0) * x(0)
-        assert kahler_form(conformal(model1, phi)) == flat_form("I") * phi
+        assert kahler_form(model1, conformal(model1, phi)) == flat_form("I") * phi
 
 
 class TestKahlerForms:
@@ -185,7 +203,7 @@ class TestKahlerForms:
 
     def test_conformal_metric(self, model1):
         phi = positive_conformal_factor(random.Random(71))
-        forms = kahler_forms(model1, kahler_form(conformal(model1, phi)))
+        forms = kahler_forms(model1, kahler_form(model1, conformal(model1, phi)))
         assert forms == tuple(flat_form(name) * phi for name in "IJK")
 
     def test_rejects_non_salamon_form(self, model1):
@@ -195,12 +213,12 @@ class TestKahlerForms:
 
 class TestDefinitionCriterion:
     def test_flat_metric(self, model1, flat1):
-        check = is_hkt_definition(model1, kahler_form(flat1))
+        check = is_hkt_definition(model1, kahler_form(model1, flat1))
         assert check.ok and check.torsion_candidate.is_zero()
 
     def test_conformal_has_nonzero_torsion(self, model1):
         metric = conformal(model1, Polynomial.constant(4, 1) + x(0) * x(0))
-        check = is_hkt_definition(model1, kahler_form(metric))
+        check = is_hkt_definition(model1, kahler_form(model1, metric))
         assert check.ok
         assert not check.torsion_candidate.is_zero()
 
@@ -254,7 +272,7 @@ class TestTwistorCriterion:
         rng = random.Random(75)
         for _ in range(3):
             metric = conformal(model1, positive_conformal_factor(rng))
-            assert is_hkt_twistor(model1, kahler_form(metric)).ok
+            assert is_hkt_twistor(model1, kahler_form(model1, metric)).ok
 
     def test_negative_matches_projection(self, model2, table2):
         rng = random.Random(76)
@@ -265,7 +283,7 @@ class TestTwistorCriterion:
 
 class TestTorsion:
     def test_flat_torsion_zero_and_strong(self, table1, flat1):
-        report = hkt_report(table1, kahler_form(flat1))
+        report = hkt_report(table1, kahler_form(table1.model, flat1))
         assert report.torsion.is_zero() and report.strong
 
     def test_conformal_torsion_value(self, table1, model1):
@@ -273,27 +291,28 @@ class TestTorsion:
         # dF_I = 2 x0 dx0^dx2^dx3 and the signed I-action sends it to
         # 2 x0 dx1^dx2^dx3.
         metric = conformal(model1, Polynomial.constant(4, 1) + x(0) * x(0))
-        report = hkt_report(table1, kahler_form(metric))
+        report = hkt_report(table1, kahler_form(model1, metric))
         assert report.torsion == KForm(3, 4, {(1, 2, 3): x(0) * 2})
         assert not report.strong
 
     def test_scaling_linearity(self, table1, model1):
         metric = conformal(model1, positive_conformal_factor(random.Random(77)))
-        torsion = hkt_report(table1, kahler_form(metric)).torsion
-        assert hkt_report(table1, kahler_form(metric.scale(2))).torsion == torsion * 2
+        torsion = hkt_report(table1, kahler_form(model1, metric)).torsion
+        doubled = [[p * 2 for p in row] for row in metric]
+        assert hkt_report(table1, kahler_form(model1, doubled)).torsion == torsion * 2
 
 
 class TestCoframe:
     def test_dx0_coframe_reproduces_flat_forms(self, model1, flat1):
         cf = coframe_forms(model1, KForm.dx(4, 0))
-        assert (cf.f_i, cf.f_j, cf.f_k) == kahler_forms(model1, kahler_form(flat1))
+        assert (cf.f_i, cf.f_j, cf.f_k) == kahler_forms(model1, kahler_form(model1, flat1))
         assert cf.sign == 1
 
     def test_polynomial_coframe_certificate(self, model1):
         rng = random.Random(79)
         terms = {(i,): random_polynomial(4, 2, 2, seed=rng.randrange(10**6)) for i in range(4)}
         cf = coframe_forms(model1, KForm(1, 4, terms))
-        assert kahler_form(cf.metric) == cf.f_i
+        assert kahler_form(model1, cf.metric) == cf.f_i
 
     def test_scaled_coframe_matches_conformal_route(self, model1):
         # alpha = f dx0 induces g = f^2 delta; the coframe forms must agree
@@ -301,8 +320,8 @@ class TestCoframe:
         f = Polynomial.constant(4, 1) + x(1) * x(1)
         cf = coframe_forms(model1, KForm(1, 4, {(0,): f}))
         metric = conformal(model1, f * f)
-        assert (cf.f_i, cf.f_j, cf.f_k) == kahler_forms(model1, kahler_form(metric))
-        check = is_hkt_definition(model1, kahler_form(cf.metric))
+        assert (cf.f_i, cf.f_j, cf.f_k) == kahler_forms(model1, kahler_form(model1, metric))
+        check = is_hkt_definition(model1, kahler_form(model1, cf.metric))
         assert check.ok
 
     def test_requires_n1(self, model2):
@@ -313,7 +332,7 @@ class TestCoframe:
 class TestPotentialForms:
     def test_flat_potential_exact(self, model1, flat1):
         forms = potential_to_forms(model1, quarter_norm_potential(4))
-        assert forms.as_tuple() == kahler_forms(model1, kahler_form(flat1))
+        assert forms.as_tuple() == kahler_forms(model1, kahler_form(model1, flat1))
         assert forms.as_tuple() == tuple(flat_form(name) for name in "IJK")
 
     def test_affine_potential_gives_zero(self, model1):
@@ -338,13 +357,13 @@ class TestPotentialForms:
 class TestPotentialCheck:
     # One verdict stands for all four identities: a disagreement among them
     # raises ConventionError, so `ok` and the residual sizes must agree.
-    def test_flat_pair_passes_all_four(self, model1, flat1):
-        result = is_hkt_potential(model1, quarter_norm_potential(4), flat1)
+    def test_flat_pair_passes_all_four(self, model1):
+        result = is_hkt_potential(model1, quarter_norm_potential(4), flat_form("I"))
         assert result.ok
         assert all(r["nonzero_terms"] == 0 for r in result.residuals.values())
 
-    def test_scaled_metric_fails_all_four(self, model1, flat1):
-        result = is_hkt_potential(model1, quarter_norm_potential(4), flat1.scale(2))
+    def test_scaled_metric_fails_all_four(self, model1):
+        result = is_hkt_potential(model1, quarter_norm_potential(4), flat_form("I") * 2)
         assert not result.ok
         assert set(result.residuals) == {"form_I", "form_J", "form_K", "hessian"}
         assert all(r["nonzero_terms"] > 0 for r in result.residuals.values())
@@ -353,8 +372,7 @@ class TestPotentialCheck:
         rng = random.Random(81)
         for model in (model1, model2):
             mu = random_polynomial(model.dim, 3, 4, seed=rng.randrange(10**6))
-            metric = hessian_average_metric(model, mu)
-            assert is_hkt_potential(model, mu, metric).ok
+            assert is_hkt_potential(model, mu, hessian_kahler_form(model, mu)).ok
 
 
 class TestKahlerPotential:
@@ -473,7 +491,7 @@ class TestComplexLaplacian:
 
 class TestReport:
     def test_positive_report(self, table1, flat1):
-        rep = hkt_report(table1, kahler_form(flat1))
+        rep = hkt_report(table1, kahler_form(table1.model, flat1))
         assert rep.is_hkt and rep.strong
         assert rep.torsion.is_zero()
         doc = rep.to_json()

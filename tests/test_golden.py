@@ -18,7 +18,7 @@ import pytest
 import hktcalc
 from hktcalc import HypercomplexModel, ProjectorTable
 from hktcalc.batteries import positive_conformal_factor, random_a11_form
-from hktcalc.geometry import HyperhermitianMetric, hkt_report, kahler_form, potential_to_forms
+from hktcalc.geometry import conformal_metric, hkt_report, kahler_form, potential_to_forms
 from hktcalc.salamon import salamon_D
 from hktcalc.scalars import random_polynomial
 
@@ -33,7 +33,7 @@ def _source(name: str, table: ProjectorTable):
     if name == "n1-potential-form":
         return potential_to_forms(model, random_polynomial(4, 3, 3, seed=501)).f_i
     if name == "n1-conformal-metric":
-        return kahler_form(HyperhermitianMetric.conformal(model, positive_conformal_factor(random.Random(502))))
+        return kahler_form(model, conformal_metric(model, positive_conformal_factor(random.Random(502))))
     if name == "n2-potential-form":
         return potential_to_forms(model, random_polynomial(8, 3, 3, seed=503)).f_i
     form = random_a11_form(model, random.Random(504))

@@ -7,8 +7,8 @@ import pytest
 from hktcalc import structures
 from hktcalc.batteries import random_kform
 from hktcalc.conventions import ConventionError
-from hktcalc.forms import KForm, hessian, multi_indices, operator_matrix
-from hktcalc.scalars import Polynomial, random_polynomial
+from hktcalc.forms import KForm, multi_indices, operator_matrix
+from hktcalc.scalars import Polynomial
 from hktcalc.structures import (
     ComplexForm,
     HypercomplexModel,
@@ -21,10 +21,8 @@ from hktcalc.structures import (
 
 from conftest import (
     DENSE_BLOCKS,
-    bilinear_from_constant,
     dense_mat_mul,
     flat_form,
-    norm_squared,
     routed_operator,
     sphere_matrix,
     sphere_operator,
@@ -227,34 +225,6 @@ class TestTwistedDifferential:
             for ai, a in enumerate(names):
                 for b in names[ai + 1:]:
                     assert (diff(a, diff(b, w)) + diff(b, diff(a, w))).is_zero()
-
-
-class TestActBilinear:
-    def test_identity_fixed(self, model1):
-        delta = bilinear_from_constant([[int(i == j) for j in range(4)] for i in range(4)])
-        assert model1.operator("I").act_bilinear(delta) == delta
-
-    def test_hessian_of_half_norm(self, model1):
-        h = hessian(norm_squared(4) * Fraction(1, 2))
-        assert model1.operator("J").act_bilinear(h) == h
-
-    def test_group_average_is_invariant(self, model1):
-        rng = random.Random(30)
-        entries = [[Polynomial.zero(4)] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                p = random_polynomial(4, 2, 2, seed=rng.randrange(10**6))
-                entries[i][j] = p
-                entries[j][i] = p
-        from hktcalc.forms import BilinearForm
-
-        b = BilinearForm(entries)
-        avg = b
-        for name in ("I", "J", "K"):
-            avg = avg + model1.operator(name).act_bilinear(b)
-        avg = avg.scale(Fraction(1, 4))
-        for name in ("I", "J", "K"):
-            assert model1.operator(name).act_bilinear(avg) == avg
 
 
 class TestTypeDecomposition:

@@ -39,7 +39,7 @@ from hktcalc.documents import MAX_N, InputDocument
 from hktcalc.forms import KForm, multi_indices, vector_to_form
 from hktcalc.geometry import (
     TWISTOR_AXES,
-    HyperhermitianMetric,
+    conformal_metric,
     is_hkt_definition,
     is_hkt_salamon,
     is_hkt_twistor,
@@ -242,9 +242,7 @@ def test_old_path_on_check_documents():
         if doc.kind == "potential":
             form = potential_to_forms(doc.model, doc.payload).f_i
         elif doc.kind == "conformal4d":
-            form = kahler_form(HyperhermitianMetric.conformal(doc.model, doc.payload[0]))
-        elif doc.kind == "metric":
-            form = kahler_form(HyperhermitianMetric(doc.model, doc.payload))
+            form = kahler_form(doc.model, conformal_metric(doc.model, doc.payload[0]))
         else:
             form = doc.payload
         assert not form.is_zero(), case["name"]
