@@ -10,10 +10,8 @@ from .forms import KForm, hessian
 from .structures import (
     ComplexForm,
     HypercomplexModel,
-    SpherePoint,
     StructureOperator,
     complex_type_part,
-    random_sphere_points,
 )
 from .salamon import (
     DegreeError,
@@ -33,10 +31,8 @@ __all__ = [
     "hessian",
     "ComplexForm",
     "HypercomplexModel",
-    "SpherePoint",
     "StructureOperator",
     "complex_type_part",
-    "random_sphere_points",
     "DegreeError",
     "FiberSubspace",
     "ProjectorTable",

@@ -33,8 +33,9 @@ VALID_KINDS = ("metric", "form", "potential", "conformal4d")
 
 # The largest quaternionic dimension the exact engine accepts: the n = 3
 # projector table builds in under a second, larger n are refused up front.
-# tests/test_twistor_certificate.py certifies the axes' twistor verdict up
-# to this n; raising it needs the certificate extended first.
+# tests/test_twistor_certificate.py certifies up to this n that the axes'
+# twistor verdict is the whole sphere's; raising it needs the certificate
+# extended first.
 MAX_N = 3
 
 

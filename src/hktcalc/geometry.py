@@ -12,8 +12,8 @@ Three equivalent HKT characterizations are implemented side by side:
   applied to the first jet of the coefficients, and
   tests/test_twistor_certificate.py proves for n <= 3 that the axes'
   stacked matrix has the same row space as the Salamon residual's and as
-  ten sphere points' (the axes, three mixed Pythagorean points and four
-  random ones).
+  the whole sphere's (the coefficients of the residual as a homogeneous
+  polynomial in P = (a, b, c)).
 
 All three read one object, the Salamon (1,1)-form F_I.  It fixes the
 metric g = -F_I(I., .), so F_J, F_K (`kahler_forms`) and the signature
@@ -45,7 +45,6 @@ from .scalars import Polynomial
 from .structures import (
     ComplexForm,
     HypercomplexModel,
-    SpherePoint,
     _compose,
     axis_image,
     complex_type_part,
@@ -180,10 +179,10 @@ def is_hkt_salamon(table: ProjectorTable, form: KForm) -> SalamonCheck:
     return SalamonCheck(ok, residual)
 
 
-# The structures at which `is_hkt_twistor` decides by default.  A (1,1)-form
-# has no (0,2)-part for I, so its residual at I is zero; J alone already has
-# the full rank of the Salamon residual (tests/test_twistor_certificate.py).
-TWISTOR_AXES = tuple(SpherePoint.axis(name) for name in ("I", "J", "K"))
+# The structures at which `is_hkt_twistor` decides.  A (1,1)-form has no
+# (0,2)-part for I, so its residual at I is zero; J alone already has the
+# full rank of the Salamon residual (tests/test_twistor_certificate.py).
+TWISTOR_AXES = ("I", "J", "K")
 
 
 @dataclass
@@ -192,47 +191,34 @@ class TwistorCheck:
     point_residuals: list
 
     def summary(self) -> dict:
+        # Each axis is reported as its point of the sphere: I is (1, 0, 0).
         return {
             "ok": self.ok,
             "points": [
-                {"point": [str(p.a), str(p.b), str(p.c)], **residual_summary(r)}
-                for p, r in self.point_residuals
+                {"point": [str(int(name == axis)) for axis in TWISTOR_AXES], **residual_summary(r)}
+                for name, r in self.point_residuals
             ],
         }
 
 
-def is_hkt_twistor(
-    model: HypercomplexModel,
-    form: KForm,
-    points: Sequence[SpherePoint] | None = None,
-) -> TwistorCheck:
-    """Sphere-family test: the (0,3)-part of d(F^{0,2}) vanishes pointwise.
+def is_hkt_twistor(model: HypercomplexModel, form: KForm) -> TwistorCheck:
+    """Sphere-family test: the (0,3)-part of d(F^{0,2}) vanishes.
 
-    For each sample structure the (0,2)-part of the form is taken as a
-    (real, imaginary) pair of rational forms, its exterior derivative
+    For each axis of `TWISTOR_AXES` the (0,2)-part of the form is taken as
+    a (real, imaginary) pair of rational forms, its exterior derivative
     computed, and the (0,3)-part w.r.t. the same structure must vanish
-    exactly; each point's residual is a `ComplexForm`.
+    exactly; each axis's residual is a `ComplexForm`, listed with its name.
 
-    By default the structures are the three axes `TWISTOR_AXES`.  For a
-    Salamon (1,1)-form on n <= 3 this decides the whole sphere family:
-    tests/test_twistor_certificate.py proves, with first-jet rank
-    certificates, that the axes' residuals vanish exactly when those at
-    the ten former witnesses and the Salamon residual do.
-
-    No `src/` caller passes `points`; tests/test_twistor_certificate.py
-    passes the ten witnesses as the oracle of the axes.
+    For a Salamon (1,1)-form on n <= 3 the axes decide the whole sphere
+    family: tests/test_twistor_certificate.py proves, with first-jet rank
+    certificates, that the axes' residuals vanish exactly when the
+    residual at every point of S^2 and the Salamon residual do.
     """
-    if points is None:
-        points = TWISTOR_AXES
     results = []
-    ok = True
-    for pt in points:
-        g_part = complex_type_part(model, pt, form, "02")
-        residual = complex_type_part(model, pt, g_part.d(), "03")
-        if not residual.is_zero():
-            ok = False
-        results.append((pt, residual))
-    return TwistorCheck(ok, results)
+    for name in TWISTOR_AXES:
+        g_part = complex_type_part(model, name, form, "02")
+        results.append((name, complex_type_part(model, name, g_part.d(), "03")))
+    return TwistorCheck(all(r.is_zero() for _, r in results), results)
 
 
 @dataclass

@@ -21,33 +21,29 @@ Two actions on forms coexist and both are exposed:
 * `StructureOperator.act`       -- the signed action (-1)^k of the pullback,
   used by the twisted differentials and the HKT criteria.
 
-Every call site states which one it uses.  Sphere points are exact
-rational triples, generated from an integer (stereographic)
-parametrization so the whole sphere family stays inside exact arithmetic.
+Every call site states which one it uses.  A structure is named by its
+axis, "I", "J" or "K"; the package acts at the axes only.
 
 The fiber operators come from the three axis derivations.  sp(1) acts on
 forms by the derivations rho_A (A = I, J, K), the one-slot insertions
 (Salamon's E-H splitting).  I, J and K are signed permutation matrices, so
 rho_A is a sum of signed single-slot index replacements and the axis
 pullback A* a signed permutation of the basis k-forms; both are built
-directly, with int entries.  At a sphere point P = (a, b, c) the
-structure's derivation is rho_P = a rho_I + b rho_J + c rho_K, and every
-fiber operator at P is a polynomial in it, composed in ints over den, the
-lcm of the point's denominators, and divided once.  No matrix
-aI + bJ + cK is formed.
+directly, with int entries.  A structure P = aI + bJ + cK of the sphere
+has the derivation rho_P = a rho_I + b rho_J + c rho_K, and every fiber
+operator at P is a polynomial in it; tests/test_twistor_certificate.py
+uses this to certify the axes' twistor verdict on all of S^2.
 
 Complex type components are `ComplexForm` values: (re, im) pairs of
-rational forms.  The (0,2) and (0,3) type projectors are stored as pairs
-(Re, Im) of real polynomials in rho_P (`type_projector`), so the exact
-core never needs complex coefficients.
+rational forms.  The (0,2) and (0,3) type projectors at an axis are stored
+as pairs (Re, Im) of real polynomials in rho_A (`type_projector`), so the
+exact core never needs complex coefficients.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .conventions import ConventionError
 from .forms import (
@@ -72,58 +68,6 @@ _BLOCK_IMAGES = {
 def _compose(a, b):
     """The index map of AB: (AB)[i] = (k, s t) for A[i] = (j, s), B[j] = (k, t)."""
     return tuple((b[j][0], s * b[j][1]) for j, s in a)
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """An exact rational point (a, b, c) with a^2 + b^2 + c^2 = 1."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.a * self.a + self.b * self.b + self.c * self.c != 1:
-            raise ValueError(f"({self.a}, {self.b}, {self.c}) is not on the unit sphere")
-
-    @classmethod
-    def from_parameters(cls, u, v) -> "SpherePoint":
-        """Stereographic image of a rational plane point; always exact."""
-        u, v = Fraction(u), Fraction(v)
-        s = 1 + u * u + v * v
-        return cls(2 * u / s, 2 * v / s, (1 - u * u - v * v) / s)
-
-    @staticmethod
-    def axis(name: str) -> "SpherePoint":
-        return _AXES[name]
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c)
-
-
-# Built once: a SpherePoint is immutable.
-_AXES = {"I": SpherePoint(1, 0, 0), "J": SpherePoint(0, 1, 0), "K": SpherePoint(0, 0, 1)}
-
-def random_sphere_points(count: int, seed: int) -> list[SpherePoint]:
-    """Deterministic exact rational sphere points (no axis points).
-
-    No `src/` caller; test oracles: the random twistor witnesses of
-    tests/test_twistor_certificate.py, and extra points that leave the B
-    ranks unchanged in tests/test_salamon.py and tests/test_exact_linalg.py.
-    """
-    rng = random.Random(seed)
-    points = []
-    while len(points) < count:
-        u = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        pt = SpherePoint.from_parameters(u, v)
-        # u, v in {0, +-1} can land on an axis; those have two zero coordinates.
-        if pt not in points and pt.as_tuple().count(0) < 2:
-            points.append(pt)
-    return points
 
 
 class HypercomplexModel:
@@ -154,32 +98,26 @@ class HypercomplexModel:
             raise ConventionError("IJ != K")
 
     def operator(self, name: str) -> "StructureOperator":
-        return StructureOperator(self, SpherePoint.axis(name))
+        return StructureOperator(self, name)
 
     def __repr__(self):
         return f"HypercomplexModel(n={self.n})"
 
 
 class StructureOperator:
-    """A complex structure from the sphere family; it acts on forms at the axes only."""
+    """The axis structure I, J or K, named by `name`, acting on forms."""
 
-    __slots__ = ("model", "point")
+    __slots__ = ("model", "name")
 
-    def __init__(self, model: HypercomplexModel, point: SpherePoint):
+    def __init__(self, model: HypercomplexModel, name: str):
         self.model = model
-        self.point = point
-
-    def _axis_name(self) -> str:
-        name = _AXIS_NAMES.get(self.point)
-        if name is None:
-            raise ValueError("structures act at the axes I, J, K only")
-        return name
+        self.name = name
 
     def pullback(self, form: KForm) -> KForm:
         """Slots-only action, no degree sign."""
         if form.dim != self.model.dim:
             raise ValueError("dimension mismatch")
-        return apply_operator(_axis_operators(self.model, self._axis_name(), form.degree)[1], form)
+        return apply_operator(_axis_operators(self.model, self.name, form.degree)[1], form)
 
     def act(self, form: KForm) -> KForm:
         """The signed action on k-forms: (-1)^k times the pullback."""
@@ -192,14 +130,12 @@ class StructureOperator:
         return out if form.degree % 2 == 0 else -out
 
     def __repr__(self):
-        return f"StructureOperator({self.point.a}, {self.point.b}, {self.point.c})"
+        return f"StructureOperator({self.name})"
 
 
-# Fiber operators for a given (n, sphere point or axis, degree) are cached;
-# the table is read-only after construction so concurrent reads are safe.
+# Fiber operators for a given (n, axis, degree) are cached; the table is
+# read-only after construction so concurrent reads are safe.
 _FIBER_CACHE: dict = {}
-
-_AXIS_NAMES = {point: name for name, point in _AXES.items()}
 
 
 def axis_image(model: HypercomplexModel, name: str) -> tuple[tuple[int, int], ...]:
@@ -253,43 +189,33 @@ def axis_squares(model: HypercomplexModel, k: int) -> list[FiberOperator]:
     return [_FIBER_CACHE[model.n, name, k, "square"] for name in "IJK"]
 
 
-def type_projector(model: HypercomplexModel, point: SpherePoint, k: int) -> tuple[FiberOperator, FiberOperator]:
-    """(Re, Im) of the (0,k) type projector at `point` on k-forms, k = 2 or 3.
+def type_projector(model: HypercomplexModel, name: str, k: int) -> tuple[FiberOperator, FiberOperator]:
+    """(Re, Im) of the (0,k) type projector of the axis `name` on k-forms,
+    k = 2 or 3.
 
-    rho_P acts as i(p - q) on (p,q)-forms, so the Lagrange polynomials in
-    rho_P that are 1 on (0,k) and 0 on the other types are
+    rho_A acts as i(p - q) on (p,q)-forms, so the Lagrange polynomials in
+    rho_A that are 1 on (0,k) and 0 on the other types are
 
-        pi02 = -rho_P^2/8 + i rho_P/4,
-        pi03 = -(rho_P^2 + 1)/16 - i (rho_P^3 + rho_P)/48.
+        pi02 = -rho_A^2/8 + i rho_A/4,
+        pi03 = -(rho_A^2 + 1)/16 - i (rho_A^3 + rho_A)/48.
 
-    Both halves are built in ints from den * rho_P (at an axis from the
-    cached rho_A^2) and divided once; their entries are Fractions.  The
-    (k,0) projector is the conjugate pair (Re, -Im).
+    Both halves are built in ints from rho_A and the cached rho_A^2 and
+    divided once; their entries are Fractions.  The (k,0) projector is the
+    conjugate pair (Re, -Im).
     """
     if k not in (2, 3):
         raise ValueError("type projectors are built on 2- and 3-forms only")
-    key = (model.n, point.as_tuple(), k, "type")
+    key = (model.n, name, k, "type")
     cached = _FIBER_CACHE.get(key)
     if cached is not None:
         return cached
-    name = _AXIS_NAMES.get(point)
-    if name is not None:
-        den, rho, square = 1, _axis_operators(model, name, k)[0], axis_squares(model, k)["IJK".index(name)]
-    else:
-        # Only tests come here, with off-axis points as oracles: the twistor
-        # witnesses of tests/test_twistor_certificate.py and the insertion
-        # sums of tests/test_fiber_kernel.py.
-        den = math.lcm(point.a.denominator, point.b.denominator, point.c.denominator)
-        rho = combine_operators([(v.numerator * (den // v.denominator), r)
-                                 for v, r in zip(point.as_tuple(), axis_derivations(model, k)) if v])
-        square = compose_operators(rho, rho)
-    den2 = den * den
+    rho, square = _axis_operators(model, name, k)[0], axis_squares(model, k)["IJK".index(name)]
     if k == 2:
-        pair = combine_operators([(-1, square)], den=8 * den2), combine_operators([(1, rho)], den=4 * den)
+        pair = combine_operators([(-1, square)], den=8), combine_operators([(1, rho)], den=4)
     else:
         cube = compose_operators(rho, square)
-        pair = (combine_operators([(-1, square)], -den2, 16 * den2),
-                combine_operators([(-1, cube), (-den2, rho)], den=48 * den2 * den))
+        pair = (combine_operators([(-1, square)], -1, 16),
+                combine_operators([(-1, cube), (-1, rho)], den=48))
     _FIBER_CACHE[key] = pair
     return pair
 
@@ -319,9 +245,9 @@ class ComplexForm:
         return max(self.re.coefficient_height(), self.im.coefficient_height())
 
 
-def complex_type_part(model: HypercomplexModel, point: SpherePoint,
+def complex_type_part(model: HypercomplexModel, name: str,
                       form: KForm | ComplexForm, part: str) -> ComplexForm:
-    """One complex type component of a 2- or 3-form.
+    """One complex type component of a 2- or 3-form for the axis `name`.
 
     `part` is one of "20", "02" (degree 2) or "30", "03" (degree 3).  With
     R + iS the (0,k) projector, a complex input x + iy maps to
@@ -335,7 +261,7 @@ def complex_type_part(model: HypercomplexModel, point: SpherePoint,
     k = int(part[0]) + int(part[1])
     if x.degree != k:
         raise ValueError(f"expected a {k}-form")
-    re_op, im_op = type_projector(model, point, k)
+    re_op, im_op = type_projector(model, name, k)
     conjugate = part[0] != "0"
     re, im = apply_operator(re_op, x), apply_operator(im_op, x)
     if y is not None:

@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -7,10 +10,10 @@ import pytest
 
 from hktcalc import HypercomplexModel, KForm, Polynomial, ProjectorTable
 from hktcalc import exact_linalg as ela
-from hktcalc.forms import apply_operator, combine_operators, multi_indices
+from hktcalc.forms import apply_operator, combine_operators, compose_operators, multi_indices
 from hktcalc.geometry import conformal_metric, kahler_form
 from hktcalc.salamon import _condition_matrix, _condition_operators
-from hktcalc.structures import SpherePoint, StructureOperator, random_sphere_points
+from hktcalc.structures import ComplexForm, axis_derivations
 
 
 # Dense exact linear algebra: test oracles.  `hktcalc.exact_linalg` is the
@@ -157,6 +160,53 @@ def flat_form(name: str) -> KForm:
         "K": {(0, 3): 1, (1, 2): 1},
     }[name]
     return KForm(2, 4, {idx: Polynomial.constant(4, c) for idx, c in terms.items()})
+
+
+# Sphere points: oracle inputs.  The package names a structure by its axis
+# only; the oracles below take any exact rational point of S^2.
+
+@dataclass(frozen=True)
+class SpherePoint:
+    """An exact rational point (a, b, c) with a^2 + b^2 + c^2 = 1."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "c", Fraction(self.c))
+        if self.a * self.a + self.b * self.b + self.c * self.c != 1:
+            raise ValueError(f"({self.a}, {self.b}, {self.c}) is not on the unit sphere")
+
+    @classmethod
+    def from_parameters(cls, u, v) -> "SpherePoint":
+        """Stereographic image of a rational plane point; always exact."""
+        u, v = Fraction(u), Fraction(v)
+        s = 1 + u * u + v * v
+        return cls(2 * u / s, 2 * v / s, (1 - u * u - v * v) / s)
+
+    @staticmethod
+    def axis(name: str) -> "SpherePoint":
+        return SpherePoint(*(int(name == axis) for axis in "IJK"))
+
+    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
+        return (self.a, self.b, self.c)
+
+
+def random_sphere_points(count: int, seed: int) -> list[SpherePoint]:
+    """Deterministic exact rational sphere points (no axis points)."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        u = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        pt = SpherePoint.from_parameters(u, v)
+        # u, v in {0, +-1} can land on an axis; those have two zero coordinates.
+        if pt not in points and pt.as_tuple().count(0) < 2:
+            points.append(pt)
+    return points
 
 
 # The wedge-expansion builder: a test oracle.  The package builds every
@@ -315,23 +365,54 @@ def routed_fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, slots:
     return routed_operator(mat, k, model.dim, slots, den)
 
 
-class OracleSphereOperator(StructureOperator):
+class OracleSphereOperator:
     """Test oracle: the structure at any sphere point, with its matrix
     aI + bJ + cK, whose pullback expands that matrix with
-    `routed_operator`.  The package builds pullbacks at the axes only."""
+    `routed_operator`.  The package acts at the axes only."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("model", "point", "matrix")
 
     def __init__(self, model: HypercomplexModel, point: SpherePoint):
-        super().__init__(model, point)
+        self.model = model
+        self.point = point
         self.matrix = sphere_matrix(model, point)
 
     def pullback(self, form: KForm) -> KForm:
         return pullback(form, self.matrix)
 
+    def act(self, form: KForm) -> KForm:
+        moved = self.pullback(form)
+        return moved if form.degree % 2 == 0 else -moved
+
+    def twisted_d(self, form: KForm) -> KForm:
+        out = self.act(self.act(form).d())
+        return out if form.degree % 2 == 0 else -out
+
 
 def sphere_operator(model: HypercomplexModel, point: SpherePoint) -> OracleSphereOperator:
     return OracleSphereOperator(model, point)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_type_projector(model: HypercomplexModel, point: SpherePoint, k: int) -> tuple[dict, dict]:
+    """Test oracle: (Re, Im) of the (0,k) type projector at `point`, k = 2 or 3,
+    from the one- and two-slot insertion sums S1, S2 of aI + bJ + cK:
+    pi02 = ((1 - S2) + i S1)/4 and pi03 = (1 - S2)/8 - i S1 (S2 - 1)/24."""
+    s1, s2 = (routed_fiber_op(model, point, k, slots) for slots in (1, 2))
+    if k == 2:
+        return combine_operators([(-1, s2)], 1, 4), combine_operators([(1, s1)], den=4)
+    s2_minus_1 = combine_operators([(1, s2)], -1)
+    return combine_operators([(-1, s2)], 1, 8), combine_operators([(-1, compose_operators(s1, s2_minus_1))], den=24)
+
+
+def oracle_twistor_residual(model: HypercomplexModel, point: SpherePoint, form: KForm) -> ComplexForm:
+    """Test oracle: pi03_P(d pi02_P(form)) at any sphere point, from
+    `oracle_type_projector`; with R + iS the projector, x + iy maps to
+    (Rx - Sy) + i(Sx + Ry)."""
+    (re2, im2), (re3, im3) = (oracle_type_projector(model, point, k) for k in (2, 3))
+    x, y = apply_operator(re2, form).d(), apply_operator(im2, form).d()
+    return ComplexForm(apply_operator(re3, x) - apply_operator(im3, y),
+                       apply_operator(im3, x) + apply_operator(re3, y))
 
 
 # The three axes and three mixed Pythagorean points: a test oracle.  A
@@ -361,14 +442,152 @@ def condition_rank(model: HypercomplexModel, k: int, extra_points: Sequence[Sphe
     return ela.rank(_condition_matrix(model, k, ops))
 
 
-def default_sphere_witnesses(count_random: int = 4, seed: int = 20) -> list[SpherePoint]:
-    """Test oracle: the ten sphere points the twistor check once decided on.
+# The whole sphere as polynomials: a test oracle.  rho_P = a rho_I + b rho_J
+# + c rho_K (`structures.axis_derivations`), so a fiber operator at P applied
+# to a constant form is a polynomial in P = (a, b, c) with constant form
+# coefficients.  A sphere polynomial is {(i, j, k): {multi-index: value}},
+# the exponent of a^i b^j c^k first.  Writing |P|^2 = a^2 + b^2 + c^2 for the
+# 1 of the type projectors makes each part homogeneous, and a homogeneous
+# polynomial vanishes on S^2 only if it vanishes identically: its
+# coefficients speak for every sphere point at once.
 
-    The six `FIXED_WITNESSES` plus four random points (denominators up to
-    385).  `is_hkt_twistor` now decides at the three axes; the tests keep
-    these points to prove, and to spot-check, that the verdict is unchanged.
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _shift(exponent, unit):
+    return tuple(e + u for e, u in zip(exponent, unit))
+
+
+def sphere_combination(terms) -> dict:
+    """sum of c * poly over the (c, sphere polynomial) pairs in `terms`."""
+    out: dict = {}
+    for c, poly in terms:
+        for exponent, form in poly.items():
+            acc = out.setdefault(exponent, {})
+            for idx, x in form.items():
+                acc[idx] = acc.get(idx, 0) + c * x
+    return {e: f for e, f in ((e, {i: x for i, x in f.items() if x}) for e, f in out.items()) if f}
+
+
+def sphere_rho(model: HypercomplexModel, k: int, poly: dict) -> dict:
+    """rho_P applied to a sphere polynomial of k-forms."""
+    out: dict = {}
+    for unit, rho in zip(_UNITS, axis_derivations(model, k)):
+        for exponent, form in poly.items():
+            acc = out.setdefault(_shift(exponent, unit), {})
+            for idx, x in form.items():
+                for out_idx, y in rho[idx]:
+                    acc[out_idx] = acc.get(out_idx, 0) + x * y
+    return sphere_combination([(1, out)])
+
+
+def sphere_norm(poly: dict) -> dict:
+    """|P|^2 times a sphere polynomial."""
+    return sphere_combination([(1, {_shift(e, (2 * i, 2 * j, 2 * k)): f for e, f in poly.items()}) for i, j, k in _UNITS])
+
+
+def sphere_wedge(c: int, poly: dict) -> dict:
+    """e_c ^ a sphere polynomial."""
+    out = {}
+    for exponent, form in poly.items():
+        wedged = {}
+        for idx, x in form.items():
+            if c not in idx:
+                pos = sum(1 for i in idx if i < c)
+                wedged[idx[:pos] + (c,) + idx[pos:]] = -x if pos % 2 else x
+        if wedged:
+            out[exponent] = wedged
+    return out
+
+
+def sphere_evaluate(poly: dict, point: SpherePoint) -> dict:
+    """{multi-index: value} of a sphere polynomial at `point`."""
+    out: dict = {}
+    for exponent, form in poly.items():
+        weight = math.prod(v ** e for v, e in zip(point.as_tuple(), exponent))
+        for idx, x in form.items():
+            out[idx] = out.get(idx, 0) + weight * x
+    return {idx: x for idx, x in out.items() if x}
+
+
+# The scales (of Re, of Im) that make the homogenized projectors integral.
+TYPE_SCALE = {2: (8, 4), 3: (16, 48)}
+
+
+def homogeneous_type_projector(model: HypercomplexModel, k: int, poly: dict) -> tuple[dict, dict]:
+    """(8 Re, 4 Im) of pi02_P = -rho_P^2/8 + i rho_P/4 (k = 2), or (16 Re,
+    48 Im) of pi03_P = -(rho_P^2 + |P|^2)/16 - i (rho_P^3 + |P|^2 rho_P)/48
+    (k = 3), applied to a sphere polynomial of k-forms."""
+    rho = sphere_rho(model, k, poly)
+    square = sphere_rho(model, k, rho)
+    if k == 2:
+        return sphere_combination([(-1, square)]), rho
+    return (sphere_combination([(-1, square), (-1, sphere_norm(poly))]),
+            sphere_combination([(-1, sphere_rho(model, k, square)), (-1, sphere_norm(rho))]))
+
+
+def homogeneous_projector_at(model: HypercomplexModel, point: SpherePoint, k: int) -> tuple[dict, dict]:
+    """(Re, Im) of the (0,k) type projector at `point` as fiber operators:
+    `homogeneous_type_projector` of each basis k-form, evaluated there."""
+    pair: tuple[dict, dict] = ({}, {})
+    for idx in multi_indices(model.dim, k):
+        for op, scale, poly in zip(pair, TYPE_SCALE[k], homogeneous_type_projector(model, k, {(0, 0, 0): {idx: 1}})):
+            op[idx] = sorted((i, Fraction(x, scale)) for i, x in sphere_evaluate(poly, point).items())
+    return pair
+
+
+# pi03_P(e_c ^ pi02_P(v)) times JET_SCALE has integral coefficients.
+JET_SCALE = 384
+
+
+def jet_residual(model: HypercomplexModel, c: int, v_parts: tuple[dict, dict]) -> dict:
+    """{("re" or "im", exponent): {multi-index: value}}: JET_SCALE times the
+    twistor residual pi03_P(e_c ^ pi02_P(v)) of the jet (c, v), homogenized.
+
+    `v_parts` is (8X, 4Y) = `homogeneous_type_projector(model, 2, v)`, the
+    real and imaginary parts of pi02_P(v) over their scales.  With R + iS
+    = pi03_P, the residual (RX - SY) + i(SX + RY) times 384 is
+
+        3 (16R)(8X) - 2 (48S)(4Y), of degree 4, and
+        (48S)(8X) + 6 |P|^2 (16R)(4Y), of degree 5.
     """
-    return list(FIXED_WITNESSES) + random_sphere_points(count_random, seed)
+    (r8, s8), (r4, s4) = (homogeneous_type_projector(model, 3, sphere_wedge(c, part)) for part in v_parts)
+    re = sphere_combination([(3, r8), (-2, s4)])
+    im = sphere_combination([(1, s8), (6, sphere_norm(r4))])
+    return {(part, exponent): form for part, poly in (("re", re), ("im", im)) for exponent, form in poly.items()}
+
+
+def sphere_twistor_residual(model: HypercomplexModel, form: KForm) -> dict:
+    """Test oracle: the twistor residual of a polynomial 2-form at every point
+    of S^2 at once, as {("re" or "im", exponent): KForm}, JET_SCALE times the
+    homogenized pi03_P(d pi02_P(form)); empty exactly when the residual
+    vanishes on the whole sphere.
+
+    By linearity it is the sum over the jets: d_c F_idx times the
+    `jet_residual` of (c, e_idx)."""
+    out: dict = {}
+    for idx, p in form.terms.items():
+        v_parts = homogeneous_type_projector(model, 2, {(0, 0, 0): {idx: 1}})
+        for c in range(model.dim):
+            dp = p.partial(c)
+            if dp.is_zero():
+                continue
+            for key, column in jet_residual(model, c, v_parts).items():
+                acc = out.setdefault(key, {})
+                for out_idx, x in column.items():
+                    acc[out_idx] = acc[out_idx] + dp.scale(x) if out_idx in acc else dp.scale(x)
+    forms = {key: KForm(3, model.dim, {i: p for i, p in terms.items() if not p.is_zero()})
+             for key, terms in out.items()}
+    return {key: f for key, f in forms.items() if not f.is_zero()}
+
+
+def evaluate_residual(model: HypercomplexModel, residual: dict, point: SpherePoint) -> ComplexForm:
+    """The twistor residual at `point` of a `sphere_twistor_residual`."""
+    parts = {"re": KForm.zero(3, model.dim), "im": KForm.zero(3, model.dim)}
+    for (part, exponent), f in residual.items():
+        weight = math.prod(v ** e for v, e in zip(point.as_tuple(), exponent))
+        parts[part] = parts[part] + f * Fraction(weight, JET_SCALE)
+    return ComplexForm(parts["re"], parts["im"])
 
 
 # The complex Laplacian: a test oracle.  No verdict of the package uses it;

@@ -31,7 +31,6 @@ from hktcalc.geometry import (
 )
 from hktcalc.salamon import a11_subspace, salamon_D
 from hktcalc.scalars import Polynomial, random_polynomial
-from hktcalc.structures import random_sphere_points
 
 from conftest import (
     complex_laplacian,
@@ -40,6 +39,7 @@ from conftest import (
     flat_form,
     norm_squared,
     quarter_norm_potential,
+    random_sphere_points,
 )
 
 SEED = 20260811

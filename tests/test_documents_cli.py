@@ -813,7 +813,7 @@ class TestFailureTaxonomy:
         import hktcalc.geometry as geometry
 
         monkeypatch.setattr(geometry, "is_hkt_twistor",
-                            lambda model, form, points=None: geometry.TwistorCheck(False, []))
+                            lambda model, form: geometry.TwistorCheck(False, []))
 
     def test_convention_error_in_check_exits_4(self, tmp_path, capsys, monkeypatch):
         self._disagreeing_twistor(monkeypatch)

@@ -20,9 +20,16 @@ from hypothesis import strategies as st
 from hktcalc import exact_linalg as ela
 from hktcalc.forms import compose_operators, multi_indices
 from hktcalc.salamon import ProjectorTable, _condition_matrix, _condition_operators, bundle_B
-from hktcalc.structures import HypercomplexModel, random_sphere_points
+from hktcalc.structures import HypercomplexModel
 
-from conftest import condition_rank, dense_mat_mul, dense_null_space, dense_projector, dense_rref
+from conftest import (
+    condition_rank,
+    dense_mat_mul,
+    dense_null_space,
+    dense_projector,
+    dense_rref,
+    random_sphere_points,
+)
 
 
 def dense_solve(a, b):

@@ -19,11 +19,15 @@ equal:
   which built aI + bJ + cK in Fractions;
 * `oracle_fiber_op` -- an earlier `structures._fiber_op`, which expanded
   that Fraction matrix (with `_wedge_expansion` and the insertion sum).
-  The package now builds pullbacks at the axes only, with int entries,
-  and the (0,2) and (0,3) type projectors as polynomials in
-  rho_P = a rho_I + b rho_J + c rho_K; the tests below check them against
-  the one- and two-slot insertion sums S1, S2 of the oracle, and the P*
-  identities tie rho_P to the pullback at every sphere point;
+  The package now builds pullbacks and the (0,2) and (0,3) type
+  projectors at the axes only, with int entries.  The twistor
+  certificate homogenizes the projectors as polynomials in
+  rho_P = a rho_I + b rho_J + c rho_K (`conftest.
+  homogeneous_type_projector`); the tests below check them, and the jet
+  residuals built from them, against the one- and two-slot insertion sums
+  S1, S2 of the oracle off the axes and against `type_projector` at the
+  axes, and the P* identities tie rho_P to the pullback at every sphere
+  point;
 * `oracle_pair_insertion_operator` -- the former
   `forms.pair_insertion_operator` S(A, B), the symmetrized insertion of two
   maps into two distinct slots, which built the degree-3 B conditions.
@@ -73,28 +77,32 @@ from hktcalc.salamon import bundle_B, is_salamon_11
 from hktcalc.scalars import Polynomial, exact_coefficient, random_polynomial
 from hktcalc.structures import (
     HypercomplexModel,
-    SpherePoint,
-    StructureOperator,
     _axis_operators,
     axis_derivations,
-    random_sphere_points,
     type_projector,
 )
 
 from conftest import (
     FIXED_WITNESSES,
+    JET_SCALE,
+    SpherePoint,
     condition_rank,
-    default_sphere_witnesses,
     form_component_matrix,
+    homogeneous_projector_at,
     integer_sphere_matrix,
     oracle_conjugate,
     oracle_transpose_times,
+    oracle_twistor_residual,
+    oracle_type_projector,
+    random_sphere_points,
     routed_fiber_op,
     routed_operator,
+    sphere_evaluate,
     sphere_matrix,
     structure_matrix,
     transpose,
 )
+from test_twistor_certificate import _basis_forms, jet_columns
 
 MODELS = {1: HypercomplexModel(1), 2: HypercomplexModel(2)}
 
@@ -441,37 +449,71 @@ def entries(op):
     return {(in_idx, out_idx): c for in_idx, column in op.items() for out_idx, c in column if c}
 
 
-def _assert_type_projectors_match(model, point):
-    """pi02 = ((1 - S2) + i S1)/4 and pi03 = (1 - S2)/8 - i S1 (S2 - 1)/24,
-    with S1, S2 the oracle's one- and two-slot insertion sums."""
+def _assert_homogenized_projectors_match(model, point):
+    """The homogenized pi02 and pi03 at `point` equal the dense oracle's
+    pi02 = ((1 - S2) + i S1)/4 and pi03 = (1 - S2)/8 - i S1 (S2 - 1)/24,
+    with S1, S2 its one- and two-slot insertion sums, and `type_projector`
+    at an axis."""
+    coords = point.as_tuple()
+    axis = "IJK"[coords.index(1)] if 1 in coords else None
     for k in (2, 3):
-        s1, s2 = (routed_fiber_op(model, point, k, slots) for slots in (1, 2))
-        if k == 2:
-            expected = combine_operators([(-1, s2)], 1, 4), combine_operators([(1, s1)], den=4)
-        else:
-            s2_minus_1 = combine_operators([(1, s2)], -1)
-            expected = combine_operators([(-1, s2)], 1, 8), combine_operators([(-1, compose_operators(s1, s2_minus_1))], den=24)
-        pair = type_projector(model, point, k)
-        assert [entries(op) for op in pair] == [entries(op) for op in expected], (model.n, point, k)
-        assert all(type(c) is Fraction for op in pair for column in op.values() for _, c in column)
+        pair = [entries(op) for op in homogeneous_projector_at(model, point, k)]
+        assert pair == [entries(op) for op in oracle_type_projector(model, point, k)], (model.n, point, k)
+        if axis is not None:
+            assert pair == [entries(op) for op in type_projector(model, axis, k)], (model.n, axis, k)
+
+
+def _constant_form(model, k, terms):
+    return KForm(k, model.dim, {idx: Polynomial.constant(model.dim, x) for idx, x in terms.items()})
+
+
+def _assert_jet_residuals_match(model, point):
+    """The sphere stack of the twistor certificate, evaluated at `point`, is
+    JET_SCALE times the dense oracle's twistor residual of F = x_c v, for
+    every jet (c, v)."""
+    columns = jet_columns(model.n)
+    for v, basis_form in enumerate(_basis_forms(model)):
+        for c in range(model.dim):
+            parts = {"re": {}, "im": {}}
+            for key, x in columns[(c, v)].items():
+                if key[0] == "sphere":
+                    _, part, exponent, idx = key
+                    parts[part].setdefault(exponent, {})[idx] = x
+            at_point = [_constant_form(model, 3, sphere_evaluate(parts[part], point)) for part in ("re", "im")]
+            oracle = oracle_twistor_residual(model, point, basis_form * Polynomial.variable(model.dim, c))
+            assert at_point == [oracle.re * JET_SCALE, oracle.im * JET_SCALE], (model.n, point, c)
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_type_projectors_match_oracle_at_fixed_witnesses(n):
+def test_homogenized_projectors_match_oracle_at_fixed_witnesses(n):
+    # The three axes, where `type_projector` is compared too, and the
+    # three mixed Pythagorean points.
     for point in FIXED_WITNESSES:
-        _assert_type_projectors_match(MODELS[n], point)
+        _assert_homogenized_projectors_match(MODELS[n], point)
 
 
 @given(sphere_points(), st.sampled_from([1, 2]))
 @settings(max_examples=12, deadline=None)
-def test_type_projectors_match_oracle_at_random_points(point, n):
-    _assert_type_projectors_match(MODELS[n], point)
+def test_homogenized_projectors_match_oracle_at_random_points(point, n):
+    _assert_homogenized_projectors_match(MODELS[n], point)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_homogenized_jet_residuals_match_oracle_at_fixed_witnesses(n):
+    for point in FIXED_WITNESSES:
+        _assert_jet_residuals_match(MODELS[n], point)
+
+
+@given(sphere_points(), st.sampled_from([1, 2]))
+@settings(max_examples=6, deadline=None)
+def test_homogenized_jet_residuals_match_oracle_at_random_points(point, n):
+    _assert_jet_residuals_match(MODELS[n], point)
 
 
 def test_type_projectors_are_built_in_degrees_2_and_3_only():
     for k in (1, 4):
         with pytest.raises(ValueError, match="2- and 3-forms"):
-            type_projector(MODELS[2], FIXED_WITNESSES[3], k)
+            type_projector(MODELS[2], "J", k)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -578,12 +620,6 @@ def test_int_and_fraction_values_give_equal_kahler_forms(case, point):
     assert all(type(v) is Fraction for m in values for row in m for v in row)
 
 
-def test_pullback_is_built_at_the_axes_only():
-    model, point = MODELS[1], FIXED_WITNESSES[3]
-    with pytest.raises(ValueError, match="axes"):
-        StructureOperator(model, point).pullback(KForm.basis(4, (0, 1)))
-
-
 @given(sphere_points(), st.sampled_from([1, 2]))
 @settings(max_examples=12, deadline=None)
 def test_pullback_is_a_polynomial_in_rho_at_random_points(point, n):
@@ -620,7 +656,7 @@ def _assert_integer_sphere_matrix_matches(model, point):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_integer_sphere_matrix_over_den_is_the_fraction_matrix(n):
-    for point in default_sphere_witnesses():
+    for point in list(FIXED_WITNESSES) + random_sphere_points(4, seed=20):
         _assert_integer_sphere_matrix_matches(MODELS[n], point)
 
 
@@ -677,13 +713,14 @@ def structure_pair_oracle(n, k):
 
 
 def _assert_two_slot_sum_is_polarized(model, point):
-    """The two-slot insertion sum at (a, b, c), read off the type projectors
-    as S2 = 1 - 4 Re pi02 and 1 - 8 Re pi03, is sum_ij a_i a_j S(A_i, A_j)."""
+    """The two-slot insertion sum at (a, b, c), read off the homogenized type
+    projectors as S2 = 1 - 4 Re pi02 and 1 - 8 Re pi03, is
+    sum_ij a_i a_j S(A_i, A_j)."""
     coords = point.as_tuple()
     for k, scale in ((2, -4), (3, -8)):
         pairs = structure_pair_oracle(model.n, k)
         expected = combination((coords[i] * coords[j], op) for (i, j), op in pairs.items())
-        two_slot = combine_operators([(scale, type_projector(model, point, k)[0])], 1)
+        two_slot = combine_operators([(scale, homogeneous_projector_at(model, point, k)[0])], 1)
         assert entries(two_slot) == expected, (model.n, point, k)
 
 
@@ -697,7 +734,7 @@ def test_fixed_witnesses_determine_a_quadratic_form():
 def test_pair_insertion_matches_oracle_for_structure_pairs(n):
     # At the six fixed witnesses, whose evaluation matrix on the quadratic
     # monomials is invertible, so these six identities determine every
-    # S(A, B) of a structure pair from the cached operators.
+    # S(A, B) of a structure pair from rho_I, rho_J and rho_K.
     for point in FIXED_WITNESSES:
         _assert_two_slot_sum_is_polarized(MODELS[n], point)
 

@@ -26,14 +26,17 @@ from hktcalc.geometry import (
 )
 from hktcalc.salamon import is_salamon_11, salamon_D
 from hktcalc.scalars import Polynomial, random_polynomial
-from hktcalc.structures import HypercomplexModel, SpherePoint
+from hktcalc.structures import HypercomplexModel
 
 from conftest import (
+    SpherePoint,
     complex_laplacian,
     complex_laplacian_at,
     flat_form,
+    homogeneous_projector_at,
     norm_squared,
     quarter_norm_potential,
+    sphere_twistor_residual,
 )
 
 
@@ -260,13 +263,14 @@ class TestTwistorCriterion:
 
     def test_nonzero_02_part_off_axis_but_closed(self, model1):
         # At a generic sphere point the (0,2) part of the flat form is a
-        # nonzero complex form, yet remains del-bar closed since dF = 0.
-        from hktcalc.structures import complex_type_part
+        # nonzero complex form, yet remains del-bar closed since dF = 0: its
+        # residual vanishes on the whole sphere.
+        from hktcalc.forms import apply_operator
 
         pt = SpherePoint(Fraction(3, 5), Fraction(4, 5), Fraction(0))
-        g_part = complex_type_part(model1, pt, flat_form("I"), "02")
-        assert not g_part.is_zero()
-        assert is_hkt_twistor(model1, flat_form("I"), [pt]).ok
+        g_part = [apply_operator(op, flat_form("I")) for op in homogeneous_projector_at(model1, pt, 2)]
+        assert not all(part.is_zero() for part in g_part)
+        assert sphere_twistor_residual(model1, flat_form("I")) == {}
 
     def test_conformal_family(self, model1):
         rng = random.Random(75)

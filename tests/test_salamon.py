@@ -20,9 +20,17 @@ from hktcalc.salamon import (
     salamon_DI,
 )
 from hktcalc.scalars import Polynomial, random_polynomial
-from hktcalc.structures import HypercomplexModel, random_sphere_points
+from hktcalc.structures import HypercomplexModel
 
-from conftest import condition_rank, dense_projector, flat_form, quarter_norm_potential, routed_operator, structure_matrix
+from conftest import (
+    condition_rank,
+    dense_projector,
+    flat_form,
+    quarter_norm_potential,
+    random_sphere_points,
+    routed_operator,
+    structure_matrix,
+)
 
 
 def eta2_closed_form(model: HypercomplexModel, form: KForm) -> KForm:

@@ -7,22 +7,23 @@ import pytest
 from hktcalc import structures
 from hktcalc.batteries import random_kform
 from hktcalc.conventions import ConventionError
-from hktcalc.forms import KForm, multi_indices, operator_matrix
+from hktcalc.forms import KForm, apply_operator, multi_indices, operator_matrix
 from hktcalc.scalars import Polynomial
 from hktcalc.structures import (
     ComplexForm,
     HypercomplexModel,
-    SpherePoint,
     _compose,
     axis_image,
     complex_type_part,
-    random_sphere_points,
 )
 
 from conftest import (
     DENSE_BLOCKS,
+    SpherePoint,
     dense_mat_mul,
     flat_form,
+    homogeneous_projector_at,
+    random_sphere_points,
     routed_operator,
     sphere_matrix,
     sphere_operator,
@@ -229,18 +230,18 @@ class TestTwistedDifferential:
 
 class TestTypeDecomposition:
     def test_flat_form_has_no_02_part(self, model1):
-        part = complex_type_part(model1, SpherePoint.axis("I"), flat_form("I"), "02")
+        part = complex_type_part(model1, "I", flat_form("I"), "02")
         assert part.is_zero()
 
-    def test_two_form_completeness(self, model1):
-        # w = w20 + w11 + w02, with the (1,1) part (w + P*w)/2 from the
+    @pytest.mark.parametrize("name", ["I", "J", "K"])
+    def test_two_form_completeness(self, model1, name):
+        # w = w20 + w11 + w02, with the (1,1) part (w + A*w)/2 from the
         # oracle pullback: the real parts sum to w, the imaginary parts cancel.
         rng = random.Random(31)
-        pt = SpherePoint(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
-        oracle = sphere_operator(model1, pt)
+        oracle = sphere_operator(model1, SpherePoint.axis(name))
         for _ in range(10):
             w = random_kform(4, 2, rng)
-            p20, p02 = (complex_type_part(model1, pt, w, part) for part in ("20", "02"))
+            p20, p02 = (complex_type_part(model1, name, w, part) for part in ("20", "02"))
             w11 = (w + oracle.pullback(w)) * Fraction(1, 2)
             assert p20.re + w11 + p02.re == w
             assert (p20.im + p02.im).is_zero()
@@ -249,28 +250,30 @@ class TestTypeDecomposition:
         # For a real form the (2,0) part is the complex conjugate of the
         # (0,2) part; conjugation of a pair is (re, im) -> (re, -im).
         rng = random.Random(36)
-        for pt in random_sphere_points(3, seed=51):
+        for name in "IJK":
             w = random_kform(4, 2, rng)
-            p02 = complex_type_part(model1, pt, w, "02")
+            p02 = complex_type_part(model1, name, w, "02")
             assert not p02.im.is_zero()
-            assert complex_type_part(model1, pt, w, "20") == ComplexForm(p02.re, -p02.im)
+            assert complex_type_part(model1, name, w, "20") == ComplexForm(p02.re, -p02.im)
 
     def test_02_projector_idempotent_and_kills_20(self, model1):
         rng = random.Random(32)
-        for pt in random_sphere_points(3, seed=50):
+        for name in "IJK":
             w = random_kform(4, 2, rng)
-            p02 = complex_type_part(model1, pt, w, "02")
-            assert complex_type_part(model1, pt, p02, "02") == p02
-            assert complex_type_part(model1, pt, p02, "20").is_zero()
-            p20 = complex_type_part(model1, pt, w, "20")
-            assert complex_type_part(model1, pt, p20, "02").is_zero()
+            p02 = complex_type_part(model1, name, w, "02")
+            assert complex_type_part(model1, name, p02, "02") == p02
+            assert complex_type_part(model1, name, p02, "20").is_zero()
+            p20 = complex_type_part(model1, name, w, "20")
+            assert complex_type_part(model1, name, p20, "02").is_zero()
 
-    def test_02_projector_against_eigenspace_oracle(self, model1, model2):
+    @pytest.mark.parametrize("name", ["K", None])
+    def test_02_projector_against_eigenspace_oracle(self, model1, model2, name):
         # Independent oracle: the one-slot insertion sum s1 acts as i(p - q)
         # on (p,q)-forms, so its eigenvalues are 2i, 0, -2i on 2-forms and
         # 3i, i, -i, -3i on 3-forms.  The Lagrange interpolant at -ki over
-        # them, multiplied out in Fraction matrices, is the (0,k) projector.
-        pt = SpherePoint(Fraction(3, 5), Fraction(0), Fraction(4, 5))
+        # them, multiplied out in Fraction matrices, is the (0,k) projector:
+        # the package's at the axis K, the homogenized one off the axes.
+        pt = SpherePoint.axis(name) if name else SpherePoint(Fraction(3, 5), Fraction(0), Fraction(4, 5))
         rng = random.Random(33)
         for model, k, part, spectrum in ((model1, 2, "02", (2, 0, -2)), (model2, 3, "03", (3, 1, -1, -3))):
             dim = model.dim
@@ -292,45 +295,46 @@ class TestTypeDecomposition:
                 return KForm(k, dim, terms)
 
             for _ in range(5):
-                w = random_kform(dim, k, rng)
-                mine = complex_type_part(model, pt, w, part)
+                w = random_kform(dim, k, rng, 4)
+                if name:
+                    mine = complex_type_part(model, name, w, part)
+                else:
+                    mine = ComplexForm(*(apply_operator(op, w) for op in homogeneous_projector_at(model, pt, k)))
                 assert mine == ComplexForm(apply(real_part, w), apply(imag_part, w))
                 assert not mine.is_zero()
 
     def test_three_form_extreme_parts(self, model1):
         rng = random.Random(34)
-        pt = SpherePoint.axis("I")
         for _ in range(5):
             w = random_kform(4, 3, rng)
-            p03 = complex_type_part(model1, pt, w, "03")
-            p30 = complex_type_part(model1, pt, w, "30")
-            assert complex_type_part(model1, pt, p03, "03") == p03
-            assert complex_type_part(model1, pt, p03, "30").is_zero()
+            p03 = complex_type_part(model1, "I", w, "03")
+            p30 = complex_type_part(model1, "I", w, "30")
+            assert complex_type_part(model1, "I", p03, "03") == p03
+            assert complex_type_part(model1, "I", p03, "30").is_zero()
             # On R^4 there are no (3,0) or (0,3) forms: two complex dims.
             assert p03.is_zero() and p30.is_zero()
 
     def test_three_form_extreme_parts_n2(self, model2):
         rng = random.Random(35)
-        pt = SpherePoint(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
         found_nonzero = False
         for _ in range(5):
             w = random_kform(8, 3, rng)
-            p03 = complex_type_part(model2, pt, w, "03")
-            assert complex_type_part(model2, pt, p03, "03") == p03
-            assert complex_type_part(model2, pt, p03, "30").is_zero()
+            p03 = complex_type_part(model2, "J", w, "03")
+            assert complex_type_part(model2, "J", p03, "03") == p03
+            assert complex_type_part(model2, "J", p03, "30").is_zero()
             found_nonzero = found_nonzero or not p03.is_zero()
         assert found_nonzero
 
     def test_bad_part_label(self, model1):
         with pytest.raises(ValueError):
-            complex_type_part(model1, SpherePoint.axis("I"), KForm.zero(2, 4), "12")
+            complex_type_part(model1, "I", KForm.zero(2, 4), "12")
 
 
 class TestComplexForm:
     def test_type_parts_are_complex_linear(self, model2):
-        # pi(x + iy) = pi(x) + i pi(y) for every part, at an axis and off it.
+        # pi(x + iy) = pi(x) + i pi(y) for every part, at two axes.
         rng = random.Random(41)
-        for pt in (SpherePoint.axis("J"), SpherePoint(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))):
+        for pt in ("J", "K"):
             for part in ("20", "02", "30", "03"):
                 k = int(part[0]) + int(part[1])
                 x, y = random_kform(8, k, rng, 4), random_kform(8, k, rng, 4)
@@ -380,4 +384,4 @@ class TestAxisSquares:
             else:
                 cube = compose_operators(op, square)
                 expected = combine_operators([(-1, square)], -1, 16), combine_operators([(-1, cube), (-1, op)], den=48)
-            assert structures.type_projector(model, SpherePoint.axis(name), k) == expected
+            assert structures.type_projector(model, name, k) == expected

@@ -9,21 +9,29 @@ give the same verdict on every polynomial (1,1)-form; the row spaces are
 equal when both matrices and their stack have the same rank.
 
 `is_hkt_twistor` decides at the axes I, J, K (`geometry.TWISTOR_AXES`).
-For n = 1, 2, 3 this module proves that the axes' stacked matrix has the
-row space of the ten witnesses the check used before (`conftest.
-default_sphere_witnesses`, the oracle), of the Salamon residual eta_3(dF)
-and of the definition residuals.  It also runs the old ten-point check
-next to the new one on the golden sources, on equivalence-battery cases
-and on the benchmark's `hkt check` documents.
+The twistor criterion asks for every structure P = aI + bJ + cK of S^2.
+At P the residual of the jet (c, v) is pi03_P(e_c ^ pi02_P(v)), and
+rho_P = a rho_I + b rho_J + c rho_K makes it a polynomial in (a, b, c);
+homogenized with |P|^2 = 1 its real part has degree 4 and its imaginary
+part degree 5 (`conftest.jet_residual`).  A homogeneous polynomial
+vanishes on S^2 only if it vanishes identically, so the stack of its
+coefficient matrices, the sphere stack, has the row space of all sphere
+points together.  For n = 1, 2, 3 this module proves that the axes'
+stacked matrix has the row space of the sphere stack, of the Salamon
+residual eta_3(dF) and of the definition residuals.  It also compares the
+axes' verdict with the whole-sphere oracle (`conftest.
+sphere_twistor_residual`) on the golden sources, on equivalence-battery
+cases and on the benchmark's `hkt check` documents.
 
 The columns are built from constant forms.  For a constant form w,
 d(x_c w) = e_c ^ w, and the type projectors and eta are constant, so for
-F = x_c v the twistor residual at P is pi03_P(e_c ^ pi02_P(v)) and the
-Salamon residual is eta_3(e_c ^ v).  The Kahler forms of F = x_c v
+F = x_c v the twistor residual at an axis A is pi03_A(e_c ^ pi02_A(v)) and
+the Salamon residual is eta_3(e_c ^ v).  The Kahler forms of F = x_c v
 (`kahler_forms`) are x_c F_A(v), with F_A(v) those of v, so its
 definition residuals are A(e_c ^ F_A(v)) - B(e_c ^ F_B(v)) for AB = IJ,
 JK.  A test checks these columns against the residuals the polynomial
-pipeline computes for F = x_c v, for n = 1, 2.
+pipeline computes for F = x_c v, for n = 1, 2; tests/test_fiber_kernel.py
+checks the sphere stack against the dense oracle at sphere points.
 """
 
 import functools
@@ -51,7 +59,13 @@ from hktcalc.salamon import a11_subspace
 from hktcalc.scalars import Polynomial
 from hktcalc.structures import ComplexForm, complex_type_part
 
-from conftest import default_sphere_witnesses
+from conftest import (
+    SpherePoint,
+    evaluate_residual,
+    homogeneous_type_projector,
+    jet_residual,
+    sphere_twistor_residual,
+)
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _source as golden_source
 
@@ -60,8 +74,6 @@ CERTIFIED_N = (1, 2, 3)
 JETS = {1: 4, 2: 48, 3: 180}
 FULL_RANK = {1: 0, 2: 8, 3: 40}
 
-WITNESSES = default_sphere_witnesses()
-AXES = [WITNESSES.index(point) for point in TWISTOR_AXES]
 
 
 def _basis_forms(model):
@@ -72,10 +84,11 @@ def _basis_forms(model):
 def _residuals(model, table, form) -> dict:
     """Every criterion's residual of `form`, as rational forms by key."""
     out = {}
-    for i, point in enumerate(WITNESSES):
-        residual = is_hkt_twistor(model, form, [point]).point_residuals[0][1]
-        out[("twistor", i, "re")] = residual.re
-        out[("twistor", i, "im")] = residual.im
+    for name, residual in is_hkt_twistor(model, form).point_residuals:
+        out[("twistor", name, "re")] = residual.re
+        out[("twistor", name, "im")] = residual.im
+    for key, residual in sphere_twistor_residual(model, form).items():
+        out[("sphere",) + key] = residual
     out[("salamon",)] = is_hkt_salamon(table, form).residual
     definition = is_hkt_definition(model, form)
     out[("definition", "IJ")] = definition.residual_ij
@@ -101,21 +114,27 @@ def jet_columns(n: int) -> dict:
     columns = {}
     ops = [model.operator(name) for name in "IJK"]
     for v, basis_form in enumerate(_basis_forms(model)):
-        parts = [complex_type_part(model, point, basis_form, "02") for point in WITNESSES]
+        parts = [complex_type_part(model, name, basis_form, "02") for name in TWISTOR_AXES]
         kahler = kahler_forms(model, basis_form)
+        # pi02_P(v), from rho_P v and rho_P^2 v, once per v.
+        v_parts = homogeneous_type_projector(model, 2, {(0, 0, 0): {idx: p.constant_term()
+                                                                   for idx, p in basis_form.terms.items()}})
         for c in range(model.dim):
             e_c = KForm.dx(model.dim, c)
             residuals = {}
-            for i, (point, part) in enumerate(zip(WITNESSES, parts)):
+            for name, part in zip(TWISTOR_AXES, parts):
                 d_part = ComplexForm(e_c.wedge(part.re), e_c.wedge(part.im))
-                residual = complex_type_part(model, point, d_part, "03")
-                residuals[("twistor", i, "re")] = residual.re
-                residuals[("twistor", i, "im")] = residual.im
+                residual = complex_type_part(model, name, d_part, "03")
+                residuals[("twistor", name, "re")] = residual.re
+                residuals[("twistor", name, "im")] = residual.im
             residuals[("salamon",)] = table.eta(e_c.wedge(basis_form))
             i_part, j_part, k_part = (op.act(e_c.wedge(f)) for op, f in zip(ops, kahler))
             residuals[("definition", "IJ")] = i_part - j_part
             residuals[("definition", "JK")] = j_part - k_part
-            columns[(c, v)] = _column(residuals)
+            column = _column(residuals)
+            for key, form in jet_residual(model, c, v_parts).items():
+                column.update({("sphere",) + key + (idx,): x for idx, x in form.items()})
+            columns[(c, v)] = column
     return columns
 
 
@@ -131,10 +150,11 @@ def jet_rank(columns: dict, *criteria) -> int:
     return ela.rank([[col.get(key, 0) for key in keys] for col in columns.values()])
 
 
-def twistor(*indices):
-    return [("twistor", i) for i in indices]
+def twistor(*names):
+    return [("twistor", name) for name in names]
 
 
+SPHERE = [("sphere",)]
 SALAMON = [("salamon",)]
 DEFINITION = [("definition",)]
 
@@ -143,15 +163,15 @@ DEFINITION = [("definition",)]
 def certificate(request):
     n = request.param
     columns = jet_columns(n)
-    axes, ten = twistor(*AXES), twistor(*range(len(WITNESSES)))
+    axes = twistor(*TWISTOR_AXES)
     ranks = {
         "salamon": jet_rank(columns, *SALAMON),
-        "I": jet_rank(columns, *twistor(AXES[0])),
-        "J": jet_rank(columns, *twistor(AXES[1])),
+        "I": jet_rank(columns, *twistor("I")),
+        "J": jet_rank(columns, *twistor("J")),
+        "sphere": jet_rank(columns, *SPHERE),
+        "sphere+salamon": jet_rank(columns, *SPHERE, *SALAMON),
         "axes": jet_rank(columns, *axes),
-        "ten": jet_rank(columns, *ten),
         "axes+salamon": jet_rank(columns, *axes, *SALAMON),
-        "ten+salamon": jet_rank(columns, *ten, *SALAMON),
         "definition": jet_rank(columns, *DEFINITION),
         "definition+salamon": jet_rank(columns, *DEFINITION, *SALAMON),
     }
@@ -166,12 +186,12 @@ def test_jet_count_and_rank_formula(certificate):
     assert ranks["J"] == FULL_RANK[n]
 
 
-def test_axes_decide_like_the_ten_witnesses_and_the_salamon_residual(certificate):
+def test_axes_decide_like_the_whole_sphere_and_the_salamon_residual(certificate):
     # Equal ranks of A, B and [A; B] give equal row spaces, hence equal
-    # kernels: the axes, the ten witnesses and eta_3(dF) vanish on exactly
-    # the same jets.
+    # kernels: the axes, every point of S^2 and eta_3(dF) vanish on
+    # exactly the same jets.
     n, _, ranks = certificate
-    same = ("salamon", "axes", "ten", "axes+salamon", "ten+salamon")
+    same = ("sphere", "salamon", "sphere+salamon", "axes", "axes+salamon")
     assert {name: ranks[name] for name in same} == dict.fromkeys(same, FULL_RANK[n])
 
 
@@ -196,20 +216,21 @@ def test_columns_equal_the_residuals_of_x_c_v(n):
             assert _column(direct) == columns[(c, v)]
 
 
-# The old path as an oracle: ten witnesses against the axes on real inputs.
+# The whole sphere as the oracle of the axes on real inputs.
 
-def _assert_axes_agree_with_ten_witnesses(model, form):
+def _assert_axes_agree_with_the_whole_sphere(model, form):
     default = is_hkt_twistor(model, form)
-    oracle = is_hkt_twistor(model, form, WITNESSES)
-    assert [p for p, _ in default.point_residuals] == list(TWISTOR_AXES)
-    assert default.ok == oracle.ok
-    assert default.point_residuals == [oracle.point_residuals[i] for i in AXES]
+    oracle = sphere_twistor_residual(model, form)
+    assert [name for name, _ in default.point_residuals] == list(TWISTOR_AXES)
+    assert default.ok == (not oracle)
+    for name, residual in default.point_residuals:
+        assert residual == evaluate_residual(model, oracle, SpherePoint.axis(name))
 
 
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_old_path_on_golden_sources(name, table1, table2):
     table = table1 if name.startswith("n1") else table2
-    _assert_axes_agree_with_ten_witnesses(table.model, golden_source(name, table))
+    _assert_axes_agree_with_the_whole_sphere(table.model, golden_source(name, table))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -226,7 +247,7 @@ def test_old_path_on_equivalence_battery_cases(seed, table1, table2, monkeypatch
     # Case i is EQUIVALENCE_CYCLE[i % 4]: potential, conformal, potential, negative.
     assert outcome.ok and [model.n for model, _ in forms] == [1, 1, 2, 2] * 2
     for model, f_i in forms:
-        _assert_axes_agree_with_ten_witnesses(model, f_i)
+        _assert_axes_agree_with_the_whole_sphere(model, f_i)
 
 
 def test_old_path_on_check_documents():
@@ -246,4 +267,4 @@ def test_old_path_on_check_documents():
         else:
             form = doc.payload
         assert not form.is_zero(), case["name"]
-        _assert_axes_agree_with_ten_witnesses(doc.model, form)
+        _assert_axes_agree_with_the_whole_sphere(doc.model, form)
