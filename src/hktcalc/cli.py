@@ -43,7 +43,6 @@ import sys
 import time
 from pathlib import Path
 
-from .batteries import identity_suite
 from .conventions import ConventionError
 from .documents import MAX_N, DocumentError, InputDocument, Report
 from .geometry import (
@@ -144,6 +143,8 @@ def cmd_identities(args) -> int:
         report.warnings.append("count is 0: the suite passes vacuously")
         _emit(report, args.out)
         return EXIT_OK
+    from .batteries import identity_suite
+
     start = time.perf_counter()
     try:
         report.checks = identity_suite(ns, args.seed, args.count)

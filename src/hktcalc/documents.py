@@ -8,14 +8,16 @@ and either is refused unless `is_salamon_11` holds, which for a metric
 means it is symmetric and invariant under I, J and K.  Reports are
 deterministic given (input, seed): timings live in their own key so two
 runs can be compared byte-for-byte after dropping it.
+
+The classes here are plain classes, and `hashlib` is imported only when
+`InputDocument.digest` runs: `hkt` starts without `dataclasses` (which
+loads `inspect`) or `hashlib`, and `hkt identities` never loads the latter.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .forms import KForm
@@ -39,12 +41,12 @@ VALID_KINDS = ("metric", "form", "potential", "conformal4d")
 MAX_N = 3
 
 
-@dataclass
 class InputDocument:
-    kind: str
-    model: HypercomplexModel
-    payload: object
-    raw: dict
+    def __init__(self, kind: str, model: HypercomplexModel, payload: object, raw: dict):
+        self.kind = kind
+        self.model = model
+        self.payload = payload
+        self.raw = raw
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "InputDocument":
@@ -126,6 +128,8 @@ class InputDocument:
         return cls.from_json(obj)
 
     def digest(self) -> str:
+        import hashlib
+
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"), default=_long_int_text)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -159,29 +163,29 @@ def _long_int_text(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-@dataclass
 class CheckOutcome:
     """One named verification with its case count."""
 
-    name: str
-    ok: bool
-    cases: int
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, cases: int, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.cases = cases
+        self.detail = detail
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok, "cases": self.cases, "detail": self.detail}
 
 
-@dataclass
 class Report:
-    command: str
-    seed: int | None = None
-    input_digest: str | None = None
-    checks: list = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
-    data: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+    def __init__(self, command: str, seed: int | None = None):
+        self.command = command
+        self.seed = seed
+        self.input_digest: str | None = None
+        self.checks: list = []
+        self.verdicts: dict = {}
+        self.data: dict = {}
+        self.warnings: list = []
+        self.timings: dict = {}
 
     @property
     def all_ok(self) -> bool:

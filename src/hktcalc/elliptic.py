@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -104,22 +103,19 @@ def check_grid_spacing(m: int, lo: float, hi: float) -> None:
         )
 
 
-@dataclass
 class ConformalMetricSpec:
     """g = phi * delta on a box [lo, hi]^4; phi must be positive there."""
 
-    phi: Polynomial
-    box: tuple[float, float] = (-1.0, 1.0)
-
-    def __post_init__(self):
-        if self.phi.dim != 4:
+    def __init__(self, phi: Polynomial, box: tuple[float, float] = (-1.0, 1.0)):
+        if phi.dim != 4:
             raise ValueError("conformal solver is specific to dimension 4 (n = 1)")
-        lo, hi = self.box
+        lo, hi = box
         if not lo < hi:
             raise ValueError("box must satisfy lo < hi")
+        self.phi = phi
+        self.box = box
 
 
-@dataclass(frozen=True)
 class SolverConfig:
     """Linear-solve controls for the direct DST-I Poisson solve.
 
@@ -128,18 +124,15 @@ class SolverConfig:
     `dirichlet` is a Polynomial, or None for zero boundary data.
     """
 
-    tol: float = 1e-10
-    dirichlet: Polynomial | None = None
-
-    def __post_init__(self):
+    def __init__(self, tol: float = 1e-10, dirichlet: Polynomial | None = None):
         # An infinite or NaN tolerance bounds nothing: the residual gate's
         # 100 * tol / min(phi) would pass any finite residual, or none.
-        if not (0 < self.tol < math.inf):
-            raise ValueError(f"tolerance must be a positive finite number, got {self.tol!r}")
-        if self.dirichlet is not None and not (
-            isinstance(self.dirichlet, Polynomial) and self.dirichlet.dim == 4
-        ):
+        if not (0 < tol < math.inf):
+            raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
+        if dirichlet is not None and not (isinstance(dirichlet, Polynomial) and dirichlet.dim == 4):
             raise ValueError("dirichlet data must be a Polynomial on R^4 or None")
+        self.tol = tol
+        self.dirichlet = dirichlet
 
 
 class Grid4D:
@@ -321,10 +314,10 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
     }
 
 
-@dataclass
 class SolveResult:
-    grid: Grid4D
-    diagnostics: dict
+    def __init__(self, grid: Grid4D, diagnostics: dict):
+        self.grid = grid
+        self.diagnostics = diagnostics
 
 
 def _write_dirichlet_faces(config: SolverConfig, grid: Grid4D) -> None:

@@ -1,16 +1,19 @@
-"""Sparse exact linear algebra over Fraction entries.
+"""Sparse exact linear algebra over int and Fraction entries.
 
 Matrices cross the interface as lists of lists.  The fiber matrices of the
 form bundles are almost all zeros, so elimination holds rows as
 {column: value} dicts, touches only nonzero entries and drops entries that
 cancel.  The reduced row echelon form is unique, so every result equals the
-dense route's, which the tests keep as their oracle.  No inverse and no
+dense route's, which the tests keep as their oracle.  `inertia` forms no
+Fraction: it eliminates in ints (see its docstring), and the tests keep the
+Fraction elimination it replaced as its oracle.  No inverse and no
 projector is formed here: the fiber projectors of `hktcalc.salamon` are
 polynomials in the sp(1) Casimir.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -105,59 +108,75 @@ def solve(a: Sequence[Sequence], b: Sequence):
 
 
 def inertia(m: Sequence[Sequence]) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix
+    with int or Fraction entries, by fraction-free elimination.
 
-    Symmetric Gaussian elimination replaces S by E S E^T with E invertible,
-    a congruence, so by Sylvester's law of inertia the signs of the pivots
-    it takes off the diagonal count the signs of the eigenvalues.  When
-    every remaining diagonal entry is 0 but some S[i][j] is not, adding row
-    and column j to row and column i (again a congruence) makes
-    S[i][i] = 2 S[i][j] a nonzero pivot.  Raises ValueError on a
-    non-symmetric matrix.
+    Gaussian elimination on a symmetric S with pivots taken off the
+    diagonal is a congruence, so by Sylvester's law of inertia the signs
+    of its pivots count the signs of the eigenvalues.  Each row of the
+    remaining Schur complement is kept as an int row that is a positive
+    multiple of it, reduced by the gcd of its entries.  Row i of the
+    input starts times the lcm of its denominators.  Pivoting on p maps
+    row k to |d| row_k - sign(d) s_kp row_p for the stored diagonal entry
+    d, again a positive multiple, so the sign of d is the pivot's; rows
+    with s_kp = 0 are left alone.  Dividing out each row's content keeps
+    its entries no larger than the minors Bareiss's elimination would
+    carry, and far smaller when the input's denominators differ from row
+    to row.  The pivot is the nonzero diagonal entry of least absolute
+    value, which keeps a large entry out of the other rows until the end.
+
+    When every remaining diagonal entry is 0 but some s_ij is not, the
+    block [[0, s_ij], [s_ij, 0]] has one positive and one negative
+    eigenvalue, and eliminating it maps row k to
+    s_ij s_ji row_k - s_kj s_ji row_i - s_ki s_ij row_j (s_ij s_ji > 0).
+    Raises ValueError on a non-symmetric matrix.
     """
     n = len(m)
     if any(len(row) != n or any(m[i][j] != m[j][i] for j in range(i)) for i, row in enumerate(m)):
         raise ValueError("inertia needs a square symmetric matrix")
-    rows = {i: {j: Fraction(x) for j, x in enumerate(row) if x} for i, row in enumerate(m)}
+    rows = {}
+    for i, row in enumerate(m):
+        scale = math.lcm(*(x.denominator for x in row))
+        rows[i] = {j: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
     positive = negative = 0
     while True:
-        p = next((i for i, row in rows.items() if i in row), None)
-        if p is None:
-            p = next((i for i, row in rows.items() if row), None)
-            if p is None:
-                break  # the rest of S is zero
-            _fold(rows, p, next(iter(rows[p])))
-        pivot_row = rows.pop(p)
-        d = pivot_row.pop(p)
-        if d > 0:
-            positive += 1
-        else:
-            negative += 1
-        for k, s_kp in pivot_row.items():
-            f = s_kp / d
-            row = rows[k]
-            del row[p]
-            for j, s_pj in pivot_row.items():
-                v = row.get(j, 0) - f * s_pj
-                if v:
-                    row[j] = v
-                else:
-                    row.pop(j, None)
+        p = min((i for i, row in rows.items() if i in row), key=lambda i: abs(rows[i][i]), default=None)
+        if p is not None:
+            pivot_row = rows.pop(p)
+            d = pivot_row[p]
+            if d > 0:
+                positive += 1
+            else:
+                negative += 1
+            for k, row in rows.items():
+                s_kp = row.get(p)
+                if s_kp:
+                    rows[k] = _primitive_combination([(abs(d), row), (-s_kp if d > 0 else s_kp, pivot_row)])
+            continue
+        i = next((i for i, row in rows.items() if row), None)
+        if i is None:
+            break  # the rest of S is zero
+        row_i = rows.pop(i)
+        j = next(iter(row_i))
+        row_j = rows.pop(j)
+        s_ij, s_ji = row_i[j], row_j[i]
+        positive += 1
+        negative += 1
+        for k, row in rows.items():
+            s_ki, s_kj = row.get(i, 0), row.get(j, 0)
+            if s_ki or s_kj:
+                rows[k] = _primitive_combination([(s_ij * s_ji, row), (-s_kj * s_ji, row_i), (-s_ki * s_ij, row_j)])
     return positive, negative, n - positive - negative
 
 
-def _fold(rows: dict, i: int, j: int) -> None:
-    """S <- E S E^T for E = Id + e_i e_j^T on symmetric {i: {j: S_ij}} rows:
-    add row and column j to row and column i, in place."""
-    ri, rj = rows[i], rows[j]
-    touched = (set(ri) | set(rj)) - {i}
-    new = {k: ri.get(k, 0) + rj.get(k, 0) for k in touched}
-    new[i] = ri.get(i, 0) + 2 * ri.get(j, 0) + rj.get(j, 0)
-    new = {k: v for k, v in new.items() if v}
-    for k in touched:
-        if k in new:
-            rows[k][i] = new[k]
-        else:
-            rows[k].pop(i, None)
-    rows[i] = new
-
+def _primitive_combination(terms: Sequence[tuple[int, dict]]) -> dict:
+    """The sparse int row sum of c * row over `terms`, zeros dropped and
+    divided by the gcd of its entries."""
+    out: dict = {}
+    for c, row in terms:
+        if c:
+            for j, x in row.items():
+                out[j] = out.get(j, 0) + c * x
+    out = {j: v for j, v in out.items() if v}
+    g = math.gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out

@@ -5,31 +5,34 @@ so every form has one canonical representation and equality of forms is
 equality of term maps.  Coefficients are `Polynomial` values over Q.
 Wedge products and exterior derivatives are exact.
 
+`d` makes one pass over the (index, exponent, coefficient) triples and
+adds each derivative term straight into the term map of its output index.
+
 The module also provides the fiberwise machinery shared by the structure
 and projection layers: a constant linear operator on the k-form fiber is
-represented sparsely as a map  input-index -> [(output-index, coeff), ...]
-and can be applied coefficient-wise to polynomial forms or exported as an
-exact matrix.
+a `FiberOperator`, a sparse map  input-index -> [(output-index, entry), ...]
+of int entries over one positive int denominator `den`, and can be applied
+coefficient-wise to polynomial forms or exported as an exact matrix.
 
 Every such operator -- structure pullbacks, type projectors, the projectors
 eta, the B conditions -- goes through one kernel, `apply_operator`: it adds
-coeff times each input term straight into one {exponent: coefficient} map
-per output index, drops zeros once at the end and builds each output
-polynomial once.
+entry times each input term straight into one {exponent: coefficient} map
+per output index, divides each accumulated coefficient by `den` once (an
+integral value stays an int), drops zeros and builds each output
+polynomial once.  No term of an application pays a Fraction product.
 
 Operators are built by two sparse routines.  `compose_operators` composes
-two of them, and `combine_operators` forms sum c_i op_i + shift Id over one
-int denominator.  `hktcalc.structures` builds the axis derivations
-rho_I, rho_J, rho_K with int entries, and every sphere operator is a
-polynomial in them: products and sums stay in ints, and each entry is
-divided once at the end.  Operator entries are ints or Fractions, like
-polynomial coefficients: the axis operators keep int entries, and an
-operator divided by a denominator stores Fractions.
+two of them, and `combine_operators` forms (sum c_i op_i + shift Id)/den.
+`hktcalc.structures` builds the axis derivations rho_I, rho_J, rho_K with
+int entries, and every sphere operator is a polynomial in them: products
+and sums stay in ints, over the product of the denominators, and nothing
+is divided until an operator is applied or exported.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -90,6 +93,28 @@ def insert_index(idx: MultiIndex, c: int) -> tuple[MultiIndex | None, int]:
     pos = sum(1 for i in idx if i < c)
     merged = idx[:pos] + (c,) + idx[pos:]
     return merged, -1 if pos % 2 else 1
+
+
+# (dx_j ^ dx_idx as `insert_index` gives it) for j in range(dim), per (idx, dim).
+_INSERTIONS: dict = {}
+
+
+def _insertions(idx: MultiIndex, dim: int) -> tuple:
+    table = _INSERTIONS.get((idx, dim))
+    if table is None:
+        table = _INSERTIONS[idx, dim] = tuple(insert_index(idx, j) for j in range(dim))
+    return table
+
+
+def _nonzero_terms(dim: int, sums: dict) -> dict:
+    """{multi-index: Polynomial} of accumulated {multi-index: {exponent: value}}
+    maps, zero values and empty components dropped."""
+    out = {}
+    for idx, acc in sums.items():
+        coeffs = {exp: value for exp, value in acc.items() if value}
+        if coeffs:
+            out[idx] = Polynomial._raw(dim, coeffs)
+    return out
 
 
 class KForm:
@@ -234,25 +259,30 @@ class KForm:
         return KForm._raw(degree, self.dim, out)
 
     def d(self) -> "KForm":
-        """Exterior derivative; top-degree input yields the zero form."""
-        out: dict = {}
+        """Exterior derivative; top-degree input yields the zero form.
+
+        One pass over the (index, exponent, coefficient) triples: the term
+        c x^e of the idx component adds e_j c x^(e - u_j), with the sign
+        of dx_j ^ dx_idx, to that component for each j with e_j > 0.
+        """
+        sums: dict = {}
         for idx, poly in self.terms.items():
-            for c in range(self.dim):
-                dp = poly.partial(c)
-                if dp.is_zero():
-                    continue
-                new_idx, sign = insert_index(idx, c)
-                if new_idx is None:
-                    continue
-                if sign < 0:
-                    dp = -dp
-                acc = out.get(new_idx)
-                dp = dp if acc is None else acc + dp
-                if dp.is_zero():
-                    out.pop(new_idx, None)
-                else:
-                    out[new_idx] = dp
-        return KForm._raw(self.degree + 1, self.dim, out)
+            inserted = _insertions(idx, self.dim)
+            for exp, coeff in poly.terms.items():
+                for j, e in enumerate(exp):
+                    if not e:
+                        continue
+                    new_idx, sign = inserted[j]
+                    if new_idx is None:
+                        continue
+                    acc = sums.get(new_idx)
+                    if acc is None:
+                        sums[new_idx] = acc = {}
+                    new_exp = exp[:j] + (e - 1,) + exp[j + 1:]
+                    value = coeff * e if sign > 0 else coeff * -e
+                    prev = acc.get(new_exp)
+                    acc[new_exp] = value if prev is None else prev + value
+        return KForm._raw(self.degree + 1, self.dim, _nonzero_terms(self.dim, sums))
 
     # -- serialization -------------------------------------------------
 
@@ -298,50 +328,88 @@ def hessian(f: Polynomial) -> list[list[Polynomial]]:
 
 # -- fiberwise constant operators on k-forms ------------------------------
 
-FiberOperator = dict
+class FiberOperator(dict):
+    """A constant linear operator on the k-form fiber, over one denominator.
+
+    A map input index -> [(output index, entry), ...], each column sorted
+    by output index with no zero entry; the operator is the entries over
+    the positive int `den`.  The builders keep int entries, so applying
+    the operator multiplies ints and divides once per output coefficient.
+    A plain dict of columns is an operator over den 1 to every routine
+    here.  Two operators are equal when their matrices are, whatever
+    their denominators.
+    """
+
+    __slots__ = ("den",)
+
+    def __init__(self, columns=(), den: int = 1):
+        super().__init__(columns)
+        self.den = den
+
+    def __eq__(self, other):
+        if not isinstance(other, dict):
+            return NotImplemented
+        a, b = self.den, _den(other)
+        return self.keys() == other.keys() and all(
+            [(i, v * b) for i, v in column] == [(i, v * a) for i, v in other[idx]]
+            for idx, column in self.items())
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
 
-def _accumulate(acc: dict, terms: dict, coeff) -> None:
-    """acc += coeff * terms, on {exponent: int or Fraction} maps; zeros are kept."""
-    for exp, value in terms.items():
-        prev = acc.get(exp)
-        acc[exp] = value * coeff if prev is None else prev + value * coeff
+def _den(op: dict) -> int:
+    return getattr(op, "den", 1)
 
 
-def _polynomial(dim: int, acc: dict) -> Polynomial:
-    """The canonical polynomial of an accumulated term map."""
-    return Polynomial._raw(dim, {exp: value for exp, value in acc.items() if value})
+def _divided(value, den: int):
+    """value / den for an int or Fraction value, an int when integral."""
+    if type(value) is int:
+        q, r = divmod(value, den)
+        return Fraction(value, den) if r else q
+    value = value / den
+    return value.numerator if value.denominator == 1 else value
 
 
 def apply_operator(op: FiberOperator, form: KForm) -> KForm:
     """Apply a fiber operator coefficient-wise to a polynomial form.
 
     The one kernel for every constant-coefficient fiber operator: each
-    output index accumulates into one term map, which becomes one
-    polynomial at the end.
+    output index accumulates entry times coefficient into one term map,
+    whose values are divided by the operator's denominator once and
+    become one polynomial at the end.
     """
     sums: dict = {}
     for idx, poly in form.terms.items():
-        for out_idx, coeff in op.get(idx, ()):
+        column = op.get(idx)
+        if column is None:
+            continue
+        terms = poly.terms
+        for out_idx, coeff in column:
             acc = sums.get(out_idx)
             if acc is None:
-                sums[out_idx] = acc = {}
-            _accumulate(acc, poly.terms, coeff)
-    terms = {}
-    for out_idx, acc in sums.items():
-        poly = _polynomial(form.dim, acc)
-        if poly.terms:
-            terms[out_idx] = poly
-    return KForm._raw(form.degree, form.dim, terms)
+                sums[out_idx] = {exp: value * coeff for exp, value in terms.items()}
+                continue
+            for exp, value in terms.items():
+                prev = acc.get(exp)
+                acc[exp] = value * coeff if prev is None else prev + value * coeff
+    den = _den(op)
+    if den != 1:
+        for acc in sums.values():
+            for exp, value in acc.items():
+                acc[exp] = _divided(value, den)
+    return KForm._raw(form.degree, form.dim, _nonzero_terms(form.dim, sums))
 
 
 def compose_operators(a: FiberOperator, b: FiberOperator) -> FiberOperator:
-    """The fiber operator a o b (first b, then a), with b's input indices.
+    """The fiber operator a o b (first b, then a), with b's input indices,
+    over the product of the two denominators.
 
     Each column lists its nonzero entries sorted by output index, as the
     builders do, so `apply_operator` meets the same order either way.
     """
-    out: FiberOperator = {}
+    out = FiberOperator(den=_den(a) * _den(b))
     for idx, column in b.items():
         acc: dict = {}
         for mid, x in column:
@@ -352,35 +420,39 @@ def compose_operators(a: FiberOperator, b: FiberOperator) -> FiberOperator:
 
 
 def combine_operators(terms: Sequence[tuple[int, FiberOperator]], shift: int = 0,
-                      den: int | None = None) -> FiberOperator:
+                      den: int = 1) -> FiberOperator:
     """(sum of c * op over `terms` + shift * Id) / den, on the terms' input indices.
 
-    Integer coefficients and entries are summed in ints.  With `den` each
-    entry is divided once into a Fraction; without it the sums are kept as
-    they are.  Columns are sorted by output index, as the builders do.
+    The sum is taken in ints over the lcm L of the terms' denominators,
+    and the result is stored over L * den, with no division.  Columns are
+    sorted by output index, as the builders do.
     """
+    common = math.lcm(*(_den(op) for _, op in terms))
     total: dict = {}
     for c, op in terms:
+        c *= common // _den(op)
         for idx, column in op.items():
             acc = total.get(idx)
             if acc is None:
-                total[idx] = acc = {idx: shift}
+                total[idx] = acc = {idx: shift * common}
             for out_idx, v in column:
                 acc[out_idx] = acc.get(out_idx, 0) + c * v
-    return {idx: sorted((i, v if den is None else Fraction(v, den)) for i, v in acc.items() if v)
-            for idx, acc in total.items()}
+    return FiberOperator({idx: sorted((i, v) for i, v in acc.items() if v) for idx, acc in total.items()},
+                         common * den)
 
 
 def operator_matrix(op: FiberOperator, k: int, dim: int) -> list[list[Fraction]]:
-    """Dense exact matrix of a fiber operator (rows/cols in lex order)."""
+    """Dense exact matrix of a fiber operator (rows/cols in lex order),
+    with Fraction entries."""
     basis = multi_indices(dim, k)
     pos = {idx: i for i, idx in enumerate(basis)}
     n = len(basis)
+    den = _den(op)
     mat = [[Fraction(0)] * n for _ in range(n)]
     for in_idx, column in op.items():
         j = pos[in_idx]
         for out_idx, coeff in column:
-            mat[pos[out_idx]][j] = coeff
+            mat[pos[out_idx]][j] = Fraction(coeff, den)
     return mat
 
 

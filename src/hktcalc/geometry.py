@@ -33,7 +33,6 @@ sampling, not rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,7 +40,7 @@ from . import exact_linalg as ela
 from .conventions import HESSIAN_AVERAGE_FACTOR, ConventionError
 from .forms import KForm, hessian
 from .salamon import ProjectorTable, salamon_D
-from .scalars import Polynomial
+from .scalars import Polynomial, cleared_point
 from .structures import (
     ComplexForm,
     HypercomplexModel,
@@ -115,26 +114,28 @@ def kahler_forms(model: HypercomplexModel, f_i: KForm) -> tuple[KForm, KForm, KF
 def signature_samples(model: HypercomplexModel, f_i: KForm, points: Sequence[Sequence]) -> list[dict]:
     """Exact inertia (`exact_linalg.inertia`) of g = -F_I(I., .) at rational
     points: g[a][b] = s_a F_I[j_a][b] (`axis_image`), so each nonzero
-    coefficient of F_I is evaluated once per point."""
+    coefficient of F_I is evaluated once per point, in ints over the
+    point's common denominator (`Polynomial.evaluate_cleared`)."""
     d = model.dim
     out = []
     for pt in points:
-        coords = [Fraction(c) for c in pt]
-        values = [[Fraction(0)] * d for _ in range(d)]
+        ys, q = cleared_point(pt)
+        values = [[0] * d for _ in range(d)]
         for (a, b), p in f_i.terms.items():
-            values[a][b] = p.evaluate(coords)
-            values[b][a] = -values[a][b]
-        positive, negative, zero = ela.inertia([[s * v for v in values[j]] for j, s in axis_image(model, "I")])
+            values[a][b] = v = p.evaluate_cleared(ys, q)
+            values[b][a] = -v
+        positive, negative, zero = ela.inertia([values[j] if s > 0 else [-v for v in values[j]]
+                                                for j, s in axis_image(model, "I")])
         out.append({"point": [str(c) for c in pt], "positive": positive, "negative": negative, "zero": zero})
     return out
 
 
-@dataclass
 class DefinitionCheck:
-    ok: bool
-    residual_ij: KForm
-    residual_jk: KForm
-    torsion_candidate: KForm
+    def __init__(self, ok: bool, residual_ij: KForm, residual_jk: KForm, torsion_candidate: KForm):
+        self.ok = ok
+        self.residual_ij = residual_ij
+        self.residual_jk = residual_jk
+        self.torsion_candidate = torsion_candidate
 
     def summary(self) -> dict:
         return {
@@ -154,10 +155,10 @@ def is_hkt_definition(model: HypercomplexModel, f_i: KForm) -> DefinitionCheck:
     return DefinitionCheck(res_ij.is_zero() and res_jk.is_zero(), res_ij, res_jk, part_i)
 
 
-@dataclass
 class SalamonCheck:
-    ok: bool
-    residual: KForm
+    def __init__(self, ok: bool, residual: KForm):
+        self.ok = ok
+        self.residual = residual
 
     def summary(self) -> dict:
         return {"ok": self.ok, "residual_D": residual_summary(self.residual)}
@@ -185,10 +186,10 @@ def is_hkt_salamon(table: ProjectorTable, form: KForm) -> SalamonCheck:
 TWISTOR_AXES = ("I", "J", "K")
 
 
-@dataclass
 class TwistorCheck:
-    ok: bool
-    point_residuals: list
+    def __init__(self, ok: bool, point_residuals: list):
+        self.ok = ok
+        self.point_residuals = point_residuals
 
     def summary(self) -> dict:
         # Each axis is reported as its point of the sphere: I is (1, 0, 0).
@@ -221,11 +222,11 @@ def is_hkt_twistor(model: HypercomplexModel, form: KForm) -> TwistorCheck:
     return TwistorCheck(all(r.is_zero() for _, r in results), results)
 
 
-@dataclass
 class PotentialForms:
-    f_i: KForm
-    f_j: KForm
-    f_k: KForm
+    def __init__(self, f_i: KForm, f_j: KForm, f_k: KForm):
+        self.f_i = f_i
+        self.f_j = f_j
+        self.f_k = f_k
 
     def as_tuple(self):
         return (self.f_i, self.f_j, self.f_k)
@@ -265,11 +266,11 @@ def hessian_kahler_form(model: HypercomplexModel, mu: Polynomial) -> KForm:
     return alt + pulled[0] - pulled[1] - pulled[2]
 
 
-@dataclass
 class PotentialCheck:
-    ok: bool
-    residuals: dict
-    forms: PotentialForms
+    def __init__(self, ok: bool, residuals: dict, forms: PotentialForms):
+        self.ok = ok
+        self.residuals = residuals
+        self.forms = forms
 
 
 def is_hkt_potential(model: HypercomplexModel, mu: Polynomial, f_i: KForm) -> PotentialCheck:
@@ -310,7 +311,6 @@ def theta_from_potential(table: ProjectorTable, mu: Polynomial, f_i: KForm) -> K
     return theta
 
 
-@dataclass
 class HKTReport:
     """Joint outcome of the three equivalent HKT criteria.
 
@@ -319,13 +319,15 @@ class HKTReport:
     triple together with torsion data and signature samples.
     """
 
-    definition_ok: bool
-    salamon_ok: bool
-    twistor_ok: bool
-    torsion: KForm | None
-    strong: bool | None
-    details: dict = field(default_factory=dict)
-    signature_samples: list = field(default_factory=list)
+    def __init__(self, definition_ok: bool, salamon_ok: bool, twistor_ok: bool, torsion: KForm | None,
+                 strong: bool | None, details: dict | None = None, signature_samples: list | None = None):
+        self.definition_ok = definition_ok
+        self.salamon_ok = salamon_ok
+        self.twistor_ok = twistor_ok
+        self.torsion = torsion
+        self.strong = strong
+        self.details = {} if details is None else details
+        self.signature_samples = [] if signature_samples is None else signature_samples
 
     @property
     def is_hkt(self) -> bool:

@@ -47,11 +47,11 @@ under extra random sphere points is asserted separately as a guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import exact_linalg as ela
+from . import structures
 from .conventions import ConventionError
 from .forms import (
     FiberOperator,
@@ -69,13 +69,13 @@ class DegreeError(ValueError):
     """Requested degree is outside the supported range."""
 
 
-@dataclass
 class FiberSubspace:
     """An exact-basis subspace of the k-form fiber."""
 
-    degree: int
-    ambient_dim: int
-    basis: list[list[Fraction]]
+    def __init__(self, degree: int, ambient_dim: int, basis: list[list[Fraction]]):
+        self.degree = degree
+        self.ambient_dim = ambient_dim
+        self.basis = basis
 
     @property
     def rank(self) -> int:
@@ -90,7 +90,7 @@ def _condition_operators(model: HypercomplexModel, k: int) -> list[FiberOperator
     conditions for k = 3.
     """
     if k == 2:
-        return [combine_operators([(1, _axis_operators(model, name, 2)[1])], -1, 1) for name in ("I", "J", "K")]
+        return [combine_operators([(1, _axis_operators(model, name, 2)[1])], -1) for name in ("I", "J", "K")]
     if k != 3:
         raise DegreeError(f"bundle computation supports degrees 2 and 3, got {k}")
     rho = axis_derivations(model, 3)
@@ -121,9 +121,13 @@ def bundle_B(model: HypercomplexModel, k: int) -> FiberSubspace:
 
 
 def a11_subspace(model: HypercomplexModel) -> FiberSubspace:
-    """The fiber of 2-forms with Iw = w and Jw = -w (slots-only)."""
-    p_i, p_j = (_axis_operators(model, name, 2)[1] for name in ("I", "J"))
-    return _kernel(model, 2, [combine_operators([(1, p_i)], -1, 1), combine_operators([(1, p_j)], 1, 1)])
+    """The fiber of 2-forms with Iw = w and Jw = -w (slots-only), computed
+    once per n and kept in `structures._FIBER_CACHE`; read-only."""
+    cache, key = structures._FIBER_CACHE, (model.n, "a11")
+    if key not in cache:
+        p_i, p_j = (_axis_operators(model, name, 2)[1] for name in ("I", "J"))
+        cache[key] = _kernel(model, 2, [combine_operators([(1, p_i)], -1), combine_operators([(1, p_j)], 1)])
+    return cache[key]
 
 
 # k -> (shift, den) with eta_k = -(C + shift Id)/den.

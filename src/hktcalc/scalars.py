@@ -20,12 +20,15 @@ The public constructor (and `from_json`) validates every exponent and
 converts every coefficient.  `Polynomial._raw` is internal only: it wraps
 a term map that is already canonical -- tuple exponents, nonzero `int` or
 `Fraction` values -- without checking it, and the arithmetic (`+`, `-`,
-`*`, `scale`, `partial`, `zero`) and the fiber kernels of `hktcalc.forms`
-use it for results that are canonical by construction.
+`*`, `scale`, `partial`, `zero`), `KForm.d` and the fiber kernels of
+`hktcalc.forms` use it for results that are canonical by construction.
+`evaluate` sums in ints over the common denominator of the point and of
+the coefficients, and divides once.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -213,20 +216,32 @@ class Polynomial:
         point = list(point)
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        coords = [v if type(v) is Fraction else Fraction(v) for v in point]
-        total = Fraction(0)
-        # Cache powers per variable; exponents repeat across terms.
-        powers: list[dict[int, Fraction]] = [{} for _ in coords]
+        return self.evaluate_cleared(*cleared_point(point))
+
+    def evaluate_cleared(self, ys: Sequence[int], q: int) -> Fraction:
+        """The exact value at the point y/q of `cleared_point`, summed in ints
+        and divided once: with the coefficients a/L over their common
+        denominator L, L q^D p(y/q) = sum_e a_e y^e q^(D - |e|) for D the
+        total degree."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = self.degree()
+        total = 0
+        # Cache powers per variable and of q; exponents repeat across terms.
+        powers: list[dict[int, int]] = [{} for _ in ys]
+        q_powers: dict[int, int] = {}
         for exp, coeff in self.terms.items():
-            v = coeff
+            v = coeff.numerator * (den // coeff.denominator)
             for i, e in enumerate(exp):
                 if e:
                     cache = powers[i]
                     if e not in cache:
-                        cache[e] = coords[i] ** e
-                    v = v * cache[e]
-            total = total + v
-        return total
+                        cache[e] = ys[i] ** e
+                    v *= cache[e]
+            rest = top - sum(exp)
+            if rest not in q_powers:
+                q_powers[rest] = q ** rest
+            total += v * q_powers[rest]
+        return Fraction(total, den * q ** top)
 
     # -- serialization -------------------------------------------------
 
@@ -271,6 +286,15 @@ class Polynomial:
             c = self.terms[exp]
             bits.append(f"{c}*{mono}" if mono else f"{c}")
         return f"Polynomial({self.dim}, {' + '.join(bits)})"
+
+
+def cleared_point(point: Sequence) -> tuple[list[int], int]:
+    """(y, q) with point = y/q: y integral and q > 0 the lcm of the
+    denominators.  Coordinates convert exactly through `Fraction`, a float
+    included."""
+    coords = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in point]
+    q = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (q // c.denominator) for c in coords], q
 
 
 def exact_coefficient(value):

@@ -43,7 +43,6 @@ exact core never needs complex coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .conventions import ConventionError
 from .forms import (
@@ -125,9 +124,13 @@ class StructureOperator:
         return moved if form.degree % 2 == 0 else -moved
 
     def twisted_d(self, form: KForm) -> KForm:
-        """The twisted differential: (-1)^k act(d(act(form)))."""
-        out = self.act(self.act(form).d())
-        return out if form.degree % 2 == 0 else -out
+        """The twisted differential (-1)^k act(d(act(form))).
+
+        The three signs (-1)^k, (-1)^k and (-1)^(k+1) multiply to
+        (-1)^(k+1), so it is (-1)^(k+1) A* d A* form, negated once at most.
+        """
+        out = self.pullback(self.pullback(form).d())
+        return -out if form.degree % 2 == 0 else out
 
     def __repr__(self):
         return f"StructureOperator({self.name})"
@@ -199,8 +202,8 @@ def type_projector(model: HypercomplexModel, name: str, k: int) -> tuple[FiberOp
         pi02 = -rho_A^2/8 + i rho_A/4,
         pi03 = -(rho_A^2 + 1)/16 - i (rho_A^3 + rho_A)/48.
 
-    Both halves are built in ints from rho_A and the cached rho_A^2 and
-    divided once; their entries are Fractions.  The (k,0) projector is the
+    Both halves are built in ints from rho_A and the cached rho_A^2, each
+    over its one denominator (8, 4, 16 and 48).  The (k,0) projector is the
     conjugate pair (Re, -Im).
     """
     if k not in (2, 3):
@@ -220,7 +223,6 @@ def type_projector(model: HypercomplexModel, name: str, k: int) -> tuple[FiberOp
     return pair
 
 
-@dataclass(frozen=True)
 class ComplexForm:
     """A complex form re + i*im, stored as two rational forms.
 
@@ -228,8 +230,16 @@ class ComplexForm:
     separately.  This is the only complex object in the package.
     """
 
-    re: KForm
-    im: KForm
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: KForm, im: KForm):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other):
+        if not isinstance(other, ComplexForm):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def d(self) -> "ComplexForm":
         return ComplexForm(self.re.d(), self.im.d())

@@ -94,6 +94,62 @@ def dense_projector(basis, n, weights=None):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ident, corr)]
 
 
+def fraction_inertia(m):
+    """The former `exact_linalg.inertia`: symmetric Gaussian elimination in
+    Fractions, each pivot a Schur complement entry, whose signs count the
+    eigenvalues' (Sylvester's law); an all-zero diagonal is folded by
+    adding row and column j to row and column i.  The oracle of the
+    fraction-free elimination that replaced it."""
+    n = len(m)
+    rows = {i: {j: Fraction(x) for j, x in enumerate(row) if x} for i, row in enumerate(m)}
+    positive = negative = 0
+    while True:
+        p = next((i for i, row in rows.items() if i in row), None)
+        if p is None:
+            p = next((i for i, row in rows.items() if row), None)
+            if p is None:
+                break
+            i, j = p, next(iter(rows[p]))
+            ri, rj = rows[i], rows[j]
+            touched = (set(ri) | set(rj)) - {i}
+            new = {k: ri.get(k, 0) + rj.get(k, 0) for k in touched}
+            new[i] = ri.get(i, 0) + 2 * ri.get(j, 0) + rj.get(j, 0)
+            new = {k: v for k, v in new.items() if v}
+            for k in touched:
+                if k in new:
+                    rows[k][i] = new[k]
+                else:
+                    rows[k].pop(i, None)
+            rows[i] = new
+        pivot_row = rows.pop(p)
+        d = pivot_row.pop(p)
+        if d > 0:
+            positive += 1
+        else:
+            negative += 1
+        for k, s_kp in pivot_row.items():
+            f = s_kp / d
+            row = rows[k]
+            del row[p]
+            for j, s_pj in pivot_row.items():
+                v = row.get(j, 0) - f * s_pj
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+    return positive, negative, n - positive - negative
+
+
+def fraction_evaluate(poly: Polynomial, point) -> Fraction:
+    """The former `Polynomial.evaluate`: the value summed term by term in
+    Fractions.  The oracle of the evaluation in ints."""
+    coords = [Fraction(c) for c in point]
+    total = Fraction(0)
+    for exp, coeff in poly.terms.items():
+        total += coeff * math.prod(x ** e for x, e in zip(coords, exp))
+    return total
+
+
 # The dense structure matrices: a test oracle.  The package holds I, J and K
 # only as index maps (`structures.axis_image`); these are the documented
 # left-multiplication blocks written out by hand, tiled by `structure_matrix`.

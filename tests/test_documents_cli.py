@@ -181,6 +181,7 @@ class TestIdentitiesCommand:
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_count_above_limit_refused_before_any_table(self, capsys, monkeypatch):
+        import hktcalc.batteries as batteries
         import hktcalc.cli as cli
         import hktcalc.salamon as salamon
 
@@ -192,7 +193,8 @@ class TestIdentitiesCommand:
             original(self, model)
 
         monkeypatch.setattr(salamon.ProjectorTable, "__init__", table_spy)
-        monkeypatch.setattr(cli, "identity_suite", lambda *args: suites.append(args) or [])
+        # `hkt identities` imports the suite when it runs.
+        monkeypatch.setattr(batteries, "identity_suite", lambda *args: suites.append(args) or [])
         argv = ["identities", "--n", "1", "--n", "2", "--n", "3", "--count"]
         assert main([*argv, str(cli.MAX_COUNT + 1)]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
@@ -942,6 +944,56 @@ class TestExactPathLoadsNoNumpy:
                               capture_output=True, text=True, env=blas_free_environ())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+
+# Prints, as JSON, the modules a fresh interpreter holds after `import
+# hktcalc.cli` and after `hkt COMMAND ARG...` (argv[1:]) has run.
+MODULES_SCRIPT = """
+import json, os, sys
+import hktcalc.cli
+after_import = sorted(sys.modules)
+assert hktcalc.cli.main([*sys.argv[1:], "--out", os.devnull]) == 0
+print(json.dumps({"import": after_import, "command": sorted(sys.modules)}))
+"""
+
+# What an interpreter holds before it imports anything: site hooks of the
+# environment preload some modules.
+BARE_SCRIPT = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+
+
+def loaded_modules(script, *args):
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestLeanStartUp:
+    """`hkt` starts without `dataclasses` (which loads `inspect`), `hashlib`
+    or numpy: only `InputDocument.digest` loads `hashlib`, and only `hkt
+    identities` loads `hktcalc.batteries`."""
+
+    @pytest.fixture(scope="class")
+    def bare(self):
+        return set(loaded_modules(BARE_SCRIPT))
+
+    @pytest.fixture(scope="class")
+    def identities(self):
+        return loaded_modules(MODULES_SCRIPT, "identities", "--count", "1")
+
+    def test_import_cli_loads_no_dataclasses_inspect_hashlib_or_numpy(self, bare, identities):
+        loaded = set(identities["import"]) - bare
+        assert "hktcalc.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "hashlib", "numpy", "hktcalc.batteries"}
+
+    def test_identities_loads_no_hashlib(self, bare, identities):
+        loaded = set(identities["command"]) - bare
+        assert "hktcalc.batteries" in loaded
+        assert not loaded & {"dataclasses", "inspect", "hashlib", "numpy"}
+
+    def test_check_loads_no_batteries(self, bare, tmp_path):
+        path = write(tmp_path, "metric.json", flat_metric_doc())
+        loaded = set(loaded_modules(MODULES_SCRIPT, "check", path)["command"]) - bare
+        assert "hashlib" in loaded or "hashlib" in bare
+        assert not loaded & {"dataclasses", "inspect", "numpy", "hktcalc.batteries"}
 
 
 class TestBlasThreadDefault:

@@ -11,6 +11,7 @@ null-space basis of B^k, the route it was built by before the Casimir.
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from conftest import (
     dense_null_space,
     dense_projector,
     dense_rref,
+    fraction_inertia,
     random_sphere_points,
 )
 
@@ -218,6 +220,36 @@ def symmetric_integer_matrices(draw):
     return m
 
 
+def symmetric_rational_matrix(n, kind, seed):
+    """A symmetric Fraction matrix whose elimination meets an all-zero
+    diagonal ("zero_diagonal"), is singular ("low_rank"), meets negative pivots ("negative": minus a
+    sum of squares, plus a small perturbation) or has entries of 100 to 160
+    digits ("huge"); drawn from `random.Random(seed)`, which is much faster
+    than drawing 144 entries through hypothesis."""
+    rng = random.Random(seed)
+
+    def small():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 7)) if rng.random() < 0.6 else Fraction(0)
+
+    def entry():
+        if kind == "huge" and rng.random() < 0.4:
+            return Fraction(rng.choice([-1, 1]) * rng.randint(10**99, 10**160), rng.randint(10**99, 10**160))
+        return small()
+
+    if kind == "low_rank":
+        vectors = [[small() for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+        signs = [rng.choice([-1, 1]) for _ in vectors]
+        return [[sum(s * v[i] * v[j] for s, v in zip(signs, vectors)) for j in range(n)] for i in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = Fraction(0) if kind == "zero_diagonal" and i == j else entry()
+    if kind == "negative":
+        vectors = [[small() for _ in range(n)] for _ in range(n)]
+        m = [[m[i][j] / 100 - sum(v[i] * v[j] for v in vectors) for j in range(n)] for i in range(n)]
+    return m
+
+
 class TestInertia:
     @given(symmetric_integer_matrices())
     @settings(max_examples=300, deadline=None)
@@ -240,6 +272,17 @@ class TestInertia:
     ])
     def test_known_cases(self, m, expected):
         assert ela.inertia(m) == expected
+
+    @given(st.integers(1, 12), st.sampled_from(["plain", "zero_diagonal", "low_rank", "negative", "huge"]),
+           st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_fraction_free_elimination_matches_the_fraction_elimination(self, n, kind, seed):
+        m = symmetric_rational_matrix(n, kind, seed)
+        counts = ela.inertia(m)
+        assert counts == fraction_inertia(m)
+        # A 1e-9 relative tolerance cannot resolve entries of 100+ digits.
+        if kind != "huge":
+            assert counts == float_inertia(m)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,11 @@ equal:
 * `oracle_apply_operator` -- the former `forms.apply_operator`, which
   scaled every input polynomial and built a new `Polynomial` for every
   partial sum;
+* `oracle_combine_operators` -- the former `forms.combine_operators`,
+  which divided every entry into a Fraction.  `fraction_operators`
+  rebuilds with it each operator the package keeps as int entries over a
+  denominator (eta_2, eta_3, the B conditions and the type projectors at
+  the axes), and applying the two must agree;
 * the dense metric kernels of `conftest`, `oracle_transpose_times` and
   `oracle_conjugate` (the sandwich M^T b M of the former
   `BilinearForm.conjugate_by`): I, J and K now turn a metric into F_I,
@@ -73,12 +78,13 @@ from hktcalc.geometry import (
     kahler_forms,
     signature_samples,
 )
-from hktcalc.salamon import bundle_B, is_salamon_11
+from hktcalc.salamon import _ETA_FROM_CASIMIR, ProjectorTable, bundle_B, is_salamon_11
 from hktcalc.scalars import Polynomial, exact_coefficient, random_polynomial
 from hktcalc.structures import (
     HypercomplexModel,
     _axis_operators,
     axis_derivations,
+    axis_squares,
     type_projector,
 )
 
@@ -88,6 +94,8 @@ from conftest import (
     SpherePoint,
     condition_rank,
     form_component_matrix,
+    fraction_evaluate,
+    fraction_inertia,
     homogeneous_projector_at,
     integer_sphere_matrix,
     oracle_conjugate,
@@ -248,6 +256,77 @@ def test_apply_operator_matches_oracle(case):
     out = apply_operator(op, form)
     assert out == oracle_apply_operator(op, form)
     assert _exact_form(out)
+
+
+def oracle_combine_operators(terms, shift=0, den=None):
+    """(sum of c * op + shift * Id) / den with each entry divided into a Fraction."""
+    total = {}
+    for c, op in terms:
+        for idx, column in op.items():
+            acc = total.get(idx)
+            if acc is None:
+                total[idx] = acc = {idx: shift}
+            for out_idx, v in column:
+                acc[out_idx] = acc.get(out_idx, 0) + c * v
+    return {idx: sorted((i, v if den is None else Fraction(v, den)) for i, v in acc.items() if v)
+            for idx, acc in total.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_operators(n):
+    """[(k, operator, oracle)]: each operator the package stores as int
+    entries over a denominator (1 for the B^2 conditions), and the same
+    operator with Fraction entries, rebuilt by `oracle_combine_operators`
+    from the int axis operators as the package built it before."""
+    model = HypercomplexModel(n)
+    table = ProjectorTable(model)
+    old = oracle_combine_operators
+    pairs = [(k, table.columns[k], old([(-1, sq) for sq in axis_squares(model, k)], -shift, den))
+             for k, (shift, den) in _ETA_FROM_CASIMIR.items()]
+    b2 = [old([(1, _axis_operators(model, name, 2)[1])], -1, 1) for name in "IJK"]
+    rho = axis_derivations(model, 3)
+    b3 = ([old([(1, sq)], 1, 2) for sq in axis_squares(model, 3)]
+          + [old([(1, compose_operators(rho[a], rho[b])), (1, compose_operators(rho[b], rho[a]))], 0, 2)
+             for a, b in ((0, 1), (1, 2), (2, 0))])
+    for k, oracles in ((2, b2), (3, b3)):
+        assert len(table.conditions[k]) == len(oracles)
+        pairs += [(k, op, oracle) for op, oracle in zip(table.conditions[k], oracles)]
+    for name in "IJK":
+        for k in (2, 3):
+            r, square = _axis_operators(model, name, k)[0], axis_squares(model, k)["IJK".index(name)]
+            if k == 2:
+                oracles = old([(-1, square)], den=8), old([(1, r)], den=4)
+            else:
+                oracles = (old([(-1, square)], -1, 16),
+                           old([(-1, compose_operators(r, square)), (-1, r)], den=48))
+            pairs += [(k, op, oracle) for op, oracle in zip(type_projector(model, name, k), oracles)]
+    return pairs
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_int_operators_over_den_apply_like_fraction_operators(data):
+    n = data.draw(st.sampled_from([1, 2, 3]))
+    pairs = fraction_operators(n)
+    k, op, oracle = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+    coeffs = data.draw(st.sampled_from([st.integers(-3, 3), COEFFS]))
+    indices = st.sampled_from(multi_indices(4 * n, k))
+    exps = st.tuples(*[st.integers(0, 2)] * (4 * n))
+    polys = st.dictionaries(exps, coeffs, max_size=3).map(lambda t: Polynomial(4 * n, t))
+    form = data.draw(st.dictionaries(indices, polys, max_size=5).map(lambda t: KForm(k, 4 * n, t)))
+    assert op.den >= 1 and all(type(v) is int for column in op.values() for _, v in column)
+    out = apply_operator(op, form)
+    assert out == oracle_apply_operator(oracle, form)
+    assert _exact_form(out)
+    # An integral output coefficient is stored as an int, not a Fraction.
+    assert all(type(c) is int or c.denominator != 1 for p in out.terms.values() for c in p.terms.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_int_operators_over_den_have_the_fraction_matrices(n):
+    for k, op, oracle in fraction_operators(n):
+        assert operator_matrix(op, k, 4 * n) == operator_matrix(oracle, k, 4 * n)
+        assert op == oracle
 
 
 def sphere_points():
@@ -414,6 +493,28 @@ def test_metric_actions_match_dense_oracles(n):
         assert counts == [ela.inertia([[p.evaluate(pt) for p in row] for row in tensor]) for pt in points]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signature_samples_match_the_fraction_oracle_at_mixed_denominators(n):
+    """The inertia at each point equals the former Fraction elimination of
+    the dense oracle metric, evaluated term by term in Fractions, with
+    unlike denominators in the coefficients and in the points."""
+    model = HypercomplexModel(n)
+    d = model.dim
+    rng = random.Random(2600 + n)
+    for _ in range(3):
+        parts = [_hyperhermitian_metric(model, rng) for _ in range(2)]
+        weights = (Fraction(1, 7), Fraction(5, 10**9 + 7))
+        tensor = [[a.scale(weights[0]) + b.scale(weights[1]) for a, b in zip(ra, rb)] for ra, rb in zip(*parts)]
+        if rng.random() < 0.5:
+            tensor = [[p + Polynomial.constant(d, 3) if i == j else p for j, p in enumerate(row)]
+                      for i, row in enumerate(tensor)]
+        points = [tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10**6, 2**40])) for _ in range(d))
+                  for _ in range(4)] + [(0,) * d]
+        samples = signature_samples(model, kahler_form(model, tensor), points)
+        counts = [(s["positive"], s["negative"], s["zero"]) for s in samples]
+        assert counts == [fraction_inertia([[fraction_evaluate(p, pt) for p in row] for row in tensor]) for pt in points]
+
+
 def _klein_projection(model, form, signs):
     """(1 + s_I I*)(1 + s_J J*)/4: the projection of 2-forms onto the character
     of the Klein four-group {1, I*, J*, K*} with I* = s_I, J* = s_J."""
@@ -445,8 +546,10 @@ def test_oracle_metric_of_a_form_is_hyperhermitian_exactly_on_type_11(n, data):
 
 
 def entries(op):
-    """{(input index, output index): coeff} of a fiber operator, zeros dropped."""
-    return {(in_idx, out_idx): c for in_idx, column in op.items() for out_idx, c in column if c}
+    """{(input index, output index): matrix entry} of a fiber operator, each
+    stored entry over the operator's denominator, zeros dropped."""
+    den = getattr(op, "den", 1)
+    return {(in_idx, out_idx): Fraction(c, den) for in_idx, column in op.items() for out_idx, c in column if c}
 
 
 def _assert_homogenized_projectors_match(model, point):

@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hktcalc.batteries import random_kform
 from hktcalc.forms import (
@@ -79,6 +82,44 @@ class TestExteriorDerivative:
     def test_top_degree(self):
         top = KForm.basis(4, (0, 1, 2, 3))
         assert top.d().is_zero()
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_one_pass_d_is_the_sum_of_dx_c_wedge_partials(self, data):
+        # The oracle builds d from `Polynomial.partial`, as d was built
+        # before it made one pass over the coefficient triples.
+        dim = data.draw(st.sampled_from([4, 8, 12]))
+        k = data.draw(st.integers(0, dim))
+        coeffs = data.draw(st.sampled_from([INT_COEFFS, FRACTION_COEFFS]))
+        form = data.draw(sparse_kforms(dim, k, coeffs))
+        expected = KForm.zero(k + 1, dim)
+        for c in range(dim):
+            partial = KForm(k, dim, {idx: p.partial(c) for idx, p in form.terms.items()})
+            expected = expected + KForm.dx(dim, c).wedge(partial)
+        assert form.d() == expected
+        assert form.d().degree == k + 1
+        if k == dim:
+            assert form.d().is_zero()
+
+
+INT_COEFFS = st.integers(-3, 3)
+FRACTION_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@functools.lru_cache(maxsize=None)
+def _indices(dim, k):
+    return multi_indices(dim, k)
+
+
+@st.composite
+def sparse_kforms(draw, dim, k, coeffs):
+    """A few components of a few terms each; exponents up to 3, so some
+    partials vanish and some outputs cancel."""
+    indices = _indices(dim, k)
+    exps = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).map(tuple)
+    polys = st.dictionaries(exps, coeffs, max_size=4).map(lambda t: Polynomial(dim, t))
+    terms = draw(st.lists(st.tuples(st.integers(0, len(indices) - 1), polys), max_size=4))
+    return KForm(k, dim, {indices[i]: p for i, p in terms})
 
 
 class TestPullback:

@@ -157,8 +157,11 @@ class TestEta:
         table = ProjectorTable(HypercomplexModel(n))
         for k, b_rank in ((2, n * (2 * n + 1)), (3, comb(4 * n, 3) - 4 * comb(2 * n, 3))):
             eta = table.columns[k]
-            assert compose_operators(eta, eta) == eta
-            trace = sum(v for idx, column in eta.items() for out_idx, v in column if out_idx == idx)
+            square = compose_operators(eta, eta)
+            # eta_k o eta_k is over den^2: its columns are den times eta_k's.
+            assert square.den == eta.den ** 2
+            assert {idx: [(i, v * eta.den) for i, v in column] for idx, column in eta.items()} == dict(square)
+            trace = Fraction(sum(v for idx, column in eta.items() for out_idx, v in column if out_idx == idx), eta.den)
             assert comb(4 * n, k) - trace == b_rank
         # Every coefficient condition kills B^3 = image(Id - eta_3).
         complement = combine_operators([(-1, table.columns[3])], 1)

@@ -3,16 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hktcalc.scalars import (
     MAX_JSON_DEGREE,
     MAX_JSON_DIGITS,
     LongJsonInt,
     Polynomial,
+    cleared_point,
     json_int,
     parse_json_int,
     random_polynomial,
 )
+
+
+from conftest import fraction_evaluate
 
 
 def x(i, dim=4):
@@ -143,6 +149,21 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             x(0).evaluate((1, 2))
+
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 6)] * 4),
+                           st.fractions(max_denominator=10**6).filter(bool), max_size=6),
+           st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=60),
+                              st.floats(-4, 4, allow_nan=False)), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_int_evaluation_matches_the_fraction_sum(self, terms, point):
+        # Mixed denominators in the point and in the coefficients.
+        p = Polynomial(4, terms)
+        ys, q = cleared_point(point)
+        assert q > 0 and all(type(y) is int for y in ys)
+        assert [Fraction(y, q) for y in ys] == [Fraction(c) for c in point]
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == fraction_evaluate(p, point) == p.evaluate_cleared(ys, q)
 
 
 class TestRandomPolynomial:
