@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .documents import CheckOutcome
-from .forms import KForm, multi_indices, vector_to_form
+from .forms import KForm, apply_operator, multi_indices, vector_to_form
 from .geometry import (
     conformal_metric,
     hessian_kahler_form,
@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .salamon import ProjectorTable, a11_subspace, proj_formula_D, salamon_D
 from .scalars import Polynomial, random_polynomial
-from .structures import HypercomplexModel
+from .structures import HypercomplexModel, type11_projector
 
 
 def random_kform(dim: int, k: int, rng: random.Random, n_components: int = 2) -> KForm:
@@ -52,10 +52,9 @@ def positive_conformal_factor(rng: random.Random) -> Polynomial:
 
 def random_a11_form(model: HypercomplexModel, rng: random.Random) -> KForm:
     """A random polynomial combination of the type-(1,1) fiber basis."""
-    sub = a11_subspace(model)
     basis = multi_indices(model.dim, 2)
     acc = KForm.zero(2, model.dim)
-    for vec in sub.basis:
+    for vec in a11_subspace(model).basis:
         poly = random_polynomial(model.dim, 2, 2, seed=rng.randrange(2**31))
         acc = acc + vector_to_form(vec, basis, 2, model.dim) * poly
     return acc
@@ -163,13 +162,18 @@ def remark_battery(model: HypercomplexModel, table: ProjectorTable, seed: int, c
     (`hessian_kahler_form`) and all four identities must then hold;
     `theta_from_potential` checks the primitive certificate
     D(I d mu) = F_I(mu) as well and raises `ConventionError` if it fails.
+    At case 0 they must all fail on F_I plus the constant (1,1)-form
+    P(dx0 ^ dx1), so the Hessian identity meets a form other than its own.
     """
     rng = random.Random(seed)
+    shift = apply_operator(type11_projector(model), KForm.basis(model.dim, (0, 1)))
     for i in range(count):
         mu = random_polynomial(model.dim, 3, 4, seed=rng.randrange(2**31))
         result = is_hkt_potential(model, mu, hessian_kahler_form(model, mu))
         if not result.ok:
             return CheckOutcome("potential-remark", False, count, f"identities failed at case {i}")
+        if i == 0 and is_hkt_potential(model, mu, result.forms.f_i + shift).ok:
+            return CheckOutcome("potential-remark", False, count, "the identities accepted a shifted F_I")
         theta_from_potential(table, mu, result.forms.f_i)
     return CheckOutcome("potential-remark", True, count)
 

@@ -14,9 +14,10 @@ the CLI maps to exit 4 in every subcommand.
   to g = HESSIAN_AVERAGE_FACTOR * (H + sum_A A^T H A), A = I, J, K, and
   is stated through its Kahler form F_I(X, Y) = g(IX, Y):
   F_I = HESSIAN_AVERAGE_FACTOR * (1 + I* - J* - K*) alt H(I., .), with A*
-  the pullback and alt the alternating part (`geometry.hessian_kahler_form`);
-  the factor 1/2 is forced by the form convention above (checked for
-  random mu by the test suite, not assumed).
+  the pullback, alt the alternating part and (1 + I* - J* - K*)/4 the
+  Salamon (1,1) projector (`structures.type11_projector`), applied once by
+  `geometry.hessian_kahler_form`; the factor 1/2 is forced by the form
+  convention above (checked for random mu by the test suite, not assumed).
 
 * The 4-dimensional elliptic solver normalizes its unknown by the trace
   identity  trace_g(Hess mu) = TRACE_TARGET, whose flat solution is

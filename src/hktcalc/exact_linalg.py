@@ -25,10 +25,6 @@ def _sparse_rows(m: Sequence[Sequence]) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
-def _dense_rows(rows: Sequence[dict], cols: int) -> list[list]:
-    return [[row.get(j, _ZERO) for j in range(cols)] for row in rows]
-
-
 def _reduce(rows: list[dict], cols: int) -> list[int]:
     """Bring sparse rows to reduced row echelon form in place; returns the
     pivot columns.  Row i < len(pivots) is the row of pivot i.
@@ -67,7 +63,7 @@ def rref(m: Sequence[Sequence]) -> tuple[list[list], list[int]]:
         return [], []
     rows = _sparse_rows(m)
     pivots = _reduce(rows, len(m[0]))
-    return _dense_rows(rows, len(m[0])), pivots
+    return [[row.get(j, _ZERO) for j in range(len(m[0]))] for row in rows], pivots
 
 
 def rank(m: Sequence[Sequence]) -> int:

@@ -9,24 +9,20 @@ Wedge products and exterior derivatives are exact.
 adds each derivative term straight into the term map of its output index.
 
 The module also provides the fiberwise machinery shared by the structure
-and projection layers: a constant linear operator on the k-form fiber is
-a `FiberOperator`, a sparse map  input-index -> [(output-index, entry), ...]
-of int entries over one positive int denominator `den`, and can be applied
-coefficient-wise to polynomial forms or exported as an exact matrix.
-
-Every such operator -- structure pullbacks, type projectors, the projectors
-eta, the B conditions -- goes through one kernel, `apply_operator`: it adds
-entry times each input term straight into one {exponent: coefficient} map
-per output index, divides each accumulated coefficient by `den` once (an
-integral value stays an int), drops zeros and builds each output
-polynomial once.  No term of an application pays a Fraction product.
-
-Operators are built by two sparse routines.  `compose_operators` composes
-two of them, and `combine_operators` forms (sum c_i op_i + shift Id)/den.
-`hktcalc.structures` builds the axis derivations rho_I, rho_J, rho_K with
-int entries, and every sphere operator is a polynomial in them: products
-and sums stay in ints, over the product of the denominators, and nothing
-is divided until an operator is applied or exported.
+and projection layers.  Every constant linear operator on the k-form fiber
+-- structure pullbacks, type projectors, the (1,1) projector, the
+projectors eta, the B conditions -- is a `FiberOperator`, a sparse map
+input-index -> [(output-index, entry), ...] of int entries over one
+positive int denominator `den`, and goes through one kernel,
+`apply_operator`: it adds entry times each input term straight into one
+{exponent: coefficient} map per output index, divides each accumulated
+coefficient by `den` once (an integral value stays an int), drops zeros
+and builds each output polynomial once, so no term pays a Fraction product.
+`compose_operators` and `combine_operators`, which forms
+(sum c_i op_i + shift Id)/den, build them from the axis derivations
+rho_I, rho_J, rho_K of `hktcalc.structures`: every sphere operator is a
+polynomial in those, in ints over the product of the denominators until
+it is applied or exported as an exact matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import Polynomial, json_int
+from .scalars import Polynomial, json_int, json_list
 
 MultiIndex = tuple
 
@@ -301,7 +297,7 @@ class KForm:
         return cls(
             json_int(obj["k"], "k"),
             json_int(obj["dim"], "dim"),
-            {tuple(json_int(i, "idx") for i in t["idx"]): Polynomial.from_json(t["poly"])
+            {tuple(json_int(i, "idx") for i in json_list(t["idx"], "idx")): Polynomial.from_json(t["poly"])
              for t in obj.get("terms", [])},
         )
 
@@ -335,9 +331,8 @@ class FiberOperator(dict):
     by output index with no zero entry; the operator is the entries over
     the positive int `den`.  The builders keep int entries, so applying
     the operator multiplies ints and divides once per output coefficient.
-    A plain dict of columns is an operator over den 1 to every routine
-    here.  Two operators are equal when their matrices are, whatever
-    their denominators.
+    Two operators are equal when their matrices are, whatever their
+    denominators.
     """
 
     __slots__ = ("den",)
@@ -347,20 +342,15 @@ class FiberOperator(dict):
         self.den = den
 
     def __eq__(self, other):
-        if not isinstance(other, dict):
-            return NotImplemented
-        a, b = self.den, _den(other)
+        if not isinstance(other, FiberOperator):
+            return False
+        a, b = self.den, other.den
         return self.keys() == other.keys() and all(
             [(i, v * b) for i, v in column] == [(i, v * a) for i, v in other[idx]]
             for idx, column in self.items())
 
     def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-
-def _den(op: dict) -> int:
-    return getattr(op, "den", 1)
+        return not self == other
 
 
 def _divided(value, den: int):
@@ -394,11 +384,10 @@ def apply_operator(op: FiberOperator, form: KForm) -> KForm:
             for exp, value in terms.items():
                 prev = acc.get(exp)
                 acc[exp] = value * coeff if prev is None else prev + value * coeff
-    den = _den(op)
-    if den != 1:
+    if op.den != 1:
         for acc in sums.values():
             for exp, value in acc.items():
-                acc[exp] = _divided(value, den)
+                acc[exp] = _divided(value, op.den)
     return KForm._raw(form.degree, form.dim, _nonzero_terms(form.dim, sums))
 
 
@@ -409,7 +398,7 @@ def compose_operators(a: FiberOperator, b: FiberOperator) -> FiberOperator:
     Each column lists its nonzero entries sorted by output index, as the
     builders do, so `apply_operator` meets the same order either way.
     """
-    out = FiberOperator(den=_den(a) * _den(b))
+    out = FiberOperator(den=a.den * b.den)
     for idx, column in b.items():
         acc: dict = {}
         for mid, x in column:
@@ -427,10 +416,10 @@ def combine_operators(terms: Sequence[tuple[int, FiberOperator]], shift: int = 0
     and the result is stored over L * den, with no division.  Columns are
     sorted by output index, as the builders do.
     """
-    common = math.lcm(*(_den(op) for _, op in terms))
+    common = math.lcm(*(op.den for _, op in terms))
     total: dict = {}
     for c, op in terms:
-        c *= common // _den(op)
+        c *= common // op.den
         for idx, column in op.items():
             acc = total.get(idx)
             if acc is None:
@@ -444,15 +433,12 @@ def combine_operators(terms: Sequence[tuple[int, FiberOperator]], shift: int = 0
 def operator_matrix(op: FiberOperator, k: int, dim: int) -> list[list[Fraction]]:
     """Dense exact matrix of a fiber operator (rows/cols in lex order),
     with Fraction entries."""
-    basis = multi_indices(dim, k)
-    pos = {idx: i for i, idx in enumerate(basis)}
-    n = len(basis)
-    den = _den(op)
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    pos = {idx: i for i, idx in enumerate(multi_indices(dim, k))}
+    mat = [[Fraction(0)] * len(pos) for _ in pos]
     for in_idx, column in op.items():
         j = pos[in_idx]
         for out_idx, coeff in column:
-            mat[pos[out_idx]][j] = Fraction(coeff, den)
+            mat[pos[out_idx]][j] = Fraction(coeff, op.den)
     return mat
 
 

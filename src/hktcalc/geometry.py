@@ -38,7 +38,7 @@ from typing import Sequence
 
 from . import exact_linalg as ela
 from .conventions import HESSIAN_AVERAGE_FACTOR, ConventionError
-from .forms import KForm, hessian
+from .forms import KForm, apply_operator, hessian
 from .salamon import ProjectorTable, salamon_D
 from .scalars import Polynomial, cleared_point
 from .structures import (
@@ -47,6 +47,7 @@ from .structures import (
     _compose,
     axis_image,
     complex_type_part,
+    type11_projector,
 )
 
 
@@ -252,18 +253,16 @@ def hessian_kahler_form(model: HypercomplexModel, mu: Polynomial) -> KForm:
     """F_I of the averaged Hessian HESSIAN_AVERAGE_FACTOR (H + sum_A A^T H A).
 
     With T = H(I., .), F_I(A^T H A) is I*T, -J*T and -K*T for A = I, J, K,
-    and F_I of the average alternates, so it is
-    HESSIAN_AVERAGE_FACTOR (1 + I* - J* - K*) alt T.
+    and F_I of the average alternates, so it is HESSIAN_AVERAGE_FACTOR
+    (1 + I* - J* - K*) alt T, the (1,1) projector P (`type11_projector`)
+    of 2 HESSIAN_AVERAGE_FACTOR (T[a][b] - T[b][a]).
     """
     if mu.dim != model.dim:
         raise ValueError("potential dimension mismatch")
     t = _i_rows(model, hessian(mu))
-    # alt T halves T[a][b] - T[b][a].
-    factor = HESSIAN_AVERAGE_FACTOR / 2
-    alt = KForm(2, model.dim, {(a, b): (t[a][b] - t[b][a]).scale(factor)
-                               for a in range(model.dim) for b in range(a + 1, model.dim)})
-    pulled = [model.operator(name).pullback(alt) for name in "IJK"]
-    return alt + pulled[0] - pulled[1] - pulled[2]
+    skew = KForm(2, model.dim, {(a, b): (t[a][b] - t[b][a]).scale(2 * HESSIAN_AVERAGE_FACTOR)
+                                for a in range(model.dim) for b in range(a + 1, model.dim)})
+    return apply_operator(type11_projector(model), skew)
 
 
 class PotentialCheck:

@@ -52,7 +52,6 @@ from typing import Sequence
 
 from . import exact_linalg as ela
 from . import structures
-from .conventions import ConventionError
 from .forms import (
     FiberOperator,
     KForm,
@@ -62,7 +61,7 @@ from .forms import (
     multi_indices,
     operator_matrix,
 )
-from .structures import HypercomplexModel, _axis_operators, axis_derivations, axis_squares
+from .structures import HypercomplexModel, _axis_operators, axis_derivations, axis_squares, type11_projector
 
 
 class DegreeError(ValueError):
@@ -104,11 +103,6 @@ def _condition_matrix(model: HypercomplexModel, k: int, ops: Sequence[FiberOpera
     return [row for op in ops for row in operator_matrix(op, k, model.dim)]
 
 
-def _kernel(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> FiberSubspace:
-    stacked = _condition_matrix(model, k, ops)
-    return FiberSubspace(k, len(multi_indices(model.dim, k)), ela.null_space(stacked))
-
-
 def bundle_B(model: HypercomplexModel, k: int) -> FiberSubspace:
     """Exact basis of B^k (k in {2, 3}) as a null-space computation.
 
@@ -117,16 +111,24 @@ def bundle_B(model: HypercomplexModel, k: int) -> FiberSubspace:
     """
     if k not in (2, 3):
         raise DegreeError(f"bundle_B supports k in {{2, 3}}, got {k}")
-    return _kernel(model, k, _condition_operators(model, k))
+    stacked = _condition_matrix(model, k, _condition_operators(model, k))
+    return FiberSubspace(k, len(multi_indices(model.dim, k)), ela.null_space(stacked))
 
 
 def a11_subspace(model: HypercomplexModel) -> FiberSubspace:
-    """The fiber of 2-forms with Iw = w and Jw = -w (slots-only), computed
-    once per n and kept in `structures._FIBER_CACHE`; read-only."""
+    """The fiber of 2-forms with Iw = w and Jw = -w (slots-only), kept in
+    `structures._FIBER_CACHE`: per orbit of {1, I*, J*, K*} with a nonzero
+    (1,1) projector column at its largest index e, that column scaled to 1
+    at e, the vector `exact_linalg.null_space` gives [I* - Id; J* + Id] for e."""
     cache, key = structures._FIBER_CACHE, (model.n, "a11")
     if key not in cache:
-        p_i, p_j = (_axis_operators(model, name, 2)[1] for name in ("I", "J"))
-        cache[key] = _kernel(model, 2, [combine_operators([(1, p_i)], -1), combine_operators([(1, p_j)], 1)])
+        basis = multi_indices(model.dim, 2)
+        vectors = []
+        for idx, column in type11_projector(model).items():
+            if column and column[-1][0] == idx:
+                entries = {out_idx: Fraction(x, column[-1][1]) for out_idx, x in column}
+                vectors.append([entries.get(i, Fraction(0)) for i in basis])
+        cache[key] = FiberSubspace(2, len(basis), vectors)
     return cache[key]
 
 
@@ -208,31 +210,20 @@ def salamon_DI(table: ProjectorTable, form: KForm) -> KForm:
 def proj_formula_D(model: HypercomplexModel, theta: KForm) -> KForm:
     """D on 1-forms via the explicit type-projection formula.
 
-    D(theta) = (dtheta)^{2,0} + (dtheta)^{0,2}
-               + (1/2)((dtheta)^{1,1} - J (dtheta)^{1,1}),
-    with types taken for I.  Independent of the matrix projector.
+    D(theta) = (dtheta)^{2,0} + (dtheta)^{0,2} + P dtheta
+             = (dtheta - I* dtheta)/2 + P dtheta,
+    with types taken for I and P the (1,1) projector
+    (`structures.type11_projector`).  Independent of the Casimir eta.
     """
     if theta.degree != 1:
         raise ValueError("expected a 1-form")
     w = theta.d()
-    op_i = model.operator("I")
-    op_j = model.operator("J")
-    half = Fraction(1, 2)
-    extreme = (w - op_i.pullback(w)) * half     # (2,0) + (0,2), real form
-    w11 = (w + op_i.pullback(w)) * half
-    return extreme + (w11 - op_j.pullback(w11)) * half
+    return (w - model.operator("I").pullback(w)) * Fraction(1, 2) + apply_operator(type11_projector(model), w)
 
 
 def is_salamon_11(model: HypercomplexModel, form: KForm) -> bool:
-    """Whether Iw = w and Jw = -w hold exactly (slots-only actions).
-
-    When both hold, Kw = -w follows because the K pullback is the
-    composition of the other two on 2-forms; this is checked rather than
-    trusted, and a failure raises `ConventionError`.
-    """
-    if form.degree != 2:
-        raise ValueError("expected a 2-form")
-    ok = model.operator("I").pullback(form) == form and model.operator("J").pullback(form) == -form
-    if ok and model.operator("K").pullback(form) != -form:
-        raise ConventionError("I and J residuals vanish but the K residual does not")
-    return ok
+    """Whether Iw = w and Jw = Kw = -w hold exactly (slots-only actions):
+    whether the (1,1) projector P (`structures.type11_projector`) fixes w."""
+    if form.degree != 2 or form.dim != model.dim:
+        raise ValueError("expected a 2-form on the model")
+    return apply_operator(type11_projector(model), form) == form

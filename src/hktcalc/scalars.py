@@ -267,7 +267,7 @@ class Polynomial:
             if "inum" in entry or "iden" in entry:
                 raise ValueError("complex coefficients (inum/iden) are not supported; "
                                  "coefficients are rational")
-            exp = tuple(json_int(e, "exp") for e in entry["exp"])
+            exp = tuple(json_int(e, "exp") for e in json_list(entry["exp"], "exp"))
             if sum(exp) > MAX_JSON_DEGREE:
                 raise ValueError(f"the term with degree {sum(exp)} exceeds the maximum "
                                  f"degree {MAX_JSON_DEGREE}")
@@ -322,6 +322,13 @@ def parse_json_int(text: str):
     """The `parse_int` hook of `json.load`: an int, or a LongJsonInt marker
     for a literal the int conversion would refuse."""
     return LongJsonInt(text) if len(text.lstrip("-")) > MAX_JSON_DIGITS else int(text)
+
+
+def json_list(value, name: str) -> list:
+    """A JSON list; anything else, a string included, raises ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def json_int(value, name: str) -> int:

@@ -36,8 +36,9 @@ uses this to certify the axes' twistor verdict on all of S^2.
 
 Complex type components are `ComplexForm` values: (re, im) pairs of
 rational forms.  The (0,2) and (0,3) type projectors at an axis are stored
-as pairs (Re, Im) of real polynomials in rho_A (`type_projector`), so the
-exact core never needs complex coefficients.
+as pairs (Re, Im) of real polynomials in rho_A (`type_projector`), and the
+Salamon (1,1) projector (1 + I* - J* - K*)/4 is one real operator
+(`type11_projector`), so the exact core never needs complex coefficients.
 """
 
 from __future__ import annotations
@@ -161,8 +162,7 @@ def _axis_operators(model: HypercomplexModel, name: str, k: int) -> tuple[FiberO
     if cached is not None:
         return cached
     image = axis_image(model, name)
-    rho: FiberOperator = {}
-    pull: FiberOperator = {}
+    rho, pull = FiberOperator(), FiberOperator()
     for idx in multi_indices(model.dim, k):
         column: dict = {}
         for pos, i in enumerate(idx):
@@ -190,6 +190,21 @@ def axis_squares(model: HypercomplexModel, k: int) -> list[FiberOperator]:
         if (model.n, name, k, "square") not in _FIBER_CACHE:
             _FIBER_CACHE[model.n, name, k, "square"] = compose_operators(rho, rho)
     return [_FIBER_CACHE[model.n, name, k, "square"] for name in "IJK"]
+
+
+def type11_projector(model: HypercomplexModel) -> FiberOperator:
+    """P = (1 + I* - J* - K*)/4, the projector of 2-forms onto the Salamon
+    (1,1)-forms: the character I* = 1, J* = K* = -1 of the Klein four-group
+    {1, I*, J*, K*}, whose law is checked once, here (`ConventionError`)."""
+    key = (model.n, "type11")
+    if key not in _FIBER_CACHE:
+        p_i, p_j, p_k = (_axis_operators(model, name, 2)[1] for name in "IJK")
+        identity = combine_operators([(0, p_i)], 1)
+        if not (compose_operators(p_i, p_i) == compose_operators(p_j, p_j) == identity
+                and compose_operators(p_i, p_j) == compose_operators(p_j, p_i) == p_k):
+            raise ConventionError("the axis pullbacks on 2-forms break I*^2 = J*^2 = Id, I*J* = J*I* = K*")
+        _FIBER_CACHE[key] = combine_operators([(1, p_i), (-1, p_j), (-1, p_k)], 1, 4)
+    return _FIBER_CACHE[key]
 
 
 def type_projector(model: HypercomplexModel, name: str, k: int) -> tuple[FiberOperator, FiberOperator]:

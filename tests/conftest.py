@@ -10,10 +10,11 @@ import pytest
 
 from hktcalc import HypercomplexModel, KForm, Polynomial, ProjectorTable
 from hktcalc import exact_linalg as ela
-from hktcalc.forms import apply_operator, combine_operators, compose_operators, multi_indices
+from hktcalc.conventions import HESSIAN_AVERAGE_FACTOR
+from hktcalc.forms import FiberOperator, apply_operator, combine_operators, compose_operators, hessian, multi_indices
 from hktcalc.geometry import conformal_metric, kahler_form
 from hktcalc.salamon import _condition_matrix, _condition_operators
-from hktcalc.structures import ComplexForm, axis_derivations
+from hktcalc.structures import ComplexForm, axis_derivations, axis_image
 
 
 # Dense exact linear algebra: test oracles.  `hktcalc.exact_linalg` is the
@@ -207,6 +208,28 @@ def quarter_norm_potential(dim: int) -> Polynomial:
     return norm_squared(dim) * Fraction(1, 4)
 
 
+def pullback_hessian_kahler_form(model: HypercomplexModel, mu: Polynomial) -> KForm:
+    """Test oracle: the former `geometry.hessian_kahler_form`, the sum
+    alt + I*alt - J*alt - K*alt of three axis pullbacks, with
+    alt = (HESSIAN_AVERAGE_FACTOR / 2)(T[a][b] - T[b][a]) for T = H(I., .)."""
+    h = hessian(mu)
+    t = [[p.scale(-s) for p in h[j]] for j, s in axis_image(model, "I")]
+    factor = HESSIAN_AVERAGE_FACTOR / 2
+    alt = KForm(2, model.dim, {(a, b): (t[a][b] - t[b][a]).scale(factor)
+                               for a in range(model.dim) for b in range(a + 1, model.dim)})
+    pulled = [model.operator(name).pullback(alt) for name in "IJK"]
+    return alt + pulled[0] - pulled[1] - pulled[2]
+
+
+def three_pullback_is_11(model: HypercomplexModel, form: KForm) -> bool:
+    """Test oracle: the former `salamon.is_salamon_11`, I*w = w and
+    J*w = -w by two pullbacks, with K*w = -w asserted when both hold."""
+    ops = {name: model.operator(name) for name in "IJK"}
+    ok = ops["I"].pullback(form) == form and ops["J"].pullback(form) == -form
+    assert not ok or ops["K"].pullback(form) == -form, "I and J residuals vanish but the K residual does not"
+    return ok
+
+
 # Flat Kahler forms frozen from the documented left-multiplication blocks:
 # F(e_a, e_b) = delta(M e_a, e_b) = M[b][a].
 def flat_form(name: str) -> KForm:
@@ -348,13 +371,14 @@ def _rows(matrix: Sequence[Sequence], dim: int) -> list[list[tuple[int, int | Fr
     return [[(j, _int_or_fraction(v)) for j, v in enumerate(matrix[i]) if v] for i in range(dim)]
 
 
-def routed_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int, den: int = 1) -> dict:
+def routed_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int, den: int = 1) -> FiberOperator:
     """Test oracle: route `slots` of the k slots through matrix / den,
     summed over all choices.
 
     An integer `matrix` is expanded in ints only; each summed coefficient
-    is then divided once by den**slots.  The stored coefficients are
-    Fractions whatever the entries of `matrix` are.
+    is then divided once by den**slots.  The result is a `FiberOperator`
+    over den 1 whose stored coefficients are Fractions whatever the
+    entries of `matrix` are.
     """
     if not 0 <= slots <= k:
         raise ValueError("slots must lie in [0, k]")
@@ -373,7 +397,7 @@ def routed_operator(matrix: Sequence[Sequence], k: int, dim: int, slots: int, de
                 elif out_idx in total:
                     del total[out_idx]
         op[idx] = sorted((out_idx, Fraction(coeff, scale)) for out_idx, coeff in total.items())
-    return op
+    return FiberOperator(op)
 
 
 def pullback(form: KForm, matrix: Sequence[Sequence]) -> KForm:
@@ -414,7 +438,7 @@ def sphere_matrix(model: HypercomplexModel, point: SpherePoint) -> tuple:
     return tuple(tuple(Fraction(v, den) for v in row) for row in mat)
 
 
-def routed_fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, slots: int) -> dict:
+def routed_fiber_op(model: HypercomplexModel, point: SpherePoint, k: int, slots: int) -> FiberOperator:
     """Test oracle: the `slots`-slot insertion sum at `point` on k-forms,
     expanded from den * (aI + bJ + cK) (slots = k is the pullback)."""
     den, mat = integer_sphere_matrix(model, point)
@@ -450,7 +474,7 @@ def sphere_operator(model: HypercomplexModel, point: SpherePoint) -> OracleSpher
 
 
 @functools.lru_cache(maxsize=None)
-def oracle_type_projector(model: HypercomplexModel, point: SpherePoint, k: int) -> tuple[dict, dict]:
+def oracle_type_projector(model: HypercomplexModel, point: SpherePoint, k: int) -> tuple[FiberOperator, FiberOperator]:
     """Test oracle: (Re, Im) of the (0,k) type projector at `point`, k = 2 or 3,
     from the one- and two-slot insertion sums S1, S2 of aI + bJ + cK:
     pi02 = ((1 - S2) + i S1)/4 and pi03 = (1 - S2)/8 - i S1 (S2 - 1)/24."""
@@ -582,10 +606,10 @@ def homogeneous_type_projector(model: HypercomplexModel, k: int, poly: dict) -> 
             sphere_combination([(-1, sphere_rho(model, k, square)), (-1, sphere_norm(rho))]))
 
 
-def homogeneous_projector_at(model: HypercomplexModel, point: SpherePoint, k: int) -> tuple[dict, dict]:
+def homogeneous_projector_at(model: HypercomplexModel, point: SpherePoint, k: int) -> tuple[FiberOperator, FiberOperator]:
     """(Re, Im) of the (0,k) type projector at `point` as fiber operators:
     `homogeneous_type_projector` of each basis k-form, evaluated there."""
-    pair: tuple[dict, dict] = ({}, {})
+    pair = (FiberOperator(), FiberOperator())
     for idx in multi_indices(model.dim, k):
         for op, scale, poly in zip(pair, TYPE_SCALE[k], homogeneous_type_projector(model, k, {(0, 0, 0): {idx: 1}})):
             op[idx] = sorted((i, Fraction(x, scale)) for i, x in sphere_evaluate(poly, point).items())

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from hktcalc.cli import EXIT_INPUT_ERROR, EXIT_SOLVER_ERROR, main
 
+# "3000" and "01" are digit strings where an exponent or index list belongs.
 JUNK = st.sampled_from([None, True, 1.5, -1, 0, "x", "", [], {}, [1, 2], {"a": 1},
-                        10**300, "9" * 5000, float("nan"), float("inf")])
+                        10**300, "9" * 5000, float("nan"), float("inf"), "3000", "01"])
 
 NUMBERS = st.one_of(st.integers(-3, 3), st.integers(-10**300, 10**300),
                     st.sampled_from(["1", "-2", "+7", "9" * 5000]))
@@ -182,4 +183,21 @@ BOXED_DOCUMENTS = st.fixed_dictionaries({"phi": positive_factor(), "box": BOXES}
 def test_solve_exit_codes_on_boxes(doc):
     code, out, err = run(["solve"], doc, ["--grid", "5"])
     assert code in (0, 2, 3), (code, err)
+    assert_clean(code, out, err)
+
+
+# A flat (1,1)-form with digit strings for an exponent list or an index
+# list: each used to be read one character at a time and pass, exit 0.
+STRING_LIST_DOCUMENTS = [
+    {"kind": "form", "model": {"n": 1}, "payload": {"form": {"k": 2, "dim": 4, "terms": [
+        {"idx": idx, "poly": {"dim": 4, "terms": [{"num": "1", "den": "1", "exp": exp}]}}
+        for idx in (idx_01, idx_23)]}}}
+    for exp, idx_01, idx_23 in (("0000", [0, 1], [2, 3]), ([0, 0, 0, 0], "01", "23"))
+]
+
+
+@pytest.mark.parametrize("doc", STRING_LIST_DOCUMENTS)
+def test_string_lists_are_input_errors(doc):
+    code, out, err = run(["check"], doc)
+    assert code == EXIT_INPUT_ERROR
     assert_clean(code, out, err)

@@ -370,6 +370,31 @@ class TestCheckCommand:
                           "metric-n1-conformal": 1, "conformal4d-n1": 0}
         assert hktcalc.is_salamon_11 is spy
 
+    def test_commands_reach_no_dense_route(self, tmp_path, capsys, monkeypatch):
+        # The (1,1) projector, eta and the B conditions are applied sparse:
+        # neither the default identity run nor `hkt check` forms a dense
+        # matrix or runs a Fraction elimination, even on cold caches.
+        import hktcalc.structures as structures
+
+        paths = [(write(tmp_path, f"{case['name']}.json", case["doc"]), case["expect"]["exit"])
+                 for case in bench_check_cases(401)]
+        calls = []
+        for name in ("null_space", "operator_matrix"):
+            for module_name, module in list(sys.modules.items()):
+                original = getattr(module, name, None) if module_name.split(".")[0] == "hktcalc" else None
+                if original is not None:
+                    def spy(*args, _name=name, _original=original):
+                        calls.append(_name)
+                        return _original(*args)
+
+                    monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(structures, "_FIBER_CACHE", {})
+        assert main([]) == EXIT_OK
+        for path, code in paths:
+            assert main(["check", path]) == code
+        capsys.readouterr()
+        assert calls == []
+
     def test_one_kahler_form_per_axis_per_document(self, tmp_path, capsys, monkeypatch):
         # A metric enters as its F_I, built once; a form document is its
         # F_I.  The definition check reads F_J and F_K off F_I once.
@@ -864,6 +889,44 @@ class TestFailureTaxonomy:
         assert captured.out == ""
         assert captured.err.startswith("internal error: the potential's form F_I is not of Salamon type (1,1)")
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["check", "identities"])
+    def test_broken_axis_pullback_exits_4(self, tmp_path, capsys, monkeypatch, command):
+        # The Klein law of the 2-form pullbacks is checked once, when the
+        # (1,1) projector is built: a K* of the wrong sign breaks I*J* = K*.
+        import hktcalc.structures as structures
+        from hktcalc.forms import FiberOperator
+
+        original = structures._axis_operators
+
+        def broken(model, name, k):
+            rho, pull = original(model, name, k)
+            if (name, k) == ("K", 2):
+                pull = FiberOperator({idx: [(i, -v) for i, v in col] for idx, col in pull.items()}, pull.den)
+            return rho, pull
+
+        doc = {"kind": "form", "model": {"n": 1}, "payload": {"form": flat_form("I").to_json()}}
+        argv = {"check": ["check", write(tmp_path, "flat.json", doc)],
+                "identities": ["identities", "--n", "1", "--count", "1"]}[command]
+        monkeypatch.setattr(structures, "_FIBER_CACHE", {})
+        monkeypatch.setattr(structures, "_axis_operators", broken)
+        assert main(argv) == EXIT_INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: the axis pullbacks on 2-forms break")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("field", ["exp", "idx"])
+    def test_string_index_lists_are_input_errors(self, tmp_path, capsys, field):
+        # "exp": "3000" used to be read as x0^3, and "idx": "01" as (0, 1).
+        poly = {"dim": 4, "terms": [{"num": "1", "den": "1", "exp": "3000" if field == "exp" else [3, 0, 0, 0]}]}
+        doc = {"kind": "form", "model": {"n": 1}, "payload": {"form": {"k": 2, "dim": 4, "terms": [
+            {"idx": "01" if field == "idx" else [0, 1], "poly": poly},
+            {"idx": "23" if field == "idx" else [2, 3], "poly": poly}]}}}
+        assert main(["check", write(tmp_path, "strings.json", doc)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: payload (form): {field} must be a JSON list, got str\n"
 
     @pytest.mark.parametrize("command", ["check", "solve", "identities"])
     def test_broken_structure_matrices_exit_4(self, tmp_path, capsys, monkeypatch, command):

@@ -62,6 +62,7 @@ from hktcalc.batteries import random_kform
 from hktcalc.conventions import HESSIAN_AVERAGE_FACTOR
 from hktcalc.documents import DocumentError, InputDocument
 from hktcalc.forms import (
+    FiberOperator,
     KForm,
     apply_operator,
     combine_operators,
@@ -170,7 +171,7 @@ def oracle_fiber_op(model, point, k, slots):
             for out_idx, coeff in oracle_wedge_expansion(factors).items():
                 total[out_idx] = total.get(out_idx, Fraction(0)) + coeff
         op[idx] = sorted((i, c) for i, c in total.items() if c)
-    return op
+    return FiberOperator(op)
 
 
 def oracle_rows(matrix, dim):
@@ -204,7 +205,7 @@ def oracle_pair_insertion_operator(a, b, k, dim):
                 elif out_idx in total:
                     del total[out_idx]
         op[idx] = sorted(total.items())
-    return op
+    return FiberOperator(op)
 
 
 def _canonical(poly):
@@ -239,7 +240,7 @@ def forms_and_operators(draw):
     indices = st.sampled_from(multi_indices(dim, k))
     form = draw(kforms(dim, k))
     columns = st.dictionaries(indices, COEFFS, max_size=4).map(lambda c: sorted(c.items()))
-    op = draw(st.dictionaries(indices, columns, max_size=12))
+    op = FiberOperator(draw(st.dictionaries(indices, columns, max_size=12)))
     return op, form
 
 
@@ -268,8 +269,8 @@ def oracle_combine_operators(terms, shift=0, den=None):
                 total[idx] = acc = {idx: shift}
             for out_idx, v in column:
                 acc[out_idx] = acc.get(out_idx, 0) + c * v
-    return {idx: sorted((i, v if den is None else Fraction(v, den)) for i, v in acc.items() if v)
-            for idx, acc in total.items()}
+    return FiberOperator({idx: sorted((i, v if den is None else Fraction(v, den)) for i, v in acc.items() if v)
+                          for idx, acc in total.items()})
 
 
 @functools.lru_cache(maxsize=None)
@@ -696,8 +697,8 @@ def test_int_and_fraction_values_give_equal_polynomials(a, b, scalar, index, poi
 @settings(max_examples=100, deadline=None)
 def test_int_and_fraction_values_give_equal_forms(case):
     op, form, other = case
-    op_int = {idx: [(i, exact_coefficient(c)) for i, c in column] for idx, column in op.items()}
-    op_frac = {idx: [(i, Fraction(c)) for i, c in column] for idx, column in op.items()}
+    op_int = FiberOperator({idx: [(i, exact_coefficient(c)) for i, c in column] for idx, column in op.items()})
+    op_frac = FiberOperator({idx: [(i, Fraction(c)) for i, c in column] for idx, column in op.items()})
 
     def results(w, v, o):
         return [w + v, w - v, -w, w.d(), w.wedge(v), w.wedge(v.d()), apply_operator(o, w)]
@@ -779,7 +780,7 @@ def test_builders_store_fractions_for_integer_matrices(matrix):
     for op, k in ops:
         assert all(type(c) is Fraction for column in op.values() for _, c in column)
         assert all(type(c) is Fraction for row in operator_matrix(op, k, 4) for c in row)
-    assert routed_operator(matrix, 0, 4, 0) == {(): [((), Fraction(1))]}
+    assert routed_operator(matrix, 0, 4, 0) == FiberOperator({(): [((), Fraction(1))]})
 
 
 def test_routed_operator_rejects_more_slots_than_degree():

@@ -86,9 +86,9 @@ def test_all_exports_resolve():
 def test_convention_error_is_defined_once():
     # Every module raises the one class in `conventions`, so the CLI's one
     # except clause per subcommand catches each internal invariant.
-    from hktcalc import cli, conventions, geometry, salamon, structures
+    from hktcalc import cli, conventions, geometry, structures
 
-    for module in (cli, geometry, salamon, structures):
+    for module in (cli, geometry, structures):
         assert module.ConventionError is conventions.ConventionError, module.__name__
 
 

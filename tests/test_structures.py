@@ -356,7 +356,9 @@ class TestComplexForm:
 class TestAxisSquares:
     def test_cold_table_and_negative_report_compose_each_square_once(self, monkeypatch):
         # rho_A^2 is composed once per (n, axis, k) and shared by eta, the
-        # B^3 conditions and the type projectors at the axes.
+        # B^3 conditions and the type projectors at the axes; the only other
+        # squares are I*^2 and J*^2 on 2-forms, composed once by the Klein
+        # law check of the (1,1) projector.
         from hktcalc import structures
         from hktcalc.batteries import random_a11_form
         from hktcalc.forms import combine_operators, compose_operators
@@ -376,7 +378,8 @@ class TestAxisSquares:
         report = hkt_report(ProjectorTable(model), random_a11_form(model, random.Random(504)))
         assert not report.twistor_ok
         rho = {(name, k): structures._axis_operators(model, name, k)[0] for name in "IJK" for k in (2, 3)}
-        assert sorted(id(op) for op in squared) == sorted(id(op) for op in rho.values())
+        pullbacks = [structures._axis_operators(model, name, 2)[1] for name in "IJ"]
+        assert sorted(id(op) for op in squared) == sorted(id(op) for op in [*rho.values(), *pullbacks])
         for (name, k), op in rho.items():
             square = compose_operators(op, op)
             if k == 2:
