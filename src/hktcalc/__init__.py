@@ -8,7 +8,6 @@ identities, and constructs 4-dimensional HKT potentials numerically.
 from .scalars import Polynomial, random_polynomial
 from .forms import KForm, hessian
 from .structures import (
-    ComplexForm,
     HypercomplexModel,
     StructureOperator,
     complex_type_part,
@@ -29,7 +28,6 @@ __all__ = [
     "random_polynomial",
     "KForm",
     "hessian",
-    "ComplexForm",
     "HypercomplexModel",
     "StructureOperator",
     "complex_type_part",

@@ -368,7 +368,8 @@ def apply_operator(op: FiberOperator, form: KForm) -> KForm:
     The one kernel for every constant-coefficient fiber operator: each
     output index accumulates entry times coefficient into one term map,
     whose values are divided by the operator's denominator once and
-    become one polynomial at the end.
+    become one polynomial at the end.  An integral value is stored as an
+    int, also where a sum of Fractions lands on an integer over den 1.
     """
     sums: dict = {}
     for idx, poly in form.terms.items():
@@ -388,6 +389,11 @@ def apply_operator(op: FiberOperator, form: KForm) -> KForm:
         for acc in sums.values():
             for exp, value in acc.items():
                 acc[exp] = _divided(value, op.den)
+    else:
+        for acc in sums.values():
+            for exp, value in acc.items():
+                if type(value) is Fraction and value.denominator == 1:
+                    acc[exp] = value.numerator
     return KForm._raw(form.degree, form.dim, _nonzero_terms(form.dim, sums))
 
 

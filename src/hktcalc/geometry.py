@@ -6,14 +6,17 @@ Three equivalent HKT characterizations are implemented side by side:
 * projection:  the Kahler form F_I is killed by the projected
   differential D;
 * twistor:     for every structure on the sphere, the (0,2)-part of F_I
-  is closed under the corresponding del-bar, i.e. the (0,3)-part of its
-  exterior derivative vanishes.  It is decided at the three axes I, J
-  and K: on a Salamon (1,1)-form every criterion is a constant matrix
-  applied to the first jet of the coefficients, and
-  tests/test_twistor_certificate.py proves for n <= 3 that the axes'
-  stacked matrix has the same row space as the Salamon residual's and as
-  the whole sphere's (the coefficients of the residual as a homogeneous
-  polynomial in P = (a, b, c)).
+  is closed under the corresponding del-bar, i.e. the (0,3)-part X of its
+  exterior derivative vanishes.  X is zero exactly when X + conj(X) is,
+  and at an axis A that real form is E_3 d E_2 F_I, with E_k the real
+  projector onto the types (k,0) + (0,k) (`complex_type_part`): d maps
+  (2,0)-forms into (3,0) + (2,1), so no cross term survives.  It is
+  decided at the three axes I, J and K: on a Salamon (1,1)-form every
+  criterion is a constant matrix applied to the first jet of the
+  coefficients, and tests/test_twistor_certificate.py proves for n <= 3
+  that the axes' stacked matrix has the same row space as the Salamon
+  residual's and as the whole sphere's (the coefficients of the residual
+  as a homogeneous polynomial in P = (a, b, c)).
 
 All three read one object, the Salamon (1,1)-form F_I.  It fixes the
 metric g = -F_I(I., .), so F_J, F_K (`kahler_forms`) and the signature
@@ -42,7 +45,6 @@ from .forms import KForm, apply_operator, hessian
 from .salamon import ProjectorTable, salamon_D
 from .scalars import Polynomial, cleared_point
 from .structures import (
-    ComplexForm,
     HypercomplexModel,
     _compose,
     axis_image,
@@ -51,7 +53,7 @@ from .structures import (
 )
 
 
-def residual_summary(form: KForm | ComplexForm) -> dict:
+def residual_summary(form: KForm) -> dict:
     """Size summary of an exact residual: term count and coefficient height."""
     return {"nonzero_terms": form.nonzero_terms(), "max_height": form.coefficient_height()}
 
@@ -206,20 +208,17 @@ class TwistorCheck:
 def is_hkt_twistor(model: HypercomplexModel, form: KForm) -> TwistorCheck:
     """Sphere-family test: the (0,3)-part of d(F^{0,2}) vanishes.
 
-    For each axis of `TWISTOR_AXES` the (0,2)-part of the form is taken as
-    a (real, imaginary) pair of rational forms, its exterior derivative
-    computed, and the (0,3)-part w.r.t. the same structure must vanish
-    exactly; each axis's residual is a `ComplexForm`, listed with its name.
+    At each axis A of `TWISTOR_AXES` the residual is the real 3-form
+    E_3 d E_2 F (`complex_type_part`), twice the real part of that
+    (0,3)-part, which it determines; each is listed with its axis.
 
     For a Salamon (1,1)-form on n <= 3 the axes decide the whole sphere
     family: tests/test_twistor_certificate.py proves, with first-jet rank
     certificates, that the axes' residuals vanish exactly when the
     residual at every point of S^2 and the Salamon residual do.
     """
-    results = []
-    for name in TWISTOR_AXES:
-        g_part = complex_type_part(model, name, form, "02")
-        results.append((name, complex_type_part(model, name, g_part.d(), "03")))
+    results = [(name, complex_type_part(model, name, complex_type_part(model, name, form).d()))
+               for name in TWISTOR_AXES]
     return TwistorCheck(all(r.is_zero() for _, r in results), results)
 
 

@@ -4,10 +4,9 @@ A coefficient is a nonzero `int` or `fractions.Fraction`, never a float or
 a bool.  The constructors store an integral value as an `int`, so integer
 data stays in int arithmetic (no gcd per product) through `+`, `*` and
 `partial`; a sum of Fractions may still be integral.  Two ints are never
-divided, which would give a float.  The exact core is real; the one place
-that needs complex values (type decompositions for the twistor criterion)
-stores them as (real, imaginary) pairs of rational forms in
-`hktcalc.structures`.
+divided, which would give a float.  The exact core is real: the twistor
+criterion reads the real (k,0) + (0,k) type parts of `hktcalc.structures`,
+so no complex value is formed.
 
 `Polynomial` is a sparse map from exponent vectors to coefficients:
 

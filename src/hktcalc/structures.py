@@ -34,11 +34,11 @@ has the derivation rho_P = a rho_I + b rho_J + c rho_K, and every fiber
 operator at P is a polynomial in it; tests/test_twistor_certificate.py
 uses this to certify the axes' twistor verdict on all of S^2.
 
-Complex type components are `ComplexForm` values: (re, im) pairs of
-rational forms.  The (0,2) and (0,3) type projectors at an axis are stored
-as pairs (Re, Im) of real polynomials in rho_A (`type_projector`), and the
-Salamon (1,1) projector (1 + I* - J* - K*)/4 is one real operator
-(`type11_projector`), so the exact core never needs complex coefficients.
+The type projectors at an axis are real: E_k onto the types (k,0) + (0,k)
+is a polynomial in rho_A^2 (`type_projector`), and the Salamon (1,1)
+projector (1 + I* - J* - K*)/4 is one operator (`type11_projector`).  A
+(0,k)-form X is zero exactly when X + conj(X) is, so the twistor residual
+is read as a real form and the package holds no complex object.
 """
 
 from __future__ import annotations
@@ -207,89 +207,28 @@ def type11_projector(model: HypercomplexModel) -> FiberOperator:
     return _FIBER_CACHE[key]
 
 
-def type_projector(model: HypercomplexModel, name: str, k: int) -> tuple[FiberOperator, FiberOperator]:
-    """(Re, Im) of the (0,k) type projector of the axis `name` on k-forms,
-    k = 2 or 3.
+def type_projector(model: HypercomplexModel, name: str, k: int) -> FiberOperator:
+    """E_k, the real projector of k-forms onto the types (k,0) + (0,k) of
+    the axis `name`, k = 2 or 3.
 
-    rho_A acts as i(p - q) on (p,q)-forms, so the Lagrange polynomials in
-    rho_A that are 1 on (0,k) and 0 on the other types are
+    rho_A acts as i(p - q) on (p,q)-forms, so rho_A^2 is -(p - q)^2 and
 
-        pi02 = -rho_A^2/8 + i rho_A/4,
-        pi03 = -(rho_A^2 + 1)/16 - i (rho_A^3 + rho_A)/48.
+        E_2 = -rho_A^2/4          (= (Id - A*)/2),
+        E_3 = -(rho_A^2 + 1)/8,
 
-    Both halves are built in ints from rho_A and the cached rho_A^2, each
-    over its one denominator (8, 4, 16 and 48).  The (k,0) projector is the
-    conjugate pair (Re, -Im).
+    both built in ints from the cached rho_A^2 (`axis_squares`).
     """
     if k not in (2, 3):
         raise ValueError("type projectors are built on 2- and 3-forms only")
     key = (model.n, name, k, "type")
-    cached = _FIBER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rho, square = _axis_operators(model, name, k)[0], axis_squares(model, k)["IJK".index(name)]
-    if k == 2:
-        pair = combine_operators([(-1, square)], den=8), combine_operators([(1, rho)], den=4)
-    else:
-        cube = compose_operators(rho, square)
-        pair = (combine_operators([(-1, square)], -1, 16),
-                combine_operators([(-1, cube), (-1, rho)], den=48))
-    _FIBER_CACHE[key] = pair
-    return pair
+    if key not in _FIBER_CACHE:
+        square = axis_squares(model, k)["IJK".index(name)]
+        shift, den = (0, 4) if k == 2 else (-1, 8)
+        _FIBER_CACHE[key] = combine_operators([(-1, square)], shift, den)
+    return _FIBER_CACHE[key]
 
 
-class ComplexForm:
-    """A complex form re + i*im, stored as two rational forms.
-
-    The type projectors and the exterior derivative act on each half
-    separately.  This is the only complex object in the package.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: KForm, im: KForm):
-        self.re = re
-        self.im = im
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexForm):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def d(self) -> "ComplexForm":
-        return ComplexForm(self.re.d(), self.im.d())
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def nonzero_terms(self) -> int:
-        """Multi-indices whose complex coefficient is nonzero."""
-        return len(self.re.terms.keys() | self.im.terms.keys())
-
-    def coefficient_height(self) -> int:
-        return max(self.re.coefficient_height(), self.im.coefficient_height())
-
-
-def complex_type_part(model: HypercomplexModel, name: str,
-                      form: KForm | ComplexForm, part: str) -> ComplexForm:
-    """One complex type component of a 2- or 3-form for the axis `name`.
-
-    `part` is one of "20", "02" (degree 2) or "30", "03" (degree 3).  With
-    R + iS the (0,k) projector, a complex input x + iy maps to
-    (Rx - Sy) + i(Sx + Ry), and a rational input is x alone.  The (k,0)
-    part is the conjugate of the (0,k) part of the conjugate input.  The
-    output is always a `ComplexForm`.
-    """
-    if part not in ("20", "02", "30", "03"):
-        raise ValueError(f"unknown type part {part!r}")
-    x, y = (form.re, form.im) if isinstance(form, ComplexForm) else (form, None)
-    k = int(part[0]) + int(part[1])
-    if x.degree != k:
-        raise ValueError(f"expected a {k}-form")
-    re_op, im_op = type_projector(model, name, k)
-    conjugate = part[0] != "0"
-    re, im = apply_operator(re_op, x), apply_operator(im_op, x)
-    if y is not None:
-        y = -y if conjugate else y
-        re, im = re - apply_operator(im_op, y), im + apply_operator(re_op, y)
-    return ComplexForm(re, -im if conjugate else im)
+def complex_type_part(model: HypercomplexModel, name: str, form: KForm) -> KForm:
+    """The (k,0) + (0,k) part E_k form of a 2- or 3-form for the axis
+    `name`: twice the real part of its (0,k) part."""
+    return apply_operator(type_projector(model, name, form.degree), form)

@@ -14,7 +14,7 @@ from hktcalc.conventions import HESSIAN_AVERAGE_FACTOR
 from hktcalc.forms import FiberOperator, apply_operator, combine_operators, compose_operators, hessian, multi_indices
 from hktcalc.geometry import conformal_metric, kahler_form
 from hktcalc.salamon import _condition_matrix, _condition_operators
-from hktcalc.structures import ComplexForm, axis_derivations, axis_image
+from hktcalc.structures import axis_derivations, axis_image
 
 
 # Dense exact linear algebra: test oracles.  `hktcalc.exact_linalg` is the
@@ -471,6 +471,19 @@ class OracleSphereOperator:
 
 def sphere_operator(model: HypercomplexModel, point: SpherePoint) -> OracleSphereOperator:
     return OracleSphereOperator(model, point)
+
+
+@dataclass(frozen=True)
+class ComplexForm:
+    """Test oracle: a complex form re + i im, as two rational forms.  The
+    package reads every type part as a real form; the oracles below are
+    complex."""
+
+    re: KForm
+    im: KForm
+
+    def is_zero(self) -> bool:
+        return self.re.is_zero() and self.im.is_zero()
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,15 +24,15 @@ equal:
   which built aI + bJ + cK in Fractions;
 * `oracle_fiber_op` -- an earlier `structures._fiber_op`, which expanded
   that Fraction matrix (with `_wedge_expansion` and the insertion sum).
-  The package now builds pullbacks and the (0,2) and (0,3) type
-  projectors at the axes only, with int entries.  The twistor
-  certificate homogenizes the projectors as polynomials in
+  The package now builds pullbacks and the real type projectors E_2 and
+  E_3 at the axes only, with int entries.  The twistor certificate
+  homogenizes the complex (0,2) and (0,3) projectors as polynomials in
   rho_P = a rho_I + b rho_J + c rho_K (`conftest.
   homogeneous_type_projector`); the tests below check them, and the jet
   residuals built from them, against the one- and two-slot insertion sums
-  S1, S2 of the oracle off the axes and against `type_projector` at the
-  axes, and the P* identities tie rho_P to the pullback at every sphere
-  point;
+  S1, S2 of the oracle off the axes, and twice their real part against
+  `type_projector` at the axes, and the P* identities tie rho_P to the
+  pullback at every sphere point;
 * `oracle_pair_insertion_operator` -- the former
   `forms.pair_insertion_operator` S(A, B), the symmetrized insertion of two
   maps into two distinct slots, which built the degree-3 B conditions.
@@ -293,14 +293,9 @@ def fraction_operators(n):
         assert len(table.conditions[k]) == len(oracles)
         pairs += [(k, op, oracle) for op, oracle in zip(table.conditions[k], oracles)]
     for name in "IJK":
-        for k in (2, 3):
-            r, square = _axis_operators(model, name, k)[0], axis_squares(model, k)["IJK".index(name)]
-            if k == 2:
-                oracles = old([(-1, square)], den=8), old([(1, r)], den=4)
-            else:
-                oracles = (old([(-1, square)], -1, 16),
-                           old([(-1, compose_operators(r, square)), (-1, r)], den=48))
-            pairs += [(k, op, oracle) for op, oracle in zip(type_projector(model, name, k), oracles)]
+        for k, (shift, den) in ((2, (0, 4)), (3, (-1, 8))):
+            square = axis_squares(model, k)["IJK".index(name)]
+            pairs.append((k, type_projector(model, name, k), old([(-1, square)], shift, den)))
     return pairs
 
 
@@ -556,15 +551,16 @@ def entries(op):
 def _assert_homogenized_projectors_match(model, point):
     """The homogenized pi02 and pi03 at `point` equal the dense oracle's
     pi02 = ((1 - S2) + i S1)/4 and pi03 = (1 - S2)/8 - i S1 (S2 - 1)/24,
-    with S1, S2 its one- and two-slot insertion sums, and `type_projector`
-    at an axis."""
+    with S1, S2 its one- and two-slot insertion sums, and at an axis twice
+    their real part is `type_projector`."""
     coords = point.as_tuple()
     axis = "IJK"[coords.index(1)] if 1 in coords else None
     for k in (2, 3):
         pair = [entries(op) for op in homogeneous_projector_at(model, point, k)]
         assert pair == [entries(op) for op in oracle_type_projector(model, point, k)], (model.n, point, k)
         if axis is not None:
-            assert pair == [entries(op) for op in type_projector(model, axis, k)], (model.n, axis, k)
+            real = {key: 2 * x for key, x in pair[0].items()}
+            assert real == entries(type_projector(model, axis, k)), (model.n, axis, k)
 
 
 def _constant_form(model, k, terms):

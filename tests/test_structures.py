@@ -10,7 +10,6 @@ from hktcalc.conventions import ConventionError
 from hktcalc.forms import KForm, apply_operator, multi_indices, operator_matrix
 from hktcalc.scalars import Polynomial
 from hktcalc.structures import (
-    ComplexForm,
     HypercomplexModel,
     _compose,
     axis_image,
@@ -19,6 +18,7 @@ from hktcalc.structures import (
 
 from conftest import (
     DENSE_BLOCKS,
+    ComplexForm,
     SpherePoint,
     dense_mat_mul,
     flat_form,
@@ -230,41 +230,27 @@ class TestTwistedDifferential:
 
 class TestTypeDecomposition:
     def test_flat_form_has_no_02_part(self, model1):
-        part = complex_type_part(model1, "I", flat_form("I"), "02")
-        assert part.is_zero()
+        assert complex_type_part(model1, "I", flat_form("I")).is_zero()
 
     @pytest.mark.parametrize("name", ["I", "J", "K"])
     def test_two_form_completeness(self, model1, name):
-        # w = w20 + w11 + w02, with the (1,1) part (w + A*w)/2 from the
-        # oracle pullback: the real parts sum to w, the imaginary parts cancel.
+        # w = (w20 + w02) + w11, with the (1,1) part (w + A*w)/2 from the
+        # oracle pullback.
         rng = random.Random(31)
         oracle = sphere_operator(model1, SpherePoint.axis(name))
         for _ in range(10):
             w = random_kform(4, 2, rng)
-            p20, p02 = (complex_type_part(model1, name, w, part) for part in ("20", "02"))
             w11 = (w + oracle.pullback(w)) * Fraction(1, 2)
-            assert p20.re + w11 + p02.re == w
-            assert (p20.im + p02.im).is_zero()
+            assert complex_type_part(model1, name, w) + w11 == w
 
-    def test_20_part_is_conjugate_of_02(self, model1):
-        # For a real form the (2,0) part is the complex conjugate of the
-        # (0,2) part; conjugation of a pair is (re, im) -> (re, -im).
-        rng = random.Random(36)
-        for name in "IJK":
-            w = random_kform(4, 2, rng)
-            p02 = complex_type_part(model1, name, w, "02")
-            assert not p02.im.is_zero()
-            assert complex_type_part(model1, name, w, "20") == ComplexForm(p02.re, -p02.im)
-
-    def test_02_projector_idempotent_and_kills_20(self, model1):
+    def test_2_projector_idempotent_and_kills_11(self, model1):
         rng = random.Random(32)
         for name in "IJK":
             w = random_kform(4, 2, rng)
-            p02 = complex_type_part(model1, name, w, "02")
-            assert complex_type_part(model1, name, p02, "02") == p02
-            assert complex_type_part(model1, name, p02, "20").is_zero()
-            p20 = complex_type_part(model1, name, w, "20")
-            assert complex_type_part(model1, name, p20, "02").is_zero()
+            part = complex_type_part(model1, name, w)
+            assert not part.is_zero()
+            assert complex_type_part(model1, name, part) == part
+            assert complex_type_part(model1, name, w - part).is_zero()
 
     @pytest.mark.parametrize("name", ["K", None])
     def test_02_projector_against_eigenspace_oracle(self, model1, model2, name):
@@ -272,10 +258,11 @@ class TestTypeDecomposition:
         # on (p,q)-forms, so its eigenvalues are 2i, 0, -2i on 2-forms and
         # 3i, i, -i, -3i on 3-forms.  The Lagrange interpolant at -ki over
         # them, multiplied out in Fraction matrices, is the (0,k) projector:
-        # the package's at the axis K, the homogenized one off the axes.
+        # twice its real part is the package's E_k at the axis K, and it is
+        # the homogenized one off the axes.
         pt = SpherePoint.axis(name) if name else SpherePoint(Fraction(3, 5), Fraction(0), Fraction(4, 5))
         rng = random.Random(33)
-        for model, k, part, spectrum in ((model1, 2, "02", (2, 0, -2)), (model2, 3, "03", (3, 1, -1, -3))):
+        for model, k, spectrum in ((model1, 2, (2, 0, -2)), (model2, 3, (3, 1, -1, -3))):
             dim = model.dim
             mat = sphere_matrix(model, pt)
             s1 = operator_matrix(routed_operator(mat, k, dim, 1), k, dim)
@@ -297,60 +284,33 @@ class TestTypeDecomposition:
             for _ in range(5):
                 w = random_kform(dim, k, rng, 4)
                 if name:
-                    mine = complex_type_part(model, name, w, part)
+                    mine = complex_type_part(model, name, w)
+                    assert mine == apply(real_part, w) * 2
                 else:
                     mine = ComplexForm(*(apply_operator(op, w) for op in homogeneous_projector_at(model, pt, k)))
-                assert mine == ComplexForm(apply(real_part, w), apply(imag_part, w))
+                    assert mine == ComplexForm(apply(real_part, w), apply(imag_part, w))
                 assert not mine.is_zero()
 
     def test_three_form_extreme_parts(self, model1):
         rng = random.Random(34)
         for _ in range(5):
-            w = random_kform(4, 3, rng)
-            p03 = complex_type_part(model1, "I", w, "03")
-            p30 = complex_type_part(model1, "I", w, "30")
-            assert complex_type_part(model1, "I", p03, "03") == p03
-            assert complex_type_part(model1, "I", p03, "30").is_zero()
             # On R^4 there are no (3,0) or (0,3) forms: two complex dims.
-            assert p03.is_zero() and p30.is_zero()
+            assert complex_type_part(model1, "I", random_kform(4, 3, rng)).is_zero()
 
     def test_three_form_extreme_parts_n2(self, model2):
         rng = random.Random(35)
         found_nonzero = False
         for _ in range(5):
             w = random_kform(8, 3, rng)
-            p03 = complex_type_part(model2, "J", w, "03")
-            assert complex_type_part(model2, "J", p03, "03") == p03
-            assert complex_type_part(model2, "J", p03, "30").is_zero()
-            found_nonzero = found_nonzero or not p03.is_zero()
+            part = complex_type_part(model2, "J", w)
+            assert complex_type_part(model2, "J", part) == part
+            assert complex_type_part(model2, "J", w - part).is_zero()
+            found_nonzero = found_nonzero or not part.is_zero()
         assert found_nonzero
 
-    def test_bad_part_label(self, model1):
-        with pytest.raises(ValueError):
-            complex_type_part(model1, "I", KForm.zero(2, 4), "12")
-
-
-class TestComplexForm:
-    def test_type_parts_are_complex_linear(self, model2):
-        # pi(x + iy) = pi(x) + i pi(y) for every part, at two axes.
-        rng = random.Random(41)
-        for pt in ("J", "K"):
-            for part in ("20", "02", "30", "03"):
-                k = int(part[0]) + int(part[1])
-                x, y = random_kform(8, k, rng, 4), random_kform(8, k, rng, 4)
-                px, py = (complex_type_part(model2, pt, f, part) for f in (x, y))
-                z = complex_type_part(model2, pt, ComplexForm(x, y), part)
-                assert z == ComplexForm(px.re - py.im, px.im + py.re)
-                assert not z.is_zero()
-
-    def test_summary_counts_union_of_halves(self):
-        re = KForm(2, 4, {(0, 1): Polynomial.constant(4, Fraction(5, 3))})
-        im = KForm(2, 4, {(0, 1): Polynomial.constant(4, 1), (2, 3): Polynomial.constant(4, 7)})
-        z = ComplexForm(re, im)
-        assert z.nonzero_terms() == 2
-        assert z.coefficient_height() == 7
-        assert ComplexForm(KForm.zero(2, 4), KForm.zero(2, 4)).is_zero()
-        assert not z.is_zero()
+    def test_bad_degree(self, model1):
+        with pytest.raises(ValueError, match="2- and 3-forms"):
+            complex_type_part(model1, "I", KForm.zero(1, 4))
 
 
 class TestAxisSquares:
@@ -382,9 +342,5 @@ class TestAxisSquares:
         assert sorted(id(op) for op in squared) == sorted(id(op) for op in [*rho.values(), *pullbacks])
         for (name, k), op in rho.items():
             square = compose_operators(op, op)
-            if k == 2:
-                expected = combine_operators([(-1, square)], den=8), combine_operators([(1, op)], den=4)
-            else:
-                cube = compose_operators(op, square)
-                expected = combine_operators([(-1, square)], -1, 16), combine_operators([(-1, cube), (-1, op)], den=48)
+            expected = combine_operators([(-1, square)], den=4) if k == 2 else combine_operators([(-1, square)], -1, 8)
             assert structures.type_projector(model, name, k) == expected

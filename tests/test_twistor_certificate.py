@@ -8,7 +8,11 @@ F = x_c v.  Two matrices with equal row spaces have equal kernels, so they
 give the same verdict on every polynomial (1,1)-form; the row spaces are
 equal when both matrices and their stack have the same rank.
 
-`is_hkt_twistor` decides at the axes I, J, K (`geometry.TWISTOR_AXES`).
+`is_hkt_twistor` decides at the axes I, J, K (`geometry.TWISTOR_AXES`),
+each by the real residual E_3 d E_2 F, twice the real part of the complex
+residual pi03_A(d pi02_A(F)) (`conftest.oracle_twistor_residual`).  Both
+are stacked, and equal ranks show that they vanish on the same jets, so
+what is proved below of the complex axis residuals holds for the verdict.
 The twistor criterion asks for every structure P = aI + bJ + cK of S^2.
 At P the residual of the jet (c, v) is pi03_P(e_c ^ pi02_P(v)), and
 rho_P = a rho_I + b rho_J + c rho_K makes it a polynomial in (a, b, c);
@@ -25,13 +29,14 @@ cases and on the benchmark's `hkt check` documents.
 
 The columns are built from constant forms.  For a constant form w,
 d(x_c w) = e_c ^ w, and the type projectors and eta are constant, so for
-F = x_c v the twistor residual at an axis A is pi03_A(e_c ^ pi02_A(v)) and
-the Salamon residual is eta_3(e_c ^ v).  The Kahler forms of F = x_c v
-(`kahler_forms`) are x_c F_A(v), with F_A(v) those of v, so its
-definition residuals are A(e_c ^ F_A(v)) - B(e_c ^ F_B(v)) for AB = IJ,
-JK.  A test checks these columns against the residuals the polynomial
-pipeline computes for F = x_c v, for n = 1, 2; tests/test_fiber_kernel.py
-checks the sphere stack against the dense oracle at sphere points.
+F = x_c v the twistor residual at an axis A is pi03_A(e_c ^ pi02_A(v)), the
+package's is E_3(e_c ^ E_2 v), and the Salamon residual is eta_3(e_c ^ v).
+The Kahler forms of F = x_c v (`kahler_forms`) are x_c F_A(v), with F_A(v)
+those of v, so its definition residuals are A(e_c ^ F_A(v)) -
+B(e_c ^ F_B(v)) for AB = IJ, JK.  A test checks these columns against the
+residuals the polynomial pipeline computes for F = x_c v, for n = 1, 2;
+tests/test_fiber_kernel.py checks the sphere stack against the dense
+oracle at sphere points.
 """
 
 import functools
@@ -57,13 +62,14 @@ from hktcalc.geometry import (
 )
 from hktcalc.salamon import a11_subspace
 from hktcalc.scalars import Polynomial
-from hktcalc.structures import ComplexForm, complex_type_part
+from hktcalc.structures import complex_type_part
 
 from conftest import (
     SpherePoint,
     evaluate_residual,
     homogeneous_type_projector,
     jet_residual,
+    oracle_twistor_residual,
     sphere_twistor_residual,
 )
 from test_golden import CASES as GOLDEN_CASES
@@ -85,8 +91,10 @@ def _residuals(model, table, form) -> dict:
     """Every criterion's residual of `form`, as rational forms by key."""
     out = {}
     for name, residual in is_hkt_twistor(model, form).point_residuals:
-        out[("twistor", name, "re")] = residual.re
-        out[("twistor", name, "im")] = residual.im
+        out[("real", name)] = residual
+        oracle = oracle_twistor_residual(model, SpherePoint.axis(name), form)
+        out[("twistor", name, "re")] = oracle.re
+        out[("twistor", name, "im")] = oracle.im
     for key, residual in sphere_twistor_residual(model, form).items():
         out[("sphere",) + key] = residual
     out[("salamon",)] = is_hkt_salamon(table, form).residual
@@ -114,19 +122,20 @@ def jet_columns(n: int) -> dict:
     columns = {}
     ops = [model.operator(name) for name in "IJK"]
     for v, basis_form in enumerate(_basis_forms(model)):
-        parts = [complex_type_part(model, name, basis_form, "02") for name in TWISTOR_AXES]
+        parts = [complex_type_part(model, name, basis_form) for name in TWISTOR_AXES]
         kahler = kahler_forms(model, basis_form)
         # pi02_P(v), from rho_P v and rho_P^2 v, once per v.
         v_parts = homogeneous_type_projector(model, 2, {(0, 0, 0): {idx: p.constant_term()
                                                                    for idx, p in basis_form.terms.items()}})
         for c in range(model.dim):
             e_c = KForm.dx(model.dim, c)
+            jet = basis_form * Polynomial.variable(model.dim, c)
             residuals = {}
             for name, part in zip(TWISTOR_AXES, parts):
-                d_part = ComplexForm(e_c.wedge(part.re), e_c.wedge(part.im))
-                residual = complex_type_part(model, name, d_part, "03")
-                residuals[("twistor", name, "re")] = residual.re
-                residuals[("twistor", name, "im")] = residual.im
+                residuals[("real", name)] = complex_type_part(model, name, e_c.wedge(part))
+                oracle = oracle_twistor_residual(model, SpherePoint.axis(name), jet)
+                residuals[("twistor", name, "re")] = oracle.re
+                residuals[("twistor", name, "im")] = oracle.im
             residuals[("salamon",)] = table.eta(e_c.wedge(basis_form))
             i_part, j_part, k_part = (op.act(e_c.wedge(f)) for op, f in zip(ops, kahler))
             residuals[("definition", "IJ")] = i_part - j_part
@@ -154,6 +163,7 @@ def twistor(*names):
     return [("twistor", name) for name in names]
 
 
+REAL = [("real",)]
 SPHERE = [("sphere",)]
 SALAMON = [("salamon",)]
 DEFINITION = [("definition",)]
@@ -172,6 +182,8 @@ def certificate(request):
         "sphere+salamon": jet_rank(columns, *SPHERE, *SALAMON),
         "axes": jet_rank(columns, *axes),
         "axes+salamon": jet_rank(columns, *axes, *SALAMON),
+        "real": jet_rank(columns, *REAL),
+        "real+axes": jet_rank(columns, *REAL, *axes),
         "definition": jet_rank(columns, *DEFINITION),
         "definition+salamon": jet_rank(columns, *DEFINITION, *SALAMON),
     }
@@ -193,6 +205,14 @@ def test_axes_decide_like_the_whole_sphere_and_the_salamon_residual(certificate)
     n, _, ranks = certificate
     same = ("sphere", "salamon", "sphere+salamon", "axes", "axes+salamon")
     assert {name: ranks[name] for name in same} == dict.fromkeys(same, FULL_RANK[n])
+
+
+def test_real_axis_residuals_have_the_kernel_of_the_complex_ones(certificate):
+    # The package reads E_3 d E_2 F = 2 Re X at each axis, X the complex
+    # (0,3)-part; equal ranks make the real and the complex axis residuals
+    # vanish on the same jets, so the certificate above covers the verdict.
+    n, _, ranks = certificate
+    assert ranks["real"] == ranks["axes"] == ranks["real+axes"] == FULL_RANK[n]
 
 
 def test_definition_residuals_have_the_salamon_kernel(certificate):
@@ -224,7 +244,7 @@ def _assert_axes_agree_with_the_whole_sphere(model, form):
     assert [name for name, _ in default.point_residuals] == list(TWISTOR_AXES)
     assert default.ok == (not oracle)
     for name, residual in default.point_residuals:
-        assert residual == evaluate_residual(model, oracle, SpherePoint.axis(name))
+        assert residual == evaluate_residual(model, oracle, SpherePoint.axis(name)).re * 2
 
 
 @pytest.mark.parametrize("name", GOLDEN_CASES)
