@@ -23,29 +23,34 @@ applied as four dense sine-matrix products, one per axis, with the sine
 argument reduced in integers, pi * ((k * j) mod 2N) / N, so every sine is
 taken of an angle in [0, 2 pi).
 
-The solve holds the solution grid, whose interior view is the unknowns,
-one interior array (the residual r) and temporaries of O(m^3) size.  The
-transform runs in place in r, the eigenvalue divisors are built one row
-at a time, and b is never stored: each residual b - A v is A v formed in
-r by slice updates, subtracted from b rebuilt row by row from the faces.
-The Dirichlet data are sampled on the boundary faces only, phi per row or
-slab.  Up to added exact zeros, every value goes through the float
-operations of the textbook whole-array formulation (the tests' oracle), so
-the solution is bit-identical to it.  Overflow is not warned about:
-non-finite values end in the stall error or the residual gate.
+The solve holds the solution grid and temporaries of O(m^3) size: a
+solve that meets its tolerance in one sweep, as the usual ones do,
+allocates no other array of m^4 or (m - 2)^4 size, since that sweep runs
+in the grid's own buffer (`_dst_poisson_solve`).  b is never stored: it
+is rebuilt row by row from the boundary faces, and each true residual
+b - A v is formed row by row, A v with the 9-point stencil.  The
+Dirichlet data are sampled on the boundary faces only, phi per slab.  Up
+to added exact zeros, every value goes through the float operations of
+the textbook whole-array formulation (the tests' oracle), so the solution
+is bit-identical to it.  Overflow is not warned about: non-finite values
+end in the stall error or the residual gate.
 
 The one stencil pass after the solve computes the geometric residual
-|4 - phi^{-1} sum_i D2_i mu|, whose 9-point stencil the solve itself never
-runs, and the trace and form checks of the width-2h second differences.
-It runs slab by slab: SLAB_ROWS rows along axis 0 at a time, read with a
-halo of 2 rows and sampled for phi once, reduced to max and mean as it
-goes.  Every node goes through the same arithmetic in the same order as
-in a whole-grid pass, so every nodal value is bit-identical to it (only
-the means, sums of slab sums, may differ in the last bits), but no
-temporary of the full m^4 size is ever alive.  The form check needs no
-Hessian beyond its trace: tests/test_elliptic.py (`TestAveragedHessian`,
-with the dense I, J, K of tests/conftest.py) proves over Q that the
-Sp(1)-averaged Hessian of the n = 1 model is (tr H / 2) Id.
+|4 - phi^{-1} sum_i D2_i mu|, and the trace and form checks of the
+width-2h second differences.  Its 9-point stencil is the one of every
+b - A v of the solve, but it reads different data: the Dirichlet faces
+from the grid, inside the stencil sum, and phi per slab, where the solve
+subtracts A v (zero data) from b rebuilt from the faces.  It runs slab
+by slab, a few rows along axis 0 at a time (one row for m >= 27, see
+SLAB_NODES), read with a halo of 2 rows and sampled for phi once, reduced
+to max and mean as it goes.  Every node goes through the same arithmetic
+in the same order as in a whole-grid pass, so every nodal value is
+bit-identical to it (only the means, sums of slab sums, may differ in the
+last bits), but no temporary of the full m^4 size is ever alive.  The
+form check needs no Hessian beyond its trace: tests/test_elliptic.py
+(`TestAveragedHessian`, with the dense I, J, K of tests/conftest.py)
+proves over Q that the Sp(1)-averaged Hessian of the n = 1 model is
+(tr H / 2) Id.
 """
 
 from __future__ import annotations
@@ -61,16 +66,23 @@ from .scalars import Polynomial
 
 
 # Largest grid (nodes per axis) a solve accepts.  Peak memory grows like
-# m^4, about 17 bytes per node (the solution grid and the residual r):
-# `hkt solve --grid m` on a factor using all four coordinates peaked at
-# 53 MB for m = 33, 127 MB for m = 49 and 318 MB for m = 65 (max RSS), so
-# the next odd grid above 65, 97, would need about 1.5 GB.
+# m^4, about 8 bytes per node (the solution grid) over a base of about
+# 34 MB, plus slabs of O(m^3): `hkt solve --grid m` on a factor using all
+# four coordinates peaked at 44 MB for m = 17 and 33, 82 MB for m = 49 and
+# 179 MB for m = 65 (max RSS), so the next odd grid above 65, 97, would
+# need about 0.8 GB.
 MAX_GRID = 65
 
-# Rows along axis 0 per slab of the factor check and of the stencil pass
-# after the solve.  1, 2, 4 and 8 rows gave the same peak RSS at m = 33 and
-# times within noise.
-SLAB_ROWS = 4
+# Nodes per slab of the factor check, of the right-hand side and of the
+# stencil pass after the solve: a slab is SLAB_NODES // m^3 rows along
+# axis 0, at least one, so one row for m >= 27.  The slabs set the peak
+# above the grid, and a slab that fits the cache runs faster.  At m = 33
+# (--grid 17 --grid 33) slabs of 1, 2 and 4 rows peaked at 44.2, 44.7 and
+# 45.7 MB of max RSS, and at m = 65 one row at 182 MB against 196 MB for
+# four; on 2 vCPUs (numpy 2.4.6) the verification pass took 37 ms at
+# m = 33 with one row against 45 ms with 2 to 8, but at m = 17 4 ms with
+# one row against 2 ms with 4 to 8.
+SLAB_NODES = 33**3
 
 # Cap on the DST sweeps of one solve.  Each sweep applies the exact inverse
 # up to rounding, so a solve reaches its tolerance or stalls long before it.
@@ -192,27 +204,29 @@ def _eval_poly_on_mesh(poly: Polynomial, mesh: Sequence[np.ndarray]) -> np.ndarr
     total = np.zeros(())
     for exp, coeff in poly.terms.items():
         try:
-            term = np.full((), float(coeff))
+            term = float(coeff)
         except OverflowError:
             raise ValueError("a coefficient is too large for the float solver") from None
         for x, e in zip(mesh, exp):
             if e:
-                term = term * x**e
-        if np.broadcast_shapes(total.shape, term.shape) == total.shape:
+                # x**1 would be a copy of x.
+                term = term * (x if e == 1 else x**e)
+        # In place once the sum has every axis of the term (each axis of
+        # either is 1 or the mesh's length along it).
+        if np.ndim(term) <= total.ndim and all(t <= s for t, s in zip(np.shape(term), total.shape)):
             total += term
         else:
             total = total + term
     return total
 
 
-def _sample_rows(poly: Polynomial, grid: Grid4D, start: int, stop: int) -> np.ndarray:
-    """`poly` on the axis-0 rows start .. stop - 1 of `grid`, as a read-only
-    (stop - start, m, m, m) view of a sample that stores only the axes it
-    depends on.  Every value is bit-identical to the one a whole-mesh sample
-    holds at that node."""
-    mesh = grid.meshgrid()
-    mesh[0] = mesh[0][start:stop]
-    return np.broadcast_to(_eval_poly_on_mesh(poly, mesh), (stop - start,) + (grid.m,) * 3)
+def _sample_rows(poly: Polynomial, mesh: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """`poly` on the axis-0 rows start .. stop - 1 of the sparse grid `mesh`,
+    as a read-only (stop - start, m, m, m) view of a sample that stores only
+    the axes it depends on.  Every value is bit-identical to the one a
+    whole-mesh sample holds at that node."""
+    cut = [mesh[0][start:stop], *mesh[1:]]
+    return np.broadcast_to(_eval_poly_on_mesh(poly, cut), (stop - start,) + (mesh[1].size,) * 3)
 
 
 def _interior(a: np.ndarray) -> np.ndarray:
@@ -236,19 +250,23 @@ def _second_diff_sum(full: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _wide_second_diff(full: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _wide_second_diff(full: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Width-2h second difference on the margin-2 interior, independent of
-    the solver stencil."""
-    return (
-        _shifted(full, axis, 2, 2) - 2.0 * _shifted(full, axis, 0, 2) + _shifted(full, axis, -2, 2)
-    ) / (4.0 * h * h)
+    the solver stencil: (u[+2] - 2 u + u[-2]) / (4 h^2), formed in `out`
+    (a new array if None)."""
+    out = np.multiply(_shifted(full, axis, 0, 2), 2.0, out=out)
+    np.subtract(_shifted(full, axis, 2, 2), out, out=out)
+    out += _shifted(full, axis, -2, 2)
+    out /= 4.0 * h * h
+    return out
 
 
 def _slab_rows(m: int, margin: int):
-    """(start, stop) row ranges of at most SLAB_ROWS rows covering the
-    margin-interior rows margin .. m - margin - 1 along axis 0."""
-    for start in range(margin, m - margin, SLAB_ROWS):
-        yield start, min(start + SLAB_ROWS, m - margin)
+    """(start, stop) row ranges of at most max(1, SLAB_NODES // m^3) rows
+    covering the margin-interior rows margin .. m - margin - 1 along axis 0."""
+    rows = max(1, SLAB_NODES // m**3)
+    for start in range(margin, m - margin, rows):
+        yield start, min(start + rows, m - margin)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -256,7 +274,9 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
     """Residual diagnostics of a candidate potential, in one slab pass.
 
     (a) geometric residual  |4 - phi^{-1} sum_i D2_i mu|  over the interior,
-        with the 9-point stencil, which the DST solve never runs;
+        with the 9-point stencil, reading the Dirichlet faces from the
+        grid and phi per slab (the solve's b - A v runs the same stencil
+        on the unknowns alone, against b rebuilt from the faces);
     (b) trace residual  |phi^{-1} S - 4|,  S = sum_i Dw2_i mu  the sum of the
         width-2h second differences, so a solved grid is not checked
         against its own stencil;
@@ -272,7 +292,7 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
     phi once, and reduced as it goes: the maxima are exact, the means are
     the sums of the slab sums over the node count.
     """
-    m, h = grid.m, grid.h
+    m, h, mesh = grid.m, grid.h, grid.meshgrid()
     maxima, sums = [-math.inf] * 3, [0.0] * 3
 
     def fold(k: int, part: np.ndarray) -> None:
@@ -281,27 +301,33 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
         maxima[k] = float(np.maximum(maxima[k], part.max(initial=-math.inf)))
         sums[k] += float(part.sum())
 
-    for start, stop in _slab_rows(m, 1):
-        phi = _sample_rows(spec.phi, grid, start, stop)
+    def check(start: int, stop: int) -> None:
+        phi = _sample_rows(spec.phi, mesh, start, stop)
         res = _second_diff_sum(grid.values[start - 1 : stop + 1], h)
         res /= phi[:, 1:-1, 1:-1, 1:-1]
         fold(0, np.subtract(float(TRACE_TARGET), res, out=res))
         # Each part is freed before the next is formed: that halves the peak.
         del res
-        # The slab's rows at least 2 from a face (none in a last one-row slab).
+        # The slab's rows at least 2 from a face (none in a slab of row 1 or m - 2 alone).
         lo, hi = max(start, 2), min(stop, m - 2)
+        if lo >= hi:
+            return
         full = grid.values[lo - 2 : hi + 2]
         wide = _wide_second_diff(full, 0, h)
+        part = np.empty_like(wide)
         for a in (1, 2, 3):
-            wide += _wide_second_diff(full, a, h)
+            wide += _wide_second_diff(full, a, h, out=part)
         phi_in = phi[lo - start : hi - start, 2:-2, 2:-2, 2:-2]
-        trace = wide / phi_in
-        trace -= float(TRACE_TARGET)
-        fold(1, trace)
-        del trace
+        np.divide(wide, phi_in, out=part)
+        part -= float(TRACE_TARGET)
+        fold(1, part)
         wide *= 0.5
-        wide -= float(SOLVER_FORM_SCALE) * phi_in
+        wide -= np.multiply(float(SOLVER_FORM_SCALE), phi_in, out=part)
         fold(2, wide)
+
+    # A slab's arrays are freed on return, before the next slab samples phi.
+    for start, stop in _slab_rows(m, 1):
+        check(start, stop)
     inner = (m - 4) ** 4
     return {
         "residual_max": maxima[0],
@@ -321,26 +347,28 @@ class SolveResult:
 
 
 def _write_dirichlet_faces(config: SolverConfig, grid: Grid4D) -> None:
-    """Write the Dirichlet data into the eight boundary faces of grid.values.
+    """Write the Dirichlet data, or zero when there are none, into every
+    boundary slot of grid.values; the interior is left alone.
 
     Each pair of opposite faces is one evaluation on the sparse mesh with
     its axis cut to the two end nodes, so no m^4 sample is ever built.
     """
-    if config.dirichlet is None:
-        return
     mesh = grid.meshgrid()
     for a in range(4):
         ends = (slice(None),) * a + (slice(None, None, grid.m - 1),)
-        cut = [x[ends] if i == a else x for i, x in enumerate(mesh)]
-        grid.values[ends] = _eval_poly_on_mesh(config.dirichlet, cut)
+        if config.dirichlet is None:
+            grid.values[ends] = 0.0
+        else:
+            cut = [x[ends] if i == a else x for i, x in enumerate(mesh)]
+            grid.values[ends] = _eval_poly_on_mesh(config.dirichlet, cut)
 
 
 def _factor_minimum(spec: ConformalMetricSpec, grid: Grid4D) -> float:
     """min phi over the interior nodes; ValueError unless phi > 0 at every
     node.  Sampled and reduced slab by slab."""
-    m, phi_min = grid.m, math.inf
+    m, mesh, phi_min = grid.m, grid.meshgrid(), math.inf
     for start, stop in _slab_rows(m, 0):
-        phi = _sample_rows(spec.phi, grid, start, stop)
+        phi = _sample_rows(spec.phi, mesh, start, stop)
         if not np.all(phi > 0):
             raise ValueError("conformal factor must be positive at every grid node")
         inner = phi[max(start, 1) - start : min(stop, m - 1) - start, 1:-1, 1:-1, 1:-1]
@@ -349,43 +377,76 @@ def _factor_minimum(spec: ConformalMetricSpec, grid: Grid4D) -> float:
 
 
 def _rhs_rows(spec: ConformalMetricSpec, grid: Grid4D):
-    """Yield (rows, b[rows]) one interior row at a time for b = sum_i D2_i
-    (Dirichlet data) - 4 phi: -4 phi (phi sampled per slab) plus, at nodes
-    next to a face, the face neighbours summed in stencil order over h^2; the
-    stencil's other terms are exact zeros, so every value is bit-identical."""
-    m, h = grid.m, grid.h
+    """Yield (i, b[i]) for each interior row i = 0 .. m - 3, in order, of
+    b = sum_i D2_i (Dirichlet data) - 4 phi.  Every row is formed in the
+    same (m - 2)^3 array, so b[i] holds only until the next row is asked for.
+
+    b[i] is -4 phi (phi sampled per slab) plus, at nodes next to a face,
+    the face neighbours summed in stencil order over h^2; the stencil's
+    other terms are exact zeros, so every value is bit-identical to the
+    whole-grid b.  The Dirichlet data are read from the boundary slots of
+    grid.values when b[i] is formed: those of grid row i + 1, and of grid
+    row 0 for the first row and m - 1 for the last.  No unknown is read.
+    """
+    m, h, mesh = grid.m, grid.h, grid.meshgrid()
     inner = (slice(1, -1),) * 3
     # (nodes of a row, their neighbours in it) for the faces of axes 1 .. 3.
     faces = [((slice(None),) * a + (node,), inner[:a] + (face,) + inner[a + 1 :])
              for a in range(3) for node, face in ((m - 3, m - 1), (0, 0))]
+    b, near = np.empty((m - 2,) * 3), np.empty((m - 2,) * 3)
     for start, stop in _slab_rows(m, 1):
-        phi = _sample_rows(spec.phi, grid, start, stop)
+        phi = _sample_rows(spec.phi, mesh, start, stop)
         for i in range(start, stop):
-            near = np.zeros((m - 2,) * 3)
+            near[...] = 0.0
             # Grid rows 0 and m - 1 are boundary faces throughout.
             for edge in [m - 1] * (i == m - 2) + [0] * (i == 1):
                 near += grid.values[edge][inner]
             for nodes, face in faces:
                 near[nodes] += grid.values[i][face]
-            b = -float(TRACE_TARGET) * phi[i - start : i - start + 1, 1:-1, 1:-1, 1:-1]
-            b[0] += near / (h * h)
-            yield slice(i - 1, i), b
+            near /= h * h
+            np.multiply(-float(TRACE_TARGET), phi[i - start, 1:-1, 1:-1, 1:-1], out=b)
+            b += near
+            yield i - 1, b
+        # Freed before the next slab is sampled.
+        del phi
 
 
-def _negative_laplacian(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """out = A v = -sum_i D2_i v with v extended by zero Dirichlet data.
+def _negative_laplacian_row(v: np.ndarray, i: int, h: float, out: np.ndarray) -> np.ndarray:
+    """out = (A v)[i], row i along axis 0 of A v = -sum_i D2_i v with v
+    extended by zero Dirichlet data.
 
-    Formed in `out` as 8 v minus each neighbour, one slice update per
-    neighbour.  Float rounding is symmetric in sign, so this equals, bit
-    for bit, the negation of  -8 v + neighbours  added in the same order."""
-    np.multiply(v, 8.0, out=out)
-    for a in range(4):
+    Formed in `out` as 8 v minus each neighbour, axis by axis; float
+    rounding is symmetric in sign, so this equals, bit for bit, the negation
+    of  -8 v + neighbours  added in the same order."""
+    row = v[i]
+    np.multiply(row, 8.0, out=out)
+    if i + 1 < len(v):
+        out -= v[i + 1]
+    if i > 0:
+        out -= v[i - 1]
+    for a in range(3):
         lo = (slice(None),) * a + (slice(None, -1),)
         hi = (slice(None),) * a + (slice(1, None),)
-        out[lo] -= v[hi]
-        out[hi] -= v[lo]
+        out[lo] -= row[hi]
+        out[hi] -= row[lo]
     out /= h * h
     return out
+
+
+def _residual_max(rhs, v: np.ndarray, h: float, out: np.ndarray | None = None) -> float:
+    """max|b - A v| over the rows (i, b[i]) that `rhs()` yields, formed one
+    row at a time; with `out`, each row b[i] - (A v)[i] is also stored in
+    out[i].  A NaN anywhere gives NaN."""
+    row = np.empty(v.shape[1:])
+    res = -math.inf
+    for i, b in rhs():
+        np.subtract(b, _negative_laplacian_row(v, i, h, row), out=row)
+        if out is not None:
+            out[i] = row
+        # max|r| as max(max r, -min r): no |r| temporary, and np.maximum,
+        # unlike max(), carries a NaN on into the stall check.
+        res = np.maximum(res, max(row.max(), -row.min()))
+    return float(res)
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -423,41 +484,69 @@ def _dst4(a: np.ndarray, scratch: np.ndarray, sines: np.ndarray) -> np.ndarray:
     return a
 
 
-def _dst_poisson_solve(rhs, v: np.ndarray, h: float, tol: float) -> int:
+def _eigenvalue_row(axis_eig: np.ndarray, i: int) -> np.ndarray:
+    """Eigenvalues (2N)^4 (a_i + a_j + a_k + a_l) of A, N = n + 1, for the
+    transformed axis-0 row i, as a new (n, n, n) cube: the divisor of that
+    row, so the whole eigenvalue cube is never materialized."""
+    row = (axis_eig[i] + axis_eig[:, None, None]) + axis_eig[None, :, None] + axis_eig
+    row *= (2.0 * (len(axis_eig) + 1)) ** 4
+    return row
+
+
+def _apply_inverse(r: np.ndarray, sines: np.ndarray, axis_eig: np.ndarray) -> np.ndarray:
+    """r = A^{-1} r up to rounding, in place: transform, divide each row by
+    its eigenvalues, transform back; returns `r`."""
+    scratch = np.empty(r.shape[1:])
+    _dst4(r, scratch, sines)
+    for i in range(len(r)):
+        r[i] /= _eigenvalue_row(axis_eig, i)
+    return _dst4(r, scratch, sines)
+
+
+def _dst_poisson_solve(rhs, boundary, values: np.ndarray, h: float, tol: float) -> int:
     """Direct DST-I solve of  A v = b, refined until max|b - A v| <= tol.
 
-    `rhs()` yields (rows, b[rows]) slabs covering b, rebuilt for every
-    residual.  `v` holds zeros on entry (typically the interior view of the
-    solution grid) and the solution on return.  The sines diagonalize A
-    with eigenvalues sum_axes (4/h^2) sin^2(pi k / 2N), so each sweep
-    applies A^{-1} exactly up to rounding: v += A^{-1} r, then the true
-    residual r = b - A v is recomputed.  Returns the sweep count, at least
-    1: the zero start is never accepted, however large `tol` is.
+    `values` is a C-contiguous (n + 2)^4 array, typically the solution
+    grid; on return its interior holds v.  `rhs()` yields (i, b[i]) for
+    the rows i = 0 .. n - 1 along axis 0 of b, in order, rebuilt for every
+    residual; `boundary()` rewrites the boundary slots of `values`, which
+    the sweep uses as workspace.
+
+    The first sweep runs in the first n^4 slots of `values` itself: b is
+    written there row by row, transformed, divided by the eigenvalues
+    sum_axes (4/h^2) sin^2(pi k / 2N) and transformed back, so it holds
+    A^{-1} b up to rounding.  When rhs() forms b[i], only compact rows
+    0 .. i - 1 are written, and they end before padded row i + 1 starts:
+    b[i] may read the boundary slots of padded rows i + 1 .. n + 1, and b[0]
+    those of row 0.  Each row then moves to its padded place, last row
+    first: padded row i + 1 starts past the end of compact row i, so no row
+    is overwritten before it moves.  After boundary(), the true residual
+    b - A v is formed row by row and only its max kept.  Only if that
+    misses `tol` is an n^4 residual array r allocated, for the refinement
+    sweeps v += A^{-1} r.  Returns the sweep count, at least 1: the zero
+    start is never accepted, however large `tol` is.
     """
-    big_n = v.shape[0] + 1
-    axis_eig = (4.0 / (h * h)) * np.sin(np.pi * np.arange(1, big_n) / (2 * big_n)) ** 2
-    scale = (2.0 * big_n) ** 4
-    sines = _sine_matrix(big_n - 1)
-    r = np.empty(v.shape)
-    for rows, b in rhs():
-        r[rows] = b
-    # max|r| as max(max r, -min r): no |r| temporary, and a NaN still
-    # propagates into the stall check.
-    res = float(max(r.max(), -r.min()))
-    scratch = np.empty((big_n - 1,) * 3)
+    n = values.shape[0] - 2
+    compact, v = values.reshape(-1)[: n**4].reshape((n,) * 4), _interior(values)
+    axis_eig = (4.0 / (h * h)) * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
+    sines = _sine_matrix(n)
+    for i, b in rhs():
+        compact[i] = b
+    # max|b| as max(max b, -min b): a NaN still propagates into the stall check.
+    res = float(max(compact.max(), -compact.min()))
+    _apply_inverse(compact, sines, axis_eig)
+    for i in range(n - 1, -1, -1):
+        v[i] = compact[i]
+    boundary()
+    r = None
     for sweep in range(1, MAX_SWEEPS + 1):
-        _dst4(r, scratch, sines)
-        # Divide by the eigenvalues (2N)^4 (a_i + a_j + a_k + a_l) one
-        # axis-0 row at a time, never materializing the whole cube.
-        for i, a_i in enumerate(axis_eig):
-            row = (a_i + axis_eig[:, None, None]) + axis_eig[None, :, None] + axis_eig
-            row *= scale
-            r[i] /= row
-        v += _dst4(r, scratch, sines)
-        _negative_laplacian(v, h, r)
-        for rows, b in rhs():
-            np.subtract(b, r[rows], out=r[rows])
-        new_res = float(max(r.max(), -r.min()))
+        if sweep > 1:
+            if r is None:
+                # The first refinement forms the last residual again, kept.
+                r = np.empty((n,) * 4)
+                _residual_max(rhs, v, h, out=r)
+            v += _apply_inverse(r, sines, axis_eig)
+        new_res = _residual_max(rhs, v, h, out=r)
         if new_res <= tol:
             return sweep
         if not new_res < res:
@@ -482,8 +571,9 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     residual |4 - phi^{-1} sum_i D2_i mu| is gated: SolverError unless it
     is finite and within 100 * tol / min(phi), the linear residual bound
     carried through the row scaling by phi, with room for the rounding of
-    a stencil the solve did not run.  The diagnostics hold the grid size
-    m and every key of the check.
+    a stencil sum that takes the faces in, where the solve's residual
+    takes them from b.  The diagnostics hold the grid size m and every
+    key of the check.
     """
     config = config or SolverConfig()
     solution = Grid4D(m, *spec.box)
@@ -491,7 +581,8 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     _write_dirichlet_faces(config, solution)
     h = solution.h
     iterations = _dst_poisson_solve(
-        lambda: _rhs_rows(spec, solution), _interior(solution.values), h, config.tol
+        lambda: _rhs_rows(spec, solution), lambda: _write_dirichlet_faces(config, solution),
+        solution.values, h, config.tol,
     )
     checks = verify_potential(solution, spec)
     res_max = checks["residual_max"]
