@@ -20,8 +20,10 @@ solve's only BLAS calls are small sine-matrix products.
 ``--out`` must name a file that can be opened for writing; that is
 checked before any work starts, and a bad path is an input error.
 ``hkt solve --out REPORT`` writes its grid slice, one number per cell, to
-REPORT with the suffix ``.csv`` (none for ``os.devnull``); a REPORT ending
-in ``.csv`` would be overwritten by it and is an input error.  ``hkt
+REPORT with the suffix ``.csv`` (none for ``os.devnull``).  That path is
+checked with REPORT, before the document is loaded: one that cannot be
+opened for writing, a directory say, is an input error, and so is a
+REPORT ending in ``.csv``, which the slice would overwrite.  ``hkt
 check`` reads a metric document as its Kahler form F_I, the one input of
 every HKT criterion (`hktcalc.geometry`), and refuses it as an input
 error unless the metric is symmetric and invariant under I, J and K.
@@ -105,8 +107,9 @@ def _emit(report: Report, out_path: str | None) -> None:
         print(text)
 
 
-def _unwritable(out_path: str | None) -> str | None:
-    """Why the report cannot be written to `out_path`, or None if it can.
+def _unwritable(out_path: str | Path | None) -> str | None:
+    """Why `out_path`, the report or the grid slice, cannot be written, or
+    None if it can.
 
     Opening for append creates a missing file but never truncates one, so
     an earlier report survives a run that then stops on bad input.
@@ -118,6 +121,14 @@ def _unwritable(out_path: str | None) -> str | None:
             return None
     except OSError as exc:
         return f"cannot write --out {out_path}: {exc.strerror}"
+
+
+def _slice_csv_path(out_path: str | None) -> Path | None:
+    """Where `hkt solve --out` writes its grid slice: the report path with
+    the suffix .csv, or None when no report file is written."""
+    if not out_path or out_path == os.devnull:
+        return None
+    return Path(out_path).with_suffix(".csv")
 
 
 def _input_error(message) -> int:
@@ -269,17 +280,19 @@ def cmd_solve(args) -> int:
     order = None
     if len(runs) >= 2:
         first, last = runs[0], runs[-1]
-        if last["form_residual_max"] > 0 and first["h"] != last["h"]:
-            order = math.log(first["form_residual_max"] / last["form_residual_max"]) / math.log(
-                first["h"] / last["h"]
-            )
+        e_first, e_last = first["form_residual_max"], last["form_residual_max"]
+        # Null unless both maxima are positive and finite (a form residual
+        # that reads exactly 0.0 has no log), and so is their ratio.
+        if 0 < e_last < math.inf and 0 < e_first / e_last < math.inf and first["h"] != last["h"]:
+            order = math.log(e_first / e_last) / math.log(first["h"] / last["h"])
     for diag in runs:
         diag["order_estimate"] = order
     report.data["runs"] = runs
     report.verdicts["converged"] = True  # solve_potential gates every grid's residual
     _emit(report, args.out)
-    if args.out and args.out != os.devnull:
-        result.grid.export_slice_csv(Path(args.out).with_suffix(".csv"))
+    csv_path = _slice_csv_path(args.out)
+    if csv_path:
+        result.grid.export_slice_csv(csv_path)
     return EXIT_OK
 
 
@@ -292,6 +305,8 @@ def main(argv=None) -> int:
     if args.command == "solve" and out and Path(out).suffix == ".csv":
         return _input_error(f"--out {out} is where the grid CSV goes; give the report another suffix")
     unwritable = _unwritable(out)
+    if not unwritable and args.command == "solve":
+        unwritable = _unwritable(_slice_csv_path(out))
     if unwritable:
         return _input_error(unwritable)
     if args.command == "identities":

@@ -26,31 +26,32 @@ taken of an angle in [0, 2 pi).
 The solve holds the solution grid and temporaries of O(m^3) size: a
 solve that meets its tolerance in one sweep, as the usual ones do,
 allocates no other array of m^4 or (m - 2)^4 size, since that sweep runs
-in the grid's own buffer (`_dst_poisson_solve`).  b is never stored: it
-is rebuilt row by row from the boundary faces, and each true residual
-b - A v is formed row by row, A v with the 9-point stencil.  The
-Dirichlet data are sampled on the boundary faces only, phi per slab.  Up
-to added exact zeros, every value goes through the float operations of
-the textbook whole-array formulation (the tests' oracle), so the solution
-is bit-identical to it.  Overflow is not warned about: non-finite values
-end in the stall error or the residual gate.
+in the grid's own buffer (`_dst_poisson_solve`).  b is the residual of
+the zero interior: the one residual -4 phi - A mu of the padded grid,
+faces included, formed row by row with phi sampled per slab, is b while
+the unknowns are zero and b - A v once they hold v, so neither is ever
+stored.  The Dirichlet data are sampled on the boundary faces only.
+Every value goes through the float operations of the textbook
+whole-array formulation (the tests' oracle), up to a sign that rounds
+symmetrically, so the solution is bit-identical to it.  Overflow is not
+warned about: non-finite values end in the stall error or the residual
+gate.
 
 The one stencil pass after the solve computes the geometric residual
 |4 - phi^{-1} sum_i D2_i mu|, and the trace and form checks of the
-width-2h second differences.  Its 9-point stencil is the one of every
-b - A v of the solve, but it reads different data: the Dirichlet faces
-from the grid, inside the stencil sum, and phi per slab, where the solve
-subtracts A v (zero data) from b rebuilt from the faces.  It runs slab
-by slab, a few rows along axis 0 at a time (one row for m >= 27, see
-SLAB_NODES), read with a halo of 2 rows and sampled for phi once, reduced
-to max and mean as it goes.  Every node goes through the same arithmetic
-in the same order as in a whole-grid pass, so every nodal value is
-bit-identical to it (only the means, sums of slab sums, may differ in the
-last bits), but no temporary of the full m^4 size is ever alive.  The
-form check needs no Hessian beyond its trace: tests/test_elliptic.py
-(`TestAveragedHessian`, with the dense I, J, K of tests/conftest.py)
-proves over Q that the Sp(1)-averaged Hessian of the n = 1 model is
-(tr H / 2) Id.
+width-2h second differences.  Its 9-point stencil reads the data of the solve's
+residual, the grid with its faces and phi per slab, but it is
+`_second_diff_sum`, code the solve never runs, so the residual gate is an
+independent check of the solve.  It runs slab by slab, a few rows along
+axis 0 at a time (one row for m >= 27, see SLAB_NODES), read with a halo
+of 2 rows and sampled for phi once, reduced to max and mean as it goes.
+Every node goes through the same arithmetic in the same order as in a
+whole-grid pass, so every nodal value is bit-identical to it (only the
+means, sums of slab sums, may differ in the last bits), but no temporary
+of the full m^4 size is ever alive.  The form check needs no Hessian
+beyond its trace: tests/test_elliptic.py (`TestAveragedHessian`, with the
+dense I, J, K of tests/conftest.py) proves over Q that the Sp(1)-averaged
+Hessian of the n = 1 model is (tr H / 2) Id.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .scalars import Polynomial
 # need about 0.8 GB.
 MAX_GRID = 65
 
-# Nodes per slab of the factor check, of the right-hand side and of the
+# Nodes per slab of the factor check, of the solve's residual and of the
 # stencil pass after the solve: a slab is SLAB_NODES // m^3 rows along
 # axis 0, at least one, so one row for m >= 27.  The slabs set the peak
 # above the grid, and a slab that fits the cache runs faster.  At m = 33
@@ -275,8 +276,8 @@ def verify_potential(grid: Grid4D, spec: ConformalMetricSpec) -> dict:
 
     (a) geometric residual  |4 - phi^{-1} sum_i D2_i mu|  over the interior,
         with the 9-point stencil, reading the Dirichlet faces from the
-        grid and phi per slab (the solve's b - A v runs the same stencil
-        on the unknowns alone, against b rebuilt from the faces);
+        grid and phi per slab (the solve's residual reads the same data
+        through its own row stencil);
     (b) trace residual  |phi^{-1} S - 4|,  S = sum_i Dw2_i mu  the sum of the
         width-2h second differences, so a solved grid is not checked
         against its own stencil;
@@ -376,71 +377,45 @@ def _factor_minimum(spec: ConformalMetricSpec, grid: Grid4D) -> float:
     return phi_min
 
 
-def _rhs_rows(spec: ConformalMetricSpec, grid: Grid4D):
-    """Yield (i, b[i]) for each interior row i = 0 .. m - 3, in order, of
-    b = sum_i D2_i (Dirichlet data) - 4 phi.  Every row is formed in the
-    same (m - 2)^3 array, so b[i] holds only until the next row is asked for.
+def _residual_rows(spec: ConformalMetricSpec, grid: Grid4D):
+    """Yield (i, r[i]) for each interior row i = 0 .. m - 3, in order, of
+    r = -4 phi - A mu on the padded grid mu = grid.values, faces included.
+    Every row is formed in the same (m - 2)^3 array, so r[i] holds only
+    until the next row is asked for; it reads grid rows i .. i + 2.
 
-    b[i] is -4 phi (phi sampled per slab) plus, at nodes next to a face,
-    the face neighbours summed in stencil order over h^2; the stencil's
-    other terms are exact zeros, so every value is bit-identical to the
-    whole-grid b.  The Dirichlet data are read from the boundary slots of
-    grid.values when b[i] is formed: those of grid row i + 1, and of grid
-    row 0 for the first row and m - 1 for the last.  No unknown is read.
+    A mu is 8 mu minus each neighbour (axis 0 first, then axes 1 .. 3, +1
+    side before -1) over h^2, phi is sampled per slab.  Float rounding is
+    symmetric in sign, so every value is bit-identical to the whole-array
+    sum_i D2_i mu + -4 phi.  While the interior is zero, r is b; once it
+    holds v, r is b - A v.  This stencil is separate code from
+    `_second_diff_sum`, which the check after the solve runs.
     """
     m, h, mesh = grid.m, grid.h, grid.meshgrid()
     inner = (slice(1, -1),) * 3
-    # (nodes of a row, their neighbours in it) for the faces of axes 1 .. 3.
-    faces = [((slice(None),) * a + (node,), inner[:a] + (face,) + inner[a + 1 :])
-             for a in range(3) for node, face in ((m - 3, m - 1), (0, 0))]
-    b, near = np.empty((m - 2,) * 3), np.empty((m - 2,) * 3)
+    r, a_mu = np.empty((m - 2,) * 3), np.empty((m - 2,) * 3)
     for start, stop in _slab_rows(m, 1):
         phi = _sample_rows(spec.phi, mesh, start, stop)
         for i in range(start, stop):
-            near[...] = 0.0
-            # Grid rows 0 and m - 1 are boundary faces throughout.
-            for edge in [m - 1] * (i == m - 2) + [0] * (i == 1):
-                near += grid.values[edge][inner]
-            for nodes, face in faces:
-                near[nodes] += grid.values[i][face]
-            near /= h * h
-            np.multiply(-float(TRACE_TARGET), phi[i - start, 1:-1, 1:-1, 1:-1], out=b)
-            b += near
-            yield i - 1, b
+            row = grid.values[i]
+            np.multiply(row[inner], 8.0, out=a_mu)
+            a_mu -= grid.values[i + 1][inner]
+            a_mu -= grid.values[i - 1][inner]
+            for a in range(3):
+                a_mu -= _shifted(row, a, 1, 1)
+                a_mu -= _shifted(row, a, -1, 1)
+            a_mu /= h * h
+            np.multiply(-float(TRACE_TARGET), phi[i - start][inner], out=r)
+            r -= a_mu
+            yield i - 1, r
         # Freed before the next slab is sampled.
         del phi
 
 
-def _negative_laplacian_row(v: np.ndarray, i: int, h: float, out: np.ndarray) -> np.ndarray:
-    """out = (A v)[i], row i along axis 0 of A v = -sum_i D2_i v with v
-    extended by zero Dirichlet data.
-
-    Formed in `out` as 8 v minus each neighbour, axis by axis; float
-    rounding is symmetric in sign, so this equals, bit for bit, the negation
-    of  -8 v + neighbours  added in the same order."""
-    row = v[i]
-    np.multiply(row, 8.0, out=out)
-    if i + 1 < len(v):
-        out -= v[i + 1]
-    if i > 0:
-        out -= v[i - 1]
-    for a in range(3):
-        lo = (slice(None),) * a + (slice(None, -1),)
-        hi = (slice(None),) * a + (slice(1, None),)
-        out[lo] -= row[hi]
-        out[hi] -= row[lo]
-    out /= h * h
-    return out
-
-
-def _residual_max(rhs, v: np.ndarray, h: float, out: np.ndarray | None = None) -> float:
-    """max|b - A v| over the rows (i, b[i]) that `rhs()` yields, formed one
-    row at a time; with `out`, each row b[i] - (A v)[i] is also stored in
-    out[i].  A NaN anywhere gives NaN."""
-    row = np.empty(v.shape[1:])
+def _residual_max(residual, out: np.ndarray | None = None) -> float:
+    """max|r| over the rows (i, r[i]) that `residual()` yields; with `out`,
+    each row is also stored in out[i].  A NaN anywhere gives NaN."""
     res = -math.inf
-    for i, b in rhs():
-        np.subtract(b, _negative_laplacian_row(v, i, h, row), out=row)
+    for i, row in residual():
         if out is not None:
             out[i] = row
         # max|r| as max(max r, -min r): no |r| temporary, and np.maximum,
@@ -503,37 +478,37 @@ def _apply_inverse(r: np.ndarray, sines: np.ndarray, axis_eig: np.ndarray) -> np
     return _dst4(r, scratch, sines)
 
 
-def _dst_poisson_solve(rhs, boundary, values: np.ndarray, h: float, tol: float) -> int:
+def _dst_poisson_solve(residual, boundary, values: np.ndarray, h: float, tol: float) -> int:
     """Direct DST-I solve of  A v = b, refined until max|b - A v| <= tol.
 
     `values` is a C-contiguous (n + 2)^4 array, typically the solution
-    grid; on return its interior holds v.  `rhs()` yields (i, b[i]) for
-    the rows i = 0 .. n - 1 along axis 0 of b, in order, rebuilt for every
-    residual; `boundary()` rewrites the boundary slots of `values`, which
-    the sweep uses as workspace.
+    grid, whose interior must be zero on entry; on return it holds v.
+    `residual()` yields (i, r[i]) for the rows i = 0 .. n - 1 along axis 0,
+    in order, of r = b - A v, v the interior of `values` as the row is
+    formed.  b is the residual of the zero interior, so the one callable
+    gives the first sweep's b and every later residual.  `boundary()`
+    rewrites the boundary slots of `values`, which the sweep uses as
+    workspace.
 
     The first sweep runs in the first n^4 slots of `values` itself: b is
     written there row by row, transformed, divided by the eigenvalues
     sum_axes (4/h^2) sin^2(pi k / 2N) and transformed back, so it holds
-    A^{-1} b up to rounding.  When rhs() forms b[i], only compact rows
-    0 .. i - 1 are written, and they end before padded row i + 1 starts:
-    b[i] may read the boundary slots of padded rows i + 1 .. n + 1, and b[0]
-    those of row 0.  Each row then moves to its padded place, last row
-    first: padded row i + 1 starts past the end of compact row i, so no row
-    is overwritten before it moves.  After boundary(), the true residual
-    b - A v is formed row by row and only its max kept.  Only if that
-    misses `tol` is an n^4 residual array r allocated, for the refinement
-    sweeps v += A^{-1} r.  Returns the sweep count, at least 1: the zero
-    start is never accepted, however large `tol` is.
+    A^{-1} b up to rounding.  When residual() forms b[i], only compact rows
+    0 .. i - 1 are written, and they end before padded row i starts, so
+    b[i] reads padded rows i .. i + 2 untouched: zero inside, data on the
+    faces.  Each row then moves to its padded place, last row first:
+    padded row i + 1 starts past the end of compact row i, so no row is
+    overwritten before it moves.  After boundary(), the true residual is
+    formed row by row and only its max kept.  Only if that misses `tol` is
+    an n^4 residual array r allocated, for the refinement sweeps
+    v += A^{-1} r.  Returns the sweep count, at least 1: the zero start is
+    never accepted, however large `tol` is.
     """
     n = values.shape[0] - 2
     compact, v = values.reshape(-1)[: n**4].reshape((n,) * 4), _interior(values)
     axis_eig = (4.0 / (h * h)) * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
     sines = _sine_matrix(n)
-    for i, b in rhs():
-        compact[i] = b
-    # max|b| as max(max b, -min b): a NaN still propagates into the stall check.
-    res = float(max(compact.max(), -compact.min()))
+    res = _residual_max(residual, out=compact)
     _apply_inverse(compact, sines, axis_eig)
     for i in range(n - 1, -1, -1):
         v[i] = compact[i]
@@ -544,9 +519,9 @@ def _dst_poisson_solve(rhs, boundary, values: np.ndarray, h: float, tol: float) 
             if r is None:
                 # The first refinement forms the last residual again, kept.
                 r = np.empty((n,) * 4)
-                _residual_max(rhs, v, h, out=r)
+                _residual_max(residual, out=r)
             v += _apply_inverse(r, sines, axis_eig)
-        new_res = _residual_max(rhs, v, h, out=r)
+        new_res = _residual_max(residual, out=r)
         if new_res <= tol:
             return sweep
         if not new_res < res:
@@ -571,8 +546,7 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     residual |4 - phi^{-1} sum_i D2_i mu| is gated: SolverError unless it
     is finite and within 100 * tol / min(phi), the linear residual bound
     carried through the row scaling by phi, with room for the rounding of
-    a stencil sum that takes the faces in, where the solve's residual
-    takes them from b.  The diagnostics hold the grid size m and every
+    the division by phi.  The diagnostics hold the grid size m and every
     key of the check.
     """
     config = config or SolverConfig()
@@ -581,7 +555,7 @@ def solve_potential(spec: ConformalMetricSpec, m: int, config: SolverConfig | No
     _write_dirichlet_faces(config, solution)
     h = solution.h
     iterations = _dst_poisson_solve(
-        lambda: _rhs_rows(spec, solution), lambda: _write_dirichlet_faces(config, solution),
+        lambda: _residual_rows(spec, solution), lambda: _write_dirichlet_faces(config, solution),
         solution.values, h, config.tol,
     )
     checks = verify_potential(solution, spec)

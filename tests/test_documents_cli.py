@@ -491,6 +491,22 @@ class TestOutPath:
         assert len(captured.err.strip().splitlines()) == 1
         assert out.read_text() == "earlier report\n"
 
+    def test_unwritable_csv_path_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # The slice goes to the report path with the suffix .csv; a directory
+        # there failed only after the solve, with an IsADirectoryError
+        # traceback and exit 1.
+        monkeypatch.setattr(InputDocument, "load", lambda path: pytest.fail("the document was loaded"))
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        (tmp_path / "report.csv").mkdir()
+        path = write(tmp_path, "conf.json", conformal_doc())
+        assert main(["solve", path, "--grid", "9", "--out", str(out)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: cannot write --out {tmp_path / 'report.csv'}: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert out.read_text() == "earlier report\n"
+
     def test_repeated_grid_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
         # Each repeat of --grid 65 ran another ~2 s solve of the same grid.
         import hktcalc.elliptic as elliptic
@@ -555,6 +571,21 @@ class TestSolveCommand:
         report = json.loads(captured)
         order = report["data"]["runs"][-1]["order_estimate"]
         assert 1.5 <= order <= 2.5
+
+    def test_zero_form_residual_gives_no_order_estimate(self, tmp_path, capsys):
+        # phi = 1 with quadratic Dirichlet data on [0, 1]: the m = 5 form
+        # residual reads exactly 0.0, and log(0.0 / e) raised a ValueError
+        # traceback with exit 1.
+        from conftest import norm_squared
+
+        doc = conformal_doc(phi=Polynomial.constant(4, 1), box=(0.0, 1.0), dirichlet=norm_squared(4) * Fraction(1, 2))
+        path = write(tmp_path, "quadratic.json", doc)
+        assert main(["solve", path, "--grid", "5", "--grid", "9"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        runs = json.loads(captured.out)["data"]["runs"]
+        assert runs[0]["form_residual_max"] == 0.0
+        assert [run["order_estimate"] for run in runs] == [None, None]
 
     def test_vanishing_factor_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", conformal_doc(phi=x(0)))

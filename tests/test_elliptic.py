@@ -21,8 +21,7 @@ from hktcalc.elliptic import (
     _eval_poly_on_mesh,
     _factor_minimum,
     _interior,
-    _negative_laplacian_row,
-    _rhs_rows,
+    _residual_rows,
     _sample_rows,
     _second_diff_sum,
     _shifted,
@@ -69,10 +68,10 @@ def _conjugate_gradient(b: np.ndarray, h: float, tol: float, max_iter: int):
 
 
 # Whole-array formulation of the linear solve: every step allocates its
-# result.  The library solves in the solution grid's own buffer, rebuilding
-# b row by row and sampling phi slab by slab, and allocates a residual array
-# only for a refinement sweep; these are the oracles it must reproduce bit
-# for bit.
+# result.  The library solves in the solution grid's own buffer, forming
+# each residual (b first, as the residual of the zero interior) row by row
+# and sampling phi slab by slab, and allocates a residual array only for a
+# refinement sweep; these are the oracles it must reproduce bit for bit.
 
 def gradient(spec: ConformalMetricSpec) -> list[Polynomial]:
     return [spec.phi.partial(i) for i in range(4)]
@@ -96,9 +95,10 @@ def linear_system(spec: ConformalMetricSpec, grid: Grid4D, config: SolverConfig)
     return phi, _second_diff_sum(grid.values, grid.h) + -float(TRACE_TARGET) * _interior(phi)
 
 
-def whole_rhs(b: np.ndarray):
-    """The `rhs` argument of _dst_poisson_solve for a stored b."""
-    return lambda: ((i, row) for i, row in enumerate(b))
+def stored_residual(b: np.ndarray, values: np.ndarray, h: float):
+    """The `residual` argument of _dst_poisson_solve for a stored b: the
+    rows of b - A v, v the interior of `values` when it is called."""
+    return lambda: enumerate(b - pad_negative_laplacian(_interior(values), h))
 
 
 def boundary_mask(m: int) -> np.ndarray:
@@ -134,10 +134,18 @@ def dense_dst4(a: np.ndarray, sines: np.ndarray) -> np.ndarray:
     return a
 
 
-def dense_dst_poisson_solve(b: np.ndarray, h: float, tol: float, max_iter: int, divisor_scale: float = 1.0):
-    """(v, sweeps) with the eigenvalues materialized as one cube, each
-    divisor then multiplied by `divisor_scale`."""
-    big_n = b.shape[0] + 1
+def dense_dst_poisson_solve(mu: np.ndarray, phi: np.ndarray, h: float, tol: float, max_iter: int,
+                            divisor_scale: float = 1.0) -> int:
+    """Sweep count of the DST solve on the padded grid `mu`, whose interior
+    must be zero on entry and holds v on return, with the eigenvalues
+    materialized as one cube, each divisor then multiplied by
+    `divisor_scale`.  Every residual is b's own formula on the current
+    grid, sum_i D2_i mu + -4 phi."""
+
+    def residual():
+        return _second_diff_sum(mu, h) + -float(TRACE_TARGET) * _interior(phi)
+
+    big_n = mu.shape[0] - 1
     axis_eig = (4.0 / (h * h)) * np.sin(np.pi * np.arange(1, big_n) / (2 * big_n)) ** 2
     eig = (
         axis_eig[:, None, None, None]
@@ -148,15 +156,15 @@ def dense_dst_poisson_solve(b: np.ndarray, h: float, tol: float, max_iter: int, 
     eig *= (2.0 * big_n) ** 4
     eig *= divisor_scale
     sines = _sine_matrix(big_n - 1)
-    v = np.zeros_like(b)
-    r = b
+    v = _interior(mu)
+    r = residual()
     res = float(np.max(np.abs(r)))
     for sweep in range(1, max_iter + 1):
         v += dense_dst4(dense_dst4(r, sines) / eig, sines)
-        r = b - pad_negative_laplacian(v, h)
+        r = residual()
         new_res = float(np.max(np.abs(r)))
         if new_res <= tol:
-            return v, sweep
+            return sweep
         if not new_res < res:
             raise SolverError(f"DST sweeps stalled at residual {new_res:.3g}, above tol={tol}")
         res = new_res
@@ -170,9 +178,7 @@ def dense_solve(spec: ConformalMetricSpec, m: int, config: SolverConfig, divisor
     grid = Grid4D(m, *spec.box)
     phi, _ = whole_samples(spec, grid)
     mu = mask_dirichlet_values(config, grid)
-    b = -float(TRACE_TARGET) * _interior(phi) + _second_diff_sum(mu, grid.h)
-    v, sweeps = dense_dst_poisson_solve(b, grid.h, config.tol, elliptic.MAX_SWEEPS, divisor_scale)
-    mu[1:-1, 1:-1, 1:-1, 1:-1] = v
+    sweeps = dense_dst_poisson_solve(mu, phi, grid.h, config.tol, elliptic.MAX_SWEEPS, divisor_scale)
     solution = Grid4D(m, grid.lo, grid.hi, mu)
     return solution, sweeps, float(np.max(whole_residual(spec, solution)))
 
@@ -480,7 +486,7 @@ class TestSolver:
         grid = Grid4D(m, *spec.box)
         _, b = linear_system(spec, grid, cfg)
         values = np.zeros((m,) * 4)
-        sweeps = _dst_poisson_solve(whole_rhs(b), lambda: None, values, grid.h, cfg.tol)
+        sweeps = _dst_poisson_solve(stored_residual(b, values, grid.h), lambda: None, values, grid.h, cfg.tol)
         v_cg, _ = _conjugate_gradient(b, grid.h, cfg.tol, elliptic.MAX_SWEEPS)
         assert sweeps == 1
         assert np.max(np.abs(_interior(values) - v_cg)) <= 1e-10
@@ -613,7 +619,7 @@ class TestSlabSampling:
             return len(list(_slab_rows(m, margin)))
 
         # Per grid: phi once per slab of the positivity pass (every row,
-        # slabs(m, 0)), of the right-hand side (built before the one sweep and
+        # slabs(m, 0)), of the residual (b before the one sweep, b - A v
         # after it) and of the one verification pass (3 * slabs(m, 1)); the
         # Dirichlet data once per pair of opposite boundary faces (4), written
         # before the sweep and again after it, whose first transform uses the
@@ -1118,63 +1124,65 @@ class TestWholeArrayOracle:
             dense_solve(flat_spec(), 9, cfg)
         assert str(dense.value) in str(lean.value)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 15])
-    def test_negative_laplacian_matches_pad(self, n):
-        full = np.random.default_rng(1000 + n).normal(size=(n + 2,) * 4)
-        v = _interior(full)  # a strided view, as the solver passes it
-        out = np.stack([_negative_laplacian_row(v, i, 0.3, np.empty(v.shape[1:])) for i in range(n)])
-        assert np.array_equal(out, pad_negative_laplacian(v, 0.3))
-
     @pytest.mark.parametrize("n", [1, 2, 7, 15, 31])
     def test_dst4_matches_dense_products(self, n):
         a = np.random.default_rng(1100 + n).normal(size=(n,) * 4)
         sines = _sine_matrix(n)
         assert np.array_equal(_dst4(a.copy(), np.empty((n,) * 3), sines), dense_dst4(a, sines))
 
-    @staticmethod
-    def rows_of_b(spec, grid):
-        b = np.full((grid.m - 2,) * 4, np.nan)
-        for i, row in _rhs_rows(spec, grid):
-            b[i] = row
-        return b
-
     @pytest.mark.parametrize("m", [5, 6, 9, 10, 33])
-    def test_dirichlet_faces_and_rhs_rows_match_mask(self, m):
-        # The rows of b are rebuilt from the faces alone, whatever the
-        # unknowns hold; at m = 5 the one slab holds both boundary rows.
+    def test_dirichlet_faces_match_mask(self, m):
         spec = four_axis_spec()
-        rng = np.random.default_rng(1200 + m)
-        phi, _ = whole_samples(spec, Grid4D(m, *spec.box))
-
-        def whole_b(mu, h):
-            return -float(TRACE_TARGET) * _interior(phi) + _second_diff_sum(mu, h)
-
         for poly in (conformal_manufactured(), one() * 3, x(3) * x(3) - x(0), Polynomial.zero(4)):
             cfg = SolverConfig(dirichlet=poly)
             grid = Grid4D(m, *spec.box)
             _write_dirichlet_faces(cfg, grid)
-            mu = mask_dirichlet_values(cfg, grid)
-            assert np.array_equal(grid.values, mu)
+            assert np.array_equal(grid.values, mask_dirichlet_values(cfg, grid))
+
+    @staticmethod
+    def rows_of_residual(spec, grid):
+        r = np.full((grid.m - 2,) * 4, np.nan)
+        for i, row in _residual_rows(spec, grid):
+            r[i] = row
+        return r
+
+    @pytest.mark.parametrize("m", [5, 6, 9, 10, 33])
+    def test_residual_rows_match_whole_array(self, m):
+        # The rows are b's own formula on the whole grid, faces included: b
+        # while the interior is zero, b - A v once it holds v.  At m = 5 the
+        # one slab holds both boundary rows.
+        spec = four_axis_spec()
+        rng = np.random.default_rng(1200 + m)
+        phi, _ = whole_samples(spec, Grid4D(m, *spec.box))
+
+        def whole_formula(mu, h):
+            return _second_diff_sum(mu, h) + -float(TRACE_TARGET) * _interior(phi)
+
+        for poly in (conformal_manufactured(), one() * 3, x(3) * x(3) - x(0), Polynomial.zero(4)):
+            grid = Grid4D(m, *spec.box)
+            _write_dirichlet_faces(SolverConfig(dirichlet=poly), grid)
             for unknowns in (0.0, rng.normal(size=(m - 2,) * 4)):
                 grid.values[1:-1, 1:-1, 1:-1, 1:-1] = unknowns
-                assert np.array_equal(self.rows_of_b(spec, grid), whole_b(mu, grid.h))
-        # A NaN and an inf on the x1 = lo face reach b where the whole-grid
+                assert np.array_equal(self.rows_of_residual(spec, grid), whole_formula(grid.values, grid.h))
+        # A NaN and an inf on the x1 = lo face reach r where the whole-grid
         # stencil puts them: the NaN next to an edge of the last row.
         for node, value in (((m - 2, 0, 1, m // 2), np.nan), ((m // 2, 0, m // 2, m - 2), np.inf)):
-            grid.values[node] = mu[node] = value
-        expected = whole_b(mu, grid.h)
+            grid.values[node] = value
+        expected = whole_formula(grid.values, grid.h)
         assert np.isinf(expected).any() and np.isnan(expected).any()
-        assert np.array_equal(self.rows_of_b(spec, grid), expected, equal_nan=True)
+        assert np.array_equal(self.rows_of_residual(spec, grid), expected, equal_nan=True)
 
     @pytest.mark.parametrize("m", [5, 9])
-    def test_rhs_rows_never_run_the_whole_stencil(self, monkeypatch, m):
+    def test_residual_rows_never_run_the_whole_stencil(self, monkeypatch, m):
+        # The solve's residual is separate code from the stencil of the
+        # check after it, so a fault in either shows in the residual gate.
         def refuse(*args):
-            pytest.fail("_rhs_rows ran the 9-point stencil")
+            pytest.fail("_residual_rows ran the 9-point stencil of the check")
 
         spec, grid = four_axis_spec(), Grid4D(m, -0.5, 1.5)
         _write_dirichlet_faces(SolverConfig(dirichlet=conformal_manufactured()), grid)
         monkeypatch.setattr(elliptic, "_second_diff_sum", refuse)
-        assert len(list(_rhs_rows(spec, grid))) == m - 2
+        assert len(list(_residual_rows(spec, grid))) == m - 2
 
 
 def traced_peak_above_live(fn):
