@@ -14,13 +14,10 @@ from .structures import (
 )
 from .salamon import (
     DegreeError,
-    FiberSubspace,
     ProjectorTable,
-    bundle_B,
     a11_subspace,
     is_salamon_11,
     salamon_D,
-    salamon_DI,
 )
 
 __all__ = [
@@ -32,11 +29,8 @@ __all__ = [
     "StructureOperator",
     "complex_type_part",
     "DegreeError",
-    "FiberSubspace",
     "ProjectorTable",
-    "bundle_B",
     "a11_subspace",
     "is_salamon_11",
     "salamon_D",
-    "salamon_DI",
 ]

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .documents import CheckOutcome
-from .forms import KForm, apply_operator, multi_indices, vector_to_form
+from .forms import KForm, apply_operator, multi_indices
 from .geometry import (
     conformal_metric,
     hessian_kahler_form,
@@ -52,11 +52,9 @@ def positive_conformal_factor(rng: random.Random) -> Polynomial:
 
 def random_a11_form(model: HypercomplexModel, rng: random.Random) -> KForm:
     """A random polynomial combination of the type-(1,1) fiber basis."""
-    basis = multi_indices(model.dim, 2)
     acc = KForm.zero(2, model.dim)
-    for vec in a11_subspace(model).basis:
-        poly = random_polynomial(model.dim, 2, 2, seed=rng.randrange(2**31))
-        acc = acc + vector_to_form(vec, basis, 2, model.dim) * poly
+    for form in a11_subspace(model):
+        acc = acc + form * random_polynomial(model.dim, 2, 2, seed=rng.randrange(2**31))
     return acc
 
 
@@ -169,12 +167,12 @@ def remark_battery(model: HypercomplexModel, table: ProjectorTable, seed: int, c
     shift = apply_operator(type11_projector(model), KForm.basis(model.dim, (0, 1)))
     for i in range(count):
         mu = random_polynomial(model.dim, 3, 4, seed=rng.randrange(2**31))
-        result = is_hkt_potential(model, mu, hessian_kahler_form(model, mu))
-        if not result.ok:
+        f_i = hessian_kahler_form(model, mu)
+        if not is_hkt_potential(model, mu, f_i).ok:
             return CheckOutcome("potential-remark", False, count, f"identities failed at case {i}")
-        if i == 0 and is_hkt_potential(model, mu, result.forms.f_i + shift).ok:
+        if i == 0 and is_hkt_potential(model, mu, f_i + shift).ok:
             return CheckOutcome("potential-remark", False, count, "the identities accepted a shifted F_I")
-        theta_from_potential(table, mu, result.forms.f_i)
+        theta_from_potential(table, mu, f_i)
     return CheckOutcome("potential-remark", True, count)
 
 

@@ -18,7 +18,8 @@ doubles the cost of ``import numpy`` (about 70 ms on 2 vCPUs), and the
 solve's only BLAS calls are small sine-matrix products.
 
 ``--out`` must name a file that can be opened for writing; that is
-checked before any work starts, and a bad path is an input error.
+checked before any work starts, and a bad path is an input error.  The
+check leaves no file behind: a run that stops on bad input writes none.
 ``hkt solve --out REPORT`` writes its grid slice, one number per cell, to
 REPORT with the suffix ``.csv`` (none for ``os.devnull``).  That path is
 checked with REPORT, before the document is loaded: one that cannot be
@@ -111,16 +112,21 @@ def _unwritable(out_path: str | Path | None) -> str | None:
     """Why `out_path`, the report or the grid slice, cannot be written, or
     None if it can.
 
-    Opening for append creates a missing file but never truncates one, so
-    an earlier report survives a run that then stops on bad input.
+    Opening for append never truncates a file, so an earlier report
+    survives a run that then stops on bad input, and a file the probe had
+    to create is removed again, so such a run leaves none behind.
     """
     if not out_path:
         return None
+    existed = os.path.lexists(out_path)
     try:
         with open(out_path, "a"):
-            return None
+            pass
     except OSError as exc:
         return f"cannot write --out {out_path}: {exc.strerror}"
+    if not existed:
+        os.remove(out_path)
+    return None
 
 
 def _slice_csv_path(out_path: str | None) -> Path | None:

@@ -176,12 +176,6 @@ class Grid4D:
         ax = self.axis()
         return list(np.meshgrid(ax, ax, ax, ax, indexing="ij", sparse=True))
 
-    @classmethod
-    def from_polynomial(cls, m: int, lo: float, hi: float, poly: Polynomial) -> "Grid4D":
-        grid = cls(m, lo, hi)
-        grid.values[...] = _eval_poly_on_mesh(poly, grid.meshgrid())
-        return grid
-
     def export_slice_csv(self, path) -> None:
         """Write the (x0, x1) slice through the box center as x0, x1, mu,
         each cell the repr of a Python float, which `float()` reads back exactly."""

@@ -4,9 +4,12 @@ Matrices cross the interface as lists of lists.  The fiber matrices of the
 form bundles are almost all zeros, so elimination holds rows as
 {column: value} dicts, touches only nonzero entries and drops entries that
 cancel.  The reduced row echelon form is unique, so every result equals the
-dense route's, which the tests keep as their oracle.  `inertia` forms no
-Fraction: it eliminates in ints (see its docstring), and the tests keep the
-Fraction elimination it replaced as its oracle.  No inverse and no
+dense route's, which the tests keep as their oracle.  `rref`, `rank`,
+`null_space` and `solve` have no command caller: they are test oracles,
+for the exact bases of B^k and of the (1,1)-forms among others.
+`inertia`, which the signature samples of `hkt check` read, forms no
+Fraction: it eliminates in ints (see its docstring), and the tests keep
+the Fraction elimination it replaced as its oracle.  No inverse and no
 projector is formed here: the fiber projectors of `hktcalc.salamon` are
 polynomials in the sp(1) Casimir.
 """
@@ -58,7 +61,8 @@ def _reduce(rows: list[dict], cols: int) -> list[int]:
 
 
 def rref(m: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
+    """Reduced row echelon form; returns (R, pivot column indices).  A test
+    oracle with no command caller."""
     if not m:
         return [], []
     rows = _sparse_rows(m)
@@ -67,6 +71,7 @@ def rref(m: Sequence[Sequence]) -> tuple[list[list], list[int]]:
 
 
 def rank(m: Sequence[Sequence]) -> int:
+    """The rank, from `rref`.  A test oracle with no command caller."""
     return len(rref(m)[1])
 
 
@@ -74,7 +79,8 @@ def null_space(m: Sequence[Sequence]) -> list[list]:
     """Exact basis of {v : Mv = 0}, one vector per free column.
 
     Repeated and zero rows span nothing new, so they are dropped before the
-    elimination: stacked fiber conditions repeat many rows."""
+    elimination: stacked fiber conditions repeat many rows.  A test oracle
+    with no command caller."""
     if not m:
         return []
     cols = len(m[0])
@@ -91,7 +97,8 @@ def null_space(m: Sequence[Sequence]) -> list[list]:
 
 
 def solve(a: Sequence[Sequence], b: Sequence):
-    """One solution of Ax = b, or None if inconsistent."""
+    """One solution of Ax = b, or None if inconsistent.  A test oracle with
+    no command caller."""
     cols = len(a[0]) if a else 0
     rows = _sparse_rows([*row, y] for row, y in zip(a, b))
     pivots = _reduce(rows, cols + 1)

@@ -22,7 +22,7 @@ and builds each output polynomial once, so no term pays a Fraction product.
 (sum c_i op_i + shift Id)/den, build them from the axis derivations
 rho_I, rho_J, rho_K of `hktcalc.structures`: every sphere operator is a
 polynomial in those, in ints over the product of the denominators until
-it is applied or exported as an exact matrix.
+it is applied.
 """
 
 from __future__ import annotations
@@ -168,22 +168,10 @@ class KForm:
         poly = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(dim, coeff)
         return cls(len(indices), dim, {idx: poly * sign})
 
-    @classmethod
-    def dx(cls, dim: int, i: int) -> "KForm":
-        return cls.basis(dim, (i,))
-
     # -- queries -------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, indices: Sequence[int]) -> Polynomial:
-        """Component against an arbitrary index tuple (sign handled)."""
-        idx, sign = sort_with_sign(indices)
-        if idx is None or idx not in self.terms:
-            return Polynomial.zero(self.dim)
-        poly = self.terms[idx]
-        return poly if sign == 1 else -poly
 
     def nonzero_terms(self) -> int:
         return len(self.terms)
@@ -434,19 +422,3 @@ def combine_operators(terms: Sequence[tuple[int, FiberOperator]], shift: int = 0
                 acc[out_idx] = acc.get(out_idx, 0) + c * v
     return FiberOperator({idx: sorted((i, v) for i, v in acc.items() if v) for idx, acc in total.items()},
                          common * den)
-
-
-def operator_matrix(op: FiberOperator, k: int, dim: int) -> list[list[Fraction]]:
-    """Dense exact matrix of a fiber operator (rows/cols in lex order),
-    with Fraction entries."""
-    pos = {idx: i for i, idx in enumerate(multi_indices(dim, k))}
-    mat = [[Fraction(0)] * len(pos) for _ in pos]
-    for in_idx, column in op.items():
-        j = pos[in_idx]
-        for out_idx, coeff in column:
-            mat[pos[out_idx]][j] = Fraction(coeff, op.den)
-    return mat
-
-
-def vector_to_form(vec: Sequence, basis: Sequence[MultiIndex], k: int, dim: int) -> KForm:
-    return KForm(k, dim, dict(zip(basis, vec)))

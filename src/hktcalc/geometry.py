@@ -265,10 +265,9 @@ def hessian_kahler_form(model: HypercomplexModel, mu: Polynomial) -> KForm:
 
 
 class PotentialCheck:
-    def __init__(self, ok: bool, residuals: dict, forms: PotentialForms):
+    def __init__(self, ok: bool, residuals: dict):
         self.ok = ok
         self.residuals = residuals
-        self.forms = forms
 
 
 def is_hkt_potential(model: HypercomplexModel, mu: Polynomial, f_i: KForm) -> PotentialCheck:
@@ -279,7 +278,6 @@ def is_hkt_potential(model: HypercomplexModel, mu: Polynomial, f_i: KForm) -> Po
     (`kahler_forms`), plus the averaged Hessian's F_I
     (`hessian_kahler_form`); the four verdicts must agree (they are
     equivalent statements), and a disagreement raises `ConventionError`.
-    The check carries the forms it built.
     """
     forms = potential_to_forms(model, mu)
     oks = []
@@ -293,7 +291,7 @@ def is_hkt_potential(model: HypercomplexModel, mu: Polynomial, f_i: KForm) -> Po
     residuals["hessian"] = residual_summary(diff)
     if len(set(oks + [hess_ok])) != 1:
         raise ConventionError("the four potential identities disagree")
-    return PotentialCheck(hess_ok, residuals, forms)
+    return PotentialCheck(hess_ok, residuals)
 
 
 def theta_from_potential(table: ProjectorTable, mu: Polynomial, f_i: KForm) -> KForm:

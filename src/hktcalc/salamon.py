@@ -22,7 +22,8 @@ induces on Lambda^k, and the eigenspaces of C are g-orthogonal.  The tests
 compare it with the weighted dense projector onto the complement of B^k.
 
 B^k itself is kept as exact linear conditions, for the eta-independent
-`ProjectorTable.in_b` and for `bundle_B`.  "For every structure on the
+`ProjectorTable.in_b`; the tests take their exact basis of B^k, an oracle
+independent of eta, from the same conditions.  "For every structure on the
 sphere" is a quadratic condition in the sphere coordinates, so it reduces
 to finitely many exact linear conditions, all built from the axis
 derivations of `hktcalc.structures`:
@@ -48,37 +49,14 @@ under extra random sphere points is asserted separately as a guard.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from . import exact_linalg as ela
 from . import structures
-from .forms import (
-    FiberOperator,
-    KForm,
-    apply_operator,
-    combine_operators,
-    compose_operators,
-    multi_indices,
-    operator_matrix,
-)
+from .forms import FiberOperator, KForm, apply_operator, combine_operators, compose_operators
 from .structures import HypercomplexModel, _axis_operators, axis_derivations, axis_squares, type11_projector
 
 
 class DegreeError(ValueError):
     """Requested degree is outside the supported range."""
-
-
-class FiberSubspace:
-    """An exact-basis subspace of the k-form fiber."""
-
-    def __init__(self, degree: int, ambient_dim: int, basis: list[list[Fraction]]):
-        self.degree = degree
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 def _condition_operators(model: HypercomplexModel, k: int) -> list[FiberOperator]:
@@ -99,36 +77,15 @@ def _condition_operators(model: HypercomplexModel, k: int) -> list[FiberOperator
             + [combine_operators([(1, ab), (1, ba)], 0, 2) for ab, ba in pairs])
 
 
-def _condition_matrix(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> list[list[Fraction]]:
-    return [row for op in ops for row in operator_matrix(op, k, model.dim)]
-
-
-def bundle_B(model: HypercomplexModel, k: int) -> FiberSubspace:
-    """Exact basis of B^k (k in {2, 3}) as a null-space computation.
-
-    No `src/` caller; an oracle independent of eta for the fiber splitting
-    in tests/test_salamon.py and tests/test_exact_linalg.py.
-    """
-    if k not in (2, 3):
-        raise DegreeError(f"bundle_B supports k in {{2, 3}}, got {k}")
-    stacked = _condition_matrix(model, k, _condition_operators(model, k))
-    return FiberSubspace(k, len(multi_indices(model.dim, k)), ela.null_space(stacked))
-
-
-def a11_subspace(model: HypercomplexModel) -> FiberSubspace:
-    """The fiber of 2-forms with Iw = w and Jw = -w (slots-only), kept in
-    `structures._FIBER_CACHE`: per orbit of {1, I*, J*, K*} with a nonzero
-    (1,1) projector column at its largest index e, that column scaled to 1
-    at e, the vector `exact_linalg.null_space` gives [I* - Id; J* + Id] for e."""
+def a11_subspace(model: HypercomplexModel) -> tuple[KForm, ...]:
+    """A basis of the constant 2-forms with Iw = w and Jw = -w (slots-only),
+    kept in `structures._FIBER_CACHE`: per orbit of {1, I*, J*, K*} with a
+    nonzero (1,1) projector column at its largest index e, that column
+    scaled to 1 at e, the null-space vector of [I* - Id; J* + Id] for e."""
     cache, key = structures._FIBER_CACHE, (model.n, "a11")
     if key not in cache:
-        basis = multi_indices(model.dim, 2)
-        vectors = []
-        for idx, column in type11_projector(model).items():
-            if column and column[-1][0] == idx:
-                entries = {out_idx: Fraction(x, column[-1][1]) for out_idx, x in column}
-                vectors.append([entries.get(i, Fraction(0)) for i in basis])
-        cache[key] = FiberSubspace(2, len(basis), vectors)
+        cache[key] = tuple(KForm(2, model.dim, {out_idx: Fraction(x, column[-1][1]) for out_idx, x in column})
+                           for idx, column in type11_projector(model).items() if column and column[-1][0] == idx)
     return cache[key]
 
 
@@ -155,13 +112,6 @@ class ProjectorTable:
             self.columns[k] = combine_operators([(-1, sq) for sq in axis_squares(model, k)], -shift, den)
             self.conditions[k] = _condition_operators(model, k)
 
-    def eta_matrix(self, k: int):
-        """Dense eta_k, for `to_json` and as the oracle of the rank splitting
-        in tests/test_salamon.py and tests/test_exact_linalg.py."""
-        if k not in self.columns:
-            raise DegreeError(f"eta_matrix is available for degrees 2 and 3, got {k}")
-        return operator_matrix(self.columns[k], k, self.model.dim)
-
     def eta(self, form: KForm) -> KForm:
         """Project a polynomial form fiberwise onto the complement of B."""
         if form.dim != self.model.dim:
@@ -179,32 +129,12 @@ class ProjectorTable:
             raise DegreeError(f"B conditions are available for degrees 2 and 3, got {form.degree}")
         return all(apply_operator(op, form).is_zero() for op in self.conditions[form.degree])
 
-    def to_json(self) -> dict:
-        """Exact projector matrices for golden-file comparisons."""
-        out = {}
-        for k in self.columns:
-            out[str(k)] = [[[str(x.numerator), str(x.denominator)] for x in row] for row in self.eta_matrix(k)]
-        return {"n": self.model.n, "eta": out}
-
 
 def salamon_D(table: ProjectorTable, form: KForm) -> KForm:
     """D = eta o d on degrees <= 2."""
     if form.degree > 2:
         raise DegreeError(f"D is defined here for degrees <= 2, got {form.degree}")
     return table.eta(form.d())
-
-
-def salamon_DI(table: ProjectorTable, form: KForm) -> KForm:
-    """The twisted projected differential (-1)^k I D I on degrees <= 2.
-
-    No `src/` caller; the oracle of `twisted_d` and of the potential
-    forms in tests/test_salamon.py and tests/test_geometry.py.
-    """
-    if form.degree > 2:
-        raise DegreeError(f"D_I is defined here for degrees <= 2, got {form.degree}")
-    op_i = table.model.operator("I")
-    out = op_i.act(salamon_D(table, op_i.act(form)))
-    return out if form.degree % 2 == 0 else -out
 
 
 def proj_formula_D(model: HypercomplexModel, theta: KForm) -> KForm:

@@ -2,8 +2,10 @@ import functools
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -11,9 +13,17 @@ import pytest
 from hktcalc import HypercomplexModel, KForm, Polynomial, ProjectorTable
 from hktcalc import exact_linalg as ela
 from hktcalc.conventions import HESSIAN_AVERAGE_FACTOR
-from hktcalc.forms import FiberOperator, apply_operator, combine_operators, compose_operators, hessian, multi_indices
+from hktcalc.forms import (
+    FiberOperator,
+    apply_operator,
+    combine_operators,
+    compose_operators,
+    hessian,
+    multi_indices,
+    sort_with_sign,
+)
 from hktcalc.geometry import conformal_metric, kahler_form
-from hktcalc.salamon import _condition_matrix, _condition_operators
+from hktcalc.salamon import _condition_operators, salamon_D
 from hktcalc.structures import axis_derivations, axis_image
 
 
@@ -151,6 +161,85 @@ def fraction_evaluate(poly: Polynomial, point) -> Fraction:
     return total
 
 
+# The dense and null-space routes of the form bundles: test oracles.  The
+# package applies every fiber operator sparse and forms no matrix; these
+# export an operator as its exact matrix and take B^k as the null space of
+# its condition operators, a basis independent of eta.
+
+def operator_matrix(op: FiberOperator, k: int, dim: int) -> list[list[Fraction]]:
+    """Dense exact matrix of a fiber operator (rows/cols in lex order),
+    with Fraction entries."""
+    pos = {idx: i for i, idx in enumerate(multi_indices(dim, k))}
+    mat = [[Fraction(0)] * len(pos) for _ in pos]
+    for in_idx, column in op.items():
+        j = pos[in_idx]
+        for out_idx, coeff in column:
+            mat[pos[out_idx]][j] = Fraction(coeff, op.den)
+    return mat
+
+
+class FiberSubspace:
+    """An exact-basis subspace of the k-form fiber."""
+
+    def __init__(self, ambient_dim: int, basis: list[list[Fraction]]):
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+
+def condition_matrix(model: HypercomplexModel, k: int, ops: Sequence[FiberOperator]) -> list[list[Fraction]]:
+    """The dense rows of the stacked condition operators `ops` on k-forms."""
+    return [row for op in ops for row in operator_matrix(op, k, model.dim)]
+
+
+def bundle_B(model: HypercomplexModel, k: int) -> FiberSubspace:
+    """Test oracle: the exact basis of B^k (k in {2, 3}) as the null space of
+    the package's B conditions; `DegreeError` for any other k."""
+    stacked = condition_matrix(model, k, _condition_operators(model, k))
+    return FiberSubspace(len(multi_indices(model.dim, k)), ela.null_space(stacked))
+
+
+def eta_matrix(table: ProjectorTable, k: int) -> list[list[Fraction]]:
+    """Test oracle: the dense eta_k of a projector table."""
+    return operator_matrix(table.columns[k], k, table.model.dim)
+
+
+def table_json(table: ProjectorTable) -> dict:
+    """The exact projector matrices of a table, for golden-file digests."""
+    eta = {str(k): [[[str(x.numerator), str(x.denominator)] for x in row] for row in eta_matrix(table, k)]
+           for k in table.columns}
+    return {"n": table.model.n, "eta": eta}
+
+
+def salamon_DI(table: ProjectorTable, form: KForm) -> KForm:
+    """Test oracle: the twisted projected differential (-1)^k I D I on
+    degrees <= 2, the oracle of `twisted_d` and of the potential forms."""
+    op_i = table.model.operator("I")
+    out = op_i.act(salamon_D(table, op_i.act(form)))
+    return out if form.degree % 2 == 0 else -out
+
+
+def coefficient(form: KForm, indices: Sequence[int]) -> Polynomial:
+    """The component of `form` against an arbitrary index tuple (sign handled)."""
+    idx, sign = sort_with_sign(indices)
+    if idx is None or idx not in form.terms:
+        return Polynomial.zero(form.dim)
+    poly = form.terms[idx]
+    return poly if sign == 1 else -poly
+
+
+def grid_from_polynomial(m: int, lo: float, hi: float, poly: Polynomial):
+    """The samples of `poly` on the m^4 grid over [lo, hi]^4."""
+    from hktcalc.elliptic import Grid4D, _eval_poly_on_mesh
+
+    grid = Grid4D(m, lo, hi)
+    grid.values[...] = _eval_poly_on_mesh(poly, grid.meshgrid())
+    return grid
+
+
 # The dense structure matrices: a test oracle.  The package holds I, J and K
 # only as index maps (`structures.axis_image`); these are the documented
 # left-multiplication blocks written out by hand, tiled by `structure_matrix`.
@@ -166,6 +255,16 @@ def structure_matrix(model: HypercomplexModel, name: str) -> tuple:
     block = DENSE_BLOCKS[name]
     return tuple(tuple(block[r % 4][c % 4] if r // 4 == c // 4 else 0 for c in range(model.dim))
                  for r in range(model.dim))
+
+
+def bench_check_cases(seed):
+    """The documents of the benchmark's check-docs workload (`bench/gen.py`)."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+    try:
+        from gen import check_cases
+    finally:
+        sys.path.pop(0)
+    return check_cases(seed)
 
 
 @pytest.fixture(scope="session")
@@ -532,7 +631,7 @@ def condition_rank(model: HypercomplexModel, k: int, extra_points: Sequence[Sphe
     """
     ops = _condition_operators(model, k)
     ops += [combine_operators([(1, routed_fiber_op(model, pt, k, 2))], -1) for pt in extra_points]
-    return ela.rank(_condition_matrix(model, k, ops))
+    return ela.rank(condition_matrix(model, k, ops))
 
 
 # The whole sphere as polynomials: a test oracle.  rho_P = a rho_I + b rho_J

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +19,7 @@ from hktcalc.documents import DocumentError, InputDocument
 from hktcalc.geometry import conformal_metric
 from hktcalc.scalars import Polynomial
 
-from conftest import flat_form, quarter_norm_potential
+from conftest import bench_check_cases, flat_form, quarter_norm_potential
 
 
 def x(i):
@@ -72,16 +71,6 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def bench_check_cases(seed):
-    """The documents of the benchmark's check-docs workload (`bench/gen.py`)."""
-    sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
-    try:
-        from gen import check_cases
-    finally:
-        sys.path.pop(0)
-    return check_cases(seed)
 
 
 class TestInputDocument:
@@ -370,31 +359,6 @@ class TestCheckCommand:
                           "metric-n1-conformal": 1, "conformal4d-n1": 0}
         assert hktcalc.is_salamon_11 is spy
 
-    def test_commands_reach_no_dense_route(self, tmp_path, capsys, monkeypatch):
-        # The (1,1) projector, eta and the B conditions are applied sparse:
-        # neither the default identity run nor `hkt check` forms a dense
-        # matrix or runs a Fraction elimination, even on cold caches.
-        import hktcalc.structures as structures
-
-        paths = [(write(tmp_path, f"{case['name']}.json", case["doc"]), case["expect"]["exit"])
-                 for case in bench_check_cases(401)]
-        calls = []
-        for name in ("null_space", "operator_matrix"):
-            for module_name, module in list(sys.modules.items()):
-                original = getattr(module, name, None) if module_name.split(".")[0] == "hktcalc" else None
-                if original is not None:
-                    def spy(*args, _name=name, _original=original):
-                        calls.append(_name)
-                        return _original(*args)
-
-                    monkeypatch.setattr(module, name, spy)
-        monkeypatch.setattr(structures, "_FIBER_CACHE", {})
-        assert main([]) == EXIT_OK
-        for path, code in paths:
-            assert main(["check", path]) == code
-        capsys.readouterr()
-        assert calls == []
-
     def test_one_kahler_form_per_axis_per_document(self, tmp_path, capsys, monkeypatch):
         # A metric enters as its F_I, built once; a form document is its
         # F_I.  The definition check reads F_J and F_K off F_I once.
@@ -518,6 +482,18 @@ class TestOutPath:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "input error: --grid 9 is given twice; each grid is solved once\n"
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_missing_document_leaves_no_file(self, tmp_path, capsys, command):
+        # The --out probe created the report, and for solve its slice, and
+        # the run that then stopped on the missing document left both empty.
+        out = tmp_path / "r.json"
+        assert main([command, str(tmp_path / "missing.json"), "--out", str(out)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_earlier_report_survives_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "report.json"

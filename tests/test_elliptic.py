@@ -36,7 +36,7 @@ from hktcalc.forms import KForm
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel
 
-from conftest import norm_squared, oracle_conjugate, structure_matrix
+from conftest import grid_from_polynomial, norm_squared, oracle_conjugate, structure_matrix
 
 
 def _conjugate_gradient(b: np.ndarray, h: float, tol: float, max_iter: int):
@@ -362,13 +362,13 @@ class TestWeylForm:
 
 class TestDiscreteOperator:
     def test_quadratic_quarter_norm(self):
-        grid = Grid4D.from_polynomial(9, -1.0, 1.0, norm_squared(4) * Fraction(1, 4))
+        grid = grid_from_polynomial(9, -1.0, 1.0, norm_squared(4) * Fraction(1, 4))
         out = whole_laplace_beltrami(flat_spec(), grid)
         inner = out.values[1:-1, 1:-1, 1:-1, 1:-1]
         assert np.allclose(inner, -2.0, atol=1e-12)
 
     def test_affine_gives_zero(self):
-        grid = Grid4D.from_polynomial(7, -1.0, 1.0, x(0) * 3 - x(2))
+        grid = grid_from_polynomial(7, -1.0, 1.0, x(0) * 3 - x(2))
         out = whole_laplace_beltrami(flat_spec(), grid)
         assert np.allclose(out.values, 0.0, atol=1e-12)
 
@@ -414,7 +414,7 @@ class TestDiscreteOperator:
         # must match the symbolic conformal Laplacian at the nodes.
         spec = conformal_spec()
         mu = half_norm() + x(0) * x(1) - x(2) * 2
-        grid = Grid4D.from_polynomial(5, -1.0, 1.0, mu)
+        grid = grid_from_polynomial(5, -1.0, 1.0, mu)
         out = whole_laplace_beltrami(spec, grid)
         ax = grid.axis()
         phi = spec.phi
@@ -437,7 +437,7 @@ class TestSolver:
     def test_flat_manufactured_solution(self):
         tol = 1e-10
         result = solve_potential(flat_spec(), 17, SolverConfig(tol=tol, dirichlet=half_norm()))
-        exact = Grid4D.from_polynomial(17, -1.0, 1.0, half_norm())
+        exact = grid_from_polynomial(17, -1.0, 1.0, half_norm())
         err = np.max(np.abs(result.grid.values - exact.values))
         assert err <= 10 * tol
         assert result.diagnostics["residual_max"] <= 100 * tol
@@ -684,7 +684,7 @@ class TestVerification:
 
     def test_perturbation_sensitivity(self):
         spec = flat_spec()
-        base = Grid4D.from_polynomial(9, -1.0, 1.0, half_norm())
+        base = grid_from_polynomial(9, -1.0, 1.0, half_norm())
         bump = np.zeros((9,) * 4)
         bump[4, 4, 4, 4] = 1.0
         residuals = []
@@ -748,7 +748,7 @@ class TestVerificationOracle:
     def test_matches_einsum_formulation(self, m):
         rng = np.random.default_rng(400 + m)
         spec = conformal_spec()
-        base = Grid4D.from_polynomial(m, -1.0, 1.0, conformal_manufactured())
+        base = grid_from_polynomial(m, -1.0, 1.0, conformal_manufactured())
         for noise in (0.0, 1e-3, 1.0):
             grid = Grid4D(m, -1.0, 1.0, base.values + noise * rng.normal(size=(m,) * 4))
             lean = verify_potential(grid, spec)
@@ -903,7 +903,7 @@ class TestGrid:
         assert _eval_poly_on_mesh(x(0) * x(0) + one(), mesh).shape == (5, 1, 1, 1)
         assert _eval_poly_on_mesh(x(1) * x(3), mesh).shape == (1, 5, 1, 5)
         assert _eval_poly_on_mesh(one() * 3, mesh) == 3.0
-        grid = Grid4D.from_polynomial(5, -1.0, 1.0, x(2))
+        grid = grid_from_polynomial(5, -1.0, 1.0, x(2))
         assert grid.values.shape == (5,) * 4 and grid.values.flags.writeable
         assert np.array_equal(grid.values[1, 2, :, 3], grid.axis())
 
@@ -928,7 +928,7 @@ class TestGrid:
         assert traced_peak_above_live(lambda: _eval_poly_on_mesh(poly, mesh)) < 2.6 * 17**4 * 8
 
     def test_csv_slice_export(self, tmp_path):
-        grid = Grid4D.from_polynomial(5, -1.0, 1.0, x(0) + x(1))
+        grid = grid_from_polynomial(5, -1.0, 1.0, x(0) + x(1))
         path = tmp_path / "slice.csv"
         grid.export_slice_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -1008,7 +1008,7 @@ class TestSlabPasses:
         rng = np.random.default_rng(800 + m)
         for spec, rows in ((four_axis_spec(), 1), (conformal_spec(), 4)):
             monkeypatch.setattr(elliptic, "SLAB_NODES", rows * m**3)
-            base = Grid4D.from_polynomial(m, *spec.box, conformal_manufactured())
+            base = grid_from_polynomial(m, *spec.box, conformal_manufactured())
             for noise in (0.0, 1.0):
                 grid = Grid4D(m, *spec.box, base.values + noise * rng.normal(size=(m,) * 4))
                 report = verify_potential(grid, spec)
@@ -1030,7 +1030,7 @@ class TestSlabPasses:
         # orders (1, 0, 3, 2) and (3, 2, 1, 0), which can move the last bit.
         rng = np.random.default_rng(900 + m)
         spec = four_axis_spec()
-        base = Grid4D.from_polynomial(m, *spec.box, conformal_manufactured())
+        base = grid_from_polynomial(m, *spec.box, conformal_manufactured())
         for noise, rows in ((0.0, 1), (1e-3, 4)):
             monkeypatch.setattr(elliptic, "SLAB_NODES", rows * m**3)
             grid = Grid4D(m, *spec.box, base.values + noise * rng.normal(size=(m,) * 4))
@@ -1050,14 +1050,14 @@ class TestSlabPasses:
         # compiled table never forms them.
         cross = x(1) * x(2) * Fraction(1, 3) + x(0) * x(3) * Fraction(1, 7)
         cross = cross + x(1) * x(3) * Fraction(5, 11) + x(0) * x(2) * Fraction(3, 13)
-        grid = Grid4D.from_polynomial(13, -1.0, 1.0, half_norm() + cross * 1000)
+        grid = grid_from_polynomial(13, -1.0, 1.0, half_norm() + cross * 1000)
         slab, whole = verify_potential(grid, flat_spec()), whole_verify(grid, flat_spec())
         assert slab["trace_residual_max"] == whole["trace_residual_max"]
         assert slab["form_residual_max"] <= whole["form_residual_max"] < 1e-11
         assert slab["form_residual_mean"] < whole["form_residual_mean"]
 
     def test_verification_carries_nan_through_the_maxima(self):
-        grid = Grid4D.from_polynomial(13, -1.0, 1.0, conformal_manufactured())
+        grid = grid_from_polynomial(13, -1.0, 1.0, conformal_manufactured())
         grid.values[10, 6, 6, 6] = np.nan
         report = verify_potential(grid, conformal_spec())
         assert math.isnan(report["trace_residual_max"]) and math.isnan(report["form_residual_max"])
@@ -1213,7 +1213,7 @@ class TestStencilMemory:
         # 4.5.  A whole-grid pass holding the ten margin-interior Hessian
         # arrays peaked at 79 MiB.
         spec = make_spec()
-        grid = Grid4D.from_polynomial(33, *spec.box, conformal_manufactured())
+        grid = grid_from_polynomial(33, *spec.box, conformal_manufactured())
         assert traced_peak_above_live(lambda: verify_potential(grid, spec)) < 1 * self.MB
 
     @pytest.mark.parametrize("make_spec", [conformal_spec, four_axis_spec])

@@ -20,17 +20,21 @@ from hypothesis import strategies as st
 
 from hktcalc import exact_linalg as ela
 from hktcalc.forms import compose_operators, multi_indices
-from hktcalc.salamon import ProjectorTable, _condition_matrix, _condition_operators, bundle_B
+from hktcalc.salamon import ProjectorTable, _condition_operators
 from hktcalc.structures import HypercomplexModel
 
 from conftest import (
+    bundle_B,
+    condition_matrix,
     condition_rank,
     dense_mat_mul,
     dense_null_space,
     dense_projector,
     dense_rref,
+    eta_matrix,
     fraction_inertia,
     random_sphere_points,
+    table_json,
 )
 
 
@@ -49,7 +53,7 @@ def dense_table(model):
     """(B bases, eta matrices) for k = 2, 3, built on the dense oracle."""
     bases, etas = {}, {}
     for k in (2, 3):
-        stacked = _condition_matrix(model, k, _condition_operators(model, k))
+        stacked = condition_matrix(model, k, _condition_operators(model, k))
         bases[k] = dense_null_space(stacked)
         etas[k] = dense_projector(bases[k], len(multi_indices(model.dim, k)))
     return bases, etas
@@ -136,7 +140,7 @@ class TestIntegerInput:
         assert ela.solve(a, b) == dense_solve(as_fractions(a), [Fraction(y) for y in b])
 
 
-# SHA-1 of json.dumps(ProjectorTable(n).to_json(), sort_keys=True), frozen
+# SHA-1 of json.dumps(table_json(ProjectorTable(n)), sort_keys=True), frozen
 # from the Fraction-built B conditions the integer-built ones replaced.
 TABLE_SHA1 = {
     1: "88e2dc3cadee8f32b5885ea54e8c171de0647bf8",
@@ -146,7 +150,7 @@ TABLE_SHA1 = {
 
 
 def table_sha1(table):
-    return hashlib.sha1(json.dumps(table.to_json(), sort_keys=True).encode()).hexdigest()
+    return hashlib.sha1(json.dumps(table_json(table), sort_keys=True).encode()).hexdigest()
 
 
 class TestProjectorTableMatchesDense:
@@ -156,10 +160,10 @@ class TestProjectorTableMatchesDense:
         bases, etas = dense_table(table.model)
         for k in (2, 3):
             assert bundle_B(table.model, k).basis == bases[k]
-            assert table.eta_matrix(k) == etas[k]
+            assert eta_matrix(table, k) == etas[k]
         dense_json = {str(k): [[[str(x.numerator), str(x.denominator)] for x in row] for row in etas[k]]
                       for k in (2, 3)}
-        assert json.dumps(table.to_json()) == json.dumps({"n": n, "eta": dense_json})
+        assert json.dumps(table_json(table)) == json.dumps({"n": n, "eta": dense_json})
         assert table_sha1(table) == TABLE_SHA1[n]
 
 
@@ -177,7 +181,7 @@ class TestN3Table:
 
     def test_eta_idempotent_and_splits_the_fiber(self, table3, b_ranks3):
         for k in (2, 3):
-            eta = table3.eta_matrix(k)
+            eta = eta_matrix(table3, k)
             assert compose_operators(table3.columns[k], table3.columns[k]) == table3.columns[k]
             total = len(multi_indices(12, k))
             assert ela.rank(eta) + b_ranks3[k] == total

@@ -30,12 +30,14 @@ from hktcalc.structures import HypercomplexModel
 
 from conftest import (
     SpherePoint,
+    coefficient,
     complex_laplacian,
     complex_laplacian_at,
     flat_form,
     homogeneous_projector_at,
     norm_squared,
     quarter_norm_potential,
+    salamon_DI,
     sphere_twistor_residual,
 )
 
@@ -92,7 +94,7 @@ def coframe_forms(model: HypercomplexModel, alpha: KForm) -> CoframeForms:
     zero = Polynomial.zero(d)
     entries = [[zero for _ in range(d)] for _ in range(d)]
     for leg in legs.values():
-        comps = [leg.coefficient((i,)) for i in range(d)]
+        comps = [coefficient(leg, (i,)) for i in range(d)]
         for i in range(d):
             for j in range(d):
                 entries[i][j] = entries[i][j] + comps[i] * comps[j]
@@ -308,7 +310,7 @@ class TestTorsion:
 
 class TestCoframe:
     def test_dx0_coframe_reproduces_flat_forms(self, model1, flat1):
-        cf = coframe_forms(model1, KForm.dx(4, 0))
+        cf = coframe_forms(model1, KForm.basis(4, (0,)))
         assert (cf.f_i, cf.f_j, cf.f_k) == kahler_forms(model1, kahler_form(model1, flat1))
         assert cf.sign == 1
 
@@ -330,7 +332,7 @@ class TestCoframe:
 
     def test_requires_n1(self, model2):
         with pytest.raises(ValueError):
-            coframe_forms(model2, KForm.dx(8, 0))
+            coframe_forms(model2, KForm.basis(8, (0,)))
 
 
 class TestPotentialForms:
@@ -446,8 +448,6 @@ class TestClassShift:
     def test_adding_dd_i_of_function_preserves_closedness(self, model2, table2):
         # Forward construction: F' = F + D(D_I phi) stays a D-closed
         # Salamon (1,1)-form and differs from F by an exact class.
-        from hktcalc.salamon import is_salamon_11, salamon_DI
-
         rng = random.Random(87)
         for _ in range(5):
             mu = random_polynomial(8, 3, 3, seed=rng.randrange(10**6))

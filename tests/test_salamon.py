@@ -6,30 +6,33 @@ import pytest
 
 from hktcalc import exact_linalg as ela
 from hktcalc.batteries import random_kform
-from hktcalc.forms import KForm, combine_operators, compose_operators, multi_indices, operator_matrix, vector_to_form
+from hktcalc.forms import KForm, combine_operators, compose_operators, multi_indices
 from hktcalc.salamon import (
     DegreeError,
     ProjectorTable,
     a11_subspace,
-    bundle_B,
-    _condition_matrix,
     _condition_operators,
     is_salamon_11,
     proj_formula_D,
     salamon_D,
-    salamon_DI,
 )
 from hktcalc.scalars import Polynomial, random_polynomial
 from hktcalc.structures import HypercomplexModel
 
 from conftest import (
+    bundle_B,
+    condition_matrix,
     condition_rank,
     dense_projector,
+    eta_matrix,
     flat_form,
+    operator_matrix,
     quarter_norm_potential,
     random_sphere_points,
     routed_operator,
+    salamon_DI,
     structure_matrix,
+    table_json,
 )
 
 
@@ -61,13 +64,13 @@ class TestBundleDimensions:
         assert bundle_B(model1, 2).rank == 3
 
     def test_n1_a11_dimension(self, model1):
-        assert a11_subspace(model1).rank == 1
+        assert len(a11_subspace(model1)) == 1
 
     def test_n2_dimensions(self, model2):
         # Frozen from the exact null-space computation.
         assert bundle_B(model2, 2).rank == 10
         assert bundle_B(model2, 3).rank == 40
-        assert a11_subspace(model2).rank == 6
+        assert len(a11_subspace(model2)) == 6
 
     def test_n2_rank_stable_under_extra_sphere_points(self, model2):
         base = condition_rank(model2, 3)
@@ -123,7 +126,7 @@ class TestEta:
             for k in (2, 3):
                 total = len(multi_indices(table.model.dim, k))
                 b_rank = bundle_B(table.model, k).rank
-                eta_rank = ela.rank(table.eta_matrix(k))
+                eta_rank = ela.rank(eta_matrix(table, k))
                 assert b_rank + eta_rank == total
 
     def test_closed_form_matches_matrix_projector(self, model1, table1, model2, table2):
@@ -148,7 +151,7 @@ class TestEta:
                 weights.append(w)
             sub = bundle_B(model2, k)
             alt = dense_projector(sub.basis, sub.ambient_dim, weights)
-            assert alt == table2.eta_matrix(k)
+            assert alt == eta_matrix(table2, k)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_casimir_projectors_and_rank_formulas(self, n):
@@ -172,7 +175,7 @@ class TestEta:
     def test_b3_condition_rank_formula(self, n):
         # rank = dim Lambda^3 - dim B^3 = 4 C(2n, 3), independently of eta.
         model = HypercomplexModel(n)
-        assert ela.rank(_condition_matrix(model, 3, _condition_operators(model, 3))) == 4 * comb(2 * n, 3)
+        assert ela.rank(condition_matrix(model, 3, _condition_operators(model, 3))) == 4 * comb(2 * n, 3)
 
     def test_table_build_needs_no_elimination(self, monkeypatch):
         model = HypercomplexModel(2)
@@ -259,23 +262,20 @@ class TestSalamonType:
         # On the computed A^{1,1} fiber the K residual vanishes with I, J.
         rng = random.Random(64)
         for model in (model1, model2):
-            sub = a11_subspace(model)
-            basis = multi_indices(model.dim, 2)
             acc = KForm.zero(2, model.dim)
-            for vec in sub.basis:
-                poly = random_polynomial(model.dim, 2, 2, seed=rng.randrange(10**6))
-                acc = acc + vector_to_form(vec, basis, 2, model.dim) * poly
+            for form in a11_subspace(model):
+                acc = acc + form * random_polynomial(model.dim, 2, 2, seed=rng.randrange(10**6))
             assert is_salamon_11(model, acc)
             assert model.operator("K").pullback(acc) == -acc
 
     def test_wrong_degree(self, model1):
         with pytest.raises(ValueError):
-            is_salamon_11(model1, KForm.dx(4, 0))
+            is_salamon_11(model1, KForm.basis(4, (0,)))
 
 
 class TestProjectorExport:
     def test_json_shape(self, table1):
-        doc = table1.to_json()
+        doc = table_json(table1)
         assert doc["n"] == 1
         assert set(doc["eta"]) == {"2", "3"}
         mat = doc["eta"]["2"]

@@ -81,6 +81,11 @@ class TestPolynomialArithmetic:
     def test_power(self):
         assert (x(0) + const(1)) ** 2 == x(0) * x(0) + x(0) * 2 + const(1)
 
+    def test_truth_and_hash_follow_equality(self):
+        assert not Polynomial.zero(4) and x(0)
+        assert hash(x(0) * 2) == hash(x(0) + x(0))
+        assert len({x(0) * 2, x(0) + x(0), const(0), Polynomial.zero(4)}) == 2
+
 
 class TestPartial:
     def test_power_rule(self):

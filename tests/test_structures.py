@@ -7,7 +7,7 @@ import pytest
 from hktcalc import structures
 from hktcalc.batteries import random_kform
 from hktcalc.conventions import ConventionError
-from hktcalc.forms import KForm, apply_operator, multi_indices, operator_matrix
+from hktcalc.forms import KForm, apply_operator, multi_indices
 from hktcalc.scalars import Polynomial
 from hktcalc.structures import (
     HypercomplexModel,
@@ -23,6 +23,7 @@ from conftest import (
     dense_mat_mul,
     flat_form,
     homogeneous_projector_at,
+    operator_matrix,
     random_sphere_points,
     routed_operator,
     sphere_matrix,
@@ -159,7 +160,7 @@ class TestSpherePoints:
 
 class TestSignedAction:
     def test_i_on_dx0(self, model1):
-        assert model1.operator("I").act(KForm.dx(4, 0)) == KForm.dx(4, 1)
+        assert model1.operator("I").act(KForm.basis(4, (0,))) == KForm.basis(4, (1,))
 
     def test_i_fixes_dx01(self, model1):
         w = KForm.basis(4, (0, 1))

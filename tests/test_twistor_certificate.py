@@ -40,8 +40,6 @@ oracle at sphere points.
 """
 
 import functools
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -49,7 +47,7 @@ from hktcalc import HypercomplexModel, ProjectorTable
 from hktcalc import batteries
 from hktcalc import exact_linalg as ela
 from hktcalc.documents import MAX_N, InputDocument
-from hktcalc.forms import KForm, multi_indices, vector_to_form
+from hktcalc.forms import KForm
 from hktcalc.geometry import (
     TWISTOR_AXES,
     conformal_metric,
@@ -66,6 +64,7 @@ from hktcalc.structures import complex_type_part
 
 from conftest import (
     SpherePoint,
+    bench_check_cases,
     evaluate_residual,
     homogeneous_type_projector,
     jet_residual,
@@ -83,8 +82,7 @@ FULL_RANK = {1: 0, 2: 8, 3: 40}
 
 
 def _basis_forms(model):
-    basis2 = multi_indices(model.dim, 2)
-    return [vector_to_form(v, basis2, 2, model.dim) for v in a11_subspace(model).basis]
+    return list(a11_subspace(model))
 
 
 def _residuals(model, table, form) -> dict:
@@ -128,7 +126,7 @@ def jet_columns(n: int) -> dict:
         v_parts = homogeneous_type_projector(model, 2, {(0, 0, 0): {idx: p.constant_term()
                                                                    for idx, p in basis_form.terms.items()}})
         for c in range(model.dim):
-            e_c = KForm.dx(model.dim, c)
+            e_c = KForm.basis(model.dim, (c,))
             jet = basis_form * Polynomial.variable(model.dim, c)
             residuals = {}
             for name, part in zip(TWISTOR_AXES, parts):
@@ -271,12 +269,7 @@ def test_old_path_on_equivalence_battery_cases(seed, table1, table2, monkeypatch
 
 
 def test_old_path_on_check_documents():
-    sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
-    try:
-        from gen import check_cases
-    finally:
-        sys.path.pop(0)
-    cases = check_cases(401)
+    cases = bench_check_cases(401)
     assert len(cases) == 5
     for case in cases:
         doc = InputDocument.from_json(case["doc"])
