@@ -222,10 +222,10 @@ def equivalence_battery(tables: dict[int, ProjectorTable], seed: int, count: int
             if form is None:
                 return CheckOutcome("hkt-equivalence", False, count,
                                     "could not certify a generic negative")
-        report = hkt_report(table, form)
-        if report.is_hkt != expect:
+        is_hkt = hkt_report(table, form)["is_hkt"]
+        if is_hkt != expect:
             return CheckOutcome("hkt-equivalence", False, count,
-                                f"case {i}: expected is_hkt={expect}, got {report.is_hkt}")
+                                f"case {i}: expected is_hkt={expect}, got {is_hkt}")
         if expect:
             positives += 1
         else:

@@ -4,8 +4,9 @@ Three subcommands:
 
 * ``hkt identities`` (the default) runs the full randomized identity
   suite; zero-configuration CI verification.
-* ``hkt check FILE`` dispatches on the document kind and runs the HKT
-  checks appropriate to it.
+* ``hkt check FILE`` builds the document's Kahler form F_I, whatever its
+  kind, and runs the three-way HKT report on it (`geometry.hkt_report`);
+  a potential also gets its theta certificate.
 * ``hkt solve FILE`` runs the 4D potential solver on a conformal4d
   document and verifies the result.
 
@@ -48,17 +49,8 @@ from pathlib import Path
 
 from .conventions import ConventionError
 from .documents import MAX_N, DocumentError, InputDocument, Report
-from .geometry import (
-    conformal_metric,
-    hkt_report,
-    is_hkt_definition,
-    is_hkt_salamon,
-    kahler_form,
-    potential_to_forms,
-    residual_summary,
-    theta_from_potential,
-)
-from .salamon import ProjectorTable, is_salamon_11
+from .geometry import conformal_metric, hkt_report, kahler_form, potential_to_forms, theta_from_potential
+from .salamon import ProjectorTable
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -175,38 +167,6 @@ def cmd_identities(args) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _check_metric_or_form(doc: InputDocument, report: Report) -> None:
-    result = hkt_report(ProjectorTable(doc.model), doc.payload)
-    report.verdicts["is_hkt"] = result.is_hkt
-    report.data["hkt_report"] = result.to_json()
-
-
-def _check_potential(doc: InputDocument, report: Report) -> None:
-    table = ProjectorTable(doc.model)
-    forms = potential_to_forms(doc.model, doc.payload)
-    theta_from_potential(table, doc.payload, forms.f_i)
-    # Only F_I is a Salamon (1,1)-form for the preferred structure; F_J
-    # and F_K have extreme type with respect to it.  F_I of every potential
-    # is (1,1), and theta_from_potential raises ConventionError unless
-    # D(I d mu) = F_I, so both verdicts hold once the calls return.
-    if not is_salamon_11(doc.model, forms.f_i):
-        raise ConventionError("the potential's form F_I is not of Salamon type (1,1)")
-    report.verdicts["form_salamon_11"] = True
-    report.verdicts["d_closed"] = is_hkt_salamon(table, forms.f_i).ok
-    report.verdicts["theta_certificate"] = True
-    report.data["form_I"] = forms.f_i.to_json()
-
-
-def _check_conformal(doc: InputDocument, report: Report) -> None:
-    phi, _box, _data = doc.payload
-    check = is_hkt_definition(doc.model, kahler_form(doc.model, conformal_metric(doc.model, phi)))
-    report.verdicts["is_hkt"] = check.ok
-    report.data["definition"] = check.summary()
-    if check.ok:
-        report.data["torsion"] = residual_summary(check.torsion_candidate)
-        report.data["strong"] = check.torsion_candidate.d().is_zero()
-
-
 def cmd_check(args) -> int:
     report = Report(command="check")
     try:
@@ -214,12 +174,22 @@ def cmd_check(args) -> int:
         report.input_digest = doc.digest()
         report.data["kind"] = doc.kind
         start = time.perf_counter()
-        if doc.kind in ("metric", "form"):
-            _check_metric_or_form(doc, report)
-        elif doc.kind == "potential":
-            _check_potential(doc, report)
+        table = ProjectorTable(doc.model)
+        if doc.kind == "potential":
+            f_i = potential_to_forms(doc.model, doc.payload).f_i
+        elif doc.kind == "conformal4d":
+            f_i = kahler_form(doc.model, conformal_metric(doc.model, doc.payload[0]))
         else:
-            _check_conformal(doc, report)
+            f_i = doc.payload
+        result = report.data["hkt_report"] = hkt_report(table, f_i)
+        if doc.kind == "potential":
+            # hkt_report raises unless F_I is (1,1), and theta_from_potential
+            # unless D(I d mu) = F_I, so both verdicts hold once they return.
+            theta_from_potential(table, doc.payload, f_i)
+            report.verdicts.update(form_salamon_11=True, d_closed=result["salamon_ok"], theta_certificate=True)
+            report.data["form_I"] = f_i.to_json()
+        else:
+            report.verdicts["is_hkt"] = result["is_hkt"]
         report.timings["total_s"] = time.perf_counter() - start
     except (DocumentError, ValueError) as exc:
         return _input_error(exc)
@@ -288,9 +258,13 @@ def cmd_solve(args) -> int:
         first, last = runs[0], runs[-1]
         e_first, e_last = first["form_residual_max"], last["form_residual_max"]
         # Null unless both maxima are positive and finite (a form residual
-        # that reads exactly 0.0 has no log), and so is their ratio.
+        # that reads exactly 0.0 has no log), and so is their ratio, and the
+        # residual falls as the grid refines: a rising one, a residual at
+        # rounding level say, has no order of convergence.
         if 0 < e_last < math.inf and 0 < e_first / e_last < math.inf and first["h"] != last["h"]:
             order = math.log(e_first / e_last) / math.log(first["h"] / last["h"])
+            if not order > 0:
+                order = None
     for diag in runs:
         diag["order_estimate"] = order
     report.data["runs"] = runs

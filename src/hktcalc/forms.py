@@ -82,23 +82,14 @@ def merge_indices(a: MultiIndex, b: MultiIndex) -> tuple[MultiIndex | None, int]
     return tuple(out), sign
 
 
-def insert_index(idx: MultiIndex, c: int) -> tuple[MultiIndex | None, int]:
-    """Insert one index at the front position, i.e. dx_c ^ dx_idx."""
-    if c in idx:
-        return None, 0
-    pos = sum(1 for i in idx if i < c)
-    merged = idx[:pos] + (c,) + idx[pos:]
-    return merged, -1 if pos % 2 else 1
-
-
-# (dx_j ^ dx_idx as `insert_index` gives it) for j in range(dim), per (idx, dim).
+# (dx_j ^ dx_idx as `merge_indices((j,), idx)` gives it) for j in range(dim), per (idx, dim).
 _INSERTIONS: dict = {}
 
 
 def _insertions(idx: MultiIndex, dim: int) -> tuple:
     table = _INSERTIONS.get((idx, dim))
     if table is None:
-        table = _INSERTIONS[idx, dim] = tuple(insert_index(idx, j) for j in range(dim))
+        table = _INSERTIONS[idx, dim] = tuple(merge_indices((j,), idx) for j in range(dim))
     return table
 
 

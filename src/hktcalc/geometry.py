@@ -97,8 +97,8 @@ def kahler_forms(model: HypercomplexModel, f_i: KForm) -> tuple[KForm, KForm, KF
 
     F_A(X, Y) = g(AX, Y) = -F_I(IAX, Y): F_A[a][b] = -s F_I[j][b] with
     (j, s) row a of the index map of AI.  F_J and F_K alternate exactly
-    when F_I is a Salamon (1,1)-form, which the caller ensures
-    (`is_salamon_11`); `ConventionError` otherwise.
+    when F_I is a Salamon (1,1)-form; `ConventionError` otherwise, which is
+    how every HKT report (`hkt_report`) enforces that type.
     """
     rows: list[dict] = [{} for _ in range(model.dim)]
     for (a, b), p in f_i.terms.items():
@@ -170,7 +170,8 @@ class SalamonCheck:
 def is_hkt_salamon(table: ProjectorTable, form: KForm) -> SalamonCheck:
     """D-closedness of a Salamon (1,1)-form, with a bilinear cross-check.
 
-    The caller ensures the form is (1,1) (`is_salamon_11`).  D F = eta_3(dF)
+    The caller ensures the form is (1,1): `hkt_report` runs this after the
+    definition check, whose `kahler_forms` refuses any other.  D F = eta_3(dF)
     must vanish exactly when dF meets the six bilinearized sphere
     conditions (`ProjectorTable.in_b`, independent of eta); a disagreement
     raises `ConventionError`.
@@ -307,41 +308,6 @@ def theta_from_potential(table: ProjectorTable, mu: Polynomial, f_i: KForm) -> K
     return theta
 
 
-class HKTReport:
-    """Joint outcome of the three equivalent HKT criteria.
-
-    The three verdicts must agree; `hkt_report` checks this before it
-    builds a report, so a materialized report always carries a consistent
-    triple together with torsion data and signature samples.
-    """
-
-    def __init__(self, definition_ok: bool, salamon_ok: bool, twistor_ok: bool, torsion: KForm | None,
-                 strong: bool | None, details: dict | None = None, signature_samples: list | None = None):
-        self.definition_ok = definition_ok
-        self.salamon_ok = salamon_ok
-        self.twistor_ok = twistor_ok
-        self.torsion = torsion
-        self.strong = strong
-        self.details = {} if details is None else details
-        self.signature_samples = [] if signature_samples is None else signature_samples
-
-    @property
-    def is_hkt(self) -> bool:
-        return self.definition_ok
-
-    def to_json(self) -> dict:
-        return {
-            "definition_ok": self.definition_ok,
-            "salamon_ok": self.salamon_ok,
-            "twistor_ok": self.twistor_ok,
-            "is_hkt": self.is_hkt,
-            "strong": self.strong,
-            "torsion": None if self.torsion is None else self.torsion.to_json(),
-            "details": self.details,
-            "signature_samples": self.signature_samples,
-        }
-
-
 def default_sample_points(dim: int, count: int = 5, seed: int = 3) -> list[tuple]:
     """Small deterministic rational sample points for pointwise checks."""
     import random as _random
@@ -350,14 +316,16 @@ def default_sample_points(dim: int, count: int = 5, seed: int = 3) -> list[tuple
     return [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)) for _ in range(count)]
 
 
-def hkt_report(table: ProjectorTable, f_i: KForm) -> HKTReport:
-    """Run all three criteria on a Salamon (1,1)-form F_I.
+def hkt_report(table: ProjectorTable, f_i: KForm) -> dict:
+    """The JSON report of all three criteria on a 2-form F_I.
 
-    The caller ensures F_I is (1,1) (`is_salamon_11`).  The twistor
-    criterion is decided at `TWISTOR_AXES`, and the signature of the metric
-    F_I fixes is sampled at `default_sample_points`.  The three booleans
-    are required to coincide; disagreement raises `ConventionError`
-    instead of producing a report.
+    `kahler_forms`, run by the definition check, raises `ConventionError`
+    unless F_I is a Salamon (1,1)-form.  The twistor criterion is decided
+    at `TWISTOR_AXES`, and the signature of the metric F_I fixes is sampled
+    at `default_sample_points`.  The three verdicts must coincide, and
+    `ConventionError` is raised instead of a report when they do not; the
+    torsion I dF_I and whether it is closed (`strong`) are reported when
+    they hold, None otherwise.
     """
     model = table.model
     defn = is_hkt_definition(model, f_i)
@@ -365,9 +333,14 @@ def hkt_report(table: ProjectorTable, f_i: KForm) -> HKTReport:
     tw = is_hkt_twistor(model, f_i)
     if not (defn.ok == sal.ok == tw.ok):
         raise ConventionError(f"HKT criteria disagree: definition={defn.ok} projection={sal.ok} twistor={tw.ok}")
-    torsion = defn.torsion_candidate if defn.ok else None
-    return HKTReport(
-        defn.ok, sal.ok, tw.ok, torsion, None if torsion is None else torsion.d().is_zero(),
-        details={"definition": defn.summary(), "salamon": sal.summary(), "twistor": tw.summary()},
-        signature_samples=signature_samples(model, f_i, default_sample_points(model.dim)),
-    )
+    torsion = defn.torsion_candidate
+    return {
+        "definition_ok": defn.ok,
+        "salamon_ok": sal.ok,
+        "twistor_ok": tw.ok,
+        "is_hkt": defn.ok,
+        "strong": torsion.d().is_zero() if defn.ok else None,
+        "torsion": torsion.to_json() if defn.ok else None,
+        "details": {"definition": defn.summary(), "salamon": sal.summary(), "twistor": tw.summary()},
+        "signature_samples": signature_samples(model, f_i, default_sample_points(model.dim)),
+    }

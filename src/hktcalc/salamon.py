@@ -21,15 +21,13 @@ g-skew, so each rho_A is skew and C symmetric for the inner product g
 induces on Lambda^k, and the eigenspaces of C are g-orthogonal.  The tests
 compare it with the weighted dense projector onto the complement of B^k.
 
-B^k itself is kept as exact linear conditions, for the eta-independent
-`ProjectorTable.in_b`; the tests take their exact basis of B^k, an oracle
-independent of eta, from the same conditions.  "For every structure on the
-sphere" is a quadratic condition in the sphere coordinates, so it reduces
-to finitely many exact linear conditions, all built from the axis
-derivations of `hktcalc.structures`:
+B^k is also cut out by exact linear conditions, independent of eta.
+"For every structure on the sphere" is a quadratic condition in the
+sphere coordinates, so it reduces to finitely many exact linear
+conditions, all built from the axis derivations of `hktcalc.structures`:
 
 * degree 2:  the fixed locus of the three slots-only axis pullbacks, i.e.
-  { w : Iw = w, Jw = w, Kw = w };
+  { w : Iw = w, Jw = w, Kw = w }, the conditions A* - Id;
 * degree 3:  S(P)w = w for the two-slot insertion sum
   S(P) = (rho_P^2 + 3)/2 at every P = (a, b, c) on the sphere.
 
@@ -44,6 +42,12 @@ It vanishes on the sphere exactly when its six coefficients do:
 the six coefficient conditions.  The three rho_A^2 are shared with eta_3
 and the type projectors at the axes (`structures.axis_squares`).  Rank stability
 under extra random sphere points is asserted separately as a guard.
+
+Only the B^3 conditions are built here: `ProjectorTable.in_b` applies them
+to dF, a 3-form, for the cross-check of `geometry.is_hkt_salamon`.  No
+command reads B^2 as conditions, so the tests build A* - Id themselves
+(`tests/conftest.py`), and take their exact bases of B^2 and B^3, oracles
+independent of eta, from the two sets of conditions.
 """
 
 from __future__ import annotations
@@ -52,24 +56,15 @@ from fractions import Fraction
 
 from . import structures
 from .forms import FiberOperator, KForm, apply_operator, combine_operators, compose_operators
-from .structures import HypercomplexModel, _axis_operators, axis_derivations, axis_squares, type11_projector
+from .structures import HypercomplexModel, axis_derivations, axis_squares, type11_projector
 
 
 class DegreeError(ValueError):
     """Requested degree is outside the supported range."""
 
 
-def _condition_operators(model: HypercomplexModel, k: int) -> list[FiberOperator]:
-    """The exact linear conditions cutting out B^k (degree 2 or 3).
-
-    A fiber vector lies in B^k exactly when every returned operator kills
-    it: A* - Id at the three axes for k = 2, the six coefficient
-    conditions for k = 3.
-    """
-    if k == 2:
-        return [combine_operators([(1, _axis_operators(model, name, 2)[1])], -1) for name in ("I", "J", "K")]
-    if k != 3:
-        raise DegreeError(f"bundle computation supports degrees 2 and 3, got {k}")
+def _condition_operators(model: HypercomplexModel) -> list[FiberOperator]:
+    """The six coefficient conditions whose common kernel is B^3."""
     rho = axis_derivations(model, 3)
     pairs = [(compose_operators(rho[a], rho[b]), compose_operators(rho[b], rho[a]))
              for a, b in ((0, 1), (1, 2), (2, 0))]
@@ -98,19 +93,18 @@ class ProjectorTable:
     operator in `columns`: eta_2 = -C/8 and eta_3 = -(C + 3)/12 for the
     Casimir C (see the module docstring).
 
-    The table also keeps, per degree, the condition operators whose common
-    kernel is B^k; `in_b` applies them as an eta-free membership test.
+    The table also keeps the six condition operators whose common kernel
+    is B^3; `in_b` applies them to dF as an eta-free membership test.
     Construction is eager, so a fully built table is read-only and safe to
     query concurrently.
     """
 
     def __init__(self, model: HypercomplexModel):
         self.model = model
-        self.columns: dict[int, FiberOperator] = {}
-        self.conditions: dict[int, list[FiberOperator]] = {}
-        for k, (shift, den) in _ETA_FROM_CASIMIR.items():
-            self.columns[k] = combine_operators([(-1, sq) for sq in axis_squares(model, k)], -shift, den)
-            self.conditions[k] = _condition_operators(model, k)
+        self.columns: dict[int, FiberOperator] = {
+            k: combine_operators([(-1, sq) for sq in axis_squares(model, k)], -shift, den)
+            for k, (shift, den) in _ETA_FROM_CASIMIR.items()}
+        self.conditions = _condition_operators(model)
 
     def eta(self, form: KForm) -> KForm:
         """Project a polynomial form fiberwise onto the complement of B."""
@@ -123,11 +117,11 @@ class ProjectorTable:
         return apply_operator(self.columns[form.degree], form)
 
     def in_b(self, form: KForm) -> bool:
-        """Whether a polynomial form lies in B^k identically: every exact
-        condition operator of its degree kills it.  Independent of eta."""
-        if form.degree not in self.conditions:
-            raise DegreeError(f"B conditions are available for degrees 2 and 3, got {form.degree}")
-        return all(apply_operator(op, form).is_zero() for op in self.conditions[form.degree])
+        """Whether a polynomial 3-form lies in B^3 identically: every exact
+        condition operator kills it.  Independent of eta."""
+        if form.degree != 3:
+            raise DegreeError(f"B conditions are available for degree 3, got {form.degree}")
+        return all(apply_operator(op, form).is_zero() for op in self.conditions)
 
 
 def salamon_D(table: ProjectorTable, form: KForm) -> KForm:

@@ -23,8 +23,8 @@ from hktcalc.forms import (
     sort_with_sign,
 )
 from hktcalc.geometry import conformal_metric, kahler_form
-from hktcalc.salamon import _condition_operators, salamon_D
-from hktcalc.structures import axis_derivations, axis_image
+from hktcalc.salamon import DegreeError, _condition_operators, salamon_D
+from hktcalc.structures import _axis_operators, axis_derivations, axis_image
 
 
 # Dense exact linear algebra: test oracles.  `hktcalc.exact_linalg` is the
@@ -195,10 +195,21 @@ def condition_matrix(model: HypercomplexModel, k: int, ops: Sequence[FiberOperat
     return [row for op in ops for row in operator_matrix(op, k, model.dim)]
 
 
+def b_conditions(model: HypercomplexModel, k: int) -> list[FiberOperator]:
+    """The exact conditions cutting out B^k: A* - Id at the three axes for
+    k = 2, which no command reads, and the package's six coefficient
+    conditions for k = 3; `DegreeError` for any other k."""
+    if k == 2:
+        return [combine_operators([(1, _axis_operators(model, name, 2)[1])], -1) for name in "IJK"]
+    if k != 3:
+        raise DegreeError(f"B conditions are built for degrees 2 and 3, got {k}")
+    return _condition_operators(model)
+
+
 def bundle_B(model: HypercomplexModel, k: int) -> FiberSubspace:
     """Test oracle: the exact basis of B^k (k in {2, 3}) as the null space of
-    the package's B conditions; `DegreeError` for any other k."""
-    stacked = condition_matrix(model, k, _condition_operators(model, k))
+    its conditions (`b_conditions`); `DegreeError` for any other k."""
+    stacked = condition_matrix(model, k, b_conditions(model, k))
     return FiberSubspace(len(multi_indices(model.dim, k)), ela.null_space(stacked))
 
 
@@ -629,7 +640,7 @@ def condition_rank(model: HypercomplexModel, k: int, extra_points: Sequence[Sphe
     Each extra point appends S(P) - Id for the oracle two-slot insertion
     sum S(P), which on 2-forms is the pullback.
     """
-    ops = _condition_operators(model, k)
+    ops = b_conditions(model, k)
     ops += [combine_operators([(1, routed_fiber_op(model, pt, k, 2))], -1) for pt in extra_points]
     return ela.rank(condition_matrix(model, k, ops))
 

@@ -16,6 +16,7 @@ from hktcalc.cli import (
     main,
 )
 from hktcalc.documents import DocumentError, InputDocument
+from hktcalc.forms import KForm
 from hktcalc.geometry import conformal_metric
 from hktcalc.scalars import Polynomial
 
@@ -220,7 +221,6 @@ class TestCheckCommand:
         assert report["data"]["hkt_report"]["strong"]
 
     def test_conformal_document(self, tmp_path, capsys, monkeypatch):
-        import hktcalc.cli as cli
         import hktcalc.geometry as geometry
 
         calls = []
@@ -230,16 +230,20 @@ class TestCheckCommand:
             calls.append(f_i)
             return original(model, f_i)
 
-        # The torsion comes from the one definition check, not a second one.
-        monkeypatch.setattr(cli, "is_hkt_definition", spy)
+        # A conformal factor gets the report of its metric's F_I, and the
+        # torsion comes from that report's one definition check.
         monkeypatch.setattr(geometry, "is_hkt_definition", spy)
         path = write(tmp_path, "conf.json", conformal_doc())
         assert main(["check", path]) == EXIT_OK
         assert len(calls) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["verdicts"]["is_hkt"]
-        assert report["data"]["torsion"]["nonzero_terms"] > 0
-        assert report["data"]["strong"] is False
+        assert report["verdicts"] == {"is_hkt": True}
+        assert sorted(report["data"]) == ["hkt_report", "kind"]
+        result = report["data"]["hkt_report"]
+        assert result["definition_ok"] and result["salamon_ok"] and result["twistor_ok"]
+        # For g = (1 + x0^2) delta the torsion is 2 x0 dx1^dx2^dx3, not closed.
+        assert result["torsion"] == KForm(3, 4, {(1, 2, 3): x(0) * 2}).to_json()
+        assert result["strong"] is False
 
     def test_negative_form_fails_with_residuals(self, tmp_path, capsys):
         path = write(tmp_path, "neg.json", negative_form_doc())
@@ -263,19 +267,38 @@ class TestCheckCommand:
 
     def test_affine_potential_report(self, tmp_path, capsys):
         # An affine mu has F_I = 0 and goes through the same checks as any
-        # other potential; the report is the one the former zero-form
-        # shortcut gave.
+        # other potential: the zero form is HKT with zero torsion, and the
+        # metric it fixes is zero at every sample point.
+        from hktcalc.geometry import default_sample_points
+
         mu = x(0) * 3 - x(2) + Polynomial.constant(4, 5)
         doc = {"kind": "potential", "model": {"n": 1}, "payload": {"mu": mu.to_json()}}
         path = write(tmp_path, "affine.json", doc)
         assert main(["check", path]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         del report["timings"]
+        zero = {"max_height": 0, "nonzero_terms": 0}
+        hkt_report = {
+            "definition_ok": True,
+            "details": {
+                "definition": {"ok": True, "residual_IJ": zero, "residual_JK": zero},
+                "salamon": {"ok": True, "residual_D": zero},
+                "twistor": {"ok": True, "points": [{**zero, "point": point}
+                                                   for point in (["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"])]},
+            },
+            "is_hkt": True,
+            "salamon_ok": True,
+            "signature_samples": [{"negative": 0, "point": [str(c) for c in point], "positive": 0, "zero": 4}
+                                  for point in default_sample_points(4)],
+            "strong": True,
+            "torsion": {"dim": 4, "k": 3, "terms": []},
+            "twistor_ok": True,
+        }
         assert report == {
             "all_ok": True,
             "checks": [],
             "command": "check",
-            "data": {"form_I": {"dim": 4, "k": 2, "terms": []}, "kind": "potential"},
+            "data": {"form_I": {"dim": 4, "k": 2, "terms": []}, "hkt_report": hkt_report, "kind": "potential"},
             "input_digest": "c6fda9458a4fa719ac61a74dae1e06744e3dc5fafc080ba0b4de1ec08ef3d341",
             "seed": None,
             "verdicts": {"d_closed": True, "form_salamon_11": True, "theta_certificate": True},
@@ -333,8 +356,10 @@ class TestCheckCommand:
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_one_salamon_type_check_per_document(self, tmp_path, capsys, monkeypatch):
-        # Each metric, form and potential document tests the type of its
-        # F_I once; for a metric that call is its J-invariance check.
+        # Each metric and form document tests the type of its F_I once; for
+        # a metric that call is its J-invariance check.  The F_I of a
+        # potential or conformal factor is (1,1) by construction, and
+        # `kahler_forms` in the HKT report enforces it.
         import hktcalc
         import hktcalc.salamon as salamon
 
@@ -355,13 +380,14 @@ class TestCheckCommand:
             assert main(["check", path]) == case["expect"]["exit"]
             counts[case["name"]] = len(calls)
         capsys.readouterr()
-        assert counts == {"form-n2-negative": 1, "form-n2-potential": 1, "potential-n2": 1,
+        assert counts == {"form-n2-negative": 1, "form-n2-potential": 1, "potential-n2": 0,
                           "metric-n1-conformal": 1, "conformal4d-n1": 0}
         assert hktcalc.is_salamon_11 is spy
 
     def test_one_kahler_form_per_axis_per_document(self, tmp_path, capsys, monkeypatch):
-        # A metric enters as its F_I, built once; a form document is its
-        # F_I.  The definition check reads F_J and F_K off F_I once.
+        # A metric or conformal factor enters as its F_I, built once; a form
+        # document is its F_I, and a potential's is built from mu.  Every
+        # document's definition check reads F_J and F_K off F_I once.
         import hktcalc.geometry as geometry
 
         calls = []
@@ -382,7 +408,7 @@ class TestCheckCommand:
             assert main(["check", path]) == case["expect"]["exit"]
             counts[case["name"]] = (calls.count("kahler_form"), calls.count("kahler_forms"))
         capsys.readouterr()
-        assert counts == {"form-n2-negative": (0, 1), "form-n2-potential": (0, 1), "potential-n2": (0, 0),
+        assert counts == {"form-n2-negative": (0, 1), "form-n2-potential": (0, 1), "potential-n2": (0, 1),
                           "metric-n1-conformal": (1, 1), "conformal4d-n1": (1, 1)}
 
     def test_one_potential_form_build_per_document(self, tmp_path, capsys, monkeypatch):
@@ -408,6 +434,22 @@ class TestCheckCommand:
         capsys.readouterr()
         assert counts == {"form-n2-negative": 0, "form-n2-potential": 0, "potential-n2": 1,
                           "metric-n1-conformal": 0, "conformal4d-n1": 0}
+
+    def test_every_document_kind_carries_one_hkt_report(self, tmp_path, capsys):
+        # Metric, form, potential and conformal4d documents all answer "is
+        # this F_I HKT?" through one report, whose three criteria agree with
+        # each other and with the document's verdict.
+        kinds = set()
+        for case in bench_check_cases(401):
+            path = write(tmp_path, f"{case['name']}.json", case["doc"])
+            assert main(["check", path]) == case["expect"]["exit"]
+            report = json.loads(capsys.readouterr().out)
+            result = report["data"]["hkt_report"]
+            verdict = report["verdicts"]["d_closed" if report["data"]["kind"] == "potential" else "is_hkt"]
+            assert {result[key] for key in ("definition_ok", "salamon_ok", "twistor_ok", "is_hkt")} == {verdict}, \
+                case["name"]
+            kinds.add(report["data"]["kind"])
+        assert kinds == {"metric", "form", "potential", "conformal4d"}
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -562,6 +604,21 @@ class TestSolveCommand:
         runs = json.loads(captured.out)["data"]["runs"]
         assert runs[0]["form_residual_max"] == 0.0
         assert [run["order_estimate"] for run in runs] == [None, None]
+
+    @pytest.mark.parametrize("grids", [(9, 17), (17, 9)])
+    def test_rising_form_residual_gives_no_order_estimate(self, tmp_path, capsys, grids):
+        # phi = 1 with quadratic Dirichlet data on [0, 1]: the form residual
+        # sits at rounding level and rises as the grid refines (about 4e-14
+        # at m = 9 and 3e-13 at m = 17), and --grid 9 --grid 17 read an
+        # order of -3.19.
+        from conftest import norm_squared
+
+        doc = conformal_doc(phi=Polynomial.constant(4, 1), box=(0.0, 1.0), dirichlet=norm_squared(4) * Fraction(1, 2))
+        path = write(tmp_path, "quadratic.json", doc)
+        assert main(["solve", path, *(arg for m in grids for arg in ("--grid", str(m)))]) == EXIT_OK
+        runs = {run["m"]: run for run in json.loads(capsys.readouterr().out)["data"]["runs"]}
+        assert 0 < runs[9]["form_residual_max"] < runs[17]["form_residual_max"]
+        assert [run["order_estimate"] for run in runs.values()] == [None, None]
 
     def test_vanishing_factor_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", conformal_doc(phi=x(0)))
@@ -867,8 +924,8 @@ class TestFailureTaxonomy:
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_in_b_disagreement_in_potential_check_exits_4(self, tmp_path, capsys, monkeypatch):
-        # is_hkt_salamon owns the eta-free cross-check, so the potential
-        # path, which never builds an HKT report, enforces it too.
+        # is_hkt_salamon owns the eta-free cross-check, and a potential's
+        # F_I goes through the same HKT report as every other document's.
         import hktcalc.salamon as salamon
 
         in_b = salamon.ProjectorTable.in_b
@@ -883,18 +940,22 @@ class TestFailureTaxonomy:
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_potential_form_off_type_11_exits_4(self, tmp_path, capsys, monkeypatch):
-        # F_I of a potential is (1,1) by construction, so a failed type
-        # check is a broken invariant, not bad input.
+        # F_I of a potential is (1,1) by construction, so an F_I of another
+        # type is a broken invariant, not bad input: the HKT report's
+        # `kahler_forms` refuses it before the theta certificate runs.
         import hktcalc.cli as cli
+        from hktcalc.geometry import PotentialForms
 
-        monkeypatch.setattr(cli, "is_salamon_11", lambda model, form: False)
+        off_type = flat_form("J")
+        monkeypatch.setattr(cli, "potential_to_forms", lambda model, mu: PotentialForms(off_type, off_type, off_type))
         doc = {"kind": "potential", "model": {"n": 1},
                "payload": {"mu": quarter_norm_potential(4).to_json()}}
         path = write(tmp_path, "mu.json", doc)
         assert main(["check", path]) == EXIT_INTERNAL_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("internal error: the potential's form F_I is not of Salamon type (1,1)")
+        assert captured.err.startswith("internal error: Kahler form F_")
+        assert captured.err.rstrip().endswith("F_I is not of type (1,1)")
         assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["check", "identities"])

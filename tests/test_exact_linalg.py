@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from hktcalc import exact_linalg as ela
 from hktcalc.forms import compose_operators, multi_indices
-from hktcalc.salamon import ProjectorTable, _condition_operators
+from hktcalc.salamon import ProjectorTable
 from hktcalc.structures import HypercomplexModel
 
 from conftest import (
+    b_conditions,
     bundle_B,
     condition_matrix,
     condition_rank,
@@ -53,7 +54,7 @@ def dense_table(model):
     """(B bases, eta matrices) for k = 2, 3, built on the dense oracle."""
     bases, etas = {}, {}
     for k in (2, 3):
-        stacked = condition_matrix(model, k, _condition_operators(model, k))
+        stacked = condition_matrix(model, k, b_conditions(model, k))
         bases[k] = dense_null_space(stacked)
         etas[k] = dense_projector(bases[k], len(multi_indices(model.dim, k)))
     return bases, etas

@@ -92,6 +92,7 @@ from conftest import (
     FIXED_WITNESSES,
     JET_SCALE,
     SpherePoint,
+    b_conditions,
     bundle_B,
     condition_rank,
     form_component_matrix,
@@ -277,9 +278,11 @@ def oracle_combine_operators(terms, shift=0, den=None):
 @functools.lru_cache(maxsize=None)
 def fraction_operators(n):
     """[(k, operator, oracle)]: each operator the package stores as int
-    entries over a denominator (1 for the B^2 conditions), and the same
-    operator with Fraction entries, rebuilt by `oracle_combine_operators`
-    from the int axis operators as the package built it before."""
+    entries over a denominator (1 for the B^2 conditions, which
+    `conftest.b_conditions` combines from the package's axis pullbacks),
+    and the same operator with Fraction entries, rebuilt by
+    `oracle_combine_operators` from the int axis operators as the package
+    built it before."""
     model = HypercomplexModel(n)
     table = ProjectorTable(model)
     old = oracle_combine_operators
@@ -291,8 +294,9 @@ def fraction_operators(n):
           + [old([(1, compose_operators(rho[a], rho[b])), (1, compose_operators(rho[b], rho[a]))], 0, 2)
              for a, b in ((0, 1), (1, 2), (2, 0))])
     for k, oracles in ((2, b2), (3, b3)):
-        assert len(table.conditions[k]) == len(oracles)
-        pairs += [(k, op, oracle) for op, oracle in zip(table.conditions[k], oracles)]
+        conditions = b_conditions(model, k)
+        assert len(conditions) == len(oracles)
+        pairs += [(k, op, oracle) for op, oracle in zip(conditions, oracles)]
     for name in "IJK":
         for k, (shift, den) in ((2, (0, 4)), (3, (-1, 8))):
             square = axis_squares(model, k)["IJK".index(name)]

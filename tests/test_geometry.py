@@ -287,10 +287,15 @@ class TestTwistorCriterion:
         assert not is_hkt_twistor(model2, form).ok
 
 
+def report_torsion(table, f_i) -> KForm:
+    """The torsion form an HKT report carries."""
+    return KForm.from_json(hkt_report(table, f_i)["torsion"])
+
+
 class TestTorsion:
     def test_flat_torsion_zero_and_strong(self, table1, flat1):
         report = hkt_report(table1, kahler_form(table1.model, flat1))
-        assert report.torsion.is_zero() and report.strong
+        assert KForm.from_json(report["torsion"]).is_zero() and report["strong"]
 
     def test_conformal_torsion_value(self, table1, model1):
         # Frozen by hand from the block matrices: for g = (1+x0^2) delta,
@@ -298,14 +303,14 @@ class TestTorsion:
         # 2 x0 dx1^dx2^dx3.
         metric = conformal(model1, Polynomial.constant(4, 1) + x(0) * x(0))
         report = hkt_report(table1, kahler_form(model1, metric))
-        assert report.torsion == KForm(3, 4, {(1, 2, 3): x(0) * 2})
-        assert not report.strong
+        assert KForm.from_json(report["torsion"]) == KForm(3, 4, {(1, 2, 3): x(0) * 2})
+        assert report["strong"] is False
 
     def test_scaling_linearity(self, table1, model1):
         metric = conformal(model1, positive_conformal_factor(random.Random(77)))
-        torsion = hkt_report(table1, kahler_form(model1, metric)).torsion
+        torsion = report_torsion(table1, kahler_form(model1, metric))
         doubled = [[p * 2 for p in row] for row in metric]
-        assert hkt_report(table1, kahler_form(model1, doubled)).torsion == torsion * 2
+        assert report_torsion(table1, kahler_form(model1, doubled)) == torsion * 2
 
 
 class TestCoframe:
@@ -496,16 +501,21 @@ class TestComplexLaplacian:
 class TestReport:
     def test_positive_report(self, table1, flat1):
         rep = hkt_report(table1, kahler_form(table1.model, flat1))
-        assert rep.is_hkt and rep.strong
-        assert rep.torsion.is_zero()
-        doc = rep.to_json()
-        assert doc["definition_ok"] and doc["salamon_ok"] and doc["twistor_ok"]
-        assert doc["signature_samples"][0]["positive"] == 4
+        assert rep["is_hkt"] and rep["strong"]
+        assert KForm.from_json(rep["torsion"]).is_zero()
+        assert rep["definition_ok"] and rep["salamon_ok"] and rep["twistor_ok"]
+        assert rep["signature_samples"][0]["positive"] == 4
 
     def test_negative_report(self, table2, model2):
         rng = random.Random(86)
         form = random_a11_form(model2, rng)
         rep = hkt_report(table2, form)
-        assert not rep.is_hkt
-        assert rep.torsion is None
-        assert rep.details["salamon"]["residual_D"]["nonzero_terms"] > 0
+        assert not rep["is_hkt"]
+        assert rep["torsion"] is None and rep["strong"] is None
+        assert rep["details"]["salamon"]["residual_D"]["nonzero_terms"] > 0
+
+    def test_form_off_type_11_raises_before_any_report(self, table1):
+        # kahler_forms, inside the definition check, enforces the (1,1)
+        # type the criteria need.
+        with pytest.raises(ConventionError, match="not of type"):
+            hkt_report(table1, flat_form("J"))

@@ -1,6 +1,6 @@
 """Golden HKT reports and the package's exported names.
 
-The four reports in tests/data/ were written by `hkt_report(...).to_json()`
+The four reports in tests/data/ were written by `hkt_report`
 for fixed-seed sources, so any change to a verdict, a residual summary
 (term counts and coefficient heights of the twistor residuals included),
 the torsion form or the signature samples shows up as a diff.  Regenerate
@@ -44,7 +44,7 @@ def _source(name: str, table: ProjectorTable):
 def _report(name: str, tables: dict) -> dict:
     table = tables[1] if name.startswith("n1") else tables[2]
     # A JSON round trip turns tuples into lists, as in the stored file.
-    return json.loads(json.dumps(hkt_report(table, _source(name, table)).to_json()))
+    return json.loads(json.dumps(hkt_report(table, _source(name, table))))
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -168,14 +168,14 @@ class TestEta:
             assert comb(4 * n, k) - trace == b_rank
         # Every coefficient condition kills B^3 = image(Id - eta_3).
         complement = combine_operators([(-1, table.columns[3])], 1)
-        for condition in table.conditions[3]:
+        for condition in table.conditions:
             assert not any(compose_operators(condition, complement).values())
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_b3_condition_rank_formula(self, n):
         # rank = dim Lambda^3 - dim B^3 = 4 C(2n, 3), independently of eta.
         model = HypercomplexModel(n)
-        assert ela.rank(condition_matrix(model, 3, _condition_operators(model, 3))) == 4 * comb(2 * n, 3)
+        assert ela.rank(condition_matrix(model, 3, _condition_operators(model))) == 4 * comb(2 * n, 3)
 
     def test_table_build_needs_no_elimination(self, monkeypatch):
         model = HypercomplexModel(2)
@@ -188,22 +188,25 @@ class TestEta:
         table = ProjectorTable(model)
         assert set(table.columns) == {2, 3}
 
-    def test_table_builds_each_degree_conditions_once(self, monkeypatch):
-        # The B^2 and B^3 conditions are about half of a cold table build.
+    def test_table_builds_the_b3_conditions_once(self, monkeypatch):
+        # The table keeps the six B^3 conditions `in_b` applies to dF and
+        # builds no B^2 condition: no command reads one.
         import hktcalc.salamon as salamon
 
-        degrees = []
+        calls = []
 
-        def spy(model, k):
-            degrees.append(k)
-            return _condition_operators(model, k)
+        def spy(model):
+            calls.append(model.n)
+            return _condition_operators(model)
 
         monkeypatch.setattr(salamon, "_condition_operators", spy)
         for n in (1, 2):
-            degrees.clear()
+            calls.clear()
             table = ProjectorTable(HypercomplexModel(n))
-            assert degrees == [2, 3]
-            assert set(table.conditions) == {2, 3}
+            assert calls == [n]
+            assert len(table.conditions) == 6
+            with pytest.raises(DegreeError):
+                table.in_b(KForm.basis(table.model.dim, (0, 1)))
 
 
 class TestProjectedDifferential:

@@ -337,7 +337,7 @@ class TestAxisSquares:
         monkeypatch.setattr(structures, "compose_operators", spy)
         model = HypercomplexModel(2)
         report = hkt_report(ProjectorTable(model), random_a11_form(model, random.Random(504)))
-        assert not report.twistor_ok
+        assert not report["twistor_ok"]
         rho = {(name, k): structures._axis_operators(model, name, k)[0] for name in "IJK" for k in (2, 3)}
         pullbacks = [structures._axis_operators(model, name, 2)[1] for name in "IJ"]
         assert sorted(id(op) for op in squared) == sorted(id(op) for op in [*rho.values(), *pullbacks])
